@@ -12,41 +12,26 @@
 //!
 //! # Wire format
 //!
-//! Magic `b"FWCK"`, version (u32 LE), then length-prefixed fields in a
-//! fixed order, all little-endian, built on the byte helpers in
-//! `fedwcm_nn::serialize`. Float bit patterns are preserved exactly, so
+//! Magic `b"FWCK"`, version (u32 LE), then the checkpoint body: every
+//! field in the fixed order of the `wire_struct!` table next to
+//! [`ServerCheckpoint`], all little-endian and length-prefixed, through
+//! the one codec in `crate::codec`. Float bit patterns are preserved
+//! exactly and every tag accepts only the values its writer emits, so
 //! serialize → deserialize → serialize is the identity on bytes.
 //!
-//! Version 4 (current) added the transport state: the logical-clock
-//! tick counter after the cadence, eight per-round network counters
-//! after the fault columns, and a `via_net` flag on each straggler-
-//! buffer entry — so a run killed mid-retry resumes with identical
-//! backoff clocks and books. Version 3 added the cadence tag after the
-//! fingerprint, the `aggregations`/`late_requeued` record columns, and
-//! the aggregation buffer after the replay cache. Version 2
-//! checkpoints (no cadence — always synchronous, empty aggregation
-//! buffer, `aggregations` back-filled from `update_norm`) still parse;
-//! pre-v4 fields default to zero transport activity.
+//! There is exactly one version. A header carrying any other number is
+//! [`CheckpointError::Malformed`]: no checkpoint outlives the build that
+//! wrote it, so an older layout is a stale file, not an input.
 
 use crate::algorithm::{FederatedAlgorithm, StateError};
 use crate::cadence::Cadence;
-use crate::client::ClientUpdate;
+use crate::codec::{wire_struct, Wire};
 use crate::engine::{BufferedUpdate, PendingUpdate, RunState, Simulation};
-use crate::metrics::{History, RoundFaults, RoundRecord};
-use fedwcm_nn::serialize::{
-    put_bytes, put_f32, put_f32s, put_f64, put_str, put_u32, put_u64, ByteReader,
-};
-use fedwcm_trace::{HistogramSnapshot, MetricEntry, MetricValue, MetricsSnapshot};
-use fedwcm_transport::NetCounters;
+use crate::metrics::History;
 
 const MAGIC: &[u8; 4] = b"FWCK";
-// Version 2 added the metrics snapshot after the history records;
-// version 3 the cadence tag, per-round aggregation counts, re-queue
-// tallies, and the aggregation buffer; version 4 the transport tick
-// counter, per-round network counters, and per-pending via_net flags.
+/// The one format version written and read.
 const VERSION: u32 = 4;
-/// Oldest version [`ServerCheckpoint::from_bytes`] still parses.
-const MIN_VERSION: u32 = 2;
 
 /// Why a checkpoint could not be captured, parsed, or restored.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -108,20 +93,35 @@ pub struct ServerCheckpoint {
     /// Buffered straggler uploads not yet merged.
     pending: Vec<PendingUpdate>,
     /// Aggregation buffer of the buffered-K/async cadences (empty under
-    /// sync and in pre-v3 checkpoints).
+    /// sync).
     agg_buffer: Vec<BufferedUpdate>,
     /// Per-client last-received uploads (replay-fault machinery).
     replay_cache: Vec<Option<Vec<f32>>>,
-    /// Aggregation cadence the run was using (always [`Cadence::Sync`]
-    /// for pre-v3 checkpoints).
+    /// Aggregation cadence the run was using.
     cadence: Cadence,
     /// Transport logical-clock position (zero when no network plan was
-    /// active, and for pre-v4 checkpoints).
+    /// active).
     net_ticks: u64,
     /// Fingerprint of the producing simulation: seed, clients, rounds,
     /// parameter arity.
     fingerprint: [u64; 4],
 }
+
+// The FWCK body, field by field in wire order. A new field is one line
+// here (and a new `VERSION`).
+wire_struct!(ServerCheckpoint {
+    fingerprint,
+    cadence,
+    net_ticks,
+    next_round,
+    global,
+    algo_name,
+    algo_state,
+    history,
+    pending,
+    replay_cache,
+    agg_buffer,
+});
 
 impl ServerCheckpoint {
     /// The round a resume would execute next.
@@ -227,355 +227,17 @@ impl ServerCheckpoint {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
-        put_u32(&mut out, VERSION);
-        for &f in &self.fingerprint {
-            put_u64(&mut out, f);
-        }
-        let (cadence_tag, cadence_param) = self.cadence.tag_param();
-        put_u32(&mut out, cadence_tag);
-        put_u64(&mut out, cadence_param);
-        put_u64(&mut out, self.net_ticks);
-        put_u64(&mut out, self.next_round as u64);
-        put_f32s(&mut out, &self.global);
-        put_str(&mut out, &self.algo_name);
-        put_bytes(&mut out, &self.algo_state);
-
-        // History.
-        put_str(&mut out, &self.history.name);
-        put_u64(&mut out, self.history.records.len() as u64);
-        for r in &self.history.records {
-            put_u64(&mut out, r.round as u64);
-            put_opt_f64(&mut out, r.train_loss);
-            put_f64(&mut out, r.update_norm);
-            put_opt_f64(&mut out, r.test_acc);
-            put_opt_f64(&mut out, r.alpha);
-            put_u32(&mut out, r.aggregations);
-            put_u64(&mut out, r.dropped_updates as u64);
-            put_u32(&mut out, r.faults.dropouts);
-            put_u32(&mut out, r.faults.stragglers);
-            put_u32(&mut out, r.faults.late_merged);
-            put_u32(&mut out, r.faults.late_requeued);
-            put_u32(&mut out, r.faults.corruptions);
-            put_u32(&mut out, r.faults.replays);
-            put_u32(&mut out, r.faults.quorum_failed as u32);
-            put_u64(&mut out, r.net.frames_sent);
-            put_u64(&mut out, r.net.retries);
-            put_u64(&mut out, r.net.rejected_frames);
-            put_u64(&mut out, r.net.duplicates);
-            put_u64(&mut out, r.net.delayed);
-            put_u64(&mut out, r.net.degraded);
-            put_u64(&mut out, r.net.retransmitted_bytes);
-            put_u64(&mut out, r.net.rejected_bytes);
-        }
-        put_metrics(&mut out, &self.history.metrics);
-
-        // Straggler buffer.
-        put_u64(&mut out, self.pending.len() as u64);
-        for p in &self.pending {
-            put_u64(&mut out, p.arrival_round as u64);
-            put_u64(&mut out, p.staleness as u64);
-            put_u32(&mut out, u32::from(p.via_net));
-            put_update(&mut out, &p.update);
-        }
-
-        // Replay cache.
-        put_u64(&mut out, self.replay_cache.len() as u64);
-        for slot in &self.replay_cache {
-            match slot {
-                Some(delta) => {
-                    put_u32(&mut out, 1);
-                    put_f32s(&mut out, delta);
-                }
-                None => put_u32(&mut out, 0),
-            }
-        }
-
-        // Aggregation buffer (buffered-K/async cadences).
-        put_u64(&mut out, self.agg_buffer.len() as u64);
-        for b in &self.agg_buffer {
-            put_u64(&mut out, b.base_round as u64);
-            put_update(&mut out, &b.update);
-        }
+        VERSION.put(&mut out);
+        self.put(&mut out);
         out
     }
 
     /// Parse a checkpoint serialized by [`ServerCheckpoint::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let body = bytes
+        bytes
             .strip_prefix(MAGIC.as_slice())
-            .ok_or(CheckpointError::Malformed)?;
-        let mut r = ByteReader::new(body);
-        let version = r.u32().ok_or(CheckpointError::Malformed)?;
-        if !(MIN_VERSION..=VERSION).contains(&version) {
-            return Err(CheckpointError::Malformed);
-        }
-        let mut fingerprint = [0u64; 4];
-        for f in fingerprint.iter_mut() {
-            *f = r.u64().ok_or(CheckpointError::Malformed)?;
-        }
-        let cadence = if version >= 3 {
-            let tag = r.u32().ok_or(CheckpointError::Malformed)?;
-            let param = r.u64().ok_or(CheckpointError::Malformed)?;
-            Cadence::from_tag_param(tag, param).ok_or(CheckpointError::Malformed)?
-        } else {
-            // v2 predates cadences: every run was round-synchronous.
-            Cadence::Sync
-        };
-        let net_ticks = if version >= 4 {
-            r.u64().ok_or(CheckpointError::Malformed)?
-        } else {
-            // Pre-v4 runs had no transport: clock never advanced.
-            0
-        };
-        let next_round = read_usize(&mut r)?;
-        let global = r.f32s().ok_or(CheckpointError::Malformed)?;
-        let algo_name = r.str().ok_or(CheckpointError::Malformed)?;
-        let algo_state = r.bytes().ok_or(CheckpointError::Malformed)?;
-
-        let mut history = History::new(r.str().ok_or(CheckpointError::Malformed)?);
-        let n_records = read_usize(&mut r)?;
-        for _ in 0..n_records {
-            let round = read_usize(&mut r)?;
-            let train_loss = read_opt_f64(&mut r)?;
-            let update_norm = r.f64().ok_or(CheckpointError::Malformed)?;
-            let test_acc = read_opt_f64(&mut r)?;
-            let alpha = read_opt_f64(&mut r)?;
-            let aggregations = if version >= 3 {
-                r.u32().ok_or(CheckpointError::Malformed)?
-            } else {
-                // v2 rounds were synchronous: one aggregation whenever
-                // the global model moved.
-                u32::from(update_norm > 0.0)
-            };
-            let dropped_updates = read_usize(&mut r)?;
-            let faults = RoundFaults {
-                dropouts: r.u32().ok_or(CheckpointError::Malformed)?,
-                stragglers: r.u32().ok_or(CheckpointError::Malformed)?,
-                late_merged: r.u32().ok_or(CheckpointError::Malformed)?,
-                late_requeued: if version >= 3 {
-                    r.u32().ok_or(CheckpointError::Malformed)?
-                } else {
-                    0
-                },
-                corruptions: r.u32().ok_or(CheckpointError::Malformed)?,
-                replays: r.u32().ok_or(CheckpointError::Malformed)?,
-                quorum_failed: r.u32().ok_or(CheckpointError::Malformed)? != 0,
-            };
-            let net = if version >= 4 {
-                NetCounters {
-                    frames_sent: r.u64().ok_or(CheckpointError::Malformed)?,
-                    retries: r.u64().ok_or(CheckpointError::Malformed)?,
-                    rejected_frames: r.u64().ok_or(CheckpointError::Malformed)?,
-                    duplicates: r.u64().ok_or(CheckpointError::Malformed)?,
-                    delayed: r.u64().ok_or(CheckpointError::Malformed)?,
-                    degraded: r.u64().ok_or(CheckpointError::Malformed)?,
-                    retransmitted_bytes: r.u64().ok_or(CheckpointError::Malformed)?,
-                    rejected_bytes: r.u64().ok_or(CheckpointError::Malformed)?,
-                }
-            } else {
-                NetCounters::default()
-            };
-            history.records.push(RoundRecord {
-                round,
-                train_loss,
-                update_norm,
-                test_acc,
-                alpha,
-                aggregations,
-                dropped_updates,
-                faults,
-                net,
-            });
-        }
-        history.metrics = read_metrics(&mut r)?;
-
-        let n_pending = read_usize(&mut r)?;
-        let mut pending = Vec::with_capacity(n_pending.min(1 << 16));
-        for _ in 0..n_pending {
-            let arrival_round = read_usize(&mut r)?;
-            let staleness = read_usize(&mut r)?;
-            let via_net = if version >= 4 {
-                match r.u32().ok_or(CheckpointError::Malformed)? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(CheckpointError::Malformed),
-                }
-            } else {
-                false
-            };
-            let update = read_update(&mut r)?;
-            pending.push(PendingUpdate {
-                arrival_round,
-                staleness,
-                via_net,
-                update,
-            });
-        }
-
-        let n_cache = read_usize(&mut r)?;
-        let mut replay_cache = Vec::with_capacity(n_cache.min(1 << 16));
-        for _ in 0..n_cache {
-            let tag = r.u32().ok_or(CheckpointError::Malformed)?;
-            replay_cache.push(match tag {
-                0 => None,
-                1 => Some(r.f32s().ok_or(CheckpointError::Malformed)?),
-                _ => return Err(CheckpointError::Malformed),
-            });
-        }
-
-        let mut agg_buffer = Vec::new();
-        if version >= 3 {
-            let n_buffered = read_usize(&mut r)?;
-            agg_buffer.reserve(n_buffered.min(1 << 16));
-            for _ in 0..n_buffered {
-                let base_round = read_usize(&mut r)?;
-                let update = read_update(&mut r)?;
-                agg_buffer.push(BufferedUpdate { base_round, update });
-            }
-        }
-
-        if !r.is_exhausted() {
-            return Err(CheckpointError::Malformed);
-        }
-        Ok(ServerCheckpoint {
-            next_round,
-            global,
-            algo_name,
-            algo_state,
-            history,
-            pending,
-            agg_buffer,
-            replay_cache,
-            cadence,
-            net_ticks,
-            fingerprint,
-        })
+            .and_then(|rest| rest.strip_prefix(VERSION.to_le_bytes().as_slice()))
+            .and_then(Self::decode)
+            .ok_or(CheckpointError::Malformed)
     }
-}
-
-fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        Some(x) => {
-            put_u32(out, 1);
-            put_f64(out, x);
-        }
-        None => put_u32(out, 0),
-    }
-}
-
-fn read_opt_f64(r: &mut ByteReader<'_>) -> Result<Option<f64>, CheckpointError> {
-    match r.u32().ok_or(CheckpointError::Malformed)? {
-        0 => Ok(None),
-        1 => Ok(Some(r.f64().ok_or(CheckpointError::Malformed)?)),
-        _ => Err(CheckpointError::Malformed),
-    }
-}
-
-fn read_usize(r: &mut ByteReader<'_>) -> Result<usize, CheckpointError> {
-    usize::try_from(r.u64().ok_or(CheckpointError::Malformed)?)
-        .map_err(|_| CheckpointError::Malformed)
-}
-
-fn put_metrics(out: &mut Vec<u8>, snap: &MetricsSnapshot) {
-    put_u64(out, snap.entries.len() as u64);
-    for e in &snap.entries {
-        put_str(out, &e.name);
-        match &e.value {
-            MetricValue::Counter(c) => {
-                put_u32(out, 0);
-                put_u64(out, *c);
-            }
-            MetricValue::Gauge(g) => {
-                put_u32(out, 1);
-                put_f64(out, *g);
-            }
-            MetricValue::Histogram(h) => {
-                put_u32(out, 2);
-                put_u64(out, h.bounds.len() as u64);
-                for &b in &h.bounds {
-                    put_f64(out, b);
-                }
-                put_u64(out, h.counts.len() as u64);
-                for &c in &h.counts {
-                    put_u64(out, c);
-                }
-                put_u64(out, h.total);
-                put_f64(out, h.sum);
-                put_u64(out, h.nan_rejected);
-            }
-        }
-    }
-}
-
-fn read_metrics(r: &mut ByteReader<'_>) -> Result<MetricsSnapshot, CheckpointError> {
-    let n = read_usize(r)?;
-    let mut entries = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let name = r.str().ok_or(CheckpointError::Malformed)?;
-        let value = match r.u32().ok_or(CheckpointError::Malformed)? {
-            0 => MetricValue::Counter(r.u64().ok_or(CheckpointError::Malformed)?),
-            1 => MetricValue::Gauge(r.f64().ok_or(CheckpointError::Malformed)?),
-            2 => {
-                let n_bounds = read_usize(r)?;
-                let mut bounds = Vec::with_capacity(n_bounds.min(1 << 16));
-                for _ in 0..n_bounds {
-                    bounds.push(r.f64().ok_or(CheckpointError::Malformed)?);
-                }
-                let n_counts = read_usize(r)?;
-                if n_counts != n_bounds + 1 {
-                    return Err(CheckpointError::Malformed);
-                }
-                let mut counts = Vec::with_capacity(n_counts.min(1 << 16));
-                for _ in 0..n_counts {
-                    counts.push(r.u64().ok_or(CheckpointError::Malformed)?);
-                }
-                MetricValue::Histogram(HistogramSnapshot {
-                    bounds,
-                    counts,
-                    total: r.u64().ok_or(CheckpointError::Malformed)?,
-                    sum: r.f64().ok_or(CheckpointError::Malformed)?,
-                    nan_rejected: r.u64().ok_or(CheckpointError::Malformed)?,
-                })
-            }
-            _ => return Err(CheckpointError::Malformed),
-        };
-        entries.push(MetricEntry { name, value });
-    }
-    Ok(MetricsSnapshot { entries })
-}
-
-fn put_update(out: &mut Vec<u8>, u: &ClientUpdate) {
-    put_u64(out, u.client as u64);
-    put_u64(out, u.num_samples as u64);
-    put_u64(out, u.num_batches as u64);
-    put_f32(out, u.avg_loss);
-    put_f32s(out, &u.delta);
-    match &u.extra {
-        Some(extra) => {
-            put_u32(out, 1);
-            put_f32s(out, extra);
-        }
-        None => put_u32(out, 0),
-    }
-}
-
-fn read_update(r: &mut ByteReader<'_>) -> Result<ClientUpdate, CheckpointError> {
-    let client = read_usize(r)?;
-    let num_samples = read_usize(r)?;
-    let num_batches = read_usize(r)?;
-    let avg_loss = r.f32().ok_or(CheckpointError::Malformed)?;
-    let delta = r.f32s().ok_or(CheckpointError::Malformed)?;
-    let extra = match r.u32().ok_or(CheckpointError::Malformed)? {
-        0 => None,
-        1 => Some(r.f32s().ok_or(CheckpointError::Malformed)?),
-        _ => return Err(CheckpointError::Malformed),
-    };
-    Ok(ClientUpdate {
-        client,
-        num_samples,
-        num_batches,
-        avg_loss,
-        delta,
-        extra,
-    })
 }

@@ -5,11 +5,13 @@ use crate::algorithm::{FederatedAlgorithm, RoundInput};
 use crate::cadence::Cadence;
 use crate::checkpoint::{CheckpointError, ServerCheckpoint};
 use crate::client::{ClientEnv, ClientUpdate, ModelFactory};
+use crate::codec::Wire;
 use crate::config::FlConfig;
 use crate::metrics::{History, RoundFaults, RoundRecord};
+use crate::undiscounted::Undiscounted;
 use crate::wire;
 use fedwcm_data::dataset::{ClientView, Dataset};
-use fedwcm_faults::{corrupt_delta, staleness_discount, FaultKind, FaultPlan};
+use fedwcm_faults::{corrupt_delta, FaultKind, FaultPlan};
 use fedwcm_nn::model::Model;
 use fedwcm_parallel::{chunk_ranges, parallel_map, with_intra_threads, ThreadBudget};
 use fedwcm_stats::rng::{Rng, Xoshiro256pp};
@@ -75,14 +77,14 @@ pub(crate) struct PendingUpdate {
     /// through checkpoints so a resumed run replays the same trace.
     pub(crate) via_net: bool,
     /// The buffered client update.
-    pub(crate) update: ClientUpdate,
+    pub(crate) update: Undiscounted,
 }
 
-/// An upload the server received this round: the **undiscounted**
+/// An upload the server received this round: the [`Undiscounted`]
 /// client delta plus how many rounds late it arrived. The staleness
-/// discount is applied by the cadence at *application* time — never at
-/// receive time — so a re-queued or still-buffered upload keeps its
-/// original signal.
+/// discount is applied by the cadence at *application* time
+/// ([`Undiscounted::apply`]) — never at receive time — so a re-queued or
+/// still-buffered upload keeps its original signal.
 #[derive(Clone, Debug)]
 pub(crate) struct ReceivedUpdate {
     /// Rounds since the global model this delta was trained against
@@ -92,21 +94,20 @@ pub(crate) struct ReceivedUpdate {
     /// or delayed by the network plan). An upload transits the network
     /// exactly once; re-queued entries keep the flag.
     pub(crate) via_net: bool,
-    /// The upload, delta undiscounted.
-    pub(crate) update: ClientUpdate,
+    /// The upload.
+    pub(crate) update: Undiscounted,
 }
 
 /// A healthy upload held in the server's aggregation buffer (buffered-K
-/// and async cadences). First-class server state: `FWCK` v3 checkpoints
+/// and async cadences). First-class server state: `FWCK` checkpoints
 /// serialize it, so a resumed run flushes the exact same batches.
 #[derive(Clone, Debug)]
 pub(crate) struct BufferedUpdate {
-    /// Round whose global model this delta was trained against; the
-    /// discount at application in round `r` is
-    /// `staleness_discount(r - base_round)`.
+    /// Round whose global model this delta was trained against; its
+    /// staleness at application in round `r` is `r - base_round`.
     pub(crate) base_round: usize,
-    /// The buffered upload, delta undiscounted.
-    pub(crate) update: ClientUpdate,
+    /// The buffered upload.
+    pub(crate) update: Undiscounted,
 }
 
 /// Mutable server-side state of a run: everything a checkpoint captures
@@ -152,11 +153,11 @@ struct CadenceOutcome {
 /// loss-averaging path shared by every cadence and branch, so reports
 /// and checkpoints agree bit for bit regardless of which branch
 /// produced them.
-pub(crate) fn mean_loss_f64<'u>(updates: impl Iterator<Item = &'u ClientUpdate>) -> Option<f64> {
+pub(crate) fn mean_loss_f64(losses: impl Iterator<Item = f32>) -> Option<f64> {
     let mut sum = 0.0f64;
     let mut n = 0usize;
-    for u in updates {
-        sum += f64::from(u.avg_loss);
+    for loss in losses {
+        sum += f64::from(loss);
         n += 1;
     }
     (n > 0).then(|| sum / n as f64)
@@ -176,18 +177,13 @@ fn update_norm_between(before: &[f32], after: &[f32]) -> f64 {
         .sqrt()
 }
 
-/// Consume a received upload, applying its staleness discount to the
-/// delta (identity for fresh uploads). Algorithm payloads (`extra`)
-/// ride along undiscounted — they are not step directions.
-fn into_discounted(r: ReceivedUpdate) -> ClientUpdate {
-    let mut u = r.update;
-    if r.staleness > 0 {
-        let discount = staleness_discount(r.staleness);
-        for d in u.delta.iter_mut() {
-            *d *= discount;
-        }
+/// A fresh upload from this round's cohort, as received.
+fn fresh(update: ClientUpdate) -> ReceivedUpdate {
+    ReceivedUpdate {
+        staleness: 0,
+        via_net: false,
+        update: Undiscounted::new(update),
     }
-    u
 }
 
 /// A configured federated simulation: data, partition views, model
@@ -524,26 +520,12 @@ impl<'a> Simulation<'a> {
                 // No client-level faults, but the transport can have
                 // parked delayed deliveries: merge the ones due this
                 // round, in the same client-id order apply_faults uses.
-                let mut received: Vec<ReceivedUpdate> = updates
-                    .into_iter()
-                    .map(|u| ReceivedUpdate {
-                        staleness: 0,
-                        via_net: false,
-                        update: u,
-                    })
-                    .collect();
+                let mut received: Vec<ReceivedUpdate> = updates.into_iter().map(fresh).collect();
                 self.merge_due_pending(round, &mut received, state, &mut faults, &tracer);
-                received.sort_by_key(|r| r.update.client);
+                received.sort_by_key(|r| r.update.client());
                 received
             } else {
-                updates
-                    .into_iter()
-                    .map(|u| ReceivedUpdate {
-                        staleness: 0,
-                        via_net: false,
-                        update: u,
-                    })
-                    .collect()
+                updates.into_iter().map(fresh).collect()
             };
             if let Some(reg) = registry {
                 reg.counter_add(names::FL_FAULTS_DROPOUTS, u64::from(faults.dropouts));
@@ -584,9 +566,9 @@ impl<'a> Simulation<'a> {
             // judges the client's original (undiscounted) delta.
             let before_filter = received.len();
             received.retain(|r| {
-                r.update.avg_loss.is_finite()
-                    && r.update.delta.iter().all(|d| d.is_finite())
-                    && fedwcm_tensor::ops::norm(&r.update.delta) < self.cfg.max_update_norm
+                r.update.avg_loss().is_finite()
+                    && r.update.delta().iter().all(|d| d.is_finite())
+                    && fedwcm_tensor::ops::norm(r.update.delta()) < self.cfg.max_update_norm
             });
             let dropped_updates = before_filter - received.len();
             if let Some(reg) = registry {
@@ -690,7 +672,7 @@ impl<'a> Simulation<'a> {
         }
 
         if received.is_empty() || quorum_failed {
-            let train_loss = mean_loss_f64(received.iter().map(|r| &r.update));
+            let train_loss = mean_loss_f64(received.iter().map(|r| r.update.avg_loss()));
             // The round discards its fresh uploads, but a late-merged
             // upload is an earlier round's signal that already survived
             // its straggler delay — re-queue it (original undiscounted
@@ -705,7 +687,7 @@ impl<'a> Simulation<'a> {
                             names::FAULT,
                             vec![
                                 ("round", Value::U64(round as u64)),
-                                ("client", Value::U64(r.update.client as u64)),
+                                ("client", Value::U64(r.update.client() as u64)),
                                 ("kind", Value::Str("late_requeue".to_string())),
                                 ("staleness", Value::U64(r.staleness as u64)),
                             ],
@@ -733,14 +715,17 @@ impl<'a> Simulation<'a> {
             };
         }
 
-        let updates: Vec<ClientUpdate> = received.into_iter().map(into_discounted).collect();
+        let updates: Vec<ClientUpdate> = received
+            .into_iter()
+            .map(|r| r.update.apply(r.staleness, 1.0))
+            .collect();
         let input = RoundInput {
             round,
             cfg: &self.cfg,
             updates,
             views: &self.views,
         };
-        let train_loss = mean_loss_f64(input.updates.iter());
+        let train_loss = mean_loss_f64(input.updates.iter().map(|u| u.avg_loss));
         let before = state.global.clone();
         let agg_t0 = tracer.now();
         let log = {
@@ -824,13 +809,7 @@ impl<'a> Simulation<'a> {
             );
             let updates: Vec<ClientUpdate> = batch
                 .into_iter()
-                .map(|b| {
-                    into_discounted(ReceivedUpdate {
-                        staleness: round - b.base_round,
-                        via_net: false,
-                        update: b.update,
-                    })
-                })
+                .map(|b| b.update.apply(round - b.base_round, 1.0))
                 .collect();
             for u in &updates {
                 loss_sum += f64::from(u.avg_loss);
@@ -921,15 +900,11 @@ impl<'a> Simulation<'a> {
                 names::ASYNC_APPLY,
                 vec![
                     ("round", Value::U64(round as u64)),
-                    ("client", Value::U64(b.update.client as u64)),
+                    ("client", Value::U64(b.update.client() as u64)),
                     ("staleness", Value::U64(staleness as u64)),
                 ],
             );
-            let mut u = b.update;
-            let weight = staleness_discount(staleness) * scale;
-            for d in u.delta.iter_mut() {
-                *d *= weight;
-            }
+            let u = b.update.apply(staleness, scale);
             loss_sum += f64::from(u.avg_loss);
             loss_n += 1;
             let input = RoundInput {
@@ -1056,11 +1031,6 @@ impl<'a> Simulation<'a> {
             }
         };
         let mut received: Vec<ReceivedUpdate> = Vec::with_capacity(updates.len());
-        let fresh = |update: ClientUpdate| ReceivedUpdate {
-            staleness: 0,
-            via_net: false,
-            update,
-        };
         for mut u in updates {
             match plan.fault_for(round, u.client) {
                 Some(FaultKind::Dropout) => {
@@ -1074,7 +1044,7 @@ impl<'a> Simulation<'a> {
                         arrival_round: round + delay,
                         staleness: delay,
                         via_net: false,
-                        update: u,
+                        update: Undiscounted::new(u),
                     });
                 }
                 Some(FaultKind::Corrupt(kind)) => {
@@ -1105,7 +1075,7 @@ impl<'a> Simulation<'a> {
         // Aggregation sees uploads in client-id order regardless of which
         // path (fresh, corrupted, replayed, late) produced them; the sort
         // is stable, so same-client duplicates keep a deterministic order.
-        received.sort_by_key(|r| r.update.client);
+        received.sort_by_key(|r| r.update.client());
 
         // The replay cache holds what the server most recently received
         // from each client (only maintained when replays are possible).
@@ -1114,8 +1084,8 @@ impl<'a> Simulation<'a> {
         // at application.
         if plan.has_replay() {
             for r in &received {
-                if let Some(slot) = state.replay_cache.get_mut(r.update.client) {
-                    *slot = Some(r.update.delta.clone());
+                if let Some(slot) = state.replay_cache.get_mut(r.update.client()) {
+                    *slot = Some(r.update.delta().to_vec());
                 }
             }
         }
@@ -1146,7 +1116,7 @@ impl<'a> Simulation<'a> {
                         names::FAULT,
                         vec![
                             ("round", Value::U64(round as u64)),
-                            ("client", Value::U64(p.update.client as u64)),
+                            ("client", Value::U64(p.update.client() as u64)),
                             ("kind", Value::Str("late_merge".to_string())),
                             ("staleness", Value::U64(p.staleness as u64)),
                         ],
@@ -1156,7 +1126,7 @@ impl<'a> Simulation<'a> {
                             names::ACK,
                             vec![
                                 ("round", Value::U64(round as u64)),
-                                ("client", Value::U64(p.update.client as u64)),
+                                ("client", Value::U64(p.update.client() as u64)),
                                 ("deferred", Value::U64(1)),
                             ],
                         );
@@ -1202,11 +1172,11 @@ impl<'a> Simulation<'a> {
                 out.push(r);
                 continue;
             }
-            let client = r.update.client;
+            let client = r.update.client();
             // One sequence number per (round, client) delivery; retries
             // of the same upload share it, so duplicates are detected.
             let seq = ((round as u64) << 32) | client as u64;
-            let payload = wire::encode_update(&r.update);
+            let payload = r.update.encode();
             let send_span = tracer.span(
                 names::SEND_FRAME,
                 vec![
@@ -1247,7 +1217,7 @@ impl<'a> Simulation<'a> {
                     Some(update) => out.push(ReceivedUpdate {
                         staleness: 0,
                         via_net: true,
-                        update,
+                        update: Undiscounted::new(update),
                     }),
                     None => {
                         // An acknowledged frame whose payload fails to
@@ -1417,6 +1387,7 @@ mod tests {
     use fedwcm_data::longtail::longtail_counts;
     use fedwcm_data::partition::paper_partition;
     use fedwcm_data::synth::DatasetPreset;
+    use fedwcm_faults::staleness_discount;
     use fedwcm_nn::loss::CrossEntropy;
     use fedwcm_nn::models::mlp;
 
@@ -1697,14 +1668,14 @@ mod tests {
             arrival_round: 0,
             staleness,
             via_net: false,
-            update: ClientUpdate {
+            update: Undiscounted::new(ClientUpdate {
                 client,
                 delta,
                 num_samples: 10,
                 num_batches: 2,
                 avg_loss: 1.5,
                 extra: None,
-            },
+            }),
         }
     }
 
@@ -1757,7 +1728,7 @@ mod tests {
         assert_eq!(state.pending[0].arrival_round, 1);
         assert_eq!(state.pending[0].staleness, 2);
         assert_eq!(
-            bits(&state.pending[0].update.delta),
+            bits(state.pending[0].update.delta()),
             bits(&delta),
             "re-queued delta must keep its original (undiscounted) signal"
         );
@@ -1767,7 +1738,7 @@ mod tests {
         sim.drive(&mut algo, &mut state, 2, &mut |_, _| {});
         assert_eq!(state.pending.len(), 1);
         assert_eq!(state.pending[0].staleness, 3);
-        assert_eq!(bits(&state.pending[0].update.delta), bits(&delta));
+        assert_eq!(bits(state.pending[0].update.delta()), bits(&delta));
         assert_eq!(state.history.records[1].faults.late_requeued, 1);
     }
 
@@ -1804,7 +1775,7 @@ mod tests {
         assert_eq!(received[0].staleness, 2);
         assert_eq!(faults.late_merged, 1);
         assert_eq!(
-            bits(&received[0].update.delta),
+            bits(received[0].update.delta()),
             bits(&delta),
             "received delta is undiscounted until application"
         );
@@ -1905,9 +1876,9 @@ mod tests {
         let losses = [0.1f32, 0.2, 0.3, 7.7];
         let us: Vec<ClientUpdate> = losses.iter().map(|&l| upd(l)).collect();
         let expected = losses.iter().map(|&l| f64::from(l)).sum::<f64>() / losses.len() as f64;
-        let got = mean_loss_f64(us.iter()).expect("non-empty");
+        let got = mean_loss_f64(us.iter().map(|u| u.avg_loss)).expect("non-empty");
         assert_eq!(got.to_bits(), expected.to_bits());
-        assert_eq!(mean_loss_f64([].iter()), None);
+        assert_eq!(mean_loss_f64(std::iter::empty()), None);
     }
 
     #[test]

@@ -29,7 +29,11 @@
 //! [`engine`] (the round loop), [`checkpoint`] (crash/resume snapshots),
 //! [`metrics`] (histories and resilience reports),
 //! [`quadratic`] (a convex testbed for the Theorem 6.1 rate check), and
-//! [`wire`] (payload codec for the fault-tolerant transport).
+//! [`wire`] (payload codec for the fault-tolerant transport). Two private
+//! modules carry protocols in types instead of conventions: `codec` (one
+//! field table per serialized struct, driving writer and reader alike)
+//! and `undiscounted` ([`Undiscounted`]: the staleness discount as a
+//! move-only hand-off).
 
 #![warn(missing_docs)]
 
@@ -37,11 +41,13 @@ pub mod algorithm;
 pub mod cadence;
 pub mod checkpoint;
 pub mod client;
+mod codec;
 pub mod comms;
 pub mod config;
 pub mod engine;
 pub mod metrics;
 pub mod quadratic;
+mod undiscounted;
 pub mod wire;
 
 pub use algorithm::{FederatedAlgorithm, RoundInput, RoundLog, StateError};
@@ -55,3 +61,4 @@ pub use engine::{
 };
 pub use fedwcm_transport::{NetConfig, NetCounters, NetPlan, RetryPolicy};
 pub use metrics::{History, ResilienceReport, RoundFaults, RoundRecord};
+pub use undiscounted::Undiscounted;

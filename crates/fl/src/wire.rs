@@ -6,66 +6,22 @@
 //! side. Float components are carried as raw IEEE-754 bit patterns —
 //! NaNs and infinities survive the trip, because the engine's
 //! containment filter must see exactly what the client (or a fault)
-//! emitted. The `put_`/`read_` pair below follows the same symmetry
-//! discipline as `fl::checkpoint` (enforced by `fedwcm-lint`'s
-//! `checkpoint-symmetry` rule).
+//! emitted. The byte layout is the [`ClientUpdate`] row of the field
+//! table in `crate::codec` — the same impl `FWCK` checkpoints use for
+//! their buffered uploads.
 
 use crate::client::ClientUpdate;
-use fedwcm_nn::serialize::{put_f32, put_f32s, put_u32, put_u64, ByteReader};
-
-fn put_update_payload(out: &mut Vec<u8>, u: &ClientUpdate) {
-    put_u64(out, u.client as u64);
-    put_u64(out, u.num_samples as u64);
-    put_u64(out, u.num_batches as u64);
-    put_f32(out, u.avg_loss);
-    put_f32s(out, &u.delta);
-    match &u.extra {
-        Some(extra) => {
-            put_u32(out, 1);
-            put_f32s(out, extra);
-        }
-        None => put_u32(out, 0),
-    }
-}
-
-fn read_update_payload(r: &mut ByteReader<'_>) -> Option<ClientUpdate> {
-    let client = usize::try_from(r.u64()?).ok()?;
-    let num_samples = usize::try_from(r.u64()?).ok()?;
-    let num_batches = usize::try_from(r.u64()?).ok()?;
-    let avg_loss = r.f32()?;
-    let delta = r.f32s()?;
-    let extra = match r.u32()? {
-        0 => None,
-        1 => Some(r.f32s()?),
-        _ => return None,
-    };
-    Some(ClientUpdate {
-        client,
-        delta,
-        num_samples,
-        num_batches,
-        avg_loss,
-        extra,
-    })
-}
+use crate::codec::Wire;
 
 /// Serialize an upload into transport payload bytes.
 pub fn encode_update(u: &ClientUpdate) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_update_payload(&mut out, u);
-    out
+    u.encode()
 }
 
 /// Reconstruct an upload from transport payload bytes; `None` on any
 /// structural damage (short buffer, bad tag, trailing bytes).
 pub fn decode_update(bytes: &[u8]) -> Option<ClientUpdate> {
-    let mut r = ByteReader::new(bytes);
-    let u = read_update_payload(&mut r)?;
-    if r.is_exhausted() {
-        Some(u)
-    } else {
-        None
-    }
+    ClientUpdate::decode(bytes)
 }
 
 #[cfg(test)]

@@ -5,10 +5,8 @@
 //! * buffered-K and fully-async runs are bitwise deterministic across
 //!   thread counts, faults included;
 //! * a buffered/async run killed mid-stream resumes bitwise identically
-//!   through FWCK v3 bytes, aggregation buffer included;
-//! * resuming a checkpoint under a different cadence is refused;
-//! * hand-built FWCK **v2** bytes (pre-cadence) still parse, back-fill
-//!   the new columns, and resume as a synchronous run.
+//!   through FWCK bytes, aggregation buffer included;
+//! * resuming a checkpoint under a different cadence is refused.
 
 use fedwcm_data::dataset::Dataset;
 use fedwcm_data::longtail::longtail_counts;
@@ -24,7 +22,6 @@ use fedwcm_fl::{
 };
 use fedwcm_nn::loss::CrossEntropy;
 use fedwcm_nn::models::mlp;
-use fedwcm_nn::serialize::{put_bytes, put_f32s, put_str, put_u32, put_u64};
 use fedwcm_stats::Xoshiro256pp;
 
 /// Momentum-carrying test algorithm (FedCM-shaped): cross-round server
@@ -202,9 +199,9 @@ fn buffered_and_async_deterministic_across_threads() {
 }
 
 /// Kill a buffered/async chaos run at round 3, round-trip the checkpoint
-/// through FWCK v3 bytes, and finish: the history must be bitwise the
+/// through FWCK bytes, and finish: the history must be bitwise the
 /// uninterrupted run's. `k`/`max_in_flight` are chosen so the
-/// aggregation buffer is non-empty at the kill point — the v3 field this
+/// aggregation buffer is non-empty at the kill point — the field this
 /// exercises.
 #[test]
 fn buffered_and_async_resume_is_bitwise_identical() {
@@ -288,82 +285,4 @@ fn buffered_threshold_above_total_never_flushes() {
         assert_eq!(r.aggregations, 0, "round {}", r.round);
         assert_eq!(r.update_norm, 0.0, "round {}", r.round);
     }
-}
-
-/// Serialize a minimal FWCK **v2** checkpoint by hand (pre-cadence wire
-/// format: no cadence tag, no aggregations/late_requeued columns, no
-/// aggregation buffer).
-fn v2_bytes(fingerprint: [u64; 4], global: &[f32], records: &[(usize, f64)]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(b"FWCK");
-    put_u32(&mut out, 2);
-    for &f in &fingerprint {
-        put_u64(&mut out, f);
-    }
-    put_u64(&mut out, records.len() as u64); // next_round
-    put_f32s(&mut out, global);
-    put_str(&mut out, "mini-momentum");
-    put_bytes(&mut out, &state_from_vec(&[]));
-    put_str(&mut out, "mini-momentum"); // history name
-    put_u64(&mut out, records.len() as u64);
-    for &(round, update_norm) in records {
-        put_u64(&mut out, round as u64);
-        put_u32(&mut out, 0); // train_loss: None
-        out.extend_from_slice(&update_norm.to_le_bytes());
-        put_u32(&mut out, 0); // test_acc: None
-        put_u32(&mut out, 0); // alpha: None
-        put_u64(&mut out, 0); // dropped_updates
-        for _ in 0..5 {
-            put_u32(&mut out, 0); // dropouts..replays
-        }
-        put_u32(&mut out, 0); // quorum_failed
-    }
-    put_u64(&mut out, 0); // metrics entries
-    put_u64(&mut out, 0); // pending
-    put_u64(&mut out, 0); // replay cache
-    out
-}
-
-/// v2 bytes still parse: cadence defaults to sync, `late_requeued` to
-/// zero, and `aggregations` is back-filled from whether the model moved.
-#[test]
-fn v2_checkpoint_parses_with_backfilled_columns() {
-    let bytes = v2_bytes([77, 6, 6, 10], &[0.5f32; 10], &[(0, 0.25), (1, 0.0)]);
-    let ckpt = ServerCheckpoint::from_bytes(&bytes).expect("v2 parses");
-    assert_eq!(ckpt.cadence(), Cadence::Sync);
-    assert_eq!(ckpt.next_round(), 2);
-    let recs = &ckpt.history().records;
-    assert_eq!(recs[0].aggregations, 1, "moved ⇒ one sync aggregation");
-    assert_eq!(recs[1].aggregations, 0, "skipped ⇒ none");
-    assert!(recs.iter().all(|r| r.faults.late_requeued == 0));
-    // Re-serializing upgrades to the current version: the bytes change,
-    // but the parsed state round-trips.
-    let v3 = ckpt.to_bytes();
-    assert_ne!(v3, bytes);
-    let reparsed = ServerCheckpoint::from_bytes(&v3).expect("v3 re-parse");
-    assert_eq!(reparsed.to_bytes(), v3);
-}
-
-/// A pre-round-0 v2 checkpoint resumes into a run bitwise identical to a
-/// fresh one — the v2 read path feeds the same engine state.
-#[test]
-fn v2_checkpoint_resumes_as_sync_run() {
-    let (train, test) = make_data(207);
-    let cfg = make_cfg(4, Cadence::Sync);
-    let fresh = build_sim(&train, &test, cfg.clone()).run(&mut MiniMomentum::new());
-
-    let mut rng = Xoshiro256pp::seed_from(4242);
-    let initial = mlp(64, &[24], 10, &mut rng).params().to_vec();
-    let fingerprint = [
-        cfg.seed,
-        cfg.clients as u64,
-        cfg.rounds as u64,
-        initial.len() as u64,
-    ];
-    let ckpt =
-        ServerCheckpoint::from_bytes(&v2_bytes(fingerprint, &initial, &[])).expect("v2 parses");
-    let resumed = build_sim(&train, &test, cfg)
-        .resume(&mut MiniMomentum::new(), &ckpt)
-        .expect("v2 resume");
-    assert_bitwise_eq(&fresh, &resumed, "v2 resume vs fresh");
 }

@@ -353,6 +353,36 @@ fn checkpoint_error_paths_are_typed() {
         ServerCheckpoint::from_bytes(&extra).unwrap_err(),
         CheckpointError::Malformed
     );
+
+    // There is one FWCK version: the retired v2/v3 layouts (and any
+    // future number) are refused at the header, not half-parsed.
+    for version in [2u32, 3, 5] {
+        let mut other = bytes.clone();
+        other[4..8].copy_from_slice(&version.to_le_bytes());
+        assert_eq!(
+            ServerCheckpoint::from_bytes(&other).unwrap_err(),
+            CheckpointError::Malformed,
+            "version {version}"
+        );
+    }
+
+    // Every boolean tag accepts only 0 and 1 — `quorum_failed` used to
+    // read as `!= 0`, so tag 2 parsed and re-serialized to different
+    // bytes. In this fault-free sync run the last record's tag sits
+    // before its eight u64 net counters and the four empty trailing
+    // collections (metrics, pending, replay cache, aggregation buffer).
+    let at = bytes.len() - (4 * 8 + 8 * 8 + 4);
+    assert_eq!(bytes[at..at + 4], [0; 4], "quorum_failed tag of round 1");
+    let mut flipped = bytes.clone();
+    flipped[at] = 1;
+    let parsed = ServerCheckpoint::from_bytes(&flipped).expect("tag 1 is `true`");
+    assert!(parsed.history().records[1].faults.quorum_failed);
+    assert_eq!(parsed.to_bytes(), flipped, "accepted input is canonical");
+    flipped[at] = 2;
+    assert_eq!(
+        ServerCheckpoint::from_bytes(&flipped).unwrap_err(),
+        CheckpointError::Malformed
+    );
 }
 
 #[test]

@@ -9,7 +9,9 @@ use fedwcm_faults::{FaultConfig, FaultPlan};
 use fedwcm_fl::algorithm::{server_step, uniform_average, weighted_average};
 use fedwcm_fl::client::ClientUpdate;
 use fedwcm_fl::quadratic::{run_quadratic_fedcm, QuadRunConfig, QuadraticProblem};
-use fedwcm_fl::{FlConfig, Simulation};
+use fedwcm_fl::{
+    Cadence, CheckpointError, FlConfig, NetConfig, NetPlan, ServerCheckpoint, Simulation,
+};
 use fedwcm_nn::models::mlp;
 use fedwcm_stats::Xoshiro256pp;
 use proptest::prelude::*;
@@ -225,6 +227,139 @@ proptest! {
             .expect("capture")
             .to_bytes();
         prop_assert_eq!(without, with_zero);
+    }
+}
+
+/// A real chaos-run checkpoint: buffered cadence, every client-level
+/// fault type, a lossy wire, killed at round 5 of 8 — so the straggler
+/// buffer, the replay cache and the aggregation buffer are all non-empty
+/// (seeds picked so two of the five pending uploads were delayed by the
+/// wire, not by a straggler fault).
+fn chaos_checkpoint() -> ServerCheckpoint {
+    let (train, test) = tiny_data();
+    let mut sim = tiny_sim(&train, &test, 1)
+        .with_fault_plan(FaultPlan::new(FaultConfig {
+            seed: 11,
+            dropout: 0.1,
+            straggler: 0.3,
+            max_delay: 3,
+            corruption: 0.1,
+            replay: 0.2,
+        }))
+        .with_net_plan(NetPlan::new(NetConfig {
+            drop: 0.1,
+            corrupt: 0.05,
+            delay: 0.3,
+            max_delay_rounds: 2,
+            ..NetConfig::zero(15)
+        }));
+    sim.cfg.rounds = 8;
+    sim.cfg.participation = 0.75;
+    sim.cfg.cadence = Cadence::BufferedK { k: 4 };
+    sim.run_until(&mut fedwcm_algos_stub::StubAvg, 5)
+        .expect("capture")
+}
+
+/// The chaos checkpoint's FWCK bytes, computed once for the whole file.
+fn chaos_bytes() -> &'static [u8] {
+    static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    BYTES.get_or_init(|| chaos_checkpoint().to_bytes())
+}
+
+#[test]
+fn chaos_checkpoint_exercises_every_buffer() {
+    let dbg = format!("{:?}", chaos_checkpoint());
+    for needle in [
+        "pending: [PendingUpdate",
+        "via_net: true",
+        "agg_buffer: [BufferedUpdate",
+        "Some([",
+    ] {
+        assert!(dbg.contains(needle), "checkpoint lacks `{needle}`");
+    }
+}
+
+/// "Bytes unchanged" pinned, not asserted: the CRC32 of the chaos
+/// checkpoint's FWCK bytes, taken at commit fe5c3aa before the codec was
+/// rewritten around one field table.
+#[test]
+fn chaos_checkpoint_bytes_match_the_golden_crc() {
+    let bytes = chaos_bytes();
+    assert_eq!(
+        fedwcm_transport::frame::crc32(bytes),
+        GOLDEN_FWCK_CRC,
+        "FWCK bytes changed ({} bytes)",
+        bytes.len()
+    );
+}
+
+const GOLDEN_FWCK_CRC: u32 = 0xA778_13BF;
+
+/// Every strict prefix of a real checkpoint is `Malformed`: no field is
+/// optional and the trailing-byte check is the only accepting state.
+#[test]
+fn every_strict_prefix_of_a_checkpoint_is_malformed() {
+    let bytes = chaos_bytes();
+    for keep in 0..bytes.len() {
+        assert_eq!(
+            ServerCheckpoint::from_bytes(&bytes[..keep]).err(),
+            Some(CheckpointError::Malformed),
+            "prefix of {keep} bytes"
+        );
+    }
+}
+
+/// A length field blown up to `u64::MAX` is rejected without
+/// allocating — on the record-vector and blob paths too, not only the
+/// f32 one. Every 8-byte window holding a small count is blown up in
+/// turn: the parse must *return* (a decoder that reserved `u64::MAX`
+/// elements would panic or abort instead), and the windows that hold the
+/// parameter count — the global vector and every buffered delta — are
+/// certainly lengths, so they must be `Malformed`.
+#[test]
+fn blown_up_length_fields_are_rejected_without_allocating() {
+    let bytes = chaos_bytes();
+    let ckpt = ServerCheckpoint::from_bytes(bytes).expect("own bytes parse");
+    let n_params = ckpt.global().len() as u64;
+    let mut vectors = 0usize;
+    // Start past magic, version and the fingerprint (whose last word is
+    // the parameter count as a plain number, not a length).
+    for at in 40..bytes.len() - 8 {
+        let word = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        if word == 0 || word > 1 << 20 {
+            continue;
+        }
+        let mut bad = bytes.to_vec();
+        bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let verdict = ServerCheckpoint::from_bytes(&bad);
+        if word == n_params {
+            assert_eq!(verdict.err(), Some(CheckpointError::Malformed), "at {at}");
+            vectors += 1;
+        }
+    }
+    assert!(vectors >= 4, "only {vectors} parameter-length fields found");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any single-byte mutation parses to `Ok` or `Err`, never a panic;
+    /// and whatever is accepted re-serializes to bytes that parse back
+    /// to themselves (`from_bytes → to_bytes` is the identity on
+    /// accepted input).
+    #[test]
+    fn single_byte_mutations_never_panic_and_accepted_input_is_canonical(
+        pos in any::<usize>(), flip in 1u8..=255,
+    ) {
+        let mut bytes = chaos_bytes().to_vec();
+        let at = pos % bytes.len();
+        bytes[at] ^= flip;
+        if let Ok(ckpt) = ServerCheckpoint::from_bytes(&bytes) {
+            let again = ckpt.to_bytes();
+            let reparsed = ServerCheckpoint::from_bytes(&again);
+            prop_assert!(reparsed.is_ok(), "accepted input must re-parse (byte {at})");
+            prop_assert_eq!(reparsed.map(|c| c.to_bytes()).ok(), Some(again));
+        }
     }
 }
 

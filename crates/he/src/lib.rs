@@ -25,7 +25,6 @@
 
 #![warn(missing_docs)]
 
-pub mod ntt;
 pub mod protocol;
 pub mod ring;
 pub mod rlwe;

@@ -200,10 +200,6 @@ pub enum Expr {
     Loop {
         /// Iterated (`for`) or condition (`while`) expression.
         head: Option<Box<Expr>>,
-        /// The `for` pattern's binding name when it is a plain
-        /// identifier (`for d in …` → `d`, `for mut x in …` → `x`);
-        /// `None` for `while`/`loop` and destructuring patterns.
-        binding: Option<String>,
         /// Loop body.
         body: Block,
         /// 1-based line.
@@ -556,30 +552,4 @@ pub fn scalar_of(ty: &str) -> Option<&str> {
         "f32", "f64",
     ];
     SCALARS.iter().find(|&&s| s == t).copied()
-}
-
-/// Element type of a slice/array/`Vec` type (`&mut [f64]` → `f64`,
-/// `Vec<f32>` → `f32`); `None` otherwise.
-pub fn elem_of(ty: &str) -> Option<&str> {
-    let t = ty
-        .trim_start_matches('&')
-        .trim_start_matches("mut ")
-        .trim_start_matches("mut")
-        .trim();
-    if let Some(inner) = t
-        .strip_prefix('[')
-        .and_then(|r| r.split([';', ']']).next().map(|s| s.trim()))
-    {
-        return scalar_of(inner);
-    }
-    if let Some(rest) = t.strip_prefix("Vec<") {
-        return scalar_of(rest.trim_end_matches('>').trim());
-    }
-    None
-}
-
-/// True when the normalized type names an `f32`/`f64` scalar, slice, or
-/// `Vec` thereof.
-pub fn is_float_ty(ty: &str) -> bool {
-    matches!(scalar_of(ty), Some("f32" | "f64")) || matches!(elem_of(ty), Some("f32" | "f64"))
 }

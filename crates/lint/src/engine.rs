@@ -36,15 +36,10 @@ pub const ALL_RULES: &[&str] = &[
     "determinism-threads",
     "panic-freedom",
     "doc-coverage",
-    "float-reduction-order",
     "rng-stream-hygiene",
     "lock-order",
     "cast-soundness",
-    "checkpoint-symmetry",
-    "discount-once",
     "metrics-registry",
-    "parallel-escape-capture",
-    "parallel-escape-index",
     "parallel-escape-send-sync",
 ];
 
@@ -54,8 +49,8 @@ pub struct RuleInfo {
     /// Rule id (kebab-case, an [`ALL_RULES`] entry).
     pub id: &'static str,
     /// Family: `safety`, `determinism`, `robustness`, `docs`,
-    /// `protocol` (the v3 dataflow analyses), or `concurrency` (the
-    /// static half of the `race_check` soundness story).
+    /// `protocol` (names checked against a registry), or `concurrency`
+    /// (the static half of the `race_check` soundness story).
     pub family: &'static str,
     /// Severity — every family is a hard CI gate today.
     pub severity: &'static str,
@@ -116,12 +111,6 @@ pub const RULE_INFO: &[RuleInfo] = &[
         escape: "document the item (no suppression in DOC_CRATES)",
     },
     RuleInfo {
-        id: "float-reduction-order",
-        family: "determinism",
-        severity: "error",
-        escape: "use the index-ordered reducers in `parallel`/`stats`",
-    },
-    RuleInfo {
         id: "rng-stream-hygiene",
         family: "determinism",
         severity: "error",
@@ -140,34 +129,10 @@ pub const RULE_INFO: &[RuleInfo] = &[
         escape: "lint:allow(cast-soundness) <reason>",
     },
     RuleInfo {
-        id: "checkpoint-symmetry",
-        family: "protocol",
-        severity: "error",
-        escape: "lint:allow(checkpoint-symmetry) <reason>",
-    },
-    RuleInfo {
-        id: "discount-once",
-        family: "protocol",
-        severity: "error",
-        escape: "lint:allow(discount-once) <reason>",
-    },
-    RuleInfo {
         id: "metrics-registry",
         family: "protocol",
         severity: "error",
         escape: "add the constant to crates/trace/src/names.rs",
-    },
-    RuleInfo {
-        id: "parallel-escape-capture",
-        family: "concurrency",
-        severity: "error",
-        escape: "return per-index values; `parallel`/`stats` are exempt",
-    },
-    RuleInfo {
-        id: "parallel-escape-index",
-        family: "concurrency",
-        severity: "error",
-        escape: "derive the index from the closure's own parameter",
     },
     RuleInfo {
         id: "parallel-escape-send-sync",

@@ -16,15 +16,10 @@
 //! | `determinism-threads` | no `available_parallelism` outside `fedwcm-parallel` |
 //! | `panic-freedom` | no `unwrap`/`expect`/`panic!`/`unimplemented!`/`todo!` in non-test library code |
 //! | `doc-coverage` | public items in `tensor`/`fl`/`core`/`parallel` carry rustdoc |
-//! | `float-reduction-order` | no float accumulation across parallel closure invocations outside the blessed index-ordered reducers |
 //! | `rng-stream-hygiene` | named RNG streams are never mixed in one function or passed across unaudited crate boundaries |
 //! | `lock-order` | the static `lock_recover`/`wait_recover` acquisition graph is acyclic |
 //! | `cast-soundness` | no lossy `as` casts / unchecked byte-counter arithmetic in the serializing crates |
-//! | `checkpoint-symmetry` | every `to_bytes` write sequence matches its `from_bytes` read sequence op for op |
-//! | `discount-once` | every update flowing from the fault pipeline into aggregation crosses `staleness_discount` exactly once |
 //! | `metrics-registry` | span/metric names at call sites resolve to `fedwcm_trace::names` constants; no literals, typos, or dead taxonomy |
-//! | `parallel-escape-capture` | closures passed to parallel entry points never write through captured shared state |
-//! | `parallel-escape-index` | indexed writes to captured state are provably derived from the closure's own index parameter |
 //! | `parallel-escape-send-sync` | every `unsafe impl Send`/`Sync` states a disjointness argument in its `// SAFETY:` comment |
 //!
 //! Run it locally with `cargo run -p fedwcm-lint` (add `--format json`
@@ -40,20 +35,23 @@
 //! or char literals. The v2 rules go further: [`parser`] builds a
 //! recovering item/expression tree ([`ast`]) for each file — lexed and
 //! parsed exactly once per run — and [`callgraph`] resolves calls
-//! across files so the stream-hygiene, reduction-order, and lock-order
-//! analyses can follow values through the workspace. The v3 rules sit
-//! on top of [`dataflow`], a small forward-dataflow framework (join
-//! lattices, branch joins, bounded loop fixpoints, interprocedural
-//! summaries) that powers the protocol-conformance analyses
-//! (`checkpoint-symmetry`, `discount-once`). The concurrency family
-//! (`parallel-escape-*`) reuses all three layers as the static half of
-//! the `race_check` sanitizer's soundness story (DESIGN.md §15). See
-//! DESIGN.md §9 and `--rules` for the full taxonomy with per-rule
-//! escape hatches.
+//! across files so the stream-hygiene and lock-order analyses can
+//! follow values through the workspace. `metrics-registry` checks span
+//! and metric call sites against the `trace::names` table, and
+//! `parallel-escape-send-sync` is the static half of the `race_check`
+//! sanitizer's soundness story (DESIGN.md §15).
+//!
+//! What a type can carry is not linted: a parallel closure cannot write
+//! captured state because every `fedwcm-parallel` entry point takes
+//! `F: Fn + Sync`, a staleness discount is applied exactly once because
+//! `fl::Undiscounted::apply` consumes the upload, and a checkpoint
+//! writer cannot drift from its reader because both expand from one
+//! `wire_struct!` field table. DESIGN.md §9 records, rule by rule, why
+//! each remaining gate has no cheaper type or test; `--rules` prints
+//! the taxonomy with per-rule escape hatches.
 
 pub mod ast;
 pub mod callgraph;
-pub mod dataflow;
 pub mod engine;
 pub mod lexer;
 pub mod parser;

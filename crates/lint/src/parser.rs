@@ -878,11 +878,7 @@ impl<'a> Parser<'a> {
                 }
                 "for" => {
                     self.pos += 1;
-                    // Record a plain-identifier pattern (`d`, `mut d`)
-                    // for the dataflow analyses, then skip the rest of
-                    // the pattern up to `in` at depth 0.
-                    let mut pat_idents: Vec<String> = Vec::new();
-                    let mut pat_simple = true;
+                    // Skip the pattern up to `in` at depth 0.
                     loop {
                         match self.tok(0) {
                             None => break,
@@ -890,34 +886,17 @@ impl<'a> Parser<'a> {
                                 self.pos += 1;
                                 break;
                             }
-                            Some(t) if t.is_punct('(') => {
-                                pat_simple = false;
-                                self.skip_balanced('(', ')');
-                            }
-                            Some(t) if t.is_punct('[') => {
-                                pat_simple = false;
-                                self.skip_balanced('[', ']');
-                            }
-                            Some(t) => {
-                                match t.kind {
-                                    TokKind::Ident if t.text == "mut" => {}
-                                    TokKind::Ident => pat_idents.push(t.text.clone()),
-                                    _ => pat_simple = false,
-                                }
+                            Some(t) if t.is_punct('(') => self.skip_balanced('(', ')'),
+                            Some(t) if t.is_punct('[') => self.skip_balanced('[', ']'),
+                            _ => {
                                 self.pos += 1;
                             }
                         }
                     }
-                    let binding = if pat_simple && pat_idents.len() == 1 {
-                        pat_idents.pop()
-                    } else {
-                        None
-                    };
                     let head = self.expr(0, true);
                     let body = self.body_block();
                     Expr::Loop {
                         head: Some(Box::new(head)),
-                        binding,
                         body,
                         line,
                     }
@@ -933,7 +912,6 @@ impl<'a> Parser<'a> {
                     let body = self.body_block();
                     Expr::Loop {
                         head: Some(Box::new(head)),
-                        binding: None,
                         body,
                         line,
                     }
@@ -943,7 +921,6 @@ impl<'a> Parser<'a> {
                     let body = self.body_block();
                     Expr::Loop {
                         head: None,
-                        binding: None,
                         body,
                         line,
                     }

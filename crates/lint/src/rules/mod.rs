@@ -3,24 +3,19 @@
 //! The v1 families walk a [`FileCtx`](crate::engine::FileCtx) token
 //! stream — **token sequences over non-comment tokens**, so nothing
 //! ever fires inside a comment, string, or char literal (the lexer
-//! guarantees it). The v2 families ([`float_order`], [`rng_hygiene`],
-//! [`lock_order`], [`cast_soundness`]) walk the parsed syntax tree
-//! instead, and the first three run as a single workspace pass over
-//! every file at once so they can follow calls across crates. The v3
-//! families ([`checkpoint_symmetry`], [`discount_once`],
-//! [`metrics_registry`]) build on [`crate::dataflow`] for
-//! interprocedural protocol conformance, and the concurrency family
-//! ([`parallel_escape`]) reuses all three layers — parser, call graph,
-//! dataflow — as the static half of the `race_check` soundness story.
+//! guarantees it); [`parallel_escape`] (the `unsafe impl Send/Sync`
+//! disjointness check) is one of them. The v2 families
+//! ([`rng_hygiene`], [`lock_order`], [`cast_soundness`]) walk the parsed
+//! syntax tree instead, and the first two run as a single workspace
+//! pass over every file at once so they can follow calls across crates.
+//! [`metrics_registry`] is a workspace pass too, over call sites and
+//! the `trace::names` constant table.
 
 use crate::engine::{Diagnostic, FileCtx, LintConfig};
 
 mod cast_soundness;
-mod checkpoint_symmetry;
 mod determinism;
-mod discount_once;
 mod doc_coverage;
-mod float_order;
 mod lock_order;
 mod metrics_registry;
 mod panic_freedom;
@@ -29,15 +24,12 @@ mod rng_hygiene;
 mod unsafe_safety;
 
 pub use cast_soundness::check_cast_soundness;
-pub use checkpoint_symmetry::check_checkpoint_symmetry;
 pub use determinism::check_determinism;
-pub use discount_once::check_discount_once;
 pub use doc_coverage::check_doc_coverage;
-pub use float_order::check_float_order;
 pub use lock_order::check_lock_order;
 pub use metrics_registry::check_metrics_registry;
 pub use panic_freedom::check_panic_freedom;
-pub use parallel_escape::{check_parallel_escape, check_send_sync_safety};
+pub use parallel_escape::check_send_sync_safety;
 pub use rng_hygiene::check_rng_hygiene;
 pub use unsafe_safety::check_unsafe_safety;
 
@@ -109,37 +101,19 @@ pub fn run_all(ctx: &FileCtx, cfg: &LintConfig, diags: &mut Vec<Diagnostic>) {
 /// Run the cross-file rule families over the whole file set at once.
 /// The call graph is built once and shared.
 pub fn run_workspace(files: &[FileCtx], cfg: &LintConfig, diags: &mut Vec<Diagnostic>) {
-    let float = cfg.is_enabled("float-reduction-order");
     let rng = cfg.is_enabled("rng-stream-hygiene");
     let lock = cfg.is_enabled("lock-order");
-    let ckpt = cfg.is_enabled("checkpoint-symmetry");
-    let discount = cfg.is_enabled("discount-once");
-    let metrics = cfg.is_enabled("metrics-registry");
-    let escape =
-        cfg.is_enabled("parallel-escape-capture") || cfg.is_enabled("parallel-escape-index");
-    if metrics {
+    if cfg.is_enabled("metrics-registry") {
         check_metrics_registry(files, diags);
     }
-    if !(float || rng || lock || ckpt || discount || escape) {
+    if !(rng || lock) {
         return;
     }
     let cg = crate::callgraph::CallGraph::build(files);
-    if float {
-        check_float_order(files, &cg, diags);
-    }
-    if escape {
-        check_parallel_escape(files, &cg, cfg, diags);
-    }
     if rng {
         check_rng_hygiene(files, &cg, diags);
     }
     if lock {
         check_lock_order(files, &cg, diags);
-    }
-    if ckpt {
-        check_checkpoint_symmetry(files, &cg, diags);
-    }
-    if discount {
-        check_discount_once(files, &cg, diags);
     }
 }

@@ -1,111 +1,22 @@
-//! `parallel-escape-*` — the concurrency family: closures handed to the
-//! parallel entry points must not smuggle shared mutable state across
-//! worker threads, and hand-rolled `Send`/`Sync` impls must argue
-//! disjointness.
+//! `parallel-escape-send-sync` — hand-rolled `Send`/`Sync` impls must
+//! argue disjointness.
 //!
-//! The worker pool's soundness story (see `crates/parallel/src/shadow.rs`)
-//! is that every write inside a parallel closure lands in state **owned
-//! by the closure's index** — a result slot, a chunk, a per-invocation
-//! local. The dynamic half of that story is the `race_check` sanitizer;
-//! this rule family is the static half:
-//!
-//! * `parallel-escape-capture` — a closure passed to a parallel entry
-//!   point writes through state captured from the enclosing scope: a
-//!   direct assignment, a `&mut` borrow handed onwards, a known
-//!   mutating method (`push`, `extend`, `iter_mut`, …), or a method
-//!   resolved through the call graph to a workspace function that
-//!   assigns through `self`. Any type counts — an integer flag race is
-//!   still a race. The `parallel`/`stats` crates are exempt (same
-//!   blessing as `float-reduction-order`): they *implement* the shared
-//!   index-owned state, and the `race_check` shadow tables check their
-//!   discipline at runtime.
-//! * `parallel-escape-index` — an indexed write to captured state whose
-//!   index expression is not provably **derived** from the closure's
-//!   own index parameter. Derivation is a forward dataflow over the
-//!   closure body ([`crate::dataflow`]): parameters start derived, a
-//!   `let` whose initializer mentions a derived name propagates it, and
-//!   a `for` binding over a derived iterator is derived. `out[i] = v`
-//!   with `i` the closure parameter passes; `out[0] = v` or an index
-//!   read from captured state does not.
-//! * `parallel-escape-send-sync` — an `unsafe impl Send`/`Sync` whose
-//!   adjacent `// SAFETY:` comment does not state a *disjointness*
-//!   argument (who owns which region, why writers never overlap). Like
-//!   `unsafe-safety` it applies to every crate, test code included.
-//!
-//! # Soundness direction
-//!
-//! The family under-approximates, like every analysis in this linter:
-//! writes whose base the parser cannot name (method-call chains,
-//! destructuring loop bindings), calls that do not resolve, and names
-//! bound inside *nested* closures are skipped rather than guessed, so
-//! a finding is always worth reading. The converse gap — an index name
-//! `let`-bound inside a nested closure is not tracked as derived — can
-//! over-flag; hoist the computation or suppress with a reasoned
-//! marker.
+//! Closures handed to the parallel entry points cannot smuggle shared
+//! mutable state across worker threads: every entry point takes
+//! `F: Fn + Sync`, so a captured write is a compile error (pinned by
+//! the `compile_fail` doctests in `crates/parallel/src/lib.rs`). The one
+//! escape the compiler does not see is an `unsafe impl Send`/`Sync`,
+//! which *asserts* thread-safety instead of deriving it. This rule
+//! requires the adjacent `// SAFETY:` comment to state a *disjointness*
+//! argument (who owns which region, why writers never overlap). Like
+//! `unsafe-safety` it applies to every crate, test code included; the
+//! `race_check` shadow sanitizer (`crates/parallel/src/shadow.rs`)
+//! checks the same argument at runtime.
 
-use crate::ast::{Expr, FnDef, Param};
-use crate::callgraph::{CallGraph, FnId};
-use crate::dataflow::{run_expr, ForwardSemantics, JoinLattice};
-use crate::engine::{Diagnostic, FileCtx, LintConfig};
+use crate::engine::{Diagnostic, FileCtx};
 use crate::lexer::TokKind;
-use std::collections::BTreeSet;
 
-const CAPTURE_RULE: &str = "parallel-escape-capture";
-const INDEX_RULE: &str = "parallel-escape-index";
 const SEND_SYNC_RULE: &str = "parallel-escape-send-sync";
-
-/// Functions that run a closure across worker threads. The last
-/// closure argument of `parallel_map_reduce` is its index-ordered
-/// caller-thread fold and is exempt (same carve-out as
-/// `float-reduction-order`).
-const PARALLEL_ENTRIES: &[&str] = &[
-    "parallel_for_each",
-    "parallel_map",
-    "parallel_map_reduce",
-    "parallel_over_rows",
-];
-
-/// Crates exempt from `parallel-escape-capture`: they implement the
-/// blessed index-owned-state primitives themselves, and `race_check`
-/// verifies their discipline dynamically. `parallel-escape-index` is
-/// *not* blessed anywhere — even the core must index by the closure's
-/// own parameter.
-const CAPTURE_BLESSED_CRATES: &[&str] = &["parallel", "stats"];
-
-/// Methods that mutate their receiver (or hand out `&mut` into it);
-/// calling one on captured state inside a parallel closure is a shared
-/// write. Conservative std-API list — unknown methods are not flagged.
-const MUTATING_METHODS: &[&str] = &[
-    "push",
-    "push_str",
-    "insert",
-    "extend",
-    "extend_from_slice",
-    "append",
-    "clear",
-    "remove",
-    "swap_remove",
-    "truncate",
-    "resize",
-    "retain",
-    "drain",
-    "pop",
-    "sort",
-    "sort_by",
-    "sort_by_key",
-    "sort_unstable",
-    "fill",
-    "copy_from_slice",
-    "clone_from_slice",
-    "swap",
-    "get_mut",
-    "iter_mut",
-    "as_mut",
-    "as_mut_slice",
-    "split_at_mut",
-    "first_mut",
-    "last_mut",
-];
 
 /// Disjointness vocabulary a `Send`/`Sync` safety comment must use —
 /// some phrase saying which single owner touches which region.
@@ -121,406 +32,6 @@ const DISJOINT_VOCAB: &[&str] = &[
     "never concurrently",
     "no two",
 ];
-
-/// Run `parallel-escape-capture` / `parallel-escape-index` over the
-/// parsed workspace (the send-sync rule is per-file:
-/// [`check_send_sync_safety`]).
-pub fn check_parallel_escape(
-    files: &[FileCtx],
-    cg: &CallGraph<'_>,
-    cfg: &LintConfig,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let capture = cfg.is_enabled(CAPTURE_RULE);
-    let index = cfg.is_enabled(INDEX_RULE);
-    if !(capture || index) {
-        return;
-    }
-    // Pass 1: which workspace functions assign through `self`? A method
-    // resolved to one of these mutates its receiver even without an
-    // explicit `&mut` at the call site.
-    let self_mutators: Vec<bool> = cg.fns.iter().map(|&(_, f)| mutates_self(f)).collect();
-
-    // Pass 2: inspect every parallel closure in library crates.
-    for (id, &(fi, f)) in cg.fns.iter().enumerate() {
-        let ctx = &files[fi];
-        if !ctx.is_lib_crate() || ctx.is_test_line(f.line) {
-            continue;
-        }
-        let capture_here = capture
-            && !ctx
-                .crate_name
-                .as_deref()
-                .is_some_and(|c| CAPTURE_BLESSED_CRATES.contains(&c));
-        if !(capture_here || index) {
-            continue;
-        }
-        let enclosing = enclosing_bindings(f);
-        f.body.walk(&mut |e| {
-            let (name, args) = match e {
-                Expr::Call { callee, args, .. } => match callee.base_ident() {
-                    Some(n) => (n, args),
-                    None => return,
-                },
-                Expr::MethodCall { method, args, .. } => (method.as_str(), args),
-                _ => return,
-            };
-            let Some(entry) = PARALLEL_ENTRIES.iter().find(|&&p| p == name) else {
-                return;
-            };
-            let closure_args: Vec<&Expr> = args
-                .iter()
-                .filter(|a| matches!(a, Expr::Closure { .. }))
-                .collect();
-            for (k, arg) in closure_args.iter().enumerate() {
-                // parallel_map_reduce's trailing fold closure runs
-                // sequentially on the caller thread.
-                if *entry == "parallel_map_reduce" && k + 1 == closure_args.len() {
-                    continue;
-                }
-                let Expr::Closure { params, body, .. } = arg else {
-                    continue;
-                };
-                scan_closure(ScanInput {
-                    ctx,
-                    cg,
-                    caller: id,
-                    entry,
-                    params,
-                    body,
-                    enclosing: &enclosing,
-                    check_capture: capture_here,
-                    check_index: index,
-                    self_mutators: &self_mutators,
-                    diags,
-                });
-            }
-        });
-    }
-}
-
-/// Everything one closure scan needs.
-struct ScanInput<'a, 'b> {
-    ctx: &'a FileCtx,
-    cg: &'a CallGraph<'a>,
-    caller: FnId,
-    entry: &'a str,
-    params: &'a [Param],
-    body: &'a Expr,
-    enclosing: &'a BTreeSet<String>,
-    check_capture: bool,
-    check_index: bool,
-    self_mutators: &'a [bool],
-    diags: &'b mut Vec<Diagnostic>,
-}
-
-/// Insert the names bound by `b`'s *direct* `let` statements.
-fn direct_lets(b: &crate::ast::Block, names: &mut BTreeSet<String>) {
-    for s in &b.stmts {
-        if let crate::ast::Stmt::Let { name, .. } = s {
-            names.insert(name.clone());
-        }
-    }
-}
-
-/// Collect every binding name visible anywhere under `visit`: `let`s in
-/// every block shape (explicit blocks, `if` branches, loop bodies —
-/// each block is the direct child of exactly one visited node), plain
-/// `for` bindings, and — when `with_closure_params` — nested-closure
-/// parameters.
-fn collect_bindings(
-    visit: impl FnOnce(&mut dyn FnMut(&Expr)),
-    names: &mut BTreeSet<String>,
-    with_closure_params: bool,
-) {
-    visit(&mut |e: &Expr| match e {
-        Expr::BlockExpr(b) => direct_lets(b, names),
-        Expr::If { then, .. } => direct_lets(then, names),
-        Expr::Loop { binding, body, .. } => {
-            if let Some(b) = binding {
-                names.insert(b.clone());
-            }
-            direct_lets(body, names);
-        }
-        Expr::Closure { params, .. } if with_closure_params => {
-            for p in params {
-                names.insert(p.name.clone());
-            }
-        }
-        _ => {}
-    });
-}
-
-/// Names bound by the enclosing function: parameters, every `let` in
-/// its body (flow-insensitive, like [`crate::ast::TypeEnv`]), and
-/// plain-identifier `for` bindings. A write whose base is in this set
-/// — and not rebound inside the closure — is a capture. Bases the
-/// parser cannot attribute to either scope (destructuring patterns,
-/// method-call chains) are skipped: under-approximation.
-fn enclosing_bindings(f: &FnDef) -> BTreeSet<String> {
-    let mut names: BTreeSet<String> = f.params.iter().map(|p| p.name.clone()).collect();
-    names.insert("self".to_string());
-    direct_lets(&f.body, &mut names);
-    collect_bindings(|mut v| f.body.walk(&mut v), &mut names, false);
-    names
-}
-
-/// Names bound inside the closure itself: its parameters, every `let`
-/// in its body, plain `for` bindings, and nested-closure parameters.
-/// Writes to these are per-invocation state, never shared.
-fn closure_locals(params: &[Param], body: &Expr) -> BTreeSet<String> {
-    let mut locals: BTreeSet<String> = params.iter().map(|p| p.name.clone()).collect();
-    collect_bindings(|mut v| body.walk(&mut v), &mut locals, true);
-    locals
-}
-
-/// The abstract state of the derivation dataflow: the set of names
-/// provably derived from the closure's own index parameter. Join is
-/// union — a name derived on *some* path counts as derived, which
-/// over-approximates derivation and therefore under-approximates
-/// findings (the family's contract).
-#[derive(Clone, Default)]
-struct Derived(BTreeSet<String>);
-
-impl JoinLattice for Derived {
-    fn join_from(&mut self, other: &Self) -> bool {
-        let before = self.0.len();
-        self.0.extend(other.0.iter().cloned());
-        self.0.len() != before
-    }
-}
-
-/// Does `e` mention any derived name?
-fn mentions_derived(e: &Expr, state: &Derived) -> bool {
-    let mut hit = false;
-    e.walk(&mut |n| {
-        if let Expr::Path { segs, .. } = n {
-            if segs.len() == 1 && state.0.contains(&segs[0]) {
-                hit = true;
-            }
-        }
-    });
-    hit
-}
-
-/// The dataflow client: threads the derived-name state through the
-/// closure body and reports escapes at every atomic statement.
-struct EscapeScan<'a, 'b> {
-    input: ScanInput<'a, 'b>,
-    locals: BTreeSet<String>,
-    /// `(line, rule)` pairs already reported — the loop fixpoint
-    /// re-interprets bodies, and one site is one finding.
-    reported: BTreeSet<(usize, &'static str)>,
-}
-
-impl EscapeScan<'_, '_> {
-    fn diag(&mut self, rule: &'static str, line: usize, msg: String) {
-        if self.reported.insert((line, rule)) {
-            self.input.diags.push(self.input.ctx.diag(rule, line, msg));
-        }
-    }
-
-    /// Is `base` a name captured from the enclosing scope?
-    fn is_captured(&self, base: &str) -> bool {
-        !self.locals.contains(base) && (base == "self" || self.input.enclosing.contains(base))
-    }
-
-    /// Report a write through `place` (an assignment target, a `&mut`
-    /// borrow operand, or a mutating-method receiver).
-    fn check_write(&mut self, place: &Expr, line: usize, how: &str, state: &Derived) {
-        let Some(base) = place.base_ident() else {
-            return;
-        };
-        if !self.is_captured(base) {
-            return;
-        }
-        let base = base.to_string();
-        // Collect the index expressions applied to captured state along
-        // the place path (`shared[i]`, `self.buf[k].x`, …).
-        let mut indices: Vec<&Expr> = Vec::new();
-        place.walk(&mut |n| {
-            if let Expr::Index { base: b, index, .. } = n {
-                if b.base_ident().is_some_and(|bb| self.is_captured(bb)) {
-                    indices.push(index);
-                }
-            }
-        });
-        if indices.is_empty() {
-            if self.input.check_capture {
-                let place_text = place.place_text().unwrap_or(base);
-                let entry = self.input.entry;
-                self.diag(
-                    CAPTURE_RULE,
-                    line,
-                    format!(
-                        "{how} `{place_text}`, captured from the enclosing scope, inside a \
-                         closure passed to `{entry}` — shared mutable state across parallel \
-                         invocations races; return per-index values or write through \
-                         index-owned slots instead"
-                    ),
-                );
-            }
-            return;
-        }
-        if self.input.check_index {
-            for idx in indices {
-                if !mentions_derived(idx, state) {
-                    let entry = self.input.entry;
-                    self.diag(
-                        INDEX_RULE,
-                        line,
-                        format!(
-                            "index into captured `{base}` is not derived from the closure's \
-                             own index parameter (closure passed to `{entry}`) — the write \
-                             cannot be proven to land in an index-owned slot/chunk; derive \
-                             the index from the closure parameter or restructure"
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    /// Scan one atomic expression subtree for escaping writes.
-    fn scan(&mut self, e: &Expr, state: &Derived) {
-        // `Expr::walk` borrows the visitor mutably, so collect the
-        // write sites first and report after.
-        enum Site<'e> {
-            Place(&'e Expr, usize, &'static str),
-            SelfMutator(&'e Expr, usize, String),
-        }
-        let mut sites: Vec<Site<'_>> = Vec::new();
-        e.walk(&mut |n| match n {
-            Expr::Assign { target, line, .. } => {
-                sites.push(Site::Place(target, *line, "assignment through"));
-            }
-            Expr::Unary {
-                op: '&',
-                mutable: true,
-                expr,
-                line,
-            } => {
-                sites.push(Site::Place(expr, *line, "`&mut` borrow of"));
-            }
-            Expr::MethodCall {
-                recv, method, line, ..
-            } => {
-                if MUTATING_METHODS.contains(&method.as_str()) {
-                    sites.push(Site::Place(recv, *line, "mutating method call on"));
-                } else if let Some(target) = self.input.cg.resolve(self.input.caller, n) {
-                    if self.input.self_mutators[target] {
-                        let callee = self.input.cg.fns[target].1.name.clone();
-                        sites.push(Site::SelfMutator(recv, *line, callee));
-                    }
-                }
-            }
-            _ => {}
-        });
-        for site in sites {
-            match site {
-                Site::Place(place, line, how) => self.check_write(place, line, how, state),
-                Site::SelfMutator(recv, line, callee) => {
-                    if self.input.check_capture {
-                        if let Some(base) = recv.base_ident() {
-                            if self.is_captured(base) {
-                                let base = base.to_string();
-                                let entry = self.input.entry;
-                                self.diag(
-                                    CAPTURE_RULE,
-                                    line,
-                                    format!(
-                                        "`{callee}` assigns through `self` and is called on \
-                                         `{base}`, captured by a closure passed to `{entry}` \
-                                         — shared mutable state across parallel invocations \
-                                         races; return per-index values instead"
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl ForwardSemantics for EscapeScan<'_, '_> {
-    type State = Derived;
-
-    fn let_stmt(&mut self, name: &str, init: Option<&Expr>, state: &mut Derived) {
-        if let Some(init) = init {
-            self.scan(init, state);
-            if name != "_" && mentions_derived(init, state) {
-                state.0.insert(name.to_string());
-            }
-        }
-    }
-
-    fn expr_stmt(&mut self, e: &Expr, state: &mut Derived) {
-        self.scan(e, state);
-    }
-
-    fn loop_as_atomic(
-        &mut self,
-        head: Option<&Expr>,
-        binding: Option<&str>,
-        _body: &crate::ast::Block,
-        state: &mut Derived,
-    ) -> bool {
-        // Not atomic — but a `for x in <derived>` binding is derived.
-        // The driver still interprets the body to a fixpoint.
-        if let (Some(h), Some(b)) = (head, binding) {
-            if mentions_derived(h, state) {
-                state.0.insert(b.to_string());
-            }
-        }
-        false
-    }
-}
-
-/// Scan one parallel closure with the derivation dataflow.
-fn scan_closure(input: ScanInput<'_, '_>) {
-    let locals = closure_locals(input.params, input.body);
-    let mut seed = Derived::default();
-    for p in input.params {
-        if p.name != "_" {
-            seed.0.insert(p.name.clone());
-        }
-    }
-    // Nested-closure parameters index their own (inner) jobs; counting
-    // them as derived under-approximates findings, never invents them.
-    input.body.walk(&mut |e| {
-        if let Expr::Closure { params, .. } = e {
-            for p in params {
-                if p.name != "_" {
-                    seed.0.insert(p.name.clone());
-                }
-            }
-        }
-    });
-    let body = input.body;
-    let mut scan = EscapeScan {
-        input,
-        locals,
-        reported: BTreeSet::new(),
-    };
-    // `run_expr` descends through a `BlockExpr` body itself.
-    run_expr(body, &mut scan, &mut seed);
-}
-
-/// True when `f` assigns through its `self` receiver (any operator):
-/// evidence the method needs `&mut self` and mutates receiver state.
-fn mutates_self(f: &FnDef) -> bool {
-    let mut hit = false;
-    f.body.walk(&mut |e| {
-        if let Expr::Assign { target, .. } = e {
-            if target.base_ident() == Some("self") {
-                hit = true;
-            }
-        }
-    });
-    hit
-}
 
 /// Run `parallel-escape-send-sync` over one file: every
 /// `unsafe impl Send/Sync` must carry an adjacent `// SAFETY:` comment

@@ -563,10 +563,6 @@ fn every_declared_rule_is_exercised_by_these_fixtures() {
         (LIB, "pub fn f(o: Option<u32>) -> u32 { o.unwrap() }\n"),
         ("crates/tensor/src/fixture.rs", "pub fn undocd() {}\n"),
         (
-            LIB,
-            "pub fn s(xs: &[f32]) -> f32 {\n    let mut t = 0.0f32;\n    parallel_for_each(xs, |x: &f32| { t += *x; });\n    t\n}\n",
-        ),
-        (
             "crates/fl/src/fixture.rs",
             "fn m(seed: u64) -> u64 {\n    let mut a = Xoshiro256pp::stream(seed, &[0x1111]);\n    let mut b = Xoshiro256pp::stream(seed, &[0x2222]);\n    a.next_u64() ^ b.next_u64()\n}\n",
         ),
@@ -579,24 +575,8 @@ fn every_declared_rule_is_exercised_by_these_fixtures() {
             "fn shrink(n: u64) -> u32 { n as u32 }\n",
         ),
         (
-            "crates/fl/src/fixture.rs",
-            "impl Snap {\n    fn to_bytes(&self) -> Vec<u8> {\n        let mut out = Vec::new();\n        put_u32(&mut out, self.a);\n        put_u64(&mut out, self.b);\n        out\n    }\n    fn from_bytes(bytes: &[u8]) -> Snap {\n        let mut r = ByteReader::new(bytes);\n        Snap { a: r.u32(), b: r.u32() as u64 }\n    }\n}\n",
-        ),
-        (
-            "crates/fl/src/fixture.rs",
-            "fn aggregate(received: Vec<ReceivedUpdate>) -> RoundInput {\n    let updates = received;\n    RoundInput { updates: updates, round: 0 }\n}\n",
-        ),
-        (
             LIB,
             "pub fn emit(t: &Tracer) { t.span(\"round\", vec![]); }\n",
-        ),
-        (
-            LIB,
-            "pub fn g(xs: &[u32]) -> u64 {\n    let mut total = 0u64;\n    parallel_for_each(xs, |x: &u32| { total += u64::from(*x); });\n    total\n}\n",
-        ),
-        (
-            LIB,
-            "pub fn h(xs: &[f32], shared: &mut [f32]) {\n    parallel_for_each(xs, |_x: &f32| { shared[0] = 1.0; });\n}\n",
         ),
         (
             LIB,
@@ -612,120 +592,6 @@ fn every_declared_rule_is_exercised_by_these_fixtures() {
     for rule in ALL_RULES {
         assert!(seen.contains(*rule), "rule '{rule}' never fired");
     }
-}
-
-// ------------------------------------------- float-reduction-order (v2)
-
-#[test]
-fn captured_float_accumulation_in_parallel_closure_fires() {
-    let src = "\
-pub fn sum_bad(xs: &[f32]) -> f32 {
-    let mut total = 0.0f32;
-    parallel_for_each(xs, |x: &f32| {
-        total += *x;
-    });
-    total
-}
-";
-    let d = lint(LIB, src);
-    // The write is both order-sensitive (float) and a shared-state
-    // escape, so the determinism and concurrency families each fire.
-    assert_eq!(
-        fired(&d),
-        ["float-reduction-order", "parallel-escape-capture"]
-    );
-    assert_eq!(d[0].line, 4);
-    assert!(d[0].message.contains("total"), "{}", d[0].message);
-}
-
-#[test]
-fn cross_file_call_to_float_accumulator_fires() {
-    // The closure itself looks innocent; the accumulation hides in a
-    // helper in ANOTHER file, reachable only through the call graph.
-    let helper = "\
-fn add_into(acc: &mut f32, v: f32) {
-    *acc += v;
-}
-";
-    let caller = "\
-pub fn reduce_bad(xs: &[f32]) -> f32 {
-    let mut acc = 0.0f32;
-    parallel_for_each(xs, |x: &f32| add_into(&mut acc, *x));
-    acc
-}
-";
-    let d = lint_many(&[("crates/fl/src/fixture_helper.rs", helper), (LIB, caller)]);
-    // `&mut acc` escaping into the helper is also a captured-state
-    // write, so the concurrency family fires alongside.
-    assert_eq!(
-        fired(&d),
-        ["float-reduction-order", "parallel-escape-capture"]
-    );
-    assert!(d[0].message.contains("add_into"), "{}", d[0].message);
-}
-
-#[test]
-fn index_ordered_fold_after_parallel_map_passes() {
-    // The blessed pattern: per-item values from the workers, combined
-    // sequentially on the caller thread.
-    let src = "\
-pub fn sum_good(xs: &[f32]) -> f32 {
-    let parts = parallel_map(xs, |x: &f32| *x * 2.0);
-    let mut total = 0.0f32;
-    for p in parts {
-        total += p;
-    }
-    total
-}
-";
-    assert!(lint(LIB, src).is_empty());
-}
-
-#[test]
-fn map_reduce_fold_closure_is_exempt() {
-    // parallel_map_reduce's trailing closure is its caller-thread
-    // index-ordered fold: accumulating there is the whole point.
-    let src = "\
-pub fn mr_good(xs: &[f32]) -> f32 {
-    let mut total = 0.0f32;
-    parallel_map_reduce(xs, |x: &f32| *x, |v: f32| { total += v; });
-    total
-}
-";
-    assert!(lint(LIB, src).is_empty());
-}
-
-#[test]
-fn integer_accumulation_is_order_safe_but_still_a_race() {
-    // Integer addition is associative — order cannot change the bits,
-    // so `float-reduction-order` stays quiet. The unsynchronized write
-    // to captured state is still a data race, which the concurrency
-    // family catches.
-    let src = "\
-pub fn count_bad_order_but_int(xs: &[u32]) -> u64 {
-    let mut total = 0u64;
-    parallel_for_each(xs, |x: &u32| {
-        total += u64::from(*x);
-    });
-    total
-}
-";
-    assert_eq!(fired(&lint(LIB, src)), ["parallel-escape-capture"]);
-}
-
-#[test]
-fn blessed_reduce_crates_are_exempt_from_float_order() {
-    let src = "\
-/// The blessed index-ordered reducer itself.
-pub fn reduce_impl(xs: &[f32]) -> f32 {
-    let mut total = 0.0f32;
-    parallel_for_each(xs, |x: &f32| {
-        total += *x;
-    });
-    total
-}
-";
-    assert!(lint("crates/parallel/src/fixture.rs", src).is_empty());
 }
 
 // --------------------------------------------- rng-stream-hygiene (v2)
@@ -1043,7 +909,7 @@ fn real_workspace_is_clean() {
 #[test]
 fn full_workspace_run_fits_the_time_budget() {
     // Every source file is lexed and parsed exactly once and shared by
-    // all twelve rules; a full-workspace pass must stay interactive.
+    // all rules; a full-workspace pass must stay interactive.
     // The budget is ~50× the measured debug-profile time, so it only
     // trips on structural regressions (re-lexing per rule, a quadratic
     // call-graph pass), not on CI jitter.
@@ -1206,326 +1072,12 @@ fn cadence_event_loop_files_are_not_blessed() {
     }
 }
 
-// ---------------------------------------------- checkpoint-symmetry (v3)
-
 /// Only the named rule's findings, in output order.
 fn fired_only<'a>(diags: &'a [Diagnostic], rule: &str) -> Vec<&'a Diagnostic> {
     diags.iter().filter(|d| d.rule == rule).collect()
 }
 
-const CKPT: &str = "crates/fl/src/fixture.rs";
-
-#[test]
-fn checkpoint_narrowed_width_fires() {
-    let src = "\
-impl Snap {
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u32(&mut out, self.a);
-        put_u64(&mut out, self.b);
-        out
-    }
-    fn from_bytes(bytes: &[u8]) -> Snap {
-        let mut r = ByteReader::new(bytes);
-        Snap { a: r.u32(), b: r.u32() as u64 }
-    }
-}
-";
-    let d = lint(CKPT, src);
-    let ck = fired_only(&d, "checkpoint-symmetry");
-    assert_eq!(ck.len(), 1);
-    assert!(
-        ck[0].message.contains("width/order mismatch"),
-        "{}",
-        ck[0].message
-    );
-    assert!(
-        ck[0].message.contains("written as `u64` but read as `u32`"),
-        "{}",
-        ck[0].message
-    );
-}
-
-#[test]
-fn checkpoint_reordered_fields_fire() {
-    let src = "\
-impl Snap {
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u32(&mut out, self.version);
-        put_f64(&mut out, self.alpha);
-        out
-    }
-    fn from_bytes(bytes: &[u8]) -> Snap {
-        let mut r = ByteReader::new(bytes);
-        let alpha = r.f64();
-        let version = r.u32();
-        Snap { version: version, alpha: alpha }
-    }
-}
-";
-    let d = lint(CKPT, src);
-    let ck = fired_only(&d, "checkpoint-symmetry");
-    assert_eq!(ck.len(), 1);
-    assert!(
-        ck[0].message.contains("diverge at step 1"),
-        "{}",
-        ck[0].message
-    );
-}
-
-#[test]
-fn checkpoint_written_but_never_read_fires() {
-    let src = "\
-impl Snap {
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u32(&mut out, self.a);
-        put_f32s(&mut out, &self.weights);
-        out
-    }
-    fn from_bytes(bytes: &[u8]) -> Snap {
-        let mut r = ByteReader::new(bytes);
-        Snap { a: r.u32(), weights: Vec::new() }
-    }
-}
-";
-    let d = lint(CKPT, src);
-    let ck = fired_only(&d, "checkpoint-symmetry");
-    assert_eq!(ck.len(), 1);
-    assert!(
-        ck[0].message.contains("written but never read"),
-        "{}",
-        ck[0].message
-    );
-}
-
-#[test]
-fn checkpoint_loop_structure_mismatch_fires() {
-    let src = "\
-impl Snap {
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u32(&mut out, self.rows.len() as u32);
-        for row in &self.rows {
-            put_f32s(&mut out, row);
-        }
-        out
-    }
-    fn from_bytes(bytes: &[u8]) -> Snap {
-        let mut r = ByteReader::new(bytes);
-        let n = r.u32();
-        let rows = vec![r.f32s()];
-        Snap { n: n, rows: rows }
-    }
-}
-";
-    let d = lint(CKPT, src);
-    let ck = fired_only(&d, "checkpoint-symmetry");
-    assert_eq!(ck.len(), 1);
-    assert!(
-        ck[0].message.contains("loop structure mismatch"),
-        "{}",
-        ck[0].message
-    );
-}
-
-#[test]
-fn checkpoint_matching_pair_passes() {
-    // Loops pair with loops, and a version gate's read arm lines up
-    // with the unconditional write under the longest-branch rule.
-    let src = "\
-impl Snap {
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u32(&mut out, self.version);
-        put_f64(&mut out, self.alpha);
-        for row in &self.rows {
-            put_f32s(&mut out, row);
-        }
-        out
-    }
-    fn from_bytes(bytes: &[u8]) -> Snap {
-        let mut r = ByteReader::new(bytes);
-        let version = r.u32();
-        let alpha = if version >= 3 { r.f64() } else { 0.0 };
-        let mut rows = Vec::new();
-        for _ in 0..3 {
-            rows.push(r.f32s());
-        }
-        Snap { version: version, alpha: alpha, rows: rows }
-    }
-}
-";
-    let d = lint(CKPT, src);
-    assert!(fired_only(&d, "checkpoint-symmetry").is_empty());
-}
-
-#[test]
-fn checkpoint_helper_pair_put_read_checked() {
-    // Same-file `put_X`/`read_X` helpers are paired too, and resolved
-    // helper calls splice the callee's sequence into the caller's.
-    let src = "\
-fn put_update(out: &mut Vec<u8>, u: &Update) {
-    put_u64(out, u.client);
-    put_f32s(out, &u.delta);
-}
-fn read_update(r: &mut ByteReader) -> Update {
-    Update { client: r.u64(), delta: r.f32s(), extra: r.u32() }
-}
-";
-    let d = lint(CKPT, src);
-    let ck = fired_only(&d, "checkpoint-symmetry");
-    assert_eq!(ck.len(), 1);
-    assert!(
-        ck[0].message.contains("read but never written"),
-        "{}",
-        ck[0].message
-    );
-}
-
-#[test]
-fn checkpoint_real_pair_is_clean_and_mutations_fire() {
-    // The real FWCK v3 writer/reader pair passes as written…
-    let root = workspace_root();
-    let path = "crates/fl/src/checkpoint.rs";
-    let src = std::fs::read_to_string(root.join(path)).expect("checkpoint.rs readable");
-    let cfg = LintConfig::only(["checkpoint-symmetry"]).expect("known rule");
-    assert!(
-        lint_file(path, &src, &cfg).is_empty(),
-        "real checkpoint pair must be symmetric"
-    );
-
-    // …a narrowed field width is a hard error… (`put_u64(` with the
-    // paren so the mutation hits a call site, not the import list)
-    let narrowed = src.replacen("put_u64(", "put_u32(", 1);
-    assert_ne!(narrowed, src, "expected a put_u64 write to narrow");
-    let d = lint_file(path, &narrowed, &cfg);
-    assert!(
-        d.iter().any(|x| x.message.contains("width/order mismatch")),
-        "narrowed width must fire:\n{}",
-        d.iter()
-            .map(|x| x.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-
-    // …and so is a reordered write sequence: swap the first two
-    // adjacent single-line primitive writes in the file.
-    let lines: Vec<&str> = src.lines().collect();
-    let is_put = |l: &str| {
-        let t = l.trim_start();
-        t.starts_with("put_") && t.ends_with(";")
-    };
-    let i = (0..lines.len() - 1)
-        .find(|&i| is_put(lines[i]) && is_put(lines[i + 1]) && lines[i] != lines[i + 1])
-        .expect("two adjacent primitive writes to swap");
-    let mut swapped: Vec<&str> = lines.clone();
-    swapped.swap(i, i + 1);
-    let reordered = swapped.join("\n");
-    let d = lint_file(path, &reordered, &cfg);
-    assert!(
-        !d.is_empty(),
-        "reordered writes at lines {}-{} must fire",
-        i + 1,
-        i + 2
-    );
-}
-
-// -------------------------------------------------- discount-once (v3)
-
-#[test]
-fn undiscounted_update_path_fires() {
-    let src = "\
-fn aggregate(received: Vec<ReceivedUpdate>) -> RoundInput {
-    let updates = received;
-    RoundInput { updates: updates, round: 0 }
-}
-";
-    let d = lint(CKPT, src);
-    let dc = fired_only(&d, "discount-once");
-    assert_eq!(dc.len(), 1);
-    assert!(
-        dc[0].message.contains("without crossing"),
-        "{}",
-        dc[0].message
-    );
-}
-
-#[test]
-fn double_discount_regression_fires() {
-    // The PR-6 class of bug: the buffered cadence discounting at
-    // buffer time *and* the apply path discounting again.
-    let src = "\
-fn into_discounted(u: ReceivedUpdate) -> ReceivedUpdate {
-    let mut u = u;
-    let w = staleness_discount(u.staleness);
-    for d in u.delta.iter_mut() {
-        *d *= w;
-    }
-    u
-}
-fn flush(received: Vec<ReceivedUpdate>) -> RoundInput {
-    let buffered = received.into_iter().map(into_discounted).collect::<Vec<_>>();
-    let updates = buffered.into_iter().map(into_discounted).collect::<Vec<_>>();
-    RoundInput { updates: updates, round: 0 }
-}
-";
-    let d = lint(CKPT, src);
-    let dc = fired_only(&d, "discount-once");
-    assert_eq!(dc.len(), 1);
-    assert!(
-        dc[0].message.contains("more than once"),
-        "{}",
-        dc[0].message
-    );
-}
-
-#[test]
-fn single_discount_through_helper_passes() {
-    let src = "\
-fn into_discounted(u: ReceivedUpdate) -> ReceivedUpdate {
-    let mut u = u;
-    let w = staleness_discount(u.staleness);
-    for d in u.delta.iter_mut() {
-        *d *= w;
-    }
-    u
-}
-fn flush(received: Vec<ReceivedUpdate>) -> RoundInput {
-    let updates = received.into_iter().map(into_discounted).collect::<Vec<_>>();
-    RoundInput { updates: updates, round: 0 }
-}
-";
-    let d = lint(CKPT, src);
-    assert!(fired_only(&d, "discount-once").is_empty());
-}
-
-#[test]
-fn staleness_guarded_discount_passes() {
-    // `if staleness > 0 { discount }` — the guard proves the skipped
-    // discount is the identity, so the then-branch counts as the path.
-    let src = "\
-fn into_discounted(u: ReceivedUpdate) -> ReceivedUpdate {
-    let mut u = u;
-    if u.staleness > 0 {
-        let w = staleness_discount(u.staleness);
-        for d in u.delta.iter_mut() {
-            *d *= w;
-        }
-    }
-    u
-}
-fn flush(received: Vec<ReceivedUpdate>) -> RoundInput {
-    let updates = received.into_iter().map(into_discounted).collect::<Vec<_>>();
-    RoundInput { updates: updates, round: 0 }
-}
-";
-    let d = lint(CKPT, src);
-    assert!(fired_only(&d, "discount-once").is_empty());
-}
-
-// ----------------------------------------------- metrics-registry (v3)
+// ---------------------------------------------------- metrics-registry
 
 const REG: &str = "crates/trace/src/names.rs";
 const REG_SRC: &str = "\
@@ -1626,163 +1178,7 @@ pub fn emit(t: &Tracer, reg: &MetricsRegistry, c: usize) {
     assert!(fired_only(&d, "metrics-registry").is_empty());
 }
 
-// ---------------------------------------------- parallel-escape (conc.)
-
-#[test]
-fn plain_assignment_to_captured_state_fires() {
-    // Not a float, not a compound assignment — the determinism family
-    // has nothing to say, but the write still races.
-    let src = "\
-pub fn find(xs: &[u32]) -> bool {
-    let mut found = false;
-    parallel_for_each(xs, |x: &u32| {
-        if *x == 7 {
-            found = true;
-        }
-    });
-    found
-}
-";
-    let d = lint(LIB, src);
-    assert_eq!(fired(&d), ["parallel-escape-capture"]);
-    assert!(d[0].message.contains("found"), "{}", d[0].message);
-}
-
-#[test]
-fn mut_borrow_of_captured_state_fires() {
-    // `&mut` handed to an *unresolvable* helper: the borrow itself is
-    // the escape, no call-graph edge needed.
-    let src = "\
-pub fn collect(xs: &[u32], sink: &mut Vec<u32>) {
-    parallel_for_each(xs, |x: &u32| {
-        mystery_helper(&mut *sink, *x);
-    });
-}
-";
-    let d = lint(LIB, src);
-    assert_eq!(fired(&d), ["parallel-escape-capture"]);
-    assert!(d[0].message.contains("sink"), "{}", d[0].message);
-}
-
-#[test]
-fn mutating_method_on_captured_receiver_fires() {
-    let src = "\
-pub fn gather(xs: &[u32]) -> Vec<u32> {
-    let mut out = Vec::new();
-    parallel_for_each(xs, |x: &u32| {
-        out.push(*x);
-    });
-    out
-}
-";
-    let d = lint(LIB, src);
-    assert_eq!(fired(&d), ["parallel-escape-capture"]);
-    assert!(d[0].message.contains("out"), "{}", d[0].message);
-}
-
-#[test]
-fn self_mutating_helper_via_callgraph_fires() {
-    // The closure only calls a method; the mutation hides in the
-    // method's body in another file, reachable through the call graph.
-    let helper = "\
-impl Counter {
-    fn bump(&mut self) {
-        self.n += 1;
-    }
-}
-";
-    let caller = "\
-pub fn count(xs: &[u32], ctr: &mut Counter) {
-    parallel_for_each(xs, |_x: &u32| ctr.bump());
-}
-";
-    let d = lint_many(&[("crates/fl/src/fixture_helper.rs", helper), (LIB, caller)]);
-    assert_eq!(fired(&d), ["parallel-escape-capture"]);
-    assert!(d[0].message.contains("bump"), "{}", d[0].message);
-}
-
-#[test]
-fn non_derived_index_write_fires_once() {
-    // The index is a literal — every invocation writes the same slot.
-    // The loop around it must not duplicate the finding (the dataflow
-    // fixpoint re-interprets loop bodies).
-    let src = "\
-pub fn bad(xs: &[f32], shared: &mut [f32]) {
-    parallel_for_each(xs, |_x: &f32| {
-        for _pass in 0..3 {
-            shared[0] = 1.0;
-        }
-    });
-}
-";
-    let d = lint(LIB, src);
-    assert_eq!(fired(&d), ["parallel-escape-index"]);
-    assert!(d[0].message.contains("shared"), "{}", d[0].message);
-}
-
-#[test]
-fn index_read_from_captured_state_fires() {
-    // `off` is initialized from captured state, not from the closure's
-    // index parameter — two invocations may collide.
-    let src = "\
-pub fn bad(xs: &[f32], shared: &mut [f32], base: usize) {
-    parallel_for_each(xs, |_x: &f32| {
-        let off = base + 1;
-        shared[off] = 1.0;
-    });
-}
-";
-    assert_eq!(fired(&lint(LIB, src)), ["parallel-escape-index"]);
-}
-
-#[test]
-fn index_derived_through_let_chain_passes() {
-    let src = "\
-pub fn good(n: usize, shared: &mut [f32]) {
-    parallel_for_each(n, |i: usize| {
-        let j = i * 2;
-        let k = j + 1;
-        shared[k] = 1.0;
-    });
-}
-";
-    assert!(lint(LIB, src).is_empty());
-}
-
-#[test]
-fn loop_binding_over_derived_range_passes() {
-    // `for j in i..i + 4` — the binding inherits derivation from the
-    // loop head, the matmul row-chunk idiom.
-    let src = "\
-pub fn good(n: usize, rows: &mut [f32]) {
-    parallel_for_each(n, |i: usize| {
-        for j in i..i + 4 {
-            rows[j] = 0.0;
-        }
-    });
-}
-";
-    assert!(lint(LIB, src).is_empty());
-}
-
-#[test]
-fn index_rule_is_not_blessed_in_the_parallel_crate() {
-    // `parallel-escape-capture` blesses the core crates;
-    // `parallel-escape-index` deliberately does not — even the core
-    // must index by the closure's own parameter.
-    let src = "\
-/// Fixture: a literal-indexed write inside the blessed crate.
-pub fn bad(xs: &[f32], shared: &mut [f32]) {
-    parallel_for_each(xs, |_x: &f32| {
-        shared[0] = 1.0;
-    });
-}
-";
-    assert_eq!(
-        fired(&lint("crates/parallel/src/fixture.rs", src)),
-        ["parallel-escape-index"]
-    );
-}
+// ------------------------------------ parallel-escape-send-sync (conc.)
 
 #[test]
 fn send_sync_without_safety_comment_fires_both_rules() {
@@ -1829,25 +1225,6 @@ fn non_send_sync_unsafe_impl_is_exempt_from_disjointness() {
 pub struct W(*mut u8);
 // SAFETY: the trait contract only requires a stable address.
 unsafe impl Widget for W {}
-";
-    assert!(lint(LIB, src).is_empty());
-}
-
-#[test]
-fn closure_local_state_is_not_an_escape() {
-    // Locals, loop bindings, and nested-closure parameters are all
-    // per-invocation state — no finding.
-    let src = "\
-pub fn good(n: usize) -> Vec<f32> {
-    parallel_map(n, |i: usize| {
-        let mut acc = 0.0f32;
-        for j in 0..i {
-            acc += j as f32;
-        }
-        let bump = |v: f32| v + 1.0;
-        bump(acc)
-    })
-}
 ";
     assert!(lint(LIB, src).is_empty());
 }

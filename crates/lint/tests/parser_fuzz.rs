@@ -15,12 +15,12 @@ use fedwcm_lint::{lint_file, LintConfig};
 use proptest::prelude::*;
 
 /// Real sources to mutate: the parser's own grammar corner cases live
-/// in the lint crate, and the fl files exercise the v3 rules' hot
-/// paths (serializer pairs, discount dataflow, metric call sites).
+/// in the lint crate, and the fl/trace files add macro definitions,
+/// casts in serializers, and metric call sites.
 const SOURCES: &[&str] = &[
     "crates/lint/src/lexer.rs",
     "crates/lint/src/parser.rs",
-    "crates/fl/src/checkpoint.rs",
+    "crates/fl/src/codec.rs",
     "crates/fl/src/cadence.rs",
     "crates/trace/src/tracer.rs",
 ];

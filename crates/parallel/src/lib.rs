@@ -18,6 +18,25 @@
 //! `fedwcm-tensor`), and [`with_intra_threads`] carries the inner share
 //! to the kernels through a scoped thread-local.
 //!
+//! # `Fn + Sync` is the race and determinism gate
+//!
+//! Every entry point takes its closure as `F: Fn(..) + Sync`. That bound
+//! is not plumbing: an `Fn` closure cannot assign to, `&mut`-borrow, or
+//! call a `&mut self` method on anything it captures (E0594/E0596), and
+//! `Sync` rules out the `Cell`/`RefCell` side door. So no invocation can
+//! write state another invocation sees — results leave a closure only
+//! as its return value (collected in index order) or through the
+//! `&mut` chunk it was handed, and a float reduction has no order but
+//! the index-ordered fold's. The doctests on the entry points pin each
+//! shape (captured float `+=`, plain assignment, `push`, `&mut` lent to
+//! a helper, literal-index slice write), each next to a compiling twin
+//! that differs in the offending line only. (Where ROADMAP asks kernels
+//! to keep `float-reduction-order` holding, this bound is what holds.)
+//! Writes the compiler does allow (a `Mutex`, an atomic, `unsafe`) are
+//! explicit at the call site; `unsafe impl Send/Sync` stays policed by
+//! the `parallel-escape-send-sync` and `unsafe-safety` rules, and this
+//! crate's own unsafe sites by the [`shadow`] sanitizer.
+//!
 //! When the machine exposes a single core — or `FEDWCM_THREADS=1` —
 //! everything runs inline on the caller thread, which also keeps stack
 //! traces simple.
@@ -113,6 +132,49 @@ impl ThreadBudget {
 /// Run `f(i)` for every `i in 0..n` with up to `threads` participants
 /// (the caller plus pool workers). No result collection; use this when
 /// `f` writes through index-owned state of its own.
+///
+/// The `Fn + Sync` bound *is* the race gate: a captured flag cannot be
+/// assigned from inside `f` —
+///
+/// ```compile_fail,E0594
+/// # use fedwcm_parallel::{parallel_for_each, parallel_map};
+/// let xs = [3u32, 7, 9];
+/// let mut found = false;
+/// parallel_for_each(xs.len(), 2, |i| if xs[i] == 7 { found = true });
+/// assert!(found);
+/// ```
+///
+/// — return per-index values and fold them on the caller thread:
+///
+/// ```
+/// # use fedwcm_parallel::{parallel_for_each, parallel_map};
+/// let xs = [3u32, 7, 9];
+/// let mut found = false;
+/// found |= parallel_map(xs.len(), 2, |i| xs[i] == 7).contains(&true);
+/// assert!(found);
+/// ```
+///
+/// Nor can a captured local be lent out as `&mut` to a helper —
+///
+/// ```compile_fail,E0596
+/// # use fedwcm_parallel::{parallel_for_each, parallel_map};
+/// fn add_into(acc: &mut f32, v: f32) { *acc += v; }
+/// let xs = [0.5f32, 0.25];
+/// let mut acc = 0.0f32;
+/// parallel_for_each(xs.len(), 2, |i| add_into(&mut acc, xs[i]));
+/// assert_eq!(acc, 0.75);
+/// ```
+///
+/// — the helper runs on the caller thread, over index-ordered results:
+///
+/// ```
+/// # use fedwcm_parallel::{parallel_for_each, parallel_map};
+/// fn add_into(acc: &mut f32, v: f32) { *acc += v; }
+/// let xs = [0.5f32, 0.25];
+/// let mut acc = 0.0f32;
+/// for v in parallel_map(xs.len(), 2, |i| xs[i]) { add_into(&mut acc, v) }
+/// assert_eq!(acc, 0.75);
+/// ```
 pub fn parallel_for_each<F>(n: usize, threads: usize, f: F)
 where
     F: Fn(usize) + Sync,
@@ -151,6 +213,27 @@ unsafe impl<T: Send> Sync for Slot<T> {}
 /// volumes in FedWCM-X — balance automatically. Each result is written
 /// to a slot owned by its index's claimant: no lock, no contention, and
 /// the collected order is always `0..n` regardless of thread count.
+///
+/// The `Fn + Sync` bound *is* the race gate: `f` cannot push onto a
+/// captured `Vec` (whose order would be the scheduler's) —
+///
+/// ```compile_fail,E0596
+/// # use fedwcm_parallel::parallel_map;
+/// let xs = [1u32, 2, 3];
+/// let mut out = Vec::new();
+/// parallel_map(xs.len(), 2, |i| out.push(xs[i] * 2));
+/// assert_eq!(out, [2, 4, 6]);
+/// ```
+///
+/// — the return value is the only way out, and it lands at index `i`:
+///
+/// ```
+/// # use fedwcm_parallel::parallel_map;
+/// let xs = [1u32, 2, 3];
+/// let mut out = Vec::new();
+/// out.extend(parallel_map(xs.len(), 2, |i| xs[i] * 2));
+/// assert_eq!(out, [2, 4, 6]);
+/// ```
 pub fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -206,6 +289,29 @@ where
 ///
 /// The maps run in parallel; the fold runs on the caller thread over the
 /// index-ordered results, so floating-point reductions are reproducible.
+///
+/// The `Fn + Sync` bound on `map` *is* the determinism gate: no
+/// accumulation across invocations is expressible there, so the only
+/// reduction order is this fold's. A captured float `+=` (whose result
+/// would depend on thread interleaving) does not compile —
+///
+/// ```compile_fail,E0594
+/// # use fedwcm_parallel::parallel_map_reduce;
+/// let xs = [0.5f32, 0.25, 0.125];
+/// let mut total = 0.0f32;
+/// parallel_map_reduce(xs.len(), 2, |i| total += xs[i], (), |(), ()| ());
+/// assert_eq!(total, 0.875);
+/// ```
+///
+/// — `fold` is `FnMut` and runs on the caller thread; accumulate there:
+///
+/// ```
+/// # use fedwcm_parallel::parallel_map_reduce;
+/// let xs = [0.5f32, 0.25, 0.125];
+/// let mut total = 0.0f32;
+/// total = parallel_map_reduce(xs.len(), 2, |i| xs[i], total, |acc, x| acc + x);
+/// assert_eq!(total, 0.875);
+/// ```
 pub fn parallel_map_reduce<T, A, F, G>(n: usize, threads: usize, map: F, init: A, fold: G) -> A
 where
     T: Send,
@@ -261,6 +367,31 @@ unsafe impl<T: Send> Sync for Chunk<T> {}
 /// writes need no lock; because the chunking is by whole rows and `f`
 /// computes rows independently, the result is **bitwise identical** to
 /// running `f(0, rows, data)` sequentially.
+///
+/// The `Fn + Sync` bound *is* the race gate: the chunk `f` is handed is
+/// the only thing it can write, so there is no index into shared state
+/// to get wrong. A literal-index write into a captured `&mut [f32]`
+/// (every invocation hitting the same slot) does not compile —
+///
+/// ```compile_fail,E0594
+/// # use fedwcm_parallel::parallel_over_rows;
+/// let mut data = vec![0.0f32; 8];
+/// let mut side = vec![0.0f32; 4];
+/// let shared: &mut [f32] = &mut side;
+/// parallel_over_rows(&mut data, 2, 2, |_r0, _r1, chunk| shared[0] = 1.0);
+/// assert_eq!(data[0] + data[4] + shared[0], 2.0);
+/// ```
+///
+/// — the same literal index into the chunk is owned by its claimant:
+///
+/// ```
+/// # use fedwcm_parallel::parallel_over_rows;
+/// let mut data = vec![0.0f32; 8];
+/// let mut side = vec![0.0f32; 4];
+/// let shared: &mut [f32] = &mut side;
+/// parallel_over_rows(&mut data, 2, 2, |_r0, _r1, chunk| chunk[0] = 1.0);
+/// assert_eq!(data[0] + data[4] + shared[0], 2.0);
+/// ```
 pub fn parallel_over_rows<T, F>(data: &mut [T], row_len: usize, threads: usize, f: F)
 where
     T: Send,
