@@ -1,11 +1,15 @@
 //! Kernel throughput benchmarks: the numeric substrate under every
-//! federated round, plus the blocked-vs-naive matmul ablation.
+//! federated round, plus the tiled-vs-naive matmul ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedwcm_stats::Xoshiro256pp;
-use fedwcm_tensor::matmul::{matmul, matmul_a_bt, matmul_naive};
+use fedwcm_tensor::matmul::{matmul, matmul_a_bt};
 use fedwcm_tensor::{ops, Tensor};
 use std::hint::black_box;
+
+#[path = "../../tensor/tests/support/reference.rs"]
+mod reference;
+use reference::matmul_naive;
 
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul");
@@ -13,11 +17,19 @@ fn bench_matmul(c: &mut Criterion) {
     for n in [32usize, 128] {
         let a = Tensor::randn(&[n, n], 1.0, &mut rng);
         let b = Tensor::randn(&[n, n], 1.0, &mut rng);
-        group.bench_with_input(BenchmarkId::new("blocked", n), &n, |bch, _| {
+        group.bench_with_input(BenchmarkId::new("tiled", n), &n, |bch, _| {
             bch.iter(|| black_box(matmul(black_box(&a), black_box(&b))));
         });
         group.bench_with_input(BenchmarkId::new("naive", n), &n, |bch, _| {
-            bch.iter(|| black_box(matmul_naive(black_box(&a), black_box(&b))));
+            bch.iter(|| {
+                black_box(matmul_naive(
+                    black_box(a.as_slice()),
+                    black_box(b.as_slice()),
+                    n,
+                    n,
+                    n,
+                ))
+            });
         });
         group.bench_with_input(BenchmarkId::new("a_bt", n), &n, |bch, _| {
             bch.iter(|| black_box(matmul_a_bt(black_box(&a), black_box(&b))));

@@ -2,7 +2,7 @@
 //!
 //! The benches live in `benches/`:
 //!
-//! * `kernels.rs` — tensor/BLAS kernel throughput (incl. the blocked-vs-
+//! * `kernels.rs` — tensor/BLAS kernel throughput (incl. the tiled-vs-
 //!   naive matmul ablation from DESIGN.md §4);
 //! * `fl_round.rs` — per-round federated costs: local training,
 //!   aggregation, FedWCM's weighting/temperature computation;

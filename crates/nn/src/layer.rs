@@ -71,19 +71,14 @@ impl Layer for Relu {
         let mut out = input.clone();
         if train {
             self.mask.clear();
-            self.mask.reserve(out.len());
-            for x in out.as_mut_slice() {
-                let pos = *x > 0.0;
-                self.mask.push(pos);
-                if !pos {
-                    *x = 0.0;
-                }
+            self.mask.resize(out.len(), false);
+            for (x, keep) in out.as_mut_slice().iter_mut().zip(&mut self.mask) {
+                *keep = *x > 0.0;
+                *x = if *keep { *x } else { 0.0 };
             }
         } else {
             for x in out.as_mut_slice() {
-                if *x < 0.0 {
-                    *x = 0.0;
-                }
+                *x = if *x < 0.0 { 0.0 } else { *x };
             }
         }
         out
@@ -97,9 +92,7 @@ impl Layer for Relu {
         );
         let mut g = grad_out.clone();
         for (x, &keep) in g.as_mut_slice().iter_mut().zip(&self.mask) {
-            if !keep {
-                *x = 0.0;
-            }
+            *x = if keep { *x } else { 0.0 };
         }
         g
     }

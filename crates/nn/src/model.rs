@@ -5,6 +5,7 @@ use crate::loss::Loss;
 use fedwcm_stats::Xoshiro256pp;
 use fedwcm_tensor::{invariants, Tensor};
 use fedwcm_trace::prof;
+use std::borrow::Cow;
 
 /// A sequential network: layers plus one flat parameter vector.
 ///
@@ -112,16 +113,16 @@ impl Model {
         assert_eq!(input.cols(), self.in_features, "model input width mismatch");
         let batch = input.rows();
         input.debug_assert_finite(|| "model forward input".to_string());
-        let mut x = input.clone();
+        let mut x = Cow::Borrowed(input);
         for (idx, (l, &(off, len))) in self.layers.iter_mut().zip(&self.offsets).enumerate() {
             // Per-layer timing behind the cheap `prof::active()` guard: a
             // single relaxed load unless a binary installed the profiler.
             if prof::active() {
                 let t0 = prof::now();
-                x = l.forward(&self.params[off..off + len], &x, train);
+                x = Cow::Owned(l.forward(&self.params[off..off + len], &x, train));
                 prof::record("fwd", l.name(), prof::now().saturating_sub(t0));
             } else {
-                x = l.forward(&self.params[off..off + len], &x, train);
+                x = Cow::Owned(l.forward(&self.params[off..off + len], &x, train));
             }
             if invariants::ENABLED {
                 let name = l.name();
@@ -131,7 +132,7 @@ impl Model {
                 });
             }
         }
-        x
+        x.into_owned()
     }
 
     /// Forward pass that also returns every intermediate activation
@@ -160,14 +161,15 @@ impl Model {
         );
         let batch = grad_logits.rows();
         grad_logits.debug_assert_finite(|| "logits gradient entering backward".to_string());
-        let mut g = grad_logits.clone();
+        let mut g = Cow::Borrowed(grad_logits);
         for (idx, (l, &(off, len))) in self.layers.iter_mut().zip(&self.offsets).enumerate().rev() {
+            let (p, gp) = (&self.params[off..off + len], &mut grads[off..off + len]);
             if prof::active() {
                 let t0 = prof::now();
-                g = l.backward(&self.params[off..off + len], &mut grads[off..off + len], &g);
+                g = Cow::Owned(l.backward(p, gp, &g));
                 prof::record("bwd", l.name(), prof::now().saturating_sub(t0));
             } else {
-                g = l.backward(&self.params[off..off + len], &mut grads[off..off + len], &g);
+                g = Cow::Owned(l.backward(p, gp, &g));
             }
             if invariants::ENABLED {
                 let name = l.name();

@@ -7,6 +7,7 @@
 use crate::layer::Layer;
 use fedwcm_stats::Xoshiro256pp;
 use fedwcm_tensor::Tensor;
+use std::borrow::Cow;
 
 /// A residual block around a sequence of inner layers whose composite
 /// output width equals the input width.
@@ -60,25 +61,30 @@ impl Layer for Residual {
     }
 
     fn forward(&mut self, params: &[f32], input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
+        let mut x = Cow::Borrowed(input);
         for (l, &(off, len)) in self.body.iter_mut().zip(&self.offsets) {
-            x = l.forward(&params[off..off + len], &x, train);
+            x = Cow::Owned(l.forward(&params[off..off + len], &x, train));
         }
-        assert_eq!(x.shape(), input.shape(), "residual width change at runtime");
-        let mut out = x;
+        let mut out = x.into_owned();
+        assert_eq!(
+            out.shape(),
+            input.shape(),
+            "residual width change at runtime"
+        );
         fedwcm_tensor::ops::axpy(1.0, input.as_slice(), out.as_mut_slice());
         out
     }
 
     fn backward(&mut self, params: &[f32], grad_params: &mut [f32], grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
+        let mut g = Cow::Borrowed(grad_out);
         for (l, &(off, len)) in self.body.iter_mut().zip(&self.offsets).rev() {
-            g = l.backward(
+            g = Cow::Owned(l.backward(
                 &params[off..off + len],
                 &mut grad_params[off..off + len],
                 &g,
-            );
+            ));
         }
+        let mut g = g.into_owned();
         // Skip path: add grad_out directly.
         fedwcm_tensor::ops::axpy(1.0, grad_out.as_slice(), g.as_mut_slice());
         g

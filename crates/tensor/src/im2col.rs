@@ -5,6 +5,10 @@
 //! the patch matrix has shape `[c_in*kh*kw, oh*ow]`; multiplying the weight
 //! matrix `[c_out, c_in*kh*kw]` by it yields the output `[c_out, oh*ow]`.
 //! `col2im` scatters gradients back — the exact adjoint of `im2col`.
+//!
+//! The `*_panel` forms place several images side by side in one patch
+//! panel `[c_in*kh*kw, nb*oh*ow]`, image `s` at column offset `s*oh*ow`,
+//! so a layer runs one GEMM per panel instead of one per image.
 
 /// Static description of a 2-D convolution geometry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,20 +67,28 @@ impl ConvGeom {
 /// Lower one image `[c_in, h, w]` into the patch matrix
 /// `[patch_rows, patch_cols]` (row-major into `cols`).
 pub fn im2col(geom: &ConvGeom, input: &[f32], cols: &mut [f32]) {
-    assert_eq!(input.len(), geom.input_len(), "input buffer size");
     assert_eq!(
         cols.len(),
         geom.patch_rows() * geom.patch_cols(),
         "cols buffer size"
     );
+    im2col_panel(geom, input, cols, geom.patch_cols(), 0);
+}
+
+/// Lower one image into columns `col0..col0 + patch_cols` of a patch
+/// panel `[patch_rows, ld]` shared by several images, so one GEMM can
+/// run over all of them. [`im2col`] is the `ld = patch_cols`, `col0 = 0`
+/// case.
+pub fn im2col_panel(geom: &ConvGeom, input: &[f32], panel: &mut [f32], ld: usize, col0: usize) {
+    assert_eq!(input.len(), geom.input_len(), "input buffer size");
     let (oh, ow) = (geom.oh(), geom.ow());
-    let ncols = oh * ow;
+    check_panel(geom, panel.len(), ld, col0);
     let mut row = 0usize;
     for c in 0..geom.c_in {
         let chan = &input[c * geom.h * geom.w..(c + 1) * geom.h * geom.w];
         for ky in 0..geom.kh {
             for kx in 0..geom.kw {
-                let out_row = &mut cols[row * ncols..(row + 1) * ncols];
+                let out_row = &mut panel[row * ld + col0..row * ld + col0 + oh * ow];
                 let mut col = 0usize;
                 for oy in 0..oh {
                     let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
@@ -106,20 +118,33 @@ pub fn im2col(geom: &ConvGeom, input: &[f32], cols: &mut [f32]) {
 /// the input gradient buffer (which must be pre-zeroed by the caller if a
 /// fresh gradient is wanted — the kernel accumulates).
 pub fn col2im(geom: &ConvGeom, cols: &[f32], grad_input: &mut [f32]) {
-    assert_eq!(grad_input.len(), geom.input_len(), "grad buffer size");
     assert_eq!(
         cols.len(),
         geom.patch_rows() * geom.patch_cols(),
         "cols buffer size"
     );
+    col2im_panel(geom, cols, geom.patch_cols(), 0, grad_input);
+}
+
+/// Adjoint of [`im2col_panel`]: scatter-add columns
+/// `col0..col0 + patch_cols` of a patch-gradient panel `[patch_rows, ld]`
+/// into one image's input gradient (accumulating, like [`col2im`]).
+pub fn col2im_panel(
+    geom: &ConvGeom,
+    panel: &[f32],
+    ld: usize,
+    col0: usize,
+    grad_input: &mut [f32],
+) {
+    assert_eq!(grad_input.len(), geom.input_len(), "grad buffer size");
     let (oh, ow) = (geom.oh(), geom.ow());
-    let ncols = oh * ow;
+    check_panel(geom, panel.len(), ld, col0);
     let mut row = 0usize;
     for c in 0..geom.c_in {
         let base = c * geom.h * geom.w;
         for ky in 0..geom.kh {
             for kx in 0..geom.kw {
-                let col_row = &cols[row * ncols..(row + 1) * ncols];
+                let col_row = &panel[row * ld + col0..row * ld + col0 + oh * ow];
                 let mut col = 0usize;
                 for oy in 0..oh {
                     let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
@@ -140,6 +165,16 @@ pub fn col2im(geom: &ConvGeom, cols: &[f32], grad_input: &mut [f32]) {
             }
         }
     }
+}
+
+/// A `[patch_rows, ld]` panel must hold one image's columns at `col0`.
+fn check_panel(geom: &ConvGeom, panel_len: usize, ld: usize, col0: usize) {
+    assert!(
+        col0 + geom.patch_cols() <= ld,
+        "panel columns {col0}+{} exceed its leading dimension {ld}",
+        geom.patch_cols()
+    );
+    assert_eq!(panel_len, geom.patch_rows() * ld, "panel buffer size");
 }
 
 #[cfg(test)]
@@ -223,6 +258,53 @@ mod tests {
         let lhs: f32 = ax.iter().zip(&y).map(|(a, b)| a * b).sum();
         let rhs: f32 = x.iter().zip(&aty).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
+    }
+
+    #[test]
+    fn panel_forms_are_adjoint_at_a_column_offset() {
+        // <im2col_panel(x), y> == <x, col2im_panel(y)> for the second of
+        // three image slots; the other slots of the panel stay untouched.
+        let g = geom(2, 6, 5, 3, 2, 0);
+        let (pr, pc) = (g.patch_rows(), g.patch_cols());
+        let (ld, col0) = (3 * pc, pc);
+        let mut rng = Xoshiro256pp::seed_from(8);
+        let x: Vec<f32> = (0..g.input_len()).map(|_| rng.next_f32() - 0.5).collect();
+        let y: Vec<f32> = (0..pr * ld).map(|_| rng.next_f32() - 0.5).collect();
+        let mut ax = vec![f32::NAN; pr * ld];
+        im2col_panel(&g, &x, &mut ax, ld, col0);
+        let mut aty = vec![0.0; x.len()];
+        col2im_panel(&g, &y, ld, col0, &mut aty);
+        let mut lhs = 0.0f32;
+        for r in 0..pr {
+            for col in 0..ld {
+                let v = ax[r * ld + col];
+                if (col0..col0 + pc).contains(&col) {
+                    lhs += v * y[r * ld + col];
+                } else {
+                    assert!(v.is_nan(), "slot outside the image written at ({r},{col})");
+                }
+            }
+        }
+        let rhs: f32 = x.iter().zip(&aty).map(|(a, b)| a * b).sum();
+        assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
+
+        // The contiguous functions are the ld = patch_cols, col0 = 0 case.
+        let mut flat = vec![0.0; pr * pc];
+        im2col(&g, &x, &mut flat);
+        for r in 0..pr {
+            assert_eq!(
+                flat[r * pc..(r + 1) * pc],
+                ax[r * ld + col0..r * ld + col0 + pc]
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed its leading dimension")]
+    fn panel_slot_past_the_leading_dimension_panics() {
+        let g = geom(1, 3, 3, 2, 1, 0);
+        let mut panel = vec![0.0; g.patch_rows() * 6];
+        im2col_panel(&g, &[0.0; 9], &mut panel, 6, 4);
     }
 
     #[test]

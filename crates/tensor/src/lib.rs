@@ -1,7 +1,7 @@
 //! Dense f32 tensor primitives for the FedWCM reproduction.
 //!
 //! This crate is the numeric substrate under [`fedwcm-nn`]: a row-major
-//! dense [`Tensor`], BLAS-1 style vector kernels ([`ops`]), a cache-blocked
+//! dense [`Tensor`], BLAS-1 style vector kernels ([`ops`]), a register-tiled
 //! matrix multiply ([`matmul`]), and im2col lowering for convolutions
 //! ([`im2col`]).
 //!

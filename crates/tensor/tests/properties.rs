@@ -3,9 +3,13 @@
 
 use fedwcm_stats::Xoshiro256pp;
 use fedwcm_tensor::im2col::{col2im, im2col, ConvGeom};
-use fedwcm_tensor::matmul::{matmul, matmul_a_bt, matmul_at_b, matmul_naive};
+use fedwcm_tensor::matmul::{matmul, matmul_a_bt, matmul_at_b};
 use fedwcm_tensor::{ops, Tensor};
 use proptest::prelude::*;
+
+#[path = "support/reference.rs"]
+mod reference;
+use reference::matmul_naive;
 
 fn randn(shape: &[usize], seed: u64) -> Tensor {
     let mut rng = Xoshiro256pp::seed_from(seed);
@@ -20,7 +24,7 @@ proptest! {
         let a = randn(&[m, k], seed);
         let b = randn(&[k, n], seed.wrapping_add(1));
         let fast = matmul(&a, &b);
-        let slow = matmul_naive(&a, &b);
+        let slow = Tensor::from_vec(matmul_naive(a.as_slice(), b.as_slice(), m, k, n), &[m, n]);
         prop_assert!(fast.max_abs_diff(&slow) < 1e-3);
     }
 
