@@ -5,20 +5,44 @@
 
 use crate::layer::{he_std, init_weights_biases, Layer};
 use fedwcm_stats::Xoshiro256pp;
-use fedwcm_tensor::im2col::{col2im, im2col, ConvGeom};
-use fedwcm_tensor::matmul::{matmul_at_b_into, matmul_into};
+use fedwcm_tensor::im2col::{col2im_panel, im2col_panel, ConvGeom};
+use fedwcm_tensor::matmul::{matmul_a_bt_into, matmul_at_b_into, matmul_into};
 use fedwcm_tensor::Tensor;
+
+/// Most floats one patch panel may hold. A layer lowers
+/// `PANEL_FLOATS / (patch_rows · patch_cols)` samples (at least one) side
+/// by side; the bound keeps the panel and the work space beside it in
+/// cache and independent of the batch size. It also fixes how the weight
+/// gradient is summed (see [`Conv2d`]), so changing it is a numeric epoch
+/// for convolutional models.
+const PANEL_FLOATS: usize = 1 << 14;
 
 /// 2-D convolution with square kernels, zero padding, shared stride.
 ///
-/// Weights are `[c_out, c_in*kh*kw]` row-major plus `c_out` biases, so the
-/// per-sample forward is one GEMM against the im2col patch matrix.
+/// Weights are `[c_out, c_in*kh*kw]` row-major plus `c_out` biases. A
+/// batch is lowered panel by panel: [`Conv2d::panel_samples`] samples are
+/// unrolled side by side into one patch panel `[c_in*kh*kw, nb·oh·ow]`,
+/// so the forward pass, the data gradient and the weight gradient are one
+/// GEMM each per panel instead of one per sample.
+///
+/// Outputs, input gradients and bias gradients are bit-identical to
+/// lowering one sample at a time — batching columns does not touch any
+/// element's reduction. The weight gradient is one dot product over all
+/// `nb·oh·ow` columns of a panel, panels added in ascending order: its
+/// summation order is a function of the layer geometry, the batch size
+/// and `PANEL_FLOATS` only, never of the thread count.
 #[derive(Clone)]
 pub struct Conv2d {
     geom: ConvGeom,
     c_out: usize,
-    cached_cols: Vec<f32>, // [batch][patch_rows * patch_cols]
+    /// Patch panels of the last `forward(train = true)` batch, one after
+    /// another; `batch * patch_rows * patch_cols` floats in all.
+    cached_cols: Vec<f32>,
     cached_batch: usize,
+    /// Work space of one panel while training: `[c_out, n]` (GEMM output,
+    /// or the output gradient in panel layout) followed by
+    /// `[patch_rows, n]` (patch gradients).
+    scratch: Vec<f32>,
 }
 
 impl Conv2d {
@@ -48,6 +72,7 @@ impl Conv2d {
             c_out,
             cached_cols: Vec::new(),
             cached_batch: 0,
+            scratch: Vec::new(),
         }
     }
 
@@ -61,9 +86,24 @@ impl Conv2d {
         (self.geom.oh(), self.geom.ow())
     }
 
+    /// Samples lowered into one patch panel, from the geometry alone.
+    pub fn panel_samples(&self) -> usize {
+        (PANEL_FLOATS / (self.geom.patch_rows() * self.geom.patch_cols())).max(1)
+    }
+
     fn weight_len(&self) -> usize {
         self.c_out * self.geom.patch_rows()
     }
+}
+
+/// The two halves of a layer's work space, `head` and `tail` floats long,
+/// growing it on first use.
+fn split_scratch(scratch: &mut Vec<f32>, head: usize, tail: usize) -> (&mut [f32], &mut [f32]) {
+    if scratch.len() < head + tail {
+        scratch.resize(head + tail, 0.0);
+    }
+    let (a, b) = scratch.split_at_mut(head);
+    (a, &mut b[..tail])
 }
 
 impl Layer for Conv2d {
@@ -101,26 +141,47 @@ impl Layer for Conv2d {
             "conv forward width mismatch"
         );
         let (w, b) = params.split_at(self.weight_len());
-        let pr = self.geom.patch_rows();
-        let pc = self.geom.patch_cols();
-        let mut out = Tensor::zeros(&[batch, self.c_out * pc]);
-        let mut cols = vec![0.0f32; pr * pc];
+        let (geom, c_out) = (self.geom, self.c_out);
+        let pr = geom.patch_rows();
+        let pc = geom.patch_cols();
+        let mut out = Tensor::zeros(&[batch, c_out * pc]);
         if train {
-            self.cached_cols.clear();
             self.cached_cols.resize(batch * pr * pc, 0.0);
             self.cached_batch = batch;
         }
-        for s in 0..batch {
-            im2col(&self.geom, input.row(s), &mut cols);
-            if train {
-                self.cached_cols[s * pr * pc..(s + 1) * pr * pc].copy_from_slice(&cols);
+        let per_panel = self.panel_samples();
+        let widest = per_panel.min(batch) * pc;
+        // Outside training the work space is dropped with the call: an
+        // evaluation-only model holds no panel-sized buffers.
+        let mut unretained = Vec::new();
+        let scratch = if train {
+            &mut self.scratch
+        } else {
+            &mut unretained
+        };
+        let (y, patches) = split_scratch(scratch, c_out * widest, pr * widest);
+        for s0 in (0..batch).step_by(per_panel) {
+            let nb = per_panel.min(batch - s0);
+            let n = nb * pc;
+            let cols = if train {
+                &mut self.cached_cols[s0 * pr * pc..(s0 + nb) * pr * pc]
+            } else {
+                &mut patches[..pr * n]
+            };
+            for s in 0..nb {
+                im2col_panel(&geom, input.row(s0 + s), cols, n, s * pc);
             }
-            let orow = out.row_mut(s);
-            // [c_out, pr] · [pr, pc] -> [c_out, pc]
-            matmul_into(w, &cols, orow, self.c_out, pr, pc);
-            for (c, &bias) in b.iter().enumerate() {
-                for y in &mut orow[c * pc..(c + 1) * pc] {
-                    *y += bias;
+            // [c_out, pr] · [pr, n] -> [c_out, n]
+            let y = &mut y[..c_out * n];
+            y.fill(0.0);
+            matmul_into(w, cols, y, c_out, pr, n);
+            for s in 0..nb {
+                let orow = out.row_mut(s0 + s);
+                for (c, &bias) in b.iter().enumerate() {
+                    let ys = &y[c * n + s * pc..c * n + (s + 1) * pc];
+                    for (o, v) in orow[c * pc..(c + 1) * pc].iter_mut().zip(ys) {
+                        *o = v + bias;
+                    }
                 }
             }
         }
@@ -131,27 +192,42 @@ impl Layer for Conv2d {
         let batch = self.cached_batch;
         assert!(batch > 0, "conv backward without forward(train=true)");
         assert_eq!(grad_out.rows(), batch);
-        let pr = self.geom.patch_rows();
-        let pc = self.geom.patch_cols();
-        assert_eq!(grad_out.cols(), self.c_out * pc);
+        let (geom, c_out) = (self.geom, self.c_out);
+        let pr = geom.patch_rows();
+        let pc = geom.patch_cols();
+        assert_eq!(grad_out.cols(), c_out * pc);
         let (w, _) = params.split_at(self.weight_len());
         let (gw, gb) = grad_params.split_at_mut(self.weight_len());
 
-        let mut grad_in = Tensor::zeros(&[batch, self.geom.input_len()]);
-        let mut gcols = vec![0.0f32; pr * pc];
-        for s in 0..batch {
-            let go = grad_out.row(s); // [c_out, pc]
-            let cols = &self.cached_cols[s * pr * pc..(s + 1) * pr * pc];
-            // gW[c_out, pr] += go · colsᵀ  (via A·Bᵀ on [c_out,pc]·[pr,pc]ᵀ)
-            fedwcm_tensor::matmul::matmul_a_bt_into(go, cols, gw, self.c_out, pc, pr);
-            // gb[c] += Σ spatial go
-            for (c, g) in gb.iter_mut().enumerate() {
-                *g += go[c * pc..(c + 1) * pc].iter().sum::<f32>();
+        let mut grad_in = Tensor::zeros(&[batch, geom.input_len()]);
+        let per_panel = self.panel_samples();
+        let widest = per_panel.min(batch) * pc;
+        let (go, gcols) = split_scratch(&mut self.scratch, c_out * widest, pr * widest);
+        for s0 in (0..batch).step_by(per_panel) {
+            let nb = per_panel.min(batch - s0);
+            let n = nb * pc;
+            let cols = &self.cached_cols[s0 * pr * pc..(s0 + nb) * pr * pc];
+            // The panel's output gradient as [c_out, n], sample s at
+            // column offset s·pc like the patches.
+            let go = &mut go[..c_out * n];
+            for s in 0..nb {
+                let row = grad_out.row(s0 + s); // [c_out, pc]
+                for (c, g) in gb.iter_mut().enumerate() {
+                    let gs = &row[c * pc..(c + 1) * pc];
+                    // gb[c] += Σ spatial go
+                    *g += gs.iter().sum::<f32>();
+                    go[c * n + s * pc..c * n + (s + 1) * pc].copy_from_slice(gs);
+                }
             }
-            // gcols = Wᵀ · go  ([pr, c_out]·[c_out, pc])
+            // gW[c_out, pr] += go · colsᵀ  (A·Bᵀ on [c_out,n]·[pr,n]ᵀ)
+            matmul_a_bt_into(go, cols, gw, c_out, n, pr);
+            // gcols = Wᵀ · go  ([pr, c_out]·[c_out, n])
+            let gcols = &mut gcols[..pr * n];
             gcols.fill(0.0);
-            matmul_at_b_into(w, go, &mut gcols, self.c_out, pr, pc);
-            col2im(&self.geom, &gcols, grad_in.row_mut(s));
+            matmul_at_b_into(w, go, gcols, c_out, pr, n);
+            for s in 0..nb {
+                col2im_panel(&geom, gcols, n, s * pc, grad_in.row_mut(s0 + s));
+            }
         }
         grad_in
     }
@@ -328,9 +404,116 @@ impl Layer for GlobalAvgPool {
 }
 
 #[cfg(test)]
+#[path = "../../tensor/tests/support/reference.rs"]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::{
+        assert_bits_eq, matmul_a_bt_into_ref, matmul_at_b_into_ref, matmul_into_ref,
+    };
     use super::*;
     use fedwcm_stats::rng::Rng;
+    use fedwcm_tensor::im2col::{col2im, im2col};
+
+    /// The lowering `Conv2d` replaced, kept as the oracle: one im2col and
+    /// one reference GEMM per sample. Returns the output, and the input
+    /// gradient for `grad_out` with `grads` accumulated.
+    fn per_sample_reference(
+        geom: &ConvGeom,
+        c_out: usize,
+        params: &[f32],
+        input: &Tensor,
+        grad_out: &Tensor,
+        grads: &mut [f32],
+    ) -> (Tensor, Tensor) {
+        let (pr, pc) = (geom.patch_rows(), geom.patch_cols());
+        let (w, b) = params.split_at(c_out * pr);
+        let (gw, gb) = grads.split_at_mut(c_out * pr);
+        let batch = input.rows();
+        let mut out = Tensor::zeros(&[batch, c_out * pc]);
+        let mut grad_in = Tensor::zeros(&[batch, geom.input_len()]);
+        let mut cols = vec![0.0f32; pr * pc];
+        let mut gcols = vec![0.0f32; pr * pc];
+        for s in 0..batch {
+            im2col(geom, input.row(s), &mut cols);
+            let orow = out.row_mut(s);
+            matmul_into_ref(w, &cols, orow, c_out, pr, pc);
+            for (c, &bias) in b.iter().enumerate() {
+                for y in &mut orow[c * pc..(c + 1) * pc] {
+                    *y += bias;
+                }
+            }
+            let go = grad_out.row(s);
+            matmul_a_bt_into_ref(go, &cols, gw, c_out, pc, pr);
+            for (c, g) in gb.iter_mut().enumerate() {
+                *g += go[c * pc..(c + 1) * pc].iter().sum::<f32>();
+            }
+            gcols.fill(0.0);
+            matmul_at_b_into_ref(w, go, &mut gcols, c_out, pr, pc);
+            col2im(geom, &gcols, grad_in.row_mut(s));
+        }
+        (out, grad_in)
+    }
+
+    #[test]
+    fn panel_lowering_matches_per_sample_reference() {
+        // The ResLite stem, and a stride-2 / pad-0 layer; batch sizes on
+        // both sides of every panel boundary.
+        for (c_in, hw, c_out, stride, pad) in [(3, 8, 12, 1, 1), (4, 13, 5, 2, 0)] {
+            let mut conv = Conv2d::new(c_in, hw, hw, c_out, 3, stride, pad);
+            let panel = conv.panel_samples();
+            assert!(panel > 1, "geometry must batch for the test to bite");
+            let mut rng = Xoshiro256pp::seed_from(21);
+            let mut params = vec![0.0; conv.param_len()];
+            conv.init_params(&mut params, &mut rng);
+            let w_len = conv.weight_len();
+            for b in &mut params[w_len..] {
+                *b = rng.next_f32() - 0.5;
+            }
+            let in_len = conv.geom.input_len();
+            let out_len = conv.out_features(in_len);
+            for batch in [1, panel - 1, panel, panel + 1, 2 * panel + 3] {
+                let what = |name: &str| format!("{name}, stride {stride}, batch {batch}");
+                let x = Tensor::randn(&[batch, in_len], 1.0, &mut rng);
+                let go = Tensor::randn(&[batch, out_len], 1.0, &mut rng);
+                // Preloaded gradients: both sides accumulate onto them.
+                let g0: Vec<f32> = (0..params.len()).map(|_| rng.next_f32() - 0.5).collect();
+                let (mut got_g, mut want_g) = (g0.clone(), g0);
+                let (want_y, want_gx) =
+                    per_sample_reference(&conv.geom, c_out, &params, &x, &go, &mut want_g);
+
+                let eval_y = conv.forward(&params, &x, false);
+                assert_bits_eq(eval_y.as_slice(), want_y.as_slice(), &what("eval output"));
+                let y = conv.forward(&params, &x, true);
+                assert_bits_eq(y.as_slice(), want_y.as_slice(), &what("output"));
+                let gx = conv.backward(&params, &mut got_g, &go);
+                assert_bits_eq(gx.as_slice(), want_gx.as_slice(), &what("input gradient"));
+                assert_bits_eq(&got_g[w_len..], &want_g[w_len..], &what("bias gradient"));
+                // One long dot product per panel re-associates the sum
+                // over samples: close, not bitwise.
+                let scale = want_g[..w_len].iter().fold(0.0f32, |m, v| m.max(v.abs()));
+                for (i, (g, w)) in got_g[..w_len].iter().zip(&want_g[..w_len]).enumerate() {
+                    assert!(
+                        (g - w).abs() <= 1e-4 * scale,
+                        "{} element {i}: {g} vs {w}",
+                        what("weight gradient")
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "conv backward without forward(train=true)")]
+    fn backward_after_eval_only_forward_panics() {
+        let mut conv = Conv2d::new(1, 3, 3, 2, 3, 1, 1);
+        let params = vec![0.1; conv.param_len()];
+        let x = Tensor::zeros(&[2, 9]);
+        let y = conv.forward(&params, &x, false);
+        let mut grads = vec![0.0; params.len()];
+        let _ = conv.backward(&params, &mut grads, &y);
+    }
 
     #[test]
     fn conv_identity_kernel_passthrough() {
