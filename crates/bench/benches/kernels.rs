@@ -2,6 +2,7 @@
 //! federated round, plus the tiled-vs-naive matmul ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use fedwcm_nn::opt::momentum_blend;
 use fedwcm_stats::Xoshiro256pp;
 use fedwcm_tensor::matmul::{matmul, matmul_a_bt};
 use fedwcm_tensor::{ops, Tensor};
@@ -51,14 +52,9 @@ fn bench_blas1(c: &mut Criterion) {
     group.bench_function("dot_64k", |b| {
         b.iter(|| black_box(ops::dot(black_box(&x), black_box(&y))));
     });
-    group.bench_function("axpby_64k_momentum_blend", |b| {
+    group.bench_function("momentum_blend_64k", |b| {
         b.iter(|| {
-            ops::axpby(
-                black_box(0.1),
-                black_box(&x),
-                black_box(0.9),
-                black_box(&mut y),
-            );
+            momentum_blend(black_box(&mut y), black_box(&x), black_box(0.1));
         });
     });
     group.finish();

@@ -7,9 +7,8 @@ use fedwcm_fl::algorithm::{
     server_step, uniform_average, weighted_average, FederatedAlgorithm, RoundInput, RoundLog,
     StateError,
 };
-use fedwcm_fl::client::{run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
+use fedwcm_fl::client::{momentum_direction, run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
 use fedwcm_nn::loss::{CrossEntropy, Loss};
-use fedwcm_nn::opt::momentum_blend;
 use std::sync::Arc;
 
 /// Configuration / ablation switches for FedWCM.
@@ -152,19 +151,8 @@ impl FederatedAlgorithm for FedWcm {
             lr: env.cfg.local_lr,
             epochs: env.cfg.local_epochs,
         };
-        let alpha = self.alpha;
-        let momentum = &self.momentum;
-        let mut v = vec![0.0f32; global.len()];
-        run_local_sgd(env, global, &spec, move |grad, _, _| {
-            if momentum.is_empty() {
-                for g in grad.iter_mut() {
-                    *g *= alpha;
-                }
-            } else {
-                momentum_blend(&mut v, grad, momentum, alpha);
-                grad.copy_from_slice(&v);
-            }
-        })
+        let direction = momentum_direction(&self.momentum, self.alpha);
+        run_local_sgd(env, global, &spec, direction)
     }
 
     fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {

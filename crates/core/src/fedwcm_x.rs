@@ -19,9 +19,8 @@ use crate::weighting::{aggregation_weights, volume_adjusted_weights};
 use fedwcm_fl::algorithm::{
     server_step, weighted_average, FederatedAlgorithm, RoundInput, RoundLog,
 };
-use fedwcm_fl::client::{run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
+use fedwcm_fl::client::{momentum_direction, run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
 use fedwcm_nn::loss::CrossEntropy;
-use fedwcm_nn::opt::momentum_blend;
 
 /// FedWCM-X (Algorithm 3).
 pub struct FedWcmX {
@@ -106,19 +105,8 @@ impl FederatedAlgorithm for FedWcmX {
             lr,
             epochs: env.cfg.local_epochs,
         };
-        let alpha = self.alpha;
-        let momentum = &self.momentum;
-        let mut v = vec![0.0f32; global.len()];
-        run_local_sgd(env, global, &spec, move |grad, _, _| {
-            if momentum.is_empty() {
-                for g in grad.iter_mut() {
-                    *g *= alpha;
-                }
-            } else {
-                momentum_blend(&mut v, grad, momentum, alpha);
-                grad.copy_from_slice(&v);
-            }
-        })
+        let direction = momentum_direction(&self.momentum, self.alpha);
+        run_local_sgd(env, global, &spec, direction)
     }
 
     fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {

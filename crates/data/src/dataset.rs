@@ -93,6 +93,17 @@ impl Dataset {
         (Tensor::from_vec(data, &[indices.len(), d]), labels)
     }
 
+    /// The batch of the contiguous samples `start..end`: one block copy
+    /// of the feature rows, the labels borrowed.
+    pub fn range_batch(&self, start: usize, end: usize) -> (Tensor, &[usize]) {
+        let d = self.dim();
+        let data = self.features.as_slice()[start * d..end * d].to_vec();
+        (
+            Tensor::from_vec(data, &[end - start, d]),
+            &self.labels[start..end],
+        )
+    }
+
     /// The whole dataset as one batch.
     pub fn as_batch(&self) -> (Tensor, Vec<usize>) {
         (self.features.clone(), self.labels.clone())
@@ -196,6 +207,17 @@ mod tests {
         assert_eq!(x.shape(), &[2, 2]);
         assert_eq!(x.row(0), &[6.0, 7.0]);
         assert_eq!(y, vec![2, 0]);
+    }
+
+    #[test]
+    fn range_batch_equals_gather_of_the_range() {
+        let d = toy();
+        let (x, y) = d.range_batch(1, 4);
+        let (gx, gy) = d.gather(&[1, 2, 3]);
+        assert_eq!(x.shape(), gx.shape());
+        assert_eq!(x.as_slice(), gx.as_slice());
+        assert_eq!(y, gy.as_slice());
+        assert_eq!(d.range_batch(2, 2).0.rows(), 0);
     }
 
     #[test]

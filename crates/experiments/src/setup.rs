@@ -101,18 +101,6 @@ impl ExpConfig {
             paper_partition(&train, self.clients, self.beta, self.seed)
         };
 
-        let preset = self.preset;
-        let factory: Box<ModelFactory> = Box::new(move || {
-            let mut rng = Xoshiro256pp::seed_from(0xF_AC70 ^ preset.spec().classes as u64);
-            match preset.spec().shape {
-                FeatureShape::Flat(d) => mlp(d, &[64], preset.spec().classes, &mut rng),
-                FeatureShape::Image(c, h, w) => {
-                    let width = if preset.spec().classes > 10 { 16 } else { 12 };
-                    res_lite(c, h, w, preset.spec().classes, width, &mut rng)
-                }
-            }
-        });
-
         let fl = FlConfig {
             clients: self.clients,
             participation: self.participation,
@@ -133,7 +121,7 @@ impl ExpConfig {
             test,
             partition,
             fl,
-            factory,
+            factory: model_factory(self.preset),
         }
     }
 }
@@ -158,7 +146,7 @@ impl PreparedTask {
     /// Build the engine simulation (borrows the task's datasets).
     pub fn simulation(&self) -> Simulation<'_> {
         let views = self.partition.views(&self.train);
-        let factory = clone_factory(&self.exp);
+        let factory = model_factory(self.exp.preset);
         Simulation::new(self.fl.clone(), &self.train, &self.test, views, factory)
     }
 
@@ -178,8 +166,9 @@ impl PreparedTask {
     }
 }
 
-fn clone_factory(exp: &ExpConfig) -> Box<ModelFactory> {
-    let preset = exp.preset;
+/// The preset's model constructor: an MLP on flat features, ResLite on
+/// images; the initialisation seed is a constant of the class count.
+fn model_factory(preset: DatasetPreset) -> Box<ModelFactory> {
     Box::new(move || {
         let mut rng = Xoshiro256pp::seed_from(0xF_AC70 ^ preset.spec().classes as u64);
         match preset.spec().shape {

@@ -4,22 +4,47 @@
 //! [`run_local_sgd`] is the generic local loop that almost every algorithm
 //! specialises by supplying a *direction transform* — a closure that turns
 //! the raw mini-batch gradient into the actual step direction (identity
-//! for FedAvg, the momentum blend for FedCM/FedWCM, a prox correction for
-//! FedProx, a control-variate correction for SCAFFOLD, …).
+//! for FedAvg, [`momentum_direction`] for FedCM/FedWCM, a prox correction
+//! for FedProx, a control-variate correction for SCAFFOLD, …).
+//!
+//! # Who owns the training buffers
+//!
+//! A client's fixed cost is a copy, not a build. The user's
+//! [`ModelFactory`] runs once per [`crate::Simulation`]; what a client
+//! receives through [`ClientEnv::factory`] clones that prototype. And
+//! [`run_local_sgd`] does not even clone per client inside the engine: a
+//! run owns one model + gradient buffer per outer worker and lends the
+//! set to whichever client that worker trains next (a scoped
+//! thread-local, like the span buffer and the intra-task thread budget
+//! installed around the same call). The client overwrites both buffers
+//! before reading them — `set_params(global)`, and `loss_grad` zeroes the
+//! gradient — so no bit depends on which set it drew or on what the
+//! previous client left there. On return the model's layer caches are
+//! released: only the two arena-sized buffers outlive a client, and
+//! everything is dropped when the run returns. Called outside the engine
+//! (unit tests, a custom harness), the same loop trains in a temporary
+//! set built from `env.factory`.
 
 use crate::config::FlConfig;
 use fedwcm_data::dataset::{ClientView, Dataset};
 use fedwcm_data::sampler::{BalanceSampler, BatchSampler};
 use fedwcm_nn::loss::Loss;
 use fedwcm_nn::model::Model;
+use fedwcm_nn::opt::momentum_blend;
+use fedwcm_parallel::sync::lock_recover;
 use fedwcm_stats::rng::Xoshiro256pp;
 use fedwcm_trace::{local, names, Value};
+use std::cell::RefCell;
+use std::sync::{Arc, Mutex};
 
 /// Stream label for per-client sampling RNGs.
 const STREAM_LOCAL: u64 = 0xC11E;
 
-/// Factory that builds a fresh model instance (deterministic across calls;
-/// the engine overwrites its parameters with the current global model).
+/// Factory that builds a model instance. [`crate::Simulation::new`] calls
+/// the user's factory **once** and keeps the result as a prototype; the
+/// factory the simulation stores (and every [`ClientEnv`] carries) clones
+/// it. Must be deterministic: the prototype's parameters are round 0's
+/// global model.
 pub type ModelFactory = dyn Fn() -> Model + Send + Sync;
 
 /// What a sampled client sees during one round.
@@ -34,12 +59,13 @@ pub struct ClientEnv<'a> {
     pub view: &'a ClientView,
     /// Simulation configuration.
     pub cfg: &'a FlConfig,
-    /// Model constructor.
+    /// Model constructor (inside a simulation: a clone of its prototype).
     pub factory: &'a ModelFactory,
 }
 
 impl<'a> ClientEnv<'a> {
-    /// Build a model initialised to the given global parameters.
+    /// A model of the client's own, initialised to the given global
+    /// parameters.
     pub fn model_from(&self, global: &[f32]) -> Model {
         let mut model = (self.factory)();
         model.set_params(global);
@@ -91,6 +117,69 @@ pub struct LocalSgdSpec<'a> {
     pub epochs: usize,
 }
 
+/// One worker's training buffers. Both are overwritten before they are
+/// read, and the model holds no layer cache between clients.
+struct TrainBuffers {
+    model: Model,
+    grads: Vec<f32>,
+}
+
+impl TrainBuffers {
+    fn new(factory: &ModelFactory) -> Self {
+        let model = factory();
+        let grads = vec![0.0f32; model.param_len()];
+        TrainBuffers { model, grads }
+    }
+}
+
+/// The training buffers of one run: a set per outer worker, built from
+/// the run's own factory and dropped with the run.
+pub(crate) struct BufferPool(Mutex<Vec<TrainBuffers>>);
+
+impl BufferPool {
+    /// A set for each of `workers` concurrently training clients.
+    pub(crate) fn new(factory: &ModelFactory, workers: usize) -> Arc<Self> {
+        let sets = (0..workers).map(|_| TrainBuffers::new(factory)).collect();
+        Arc::new(BufferPool(Mutex::new(sets)))
+    }
+}
+
+std::thread_local! {
+    static POOL: RefCell<Option<Arc<BufferPool>>> = const { RefCell::new(None) };
+}
+
+/// Run `f` with `pool` lending its sets to this thread's
+/// [`run_local_sgd`] calls, restoring the previous state afterwards
+/// (also on panic).
+pub(crate) fn with_pool<R>(pool: &Arc<BufferPool>, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<Arc<BufferPool>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            POOL.with(|p| *p.borrow_mut() = self.0.take());
+        }
+    }
+    let prev = POOL.with(|p| p.borrow_mut().replace(Arc::clone(pool)));
+    let _restore = Restore(prev);
+    f()
+}
+
+/// The FedCM-family direction transform, in place over the gradient:
+/// `v = α·g + (1−α)·Δ_r` (Eq. 2/6). An empty `momentum` is round 0's
+/// `Δ_0 = 0`, so `v = α·g` there (scaling by α only rescales the
+/// effective first-round lr, matching the reference).
+pub fn momentum_direction(
+    momentum: &[f32],
+    alpha: f32,
+) -> impl FnMut(&mut [f32], &[f32], usize) + '_ {
+    move |grad, _, _| {
+        if momentum.is_empty() {
+            fedwcm_tensor::ops::scal(alpha, grad);
+        } else {
+            momentum_blend(grad, momentum, alpha);
+        }
+    }
+}
+
 /// Run local SGD from the global model, transforming each raw gradient via
 /// `direction(grad, current_params, step_index)` before stepping.
 ///
@@ -104,12 +193,18 @@ pub fn run_local_sgd(
 ) -> ClientUpdate {
     assert!(!env.view.is_empty(), "sampled an empty client");
     assert!(spec.lr > 0.0 && spec.epochs >= 1);
-    let mut model = env.model_from(global);
+    // The worker's set when a run lends one, a temporary set otherwise.
+    let pool = POOL.with(|p| p.borrow().clone());
+    let mut bufs = pool
+        .as_ref()
+        .and_then(|p| lock_recover(&p.0).pop())
+        .unwrap_or_else(|| TrainBuffers::new(env.factory));
+    let TrainBuffers { model, grads } = &mut bufs;
+    model.set_params(global);
     let rng = env.rng();
 
     let batches_per_epoch = env.batches_per_epoch();
     let total_steps = batches_per_epoch * spec.epochs;
-    let mut grads = vec![0.0f32; model.param_len()];
     let mut loss_acc = 0.0f64;
 
     // Both sampler paths run the same epochs × batches/epoch nest (the
@@ -117,37 +212,39 @@ pub fn run_local_sgd(
     // only a bookkeeping notion there — the batch sequence is unchanged).
     // Each epoch is wrapped in a `local_epoch` span recorded into the
     // thread-local buffer the engine installs for traced runs; without a
-    // buffer the span calls are no-ops.
+    // buffer not even the span's fields are built.
+    let traced = local::active();
     let mut step = 0usize;
-    let mut run_epochs =
-        |next_batch: &mut dyn FnMut() -> Vec<usize>, model: &mut Model, loss_acc: &mut f64| {
-            for epoch in 0..spec.epochs {
-                let _span = local::span(
+    let mut run_epochs = |next_batch: &mut dyn FnMut() -> Vec<usize>| {
+        for epoch in 0..spec.epochs {
+            let _span = traced.then(|| {
+                local::span(
                     names::LOCAL_EPOCH,
                     vec![
                         ("client", Value::U64(env.id as u64)),
                         ("epoch", Value::U64(epoch as u64)),
                         ("batches", Value::U64(batches_per_epoch as u64)),
                     ],
-                );
-                for _ in 0..batches_per_epoch {
-                    let idx = next_batch();
-                    let (x, y) = env.dataset.gather(&idx);
-                    let l = model.loss_grad(&x, &y, spec.loss, &mut grads);
-                    *loss_acc += l as f64;
-                    direction(&mut grads, model.params(), step);
-                    fedwcm_nn::opt::sgd_step(model.params_mut(), &grads, spec.lr);
-                    step += 1;
-                }
+                )
+            });
+            for _ in 0..batches_per_epoch {
+                let idx = next_batch();
+                let (x, y) = env.dataset.gather(&idx);
+                let l = model.loss_grad(&x, &y, spec.loss, grads);
+                loss_acc += l as f64;
+                direction(grads, model.params(), step);
+                fedwcm_nn::opt::sgd_step(model.params_mut(), grads, spec.lr);
+                step += 1;
             }
-        };
+        }
+    };
     if spec.balanced_sampler {
         let mut sampler =
             BalanceSampler::new(env.view.indices(), env.dataset, env.cfg.batch_size, rng);
-        run_epochs(&mut || sampler.next_batch(), &mut model, &mut loss_acc);
+        run_epochs(&mut || sampler.next_batch());
     } else {
-        let mut sampler = BatchSampler::new(env.view.indices(), env.cfg.batch_size, rng.clone());
-        run_epochs(&mut || sampler.next_batch(), &mut model, &mut loss_acc);
+        let mut sampler = BatchSampler::new(env.view.indices(), env.cfg.batch_size, rng);
+        run_epochs(&mut || sampler.next_batch());
     }
 
     // delta = (x_r − x_B) / (lr · B_k): gradient-scale direction.
@@ -157,6 +254,11 @@ pub fn run_local_sgd(
         .zip(model.params())
         .map(|(g, p)| (g - p) * scale)
         .collect();
+
+    model.release_caches();
+    if let Some(pool) = pool {
+        lock_recover(&pool.0).push(bufs);
+    }
 
     ClientUpdate {
         client: env.id,
@@ -314,6 +416,76 @@ mod tests {
         // Zero direction ⇒ params never move ⇒ delta is exactly zero.
         let upd = run_local_sgd(&env, &global, &spec, |g, _, _| g.fill(0.0));
         assert!(upd.delta.iter().all(|&d| d == 0.0));
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A lent set whose every float is NaN trains the same bits as a
+    /// temporary set: both buffers are overwritten before they are read.
+    #[test]
+    fn bits_do_not_depend_on_what_the_lent_buffers_held() {
+        let (ds, views, cfg) = setup();
+        let env = ClientEnv {
+            id: 1,
+            round: 2,
+            dataset: &ds,
+            view: &views[1],
+            cfg: &cfg,
+            factory: &factory,
+        };
+        let global = factory().params().to_vec();
+        let spec = LocalSgdSpec {
+            loss: &CrossEntropy,
+            balanced_sampler: false,
+            lr: 0.1,
+            epochs: 2,
+        };
+        let clean = run_local_sgd(&env, &global, &spec, |_, _, _| {});
+
+        let pool = BufferPool::new(&factory, 1);
+        for set in lock_recover(&pool.0).iter_mut() {
+            set.model.params_mut().fill(f32::NAN);
+            set.grads.fill(f32::NAN);
+        }
+        for _ in 0..2 {
+            let lent = with_pool(&pool, || run_local_sgd(&env, &global, &spec, |_, _, _| {}));
+            assert_eq!(bits(&lent.delta), bits(&clean.delta));
+            assert_eq!(lent.avg_loss.to_bits(), clean.avg_loss.to_bits());
+            assert_eq!(lock_recover(&pool.0).len(), 1, "the set went back");
+        }
+        assert!(POOL.with(|p| p.borrow().is_none()), "the loan is scoped");
+    }
+
+    /// What a client hands back is two arena-sized buffers and nothing
+    /// else: the model's layer caches are gone, so it is as cold as a
+    /// fresh clone (retaining them pinned training memory under
+    /// evaluation).
+    #[test]
+    #[should_panic(expected = "dense backward without forward(train=true)")]
+    fn a_model_returned_to_its_worker_holds_no_layer_cache() {
+        let (ds, views, cfg) = setup();
+        let env = ClientEnv {
+            id: 0,
+            round: 0,
+            dataset: &ds,
+            view: &views[0],
+            cfg: &cfg,
+            factory: &factory,
+        };
+        let global = factory().params().to_vec();
+        let spec = LocalSgdSpec {
+            loss: &CrossEntropy,
+            balanced_sampler: false,
+            lr: 0.1,
+            epochs: 1,
+        };
+        let pool = BufferPool::new(&factory, 1);
+        let _ = with_pool(&pool, || run_local_sgd(&env, &global, &spec, |_, _, _| {}));
+        let mut sets = lock_recover(&pool.0);
+        let TrainBuffers { model, grads } = &mut sets[0];
+        model.backward(&fedwcm_tensor::Tensor::zeros(&[1, 10]), grads);
     }
 
     #[test]

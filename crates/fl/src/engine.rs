@@ -4,7 +4,7 @@
 use crate::algorithm::{FederatedAlgorithm, RoundInput};
 use crate::cadence::Cadence;
 use crate::checkpoint::{CheckpointError, ServerCheckpoint};
-use crate::client::{ClientEnv, ClientUpdate, ModelFactory};
+use crate::client::{with_pool, BufferPool, ClientEnv, ClientUpdate, ModelFactory};
 use crate::codec::Wire;
 use crate::config::FlConfig;
 use crate::metrics::{History, RoundFaults, RoundRecord};
@@ -198,7 +198,10 @@ pub struct Simulation<'a> {
     pub test: &'a Dataset,
     /// Per-client data views, indexed by client id.
     pub views: Vec<ClientView>,
-    /// Model constructor (same architecture + init for every use).
+    /// Model constructor: clones the prototype [`Simulation::new`] built
+    /// by calling the user's factory once (same architecture + init for
+    /// every use; a clone carries no layer cache, because the prototype
+    /// is never run forward).
     pub factory: Box<ModelFactory>,
     /// Deterministic fault-injection plan applied between local training
     /// and aggregation. `None` (and any all-zero-rate plan) reproduces
@@ -223,6 +226,9 @@ pub struct Simulation<'a> {
 
 impl<'a> Simulation<'a> {
     /// Build a simulation; validates configuration against the partition.
+    /// `factory` is called exactly once, here: clients, evaluation and
+    /// [`Simulation::run_returning_model`] all receive clones of the model
+    /// it returns.
     pub fn new(
         cfg: FlConfig,
         train: &'a Dataset,
@@ -240,12 +246,13 @@ impl<'a> Simulation<'a> {
             views.iter().all(|v| !v.is_empty()),
             "every client needs at least one sample"
         );
+        let prototype = factory();
         Simulation {
             cfg,
             train,
             test,
             views,
-            factory,
+            factory: Box::new(move || prototype.clone()),
             fault_plan: None,
             net_plan: None,
             retry_policy: RetryPolicy::default(),
@@ -395,6 +402,13 @@ impl<'a> Simulation<'a> {
         let threads = self.cfg.resolved_threads();
         let tracer = self.obs.tracer.clone();
         let registry = self.obs.metrics.as_deref();
+        // The round's thread budget is split between client fan-out and
+        // intra-client GEMM parallelism so total concurrency never
+        // exceeds `threads`. Every round samples the same number of
+        // clients, so the split — and with it the number of training
+        // buffer sets this run owns — is fixed for the run.
+        let budget = ThreadBudget::split(threads, self.cfg.sampled_per_round());
+        let train_buffers = BufferPool::new(self.factory.as_ref(), budget.outer());
 
         while state.next_round < until_round {
             let round = state.next_round;
@@ -410,10 +424,6 @@ impl<'a> Simulation<'a> {
 
             // Parallel local training: results are collected in sampled-id
             // order, so aggregation is deterministic across thread counts.
-            // The round's thread budget is split between client fan-out and
-            // intra-client GEMM parallelism so total concurrency never
-            // exceeds `threads`.
-            let budget = ThreadBudget::split(threads, sampled.len());
             let algo_ref: &dyn FederatedAlgorithm = algo;
             let global_ref = &state.global;
             let traced = tracer.enabled();
@@ -429,6 +439,13 @@ impl<'a> Simulation<'a> {
                     cfg: &self.cfg,
                     factory: self.factory.as_ref(),
                 };
+                let train = || {
+                    with_pool(&train_buffers, || {
+                        with_intra_threads(budget.inner(), || {
+                            algo_ref.local_train(&env, global_ref)
+                        })
+                    })
+                };
                 if traced {
                     // Client-local spans go into a per-task buffer with a
                     // forked clock; the main clock stays untouched by
@@ -436,18 +453,10 @@ impl<'a> Simulation<'a> {
                     // order below — so the trace stream is identical at
                     // every thread count.
                     let buf = Arc::new(SpanBuffer::new(tracer_ref.fork_clock()));
-                    let update = local::with_buffer(&buf, || {
-                        with_intra_threads(budget.inner(), || {
-                            algo_ref.local_train(&env, global_ref)
-                        })
-                    });
-                    let events = buf.drain();
-                    (update, events)
+                    let update = local::with_buffer(&buf, train);
+                    (update, buf.drain())
                 } else {
-                    let update = with_intra_threads(budget.inner(), || {
-                        algo_ref.local_train(&env, global_ref)
-                    });
-                    (update, Vec::new())
+                    (train(), Vec::new())
                 }
             });
             let mut updates = Vec::with_capacity(results.len());
@@ -962,10 +971,11 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// Evaluate the global model: `evaluate` span, overall accuracy,
-    /// and — with a registry attached — per-class gauges plus the
-    /// tail-mean gauge (the long-tail synthesis orders classes head to
-    /// tail by frequency, so the final third of class ids is the tail).
+    /// Evaluate the global model in one pass over the test set:
+    /// `evaluate` span, overall accuracy, and — with a registry attached,
+    /// from the same tally — per-class gauges plus the tail-mean gauge
+    /// (the long-tail synthesis orders classes head to tail by
+    /// frequency, so the final third of class ids is the tail).
     fn evaluate_phase(
         &self,
         model: &mut Model,
@@ -979,10 +989,11 @@ impl<'a> Simulation<'a> {
         let acc = {
             let _g = tracer.span(names::EVALUATE, vec![("round", Value::U64(round as u64))]);
             model.set_params(global);
-            let acc = evaluate_accuracy_threads(model, self.test, threads);
+            let tally = class_tally(model, self.test, threads);
+            let acc = overall_accuracy(&tally);
             if let Some(reg) = registry {
                 reg.gauge_set(names::FL_ACC_OVERALL, acc);
-                let pc = per_class_accuracy_threads(model, self.test, threads);
+                let pc = class_accuracies(&tally);
                 let tail_len = pc.len() / 3;
                 let tail_from = pc.len() - tail_len;
                 let mut tail_sum = 0.0;
@@ -1258,24 +1269,68 @@ impl<'a> Simulation<'a> {
     }
 }
 
-/// The `[start, end)` sample ranges of each evaluation batch.
-fn eval_batches(n: usize) -> Vec<(usize, usize)> {
-    let mut batches = Vec::with_capacity(n.div_ceil(EVAL_BATCH));
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + EVAL_BATCH).min(n);
-        batches.push((start, end));
-        start = end;
+/// Per-class `(correct, total)` counts of `model` over `dataset`: the one
+/// pass every accuracy figure is read from.
+///
+/// Evaluation batches are contiguous row ranges of [`EVAL_BATCH`]
+/// samples, spread in contiguous runs over up to `threads` workers (each
+/// on its own model replica). The counts are integers added in
+/// batch-index order, so they are identical for every thread count.
+fn class_tally(model: &mut Model, dataset: &Dataset, threads: usize) -> Vec<(usize, usize)> {
+    let classes = dataset.classes();
+    let n_batches = dataset.len().div_ceil(EVAL_BATCH);
+    let tally_batches = |model: &mut Model, b0: usize, b1: usize| {
+        let mut tally = vec![(0usize, 0usize); classes];
+        for b in b0..b1 {
+            let end = ((b + 1) * EVAL_BATCH).min(dataset.len());
+            let (x, y) = dataset.range_batch(b * EVAL_BATCH, end);
+            for (p, &t) in model.predict(&x).iter().zip(y) {
+                tally[t].0 += usize::from(*p == t);
+                tally[t].1 += 1;
+            }
+        }
+        tally
+    };
+    let threads = threads.clamp(1, n_batches.max(1));
+    if threads <= 1 {
+        return tally_batches(model, 0, n_batches);
     }
-    batches
+    let chunks = chunk_ranges(n_batches, threads);
+    let model_ref: &Model = model;
+    let partials = parallel_map(chunks.len(), threads, |ci| {
+        let (b0, b1) = chunks[ci];
+        tally_batches(&mut model_ref.clone(), b0, b1)
+    });
+    let mut tally = vec![(0usize, 0usize); classes];
+    for partial in partials {
+        for (acc, (c, t)) in tally.iter_mut().zip(partial) {
+            acc.0 += c;
+            acc.1 += t;
+        }
+    }
+    tally
 }
 
-/// Correct-prediction count of `model` over sample range `[start, end)`.
-fn correct_in_range(model: &mut Model, dataset: &Dataset, start: usize, end: usize) -> usize {
-    let idx: Vec<usize> = (start..end).collect();
-    let (x, y) = dataset.gather(&idx);
-    let preds = model.predict(&x);
-    preds.iter().zip(&y).filter(|(p, t)| p == t).count()
+/// Overall accuracy from a [`class_tally`]: `Σ correct / n` (0 on an
+/// empty dataset).
+fn overall_accuracy(tally: &[(usize, usize)]) -> f64 {
+    let (correct, n) = tally
+        .iter()
+        .fold((0usize, 0usize), |(c, n), &(ci, ni)| (c + ci, n + ni));
+    if n == 0 {
+        0.0
+    } else {
+        correct as f64 / n as f64
+    }
+}
+
+/// Per-class accuracy from a [`class_tally`] (classes with no test
+/// samples report 0).
+fn class_accuracies(tally: &[(usize, usize)]) -> Vec<f64> {
+    tally
+        .iter()
+        .map(|&(c, t)| if t == 0 { 0.0 } else { c as f64 / t as f64 })
+        .collect()
 }
 
 /// Overall accuracy of `model` on `dataset`, evaluated in batches.
@@ -1284,38 +1339,9 @@ pub fn evaluate_accuracy(model: &mut Model, dataset: &Dataset) -> f64 {
 }
 
 /// Like [`evaluate_accuracy`], but spreads the evaluation batches over up
-/// to `threads` workers (each on its own model replica).
-///
-/// The reduction sums integer correct-counts collected in batch-index
-/// order, so the result is bitwise identical for every thread count.
+/// to `threads` workers; bitwise identical for every thread count.
 pub fn evaluate_accuracy_threads(model: &mut Model, dataset: &Dataset, threads: usize) -> f64 {
-    if dataset.is_empty() {
-        return 0.0;
-    }
-    let n = dataset.len();
-    let batches = eval_batches(n);
-    let threads = threads.clamp(1, batches.len());
-    let correct: usize = if threads <= 1 {
-        let mut correct = 0usize;
-        for &(start, end) in &batches {
-            correct += correct_in_range(model, dataset, start, end);
-        }
-        correct
-    } else {
-        let chunks = chunk_ranges(batches.len(), threads);
-        let model_ref: &Model = model;
-        parallel_map(chunks.len(), threads, |ci| {
-            let (b0, b1) = chunks[ci];
-            let mut replica = model_ref.clone();
-            batches[b0..b1]
-                .iter()
-                .map(|&(start, end)| correct_in_range(&mut replica, dataset, start, end))
-                .sum::<usize>()
-        })
-        .into_iter()
-        .sum()
-    };
-    correct as f64 / n as f64
+    overall_accuracy(&class_tally(model, dataset, threads))
 }
 
 /// Per-class accuracy of `model` on `dataset` (classes with no test
@@ -1324,59 +1350,14 @@ pub fn per_class_accuracy(model: &mut Model, dataset: &Dataset) -> Vec<f64> {
     per_class_accuracy_threads(model, dataset, 1)
 }
 
-/// Like [`per_class_accuracy`], but batch-chunk parallel with the same
-/// index-ordered integer reduction as [`evaluate_accuracy_threads`].
+/// Like [`per_class_accuracy`], but batch-chunk parallel: the same tally
+/// [`evaluate_accuracy_threads`] reads.
 pub fn per_class_accuracy_threads(
     model: &mut Model,
     dataset: &Dataset,
     threads: usize,
 ) -> Vec<f64> {
-    let classes = dataset.classes();
-    let batches = eval_batches(dataset.len());
-    let threads = threads.clamp(1, batches.len().max(1));
-
-    // Per-class (correct, total) tallies over a run of batches.
-    let tally_batches = |model: &mut Model, range: &[(usize, usize)]| {
-        let mut correct = vec![0usize; classes];
-        let mut total = vec![0usize; classes];
-        for &(start, end) in range {
-            let idx: Vec<usize> = (start..end).collect();
-            let (x, y) = dataset.gather(&idx);
-            let preds = model.predict(&x);
-            for (p, &t) in preds.iter().zip(&y) {
-                total[t] += 1;
-                if *p == t {
-                    correct[t] += 1;
-                }
-            }
-        }
-        (correct, total)
-    };
-
-    let (mut correct, mut total) = (vec![0usize; classes], vec![0usize; classes]);
-    let partials = if threads <= 1 {
-        vec![tally_batches(model, &batches)]
-    } else {
-        let chunks = chunk_ranges(batches.len(), threads);
-        let model_ref: &Model = model;
-        parallel_map(chunks.len(), threads, |ci| {
-            let (b0, b1) = chunks[ci];
-            tally_batches(&mut model_ref.clone(), &batches[b0..b1])
-        })
-    };
-    for (c, t) in partials {
-        for (acc, v) in correct.iter_mut().zip(&c) {
-            *acc += v;
-        }
-        for (acc, v) in total.iter_mut().zip(&t) {
-            *acc += v;
-        }
-    }
-    correct
-        .iter()
-        .zip(&total)
-        .map(|(&c, &t)| if t == 0 { 0.0 } else { c as f64 / t as f64 })
-        .collect()
+    class_accuracies(&class_tally(model, dataset, threads))
 }
 
 #[cfg(test)]
@@ -1660,6 +1641,59 @@ mod tests {
             let gold_bits: Vec<u64> = gold_pc.iter().map(|v| v.to_bits()).collect();
             let bits: Vec<u64> = pc.iter().map(|v| v.to_bits()).collect();
             assert_eq!(bits, gold_bits, "threads={threads}");
+        }
+    }
+
+    /// Both public evaluators read one integer tally: overall accuracy is
+    /// `Σ correct / n` and the per-class vector is what a gather-and-count
+    /// loop over the same batches gives, at 1 and 3 threads, with a class
+    /// that has no test samples reporting 0.
+    #[test]
+    fn both_evaluators_read_one_tally() {
+        let spec = DatasetPreset::FashionMnist.spec();
+        let full = spec.generate_test(23);
+        let kept: Vec<usize> = (0..full.len()).filter(|&i| full.label(i) != 3).collect();
+        let (x, y) = full.gather(&kept);
+        let test = Dataset::new(x, y, 10);
+        assert!(
+            test.len() > 2 * EVAL_BATCH,
+            "several batches, a ragged last"
+        );
+        let mut rng = Xoshiro256pp::seed_from(9);
+        let mut model = mlp(64, &[16], 10, &mut rng);
+
+        let (mut correct, mut total) = (vec![0usize; 10], vec![0usize; 10]);
+        for start in (0..test.len()).step_by(EVAL_BATCH) {
+            let idx: Vec<usize> = (start..(start + EVAL_BATCH).min(test.len())).collect();
+            let (x, y) = test.gather(&idx);
+            for (p, t) in model.predict(&x).into_iter().zip(y) {
+                total[t] += 1;
+                correct[t] += usize::from(p == t);
+            }
+        }
+        assert_eq!(total[3], 0);
+        let overall = correct.iter().sum::<usize>() as f64 / test.len() as f64;
+        let per_class: Vec<u64> = correct
+            .iter()
+            .zip(&total)
+            .map(|(&c, &t)| if t == 0 { 0.0 } else { c as f64 / t as f64 })
+            .map(f64::to_bits)
+            .collect();
+
+        for threads in [1, 3] {
+            let tally = class_tally(&mut model, &test, threads);
+            let counts: (Vec<usize>, Vec<usize>) = tally.iter().copied().unzip();
+            assert_eq!(
+                counts,
+                (correct.clone(), total.clone()),
+                "threads={threads}"
+            );
+            let acc = evaluate_accuracy_threads(&mut model, &test, threads);
+            assert_eq!(acc.to_bits(), overall.to_bits(), "threads={threads}");
+            let pc = per_class_accuracy_threads(&mut model, &test, threads);
+            let bits: Vec<u64> = pc.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, per_class, "threads={threads}");
+            assert_eq!(pc[3], 0.0);
         }
     }
 

@@ -232,6 +232,12 @@ impl Layer for Conv2d {
         grad_in
     }
 
+    fn release_cache(&mut self) {
+        self.cached_cols = Vec::new();
+        self.cached_batch = 0;
+        self.scratch = Vec::new();
+    }
+
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }

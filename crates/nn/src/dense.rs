@@ -122,6 +122,10 @@ impl Layer for Dense {
         grad_in
     }
 
+    fn release_cache(&mut self) {
+        self.cached_input = None;
+    }
+
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }

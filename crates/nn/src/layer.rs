@@ -35,6 +35,12 @@ pub trait Layer: Send + Sync {
     /// (same length as `params`) and return the input gradient.
     fn backward(&mut self, params: &[f32], grad_params: &mut [f32], grad_out: &Tensor) -> Tensor;
 
+    /// Free what `forward(train = true)` cached (activations, masks,
+    /// patch panels, work space), returning the layer to its
+    /// never-trained state: a `backward` before the next training
+    /// forward fails as it does on a fresh layer.
+    fn release_cache(&mut self) {}
+
     /// Clone this layer behind a fresh box (object-safe `Clone`).
     fn clone_box(&self) -> Box<dyn Layer>;
 }
@@ -95,6 +101,10 @@ impl Layer for Relu {
             *x = if keep { *x } else { 0.0 };
         }
         g
+    }
+
+    fn release_cache(&mut self) {
+        self.mask = Vec::new();
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -158,6 +168,10 @@ impl Layer for LeakyRelu {
         g
     }
 
+    fn release_cache(&mut self) {
+        self.cached_input = Vec::new();
+    }
+
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -208,6 +222,10 @@ impl Layer for Tanh {
             *x *= 1.0 - y * y;
         }
         g
+    }
+
+    fn release_cache(&mut self) {
+        self.cached_output = Vec::new();
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {

@@ -201,6 +201,15 @@ impl Model {
         l
     }
 
+    /// Free every layer's training cache ([`Layer::release_cache`]): a
+    /// model kept across clients then pins its parameter arena only, not
+    /// the activations and patch panels of the last batch it trained on.
+    pub fn release_caches(&mut self) {
+        for l in &mut self.layers {
+            l.release_cache();
+        }
+    }
+
     /// Accuracy on a labelled batch (argmax of logits).
     pub fn accuracy(&mut self, x: &Tensor, y: &[usize]) -> f64 {
         assert_eq!(x.rows(), y.len(), "batch/label length mismatch");
@@ -326,6 +335,17 @@ mod tests {
         assert!(after < initial * 0.1, "loss {initial} -> {after}");
         assert_eq!(m.accuracy(&x, &y), 1.0);
         assert_eq!(m.predict(&x), vec![0, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dense backward without forward(train=true)")]
+    fn released_model_is_as_cold_as_a_fresh_one() {
+        let mut m = tiny_model(3);
+        let x = Tensor::from_vec(vec![0.5, -1.0, 2.0, 0.1], &[1, 4]);
+        let mut grads = vec![0.0; m.param_len()];
+        let _ = m.loss_grad(&x, &[1], &CrossEntropy, &mut grads);
+        m.release_caches();
+        m.backward(&Tensor::zeros(&[1, 3]), &mut grads);
     }
 
     #[test]

@@ -21,18 +21,17 @@ pub fn weight_decay(params: &mut [f32], lr: f32, wd: f32) {
     }
 }
 
-/// Client-momentum direction of FedCM/FedWCM:
-/// `v = alpha * grad + (1 - alpha) * global_momentum` written into `v`.
+/// Client-momentum direction of FedCM/FedWCM, in place over the
+/// gradient: `grad = alpha * grad + (1 - alpha) * global_momentum`.
 #[inline]
-pub fn momentum_blend(v: &mut [f32], grad: &[f32], global_momentum: &[f32], alpha: f32) {
+pub fn momentum_blend(grad: &mut [f32], global_momentum: &[f32], alpha: f32) {
     assert!(
         (0.0..=1.0).contains(&alpha),
         "momentum value must be in [0,1], got {alpha}"
     );
-    assert_eq!(v.len(), grad.len());
-    assert_eq!(v.len(), global_momentum.len());
-    for ((vi, gi), mi) in v.iter_mut().zip(grad).zip(global_momentum) {
-        *vi = alpha * gi + (1.0 - alpha) * mi;
+    assert_eq!(grad.len(), global_momentum.len());
+    for (gi, mi) in grad.iter_mut().zip(global_momentum) {
+        *gi = alpha * *gi + (1.0 - alpha) * mi;
     }
 }
 
@@ -71,13 +70,32 @@ mod tests {
     fn momentum_blend_endpoints() {
         let g = [1.0, 2.0];
         let m = [10.0, 20.0];
-        let mut v = [0.0; 2];
-        momentum_blend(&mut v, &g, &m, 1.0);
+        let mut v = g;
+        momentum_blend(&mut v, &m, 1.0);
         assert_eq!(v, g);
-        momentum_blend(&mut v, &g, &m, 0.0);
+        momentum_blend(&mut v, &m, 0.0);
         assert_eq!(v, m);
-        momentum_blend(&mut v, &g, &m, 0.25);
+        let mut v = g;
+        momentum_blend(&mut v, &m, 0.25);
         assert!((v[0] - (0.25 + 7.5)).abs() < 1e-6);
+    }
+
+    /// The in-place blend is the out-of-place expression, bit for bit.
+    #[test]
+    fn momentum_blend_in_place_matches_out_of_place_bitwise() {
+        let g: Vec<f32> = (0..257).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
+        let m: Vec<f32> = (0..257).map(|i| (i as f32 * 0.11).cos() - 0.5).collect();
+        for alpha in [0.0f32, 0.1, 1.0] {
+            let expected: Vec<u32> = g
+                .iter()
+                .zip(&m)
+                .map(|(gi, mi)| (alpha * gi + (1.0 - alpha) * mi).to_bits())
+                .collect();
+            let mut v = g.clone();
+            momentum_blend(&mut v, &m, alpha);
+            let got: Vec<u32> = v.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, expected, "alpha {alpha}");
+        }
     }
 
     #[test]
@@ -92,7 +110,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn momentum_blend_rejects_bad_alpha() {
-        let mut v = [0.0];
-        momentum_blend(&mut v, &[1.0], &[1.0], 1.5);
+        momentum_blend(&mut [1.0], &[1.0], 1.5);
     }
 }

@@ -90,6 +90,12 @@ impl Layer for Residual {
         g
     }
 
+    fn release_cache(&mut self) {
+        for l in &mut self.body {
+            l.release_cache();
+        }
+    }
+
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }

@@ -13,6 +13,10 @@
 //! | 20     | n    | payload                                |
 //! | 20+n   | 4    | CRC32 (IEEE) over header + payload (LE)|
 //!
+//! The checksum is computed slice-by-8 ([`crc32`]); the one-table
+//! bytewise loop lives in `tests/support/reference.rs` as the reference
+//! it is tested against.
+//!
 //! The codec's contract is **byte-exact round-tripping**: for every
 //! [`Message`], `decode(encode(m)) == Ok(m)`, and every frame
 //! [`decode`] accepts is exactly the canonical [`encode`] output of its
@@ -164,11 +168,14 @@ impl core::fmt::Display for FrameError {
     }
 }
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i: u32 = 0;
+/// Slice-by-8 tables of the reflected polynomial `0xEDB88320`:
+/// `tables[0]` is the classic bytewise table, and `tables[k][b]` is the
+/// CRC state after byte `b` followed by `k` zero bytes.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
     while i < 256 {
-        let mut c = i;
+        let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
             c = if c & 1 != 0 {
@@ -178,20 +185,44 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i as usize] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = crc_table();
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-/// CRC32 (IEEE 802.3 polynomial, reflected) of `data`.
+/// CRC32 (IEEE 802.3 polynomial, reflected) of `data`, slice-by-8: eight
+/// bytes a step through eight tables, then a bytewise tail.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        let idx = (c ^ u32::from(b)) & 0xFF;
-        c = CRC_TABLE[idx as usize] ^ (c >> 8);
+    let mut blocks = data.chunks_exact(8);
+    for b in &mut blocks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        let hi = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }

@@ -1,8 +1,18 @@
 //! Property tests for the frame codec: round-trip identity, single-bit
 //! rejection, and truncation/length-prefix fuzzing.
 
+use fedwcm_stats::rng::{Rng, Xoshiro256pp};
 use fedwcm_transport::frame::{self, FrameError, Message, NackReason, HEADER_LEN, TRAILER_LEN};
 use proptest::prelude::*;
+
+#[path = "support/reference.rs"]
+mod reference;
+use reference::crc32_bytewise;
+
+fn seeded_bytes(len: usize, seed: u64) -> Vec<u8> {
+    let mut rng = Xoshiro256pp::seed_from(seed);
+    (0..len).map(|_| rng.next_u64() as u8).collect()
+}
 
 fn arb_message() -> impl Strategy<Value = Message> {
     let payload = prop::collection::vec(any::<u8>(), 0..512);
@@ -87,4 +97,42 @@ fn frame_overhead_is_header_plus_trailer() {
     .expect("encodable");
     assert_eq!(bytes.len(), HEADER_LEN + 100 + TRAILER_LEN);
     assert!(matches!(frame::decode(&[]), Err(FrameError::Truncated)));
+}
+
+/// Slice-by-8 against the bytewise reference: every length 0..=64 (all
+/// block counts and tail lengths around the 8-byte step) at every start
+/// offset 0..8 (every alignment of the first block).
+#[test]
+fn crc32_matches_bytewise_reference_at_every_length_and_offset() {
+    let buf = seeded_bytes(64 + 8, 0xC4C32);
+    for offset in 0..8 {
+        for len in 0..=64 {
+            let data = &buf[offset..offset + len];
+            assert_eq!(
+                frame::crc32(data),
+                crc32_bytewise(data),
+                "offset {offset}, length {len}"
+            );
+        }
+    }
+    assert_eq!(frame::crc32(b"123456789"), 0xCBF4_3926);
+    assert_eq!(frame::crc32(&[]), 0);
+}
+
+/// One upload-sized frame (the `mlp_xdev` delta: 19,210 floats, 77 KB):
+/// the trailer `encode` wrote is the reference CRC of the body.
+#[test]
+fn crc32_matches_bytewise_reference_on_an_upload_frame() {
+    let bytes = frame::encode(&Message::DeltaUp {
+        seq: 42,
+        payload: seeded_bytes(19_210 * 4 + 28, 7),
+    })
+    .expect("encodable");
+    let body_end = bytes.len() - TRAILER_LEN;
+    let trailer: [u8; 4] = bytes[body_end..].try_into().expect("four trailer bytes");
+    assert_eq!(
+        u32::from_le_bytes(trailer),
+        crc32_bytewise(&bytes[..body_end])
+    );
+    assert_eq!(frame::crc32(&bytes), crc32_bytewise(&bytes));
 }
