@@ -2,8 +2,11 @@
 //! federated round, plus the tiled-vs-naive matmul ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use fedwcm_nn::conv::AvgPool2d;
 use fedwcm_nn::opt::momentum_blend;
+use fedwcm_nn::Layer;
 use fedwcm_stats::Xoshiro256pp;
+use fedwcm_tensor::im2col::{ConvGeom, PatchMap};
 use fedwcm_tensor::matmul::{matmul, matmul_a_bt};
 use fedwcm_tensor::{ops, Tensor};
 use std::hint::black_box;
@@ -60,6 +63,57 @@ fn bench_blas1(c: &mut Criterion) {
     group.finish();
 }
 
+/// The data movement around a ResLite step's GEMMs, at the step's batch
+/// of 40: each conv geometry lowered and scattered back in panel layout
+/// (40 images side by side, as `Conv2d` places them), and the first
+/// pooling layer.
+fn bench_lowering(c: &mut Criterion) {
+    const BATCH: usize = 40;
+    let mut group = c.benchmark_group("lowering");
+    let mut rng = Xoshiro256pp::seed_from(2);
+    for (c_in, hw) in [(3usize, 8usize), (12, 4), (12, 2)] {
+        let geom = ConvGeom {
+            c_in,
+            h: hw,
+            w: hw,
+            kh: 3,
+            kw: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let map = PatchMap::new(&geom);
+        let (pc, ld) = (geom.patch_cols(), BATCH * geom.patch_cols());
+        let images = Tensor::randn(&[BATCH, geom.input_len()], 1.0, &mut rng);
+        let mut grads = Tensor::zeros(&[BATCH, geom.input_len()]);
+        let mut panel = vec![0.0f32; geom.patch_rows() * ld];
+        let shape = format!("{c_in}x{hw}x{hw}");
+        group.bench_function(BenchmarkId::new("patch_map_lower", &shape), |b| {
+            b.iter(|| {
+                for s in 0..BATCH {
+                    map.lower(black_box(images.row(s)), &mut panel, ld, s * pc);
+                }
+            });
+        });
+        group.bench_function(BenchmarkId::new("patch_map_scatter_add", &shape), |b| {
+            b.iter(|| {
+                for s in 0..BATCH {
+                    map.scatter_add(black_box(&panel), ld, s * pc, grads.row_mut(s));
+                }
+            });
+        });
+    }
+    let mut pool = AvgPool2d::new(12, 8, 8, 2);
+    let x = Tensor::randn(&[BATCH, 12 * 8 * 8], 1.0, &mut rng);
+    let go = Tensor::randn(&[BATCH, 12 * 4 * 4], 1.0, &mut rng);
+    group.bench_function("avgpool2d_fwd_40x12x8x8", |b| {
+        b.iter(|| black_box(pool.forward(&[], black_box(&x), true)));
+    });
+    group.bench_function("avgpool2d_bwd_40x12x8x8", |b| {
+        b.iter(|| black_box(pool.backward(&[], &mut [], black_box(&go))));
+    });
+    group.finish();
+}
+
 fn bench_weighted_sum(c: &mut Criterion) {
     // DESIGN.md ablation 4: deterministic parallel reduction vs sequential.
     let mut group = c.benchmark_group("aggregation");
@@ -87,6 +141,6 @@ fn bench_weighted_sum(c: &mut Criterion) {
 criterion_group!(
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_matmul, bench_blas1, bench_weighted_sum
+    targets = bench_matmul, bench_lowering, bench_blas1, bench_weighted_sum
 );
 criterion_main!(kernels);

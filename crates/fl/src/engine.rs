@@ -572,11 +572,14 @@ impl<'a> Simulation<'a> {
             // finite but astronomic — it would poison the global model on
             // the very next step) is dropped; if the whole round is
             // poisoned, skip the aggregation entirely. The norm gate
-            // judges the client's original (undiscounted) delta.
+            // judges the client's original (undiscounted) delta, and is
+            // the finiteness check too: no term of a sum of squares is
+            // negative, so a NaN anywhere leaves it NaN and a ±inf (or
+            // an overflowing square) leaves it +inf, and `NaN < b` and
+            // `inf < b` are false for every `b`.
             let before_filter = received.len();
             received.retain(|r| {
                 r.update.avg_loss().is_finite()
-                    && r.update.delta().iter().all(|d| d.is_finite())
                     && fedwcm_tensor::ops::norm(r.update.delta()) < self.cfg.max_update_norm
             });
             let dropped_updates = before_filter - received.len();
@@ -1533,6 +1536,32 @@ mod tests {
         // The global model never absorbed a NaN.
         let acc = h.final_accuracy(1);
         assert!(acc > 0.1, "model destroyed by poison: {acc}");
+    }
+
+    #[test]
+    fn one_norm_scan_decides_like_finiteness_then_norm() {
+        // The containment filter's delta gate is `norm(delta) < max`
+        // alone; `two_scans` is the predicate it replaced. Poison at the
+        // first element, at each of `dot`'s four lanes in the middle, in
+        // its scalar tail and at the last element.
+        let n = 23;
+        let clean: Vec<f32> = (0..n).map(|i| (i as f32 - 11.0) * 0.25).collect();
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 3e19, -3e19] {
+            for at in [0, 8, 9, 10, 11, 20, n - 1] {
+                let mut delta = clean.clone();
+                delta[at] = poison;
+                for max_norm in [1e3, f32::INFINITY, f32::NAN] {
+                    let one_scan = fedwcm_tensor::ops::norm(&delta) < max_norm;
+                    let two_scans = delta.iter().all(|d| d.is_finite()) && one_scan;
+                    assert_eq!(one_scan, two_scans, "{poison} at {at} under {max_norm}");
+                    assert!(!one_scan, "{poison} at {at} under {max_norm} was kept");
+                }
+            }
+        }
+        for max_norm in [1e3, f32::INFINITY, f32::NAN] {
+            let kept = fedwcm_tensor::ops::norm(&clean) < max_norm;
+            assert_eq!(kept, !max_norm.is_nan(), "clean delta under {max_norm}");
+        }
     }
 
     #[cfg(not(feature = "debug_invariants"))]

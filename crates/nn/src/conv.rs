@@ -5,9 +5,10 @@
 
 use crate::layer::{he_std, init_weights_biases, Layer};
 use fedwcm_stats::Xoshiro256pp;
-use fedwcm_tensor::im2col::{col2im_panel, im2col_panel, ConvGeom};
+use fedwcm_tensor::im2col::{ConvGeom, PatchMap};
 use fedwcm_tensor::matmul::{matmul_a_bt_into, matmul_at_b_into, matmul_into};
 use fedwcm_tensor::Tensor;
+use std::sync::Arc;
 
 /// Most floats one patch panel may hold. A layer lowers
 /// `PANEL_FLOATS / (patch_rows · patch_cols)` samples (at least one) side
@@ -31,9 +32,15 @@ const PANEL_FLOATS: usize = 1 << 14;
 /// `nb·oh·ow` columns of a panel, panels added in ascending order: its
 /// summation order is a function of the layer geometry, the batch size
 /// and `PANEL_FLOATS` only, never of the thread count.
+///
+/// Patches move through a [`PatchMap`] built once in [`Conv2d::new`] and
+/// shared by every clone of the layer (per-worker training models,
+/// per-chunk evaluation replicas). [`Layer::backward_params`] skips the
+/// `Wᵀ·go` GEMM and the scatter-add and allocates no input gradient.
 #[derive(Clone)]
 pub struct Conv2d {
     geom: ConvGeom,
+    map: Arc<PatchMap>,
     c_out: usize,
     /// Patch panels of the last `forward(train = true)` batch, one after
     /// another; `batch * patch_rows * patch_cols` floats in all.
@@ -65,10 +72,10 @@ impl Conv2d {
             stride,
             pad,
         };
-        // Validate geometry eagerly.
-        let _ = (geom.oh(), geom.ow());
         Conv2d {
             geom,
+            // Also validates the geometry eagerly.
+            map: Arc::new(PatchMap::new(&geom)),
             c_out,
             cached_cols: Vec::new(),
             cached_batch: 0,
@@ -93,6 +100,60 @@ impl Conv2d {
 
     fn weight_len(&self) -> usize {
         self.c_out * self.geom.patch_rows()
+    }
+
+    /// The backward pass, panel by panel: parameter gradients always, the
+    /// input gradient into `grad_in` when somebody will read it.
+    fn backward_panels(
+        &mut self,
+        params: &[f32],
+        grad_params: &mut [f32],
+        grad_out: &Tensor,
+        mut grad_in: Option<&mut Tensor>,
+    ) {
+        let batch = self.cached_batch;
+        assert!(batch > 0, "conv backward without forward(train=true)");
+        assert_eq!(grad_out.rows(), batch);
+        let c_out = self.c_out;
+        let pr = self.geom.patch_rows();
+        let pc = self.geom.patch_cols();
+        assert_eq!(grad_out.cols(), c_out * pc);
+        let (w, _) = params.split_at(self.weight_len());
+        let (gw, gb) = grad_params.split_at_mut(self.weight_len());
+
+        let per_panel = self.panel_samples();
+        let widest = per_panel.min(batch) * pc;
+        let (go, gcols) = split_scratch(&mut self.scratch, c_out * widest, pr * widest);
+        for s0 in (0..batch).step_by(per_panel) {
+            let nb = per_panel.min(batch - s0);
+            let n = nb * pc;
+            let cols = &self.cached_cols[s0 * pr * pc..(s0 + nb) * pr * pc];
+            // The panel's output gradient as [c_out, n], sample s at
+            // column offset s·pc like the patches.
+            let go = &mut go[..c_out * n];
+            for s in 0..nb {
+                let row = grad_out.row(s0 + s); // [c_out, pc]
+                for (c, g) in gb.iter_mut().enumerate() {
+                    let gs = &row[c * pc..(c + 1) * pc];
+                    // gb[c] += Σ spatial go
+                    *g += gs.iter().sum::<f32>();
+                    go[c * n + s * pc..c * n + (s + 1) * pc].copy_from_slice(gs);
+                }
+            }
+            // gW[c_out, pr] += go · colsᵀ  (A·Bᵀ on [c_out,n]·[pr,n]ᵀ)
+            matmul_a_bt_into(go, cols, gw, c_out, n, pr);
+            let Some(grad_in) = grad_in.as_deref_mut() else {
+                continue;
+            };
+            // gcols = Wᵀ · go  ([pr, c_out]·[c_out, n])
+            let gcols = &mut gcols[..pr * n];
+            gcols.fill(0.0);
+            matmul_at_b_into(w, go, gcols, c_out, pr, n);
+            for s in 0..nb {
+                self.map
+                    .scatter_add(gcols, n, s * pc, grad_in.row_mut(s0 + s));
+            }
+        }
     }
 }
 
@@ -141,9 +202,9 @@ impl Layer for Conv2d {
             "conv forward width mismatch"
         );
         let (w, b) = params.split_at(self.weight_len());
-        let (geom, c_out) = (self.geom, self.c_out);
-        let pr = geom.patch_rows();
-        let pc = geom.patch_cols();
+        let c_out = self.c_out;
+        let pr = self.geom.patch_rows();
+        let pc = self.geom.patch_cols();
         let mut out = Tensor::zeros(&[batch, c_out * pc]);
         if train {
             self.cached_cols.resize(batch * pr * pc, 0.0);
@@ -169,7 +230,7 @@ impl Layer for Conv2d {
                 &mut patches[..pr * n]
             };
             for s in 0..nb {
-                im2col_panel(&geom, input.row(s0 + s), cols, n, s * pc);
+                self.map.lower(input.row(s0 + s), cols, n, s * pc);
             }
             // [c_out, pr] · [pr, n] -> [c_out, n]
             let y = &mut y[..c_out * n];
@@ -189,47 +250,13 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, params: &[f32], grad_params: &mut [f32], grad_out: &Tensor) -> Tensor {
-        let batch = self.cached_batch;
-        assert!(batch > 0, "conv backward without forward(train=true)");
-        assert_eq!(grad_out.rows(), batch);
-        let (geom, c_out) = (self.geom, self.c_out);
-        let pr = geom.patch_rows();
-        let pc = geom.patch_cols();
-        assert_eq!(grad_out.cols(), c_out * pc);
-        let (w, _) = params.split_at(self.weight_len());
-        let (gw, gb) = grad_params.split_at_mut(self.weight_len());
-
-        let mut grad_in = Tensor::zeros(&[batch, geom.input_len()]);
-        let per_panel = self.panel_samples();
-        let widest = per_panel.min(batch) * pc;
-        let (go, gcols) = split_scratch(&mut self.scratch, c_out * widest, pr * widest);
-        for s0 in (0..batch).step_by(per_panel) {
-            let nb = per_panel.min(batch - s0);
-            let n = nb * pc;
-            let cols = &self.cached_cols[s0 * pr * pc..(s0 + nb) * pr * pc];
-            // The panel's output gradient as [c_out, n], sample s at
-            // column offset s·pc like the patches.
-            let go = &mut go[..c_out * n];
-            for s in 0..nb {
-                let row = grad_out.row(s0 + s); // [c_out, pc]
-                for (c, g) in gb.iter_mut().enumerate() {
-                    let gs = &row[c * pc..(c + 1) * pc];
-                    // gb[c] += Σ spatial go
-                    *g += gs.iter().sum::<f32>();
-                    go[c * n + s * pc..c * n + (s + 1) * pc].copy_from_slice(gs);
-                }
-            }
-            // gW[c_out, pr] += go · colsᵀ  (A·Bᵀ on [c_out,n]·[pr,n]ᵀ)
-            matmul_a_bt_into(go, cols, gw, c_out, n, pr);
-            // gcols = Wᵀ · go  ([pr, c_out]·[c_out, n])
-            let gcols = &mut gcols[..pr * n];
-            gcols.fill(0.0);
-            matmul_at_b_into(w, go, gcols, c_out, pr, n);
-            for s in 0..nb {
-                col2im_panel(&geom, gcols, n, s * pc, grad_in.row_mut(s0 + s));
-            }
-        }
+        let mut grad_in = Tensor::zeros(&[grad_out.rows(), self.geom.input_len()]);
+        self.backward_panels(params, grad_params, grad_out, Some(&mut grad_in));
         grad_in
+    }
+
+    fn backward_params(&mut self, params: &[f32], grad_params: &mut [f32], grad_out: &Tensor) {
+        self.backward_panels(params, grad_params, grad_out, None);
     }
 
     fn release_cache(&mut self) {
@@ -244,6 +271,11 @@ impl Layer for Conv2d {
 }
 
 /// Non-overlapping `f×f` average pooling over `[c, h, w]`.
+///
+/// The loops take the factor as an argument of an `#[inline(always)]`
+/// body instantiated twice: with the literal 2 (the only factor the model
+/// presets use), where the window unrolls to four adds, and with the
+/// run-time `f` otherwise. One source, one order of adds.
 #[derive(Clone)]
 pub struct AvgPool2d {
     c: usize,
@@ -266,6 +298,66 @@ impl AvgPool2d {
     pub fn out_dims(&self) -> (usize, usize, usize) {
         (self.c, self.h / self.f, self.w / self.f)
     }
+
+    /// Forward pass with pooling factor `f`: `self.f`, maybe as a constant.
+    #[inline(always)]
+    fn forward_by(&self, input: &Tensor, f: usize) -> Tensor {
+        let batch = input.rows();
+        let (oh, ow) = (self.h / f, self.w / f);
+        let mut out = Tensor::zeros(&[batch, self.c * oh * ow]);
+        let inv = 1.0 / (f * f) as f32;
+        for s in 0..batch {
+            let x = input.row(s);
+            let o = out.row_mut(s);
+            for c in 0..self.c {
+                let xc = &x[c * self.h * self.w..];
+                let oc = &mut o[c * oh * ow..(c + 1) * oh * ow];
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut acc = 0.0f32;
+                        for dy in 0..f {
+                            let iy = oy * f + dy;
+                            for dx in 0..f {
+                                acc += xc[iy * self.w + ox * f + dx];
+                            }
+                        }
+                        oc[oy * ow + ox] = acc * inv;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Backward pass with pooling factor `f`, like [`Self::forward_by`].
+    #[inline(always)]
+    fn backward_by(&self, grad_out: &Tensor, f: usize) -> Tensor {
+        let batch = grad_out.rows();
+        let (oh, ow) = (self.h / f, self.w / f);
+        assert_eq!(grad_out.cols(), self.c * oh * ow);
+        let mut grad_in = Tensor::zeros(&[batch, self.c * self.h * self.w]);
+        let inv = 1.0 / (f * f) as f32;
+        for s in 0..batch {
+            let go = grad_out.row(s);
+            let gi = grad_in.row_mut(s);
+            for c in 0..self.c {
+                let goc = &go[c * oh * ow..(c + 1) * oh * ow];
+                let gic = &mut gi[c * self.h * self.w..(c + 1) * self.h * self.w];
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let g = goc[oy * ow + ox] * inv;
+                        for dy in 0..f {
+                            let iy = oy * f + dy;
+                            for dx in 0..f {
+                                gic[iy * self.w + ox * f + dx] += g;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        grad_in
+    }
 }
 
 impl Layer for AvgPool2d {
@@ -283,59 +375,17 @@ impl Layer for AvgPool2d {
     }
 
     fn forward(&mut self, _params: &[f32], input: &Tensor, _train: bool) -> Tensor {
-        let batch = input.rows();
-        let (oh, ow) = (self.h / self.f, self.w / self.f);
-        let mut out = Tensor::zeros(&[batch, self.c * oh * ow]);
-        let inv = 1.0 / (self.f * self.f) as f32;
-        for s in 0..batch {
-            let x = input.row(s);
-            let o = out.row_mut(s);
-            for c in 0..self.c {
-                let xc = &x[c * self.h * self.w..];
-                let oc = &mut o[c * oh * ow..(c + 1) * oh * ow];
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = 0.0f32;
-                        for dy in 0..self.f {
-                            let iy = oy * self.f + dy;
-                            for dx in 0..self.f {
-                                acc += xc[iy * self.w + ox * self.f + dx];
-                            }
-                        }
-                        oc[oy * ow + ox] = acc * inv;
-                    }
-                }
-            }
+        match self.f {
+            2 => self.forward_by(input, 2),
+            f => self.forward_by(input, f),
         }
-        out
     }
 
     fn backward(&mut self, _params: &[f32], _grad_params: &mut [f32], grad_out: &Tensor) -> Tensor {
-        let batch = grad_out.rows();
-        let (oh, ow) = (self.h / self.f, self.w / self.f);
-        assert_eq!(grad_out.cols(), self.c * oh * ow);
-        let mut grad_in = Tensor::zeros(&[batch, self.c * self.h * self.w]);
-        let inv = 1.0 / (self.f * self.f) as f32;
-        for s in 0..batch {
-            let go = grad_out.row(s);
-            let gi = grad_in.row_mut(s);
-            for c in 0..self.c {
-                let goc = &go[c * oh * ow..(c + 1) * oh * ow];
-                let gic = &mut gi[c * self.h * self.w..(c + 1) * self.h * self.w];
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let g = goc[oy * ow + ox] * inv;
-                        for dy in 0..self.f {
-                            let iy = oy * self.f + dy;
-                            for dx in 0..self.f {
-                                gic[iy * self.w + ox * self.f + dx] += g;
-                            }
-                        }
-                    }
-                }
-            }
+        match self.f {
+            2 => self.backward_by(grad_out, 2),
+            f => self.backward_by(grad_out, f),
         }
-        grad_in
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -411,7 +461,7 @@ impl Layer for GlobalAvgPool {
 
 #[cfg(test)]
 #[path = "../../tensor/tests/support/reference.rs"]
-mod reference;
+pub(crate) mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -620,6 +670,68 @@ mod tests {
         let go = Tensor::from_vec(vec![8.0], &[1, 1]);
         let gi = pool.backward(&[], &mut [], &go);
         assert_eq!(gi.as_slice(), &[2.0, 2.0, 2.0, 2.0]);
+    }
+
+    /// The reference for `AvgPool2d`, plain loops with the factor read at
+    /// run time: forward output and backward input gradient.
+    fn pool_reference(
+        (c, h, w, f): (usize, usize, usize, usize),
+        x: &Tensor,
+        go: &Tensor,
+    ) -> (Tensor, Tensor) {
+        let (oh, ow) = (h / f, w / f);
+        let mut out = Tensor::zeros(&[x.rows(), c * oh * ow]);
+        let mut grad_in = Tensor::zeros(&[x.rows(), c * h * w]);
+        let inv = 1.0 / (f * f) as f32;
+        for s in 0..x.rows() {
+            for ch in 0..c {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let at = |dy: usize, dx: usize| (ch * h + oy * f + dy) * w + ox * f + dx;
+                        let mut acc = 0.0f32;
+                        for dy in 0..f {
+                            for dx in 0..f {
+                                acc += x.row(s)[at(dy, dx)];
+                            }
+                        }
+                        let o = (ch * oh + oy) * ow + ox;
+                        out.row_mut(s)[o] = acc * inv;
+                        let g = go.row(s)[o] * inv;
+                        for dy in 0..f {
+                            for dx in 0..f {
+                                grad_in.row_mut(s)[at(dy, dx)] += g;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        (out, grad_in)
+    }
+
+    #[test]
+    fn avgpool_instances_match_the_plain_loops() {
+        // f = 2 runs the constant instance, the others the run-time one.
+        let mut rng = Xoshiro256pp::seed_from(9);
+        for f in [1, 2, 3, 4] {
+            let (c, h, w) = (3, 2 * f, 3 * f);
+            let mut pool = AvgPool2d::new(c, h, w, f);
+            let x = Tensor::randn(&[4, c * h * w], 1.0, &mut rng);
+            let go = Tensor::randn(&[4, c * 6], 1.0, &mut rng);
+            let (want_y, want_gx) = pool_reference((c, h, w, f), &x, &go);
+            let y = pool.forward(&[], &x, true);
+            assert_bits_eq(
+                y.as_slice(),
+                want_y.as_slice(),
+                &format!("forward, f = {f}"),
+            );
+            let gx = pool.backward(&[], &mut [], &go);
+            assert_bits_eq(
+                gx.as_slice(),
+                want_gx.as_slice(),
+                &format!("backward, f = {f}"),
+            );
+        }
     }
 
     #[test]

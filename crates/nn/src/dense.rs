@@ -81,6 +81,23 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, params: &[f32], grad_params: &mut [f32], grad_out: &Tensor) -> Tensor {
+        self.backward_params(params, grad_params, grad_out);
+        let batch = grad_out.rows();
+        let (w, _) = params.split_at(self.weight_len());
+        // grad_in = grad_out · W   ([batch,out]·[out,in])
+        let mut grad_in = Tensor::zeros(&[batch, self.in_features]);
+        fedwcm_tensor::matmul::matmul_into(
+            grad_out.as_slice(),
+            w,
+            grad_in.as_mut_slice(),
+            batch,
+            self.out_features,
+            self.in_features,
+        );
+        grad_in
+    }
+
+    fn backward_params(&mut self, _params: &[f32], grad_params: &mut [f32], grad_out: &Tensor) {
         let input = self
             .cached_input
             .as_ref()
@@ -91,7 +108,6 @@ impl Layer for Dense {
         let batch = input.rows();
         assert_eq!(grad_out.rows(), batch);
         assert_eq!(grad_out.cols(), self.out_features);
-        let (w, _) = params.split_at(self.weight_len());
         let (gw, gb) = grad_params.split_at_mut(self.weight_len());
 
         // gW[o, i] += Σ_batch grad_out[b, o] * input[b, i]  →  gradᵀ·x
@@ -109,17 +125,6 @@ impl Layer for Dense {
                 *g += go;
             }
         }
-        // grad_in = grad_out · W   ([batch,out]·[out,in])
-        let mut grad_in = Tensor::zeros(&[batch, self.in_features]);
-        fedwcm_tensor::matmul::matmul_into(
-            grad_out.as_slice(),
-            w,
-            grad_in.as_mut_slice(),
-            batch,
-            self.out_features,
-            self.in_features,
-        );
-        grad_in
     }
 
     fn release_cache(&mut self) {

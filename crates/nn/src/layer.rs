@@ -11,6 +11,13 @@ use fedwcm_tensor::Tensor;
 /// Layers may cache activations from the most recent `forward` call — the
 /// model guarantees `backward` follows the corresponding `forward`.
 ///
+/// [`Model::backward`](crate::Model::backward) returns nothing, so its
+/// first layer's input gradient has no consumer: the model calls
+/// [`Layer::backward_params`] on layer 0 and [`Layer::backward`] on every
+/// other layer (a container calls `backward` on its inner layers). With
+/// `debug_invariants` that gradient is therefore no longer
+/// finiteness-checked — it is never computed; the parameter gradients are.
+///
 /// Layers are `Send + Sync` and cloneable (via [`Layer::clone_box`]) so a
 /// model can be duplicated per worker for read-only parallel evaluation.
 pub trait Layer: Send + Sync {
@@ -34,6 +41,13 @@ pub trait Layer: Send + Sync {
     /// Backward pass: accumulate parameter gradients into `grad_params`
     /// (same length as `params`) and return the input gradient.
     fn backward(&mut self, params: &[f32], grad_params: &mut [f32], grad_out: &Tensor) -> Tensor;
+
+    /// The parameter-gradient half of [`Layer::backward`] alone: the same
+    /// accumulation into `grad_params`, bit for bit, no input gradient.
+    /// `Dense` and `Conv2d` override it to skip that gradient's work.
+    fn backward_params(&mut self, params: &[f32], grad_params: &mut [f32], grad_out: &Tensor) {
+        let _ = self.backward(params, grad_params, grad_out);
+    }
 
     /// Free what `forward(train = true)` cached (activations, masks,
     /// patch panels, work space), returning the layer to its
@@ -257,6 +271,61 @@ pub fn init_weights_biases(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conv::reference::assert_bits_eq;
+    use crate::conv::{AvgPool2d, Conv2d};
+    use crate::dense::Dense;
+    use crate::residual::Residual;
+
+    /// `backward_params` accumulates exactly what `backward` does, onto
+    /// a gradient buffer that already holds something.
+    fn assert_backward_params_matches_backward(mut layer: impl Layer, in_features: usize) {
+        let mut rng = Xoshiro256pp::seed_from(31);
+        let mut params = vec![0.0; layer.param_len()];
+        layer.init_params(&mut params, &mut rng);
+        let x = Tensor::randn(&[5, in_features], 1.0, &mut rng);
+        let go = Tensor::randn(&[5, layer.out_features(in_features)], 1.0, &mut rng);
+        let seeded = Tensor::randn(&[params.len()], 1.0, &mut rng).into_vec();
+
+        let (mut full, mut half) = (seeded.clone(), seeded.clone());
+        let _ = layer.forward(&params, &x, true);
+        let _ = layer.backward(&params, &mut full, &go);
+        let _ = layer.forward(&params, &x, true);
+        layer.backward_params(&params, &mut half, &go);
+        assert_bits_eq(&half, &full, layer.name());
+        assert!(params.is_empty() || half != seeded, "{}", layer.name());
+    }
+
+    #[test]
+    fn params_half_matches_backward_for_every_layer() {
+        assert_backward_params_matches_backward(Dense::new(7, 4), 7);
+        assert_backward_params_matches_backward(Conv2d::new(3, 8, 8, 12, 3, 1, 1), 3 * 64);
+        assert_backward_params_matches_backward(Conv2d::new(2, 7, 6, 3, 3, 2, 0), 2 * 42);
+        // The defaulted method: run `backward`, drop the tensor.
+        assert_backward_params_matches_backward(Relu::new(), 9);
+        assert_backward_params_matches_backward(AvgPool2d::new(2, 4, 4, 2), 32);
+        let body: Vec<Box<dyn Layer>> = vec![
+            Box::new(Dense::new(6, 6)),
+            Box::new(Relu::new()),
+            Box::new(Dense::new(6, 6)),
+        ];
+        assert_backward_params_matches_backward(Residual::new(body), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "dense backward without forward(train=true)")]
+    fn cold_dense_params_half_panics_like_backward() {
+        let mut d = Dense::new(3, 2);
+        let params = vec![0.0; d.param_len()];
+        d.backward_params(&params, &mut [0.0; 8], &Tensor::zeros(&[1, 2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "conv backward without forward(train=true)")]
+    fn cold_conv_params_half_panics_like_backward() {
+        let mut c = Conv2d::new(1, 3, 3, 2, 3, 1, 1);
+        let params = vec![0.0; c.param_len()];
+        c.backward_params(&params, &mut [0.0; 20], &Tensor::zeros(&[1, 18]));
+    }
 
     #[test]
     fn relu_forward_clamps() {

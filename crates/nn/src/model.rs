@@ -149,6 +149,10 @@ impl Model {
 
     /// Backward pass from a logits gradient; fills `grads` (accumulating).
     ///
+    /// Nothing reads the input gradient of the first layer, so that layer
+    /// is asked for its parameter gradients only
+    /// ([`Layer::backward_params`]); every caller gets the saving.
+    ///
     /// With the `debug_invariants` feature, the incoming logits gradient,
     /// every propagated layer gradient, and the final parameter gradient
     /// buffer are checked for non-finite values; release builds skip all
@@ -164,14 +168,16 @@ impl Model {
         let mut g = Cow::Borrowed(grad_logits);
         for (idx, (l, &(off, len))) in self.layers.iter_mut().zip(&self.offsets).enumerate().rev() {
             let (p, gp) = (&self.params[off..off + len], &mut grads[off..off + len]);
-            if prof::active() {
-                let t0 = prof::now();
-                g = Cow::Owned(l.backward(p, gp, &g));
-                prof::record("bwd", l.name(), prof::now().saturating_sub(t0));
+            let t0 = prof::active().then(prof::now);
+            if idx == 0 {
+                l.backward_params(p, gp, &g);
             } else {
                 g = Cow::Owned(l.backward(p, gp, &g));
             }
-            if invariants::ENABLED {
+            if let Some(t0) = t0 {
+                prof::record("bwd", l.name(), prof::now().saturating_sub(t0));
+            }
+            if invariants::ENABLED && idx > 0 {
                 let name = l.name();
                 g.debug_assert_finite(|| format!("backward gradient out of layer {idx} ({name})"));
                 invariants::check_len(g.rows(), batch, || {
@@ -254,9 +260,12 @@ impl Model {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conv::reference::assert_bits_eq;
     use crate::dense::Dense;
     use crate::layer::Relu;
     use crate::loss::{CrossEntropy, Loss};
+    use crate::models::{mlp, res_lite};
+    use crate::residual::Residual;
 
     fn tiny_model(seed: u64) -> Model {
         let mut rng = Xoshiro256pp::seed_from(seed);
@@ -335,6 +344,46 @@ mod tests {
         assert!(after < initial * 0.1, "loss {initial} -> {after}");
         assert_eq!(m.accuracy(&x, &y), 1.0);
         assert_eq!(m.predict(&x), vec![0, 1, 2]);
+    }
+
+    /// The reference for `Model::backward`: every layer, the first
+    /// included, produces its input gradient.
+    fn backward_through_every_layer(m: &mut Model, grad_logits: &Tensor, grads: &mut [f32]) {
+        let mut g = grad_logits.clone();
+        for (l, &(off, len)) in m.layers.iter_mut().zip(&m.offsets).rev() {
+            g = l.backward(&m.params[off..off + len], &mut grads[off..off + len], &g);
+        }
+    }
+
+    #[test]
+    fn skipping_the_first_input_gradient_changes_no_parameter_gradient() {
+        let mut rng = Xoshiro256pp::seed_from(12);
+        let residual_first = Model::new(
+            vec![
+                Box::new(Residual::new(vec![
+                    Box::new(Dense::new(6, 6)),
+                    Box::new(Relu::new()),
+                    Box::new(Dense::new(6, 6)),
+                ])),
+                Box::new(Dense::new(6, 3)),
+            ],
+            6,
+            &mut rng,
+        );
+        for mut m in [
+            mlp(64, &[256], 10, &mut rng),
+            res_lite(3, 8, 8, 10, 12, &mut rng),
+            residual_first,
+        ] {
+            let x = Tensor::randn(&[7, m.in_features()], 1.0, &mut rng);
+            let y: Vec<usize> = (0..7).map(|i| i % m.out_features()).collect();
+            let (_, dlogits) = CrossEntropy.loss_and_grad(&m.forward(&x, true), &y);
+            let seeded = Tensor::randn(&[m.param_len()], 1.0, &mut rng).into_vec();
+            let (mut got, mut want) = (seeded.clone(), seeded);
+            m.backward(&dlogits, &mut got);
+            backward_through_every_layer(&mut m, &dlogits, &mut want);
+            assert_bits_eq(&got, &want, &format!("{:?}", m.layer_names()));
+        }
     }
 
     #[test]

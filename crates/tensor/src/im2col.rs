@@ -6,9 +6,24 @@
 //! matrix `[c_out, c_in*kh*kw]` by it yields the output `[c_out, oh*ow]`.
 //! `col2im` scatters gradients back — the exact adjoint of `im2col`.
 //!
-//! The `*_panel` forms place several images side by side in one patch
-//! panel `[c_in*kh*kw, nb*oh*ow]`, image `s` at column offset `s*oh*ow`,
-//! so a layer runs one GEMM per panel instead of one per image.
+//! **Definition and map.** The free [`im2col`]/[`col2im`] are the
+//! definition: plain loops over one image that redo the stride/pad/kernel
+//! arithmetic for every element and keep nothing; the tests hold
+//! everything else against them. A layer that lowers the same geometry
+//! every step uses a [`PatchMap`]: the arithmetic runs once, into a table
+//! with one entry per patch-matrix element, and lowering and its adjoint
+//! are a gather and a scatter through the table in the definition's
+//! row-major order — every `grad_input` element receives its
+//! contributions in the same order, so the bits agree. The map works on a
+//! patch *panel* `[c_in*kh*kw, nb*oh*ow]` that places several images side
+//! by side, image `s` at column offset `s*oh*ow`, so a layer runs one GEMM
+//! per panel instead of one per image.
+//!
+//! The map belongs to whoever lowers (`fedwcm-nn`'s `Conv2d` builds one in
+//! its constructor and shares it with its clones); nothing is cached for
+//! the life of the process. Entries are `u32`: the table is read once per
+//! lowered float, so half the bytes is half the cache taken from the GEMM
+//! operands (6.9 KB at most for a ResLite geometry).
 
 /// Static description of a 2-D convolution geometry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,28 +82,15 @@ impl ConvGeom {
 /// Lower one image `[c_in, h, w]` into the patch matrix
 /// `[patch_rows, patch_cols]` (row-major into `cols`).
 pub fn im2col(geom: &ConvGeom, input: &[f32], cols: &mut [f32]) {
-    assert_eq!(
-        cols.len(),
-        geom.patch_rows() * geom.patch_cols(),
-        "cols buffer size"
-    );
-    im2col_panel(geom, input, cols, geom.patch_cols(), 0);
-}
-
-/// Lower one image into columns `col0..col0 + patch_cols` of a patch
-/// panel `[patch_rows, ld]` shared by several images, so one GEMM can
-/// run over all of them. [`im2col`] is the `ld = patch_cols`, `col0 = 0`
-/// case.
-pub fn im2col_panel(geom: &ConvGeom, input: &[f32], panel: &mut [f32], ld: usize, col0: usize) {
     assert_eq!(input.len(), geom.input_len(), "input buffer size");
     let (oh, ow) = (geom.oh(), geom.ow());
-    check_panel(geom, panel.len(), ld, col0);
+    assert_eq!(cols.len(), geom.patch_rows() * oh * ow, "cols buffer size");
     let mut row = 0usize;
     for c in 0..geom.c_in {
         let chan = &input[c * geom.h * geom.w..(c + 1) * geom.h * geom.w];
         for ky in 0..geom.kh {
             for kx in 0..geom.kw {
-                let out_row = &mut panel[row * ld + col0..row * ld + col0 + oh * ow];
+                let out_row = &mut cols[row * oh * ow..(row + 1) * oh * ow];
                 let mut col = 0usize;
                 for oy in 0..oh {
                     let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
@@ -118,33 +120,15 @@ pub fn im2col_panel(geom: &ConvGeom, input: &[f32], panel: &mut [f32], ld: usize
 /// the input gradient buffer (which must be pre-zeroed by the caller if a
 /// fresh gradient is wanted — the kernel accumulates).
 pub fn col2im(geom: &ConvGeom, cols: &[f32], grad_input: &mut [f32]) {
-    assert_eq!(
-        cols.len(),
-        geom.patch_rows() * geom.patch_cols(),
-        "cols buffer size"
-    );
-    col2im_panel(geom, cols, geom.patch_cols(), 0, grad_input);
-}
-
-/// Adjoint of [`im2col_panel`]: scatter-add columns
-/// `col0..col0 + patch_cols` of a patch-gradient panel `[patch_rows, ld]`
-/// into one image's input gradient (accumulating, like [`col2im`]).
-pub fn col2im_panel(
-    geom: &ConvGeom,
-    panel: &[f32],
-    ld: usize,
-    col0: usize,
-    grad_input: &mut [f32],
-) {
     assert_eq!(grad_input.len(), geom.input_len(), "grad buffer size");
     let (oh, ow) = (geom.oh(), geom.ow());
-    check_panel(geom, panel.len(), ld, col0);
+    assert_eq!(cols.len(), geom.patch_rows() * oh * ow, "cols buffer size");
     let mut row = 0usize;
     for c in 0..geom.c_in {
         let base = c * geom.h * geom.w;
         for ky in 0..geom.kh {
             for kx in 0..geom.kw {
-                let col_row = &panel[row * ld + col0..row * ld + col0 + oh * ow];
+                let col_row = &cols[row * oh * ow..(row + 1) * oh * ow];
                 let mut col = 0usize;
                 for oy in 0..oh {
                     let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
@@ -167,14 +151,91 @@ pub fn col2im_panel(
     }
 }
 
-/// A `[patch_rows, ld]` panel must hold one image's columns at `col0`.
-fn check_panel(geom: &ConvGeom, panel_len: usize, ld: usize, col0: usize) {
-    assert!(
-        col0 + geom.patch_cols() <= ld,
-        "panel columns {col0}+{} exceed its leading dimension {ld}",
-        geom.patch_cols()
-    );
-    assert_eq!(panel_len, geom.patch_rows() * ld, "panel buffer size");
+/// [`PatchMap`] entry of a patch element in the zero padding. No input is
+/// this long (asserted at construction), so it is also out of range.
+const PAD: u32 = u32::MAX;
+
+/// The lowering of one [`ConvGeom`] as a table: for each element of one
+/// image's patch matrix, row-major, the input index it copies, or `PAD`.
+/// The only place a layer's stride/pad/kernel arithmetic runs.
+#[derive(Debug)]
+pub struct PatchMap {
+    geom: ConvGeom,
+    idx: Vec<u32>,
+}
+
+impl PatchMap {
+    /// Tabulate `geom`.
+    pub fn new(geom: &ConvGeom) -> Self {
+        assert!(geom.input_len() < PAD as usize, "input too long for u32");
+        let (oh, ow) = (geom.oh(), geom.ow());
+        // An element is inside the image iff its coordinate in the padded
+        // image falls in `pad..pad + dim`.
+        let (ys, xs) = (geom.pad..geom.pad + geom.h, geom.pad..geom.pad + geom.w);
+        let mut idx = Vec::with_capacity(geom.patch_rows() * oh * ow);
+        for c in 0..geom.c_in {
+            for ky in 0..geom.kh {
+                for kx in 0..geom.kw {
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let (py, px) = (oy * geom.stride + ky, ox * geom.stride + kx);
+                            idx.push(if ys.contains(&py) && xs.contains(&px) {
+                                ((c * geom.h + py - geom.pad) * geom.w + px - geom.pad) as u32
+                            } else {
+                                PAD
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        PatchMap { geom: *geom, idx }
+    }
+
+    /// Lower one image into columns `col0..col0 + patch_cols` of a patch
+    /// panel `[patch_rows, ld]` shared by several images, so one GEMM can
+    /// run over all of them. [`im2col`] is the `ld = patch_cols`,
+    /// `col0 = 0` case.
+    pub fn lower(&self, input: &[f32], panel: &mut [f32], ld: usize, col0: usize) {
+        assert_eq!(input.len(), self.geom.input_len(), "input buffer size");
+        let pc = self.check_panel(panel.len(), ld, col0);
+        for (row, idx) in panel.chunks_exact_mut(ld).zip(self.idx.chunks_exact(pc)) {
+            for (d, &i) in row[col0..col0 + pc].iter_mut().zip(idx) {
+                // A select, never a multiply by a mask: `NaN·0` is NaN.
+                *d = input.get(i as usize).copied().unwrap_or(0.0);
+            }
+        }
+    }
+
+    /// Adjoint of [`PatchMap::lower`]: scatter-add columns
+    /// `col0..col0 + patch_cols` of a patch-gradient panel
+    /// `[patch_rows, ld]` into one image's input gradient (accumulating,
+    /// like [`col2im`]).
+    pub fn scatter_add(&self, panel: &[f32], ld: usize, col0: usize, grad_input: &mut [f32]) {
+        assert_eq!(grad_input.len(), self.geom.input_len(), "grad buffer size");
+        let pc = self.check_panel(panel.len(), ld, col0);
+        for (row, idx) in panel.chunks_exact(ld).zip(self.idx.chunks_exact(pc)) {
+            for (&g, &i) in row[col0..col0 + pc].iter().zip(idx) {
+                // `+=` even where an element is hit once: assigning would
+                // turn `0.0 + -0.0` into `-0.0`.
+                if let Some(x) = grad_input.get_mut(i as usize) {
+                    *x += g;
+                }
+            }
+        }
+    }
+
+    /// A `[patch_rows, ld]` panel must hold one image's columns at `col0`;
+    /// returns `patch_cols`.
+    fn check_panel(&self, panel_len: usize, ld: usize, col0: usize) -> usize {
+        let pc = self.geom.patch_cols();
+        assert!(
+            col0 + pc <= ld,
+            "panel columns {col0}+{pc} exceed its leading dimension {ld}"
+        );
+        assert_eq!(panel_len, self.geom.patch_rows() * ld, "panel buffer size");
+        pc
+    }
 }
 
 #[cfg(test)]
@@ -262,18 +323,19 @@ mod tests {
 
     #[test]
     fn panel_forms_are_adjoint_at_a_column_offset() {
-        // <im2col_panel(x), y> == <x, col2im_panel(y)> for the second of
-        // three image slots; the other slots of the panel stay untouched.
+        // <lower(x), y> == <x, scatter_add(y)> for the second of three
+        // image slots; the other slots of the panel stay untouched.
         let g = geom(2, 6, 5, 3, 2, 0);
+        let map = PatchMap::new(&g);
         let (pr, pc) = (g.patch_rows(), g.patch_cols());
         let (ld, col0) = (3 * pc, pc);
         let mut rng = Xoshiro256pp::seed_from(8);
         let x: Vec<f32> = (0..g.input_len()).map(|_| rng.next_f32() - 0.5).collect();
         let y: Vec<f32> = (0..pr * ld).map(|_| rng.next_f32() - 0.5).collect();
         let mut ax = vec![f32::NAN; pr * ld];
-        im2col_panel(&g, &x, &mut ax, ld, col0);
+        map.lower(&x, &mut ax, ld, col0);
         let mut aty = vec![0.0; x.len()];
-        col2im_panel(&g, &y, ld, col0, &mut aty);
+        map.scatter_add(&y, ld, col0, &mut aty);
         let mut lhs = 0.0f32;
         for r in 0..pr {
             for col in 0..ld {
@@ -288,7 +350,7 @@ mod tests {
         let rhs: f32 = x.iter().zip(&aty).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
 
-        // The contiguous functions are the ld = patch_cols, col0 = 0 case.
+        // The definition is the ld = patch_cols, col0 = 0 case.
         let mut flat = vec![0.0; pr * pc];
         im2col(&g, &x, &mut flat);
         for r in 0..pr {
@@ -304,7 +366,7 @@ mod tests {
     fn panel_slot_past_the_leading_dimension_panics() {
         let g = geom(1, 3, 3, 2, 1, 0);
         let mut panel = vec![0.0; g.patch_rows() * 6];
-        im2col_panel(&g, &[0.0; 9], &mut panel, 6, 4);
+        PatchMap::new(&g).lower(&[0.0; 9], &mut panel, 6, 4);
     }
 
     #[test]
