@@ -5,13 +5,15 @@
 //! order with fresh main-clock ticks.
 
 use fedwcm_algos::fedavg::FedAvg;
+use fedwcm_core::FedWcm;
 use fedwcm_data::longtail::longtail_counts;
 use fedwcm_data::partition::paper_partition;
 use fedwcm_data::synth::DatasetPreset;
-use fedwcm_fl::{FlConfig, History, Simulation};
+use fedwcm_faults::{FaultConfig, FaultPlan};
+use fedwcm_fl::{Cadence, FlConfig, History, NetConfig, NetPlan, Simulation};
 use fedwcm_nn::models::mlp;
 use fedwcm_stats::Xoshiro256pp;
-use fedwcm_trace::{JsonlSink, LogicalClock, MetricsRegistry, SharedBuf, Tracer};
+use fedwcm_trace::{JsonlSink, LogicalClock, MetricValue, MetricsRegistry, SharedBuf, Tracer};
 use std::sync::Arc;
 
 /// Run a small traced simulation and return the raw JSONL bytes plus
@@ -100,3 +102,144 @@ fn trace_contains_the_span_taxonomy() {
     }
     assert!(history.metrics.get("fl.rounds").is_some());
 }
+
+/// Everything one chaos run leaves behind, as text: the JSONL stream
+/// under a [`LogicalClock`], then the metrics snapshot, then every
+/// `RoundRecord` field — floats as bit patterns. Client faults of every
+/// kind and a lossy wire are both attached, so the fault hook, the
+/// transport, the containment filter and the cadence all leave marks.
+fn chaos_run_text(cadence: Cadence, quorum_frac: f64, threads: usize) -> String {
+    let spec = DatasetPreset::FashionMnist.spec();
+    let counts = longtail_counts(10, 30, 0.5);
+    let train = spec.generate_train(&counts, 78);
+    let test = spec.generate_test(78);
+
+    let mut cfg = FlConfig::default_sim();
+    cfg.clients = 8;
+    cfg.participation = 0.5;
+    cfg.rounds = 8;
+    cfg.eval_every = 4;
+    cfg.seed = 47;
+    cfg.threads = threads;
+    cfg.cadence = cadence;
+    cfg.quorum_frac = quorum_frac;
+    let views = paper_partition(&train, cfg.clients, 0.3, cfg.seed).views(&train);
+
+    let buf = SharedBuf::new();
+    let tracer = Tracer::new(
+        Box::new(LogicalClock::new()),
+        Arc::new(JsonlSink::new(buf.clone())),
+    );
+    let sim = Simulation::new(
+        cfg,
+        &train,
+        &test,
+        views,
+        Box::new(|| {
+            let mut rng = Xoshiro256pp::seed_from(31);
+            mlp(64, &[16], 10, &mut rng)
+        }),
+    )
+    .with_fault_plan(FaultPlan::new(FaultConfig {
+        dropout: 0.3,
+        straggler: 0.15,
+        max_delay: 3,
+        corruption: 0.15,
+        replay: 0.05,
+        ..FaultConfig::zero(0xC405)
+    }))
+    .with_net_plan(NetPlan::new(NetConfig {
+        drop: 0.15,
+        corrupt: 0.1,
+        duplicate: 0.05,
+        reorder: 0.05,
+        delay: 0.15,
+        max_delay_rounds: 2,
+        ..NetConfig::zero(5)
+    }))
+    .with_tracer(tracer.clone())
+    .with_metrics(Arc::new(MetricsRegistry::new()));
+
+    let history = sim.run(&mut FedWcm::new());
+    tracer.flush();
+    let mut text = String::from_utf8(buf.contents()).expect("JSONL is UTF-8");
+    for e in &history.metrics.entries {
+        let value = match &e.value {
+            MetricValue::Counter(v) => format!("counter {v}"),
+            MetricValue::Gauge(v) => format!("gauge {:#018x}", v.to_bits()),
+            MetricValue::Histogram(h) => format!(
+                "histogram {} {:#018x} {:?} {}",
+                h.total,
+                h.sum.to_bits(),
+                h.counts,
+                h.nan_rejected
+            ),
+        };
+        text.push_str(&format!("{} {value}\n", e.name));
+    }
+    let bits = |v: Option<f64>| v.map(f64::to_bits);
+    for r in &history.records {
+        text.push_str(&format!(
+            "{} {:?} {:#018x} {:?} {:?} {} {} {:?} {:?}\n",
+            r.round,
+            bits(r.train_loss),
+            r.update_norm.to_bits(),
+            bits(r.test_acc),
+            bits(r.alpha),
+            r.aggregations,
+            r.dropped_updates,
+            r.faults,
+            r.net
+        ));
+    }
+    text
+}
+
+/// Golden bytes for what no probe traces: `buffer_flush` / `async_apply`
+/// spans, the `fl.cadence.*` metrics, and a sync round that fails
+/// quorum and re-queues a late arrival — each under the chaos plan and
+/// a lossy wire. Blessed on the single-file engine (commit 86a62c2),
+/// before it was split into stages; any changed byte since is a bug.
+#[test]
+fn chaos_traces_of_every_cadence_match_their_golden_crc() {
+    let cases = [
+        (Cadence::Sync, 0.5, "late_requeue", GOLDEN_SYNC_REQUEUE_CRC),
+        (
+            Cadence::BufferedK { k: 2 },
+            0.0,
+            "\"name\":\"buffer_flush\"",
+            GOLDEN_BUFFERED_CRC,
+        ),
+        (
+            Cadence::Async { max_in_flight: 2 },
+            0.0,
+            "\"name\":\"async_apply\"",
+            GOLDEN_ASYNC_CRC,
+        ),
+    ];
+    for (cadence, quorum_frac, marker, golden) in cases {
+        let label = cadence.label();
+        let text = chaos_run_text(cadence, quorum_frac, 1);
+        for needle in [marker, "\"name\":\"send_frame\"", "\"name\":\"retry\""] {
+            assert!(text.contains(needle), "{label}: trace lacks {needle}");
+        }
+        if cadence != Cadence::Sync {
+            assert!(text.contains("fl.cadence.buffered gauge"), "{label}");
+        }
+        assert_eq!(
+            text,
+            chaos_run_text(cadence, quorum_frac, 4),
+            "{label}: 1 vs 4 threads"
+        );
+        assert_eq!(
+            fedwcm_transport::frame::crc32(text.as_bytes()),
+            golden,
+            "{label}: trace, metrics or record bytes changed ({} bytes)",
+            text.len()
+        );
+    }
+}
+
+const GOLDEN_SYNC_REQUEUE_CRC: u32 = 0xF3B0_637D;
+const GOLDEN_BUFFERED_CRC: u32 = 0xB626_53A8;
+const GOLDEN_ASYNC_CRC: u32 = 0x5BEF_6173;
