@@ -1,0 +1,106 @@
+//! Stage 3 — the wire: route this round's fresh uploads through the
+//! fault-tolerant transport. Without an effective network plan this is
+//! the identity and no `fl.net.*` metric is touched, so zero-plan
+//! snapshots stay identical to runs that never had a transport.
+
+use super::{PendingUpdate, ReceivedUpdate, RoundCtx, RunState};
+use crate::codec::Wire;
+use crate::undiscounted::Undiscounted;
+use crate::wire;
+use fedwcm_trace::{names, Value};
+use fedwcm_transport::{AttemptOutcome, Courier, NetCounters, NetPlan, RetryPolicy, Verdict};
+
+/// Deliver `received` under `plan` and return what arrived.
+///
+/// Each fresh upload is serialized, framed, and delivered by a
+/// [`Courier`] over the deterministic in-memory link in client-id
+/// order (the order `received` already has). Outcomes map onto the
+/// existing failure machinery: delivered payloads are decoded back
+/// into received updates; transport delays park the upload in the
+/// straggler buffer (merged with a staleness discount when due);
+/// exhausted retry budgets drop the upload, exactly like a dropout
+/// fault — the quorum rule decides what the round does about it.
+/// Late arrivals (staleness > 0) already crossed the wire when they
+/// were fresh and pass through untouched.
+pub(super) fn deliver(
+    plan: Option<&NetPlan>,
+    policy: RetryPolicy,
+    ctx: &RoundCtx<'_>,
+    received: Vec<ReceivedUpdate>,
+    state: &mut RunState,
+    net: &mut NetCounters,
+) -> Vec<ReceivedUpdate> {
+    let Some(plan) = plan else {
+        return received;
+    };
+    let (round, tracer) = (ctx.round, ctx.tracer);
+    let mut courier = Courier::new(plan, policy, state.net_ticks);
+    let mut out: Vec<ReceivedUpdate> = Vec::with_capacity(received.len());
+    for r in received {
+        if r.staleness > 0 {
+            out.push(r);
+            continue;
+        }
+        let client = r.update.client();
+        // One sequence number per (round, client) delivery; retries
+        // of the same upload share it, so duplicates are detected.
+        let seq = ((round as u64) << 32) | client as u64;
+        let payload = r.update.encode();
+        let send_span = tracer.span(names::SEND_FRAME, ctx.at(client));
+        let delivery = courier.deliver(round as u64, client as u64, seq, &payload);
+        if tracer.enabled() {
+            for outcome in &delivery.log {
+                let mut fields = ctx.at(client);
+                match outcome {
+                    AttemptOutcome::Acked => {
+                        fields.push(("attempts", Value::U64(u64::from(delivery.attempts))));
+                        tracer.point(names::ACK, fields);
+                    }
+                    // The `ack` point is emitted when the deferred
+                    // delivery is merged, rounds later.
+                    AttemptOutcome::Delayed { .. } => {}
+                    failed => {
+                        fields.push(("reason", Value::Str(failed.label().to_string())));
+                        tracer.point(names::RETRY, fields);
+                    }
+                }
+            }
+        }
+        drop(send_span);
+        match delivery.verdict {
+            Verdict::Delivered { payload } => match wire::decode_update(&payload) {
+                Some(update) => out.push(ReceivedUpdate {
+                    staleness: 0,
+                    via_net: true,
+                    update: Undiscounted::new(update),
+                }),
+                // An acknowledged frame whose payload fails to parse
+                // would be a codec defect; degrade to a dropout rather
+                // than poison or panic.
+                None => net.degraded = net.degraded.saturating_add(1),
+            },
+            Verdict::Delayed { rounds } => state.pending.push(PendingUpdate {
+                arrival_round: round + rounds,
+                staleness: rounds,
+                via_net: true,
+                update: r.update,
+            }),
+            // Degrades into the dropout machinery: the round has one
+            // fewer fresh upload and quorum decides the rest.
+            Verdict::Exhausted => {}
+        }
+    }
+    net.merge(&courier.counters());
+    state.net_ticks = courier.ticks();
+    if let Some(reg) = ctx.registry {
+        reg.counter_add(names::FL_NET_FRAMES_SENT, net.frames_sent);
+        reg.counter_add(names::FL_NET_RETRIES, net.retries);
+        reg.counter_add(names::FL_NET_REJECTED_FRAMES, net.rejected_frames);
+        reg.counter_add(names::FL_NET_DUPLICATES, net.duplicates);
+        reg.counter_add(names::FL_NET_DELAYED, net.delayed);
+        reg.counter_add(names::FL_NET_DEGRADED, net.degraded);
+        reg.counter_add(names::FL_NET_RETRANSMITTED_BYTES, net.retransmitted_bytes);
+        reg.counter_add(names::FL_NET_REJECTED_BYTES, net.rejected_bytes);
+    }
+    out
+}

@@ -1,0 +1,238 @@
+//! Stage 6 — evaluation: one per-class tally of the global model over
+//! the test set, and every accuracy figure read from it.
+
+use super::RoundCtx;
+use fedwcm_data::dataset::Dataset;
+use fedwcm_nn::model::Model;
+use fedwcm_parallel::{chunk_ranges, parallel_map};
+use fedwcm_trace::{names, Value};
+
+/// Evaluation batch size (memory bound, not a hyper-parameter).
+const EVAL_BATCH: usize = 256;
+
+/// Evaluate `global` in one pass over `test`: `evaluate` span, overall
+/// accuracy, and — with a registry attached, from the same tally —
+/// per-class gauges plus the tail-mean gauge (the long-tail synthesis
+/// orders classes head to tail by frequency, so the final third of
+/// class ids is the tail).
+pub(super) fn evaluate(
+    ctx: &RoundCtx<'_>,
+    model: &mut Model,
+    global: &[f32],
+    test: &Dataset,
+    threads: usize,
+) -> f64 {
+    let t0 = ctx.tracer.now();
+    let acc = {
+        let _g = ctx.tracer.span(
+            names::EVALUATE,
+            vec![("round", Value::U64(ctx.round as u64))],
+        );
+        model.set_params(global);
+        let tally = class_tally(model, test, threads);
+        let acc = overall_accuracy(&tally);
+        if let Some(reg) = ctx.registry {
+            reg.gauge_set(names::FL_ACC_OVERALL, acc);
+            let pc = class_accuracies(&tally);
+            let tail_len = pc.len() / 3;
+            let tail_from = pc.len() - tail_len;
+            let mut tail_sum = 0.0;
+            for (c, &a) in pc.iter().enumerate() {
+                reg.gauge_set(&format!("{}{c:02}", names::FL_ACC_CLASS_PREFIX), a);
+                if c >= tail_from {
+                    tail_sum += a;
+                }
+            }
+            if tail_len > 0 {
+                reg.gauge_set(names::FL_ACC_TAIL, tail_sum / tail_len as f64);
+            }
+        }
+        acc
+    };
+    ctx.observe_phase(names::FL_PHASE_EVALUATE, t0);
+    acc
+}
+
+/// Per-class `(correct, total)` counts of `model` over `dataset`: the one
+/// pass every accuracy figure is read from.
+///
+/// Evaluation batches are contiguous row ranges of [`EVAL_BATCH`]
+/// samples, spread in contiguous runs over up to `threads` workers (each
+/// on its own model replica). The counts are integers added in
+/// batch-index order, so they are identical for every thread count.
+fn class_tally(model: &mut Model, dataset: &Dataset, threads: usize) -> Vec<(usize, usize)> {
+    let classes = dataset.classes();
+    let n_batches = dataset.len().div_ceil(EVAL_BATCH);
+    let tally_batches = |model: &mut Model, b0: usize, b1: usize| {
+        let mut tally = vec![(0usize, 0usize); classes];
+        for b in b0..b1 {
+            let end = ((b + 1) * EVAL_BATCH).min(dataset.len());
+            let (x, y) = dataset.range_batch(b * EVAL_BATCH, end);
+            for (p, &t) in model.predict(&x).iter().zip(y) {
+                tally[t].0 += usize::from(*p == t);
+                tally[t].1 += 1;
+            }
+        }
+        tally
+    };
+    let threads = threads.clamp(1, n_batches.max(1));
+    if threads <= 1 {
+        return tally_batches(model, 0, n_batches);
+    }
+    let chunks = chunk_ranges(n_batches, threads);
+    let model_ref: &Model = model;
+    let partials = parallel_map(chunks.len(), threads, |ci| {
+        let (b0, b1) = chunks[ci];
+        tally_batches(&mut model_ref.clone(), b0, b1)
+    });
+    let mut tally = vec![(0usize, 0usize); classes];
+    for partial in partials {
+        for (acc, (c, t)) in tally.iter_mut().zip(partial) {
+            acc.0 += c;
+            acc.1 += t;
+        }
+    }
+    tally
+}
+
+/// Overall accuracy from a [`class_tally`]: `Σ correct / n` (0 on an
+/// empty dataset).
+fn overall_accuracy(tally: &[(usize, usize)]) -> f64 {
+    let (correct, n) = tally
+        .iter()
+        .fold((0usize, 0usize), |(c, n), &(ci, ni)| (c + ci, n + ni));
+    if n == 0 {
+        0.0
+    } else {
+        correct as f64 / n as f64
+    }
+}
+
+/// Per-class accuracy from a [`class_tally`] (classes with no test
+/// samples report 0).
+fn class_accuracies(tally: &[(usize, usize)]) -> Vec<f64> {
+    tally
+        .iter()
+        .map(|&(c, t)| if t == 0 { 0.0 } else { c as f64 / t as f64 })
+        .collect()
+}
+
+/// Overall accuracy of `model` on `dataset`, evaluated in batches.
+pub fn evaluate_accuracy(model: &mut Model, dataset: &Dataset) -> f64 {
+    evaluate_accuracy_threads(model, dataset, 1)
+}
+
+/// Like [`evaluate_accuracy`], but spreads the evaluation batches over up
+/// to `threads` workers; bitwise identical for every thread count.
+pub fn evaluate_accuracy_threads(model: &mut Model, dataset: &Dataset, threads: usize) -> f64 {
+    overall_accuracy(&class_tally(model, dataset, threads))
+}
+
+/// Per-class accuracy of `model` on `dataset` (classes with no test
+/// samples report 0).
+pub fn per_class_accuracy(model: &mut Model, dataset: &Dataset) -> Vec<f64> {
+    per_class_accuracy_threads(model, dataset, 1)
+}
+
+/// Like [`per_class_accuracy`], but batch-chunk parallel: the same tally
+/// [`evaluate_accuracy_threads`] reads.
+pub fn per_class_accuracy_threads(
+    model: &mut Model,
+    dataset: &Dataset,
+    threads: usize,
+) -> Vec<f64> {
+    class_accuracies(&class_tally(model, dataset, threads))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fedwcm_data::synth::DatasetPreset;
+    use fedwcm_nn::models::mlp;
+    use fedwcm_stats::rng::Xoshiro256pp;
+
+    #[test]
+    fn parallel_eval_matches_sequential() {
+        let spec = DatasetPreset::FashionMnist.spec();
+        let test = spec.generate_test(22);
+        let mut rng = Xoshiro256pp::seed_from(9);
+        let mut model = mlp(64, &[16], 10, &mut rng);
+        let gold_acc = evaluate_accuracy_threads(&mut model, &test, 1);
+        let gold_pc = per_class_accuracy_threads(&mut model, &test, 1);
+        for threads in [2, 3, 8] {
+            let acc = evaluate_accuracy_threads(&mut model, &test, threads);
+            assert_eq!(acc.to_bits(), gold_acc.to_bits(), "threads={threads}");
+            let pc = per_class_accuracy_threads(&mut model, &test, threads);
+            let gold_bits: Vec<u64> = gold_pc.iter().map(|v| v.to_bits()).collect();
+            let bits: Vec<u64> = pc.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, gold_bits, "threads={threads}");
+        }
+    }
+
+    /// Both public evaluators read one integer tally: overall accuracy is
+    /// `Σ correct / n` and the per-class vector is what a gather-and-count
+    /// loop over the same batches gives, at 1 and 3 threads, with a class
+    /// that has no test samples reporting 0.
+    #[test]
+    fn both_evaluators_read_one_tally() {
+        let spec = DatasetPreset::FashionMnist.spec();
+        let full = spec.generate_test(23);
+        let kept: Vec<usize> = (0..full.len()).filter(|&i| full.label(i) != 3).collect();
+        let (x, y) = full.gather(&kept);
+        let test = Dataset::new(x, y, 10);
+        assert!(
+            test.len() > 2 * EVAL_BATCH,
+            "several batches, a ragged last"
+        );
+        let mut rng = Xoshiro256pp::seed_from(9);
+        let mut model = mlp(64, &[16], 10, &mut rng);
+
+        let (mut correct, mut total) = (vec![0usize; 10], vec![0usize; 10]);
+        for start in (0..test.len()).step_by(EVAL_BATCH) {
+            let idx: Vec<usize> = (start..(start + EVAL_BATCH).min(test.len())).collect();
+            let (x, y) = test.gather(&idx);
+            for (p, t) in model.predict(&x).into_iter().zip(y) {
+                total[t] += 1;
+                correct[t] += usize::from(p == t);
+            }
+        }
+        assert_eq!(total[3], 0);
+        let overall = correct.iter().sum::<usize>() as f64 / test.len() as f64;
+        let per_class: Vec<u64> = correct
+            .iter()
+            .zip(&total)
+            .map(|(&c, &t)| if t == 0 { 0.0 } else { c as f64 / t as f64 })
+            .map(f64::to_bits)
+            .collect();
+
+        for threads in [1, 3] {
+            let tally = class_tally(&mut model, &test, threads);
+            let counts: (Vec<usize>, Vec<usize>) = tally.iter().copied().unzip();
+            assert_eq!(
+                counts,
+                (correct.clone(), total.clone()),
+                "threads={threads}"
+            );
+            let acc = evaluate_accuracy_threads(&mut model, &test, threads);
+            assert_eq!(acc.to_bits(), overall.to_bits(), "threads={threads}");
+            let pc = per_class_accuracy_threads(&mut model, &test, threads);
+            let bits: Vec<u64> = pc.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, per_class, "threads={threads}");
+            assert_eq!(pc[3], 0.0);
+        }
+    }
+
+    #[test]
+    fn per_class_accuracy_shapes() {
+        let spec = DatasetPreset::FashionMnist.spec();
+        let test = spec.generate_test(14);
+        let mut rng = Xoshiro256pp::seed_from(7);
+        let mut model = mlp(64, &[16], 10, &mut rng);
+        let pc = per_class_accuracy(&mut model, &test);
+        assert_eq!(pc.len(), 10);
+        let overall = evaluate_accuracy(&mut model, &test);
+        let mean_pc: f64 = pc.iter().sum::<f64>() / 10.0;
+        // Balanced test set ⇒ overall equals the mean per-class accuracy.
+        assert!((overall - mean_pc).abs() < 1e-9);
+    }
+}

@@ -46,6 +46,7 @@ pub mod comms;
 pub mod config;
 pub mod engine;
 pub mod metrics;
+mod observe;
 pub mod quadratic;
 mod undiscounted;
 pub mod wire;

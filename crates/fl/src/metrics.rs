@@ -39,7 +39,7 @@ impl RoundFaults {
 }
 
 /// One round's record.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RoundRecord {
     /// Round index.
     pub round: usize,
