@@ -1035,11 +1035,28 @@ fn cadence_event_loop_files_are_not_blessed() {
     // table, which would let wall-clock or environment reads creep
     // into the aggregation path unnoticed.
     use fedwcm_lint::BLESSINGS;
-    for f in [
-        "crates/fl/src/engine.rs",
-        "crates/fl/src/cadence.rs",
-        "crates/fl/src/checkpoint.rs",
-    ] {
+    // The engine is a directory of stage files: read it, so a stage
+    // added later is under the gates the day it lands.
+    let root = workspace_root();
+    let mut files = vec![
+        "crates/fl/src/cadence.rs".to_string(),
+        "crates/fl/src/checkpoint.rs".to_string(),
+        "crates/fl/src/observe.rs".to_string(),
+    ];
+    let engine_dir = "crates/fl/src/engine";
+    for entry in std::fs::read_dir(root.join(engine_dir)).expect("engine directory readable") {
+        let name = entry.expect("directory entry").file_name();
+        let name = name.to_str().expect("UTF-8 file name");
+        if name.ends_with(".rs") {
+            files.push(format!("{engine_dir}/{name}"));
+        }
+    }
+    files.sort();
+    assert!(
+        files.len() >= 10 && files.iter().any(|f| f.ends_with("engine/mod.rs")),
+        "engine stage files not found: {files:?}"
+    );
+    for f in &files {
         assert!(
             BLESSINGS.iter().all(|b| b.path != f),
             "{f} must not appear in the blessing table"
@@ -1049,7 +1066,6 @@ fn cadence_event_loop_files_are_not_blessed() {
     // And the real files pass the determinism family outright: no
     // std::time, no environment reads, no iteration-order-dependent
     // collections, no ad-hoc thread counts.
-    let root = workspace_root();
     let cfg = LintConfig::only([
         "determinism-collections",
         "determinism-time",
@@ -1058,7 +1074,7 @@ fn cadence_event_loop_files_are_not_blessed() {
         "determinism-threads",
     ])
     .expect("known rules");
-    for f in ["crates/fl/src/engine.rs", "crates/fl/src/cadence.rs"] {
+    for f in &files {
         let src = std::fs::read_to_string(root.join(f)).expect("source readable");
         let d = lint_file(f, &src, &cfg);
         assert!(
