@@ -28,6 +28,7 @@ use crate::cadence::Cadence;
 use crate::codec::{wire_struct, Wire};
 use crate::engine::{BufferedUpdate, PendingUpdate, RunState, Simulation};
 use crate::metrics::History;
+use crate::undiscounted::Undiscounted;
 
 const MAGIC: &[u8; 4] = b"FWCK";
 /// The one format version written and read.
@@ -52,7 +53,10 @@ pub enum CheckpointError {
     /// round count, parameter arity) does not match the checkpoint's.
     ConfigMismatch,
     /// The byte buffer does not parse as a checkpoint (bad magic,
-    /// unsupported version, truncation, or corrupt lengths).
+    /// unsupported version, truncation, or corrupt lengths) — or it
+    /// parses, but its buffered uploads or round counters cannot belong
+    /// to the resuming simulation (a client id past `cfg.clients`, a
+    /// delta of another parameter count, an upload staler than its round).
     Malformed,
     /// The algorithm rejected the recorded state blob.
     State(StateError),
@@ -158,6 +162,27 @@ impl ServerCheckpoint {
         ]
     }
 
+    /// Whether a run of `sim` could have written the buffered state.
+    /// `from_bytes` checks structure only, so bytes from another process
+    /// can parse and still index out of a per-client table, feed `axpy` a
+    /// delta of the wrong length or underflow `round - staleness` rounds
+    /// later. Float payloads are deliberately not range-checked: a NaN
+    /// delta is the containment filter's business, and loud mode's.
+    fn fits(&self, sim: &Simulation<'_>) -> bool {
+        let (clients, params) = (sim.cfg.clients, self.global.len());
+        let upload_fits = |u: &Undiscounted| u.client() < clients && u.delta().len() == params;
+        let late_fits =
+            |p: &PendingUpdate| upload_fits(&p.update) && p.staleness <= p.arrival_round;
+        let held_fits =
+            |b: &BufferedUpdate| upload_fits(&b.update) && b.base_round <= self.next_round;
+        let mut cached = self.replay_cache.iter().flatten();
+        self.next_round <= sim.cfg.rounds
+            && self.pending.iter().all(late_fits)
+            && self.agg_buffer.iter().all(held_fits)
+            && [0, clients].contains(&self.replay_cache.len())
+            && cached.all(|d| d.len() == params)
+    }
+
     /// Capture the current server state of `sim` (internal; reached via
     /// [`Simulation::run_until`]).
     pub(crate) fn capture(
@@ -205,6 +230,9 @@ impl ServerCheckpoint {
         if sim.cfg.cadence != self.cadence {
             return Err(CheckpointError::ConfigMismatch);
         }
+        if !self.fits(sim) {
+            return Err(CheckpointError::Malformed);
+        }
         algo.load_state(&self.algo_state)
             .map_err(CheckpointError::State)?;
         // Reload the attached registry so resumed accumulation continues
@@ -239,5 +267,131 @@ impl ServerCheckpoint {
             .and_then(|rest| rest.strip_prefix(VERSION.to_le_bytes().as_slice()))
             .and_then(Self::decode)
             .ok_or(CheckpointError::Malformed)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::algorithm::{state_from_vec, state_to_vec, RoundInput, RoundLog};
+    use crate::client::{ClientEnv, ClientUpdate};
+    use crate::config::FlConfig;
+    use crate::engine::tests::{build_sim, fedavg_step, plain_sgd};
+    use fedwcm_data::longtail::longtail_counts;
+    use fedwcm_data::synth::DatasetPreset;
+    use fedwcm_faults::{FaultConfig, FaultPlan};
+    use fedwcm_transport::{NetConfig, NetPlan};
+
+    /// FedAvg with (empty) state capture, so `run_until` accepts it.
+    struct StatefulAvg;
+
+    impl FederatedAlgorithm for StatefulAvg {
+        fn name(&self) -> String {
+            "stateful-avg".into()
+        }
+        fn local_train(&self, env: &ClientEnv<'_>, global: &[f32]) -> ClientUpdate {
+            plain_sgd(env, global)
+        }
+        fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
+            fedavg_step(global, input)
+        }
+        fn save_state(&self) -> Option<Vec<u8>> {
+            Some(state_from_vec(&[]))
+        }
+        fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
+            state_to_vec(bytes).map(|_| ())
+        }
+    }
+
+    /// The same upload with one field of the client's update rewritten.
+    fn rewritten(u: &Undiscounted, edit: impl FnOnce(&mut ClientUpdate)) -> Undiscounted {
+        let mut update = u.clone().apply(0, 1.0);
+        edit(&mut update);
+        Undiscounted::new(update)
+    }
+
+    /// A checkpoint that parses but cannot belong to the simulation is a
+    /// typed error at `resume`, not a panic three calls later — one
+    /// tampered field at a time, each through real FWCK bytes, from a
+    /// buffered chaos checkpoint whose every buffer is populated.
+    #[test]
+    fn a_checkpoint_that_cannot_belong_to_the_simulation_is_malformed() {
+        let spec = DatasetPreset::FashionMnist.spec();
+        let train = spec.generate_train(&longtail_counts(10, 40, 0.5), 91);
+        let test = spec.generate_test(91);
+        let mut cfg = FlConfig::default_sim();
+        cfg.clients = 4;
+        cfg.participation = 0.75;
+        cfg.rounds = 8;
+        cfg.local_epochs = 1;
+        cfg.batch_size = 16;
+        cfg.eval_every = 3;
+        cfg.seed = 55;
+        cfg.cadence = Cadence::BufferedK { k: 4 };
+        let sim = build_sim(&train, &test, cfg)
+            .with_fault_plan(FaultPlan::new(FaultConfig {
+                seed: 11,
+                dropout: 0.1,
+                straggler: 0.3,
+                max_delay: 3,
+                corruption: 0.1,
+                replay: 0.2,
+            }))
+            .with_net_plan(NetPlan::new(NetConfig {
+                drop: 0.1,
+                corrupt: 0.05,
+                delay: 0.3,
+                max_delay_rounds: 2,
+                ..NetConfig::zero(15)
+            }));
+        let good = sim.run_until(&mut StatefulAvg, 5).expect("capture");
+        assert!(!good.pending.is_empty() && !good.agg_buffer.is_empty());
+        assert!(good.replay_cache.iter().any(Option::is_some));
+
+        // Untampered, it still resumes — bit for bit, metrics included.
+        let full = sim.run(&mut StatefulAvg);
+        let resumed = sim.resume(&mut StatefulAvg, &good).expect("resume");
+        assert_eq!(full.encode(), resumed.encode());
+
+        type Tamper = fn(&mut ServerCheckpoint);
+        let cases: [(&str, Tamper); 9] = [
+            ("pending client out of range", |c| {
+                c.pending[0].update = rewritten(&c.pending[0].update, |u| u.client = 4);
+            }),
+            ("buffered client out of range", |c| {
+                c.agg_buffer[0].update = rewritten(&c.agg_buffer[0].update, |u| u.client = 99);
+            }),
+            ("pending delta of the wrong length", |c| {
+                c.pending[0].update = rewritten(&c.pending[0].update, |u| u.delta.truncate(7));
+            }),
+            ("buffered delta of the wrong length", |c| {
+                c.agg_buffer[0].update = rewritten(&c.agg_buffer[0].update, |u| u.delta.push(0.0));
+            }),
+            ("replay-cache entry of the wrong length", |c| {
+                let slot = c.replay_cache.iter_mut().flatten().next();
+                slot.expect("a cached upload").pop();
+            }),
+            ("replay cache of the wrong size", |c| {
+                c.replay_cache.pop();
+            }),
+            ("base_round past next_round", |c| {
+                c.agg_buffer[0].base_round = c.next_round + 1;
+            }),
+            ("staleness past arrival_round", |c| {
+                c.pending[0].staleness = c.pending[0].arrival_round + 1;
+            }),
+            ("next_round past cfg.rounds", |c| c.next_round = 9),
+        ];
+        for (label, tamper) in cases {
+            let mut bad = good.clone();
+            tamper(&mut bad);
+            let reparsed = ServerCheckpoint::from_bytes(&bad.to_bytes())
+                .unwrap_or_else(|e| panic!("{label}: structure is intact, yet {e}"));
+            assert_eq!(
+                sim.resume(&mut StatefulAvg, &reparsed).err(),
+                Some(CheckpointError::Malformed),
+                "{label}"
+            );
+        }
     }
 }

@@ -298,7 +298,7 @@ impl<'a> Simulation<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::algorithm::{server_step, uniform_average, RoundInput, RoundLog};
     use crate::client::{run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
@@ -312,7 +312,7 @@ mod tests {
 
     /// Plain local SGD on cross-entropy: the client half of every test
     /// algorithm in the stage files.
-    pub(super) fn plain_sgd(env: &ClientEnv<'_>, global: &[f32]) -> ClientUpdate {
+    pub(crate) fn plain_sgd(env: &ClientEnv<'_>, global: &[f32]) -> ClientUpdate {
         let spec = LocalSgdSpec {
             loss: &CrossEntropy,
             balanced_sampler: false,
@@ -323,7 +323,7 @@ mod tests {
     }
 
     /// The FedAvg server step: the aggregation half of the same.
-    pub(super) fn fedavg_step(global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
+    pub(crate) fn fedavg_step(global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
         let mut dir = vec![0.0f32; global.len()];
         uniform_average(&input.updates, &mut dir);
         server_step(global, &dir, input.cfg, input.mean_batches());
@@ -348,7 +348,7 @@ mod tests {
         }
     }
 
-    pub(super) fn build_sim<'a>(
+    pub(crate) fn build_sim<'a>(
         ds: &'a Dataset,
         test: &'a Dataset,
         cfg: FlConfig,
