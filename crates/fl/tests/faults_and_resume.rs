@@ -10,78 +10,15 @@
 //!   bitwise-identical history and global model;
 //! * every checkpoint error path is typed, not a panic.
 
-use fedwcm_data::dataset::Dataset;
-use fedwcm_data::longtail::longtail_counts;
-use fedwcm_data::partition::paper_partition;
-use fedwcm_data::synth::DatasetPreset;
+mod support;
+
 use fedwcm_faults::{FaultConfig, FaultKind, FaultPlan};
-use fedwcm_fl::algorithm::{
-    server_step, state_from_vec, state_to_vec, uniform_average, RoundInput, RoundLog, StateError,
+use fedwcm_fl::algorithm::{RoundInput, RoundLog};
+use fedwcm_fl::client::{ClientEnv, ClientUpdate};
+use fedwcm_fl::{sampled_clients_for, CheckpointError, FederatedAlgorithm, ServerCheckpoint};
+use support::{
+    assert_bitwise_eq, build_sim, busy_plan, make_cfg, make_data, plain_sgd, MiniMomentum,
 };
-use fedwcm_fl::client::{run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
-use fedwcm_fl::{
-    sampled_clients_for, CheckpointError, FederatedAlgorithm, FlConfig, History, ServerCheckpoint,
-    Simulation,
-};
-use fedwcm_nn::loss::CrossEntropy;
-use fedwcm_nn::models::mlp;
-use fedwcm_stats::Xoshiro256pp;
-
-/// FedCM-shaped test algorithm: a server momentum buffer is its whole
-/// cross-round state, so a resume that silently reset it would diverge
-/// from the uninterrupted run immediately.
-struct MiniMomentum {
-    beta: f32,
-    momentum: Vec<f32>,
-}
-
-impl MiniMomentum {
-    fn new() -> Self {
-        MiniMomentum {
-            beta: 0.7,
-            momentum: Vec::new(),
-        }
-    }
-}
-
-impl FederatedAlgorithm for MiniMomentum {
-    fn name(&self) -> String {
-        "mini-momentum".into()
-    }
-
-    fn local_train(&self, env: &ClientEnv<'_>, global: &[f32]) -> ClientUpdate {
-        let spec = LocalSgdSpec {
-            loss: &CrossEntropy,
-            balanced_sampler: false,
-            lr: env.cfg.local_lr,
-            epochs: env.cfg.local_epochs,
-        };
-        run_local_sgd(env, global, &spec, |_, _, _| {})
-    }
-
-    fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-        if self.momentum.is_empty() {
-            self.momentum = vec![0.0f32; global.len()];
-        }
-        let mut dir = vec![0.0f32; global.len()];
-        uniform_average(&input.updates, &mut dir);
-        for (m, d) in self.momentum.iter_mut().zip(&dir) {
-            *m = self.beta * *m + (1.0 - self.beta) * d;
-        }
-        let step = self.momentum.clone();
-        server_step(global, &step, input.cfg, input.mean_batches());
-        RoundLog::default()
-    }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(state_from_vec(&self.momentum))
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        self.momentum = state_to_vec(bytes)?;
-        Ok(())
-    }
-}
 
 /// An algorithm that keeps the trait's conservative default: no state
 /// capture. Checkpointing it must fail loudly.
@@ -93,97 +30,11 @@ impl FederatedAlgorithm for NoCapture {
     }
 
     fn local_train(&self, env: &ClientEnv<'_>, global: &[f32]) -> ClientUpdate {
-        let spec = LocalSgdSpec {
-            loss: &CrossEntropy,
-            balanced_sampler: false,
-            lr: env.cfg.local_lr,
-            epochs: env.cfg.local_epochs,
-        };
-        run_local_sgd(env, global, &spec, |_, _, _| {})
+        plain_sgd(env, global)
     }
 
     fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-        let mut dir = vec![0.0f32; global.len()];
-        uniform_average(&input.updates, &mut dir);
-        server_step(global, &dir, input.cfg, input.mean_batches());
-        RoundLog::default()
-    }
-}
-
-fn make_data(seed: u64) -> (Dataset, Dataset) {
-    let spec = DatasetPreset::FashionMnist.spec();
-    let counts = longtail_counts(10, 60, 0.5);
-    (spec.generate_train(&counts, seed), spec.generate_test(seed))
-}
-
-fn make_cfg(rounds: usize) -> FlConfig {
-    let mut cfg = FlConfig::default_sim();
-    cfg.clients = 6;
-    cfg.participation = 0.5;
-    cfg.rounds = rounds;
-    cfg.local_epochs = 1;
-    cfg.batch_size = 20;
-    cfg.eval_every = 2;
-    cfg.seed = 77;
-    cfg
-}
-
-fn build_sim<'a>(train: &'a Dataset, test: &'a Dataset, cfg: FlConfig) -> Simulation<'a> {
-    let views = paper_partition(train, cfg.clients, 0.5, cfg.seed).views(train);
-    Simulation::new(
-        cfg,
-        train,
-        test,
-        views,
-        Box::new(|| {
-            let mut rng = Xoshiro256pp::seed_from(4242);
-            mlp(64, &[24], 10, &mut rng)
-        }),
-    )
-}
-
-/// A plan that exercises every fault type at once.
-fn busy_plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(FaultConfig {
-        dropout: 0.2,
-        straggler: 0.2,
-        max_delay: 3,
-        corruption: 0.1,
-        replay: 0.1,
-        ..FaultConfig::zero(seed)
-    })
-}
-
-fn assert_bitwise_eq(a: &History, b: &History, label: &str) {
-    assert_eq!(a.records.len(), b.records.len(), "{label}: round counts");
-    for (x, y) in a.records.iter().zip(&b.records) {
-        assert_eq!(x.round, y.round, "{label}");
-        assert_eq!(
-            x.train_loss.map(f64::to_bits),
-            y.train_loss.map(f64::to_bits),
-            "{label}: round {} train_loss",
-            x.round
-        );
-        assert_eq!(
-            x.update_norm.to_bits(),
-            y.update_norm.to_bits(),
-            "{label}: round {} update_norm",
-            x.round
-        );
-        assert_eq!(
-            x.test_acc.map(f64::to_bits),
-            y.test_acc.map(f64::to_bits),
-            "{label}: round {} test_acc",
-            x.round
-        );
-        assert_eq!(
-            x.alpha.map(f64::to_bits),
-            y.alpha.map(f64::to_bits),
-            "{label}: round {} alpha",
-            x.round
-        );
-        assert_eq!(x.dropped_updates, y.dropped_updates, "{label}");
-        assert_eq!(x.faults, y.faults, "{label}: round {} faults", x.round);
+        support::StubAvg.aggregate(global, input)
     }
 }
 

@@ -2,6 +2,8 @@
 //! convention invariants, and fault-plan determinism under arbitrary
 //! inputs.
 
+mod support;
+
 use fedwcm_data::longtail::longtail_counts;
 use fedwcm_data::partition::paper_partition;
 use fedwcm_data::synth::DatasetPreset;
@@ -199,17 +201,10 @@ proptest! {
         for threads in [1usize, 4] {
             let sim = tiny_sim(&train, &test, threads)
                 .with_fault_plan(plan_from(seed, dropout, straggler, corruption, 0.0));
-            let mut algo = fedwcm_algos_stub::StubAvg;
+            let mut algo = support::StubAvg;
             runs.push(sim.run(&mut algo));
         }
-        let (a, b) = (&runs[0], &runs[1]);
-        prop_assert_eq!(a.records.len(), b.records.len());
-        for (x, y) in a.records.iter().zip(&b.records) {
-            prop_assert_eq!(x.train_loss.map(f64::to_bits), y.train_loss.map(f64::to_bits));
-            prop_assert_eq!(x.update_norm.to_bits(), y.update_norm.to_bits());
-            prop_assert_eq!(x.test_acc.map(f64::to_bits), y.test_acc.map(f64::to_bits));
-            prop_assert_eq!(x.faults, y.faults);
-        }
+        support::assert_bitwise_eq(&runs[0], &runs[1], "threads 1 vs 4");
     }
 
     /// The all-zero-rate plan is byte-identical to no plan at all: the
@@ -218,12 +213,12 @@ proptest! {
     fn zero_rate_plan_checkpoint_bytes_match_no_plan(plan_seed in any::<u64>()) {
         let (train, test) = tiny_data();
         let without = tiny_sim(&train, &test, 1)
-            .run_until(&mut fedwcm_algos_stub::StubAvg, 3)
+            .run_until(&mut support::StubAvg, 3)
             .expect("capture")
             .to_bytes();
         let with_zero = tiny_sim(&train, &test, 1)
             .with_fault_plan(FaultPlan::zero(plan_seed))
-            .run_until(&mut fedwcm_algos_stub::StubAvg, 3)
+            .run_until(&mut support::StubAvg, 3)
             .expect("capture")
             .to_bytes();
         prop_assert_eq!(without, with_zero);
@@ -256,8 +251,7 @@ fn chaos_checkpoint() -> ServerCheckpoint {
     sim.cfg.rounds = 8;
     sim.cfg.participation = 0.75;
     sim.cfg.cadence = Cadence::BufferedK { k: 4 };
-    sim.run_until(&mut fedwcm_algos_stub::StubAvg, 5)
-        .expect("capture")
+    sim.run_until(&mut support::StubAvg, 5).expect("capture")
 }
 
 /// The chaos checkpoint's FWCK bytes, computed once for the whole file.
@@ -359,51 +353,6 @@ proptest! {
             let reparsed = ServerCheckpoint::from_bytes(&again);
             prop_assert!(reparsed.is_ok(), "accepted input must re-parse (byte {at})");
             prop_assert_eq!(reparsed.map(|c| c.to_bytes()).ok(), Some(again));
-        }
-    }
-}
-
-/// Minimal FedAvg used by the engine-level properties (the real one lives
-/// in `fedwcm-algos`, which `fedwcm-fl` cannot depend on).
-mod fedwcm_algos_stub {
-    use fedwcm_fl::algorithm::{
-        server_step, state_from_vec, state_to_vec, uniform_average, FederatedAlgorithm, RoundInput,
-        RoundLog, StateError,
-    };
-    use fedwcm_fl::client::{run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
-    use fedwcm_nn::loss::CrossEntropy;
-
-    pub struct StubAvg;
-
-    impl FederatedAlgorithm for StubAvg {
-        fn name(&self) -> String {
-            "stub-avg".into()
-        }
-
-        fn local_train(&self, env: &ClientEnv<'_>, global: &[f32]) -> ClientUpdate {
-            let spec = LocalSgdSpec {
-                loss: &CrossEntropy,
-                balanced_sampler: false,
-                lr: env.cfg.local_lr,
-                epochs: env.cfg.local_epochs,
-            };
-            run_local_sgd(env, global, &spec, |_, _, _| {})
-        }
-
-        fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-            let mut dir = vec![0.0f32; global.len()];
-            uniform_average(&input.updates, &mut dir);
-            server_step(global, &dir, input.cfg, input.mean_batches());
-            RoundLog::default()
-        }
-
-        fn save_state(&self) -> Option<Vec<u8>> {
-            Some(state_from_vec(&[]))
-        }
-
-        fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-            state_to_vec(bytes)?;
-            Ok(())
         }
     }
 }
