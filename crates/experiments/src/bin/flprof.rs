@@ -15,8 +15,8 @@
 //! success, 1 when a budget or diff gate fails, 2 on usage or input
 //! errors.
 
-use fedwcm_experiments::prof;
 use fedwcm_experiments::Cli;
+use fedwcm_obs::{analyze_text, folded_stacks, run_budget, run_diff};
 
 enum Format {
     Table,
@@ -88,7 +88,7 @@ fn main() {
                 usage("expected exactly one TRACE argument");
             };
             let text = read(trace_path);
-            let (profile, forest) = match prof::analyze_trace_text(&text) {
+            let (profile, forest) = match analyze_text(&text) {
                 Ok(r) => r,
                 Err(e) => fail(&e),
             };
@@ -101,16 +101,16 @@ fn main() {
             ));
             match command.as_deref() {
                 Some("analyze") => match format {
-                    Format::Table => print!("{}", prof::profile_table(&profile)),
-                    Format::Json => print!("{}", prof::profile_json(&profile)),
+                    Format::Table => print!("{}", profile.table()),
+                    Format::Json => print!("{}", profile.to_json().to_json_string_pretty()),
                 },
-                Some("flame") => print!("{}", prof::flame_text(&forest)),
+                Some("flame") => print!("{}", folded_stacks(&forest)),
                 _ => {
                     let Some(budget_path) = budget_path else {
                         usage("budget needs --budget FILE");
                     };
                     let budget_text = read(&budget_path);
-                    let (report, ok) = match prof::run_budget(&budget_text, &profile) {
+                    let (report, ok) = match run_budget(&budget_text, &profile) {
                         Ok(r) => r,
                         Err(e) => fail(&e),
                     };
@@ -129,7 +129,7 @@ fn main() {
             };
             let budget_text = budget_path.as_deref().map(read);
             let (report, ok) =
-                match prof::run_diff(&read(base_path), &read(cur_path), budget_text.as_deref()) {
+                match run_diff(&read(base_path), &read(cur_path), budget_text.as_deref()) {
                     Ok(r) => r,
                     Err(e) => fail(&e),
                 };

@@ -14,7 +14,6 @@
 pub mod cli;
 pub mod collapse;
 pub mod methods;
-pub mod prof;
 pub mod report;
 pub mod setup;
 

@@ -360,6 +360,31 @@ pub fn diff(baseline: &Profile, current: &Profile, budget: Option<&Budget>) -> D
     }
 }
 
+/// Evaluate a budget document against a profile: the report JSON
+/// (pretty, byte-stable) and whether every ceiling held.
+pub fn run_budget(budget_text: &str, profile: &Profile) -> Result<(String, bool), ObsError> {
+    let report = Budget::parse(budget_text)?.check(profile);
+    Ok((report.to_json().to_json_string_pretty(), report.ok()))
+}
+
+/// Diff a current profile document against a committed baseline,
+/// optionally gated by a budget's `growth_ratio_max`: the
+/// `fedwcm-prof-diff/v1` report JSON and whether no regression fired.
+pub fn run_diff(
+    baseline_text: &str,
+    current_text: &str,
+    budget_text: Option<&str>,
+) -> Result<(String, bool), ObsError> {
+    let profile = |text: &str| Profile::from_json(&crate::json::parse(text.trim_end(), 1)?);
+    let budget = budget_text.map(Budget::parse).transpose()?;
+    let report = diff(
+        &profile(baseline_text)?,
+        &profile(current_text)?,
+        budget.as_ref(),
+    );
+    Ok((report.to_json().to_json_string_pretty(), report.ok()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,7 +19,9 @@
 //! 4. [`flame::folded_stacks`] — collapsed flame-graph output.
 //! 5. [`budget`] — committed performance budgets ([`Budget::check`])
 //!    and baseline diffs ([`budget::diff`]) whose reports are sorted,
-//!    timestamp-free, and byte-stable, so CI can gate on them.
+//!    timestamp-free, and byte-stable, so CI can gate on them;
+//!    [`run_budget`] / [`run_diff`] are the text-in, report-out forms
+//!    the `flprof` binary prints.
 //!
 //! Because traces are bitwise identical across thread counts, every
 //! artifact here — profile, flame file, diff report — is too. The
@@ -34,6 +36,7 @@
 //! let records = fedwcm_obs::parse_trace(trace).unwrap();
 //! let forest = fedwcm_obs::build_forest(&records).unwrap();
 //! let profile = fedwcm_obs::analyze(&forest);
+//! assert_eq!(profile, fedwcm_obs::analyze_text(trace).unwrap().0);
 //! assert_eq!(profile.total_ticks, 5);
 //! assert_eq!(profile.rounds[0].critical_path, "round;client_update");
 //! ```
@@ -49,10 +52,20 @@ pub mod profile;
 pub mod record;
 pub mod tree;
 
-pub use budget::{diff, Budget, BudgetReport, DiffReport, PhaseBudget, PhaseDiff};
+pub use budget::{
+    diff, run_budget, run_diff, Budget, BudgetReport, DiffReport, PhaseBudget, PhaseDiff,
+};
 pub use error::ObsError;
 pub use flame::folded_stacks;
 pub use json::Json;
 pub use profile::{analyze, Attribution, PhaseStat, PointStat, Profile, RoundLabel, RoundProfile};
 pub use record::{parse_trace, RecordKind, TraceRecord, TraceValue};
 pub use tree::{build_forest, PointNode, SpanForest, SpanNode};
+
+/// Parse trace text and run the whole pipeline: records → forest →
+/// profile. The forest is returned too, so callers can render flame
+/// output without re-parsing.
+pub fn analyze_text(text: &str) -> Result<(Profile, SpanForest), ObsError> {
+    let forest = build_forest(&parse_trace(text)?)?;
+    Ok((analyze(&forest), forest))
+}

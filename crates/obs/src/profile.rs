@@ -494,6 +494,55 @@ impl Profile {
     pub fn phase(&self, name: &str) -> Option<&PhaseStat> {
         self.phases.iter().find(|p| p.name == name)
     }
+
+    /// Human-readable rendering: totals, the four-way attribution, a
+    /// per-phase table, and one line per round with its label and
+    /// critical path.
+    pub fn table(&self) -> String {
+        let mut out = String::new();
+        out.push_str(&format!(
+            "records {}  spans {}  points {}  total_ticks {}\n",
+            self.records, self.spans, self.points, self.total_ticks
+        ));
+        let a = self.attribution;
+        out.push_str(&format!(
+            "attribution: compute {}  faults {}  wire {}  overhead {}\n\n",
+            a.compute_ticks, a.fault_ticks, a.wire_ticks, a.overhead_ticks
+        ));
+        out.push_str(&format!(
+            "{:<16} {:>7} {:>9} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7}\n",
+            "phase", "count", "total", "self", "min", "max", "p50", "p95", "p99"
+        ));
+        for p in &self.phases {
+            out.push_str(&format!(
+                "{:<16} {:>7} {:>9} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7}\n",
+                p.name,
+                p.count,
+                p.total_ticks,
+                p.self_ticks,
+                p.min_ticks,
+                p.max_ticks,
+                p.p50_ticks,
+                p.p95_ticks,
+                p.p99_ticks
+            ));
+        }
+        if !self.rounds.is_empty() {
+            out.push('\n');
+            for r in &self.rounds {
+                out.push_str(&format!(
+                    "round {:>3}: {:>7} ticks  {:<15} faults={} retries={}  {}\n",
+                    r.round,
+                    r.ticks,
+                    r.label.as_str(),
+                    r.fault_points,
+                    r.retry_points,
+                    r.critical_path
+                ));
+            }
+        }
+        out
+    }
 }
 
 pub(crate) fn require_u64(doc: &Json, key: &str) -> Result<u64, ObsError> {

@@ -10,9 +10,9 @@ use fedwcm_algos::fedavg::FedAvg;
 use fedwcm_data::longtail::longtail_counts;
 use fedwcm_data::partition::paper_partition;
 use fedwcm_data::synth::DatasetPreset;
-use fedwcm_experiments::prof;
 use fedwcm_fl::{FlConfig, Simulation};
 use fedwcm_nn::models::mlp;
+use fedwcm_obs::{analyze_text, folded_stacks};
 use fedwcm_stats::Xoshiro256pp;
 use fedwcm_trace::{JsonlSink, LogicalClock, MetricsRegistry, SharedBuf, Tracer};
 use std::sync::Arc;
@@ -65,19 +65,20 @@ fn cifar10_profiles_are_bitwise_identical_across_thread_counts() {
     let t4 = traced_cifar10_run(4);
     assert_eq!(t1, t4, "traces must already be identical");
 
-    let (p1, f1) = prof::analyze_trace_text(&t1).expect("1-thread trace analyzes");
-    let (p4, f4) = prof::analyze_trace_text(&t4).expect("4-thread trace analyzes");
+    let (p1, f1) = analyze_text(&t1).expect("1-thread trace analyzes");
+    let (p4, f4) = analyze_text(&t4).expect("4-thread trace analyzes");
 
     // The profile documents and flame stacks are byte-identical.
-    assert_eq!(prof::profile_json(&p1), prof::profile_json(&p4));
-    assert_eq!(prof::flame_text(&f1), prof::flame_text(&f4));
-    assert_eq!(prof::profile_table(&p1), prof::profile_table(&p4));
+    let json = |p: &fedwcm_obs::Profile| p.to_json().to_json_string_pretty();
+    assert_eq!(json(&p1), json(&p4));
+    assert_eq!(folded_stacks(&f1), folded_stacks(&f4));
+    assert_eq!(p1.table(), p4.table());
 }
 
 #[test]
 fn cifar10_profile_has_the_expected_shape() {
     let text = traced_cifar10_run(1);
-    let (profile, _) = prof::analyze_trace_text(&text).expect("trace analyzes");
+    let (profile, _) = analyze_text(&text).expect("trace analyzes");
     assert_eq!(profile.rounds.len(), 3, "one RoundProfile per round");
     assert!(profile.phase("round").is_some());
     assert!(profile.phase("client_update").is_some());
