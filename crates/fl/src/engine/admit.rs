@@ -23,7 +23,7 @@ pub(crate) struct BufferedUpdate {
 
 /// One aggregation event's worth of uploads, oldest first, each with the
 /// staleness it pays at application.
-pub(super) type Batch = Vec<(usize, Undiscounted)>;
+pub(super) type Batch = Vec<ReceivedUpdate>;
 
 /// What the cadence decided for the round — the hand-off to `apply`.
 ///
@@ -146,10 +146,7 @@ fn barrier(
     }
     if !received.is_empty() && !faults.quorum_failed {
         return Admission::Apply {
-            batches: vec![received
-                .into_iter()
-                .map(|r| (r.staleness, r.update))
-                .collect()],
+            batches: vec![received],
             scale: 1.0,
         };
     }
@@ -205,12 +202,17 @@ fn buffer(round: usize, received: Vec<ReceivedUpdate>, state: &mut RunState) {
 }
 
 /// Take the `count * size` oldest buffered uploads as `count` batches of
-/// `size`, each upload aged to `round`.
+/// `size`, each upload aged to `round` (the buffer does not remember
+/// which uploads crossed the wire, and nothing downstream asks).
 fn take_batches(round: usize, state: &mut RunState, count: usize, size: usize) -> Vec<Batch> {
     let mut oldest = state
         .agg_buffer
         .drain(..count * size)
-        .map(|b| (round - b.base_round, b.update));
+        .map(|b| ReceivedUpdate {
+            staleness: round - b.base_round,
+            via_net: false,
+            update: b.update,
+        });
     (0..count)
         .map(|_| oldest.by_ref().take(size).collect())
         .collect()

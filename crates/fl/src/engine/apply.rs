@@ -43,16 +43,16 @@ fn event_span(
     let u = |v: usize| Value::U64(v as u64);
     let round = ("round", u(round));
     match (cadence, batch.first()) {
-        (Cadence::Async { .. }, Some((staleness, upload))) => (
+        (Cadence::Async { .. }, Some(only)) => (
             names::ASYNC_APPLY,
             vec![
                 round,
-                ("client", u(upload.client())),
-                ("staleness", u(*staleness)),
+                ("client", u(only.update.client())),
+                ("staleness", u(only.staleness)),
             ],
         ),
         (Cadence::BufferedK { .. }, _) => {
-            let oldest = batch.iter().map(|&(s, _)| s).max().unwrap_or(0);
+            let oldest = batch.iter().map(|r| r.staleness).max().unwrap_or(0);
             (
                 names::BUFFER_FLUSH,
                 vec![
@@ -101,7 +101,7 @@ pub(super) fn apply(
         let span = ctx.tracer.span(span_name, fields);
         let updates: Vec<ClientUpdate> = batch
             .into_iter()
-            .map(|(staleness, upload)| upload.apply(staleness, scale))
+            .map(|r| r.update.apply(r.staleness, scale))
             .collect();
         for u in &updates {
             loss_sum += f64::from(u.avg_loss);
