@@ -1,9 +1,9 @@
 //! Server aggregation cadences: when accumulated client updates are
 //! applied to the global model.
 //!
-//! The engine's round loop is an event-driven core over *received
-//! uploads*; the [`Cadence`] chosen in [`crate::FlConfig`] decides when
-//! those uploads turn into aggregation events:
+//! The engine's `admit` stage hands the round's *received uploads* to
+//! the [`Cadence`] chosen in [`crate::FlConfig`], which decides when
+//! they turn into aggregation events:
 //!
 //! * [`Cadence::Sync`] — the classic barrier: every round aggregates
 //!   exactly the uploads that survived that round (subject to the quorum
@@ -17,17 +17,17 @@
 //!   model it trained against).
 //! * [`Cadence::Async`] — fully asynchronous per-update application: each
 //!   buffered upload is applied individually, weighted by
-//!   `staleness_discount(s) / n̄` where `n̄` is the expected cohort size,
-//!   so a full round of asynchronous applies moves the model on the same
-//!   scale as one synchronous round. `max_in_flight` bounds how many
-//!   buffered uploads the server applies per round; the excess stays
-//!   buffered (and ages) — the bounded in-flight window of an async
-//!   server with a finite apply budget.
+//!   `staleness_discount(s) / n` where `n` is the number of applies that
+//!   round, so a round's applies move the model on the same scale as one
+//!   synchronous round however many uploads survived. `max_in_flight`
+//!   bounds how many buffered uploads the server applies per round; the
+//!   excess stays buffered (and ages) — the bounded in-flight window of
+//!   an async server with a finite apply budget.
 //!
 //! All three cadences are driven by the engine's logical round counter
 //! and `fedwcm-trace`'s `LogicalClock` — never wall time — so every run
 //! is bitwise deterministic across thread counts and replayable across
-//! checkpoint/resume (`FWCK` v3 serializes the aggregation buffer as
+//! checkpoint/resume (`FWCK` serializes the aggregation buffer as
 //! first-class server state).
 
 /// When the server applies accumulated client updates to the global
@@ -97,7 +97,7 @@ impl Cadence {
         }
     }
 
-    /// Wire encoding for `FWCK` v3 checkpoints: a variant tag and the
+    /// Wire encoding for `FWCK` checkpoints: a variant tag and the
     /// variant's parameter (0 for [`Cadence::Sync`]).
     pub(crate) fn tag_param(&self) -> (u32, u64) {
         match *self {

@@ -79,21 +79,14 @@ pub(super) fn admit(
         reg.counter_add(names::FL_UPDATES_DROPPED, record.dropped_updates as u64);
     }
 
-    let round = ctx.round;
     match cfg.cadence {
         Cadence::Sync => barrier(cfg, ctx, received, state, &mut record.faults),
         // FedBuff-style: one flush for every `k` buffered uploads,
         // oldest first, the remainder carried forward.
         Cadence::BufferedK { k } => {
-            buffer(round, received, state);
-            let flushes = state.agg_buffer.len() / k;
-            let batches = take_batches(round, state, flushes, k);
-            if let Some(reg) = ctx.registry {
-                reg.counter_add(names::FL_CADENCE_FLUSHES, flushes as u64);
-                reg.gauge_set(names::FL_CADENCE_BUFFERED, state.agg_buffer.len() as f64);
-            }
+            let flushes = buffer(ctx.round, received, state) / k;
             Admission::Apply {
-                batches,
+                batches: take_batches(ctx, state, names::FL_CADENCE_FLUSHES, flushes, k),
                 scale: 1.0,
             }
         }
@@ -106,16 +99,10 @@ pub(super) fn admit(
         // excess stays buffered (and ages) until a later round's budget
         // reaches it.
         Cadence::Async { max_in_flight } => {
-            buffer(round, received, state);
-            let applies = max_in_flight.min(state.agg_buffer.len());
-            let batches = take_batches(round, state, applies, 1);
-            if let Some(reg) = ctx.registry {
-                reg.counter_add(names::FL_CADENCE_ASYNC_APPLIES, applies as u64);
-                reg.gauge_set(names::FL_CADENCE_BUFFERED, state.agg_buffer.len() as f64);
-            }
+            let n = max_in_flight.min(buffer(ctx.round, received, state));
             Admission::Apply {
-                batches,
-                scale: 1.0f32 / applies.max(1) as f32,
+                batches: take_batches(ctx, state, names::FL_CADENCE_ASYNC_APPLIES, n, 1),
+                scale: 1.0f32 / n.max(1) as f32,
             }
         }
     }
@@ -191,31 +178,46 @@ fn mean_loss_f64(losses: impl Iterator<Item = f32>) -> Option<f64> {
     (n > 0).then(|| sum / n as f64)
 }
 
-/// Append the round's healthy uploads to the aggregation buffer.
-fn buffer(round: usize, received: Vec<ReceivedUpdate>, state: &mut RunState) {
+/// Append the round's healthy uploads to the aggregation buffer;
+/// returns how many it now holds.
+fn buffer(round: usize, received: Vec<ReceivedUpdate>, state: &mut RunState) -> usize {
     state
         .agg_buffer
         .extend(received.into_iter().map(|r| BufferedUpdate {
             base_round: round - r.staleness,
             update: r.update,
         }));
+    state.agg_buffer.len()
 }
 
 /// Take the `count * size` oldest buffered uploads as `count` batches of
-/// `size`, each upload aged to `round` (the buffer does not remember
-/// which uploads crossed the wire, and nothing downstream asks).
-fn take_batches(round: usize, state: &mut RunState, count: usize, size: usize) -> Vec<Batch> {
+/// `size`, each upload aged to this round (the buffer does not remember
+/// which uploads crossed the wire, and nothing downstream asks), and
+/// book the events under `counter` and what stays behind in the gauge.
+fn take_batches(
+    ctx: &RoundCtx<'_>,
+    state: &mut RunState,
+    counter: &str,
+    count: usize,
+    size: usize,
+) -> Vec<Batch> {
     let mut oldest = state
         .agg_buffer
         .drain(..count * size)
         .map(|b| ReceivedUpdate {
-            staleness: round - b.base_round,
+            staleness: ctx.round - b.base_round,
             via_net: false,
             update: b.update,
         });
-    (0..count)
+    let batches = (0..count)
         .map(|_| oldest.by_ref().take(size).collect())
-        .collect()
+        .collect();
+    drop(oldest);
+    if let Some(reg) = ctx.registry {
+        reg.counter_add(counter, count as u64);
+        reg.gauge_set(names::FL_CADENCE_BUFFERED, state.agg_buffer.len() as f64);
+    }
+    batches
 }
 
 #[cfg(test)]

@@ -50,20 +50,22 @@ pub(super) fn deliver(
         let delivery = courier.deliver(round as u64, client as u64, seq, &payload);
         if tracer.enabled() {
             for outcome in &delivery.log {
-                let mut fields = ctx.at(client);
-                match outcome {
+                let (name, detail) = match outcome {
                     AttemptOutcome::Acked => {
-                        fields.push(("attempts", Value::U64(u64::from(delivery.attempts))));
-                        tracer.point(names::ACK, fields);
+                        let attempts = Value::U64(u64::from(delivery.attempts));
+                        (names::ACK, ("attempts", attempts))
                     }
                     // The `ack` point is emitted when the deferred
                     // delivery is merged, rounds later.
-                    AttemptOutcome::Delayed { .. } => {}
+                    AttemptOutcome::Delayed { .. } => continue,
                     failed => {
-                        fields.push(("reason", Value::Str(failed.label().to_string())));
-                        tracer.point(names::RETRY, fields);
+                        let reason = Value::Str(failed.label().to_string());
+                        (names::RETRY, ("reason", reason))
                     }
-                }
+                };
+                let mut fields = ctx.at(client);
+                fields.push(detail);
+                tracer.point(name, fields);
             }
         }
         drop(send_span);

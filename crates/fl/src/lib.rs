@@ -26,14 +26,18 @@
 //! Modules: [`config`], [`cadence`] (when the server aggregates),
 //! [`client`] (local-training helpers),
 //! [`algorithm`] (the [`algorithm::FederatedAlgorithm`] trait),
-//! [`engine`] (the round loop), [`checkpoint`] (crash/resume snapshots),
+//! [`engine`] (the round loop: `Simulation`, the server's run state and
+//! `drive`, a list of calls to six stage files — `train` → `perturb` →
+//! `deliver` → `admit` → `apply` → `evaluate`),
+//! [`checkpoint`] (crash/resume snapshots),
 //! [`metrics`] (histories and resilience reports),
 //! [`quadratic`] (a convex testbed for the Theorem 6.1 rate check), and
-//! [`wire`] (payload codec for the fault-tolerant transport). Two private
-//! modules carry protocols in types instead of conventions: `codec` (one
-//! field table per serialized struct, driving writer and reader alike)
-//! and `undiscounted` ([`Undiscounted`]: the staleness discount as a
-//! move-only hand-off).
+//! [`wire`] (payload codec for the fault-tolerant transport). Three
+//! private modules carry protocols in types instead of conventions:
+//! `codec` (one field table per serialized struct, driving writer and
+//! reader alike), `undiscounted` ([`Undiscounted`]: the staleness
+//! discount as a move-only hand-off) and `observe` ([`Observability`]
+//! and the per-round context every stage reports through).
 
 #![warn(missing_docs)]
 

@@ -388,13 +388,10 @@ pub fn run_diff(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::analyze;
-    use crate::record::parse_trace;
-    use crate::tree::build_forest;
 
     fn profile_of(lines: &[String]) -> Profile {
         let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
-        analyze(&build_forest(&parse_trace(&text).expect("parses")).expect("well-formed"))
+        crate::analyze_text(&text).expect("valid trace").0
     }
 
     fn round_trace(client_ticks: u64) -> Vec<String> {

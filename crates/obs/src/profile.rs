@@ -567,12 +567,10 @@ pub(crate) fn require_arr<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], Ob
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::parse_trace;
-    use crate::tree::build_forest;
 
     fn profile_of(lines: &[&str]) -> Profile {
         let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
-        analyze(&build_forest(&parse_trace(&text).expect("parses")).expect("well-formed"))
+        crate::analyze_text(&text).expect("valid trace").0
     }
 
     fn compute_round() -> Vec<&'static str> {
