@@ -422,9 +422,13 @@ mod tests {
     #[test]
     fn tiled_kernels_bitwise_match_scalar_reference() {
         // Every (m, k, n) one ResLite or MLP training step passes to an
-        // entry point (flbench/README.md, "The GEMM shapes"), then a grid
-        // of ragged edges: m < MR, n < NR and n % NR != 0, k % 4 != 0 and
-        // k past the reference's k-block.
+        // entry point (flbench/README.md, "The GEMM shapes"): per sample,
+        // then as `Conv2d` really issues them at a 40-sample step — nine
+        // samples a stem or 4×4 panel and a ragged one of four, 37 a 2×2
+        // panel and a ragged one of three — each with its `A·Bᵀ`
+        // transpose. Then two grids of ragged edges: rows under and
+        // across a row tile, n under, at and one past every strip width,
+        // k % 4 != 0 and k past the reference's k-block.
         let mut shapes = vec![
             (12, 27, 64),
             (12, 108, 16),
@@ -438,11 +442,28 @@ mod tests {
             (10, 10, 256),
             (10, 64, 256),
             (10, 256, 10),
+            (12, 27, 576),
+            (12, 27, 256),
+            (12, 108, 144),
+            (12, 108, 64),
+            (12, 108, 148),
+            (12, 108, 12),
+            (12, 576, 27),
+            (12, 256, 27),
+            (12, 144, 108),
+            (12, 64, 108),
+            (12, 148, 108),
+            (12, 12, 108),
         ];
-        for m in [1, 3, 5] {
-            for n in [1, 7, 9, 31] {
-                for k in [1, 3, 5, 300] {
-                    shapes.push((m, k, n));
+        for (rows, cols) in [
+            (vec![1, 3, 5], vec![1, 7, 9, 31]),
+            (vec![5, 7, 8, 11, 13], vec![15, 17, 31, 33, 47, 65]),
+        ] {
+            for &m in &rows {
+                for &n in &cols {
+                    for k in [1, 3, 5, 300] {
+                        shapes.push((m, k, n));
+                    }
                 }
             }
         }
