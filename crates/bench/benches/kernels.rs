@@ -1,5 +1,6 @@
 //! Kernel throughput benchmarks: the numeric substrate under every
-//! federated round, plus the tiled-vs-naive matmul ablation.
+//! federated round at the shapes a training step issues, plus the
+//! tiled-vs-naive matmul ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedwcm_nn::conv::AvgPool2d;
@@ -7,7 +8,7 @@ use fedwcm_nn::opt::momentum_blend;
 use fedwcm_nn::Layer;
 use fedwcm_stats::Xoshiro256pp;
 use fedwcm_tensor::im2col::{ConvGeom, PatchMap};
-use fedwcm_tensor::matmul::{matmul, matmul_a_bt};
+use fedwcm_tensor::matmul::{matmul_a_bt_into, matmul_at_b_into, matmul_into};
 use fedwcm_tensor::{ops, Tensor};
 use std::hint::black_box;
 
@@ -15,30 +16,80 @@ use std::hint::black_box;
 mod reference;
 use reference::matmul_naive;
 
-fn bench_matmul(c: &mut Criterion) {
-    let mut group = c.benchmark_group("matmul");
+/// The three GEMM entry points at the shapes a training step really
+/// issues (median time per call; flops are `2·m·k·n`): the ResLite panels
+/// `Conv2d` forms at a 40-sample step — nine samples a stem or 4×4 panel,
+/// 37 a 2×2 panel, and the ragged last panels — its classifier, and the
+/// MLP's dense layers at its step batch of 10. They run whatever kernel
+/// instance this machine selects. One naive row is the ablation.
+fn bench_gemm(c: &mut Criterion) {
+    type Gemm = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+    type Shapes = &'static [(usize, usize, usize)];
+    const ENTRY_POINTS: [(&str, Gemm, Shapes); 3] = [
+        (
+            "into",
+            matmul_into,
+            &[
+                (12, 27, 576),
+                (12, 108, 144),
+                (12, 108, 148),
+                (12, 108, 12),
+                (10, 256, 64),
+                (10, 10, 256),
+            ],
+        ),
+        (
+            "a_bt",
+            matmul_a_bt_into,
+            &[
+                (12, 576, 27),
+                (12, 144, 108),
+                (12, 148, 108),
+                (12, 12, 108),
+                (40, 12, 10),
+                (10, 64, 256),
+                (10, 256, 10),
+            ],
+        ),
+        (
+            "at_b",
+            matmul_at_b_into,
+            &[
+                (12, 108, 144),
+                (12, 108, 148),
+                (12, 108, 12),
+                (10, 256, 64),
+                (10, 10, 256),
+            ],
+        ),
+    ];
+    let mut group = c.benchmark_group("gemm");
     let mut rng = Xoshiro256pp::seed_from(1);
-    for n in [32usize, 128] {
-        let a = Tensor::randn(&[n, n], 1.0, &mut rng);
-        let b = Tensor::randn(&[n, n], 1.0, &mut rng);
-        group.bench_with_input(BenchmarkId::new("tiled", n), &n, |bch, _| {
-            bch.iter(|| black_box(matmul(black_box(&a), black_box(&b))));
-        });
-        group.bench_with_input(BenchmarkId::new("naive", n), &n, |bch, _| {
-            bch.iter(|| {
-                black_box(matmul_naive(
-                    black_box(a.as_slice()),
-                    black_box(b.as_slice()),
-                    n,
-                    n,
-                    n,
-                ))
+    for (name, gemm, shapes) in ENTRY_POINTS {
+        for &(m, k, n) in shapes {
+            // Operand lengths by entry point: `a` is always `[m, k]`.
+            let (b_len, c_len) = match name {
+                "into" => (k * n, m * n),
+                "a_bt" => (n * k, m * n),
+                _ => (m * n, k * n),
+            };
+            let a = Tensor::randn(&[m * k], 1.0, &mut rng);
+            let b = Tensor::randn(&[b_len], 1.0, &mut rng);
+            let mut out = vec![0.0f32; c_len];
+            group.bench_function(BenchmarkId::new(name, format!("{m}x{k}x{n}")), |bch| {
+                bch.iter(|| {
+                    out.fill(0.0);
+                    gemm(black_box(a.as_slice()), b.as_slice(), &mut out, m, k, n);
+                });
             });
-        });
-        group.bench_with_input(BenchmarkId::new("a_bt", n), &n, |bch, _| {
-            bch.iter(|| black_box(matmul_a_bt(black_box(&a), black_box(&b))));
-        });
+        }
     }
+    let (m, k, n) = (12, 108, 144);
+    let a = Tensor::randn(&[m * k], 1.0, &mut rng);
+    let b = Tensor::randn(&[k * n], 1.0, &mut rng);
+    group.bench_function(BenchmarkId::new("naive", format!("{m}x{k}x{n}")), |bch| {
+        bch.iter(|| black_box(matmul_naive(black_box(a.as_slice()), b.as_slice(), m, k, n)));
+    });
     group.finish();
 }
 
@@ -141,6 +192,6 @@ fn bench_weighted_sum(c: &mut Criterion) {
 criterion_group!(
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_matmul, bench_lowering, bench_blas1, bench_weighted_sum
+    targets = bench_gemm, bench_lowering, bench_blas1, bench_weighted_sum
 );
 criterion_main!(kernels);

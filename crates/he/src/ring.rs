@@ -62,30 +62,33 @@ pub fn poly_sub(a: &[u64], b: &[u64], out: &mut [u64]) {
 /// Complexity O(N · (|plus| + |minus|)) — the only product the scheme
 /// needs (dense·secret), so no NTT machinery is required.
 pub fn negacyclic_mul_sparse(a: &[u64], plus: &[usize], minus: &[usize], out: &mut [u64]) {
-    let n = a.len();
-    assert_eq!(out.len(), n, "output length mismatch");
+    assert_eq!(out.len(), a.len(), "output length mismatch");
     for &k in plus {
-        assert!(k < n, "sparse index out of range");
-        // out += a · x^k  (negacyclic: wrapped terms change sign)
-        for (i, &ai) in a.iter().enumerate() {
-            let j = i + k;
-            if j < n {
-                out[j] = addq(out[j], ai);
-            } else {
-                out[j - n] = subq(out[j - n], ai);
-            }
-        }
+        add_shifted(a, k, out, addq, subq);
     }
     for &k in minus {
-        assert!(k < n, "sparse index out of range");
-        for (i, &ai) in a.iter().enumerate() {
-            let j = i + k;
-            if j < n {
-                out[j] = subq(out[j], ai);
-            } else {
-                out[j - n] = addq(out[j - n], ai);
-            }
-        }
+        add_shifted(a, k, out, subq, addq);
+    }
+}
+
+/// `out ⊕= a · x^k`: the terms that stay below `x^N` take `straight`, the
+/// ones that wrap (`x^N = −1`) take `wrapped`. The shift is cut at
+/// `N − k` into two zips, so no loop tests for the wrap per coefficient.
+#[inline(always)]
+fn add_shifted(
+    a: &[u64],
+    k: usize,
+    out: &mut [u64],
+    straight: impl Fn(u64, u64) -> u64,
+    wrapped: impl Fn(u64, u64) -> u64,
+) {
+    assert!(k < a.len(), "sparse index out of range");
+    let (low, high) = a.split_at(a.len() - k);
+    for (o, &x) in out[k..].iter_mut().zip(low) {
+        *o = straight(*o, x);
+    }
+    for (o, &x) in out[..k].iter_mut().zip(high) {
+        *o = wrapped(*o, x);
     }
 }
 
@@ -104,6 +107,7 @@ pub fn to_signed(x: u64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedwcm_stats::rng::{Rng, Xoshiro256pp};
 
     #[test]
     fn mod_arithmetic_wraps() {
@@ -182,6 +186,51 @@ mod tests {
         let mut out = vec![0u64; n];
         negacyclic_mul_sparse(&a, &plus, &minus, &mut out);
         assert_eq!(out, expect);
+    }
+
+    /// The per-coefficient loop [`negacyclic_mul_sparse`] shipped with:
+    /// one wrap test per term.
+    fn negacyclic_mul_sparse_ref(a: &[u64], plus: &[usize], minus: &[usize], out: &mut [u64]) {
+        let n = a.len();
+        for (ks, sign) in [(plus, false), (minus, true)] {
+            for &k in ks {
+                for (i, &ai) in a.iter().enumerate() {
+                    let j = i + k;
+                    let (at, negate) = if j < n { (j, sign) } else { (j - n, !sign) };
+                    out[at] = if negate {
+                        subq(out[at], ai)
+                    } else {
+                        addq(out[at], ai)
+                    };
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_shift_matches_the_per_coefficient_loop() {
+        let n = 64usize;
+        let mut rng = Xoshiro256pp::seed_from(62);
+        let a: Vec<u64> = (0..n).map(|_| modq(rng.next_u64())).collect();
+        let start: Vec<u64> = (0..n).map(|_| modq(rng.next_u64())).collect();
+        let mut cases: Vec<(Vec<usize>, Vec<usize>)> = vec![
+            (vec![0], vec![]),
+            (vec![], vec![0]),
+            (vec![1], vec![1]),
+            (vec![n - 1], vec![]),
+            (vec![], vec![n - 1]),
+            (vec![0, 1, n - 1], vec![n - 1, 1, 0]),
+        ];
+        for _ in 0..32 {
+            let (np, nm) = (rng.index(9), rng.index(9));
+            cases.push((rng.sample_indices(n, np), rng.sample_indices(n, nm)));
+        }
+        for (plus, minus) in cases {
+            let (mut got, mut want) = (start.clone(), start.clone());
+            negacyclic_mul_sparse(&a, &plus, &minus, &mut got);
+            negacyclic_mul_sparse_ref(&a, &plus, &minus, &mut want);
+            assert_eq!(got, want, "plus {plus:?} minus {minus:?}");
+        }
     }
 
     #[test]

@@ -19,11 +19,21 @@
 //! by side, image `s` at column offset `s*oh*ow`, so a layer runs one GEMM
 //! per panel instead of one per image.
 //!
+//! The gather is one loop, instantiated per instruction-set level like
+//! the GEMM kernels ([`mod@crate::matmul`], "Instruction-set levels"): compiled
+//! for AVX-512 it becomes masked vector gathers, and [`PatchMap::lower`]
+//! runs that instance where the machine has it and a patch row fills a
+//! register; copying floats, no level can change a bit. The scatter's
+//! indices collide — that is what makes it an adjoint — so it stays the
+//! scalar loop on every machine.
+//!
 //! The map belongs to whoever lowers (`fedwcm-nn`'s `Conv2d` builds one in
 //! its constructor and shares it with its clones); nothing is cached for
 //! the life of the process. Entries are `u32`: the table is read once per
 //! lowered float, so half the bytes is half the cache taken from the GEMM
 //! operands (6.9 KB at most for a ResLite geometry).
+
+use crate::isa::Isa;
 
 /// Static description of a 2-D convolution geometry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -197,14 +207,32 @@ impl PatchMap {
     /// run over all of them. [`im2col`] is the `ld = patch_cols`,
     /// `col0 = 0` case.
     pub fn lower(&self, input: &[f32], panel: &mut [f32], ld: usize, col0: usize) {
+        self.lower_at(Isa::detect(), input, panel, ld, col0);
+    }
+
+    /// [`PatchMap::lower`] on the gather instance of one level.
+    fn lower_at(&self, isa: Isa, input: &[f32], panel: &mut [f32], ld: usize, col0: usize) {
         assert_eq!(input.len(), self.geom.input_len(), "input buffer size");
         let pc = self.check_panel(panel.len(), ld, col0);
-        for (row, idx) in panel.chunks_exact_mut(ld).zip(self.idx.chunks_exact(pc)) {
-            for (d, &i) in row[col0..col0 + pc].iter_mut().zip(idx) {
-                // A select, never a multiply by a mask: `NaN·0` is NaN.
-                *d = input.get(i as usize).copied().unwrap_or(0.0);
-            }
-        }
+        // Which instance gathers: the loop only pays where it becomes
+        // masked vector gathers, which AVX-512 has and which want a whole
+        // register of columns to a row. Compiled for AVX2 it measured no
+        // faster than portable, and for AVX-512 on four-column rows (the
+        // 2×2 ResLite stage) slower.
+        let isa = match isa {
+            Isa::Portable => isa,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2(_) => Isa::Portable,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512(_) if pc >= 16 => isa,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512(_) => Isa::Portable,
+        };
+        let idx = &self.idx[..];
+        isa.run(
+            #[inline(always)]
+            move || gather_rows(idx, pc, input, panel, ld, col0),
+        );
     }
 
     /// Adjoint of [`PatchMap::lower`]: scatter-add columns
@@ -238,10 +266,27 @@ impl PatchMap {
     }
 }
 
+/// The gather of [`PatchMap::lower`]: row `r` of `idx` (`pc` entries)
+/// selects what goes to columns `col0..col0 + pc` of row `r` of `panel`.
+/// A function of its own so that its instance at a level still knows
+/// that `panel` and `input` do not overlap — what lets the optimiser
+/// turn the loop into masked gathers where the level has them.
+#[inline(always)]
+fn gather_rows(idx: &[u32], pc: usize, input: &[f32], panel: &mut [f32], ld: usize, col0: usize) {
+    for (row, idx) in panel.chunks_exact_mut(ld).zip(idx.chunks_exact(pc)) {
+        for (d, &i) in row[col0..col0 + pc].iter_mut().zip(idx) {
+            // A select, never a multiply by a mask: `NaN·0` is NaN.
+            *d = input.get(i as usize).copied().unwrap_or(0.0);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::assert_bits_eq;
     use fedwcm_stats::rng::{Rng, Xoshiro256pp};
+    use proptest::prelude::*;
 
     fn geom(c: usize, h: usize, w: usize, k: usize, s: usize, p: usize) -> ConvGeom {
         ConvGeom {
@@ -378,5 +423,71 @@ mod tests {
         let mut grad = vec![0.0; g.input_len()];
         col2im(&g, &cols, &mut grad);
         assert!(grad.iter().all(|&x| x == 1.0));
+    }
+
+    fn randn(len: usize, seed: u64) -> Vec<f32> {
+        let mut rng = Xoshiro256pp::seed_from(seed);
+        crate::Tensor::randn(&[len], 1.0, &mut rng).into_vec()
+    }
+
+    /// `PatchMap::lower` on every level this host offers and
+    /// `scatter_add`, in the middle slot of a three-image panel, against
+    /// the definition, [`im2col`]/[`col2im`], bit for bit.
+    fn assert_map_matches_definition(geom: &ConvGeom, seed: u64) {
+        let map = PatchMap::new(geom);
+        let (pr, pc) = (geom.patch_rows(), geom.patch_cols());
+        let (ld, col0) = (3 * pc, pc);
+
+        let x = randn(geom.input_len(), seed);
+        let mut want = vec![0.0f32; pr * pc];
+        im2col(geom, &x, &mut want);
+        for isa in Isa::available() {
+            let what = format!("{geom:?} {isa:?}");
+            let mut panel = vec![f32::NAN; pr * ld];
+            map.lower_at(isa, &x, &mut panel, ld, col0);
+            for (r, row) in panel.chunks_exact(ld).enumerate() {
+                assert_bits_eq(&row[col0..col0 + pc], &want[r * pc..(r + 1) * pc], &what);
+                let outside = row[..col0].iter().chain(&row[col0 + pc..]);
+                assert!(
+                    outside.copied().all(f32::is_nan),
+                    "{what}: row {r} written outside its slot"
+                );
+            }
+        }
+
+        // Scatter-add accumulates: onto a non-zero buffer that also holds
+        // -0.0, where `+=` and `=` would differ in the sign of zero.
+        let y = randn(pr * ld, seed.wrapping_add(1));
+        let mut cols = vec![0.0f32; pr * pc];
+        for (r, row) in y.chunks_exact(ld).enumerate() {
+            cols[r * pc..(r + 1) * pc].copy_from_slice(&row[col0..col0 + pc]);
+        }
+        let mut want = randn(geom.input_len(), seed.wrapping_add(2));
+        want.iter_mut().step_by(3).for_each(|g| *g = -0.0);
+        let mut got = want.clone();
+        col2im(geom, &cols, &mut want);
+        map.scatter_add(&y, ld, col0, &mut got);
+        assert_bits_eq(&got, &want, &format!("{geom:?}"));
+    }
+
+    #[test]
+    fn patch_map_matches_definition_on_the_reslite_geometries() {
+        for (c_in, hw) in [(3, 8), (12, 4), (12, 2)] {
+            assert_map_matches_definition(&geom(c_in, hw, hw, 3, 1, 1), 17);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn patch_map_matches_definition(
+            c_in in 1usize..5, h in 1usize..10, w in 1usize..10, k in 1usize..6,
+            stride in 1usize..4, pad in 0usize..3, seed in any::<u64>(),
+        ) {
+            prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
+            let geom = ConvGeom { c_in, h, w, kh: k, kw: k, stride, pad };
+            assert_map_matches_definition(&geom, seed);
+        }
     }
 }

@@ -21,9 +21,14 @@
 
 pub mod im2col;
 pub mod invariants;
+mod isa;
 pub mod matmul;
 pub mod ops;
 pub mod tensor;
+
+#[cfg(test)]
+#[path = "../tests/support/reference.rs"]
+mod reference;
 
 pub use matmul::{matmul, matmul_a_bt, matmul_at_b};
 pub use tensor::Tensor;

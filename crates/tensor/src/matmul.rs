@@ -16,12 +16,33 @@
 //! `a·b` product to each lane, and the tile is stored once at the end —
 //! `C` is read and written once per tile instead of once per reduction
 //! step, and each loaded row segment of `B` serves `MR` rows of `C`.
-//! `A·Bᵀ` computes a `DR×DC` tile of dot products at a time, each in the
-//! four-lane accumulator of [`crate::ops::dot`], so a loaded chunk of an
-//! `A` row serves `DC` rows of `B` and vice versa. Ragged edges run the
-//! same code at a narrower tile. The lane arrays are plain `[f32; N]`
-//! the compiler keeps in vector registers on any target: no intrinsics,
-//! no `unsafe`, no target-specific build.
+//! `A·Bᵀ` computes a tile of dot products at a time, `DR` rows of `A` by
+//! `4·W` rows of `B`, each in the four-lane accumulator of
+//! [`crate::ops::dot`], so a loaded chunk of an `A` row serves every row
+//! of `B` in the tile and vice versa. Ragged edges run the same code at a
+//! narrower tile. The lane arrays are plain `[f32; N]` the compiler keeps
+//! in vector registers: no intrinsics, no `std::arch` type, no
+//! target-specific build.
+//!
+//! # Instruction-set levels
+//!
+//! Each kernel body is written once and instantiated per level of
+//! the private `isa::Isa` — the target's baseline, AVX2, AVX-512 — with the
+//! tile that fills that level's registers; the machine's level is
+//! detected at run time and nothing selects or reports it. The tile
+//! tables, measured at the shapes a training step issues:
+//!
+//! | level | `A·B`, `Aᵀ·B` (`MR×NR`) | `A·Bᵀ` (`DR × 4·W`) |
+//! |---|---|---|
+//! | portable | 4×8: eight 128-bit accumulators | 2×4, `W` = 1 |
+//! | AVX2 | 6×16: twelve 256-bit accumulators | 2×8, `W` = 2 |
+//! | AVX-512 | 6×32: twelve 512-bit accumulators | the AVX2 instance |
+//!
+//! A body is `#[inline(always)]` from its entry down to the innermost
+//! loop, closures included, so that it is compiled inside the level's
+//! `#[target_feature]` wrapper; the crate's only two `unsafe` blocks are
+//! the calls of those wrappers in `isa.rs`, each sound because the
+//! feature was detected first.
 //!
 //! # Accumulation order
 //!
@@ -30,10 +51,15 @@
 //! reduction-index ascending onto the value already in `C` for `A·B` and
 //! `Aᵀ·B`; for `A·Bᵀ` four interleaved partial sums, index ascending,
 //! combined as `((s0+s1)+s2)+s3` plus the ascending tail, then added to
-//! `C`. Tile sizes and the row partition below decide which elements are
-//! computed together, never how one element is summed — so the results
-//! do not depend on them, and the kernels are bit-identical to the scalar
-//! per-element loops in `tests/support/reference.rs`.
+//! `C`. Tile sizes, the vector width and the row partition below decide
+//! which elements are computed together, never how one element is summed:
+//! every product is rounded and every sum is rounded, at every level —
+//! nothing here is, or may become, a fused multiply-add (no `mul_add`, no
+//! fast-math flag; a wider level enables the FMA *instructions*, and the
+//! compiler may not contract `a * b + c` into one on its own). So the
+//! results depend on none of them, and every instance is bit-identical to
+//! the scalar per-element loops in `tests/support/reference.rs` — the
+//! tests run each kernel at every level the host offers against them.
 //!
 //! # Parallelism
 //!
@@ -45,17 +71,12 @@
 //! one thread in the order above, so the result is **bitwise identical**
 //! for every thread count — verified by differential tests.
 
+use crate::isa::Isa;
 use crate::tensor::Tensor;
 use fedwcm_parallel::{intra_threads, parallel_over_rows};
 
-/// Rows of `C` in one register tile of `A·B` / `Aᵀ·B`.
-const MR: usize = 4;
-/// Lanes (columns of `C`) in one row of that tile.
-const NR: usize = 8;
-/// Rows of `A` in one tile of `A·Bᵀ` dot products.
+/// Rows of `A` in one tile of `A·Bᵀ` dot products, at every level.
 const DR: usize = 2;
-/// Rows of `B` in one tile of `A·Bᵀ` dot products.
-const DC: usize = 4;
 
 /// Minimum multiply-accumulate count before row-parallel dispatch pays
 /// for itself; below this everything runs inline on the caller.
@@ -83,42 +104,82 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// `C += A·B` on raw slices. `a` is `[m,k]`, `b` is `[k,n]`, `c` is `[m,n]`.
 pub fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    matmul_into_at(Isa::detect(), a, b, c, m, k, n);
+}
+
+/// [`matmul_into`] on the kernel instance of one level.
+fn matmul_into_at(isa: Isa, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "A buffer size");
     assert_eq!(b.len(), k * n, "B buffer size");
     assert_eq!(c.len(), m * n, "C buffer size");
+    // Rows `r0..r1` of `C += A·B`; `chunk` holds exactly those rows.
+    let rows = |r0: usize, r1: usize, chunk: &mut [f32]| {
+        let a = &a[r0 * k..r1 * k];
+        accumulate(
+            isa,
+            chunk,
+            r1 - r0,
+            n,
+            b,
+            k,
+            #[inline(always)]
+            move |r, p| a[r * k + p],
+        );
+    };
     let threads = gemm_threads(m, m * k * n);
     if threads <= 1 {
-        matmul_rows(a, b, c, 0, m, k, n);
-        return;
+        rows(0, m, c);
+    } else {
+        parallel_over_rows(c, n, threads, rows);
     }
-    parallel_over_rows(c, n, threads, |r0, r1, chunk| {
-        matmul_rows(a, b, chunk, r0, r1, k, n)
-    });
-}
-
-/// Rows `r0..r1` of `C += A·B`; `c_chunk` holds exactly those rows.
-/// Every element accumulates k-ascending onto its value in `C`, whatever
-/// the tiling, so any row partition reproduces the sequential result bit
-/// for bit.
-fn matmul_rows(
-    a: &[f32],
-    b: &[f32],
-    c_chunk: &mut [f32],
-    r0: usize,
-    r1: usize,
-    k: usize,
-    n: usize,
-) {
-    let a = &a[r0 * k..r1 * k];
-    accumulate_rows(c_chunk, r1 - r0, n, b, k, |r, p| a[r * k + p]);
 }
 
 /// `C[r, ..] += Σ_p a_at(r, p) · B[p, ..]` for the `rows` rows of `c`
 /// (`[rows, n]`), `p` ascending over the `depth` rows of `b`
 /// (`[depth, n]`): the shared body of `A·B` and `Aᵀ·B`, which differ
-/// only in where `A[r, p]` lives. Column strips outermost, so the strip
-/// of `B` stays in cache while the row tiles sweep over it.
-fn accumulate_rows(
+/// only in where `A[r, p]` lives. Every element accumulates p-ascending
+/// onto its value in `C`, whatever the tiling, so any level and any row
+/// partition reproduce the sequential result bit for bit.
+///
+/// This is the tile table: the register tile each level's instance of
+/// [`accumulate_rows`] is compiled with. Twelve accumulators of the
+/// level's vector width, two registers of `B` and one broadcast of `A`
+/// fit the sixteen `ymm`; 12 = 2 × 6 and 108 = 18 × 6, so the ResLite
+/// panels have no ragged rows. The portable 4×8 tile is eight 128-bit
+/// accumulators — at a wider level it would be four, and no faster.
+fn accumulate(
+    isa: Isa,
+    c: &mut [f32],
+    rows: usize,
+    n: usize,
+    b: &[f32],
+    depth: usize,
+    a_at: impl Fn(usize, usize) -> f32 + Copy,
+) {
+    match isa {
+        Isa::Portable => isa.run(
+            #[inline(always)]
+            move || accumulate_rows::<4, 8>(c, rows, n, b, depth, a_at),
+        ),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2(_) => isa.run(
+            #[inline(always)]
+            move || accumulate_rows::<6, 16>(c, rows, n, b, depth, a_at),
+        ),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512(_) => isa.run(
+            #[inline(always)]
+            move || accumulate_rows::<6, 32>(c, rows, n, b, depth, a_at),
+        ),
+    }
+}
+
+/// [`accumulate`] in `MR×NR` tiles. Column strips outermost, so the
+/// strip of `B` stays in cache while the row tiles sweep over it; the
+/// ragged right edge runs the same code in narrower strips, a fixed
+/// ladder because a const parameter admits no arithmetic (`NR / 2`).
+#[inline(always)]
+fn accumulate_rows<const MR: usize, const NR: usize>(
     c: &mut [f32],
     rows: usize,
     n: usize,
@@ -128,22 +189,31 @@ fn accumulate_rows(
 ) {
     let mut j = 0;
     while j + NR <= n {
-        accumulate_strip::<NR>(c, rows, n, j, b, depth, a_at);
+        accumulate_strip::<MR, NR>(c, rows, n, j, b, depth, a_at);
         j += NR;
     }
-    if j + NR / 2 <= n {
-        accumulate_strip::<{ NR / 2 }>(c, rows, n, j, b, depth, a_at);
-        j += NR / 2;
+    if NR > 16 && j + 16 <= n {
+        accumulate_strip::<MR, 16>(c, rows, n, j, b, depth, a_at);
+        j += 16;
+    }
+    if NR > 8 && j + 8 <= n {
+        accumulate_strip::<MR, 8>(c, rows, n, j, b, depth, a_at);
+        j += 8;
+    }
+    if NR > 4 && j + 4 <= n {
+        accumulate_strip::<MR, 4>(c, rows, n, j, b, depth, a_at);
+        j += 4;
     }
     while j < n {
-        accumulate_strip::<1>(c, rows, n, j, b, depth, a_at);
+        accumulate_strip::<MR, 1>(c, rows, n, j, b, depth, a_at);
         j += 1;
     }
 }
 
 /// Columns `j..j + L` of [`accumulate_rows`], `MR` rows at a time and
-/// the ragged bottom in narrower tiles.
-fn accumulate_strip<const L: usize>(
+/// the ragged bottom in narrower tiles (the same fixed ladder).
+#[inline(always)]
+fn accumulate_strip<const MR: usize, const L: usize>(
     c: &mut [f32],
     rows: usize,
     n: usize,
@@ -157,9 +227,13 @@ fn accumulate_strip<const L: usize>(
         accumulate_tile::<MR, L>(c, n, r, j, b, depth, a_at);
         r += MR;
     }
-    if r + MR / 2 <= rows {
-        accumulate_tile::<{ MR / 2 }, L>(c, n, r, j, b, depth, a_at);
-        r += MR / 2;
+    if MR > 4 && r + 4 <= rows {
+        accumulate_tile::<4, L>(c, n, r, j, b, depth, a_at);
+        r += 4;
+    }
+    if MR > 2 && r + 2 <= rows {
+        accumulate_tile::<2, L>(c, n, r, j, b, depth, a_at);
+        r += 2;
     }
     if r < rows {
         accumulate_tile::<1, L>(c, n, r, j, b, depth, a_at);
@@ -214,75 +288,142 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// `C += A·Bᵀ` on raw slices. `a` is `[m,k]`, `b` is `[n,k]`, `c` is `[m,n]`.
 pub fn matmul_a_bt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "A buffer size");
-    assert_eq!(b.len(), n * k, "B buffer size");
-    assert_eq!(c.len(), m * n, "C buffer size");
-    let threads = gemm_threads(m, m * k * n);
-    if threads <= 1 {
-        matmul_a_bt_rows(a, b, c, 0, m, k, n);
-        return;
-    }
-    parallel_over_rows(c, n, threads, |r0, r1, chunk| {
-        matmul_a_bt_rows(a, b, chunk, r0, r1, k, n)
-    });
+    matmul_a_bt_into_at(Isa::detect(), a, b, c, m, k, n);
 }
 
-/// Rows `r0..r1` of `C += A·Bᵀ`; every output is one whole dot product
-/// in [`crate::ops::dot`]'s order, so neither the tiling nor the row
-/// partition can change a result bit. Tiles of `DC` rows of `B`
-/// outermost: they stay in cache while the rows of `A` sweep over them.
-fn matmul_a_bt_rows(
+/// [`matmul_a_bt_into`] on the kernel instance of one level.
+fn matmul_a_bt_into_at(
+    isa: Isa,
     a: &[f32],
     b: &[f32],
-    c_chunk: &mut [f32],
-    r0: usize,
-    r1: usize,
+    c: &mut [f32],
+    m: usize,
     k: usize,
     n: usize,
 ) {
-    let rows = r1 - r0;
-    let arow = |r: usize| &a[(r0 + r) * k..(r0 + r + 1) * k];
-    let brow = |j: usize| &b[j * k..(j + 1) * k];
-    let mut j = 0;
-    while j + DC <= n {
-        let bs: [&[f32]; DC] = std::array::from_fn(|q| brow(j + q));
-        let mut r = 0;
-        while r + DR <= rows {
-            let tile = &mut c_chunk[r * n + j..];
-            add_dot_tile::<DR, DC>(tile, n, std::array::from_fn(|t| arow(r + t)), bs);
-            r += DR;
-        }
-        if r < rows {
-            add_dot_tile::<1, DC>(&mut c_chunk[r * n + j..], n, [arow(r)], bs);
-        }
-        j += DC;
-    }
-    for j in j..n {
-        for r in 0..rows {
-            c_chunk[r * n + j] += crate::ops::dot(arow(r), brow(j));
-        }
+    assert_eq!(a.len(), m * k, "A buffer size");
+    assert_eq!(b.len(), n * k, "B buffer size");
+    assert_eq!(c.len(), m * n, "C buffer size");
+    let rows = |r0: usize, r1: usize, chunk: &mut [f32]| {
+        dot_rows(isa, &a[r0 * k..r1 * k], b, chunk, r1 - r0, k, n);
+    };
+    let threads = gemm_threads(m, m * k * n);
+    if threads <= 1 {
+        rows(0, m, c);
+    } else {
+        parallel_over_rows(c, n, threads, rows);
     }
 }
 
-/// `C[r, q] += a[r]·b[q]` for an `R×Q` tile of `c` (row stride `n`), each
-/// dot product summed exactly as [`crate::ops::dot`] sums it: four
-/// interleaved partial sums over the whole four-element chunks, the
-/// ascending tail, then `((s0+s1)+s2)+s3 + tail`.
+/// `C += A·Bᵀ` for the `rows` rows of `C` in `c`, `a` holding the matching
+/// rows of `A`. Every output is one whole dot product in [`crate::ops::dot`]'s
+/// order, so neither the tiling, the level nor the row partition can
+/// change a result bit.
+///
+/// This is the tile table. `dot`'s four interleaved partial sums *are*
+/// its definition, so a wider register cannot hold more lanes of one
+/// output; it holds the four lanes of `W` outputs side by side instead
+/// (see [`dot_lanes`]). `W` = 2 is as wide as it pays: four outputs to
+/// a 512-bit register cost three lane inserts per loaded `B` vector and
+/// measured slower — whether written as `W` = 4 or found by the
+/// optimiser, which pairs the `W` = 2 accumulators up by itself once it
+/// may use such registers. So AVX-512 machines run the AVX2 instance.
+fn dot_rows(isa: Isa, a: &[f32], b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) {
+    match isa {
+        Isa::Portable => dot_rows_tiled::<1>(isa, a, b, c, rows, k, n),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2(_) => dot_rows_tiled::<2>(isa, a, b, c, rows, k, n),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512(_) => dot_rows_tiled::<2>(isa.narrower(), a, b, c, rows, k, n),
+    }
+}
+
+/// [`dot_rows`] in tiles of `DR` rows of `A` by `4·W` rows of `B`, the
+/// ragged right edge in tiles of `2·W`, `W` and one, the last row of an
+/// odd count in tiles one row high. Tiles of `B` rows outermost: they
+/// stay in cache while the rows of `A` sweep over them.
+fn dot_rows_tiled<const W: usize>(
+    isa: Isa,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    rows: usize,
+    k: usize,
+    n: usize,
+) {
+    let arow = |r: usize| &a[r * k..(r + 1) * k];
+    let brow = |j: usize| &b[j * k..(j + 1) * k];
+    let mut j = 0;
+    while j + 4 * W <= n {
+        dot_strip::<4, W>(isa, c, n, j, rows, arow, brow);
+        j += 4 * W;
+    }
+    if j + 2 * W <= n {
+        dot_strip::<2, W>(isa, c, n, j, rows, arow, brow);
+        j += 2 * W;
+    }
+    if j + W <= n {
+        dot_strip::<1, W>(isa, c, n, j, rows, arow, brow);
+        j += W;
+    }
+    while j < n {
+        dot_strip::<1, 1>(isa, c, n, j, rows, arow, brow);
+        j += 1;
+    }
+}
+
+/// Columns `j..j + G·W` of [`dot_rows_tiled`]: `G` groups of `W` rows of
+/// `B` against every row of `A`.
+fn dot_strip<'a, const G: usize, const W: usize>(
+    isa: Isa,
+    c: &mut [f32],
+    n: usize,
+    j: usize,
+    rows: usize,
+    arow: impl Fn(usize) -> &'a [f32],
+    brow: impl Fn(usize) -> &'a [f32],
+) {
+    let bs: [[&[f32]; W]; G] =
+        std::array::from_fn(|g| std::array::from_fn(|w| brow(j + g * W + w)));
+    let mut r = 0;
+    while r + DR <= rows {
+        let tile = &mut c[r * n + j..];
+        add_dot_tile::<DR, G, W>(isa, tile, n, std::array::from_fn(|t| arow(r + t)), bs);
+        r += DR;
+    }
+    if r < rows {
+        add_dot_tile::<1, G, W>(isa, &mut c[r * n + j..], n, [arow(r)], bs);
+    }
+}
+
+/// `C[r, g·W + w] += a[r]·b[g][w]` for an `R × G·W` tile of `c` (row
+/// stride `n`), each dot product summed exactly as [`crate::ops::dot`]
+/// sums it: four interleaved partial sums over the whole four-element
+/// chunks, the ascending tail, then `((s0+s1)+s2)+s3 + tail`.
 #[inline(always)]
-fn add_dot_tile<const R: usize, const Q: usize>(
+fn add_dot_tile<const R: usize, const G: usize, const W: usize>(
+    isa: Isa,
     c: &mut [f32],
     n: usize,
     a: [&[f32]; R],
-    b: [&[f32]; Q],
+    b: [[&[f32]; W]; G],
 ) {
-    let a = a.map(|row| row.as_chunks::<4>());
-    let b = b.map(|row| row.as_chunks::<4>());
-    let sums = dot_lanes(a.map(|(whole, _)| whole), b.map(|(whole, _)| whole));
-    for (r, (sr, (_, atail))) in sums.iter().zip(&a).enumerate() {
-        let crow = &mut c[r * n..r * n + Q];
-        for ((cij, s), (_, btail)) in crow.iter_mut().zip(sr).zip(&b) {
+    // `Isa::run` is never inlined into its caller, and that matters
+    // here: next to the horizontal `s0+s1+s2+s3` below the optimiser
+    // vectorises `dot_lanes` across the outputs instead of across the
+    // four lanes and fills its loop with shuffles.
+    let sums = isa.run(
+        #[inline(always)]
+        move || dot_lanes(a, b),
+    );
+    for (r, (sr, ar)) in sums.iter().zip(a).enumerate() {
+        let (_, atail) = ar.as_chunks::<4>();
+        let crow = &mut c[r * n..r * n + G * W];
+        let outputs = sr.as_flattened().iter().zip(b.as_flattened());
+        for (cij, (s, bq)) in crow.iter_mut().zip(outputs) {
+            let (_, btail) = bq.as_chunks::<4>();
             let mut tail = 0.0f32;
-            for (x, y) in atail.iter().zip(*btail) {
+            for (x, y) in atail.iter().zip(btail) {
                 tail += x * y;
             }
             *cij += s[0] + s[1] + s[2] + s[3] + tail;
@@ -290,32 +431,44 @@ fn add_dot_tile<const R: usize, const Q: usize>(
     }
 }
 
-/// The four interleaved partial sums of each of the `R×Q` dot products
-/// over the whole chunks. Out of line on purpose: inlined next to the
-/// horizontal `s0+s1+s2+s3` the optimiser vectorises across the `Q`
-/// outputs instead of across the four lanes and fills the loop with
-/// shuffles.
-#[inline(never)]
-fn dot_lanes<const R: usize, const Q: usize>(
-    a: [&[[f32; 4]]; R],
-    b: [&[[f32; 4]]; Q],
-) -> [[[f32; 4]; Q]; R] {
-    // Equal-length slices, so one loop bound covers every index.
-    let chunks = a[0].len();
-    let (a, b) = (a.map(|row| &row[..chunks]), b.map(|row| &row[..chunks]));
-    let mut acc = [[[0.0f32; 4]; Q]; R];
+/// The four interleaved partial sums of each of the `R × G·W` dot
+/// products over the whole chunks of the rows, added into `acc` (zeroed
+/// by the caller). One accumulator is `[[f32; 4]; W]`: the lanes of `W`
+/// rows of `B` side by side, multiplied by the chunk of `A` repeated `W`
+/// times — at `W` = 2 a 256-bit register per pair of outputs, one
+/// broadcast load per row of `A` and one two-halves load per pair of
+/// rows of `B`.
+#[inline(always)]
+fn dot_lanes<const R: usize, const G: usize, const W: usize>(
+    a: [&[f32]; R],
+    b: [[&[f32]; W]; G],
+) -> [[[[f32; 4]; W]; G]; R] {
+    // Equal-length rows, cut to one length here so that one loop bound
+    // covers every index below. Plain loops, not nested `map`s: those
+    // stay calls, and hide the lengths from the optimiser.
+    let chunks = a[0].len() / 4;
+    let a = a.map(|row| &row.as_chunks::<4>().0[..chunks]);
+    let mut bs: [[&[[f32; 4]]; W]; G] = [[&[]; W]; G];
+    for (dst, row) in bs.as_flattened_mut().iter_mut().zip(b.as_flattened()) {
+        *dst = &row.as_chunks::<4>().0[..chunks];
+    }
+    let mut sums = [[[[0.0f32; 4]; W]; G]; R];
     for i in 0..chunks {
-        let av: [[f32; 4]; R] = std::array::from_fn(|r| a[r][i]);
-        let bv: [[f32; 4]; Q] = std::array::from_fn(|q| b[q][i]);
-        for (accr, ar) in acc.iter_mut().zip(&av) {
-            for (lanes, bq) in accr.iter_mut().zip(&bv) {
-                for ((s, x), y) in lanes.iter_mut().zip(ar).zip(bq) {
+        for (sr, ar) in sums.iter_mut().zip(&a) {
+            let ar = [ar[i]; W];
+            for (sg, bg) in sr.iter_mut().zip(&bs) {
+                let mut bv = [[0.0f32; 4]; W];
+                for (v, row) in bv.iter_mut().zip(bg) {
+                    *v = row[i];
+                }
+                let lanes = sg.as_flattened_mut().iter_mut();
+                for ((s, x), y) in lanes.zip(ar.as_flattened()).zip(bv.as_flattened()) {
                     *s += x * y;
                 }
             }
         }
     }
-    acc
+    sums
 }
 
 /// `C = Aᵀ·B`. Shapes: `([m,k])ᵀ·[m,n] -> [k,n]`.
@@ -330,46 +483,49 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// `C += Aᵀ·B` on raw slices. `a` is `[m,k]`, `b` is `[m,n]`, `c` is `[k,n]`.
 pub fn matmul_at_b_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "A buffer size");
-    assert_eq!(b.len(), m * n, "B buffer size");
-    assert_eq!(c.len(), k * n, "C buffer size");
-    let threads = gemm_threads(k, m * k * n);
-    if threads <= 1 {
-        matmul_at_b_rows(a, b, c, 0..k, m, k, n);
-        return;
-    }
-    parallel_over_rows(c, n, threads, |kk0, kk1, chunk| {
-        matmul_at_b_rows(a, b, chunk, kk0..kk1, m, k, n)
-    });
+    matmul_at_b_into_at(Isa::detect(), a, b, c, m, k, n);
 }
 
-/// Output rows `kk0..kk1` of `C += Aᵀ·B`: `C[kk, ..] += Σ_i a[i, kk] ·
-/// b[i, ..]`, `i` ascending onto the value in `C` for every element,
-/// whatever the tiling — bitwise identical results for every row
-/// partition.
-fn matmul_at_b_rows(
+/// [`matmul_at_b_into`] on the kernel instance of one level.
+fn matmul_at_b_into_at(
+    isa: Isa,
     a: &[f32],
     b: &[f32],
-    c_chunk: &mut [f32],
-    rows: std::ops::Range<usize>,
+    c: &mut [f32],
     m: usize,
     k: usize,
     n: usize,
 ) {
-    let kk0 = rows.start;
-    accumulate_rows(c_chunk, rows.len(), n, b, m, |r, i| a[i * k + kk0 + r]);
+    assert_eq!(a.len(), m * k, "A buffer size");
+    assert_eq!(b.len(), m * n, "B buffer size");
+    assert_eq!(c.len(), k * n, "C buffer size");
+    // Output rows `kk0..kk1`: `C[kk, ..] += Σ_i a[i, kk] · b[i, ..]`.
+    let rows = |kk0: usize, kk1: usize, chunk: &mut [f32]| {
+        accumulate(
+            isa,
+            chunk,
+            kk1 - kk0,
+            n,
+            b,
+            m,
+            #[inline(always)]
+            move |r, i| a[i * k + kk0 + r],
+        );
+    };
+    let threads = gemm_threads(k, m * k * n);
+    if threads <= 1 {
+        rows(0, k, c);
+    } else {
+        parallel_over_rows(c, n, threads, rows);
+    }
 }
 
 #[cfg(test)]
-#[path = "../tests/support/reference.rs"]
-mod reference;
-
-#[cfg(test)]
 mod tests {
-    use super::reference::{
+    use super::*;
+    use crate::reference::{
         assert_bits_eq, matmul_a_bt_into_ref, matmul_at_b_into_ref, matmul_into_ref, matmul_naive,
     };
-    use super::*;
     use fedwcm_parallel::with_intra_threads;
     use fedwcm_stats::rng::{Rng, Xoshiro256pp};
 
@@ -421,8 +577,9 @@ mod tests {
 
     #[test]
     fn tiled_kernels_bitwise_match_scalar_reference() {
-        // Every (m, k, n) one ResLite or MLP training step passes to an
-        // entry point (flbench/README.md, "The GEMM shapes"): per sample,
+        // Every level this host offers, on every (m, k, n) one ResLite or
+        // MLP training step passes to an entry point
+        // (flbench/README.md, "The GEMM shapes"): per sample,
         // then as `Conv2d` really issues them at a 40-sample step — nine
         // samples a stem or 4×4 panel and a ragged one of four, 37 a 2×2
         // panel and a ragged one of three — each with its `A·Bᵀ`
@@ -472,28 +629,28 @@ mod tests {
             // ~30 % zeros in A exercise the reference's skip branch; C
             // is preloaded, so the chain starts from a non-zero value.
             let a = operand(m * k, 0.3, &mut rng);
-            let what = |name: &str| format!("{name} ({m},{k},{n})");
-
-            let b = operand(k * n, 0.0, &mut rng);
-            let c0 = operand(m * n, 0.0, &mut rng);
-            let (mut got, mut want) = (c0.clone(), c0);
-            matmul_into(&a, &b, &mut got, m, k, n);
-            matmul_into_ref(&a, &b, &mut want, m, k, n);
-            assert_bits_eq(&got, &want, &what("matmul_into"));
-
-            let b = operand(n * k, 0.0, &mut rng);
-            let c0 = operand(m * n, 0.0, &mut rng);
-            let (mut got, mut want) = (c0.clone(), c0);
-            matmul_a_bt_into(&a, &b, &mut got, m, k, n);
-            matmul_a_bt_into_ref(&a, &b, &mut want, m, k, n);
-            assert_bits_eq(&got, &want, &what("matmul_a_bt_into"));
-
-            let b = operand(m * n, 0.0, &mut rng);
-            let c0 = operand(k * n, 0.0, &mut rng);
-            let (mut got, mut want) = (c0.clone(), c0);
-            matmul_at_b_into(&a, &b, &mut got, m, k, n);
-            matmul_at_b_into_ref(&a, &b, &mut want, m, k, n);
-            assert_bits_eq(&got, &want, &what("matmul_at_b_into"));
+            let (b, bt, bb) = (
+                operand(k * n, 0.0, &mut rng),
+                operand(n * k, 0.0, &mut rng),
+                operand(m * n, 0.0, &mut rng),
+            );
+            let (c0, ct0) = (operand(m * n, 0.0, &mut rng), operand(k * n, 0.0, &mut rng));
+            let (mut want_ab, mut want_abt, mut want_atb) = (c0.clone(), c0.clone(), ct0.clone());
+            matmul_into_ref(&a, &b, &mut want_ab, m, k, n);
+            matmul_a_bt_into_ref(&a, &bt, &mut want_abt, m, k, n);
+            matmul_at_b_into_ref(&a, &bb, &mut want_atb, m, k, n);
+            for isa in Isa::available() {
+                let what = |name: &str| format!("{name} ({m},{k},{n}) {isa:?}");
+                let mut got = c0.clone();
+                matmul_into_at(isa, &a, &b, &mut got, m, k, n);
+                assert_bits_eq(&got, &want_ab, &what("matmul_into"));
+                let mut got = c0.clone();
+                matmul_a_bt_into_at(isa, &a, &bt, &mut got, m, k, n);
+                assert_bits_eq(&got, &want_abt, &what("matmul_a_bt_into"));
+                let mut got = ct0.clone();
+                matmul_at_b_into_at(isa, &a, &bb, &mut got, m, k, n);
+                assert_bits_eq(&got, &want_atb, &what("matmul_at_b_into"));
+            }
         }
     }
 
@@ -554,29 +711,27 @@ mod tests {
             (12, 2560, 27),
             (12, 640, 108),
         ] {
-            let a = Tensor::randn(&[m, k], 1.0, &mut rng);
-            let b = Tensor::randn(&[k, n], 1.0, &mut rng);
-            let bt = Tensor::randn(&[n, k], 1.0, &mut rng);
-            let bb = Tensor::randn(&[m, n], 1.0, &mut rng);
-            let gold_ab = with_intra_threads(1, || matmul(&a, &b));
-            let gold_abt = with_intra_threads(1, || matmul_a_bt(&a, &bt));
-            let gold_atb = with_intra_threads(1, || matmul_at_b(&a, &bb));
-            for threads in [2, 3, 5, 8, 64] {
-                let (p_ab, p_abt, p_atb) = with_intra_threads(threads, || {
-                    (matmul(&a, &b), matmul_a_bt(&a, &bt), matmul_at_b(&a, &bb))
-                });
-                for (gold, par, name) in [
-                    (&gold_ab, &p_ab, "matmul"),
-                    (&gold_abt, &p_abt, "matmul_a_bt"),
-                    (&gold_atb, &p_atb, "matmul_at_b"),
-                ] {
-                    assert_eq!(gold.shape(), par.shape());
-                    for (g, p) in gold.as_slice().iter().zip(par.as_slice()) {
-                        assert_eq!(
-                            g.to_bits(),
-                            p.to_bits(),
-                            "{name} ({m},{k},{n}) threads={threads}"
-                        );
+            let a = operand(m * k, 0.0, &mut rng);
+            let (b, bt, bb) = (
+                operand(k * n, 0.0, &mut rng),
+                operand(n * k, 0.0, &mut rng),
+                operand(m * n, 0.0, &mut rng),
+            );
+            for isa in Isa::available() {
+                let all_three = || {
+                    let (mut ab, mut abt, mut atb) =
+                        (vec![0.0; m * n], vec![0.0; m * n], vec![0.0; k * n]);
+                    matmul_into_at(isa, &a, &b, &mut ab, m, k, n);
+                    matmul_a_bt_into_at(isa, &a, &bt, &mut abt, m, k, n);
+                    matmul_at_b_into_at(isa, &a, &bb, &mut atb, m, k, n);
+                    [("matmul", ab), ("matmul_a_bt", abt), ("matmul_at_b", atb)]
+                };
+                let gold = with_intra_threads(1, all_three);
+                for threads in [2, 3, 5, 8, 64] {
+                    let par = with_intra_threads(threads, all_three);
+                    for ((name, g), (_, p)) in gold.iter().zip(&par) {
+                        let what = format!("{name} ({m},{k},{n}) {isa:?} threads={threads}");
+                        assert_bits_eq(p, g, &what);
                     }
                 }
             }

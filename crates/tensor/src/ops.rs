@@ -26,8 +26,11 @@ pub fn scal(alpha: f32, x: &mut [f32]) {
 #[inline]
 pub fn dot(x: &[f32], y: &[f32]) -> f32 {
     assert_eq!(x.len(), y.len(), "dot length mismatch");
-    // Four-way unrolled accumulation: breaks the serial FP dependency chain
-    // so the compiler can keep multiple FMAs in flight.
+    // Four interleaved partial sums break the serial dependency chain, so
+    // four multiply-then-add pairs are in flight at once. Each product is
+    // rounded, then each sum: never a fused multiply-add — this order and
+    // these roundings are the definition `matmul`'s `A·Bᵀ` tiles reproduce
+    // bit for bit at every instruction-set level.
     let mut acc = [0.0f32; 4];
     let chunks = x.len() / 4;
     for i in 0..chunks {

@@ -2,67 +2,14 @@
 //! must hold for arbitrary shapes and data.
 
 use fedwcm_stats::Xoshiro256pp;
-use fedwcm_tensor::im2col::{col2im, im2col, ConvGeom, PatchMap};
+use fedwcm_tensor::im2col::{col2im, im2col, ConvGeom};
 use fedwcm_tensor::matmul::{matmul, matmul_a_bt, matmul_at_b};
 use fedwcm_tensor::{ops, Tensor};
 use proptest::prelude::*;
 
 #[path = "support/reference.rs"]
 mod reference;
-use reference::{assert_bits_eq, matmul_naive};
-
-/// `PatchMap::lower`/`scatter_add` in the middle slot of a three-image
-/// panel against the definition, [`im2col`]/[`col2im`], bit for bit.
-fn assert_map_matches_definition(geom: &ConvGeom, seed: u64) {
-    let map = PatchMap::new(geom);
-    let (pr, pc) = (geom.patch_rows(), geom.patch_cols());
-    let (ld, col0) = (3 * pc, pc);
-    let what = format!("{geom:?}");
-
-    let x = randn(&[geom.input_len()], seed).into_vec();
-    let mut want = vec![0.0f32; pr * pc];
-    im2col(geom, &x, &mut want);
-    let mut panel = vec![f32::NAN; pr * ld];
-    map.lower(&x, &mut panel, ld, col0);
-    for (r, row) in panel.chunks_exact(ld).enumerate() {
-        assert_bits_eq(&row[col0..col0 + pc], &want[r * pc..(r + 1) * pc], &what);
-        let outside = row[..col0].iter().chain(&row[col0 + pc..]);
-        assert!(
-            outside.copied().all(f32::is_nan),
-            "{what}: row {r} written outside its slot"
-        );
-    }
-
-    // Scatter-add accumulates: onto a non-zero buffer that also holds
-    // -0.0, where `+=` and `=` would differ in the sign of zero.
-    let y = randn(&[pr * ld], seed.wrapping_add(1)).into_vec();
-    let mut cols = vec![0.0f32; pr * pc];
-    for (r, row) in y.chunks_exact(ld).enumerate() {
-        cols[r * pc..(r + 1) * pc].copy_from_slice(&row[col0..col0 + pc]);
-    }
-    let mut want = randn(&[geom.input_len()], seed.wrapping_add(2)).into_vec();
-    want.iter_mut().step_by(3).for_each(|g| *g = -0.0);
-    let mut got = want.clone();
-    col2im(geom, &cols, &mut want);
-    map.scatter_add(&y, ld, col0, &mut got);
-    assert_bits_eq(&got, &want, &what);
-}
-
-#[test]
-fn patch_map_matches_definition_on_the_reslite_geometries() {
-    for (c_in, hw) in [(3, 8), (12, 4), (12, 2)] {
-        let geom = ConvGeom {
-            c_in,
-            h: hw,
-            w: hw,
-            kh: 3,
-            kw: 3,
-            stride: 1,
-            pad: 1,
-        };
-        assert_map_matches_definition(&geom, 17);
-    }
-}
+use reference::matmul_naive;
 
 fn randn(shape: &[usize], seed: u64) -> Tensor {
     let mut rng = Xoshiro256pp::seed_from(seed);
@@ -136,16 +83,6 @@ proptest! {
         let lhs: f32 = ax.iter().zip(&y).map(|(a, b)| a * b).sum();
         let rhs: f32 = x.iter().zip(&aty).map(|(a, b)| a * b).sum();
         prop_assert!((lhs - rhs).abs() < 1e-2 * (1.0 + lhs.abs()), "{lhs} vs {rhs}");
-    }
-
-    #[test]
-    fn patch_map_matches_definition(
-        c_in in 1usize..5, h in 1usize..10, w in 1usize..10, k in 1usize..6,
-        stride in 1usize..4, pad in 0usize..3, seed in any::<u64>(),
-    ) {
-        prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
-        let geom = ConvGeom { c_in, h, w, kh: k, kw: k, stride, pad };
-        assert_map_matches_definition(&geom, seed);
     }
 
     #[test]
