@@ -92,6 +92,25 @@ fn gemm_threads(rows: usize, flops: usize) -> usize {
     intra_threads().min(rows.max(1))
 }
 
+/// `rows(r0, r1, chunk)` over all `total` rows of `c` (`n` floats each,
+/// `chunk` holding exactly rows `r0..r1`): one call on the caller, or
+/// disjoint contiguous chunks in parallel when [`gemm_threads`] grants
+/// the product of `flops` multiply-accumulates more than one worker.
+fn over_row_chunks(
+    c: &mut [f32],
+    n: usize,
+    total: usize,
+    flops: usize,
+    rows: impl Fn(usize, usize, &mut [f32]) + Sync,
+) {
+    let threads = gemm_threads(total, flops);
+    if threads <= 1 {
+        rows(0, total, c);
+    } else {
+        parallel_over_rows(c, n, threads, rows);
+    }
+}
+
 /// `C = A·B` for rank-2 tensors. Shapes: `[m,k]·[k,n] -> [m,n]`.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.rows(), a.cols());
@@ -112,8 +131,7 @@ fn matmul_into_at(isa: Isa, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: us
     assert_eq!(a.len(), m * k, "A buffer size");
     assert_eq!(b.len(), k * n, "B buffer size");
     assert_eq!(c.len(), m * n, "C buffer size");
-    // Rows `r0..r1` of `C += A·B`; `chunk` holds exactly those rows.
-    let rows = |r0: usize, r1: usize, chunk: &mut [f32]| {
+    over_row_chunks(c, n, m, m * k * n, |r0, r1, chunk| {
         let a = &a[r0 * k..r1 * k];
         accumulate(
             isa,
@@ -125,13 +143,7 @@ fn matmul_into_at(isa: Isa, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: us
             #[inline(always)]
             move |r, p| a[r * k + p],
         );
-    };
-    let threads = gemm_threads(m, m * k * n);
-    if threads <= 1 {
-        rows(0, m, c);
-    } else {
-        parallel_over_rows(c, n, threads, rows);
-    }
+    });
 }
 
 /// `C[r, ..] += Σ_p a_at(r, p) · B[p, ..]` for the `rows` rows of `c`
@@ -304,15 +316,9 @@ fn matmul_a_bt_into_at(
     assert_eq!(a.len(), m * k, "A buffer size");
     assert_eq!(b.len(), n * k, "B buffer size");
     assert_eq!(c.len(), m * n, "C buffer size");
-    let rows = |r0: usize, r1: usize, chunk: &mut [f32]| {
+    over_row_chunks(c, n, m, m * k * n, |r0, r1, chunk| {
         dot_rows(isa, &a[r0 * k..r1 * k], b, chunk, r1 - r0, k, n);
-    };
-    let threads = gemm_threads(m, m * k * n);
-    if threads <= 1 {
-        rows(0, m, c);
-    } else {
-        parallel_over_rows(c, n, threads, rows);
-    }
+    });
 }
 
 /// `C += A·Bᵀ` for the `rows` rows of `C` in `c`, `a` holding the matching
@@ -500,7 +506,7 @@ fn matmul_at_b_into_at(
     assert_eq!(b.len(), m * n, "B buffer size");
     assert_eq!(c.len(), k * n, "C buffer size");
     // Output rows `kk0..kk1`: `C[kk, ..] += Σ_i a[i, kk] · b[i, ..]`.
-    let rows = |kk0: usize, kk1: usize, chunk: &mut [f32]| {
+    over_row_chunks(c, n, k, m * k * n, |kk0, kk1, chunk| {
         accumulate(
             isa,
             chunk,
@@ -511,13 +517,7 @@ fn matmul_at_b_into_at(
             #[inline(always)]
             move |r, i| a[i * k + kk0 + r],
         );
-    };
-    let threads = gemm_threads(k, m * k * n);
-    if threads <= 1 {
-        rows(0, k, c);
-    } else {
-        parallel_over_rows(c, n, threads, rows);
-    }
+    });
 }
 
 #[cfg(test)]
