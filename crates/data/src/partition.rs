@@ -14,7 +14,7 @@
 
 use crate::dataset::{ClientView, Dataset};
 use fedwcm_stats::dist::Dirichlet;
-use fedwcm_stats::rng::{Rng, Xoshiro256pp};
+use fedwcm_stats::rng::{stream, Rng, Xoshiro256pp};
 
 /// The result of a partition: each client's sample indices into the master
 /// dataset.
@@ -111,7 +111,10 @@ pub fn paper_partition(dataset: &Dataset, clients: usize, beta: f64, seed: u64) 
     let n = dataset.len();
     assert!(n >= clients, "fewer samples than clients");
 
-    let mut rng = Xoshiro256pp::stream(seed, &[0x9A27, clients as u64, beta.to_bits()]);
+    let mut rng = Xoshiro256pp::stream(
+        seed,
+        &[stream::PARTITION_PAPER, clients as u64, beta.to_bits()],
+    );
     let dir = Dirichlet::symmetric(beta, classes);
 
     // Raw Dirichlet intent: D[k][c] ∝ client k's preference for class c.
@@ -173,7 +176,10 @@ pub fn fedgrab_partition(dataset: &Dataset, clients: usize, beta: f64, seed: u64
     let class_counts = dataset.class_counts();
     assert!(dataset.len() >= clients, "fewer samples than clients");
 
-    let mut rng = Xoshiro256pp::stream(seed, &[0xFED6, clients as u64, beta.to_bits()]);
+    let mut rng = Xoshiro256pp::stream(
+        seed,
+        &[stream::PARTITION_FEDGRAB, clients as u64, beta.to_bits()],
+    );
     let dir = Dirichlet::symmetric(beta, clients);
 
     let mut counts = vec![vec![0usize; classes]; clients];
@@ -232,7 +238,10 @@ pub fn creff_partition(
     let class_counts = dataset.class_counts();
     assert!(dataset.len() >= clients, "fewer samples than clients");
 
-    let mut rng = Xoshiro256pp::stream(seed, &[0xCEFF_0002, clients as u64, beta.to_bits()]);
+    let mut rng = Xoshiro256pp::stream(
+        seed,
+        &[stream::PARTITION_CREFF, clients as u64, beta.to_bits()],
+    );
     let dir = Dirichlet::symmetric(beta, clients);
     for attempt in 0..max_attempts {
         let mut counts = vec![vec![0usize; classes]; clients];

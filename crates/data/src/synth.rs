@@ -13,13 +13,8 @@
 
 use crate::dataset::Dataset;
 use fedwcm_stats::dist::Normal;
-use fedwcm_stats::rng::{Rng, Xoshiro256pp};
+use fedwcm_stats::rng::{stream, Rng, Xoshiro256pp};
 use fedwcm_tensor::Tensor;
-
-/// Stream labels for seed splitting.
-const STREAM_PROTO: u64 = 0xDA7A_0001;
-const STREAM_TRAIN: u64 = 0xDA7A_0002;
-const STREAM_TEST: u64 = 0xDA7A_0003;
 
 /// Feature layout of a synthetic dataset.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -157,7 +152,7 @@ impl SyntheticSpec {
 
     /// Deterministic class prototypes `[classes, dim]` for a dataset seed.
     pub fn prototypes(&self, seed: u64) -> Tensor {
-        let mut rng = Xoshiro256pp::stream(seed, &[STREAM_PROTO]);
+        let mut rng = Xoshiro256pp::stream(seed, &[stream::DATA_PROTO]);
         let d = self.shape.dim();
         let s = self.prototype_scale() as f32;
         let mut protos = Tensor::zeros(&[self.classes, d]);
@@ -204,7 +199,7 @@ impl SyntheticSpec {
         assert_eq!(counts.len(), self.classes, "counts/classes mismatch");
         self.generate(
             counts,
-            Xoshiro256pp::stream(seed, &[STREAM_TRAIN]),
+            Xoshiro256pp::stream(seed, &[stream::DATA_TRAIN]),
             self.label_flip,
             seed,
         )
@@ -215,7 +210,7 @@ impl SyntheticSpec {
         let counts = vec![self.test_per_class; self.classes];
         self.generate(
             &counts,
-            Xoshiro256pp::stream(seed, &[STREAM_TEST]),
+            Xoshiro256pp::stream(seed, &[stream::DATA_TEST]),
             0.0,
             seed,
         )

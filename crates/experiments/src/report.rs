@@ -208,6 +208,7 @@ mod tests {
     use super::*;
     use crate::cli::Scale;
     use fedwcm_data::synth::DatasetPreset;
+    use fedwcm_trace::Name;
 
     #[test]
     fn run_cell_smoke() {
@@ -285,10 +286,10 @@ mod tests {
     #[test]
     fn phase_table_renders_phase_histograms_only() {
         let reg = MetricsRegistry::new();
-        reg.counter_add("fl.rounds", 3);
-        reg.observe("fl.phase.aggregate", &[10.0, 100.0], 5.0);
-        reg.observe("fl.phase.aggregate", &[10.0, 100.0], 7.0);
-        reg.observe("fl.update_norm", &[1.0], 0.5);
+        reg.counter_add(Name::FL_ROUNDS, 3);
+        reg.observe(Name::FL_PHASE_AGGREGATE, &[10.0, 100.0], 5.0);
+        reg.observe(Name::FL_PHASE_AGGREGATE, &[10.0, 100.0], 7.0);
+        reg.observe(Name::FL_UPDATE_NORM, &[1.0], 0.5);
         let snap = reg.snapshot();
         let table = phase_time_table(&snap);
         assert!(table.contains("fl.phase.aggregate"), "{table}");
@@ -308,7 +309,7 @@ mod tests {
     #[test]
     fn phase_table_empty_without_phase_histograms() {
         let reg = MetricsRegistry::new();
-        reg.counter_add("fl.rounds", 1);
+        reg.counter_add(Name::FL_ROUNDS, 1);
         assert!(phase_time_table(&reg.snapshot()).is_empty());
         assert!(phase_time_table(&MetricsSnapshot::default()).is_empty());
     }
@@ -316,13 +317,13 @@ mod tests {
     #[test]
     fn metrics_summary_covers_all_kinds() {
         let reg = MetricsRegistry::new();
-        reg.counter_add("c", 4);
-        reg.gauge_set("g", 0.25);
-        reg.observe("h", &[1.0], 0.5);
+        reg.counter_add(Name::FL_ROUNDS, 4);
+        reg.gauge_set(Name::FL_ALPHA, 0.25);
+        reg.observe(Name::FL_UPDATE_NORM, &[1.0], 0.5);
         let s = metrics_summary(&reg.snapshot());
-        assert!(s.contains("c = 4"), "{s}");
-        assert!(s.contains("g = 0.250000"), "{s}");
-        assert!(s.contains("h: n=1 mean=0.500"), "{s}");
+        assert!(s.contains("fl.rounds = 4"), "{s}");
+        assert!(s.contains("fl.alpha = 0.250000"), "{s}");
+        assert!(s.contains("fl.update_norm: n=1 mean=0.500"), "{s}");
         assert!(metrics_summary(&MetricsSnapshot::default()).is_empty());
     }
 

@@ -35,11 +35,7 @@
 
 pub mod rates;
 
-use fedwcm_stats::rng::{Rng, Xoshiro256pp};
-
-/// Stream label for fault draws (disjoint from the engine's sampling
-/// stream `0x5A3B` and the client-local stream `0xC11E`).
-pub const STREAM_FAULT: u64 = 0xFA17;
+use fedwcm_stats::rng::{stream, Rng, Xoshiro256pp};
 
 /// How an injected corruption damages a delta.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -174,7 +170,7 @@ impl FaultPlan {
             return None;
         }
         let mut rng =
-            Xoshiro256pp::stream(self.cfg.seed, &[STREAM_FAULT, round as u64, client as u64]);
+            Xoshiro256pp::stream(self.cfg.seed, &[stream::FAULT, round as u64, client as u64]);
         let u = rng.next_f64();
         match rates::pick(
             u,

@@ -126,6 +126,10 @@ pub fn uniform_average(updates: &[ClientUpdate], out: &mut [f32]) {
 
 /// Weighted average of update deltas with the given per-update weights
 /// (need not sum to one; caller controls normalisation).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a weight is rounded to the f32 the kernels compute in; that rounding is the point"
+)]
 pub fn weighted_average(updates: &[ClientUpdate], weights: &[f64], out: &mut [f32]) {
     assert_eq!(
         updates.len(),

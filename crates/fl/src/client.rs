@@ -32,13 +32,10 @@ use fedwcm_nn::loss::Loss;
 use fedwcm_nn::model::Model;
 use fedwcm_nn::opt::momentum_blend;
 use fedwcm_parallel::sync::lock_recover;
-use fedwcm_stats::rng::Xoshiro256pp;
-use fedwcm_trace::{local, names, Value};
+use fedwcm_stats::rng::{stream, Xoshiro256pp};
+use fedwcm_trace::{local, Name, Value};
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
-
-/// Stream label for per-client sampling RNGs.
-const STREAM_LOCAL: u64 = 0xC11E;
 
 /// Factory that builds a model instance. [`crate::Simulation::new`] calls
 /// the user's factory **once** and keeps the result as a prototype; the
@@ -76,7 +73,7 @@ impl<'a> ClientEnv<'a> {
     pub fn rng(&self) -> Xoshiro256pp {
         Xoshiro256pp::stream(
             self.cfg.seed,
-            &[STREAM_LOCAL, self.round as u64, self.id as u64],
+            &[stream::LOCAL, self.round as u64, self.id as u64],
         )
     }
 
@@ -219,7 +216,7 @@ pub fn run_local_sgd(
         for epoch in 0..spec.epochs {
             let _span = traced.then(|| {
                 local::span(
-                    names::LOCAL_EPOCH,
+                    Name::LOCAL_EPOCH,
                     vec![
                         ("client", Value::U64(env.id as u64)),
                         ("epoch", Value::U64(epoch as u64)),
@@ -260,13 +257,17 @@ pub fn run_local_sgd(
         lock_recover(&pool.0).push(bufs);
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "mean loss is a bounded report value and f32 is its wire format"
+    )]
+    let avg_loss = (loss_acc / total_steps as f64) as f32;
     ClientUpdate {
         client: env.id,
         delta,
         num_samples: env.view.len(),
         num_batches: total_steps,
-        // lint:allow(cast-soundness) mean loss is a bounded report value; f32 is its wire format
-        avg_loss: (loss_acc / total_steps as f64) as f32,
+        avg_loss,
         extra: None,
     }
 }

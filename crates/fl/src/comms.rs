@@ -17,6 +17,9 @@
 //! cadence. Fold those in with [`CommReport::with_transport`], which
 //! keeps the books balanced as `total = nominal + retransmitted`.
 
+// Byte counters saturate: a bare `+`, `-` or `*` here is a compile error.
+#![deny(clippy::arithmetic_side_effects)]
+
 use crate::config::FlConfig;
 use crate::engine::sampled_clients_for;
 use fedwcm_faults::{FaultKind, FaultPlan};
@@ -25,7 +28,7 @@ use fedwcm_transport::NetCounters;
 /// Bytes moved in one direction for one client exchanging a full model
 /// (f32 parameters).
 pub fn model_bytes(param_len: usize) -> u64 {
-    param_len as u64 * 4
+    (param_len as u64).saturating_mul(4)
 }
 
 /// Per-round and full-run communication volumes for a configuration.
@@ -83,14 +86,14 @@ pub fn communication_report(
 ) -> CommReport {
     let sampled = cfg.sampled_per_round() as u64;
     let model = model_bytes(param_len);
-    let down_per_client = model * if momentum_broadcast { 2 } else { 1 };
-    let down = down_per_client * sampled;
-    let up = model * sampled;
+    let down_per_client = model.saturating_mul(if momentum_broadcast { 2 } else { 1 });
+    let down = down_per_client.saturating_mul(sampled);
+    let up = model.saturating_mul(sampled);
     CommReport {
         sampled_per_round: sampled,
         down_bytes_per_round: down,
         up_bytes_per_round: up,
-        total_bytes: (down + up) * cfg.rounds as u64,
+        total_bytes: down.saturating_add(up).saturating_mul(cfg.rounds as u64),
         stale_upload_bytes: 0,
         dropped_upload_bytes: 0,
         retransmitted_bytes: 0,
@@ -126,14 +129,14 @@ pub fn communication_report_with_faults(
                     report.dropped_upload_bytes = report.dropped_upload_bytes.saturating_add(model)
                 }
                 Some(FaultKind::Straggler { .. }) => {
-                    total += 2 * model;
+                    total = total.saturating_add(model.saturating_mul(2));
                     report.stale_upload_bytes = report.stale_upload_bytes.saturating_add(model);
                 }
                 Some(FaultKind::Replay) => {
-                    total += model;
+                    total = total.saturating_add(model);
                     report.stale_upload_bytes = report.stale_upload_bytes.saturating_add(model);
                 }
-                Some(FaultKind::Corrupt(_)) | None => total += model,
+                Some(FaultKind::Corrupt(_)) | None => total = total.saturating_add(model),
             }
         }
     }
@@ -142,6 +145,10 @@ pub fn communication_report_with_faults(
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::arithmetic_side_effects,
+    reason = "the tests recount with plain arithmetic, on volumes chosen to fit"
+)]
 mod tests {
     use super::*;
     use fedwcm_faults::FaultConfig;

@@ -75,6 +75,11 @@ impl FlConfig {
     }
 
     /// Number of clients sampled each round (at least one).
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "participation is asserted in (0, 1], so the rounded product lies in [0, clients]"
+    )]
     pub fn sampled_per_round(&self) -> usize {
         assert!(
             self.participation > 0.0 && self.participation <= 1.0,

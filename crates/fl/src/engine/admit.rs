@@ -7,7 +7,7 @@ use crate::cadence::Cadence;
 use crate::config::FlConfig;
 use crate::metrics::{RoundFaults, RoundRecord};
 use crate::undiscounted::Undiscounted;
-use fedwcm_trace::names;
+use fedwcm_trace::Name;
 
 /// A healthy upload held in the server's aggregation buffer (buffered-K
 /// and async cadences). First-class server state: `FWCK` checkpoints
@@ -75,8 +75,8 @@ pub(super) fn admit(
     });
     record.dropped_updates = before_filter - received.len();
     if let Some(reg) = ctx.registry {
-        reg.counter_add(names::FL_UPDATES_RECEIVED, before_filter as u64);
-        reg.counter_add(names::FL_UPDATES_DROPPED, record.dropped_updates as u64);
+        reg.counter_add(Name::FL_UPDATES_RECEIVED, before_filter as u64);
+        reg.counter_add(Name::FL_UPDATES_DROPPED, record.dropped_updates as u64);
     }
 
     match cfg.cadence {
@@ -86,7 +86,7 @@ pub(super) fn admit(
         Cadence::BufferedK { k } => {
             let flushes = buffer(ctx.round, received, state) / k;
             Admission::Apply {
-                batches: take_batches(ctx, state, names::FL_CADENCE_FLUSHES, flushes, k),
+                batches: take_batches(ctx, state, Name::FL_CADENCE_FLUSHES, flushes, k),
                 scale: 1.0,
             }
         }
@@ -101,7 +101,7 @@ pub(super) fn admit(
         Cadence::Async { max_in_flight } => {
             let n = max_in_flight.min(buffer(ctx.round, received, state));
             Admission::Apply {
-                batches: take_batches(ctx, state, names::FL_CADENCE_ASYNC_APPLIES, n, 1),
+                batches: take_batches(ctx, state, Name::FL_CADENCE_ASYNC_APPLIES, n, 1),
                 scale: 1.0f32 / n.max(1) as f32,
             }
         }
@@ -128,7 +128,7 @@ fn barrier(
         cfg.quorum_frac > 0.0 && (fresh_healthy as f64) < cfg.quorum_frac * ctx.sampled_len as f64;
     if faults.quorum_failed {
         if let Some(reg) = ctx.registry {
-            reg.counter_add(names::FL_ROUNDS_QUORUM_FAILED, 1);
+            reg.counter_add(Name::FL_ROUNDS_QUORUM_FAILED, 1);
         }
     }
     if !received.is_empty() && !faults.quorum_failed {
@@ -158,7 +158,7 @@ fn barrier(
     }
     if let Some(reg) = ctx.registry {
         reg.counter_add(
-            names::FL_FAULTS_LATE_REQUEUED,
+            Name::FL_FAULTS_LATE_REQUEUED,
             u64::from(faults.late_requeued),
         );
     }
@@ -197,7 +197,7 @@ fn buffer(round: usize, received: Vec<ReceivedUpdate>, state: &mut RunState) -> 
 fn take_batches(
     ctx: &RoundCtx<'_>,
     state: &mut RunState,
-    counter: &str,
+    counter: Name,
     count: usize,
     size: usize,
 ) -> Vec<Batch> {
@@ -215,7 +215,7 @@ fn take_batches(
     drop(oldest);
     if let Some(reg) = ctx.registry {
         reg.counter_add(counter, count as u64);
-        reg.gauge_set(names::FL_CADENCE_BUFFERED, state.agg_buffer.len() as f64);
+        reg.gauge_set(Name::FL_CADENCE_BUFFERED, state.agg_buffer.len() as f64);
     }
     batches
 }

@@ -10,7 +10,7 @@ use crate::cadence::Cadence;
 use crate::client::ClientUpdate;
 use crate::metrics::RoundRecord;
 use fedwcm_tensor::invariants;
-use fedwcm_trace::{names, Value};
+use fedwcm_trace::{Name, Value};
 
 /// Buckets for the per-round global-update-norm histogram.
 const UPDATE_NORM_BOUNDS: [f64; 8] = [0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0];
@@ -35,16 +35,12 @@ fn update_norm_between(before: &[f32], after: &[f32]) -> f64 {
 /// The span `cadence` wraps one aggregation event in: its name (also
 /// the event's word in invariant messages) and fields. An async batch
 /// is exactly one upload.
-fn event_span(
-    cadence: Cadence,
-    round: usize,
-    batch: &Batch,
-) -> (&'static str, Vec<(&'static str, Value)>) {
+fn event_span(cadence: Cadence, round: usize, batch: &Batch) -> (Name, Vec<(&'static str, Value)>) {
     let u = |v: usize| Value::U64(v as u64);
     let round = ("round", u(round));
     match (cadence, batch.first()) {
         (Cadence::Async { .. }, Some(only)) => (
-            names::ASYNC_APPLY,
+            Name::ASYNC_APPLY,
             vec![
                 round,
                 ("client", u(only.update.client())),
@@ -54,7 +50,7 @@ fn event_span(
         (Cadence::BufferedK { .. }, _) => {
             let oldest = batch.iter().map(|r| r.staleness).max().unwrap_or(0);
             (
-                names::BUFFER_FLUSH,
+                Name::BUFFER_FLUSH,
                 vec![
                     round,
                     ("size", u(batch.len())),
@@ -62,7 +58,7 @@ fn event_span(
                 ],
             )
         }
-        _ => (names::AGGREGATE, vec![round, ("updates", u(batch.len()))]),
+        _ => (Name::AGGREGATE, vec![round, ("updates", u(batch.len()))]),
     }
 }
 
@@ -123,24 +119,24 @@ pub(super) fn apply(
                 format!(
                     "global parameters after {} {} (round {round})",
                     algo.name(),
-                    span_name.replace('_', " ")
+                    span_name.as_str().replace('_', " ")
                 )
             });
         }
         record.aggregations += 1;
     }
-    ctx.observe_phase(names::FL_PHASE_AGGREGATE, t0);
+    ctx.observe_phase(Name::FL_PHASE_AGGREGATE, t0);
     record.train_loss = (loss_n > 0).then(|| loss_sum / loss_n as f64);
     record.update_norm = update_norm_between(&before, &state.global);
     if let Some(reg) = ctx.registry {
         reg.observe(
-            names::FL_UPDATE_NORM,
+            Name::FL_UPDATE_NORM,
             &UPDATE_NORM_BOUNDS,
             record.update_norm,
         );
         if let Some(a) = record.alpha {
-            reg.gauge_set(names::FL_ALPHA, a);
-            reg.observe(names::FL_ALPHA_TRAJECTORY, &ALPHA_BOUNDS, a);
+            reg.gauge_set(Name::FL_ALPHA, a);
+            reg.observe(Name::FL_ALPHA_TRAJECTORY, &ALPHA_BOUNDS, a);
         }
     }
 }

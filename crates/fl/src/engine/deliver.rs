@@ -7,7 +7,7 @@ use super::{PendingUpdate, ReceivedUpdate, RoundCtx, RunState};
 use crate::codec::Wire;
 use crate::undiscounted::Undiscounted;
 use crate::wire;
-use fedwcm_trace::{names, Value};
+use fedwcm_trace::{Name, Value};
 use fedwcm_transport::{AttemptOutcome, Courier, NetCounters, NetPlan, RetryPolicy, Verdict};
 
 /// Deliver `received` under `plan` and return what arrived.
@@ -46,21 +46,21 @@ pub(super) fn deliver(
         // of the same upload share it, so duplicates are detected.
         let seq = ((round as u64) << 32) | client as u64;
         let payload = r.update.encode();
-        let send_span = tracer.span(names::SEND_FRAME, ctx.at(client));
+        let send_span = tracer.span(Name::SEND_FRAME, ctx.at(client));
         let delivery = courier.deliver(round as u64, client as u64, seq, &payload);
         if tracer.enabled() {
             for outcome in &delivery.log {
                 let (name, detail) = match outcome {
                     AttemptOutcome::Acked => {
                         let attempts = Value::U64(u64::from(delivery.attempts));
-                        (names::ACK, ("attempts", attempts))
+                        (Name::ACK, ("attempts", attempts))
                     }
                     // The `ack` point is emitted when the deferred
                     // delivery is merged, rounds later.
                     AttemptOutcome::Delayed { .. } => continue,
                     failed => {
                         let reason = Value::Str(failed.label().to_string());
-                        (names::RETRY, ("reason", reason))
+                        (Name::RETRY, ("reason", reason))
                     }
                 };
                 let mut fields = ctx.at(client);
@@ -95,14 +95,14 @@ pub(super) fn deliver(
     net.merge(&courier.counters());
     state.net_ticks = courier.ticks();
     if let Some(reg) = ctx.registry {
-        reg.counter_add(names::FL_NET_FRAMES_SENT, net.frames_sent);
-        reg.counter_add(names::FL_NET_RETRIES, net.retries);
-        reg.counter_add(names::FL_NET_REJECTED_FRAMES, net.rejected_frames);
-        reg.counter_add(names::FL_NET_DUPLICATES, net.duplicates);
-        reg.counter_add(names::FL_NET_DELAYED, net.delayed);
-        reg.counter_add(names::FL_NET_DEGRADED, net.degraded);
-        reg.counter_add(names::FL_NET_RETRANSMITTED_BYTES, net.retransmitted_bytes);
-        reg.counter_add(names::FL_NET_REJECTED_BYTES, net.rejected_bytes);
+        reg.counter_add(Name::FL_NET_FRAMES_SENT, net.frames_sent);
+        reg.counter_add(Name::FL_NET_RETRIES, net.retries);
+        reg.counter_add(Name::FL_NET_REJECTED_FRAMES, net.rejected_frames);
+        reg.counter_add(Name::FL_NET_DUPLICATES, net.duplicates);
+        reg.counter_add(Name::FL_NET_DELAYED, net.delayed);
+        reg.counter_add(Name::FL_NET_DEGRADED, net.degraded);
+        reg.counter_add(Name::FL_NET_RETRANSMITTED_BYTES, net.retransmitted_bytes);
+        reg.counter_add(Name::FL_NET_REJECTED_BYTES, net.rejected_bytes);
     }
     out
 }

@@ -5,7 +5,7 @@ use super::RoundCtx;
 use fedwcm_data::dataset::Dataset;
 use fedwcm_nn::model::Model;
 use fedwcm_parallel::{chunk_ranges, parallel_map};
-use fedwcm_trace::{names, Value};
+use fedwcm_trace::{Name, Value};
 
 /// Evaluation batch size (memory bound, not a hyper-parameter).
 const EVAL_BATCH: usize = 256;
@@ -25,31 +25,31 @@ pub(super) fn evaluate(
     let t0 = ctx.tracer.now();
     let acc = {
         let _g = ctx.tracer.span(
-            names::EVALUATE,
+            Name::EVALUATE,
             vec![("round", Value::U64(ctx.round as u64))],
         );
         model.set_params(global);
         let tally = class_tally(model, test, threads);
         let acc = overall_accuracy(&tally);
         if let Some(reg) = ctx.registry {
-            reg.gauge_set(names::FL_ACC_OVERALL, acc);
+            reg.gauge_set(Name::FL_ACC_OVERALL, acc);
             let pc = class_accuracies(&tally);
             let tail_len = pc.len() / 3;
             let tail_from = pc.len() - tail_len;
             let mut tail_sum = 0.0;
             for (c, &a) in pc.iter().enumerate() {
-                reg.gauge_set(&format!("{}{c:02}", names::FL_ACC_CLASS_PREFIX), a);
+                reg.gauge_set(Name::FL_ACC_CLASS_PREFIX.class(c), a);
                 if c >= tail_from {
                     tail_sum += a;
                 }
             }
             if tail_len > 0 {
-                reg.gauge_set(names::FL_ACC_TAIL, tail_sum / tail_len as f64);
+                reg.gauge_set(Name::FL_ACC_TAIL, tail_sum / tail_len as f64);
             }
         }
         acc
     };
-    ctx.observe_phase(names::FL_PHASE_EVALUATE, t0);
+    ctx.observe_phase(Name::FL_PHASE_EVALUATE, t0);
     acc
 }
 

@@ -39,7 +39,7 @@ use crate::metrics::{History, RoundRecord};
 use fedwcm_data::dataset::{ClientView, Dataset};
 use fedwcm_faults::FaultPlan;
 use fedwcm_nn::model::Model;
-use fedwcm_trace::{names, MetricsRegistry, Tracer, Value};
+use fedwcm_trace::{MetricsRegistry, Name, Tracer, Value};
 use fedwcm_transport::{NetPlan, RetryPolicy};
 use std::sync::Arc;
 
@@ -196,7 +196,7 @@ impl<'a> Simulation<'a> {
         let stop = stop_round.min(self.cfg.rounds);
         self.drive(algo, &mut state, stop, &mut |_, _| {});
         let _g = self.obs.tracer.span(
-            names::CHECKPOINT,
+            Name::CHECKPOINT,
             vec![("round", Value::U64(state.next_round as u64))],
         );
         ServerCheckpoint::capture(self, algo, &state)
@@ -282,7 +282,7 @@ impl<'a> Simulation<'a> {
 
             state.history.records.push(record);
             if let Some(reg) = ctx.registry {
-                reg.counter_add(names::FL_ROUNDS, 1);
+                reg.counter_add(Name::FL_ROUNDS, 1);
             }
             observer(round, &state.global);
             ctx.close();

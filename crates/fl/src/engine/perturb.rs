@@ -8,7 +8,7 @@ use crate::client::ClientUpdate;
 use crate::metrics::RoundFaults;
 use crate::undiscounted::Undiscounted;
 use fedwcm_faults::{corrupt_delta, FaultKind, FaultPlan};
-use fedwcm_trace::{names, Value};
+use fedwcm_trace::{Name, Value};
 
 /// A late upload waiting in the server's straggler buffer.
 #[derive(Clone, Debug)]
@@ -69,7 +69,7 @@ pub(super) fn perturb(
     let round = ctx.round;
     let _span = plan.map(|_| {
         ctx.tracer.span(
-            names::FAULT_INJECT,
+            Name::FAULT_INJECT,
             vec![("round", Value::U64(round as u64))],
         )
     });
@@ -132,11 +132,11 @@ pub(super) fn perturb(
         }
     }
     if let Some(reg) = ctx.registry {
-        reg.counter_add(names::FL_FAULTS_DROPOUTS, u64::from(faults.dropouts));
-        reg.counter_add(names::FL_FAULTS_STRAGGLERS, u64::from(faults.stragglers));
-        reg.counter_add(names::FL_FAULTS_LATE_MERGED, u64::from(faults.late_merged));
-        reg.counter_add(names::FL_FAULTS_CORRUPTIONS, u64::from(faults.corruptions));
-        reg.counter_add(names::FL_FAULTS_REPLAYS, u64::from(faults.replays));
+        reg.counter_add(Name::FL_FAULTS_DROPOUTS, u64::from(faults.dropouts));
+        reg.counter_add(Name::FL_FAULTS_STRAGGLERS, u64::from(faults.stragglers));
+        reg.counter_add(Name::FL_FAULTS_LATE_MERGED, u64::from(faults.late_merged));
+        reg.counter_add(Name::FL_FAULTS_CORRUPTIONS, u64::from(faults.corruptions));
+        reg.counter_add(Name::FL_FAULTS_REPLAYS, u64::from(faults.replays));
     }
     received
 }
@@ -166,7 +166,7 @@ fn merge_due_pending(
         if p.via_net && ctx.tracer.enabled() {
             let mut fields = ctx.at(client);
             fields.push(("deferred", Value::U64(1)));
-            ctx.tracer.point(names::ACK, fields);
+            ctx.tracer.point(Name::ACK, fields);
         }
         received.push(ReceivedUpdate {
             staleness: p.staleness,

@@ -6,19 +6,16 @@ use crate::algorithm::FederatedAlgorithm;
 use crate::client::{with_pool, BufferPool, ClientEnv, ClientUpdate};
 use crate::config::FlConfig;
 use fedwcm_parallel::{parallel_map, with_intra_threads, ThreadBudget};
-use fedwcm_stats::rng::{Rng, Xoshiro256pp};
+use fedwcm_stats::rng::{stream, Rng, Xoshiro256pp};
 use fedwcm_tensor::invariants;
-use fedwcm_trace::{local, names, SpanBuffer, Value};
+use fedwcm_trace::{local, Name, SpanBuffer, Value};
 use std::sync::Arc;
-
-/// Stream label for per-round client sampling.
-const STREAM_SAMPLE: u64 = 0x5A3B;
 
 /// The client ids sampled in round `round` under `cfg` (a pure function
 /// of `(cfg.seed, round)`, so sampling, fault accounting, and
 /// communication reports all agree without sharing state). Ascending.
 pub fn sampled_clients_for(cfg: &FlConfig, round: usize) -> Vec<usize> {
-    let mut rng = Xoshiro256pp::stream(cfg.seed, &[STREAM_SAMPLE, round as u64]);
+    let mut rng = Xoshiro256pp::stream(cfg.seed, &[stream::SAMPLE, round as u64]);
     rng.sample_indices(cfg.clients, cfg.sampled_per_round())
 }
 
@@ -90,20 +87,20 @@ pub(super) fn train(
             let mut fields = ctx.at(update.client);
             fields.push(("batches", Value::U64(update.num_batches as u64)));
             fields.push(("loss", Value::F64(f64::from(update.avg_loss))));
-            let _g = tracer.span(names::CLIENT_UPDATE, fields);
+            let _g = tracer.span(Name::CLIENT_UPDATE, fields);
             tracer.replay(events);
         }
         updates.push(update);
     }
-    ctx.observe_phase(names::FL_PHASE_LOCAL_TRAIN, t0);
+    ctx.observe_phase(Name::FL_PHASE_LOCAL_TRAIN, t0);
     if let Some(reg) = ctx.registry {
         let up: u64 = updates
             .iter()
             .map(|u| 4 * (u.delta.len() + u.extra.as_ref().map_or(0, Vec::len)) as u64)
             .sum();
-        reg.counter_add(names::FL_BYTES_UP, up);
+        reg.counter_add(Name::FL_BYTES_UP, up);
         reg.counter_add(
-            names::FL_BYTES_DOWN,
+            Name::FL_BYTES_DOWN,
             4 * (ctx.sampled_len * global.len()) as u64,
         );
     }

@@ -40,6 +40,15 @@
 //! and the per-round context every stage reports through).
 
 #![warn(missing_docs)]
+// This crate writes bytes other processes read back: a lossy `as` is a
+// compile error here, and an exemption states the bound that makes it
+// exact.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod algorithm;
 pub mod cadence;

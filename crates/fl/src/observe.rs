@@ -8,7 +8,7 @@
 //! touches is part of the snapshot bytes. The stages' docs say which
 //! reads and which names each path owns.
 
-use fedwcm_trace::{names, MetricsRegistry, SpanGuard, Tracer, Value};
+use fedwcm_trace::{MetricsRegistry, Name, SpanGuard, Tracer, Value};
 use std::sync::Arc;
 
 /// Tick-delta buckets of the `fl.phase.*` / `fl.round_ticks` histograms:
@@ -67,20 +67,20 @@ impl<'a> RoundCtx<'a> {
             tracer,
             registry: obs.metrics.as_deref(),
             t0,
-            span: Some(tracer.span(names::ROUND, fields)),
+            span: Some(tracer.span(Name::ROUND, fields)),
         }
     }
 
     /// Close the `round` span, then book the round's ticks.
     pub(crate) fn close(mut self) {
         drop(self.span.take());
-        self.observe_phase(names::FL_ROUND_TICKS, self.t0);
+        self.observe_phase(Name::FL_ROUND_TICKS, self.t0);
     }
 
     /// Record the ticks since `t0` in the named phase histogram. The
     /// clock is read whenever the tracer is enabled (tick sequences do
     /// not depend on the registry); the sample needs a registry to land.
-    pub(crate) fn observe_phase(&self, name: &str, t0: Option<u64>) {
+    pub(crate) fn observe_phase(&self, name: Name, t0: Option<u64>) {
         if let (Some(t0), Some(t1)) = (t0, self.tracer.now()) {
             if let Some(reg) = self.registry {
                 reg.observe(name, &PHASE_BOUNDS, t1.saturating_sub(t0) as f64);
@@ -108,7 +108,7 @@ impl<'a> RoundCtx<'a> {
             let mut fields = self.at(client);
             fields.push(("kind", Value::Str(kind.to_string())));
             fields.extend(detail.map(|(k, v)| (k, Value::U64(v as u64))));
-            self.tracer.point(names::FAULT, fields);
+            self.tracer.point(Name::FAULT, fields);
         }
     }
 }

@@ -8,7 +8,7 @@
 //! the analysis crate verify the `O(1/√(NKR)) + O(1/R)` rate empirically.
 
 use fedwcm_stats::dist::Normal;
-use fedwcm_stats::rng::{Rng, Xoshiro256pp};
+use fedwcm_stats::rng::{stream, Rng, Xoshiro256pp};
 
 /// A federated diagonal-quadratic problem instance.
 pub struct QuadraticProblem {
@@ -25,7 +25,7 @@ impl QuadraticProblem {
     /// minimisers `N(0, heterogeneity²)` per client.
     pub fn random(clients: usize, dim: usize, heterogeneity: f64, sigma: f64, seed: u64) -> Self {
         assert!(clients >= 1 && dim >= 1);
-        let mut rng = Xoshiro256pp::stream(seed, &[0x9A0D]);
+        let mut rng = Xoshiro256pp::stream(seed, &[stream::QUADRATIC_PROBLEM]);
         let mut normal = Normal::new(0.0, heterogeneity);
         let curvatures = (0..clients)
             .map(|_| (0..dim).map(|_| 0.5 + rng.next_f64()).collect())
@@ -122,7 +122,7 @@ pub fn run_quadratic_fedcm(problem: &QuadraticProblem, cfg: &QuadRunConfig) -> V
     let mut x = vec![0.0f64; dim];
     let mut momentum = vec![0.0f64; dim];
     let mut noise = Normal::new(0.0, problem.sigma);
-    let mut rng = Xoshiro256pp::stream(cfg.seed, &[0x40AD]);
+    let mut rng = Xoshiro256pp::stream(cfg.seed, &[stream::QUADRATIC_RUN]);
     let mut grad_norms = Vec::with_capacity(cfg.rounds);
 
     let mut grad = vec![0.0f64; dim];

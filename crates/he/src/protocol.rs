@@ -12,7 +12,7 @@
 //! independent of the client count per ciphertext, as the paper notes).
 
 use crate::rlwe::{Ciphertext, RlweParams, SecretKey};
-use fedwcm_stats::rng::Xoshiro256pp;
+use fedwcm_stats::rng::{stream, Xoshiro256pp};
 use fedwcm_trace::{Clock, WallClock};
 
 /// Size/time accounting for one protocol run.
@@ -37,6 +37,8 @@ pub struct ProtocolReport {
 
 /// Run the full protocol over per-client class counts; returns the exact
 /// global counts and the accounting report.
+// The report's byte counters saturate: a bare `+` or `*` does not compile.
+#[deny(clippy::arithmetic_side_effects)]
 pub fn aggregate_distributions(
     client_counts: &[Vec<usize>],
     params: RlweParams,
@@ -63,7 +65,7 @@ pub fn aggregate_distributions(
     );
 
     // Step 1: key generation by a designated client.
-    let mut key_rng = Xoshiro256pp::stream(seed, &[0x4E1, 0]);
+    let mut key_rng = Xoshiro256pp::stream(seed, &[stream::HE_PROTOCOL, 0]);
     let key = SecretKey::generate(params, &mut key_rng);
 
     // Step 2: per-client encryption. Timings only measure cost for the
@@ -75,13 +77,14 @@ pub fn aggregate_distributions(
         .iter()
         .enumerate()
         .map(|(k, counts)| {
-            let mut rng = Xoshiro256pp::stream(seed, &[0x4E1, 1 + k as u64]);
+            let mut rng =
+                Xoshiro256pp::stream(seed, &[stream::HE_PROTOCOL, (k as u64).saturating_add(1)]);
             let values: Vec<u64> = counts.iter().map(|&c| c as u64).collect();
             key.encrypt(&values, &mut rng)
         })
         .collect();
     let encrypt_seconds_per_client =
-        (clock.tick() - t_enc) as f64 / 1e9 / client_counts.len() as f64;
+        clock.tick().saturating_sub(t_enc) as f64 / 1e9 / client_counts.len() as f64;
 
     // Steps 3–4: homomorphic aggregation, then key-holder decryption.
     let t_agg = clock.tick();
@@ -90,14 +93,17 @@ pub fn aggregate_distributions(
         acc.add_assign(ct);
     }
     let decrypted = key.decrypt(&acc, classes);
-    let aggregate_seconds = (clock.tick() - t_agg) as f64 / 1e9;
+    let aggregate_seconds = clock.tick().saturating_sub(t_agg) as f64 / 1e9;
 
-    let global: Vec<usize> = decrypted.iter().map(|&v| v as usize).collect();
+    let global: Vec<usize> = decrypted
+        .iter()
+        .map(|&v| usize::try_from(v).unwrap_or(usize::MAX))
+        .collect();
     let ciphertext_bytes = params.ciphertext_bytes();
     let report = ProtocolReport {
         classes,
         clients: client_counts.len(),
-        plaintext_bytes: 8 + classes * 8,
+        plaintext_bytes: classes.saturating_mul(8).saturating_add(8),
         ciphertext_bytes,
         total_upload_bytes: ciphertext_bytes.saturating_mul(client_counts.len()),
         encrypt_seconds_per_client,

@@ -94,12 +94,14 @@ fn add_shifted(
 
 /// Interpret a mod-q coefficient as a signed value in `(−q/2, q/2]`.
 #[inline]
+#[expect(
+    clippy::cast_possible_wrap,
+    reason = "each branch casts a magnitude of at most q/2 = 2^61, which fits i64"
+)]
 pub fn to_signed(x: u64) -> i64 {
     if x > Q / 2 {
-        // lint:allow(cast-soundness) the magnitude q − x is below q/2 and fits i64
         -((Q - x) as i64)
     } else {
-        // lint:allow(cast-soundness) the branch bounds x by q/2 which fits i64
         x as i64
     }
 }
@@ -181,7 +183,7 @@ mod tests {
         }
         let expect: Vec<u64> = dense
             .iter()
-            .map(|&v| (v.rem_euclid(Q as i128)) as u64)
+            .map(|&v| u64::try_from(v.rem_euclid(i128::from(Q))).unwrap())
             .collect();
         let mut out = vec![0u64; n];
         negacyclic_mul_sparse(&a, &plus, &minus, &mut out);
@@ -237,6 +239,6 @@ mod tests {
     fn signed_interpretation() {
         assert_eq!(to_signed(5), 5);
         assert_eq!(to_signed(Q - 3), -3);
-        assert_eq!(to_signed(Q / 2), (Q / 2) as i64);
+        assert_eq!(to_signed(Q / 2), i64::try_from(Q / 2).unwrap());
     }
 }

@@ -126,12 +126,12 @@ impl SecretKey {
         let mut c0 = vec![0u64; n];
         negacyclic_mul_sparse(&c1, &self.plus, &self.minus, &mut c0);
         for c in c0.iter_mut() {
-            // e ∈ [−noise, noise]
-            let e = rng.next_below(2 * p.noise_bound + 1) as i64 - p.noise_bound as i64;
-            *c = if e >= 0 {
-                addq(*c, e.unsigned_abs())
+            // e = draw − noise ∈ [−noise, noise]
+            let draw = rng.next_below(2 * p.noise_bound + 1);
+            *c = if draw >= p.noise_bound {
+                addq(*c, draw - p.noise_bound)
             } else {
-                subq(*c, e.unsigned_abs())
+                subq(*c, p.noise_bound - draw)
             };
         }
         for (c, &v) in c0.iter_mut().zip(values) {
@@ -141,6 +141,10 @@ impl SecretKey {
     }
 
     /// Decrypt to a vector of `len` values.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "rem_euclid by plain_modulus, a u64, leaves a value in [0, plain_modulus)"
+    )]
     pub fn decrypt(&self, ct: &Ciphertext, len: usize) -> Vec<u64> {
         let p = &self.params;
         assert!(len <= p.degree, "requested length exceeds ring degree");
@@ -204,15 +208,16 @@ impl Ciphertext {
     /// Parse the wire format produced by [`Ciphertext::to_bytes`].
     /// Returns `None` on malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Option<Ciphertext> {
-        if bytes.len() < 8 {
+        let (header, body) = bytes.split_first_chunk::<8>()?;
+        // `n` is off the wire: the length it implies is computed checked
+        // and compared with the bytes actually present before anything is
+        // reserved, so what is reserved is bounded by `body.len()`.
+        let n = usize::try_from(u64::from_le_bytes(*header)).ok()?;
+        if n == 0 || !n.is_power_of_two() || n.checked_mul(16)? != body.len() {
             return None;
         }
-        let n = u64::from_le_bytes(bytes[..8].try_into().ok()?) as usize;
-        if n == 0 || !n.is_power_of_two() || bytes.len() != 8 + 16 * n {
-            return None;
-        }
-        let mut coeffs = Vec::with_capacity(2 * n);
-        for chunk in bytes[8..].chunks_exact(8) {
+        let mut coeffs = Vec::with_capacity(body.len() / 8);
+        for chunk in body.chunks_exact(8) {
             let v = u64::from_le_bytes(chunk.try_into().ok()?);
             if v >= crate::ring::Q {
                 return None;

@@ -5,6 +5,25 @@ use fedwcm_he::rlwe::{Ciphertext, RlweParams, SecretKey};
 use fedwcm_stats::rng::Xoshiro256pp;
 use proptest::prelude::*;
 
+/// A length header is attacker-controlled: `8 + 16·n` used to wrap for
+/// `n = 2^60` (so an eight-byte buffer *passed* the length check in a
+/// release build and `Vec::with_capacity(2·n)` aborted), and to panic on
+/// the multiply in a test build. Every header that promises more than
+/// the buffer holds is `None`, before anything is reserved.
+#[test]
+fn oversized_length_headers_are_rejected_without_reserving() {
+    for n in [1u64 << 60, 1 << 63, u64::MAX, 1 << 59, 1 << 32] {
+        assert!(
+            Ciphertext::from_bytes(&n.to_le_bytes()).is_none(),
+            "header n = {n:#x} over an empty body"
+        );
+        // The same header over a body that is real but far too short.
+        let mut bytes = n.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0u8; 32]);
+        assert!(Ciphertext::from_bytes(&bytes).is_none(), "n = {n:#x}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

@@ -11,7 +11,7 @@ use fedwcm_data::dataset::{ClientView, Dataset};
 use fedwcm_nn::dense::Dense;
 use fedwcm_nn::loss::CrossEntropy;
 use fedwcm_nn::model::Model;
-use fedwcm_stats::rng::{Rng, Xoshiro256pp};
+use fedwcm_stats::rng::{stream, Rng, Xoshiro256pp};
 use fedwcm_tensor::Tensor;
 
 /// Per-class feature prototypes gathered from clients ("federated
@@ -78,7 +78,7 @@ pub fn creff_retrain(
 
     // Extract the classifier as a standalone one-layer model.
     let (off, len) = model.layer_param_range(model.num_layers() - 1);
-    let mut rng = Xoshiro256pp::stream(seed, &[0xCEFF]);
+    let mut rng = Xoshiro256pp::stream(seed, &[stream::CREFF_HEAD]);
     let mut head = Model::new(vec![Box::new(Dense::new(dim, classes))], dim, &mut rng);
     assert_eq!(head.param_len(), len, "classifier extraction size mismatch");
     head.set_params(&model.params()[off..off + len]);

@@ -43,6 +43,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// This crate writes bytes other processes read back: a lossy `as` is a
+// compile error here, and an exemption states the bound that makes it
+// exact.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod budget;
 pub mod error;

@@ -177,6 +177,10 @@ pub struct Profile {
 
 /// Exact nearest-rank percentile of a sorted sample: the smallest
 /// element whose rank is at least `q * n`. `sorted` must be non-empty.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "rank is clamped to n = sorted.len(), which came from a usize"
+)]
 fn nearest_rank(sorted: &[u64], q_num: u64, q_den: u64) -> u64 {
     let n = sorted.len() as u64;
     // rank = ceil(n * q_num / q_den), clamped to [1, n].

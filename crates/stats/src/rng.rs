@@ -112,6 +112,66 @@ pub fn split_seed(seed: u64, labels: &[u64]) -> u64 {
     out
 }
 
+/// First-position stream labels: what a stream is *for*.
+///
+/// Every `Xoshiro256pp::stream(seed, &[LABEL, …])` in the workspace
+/// names its purpose with one of these, so two purposes cannot share a
+/// label by accident — the table is one screen, and a unit test asserts
+/// the values pairwise distinct. Distinct labels are what keeps fault
+/// and network draws from correlating with training and sampling draws
+/// under one seed (`crates/fl/tests/stream_independence.rs` states the
+/// property end to end). The values are frozen: changing one moves
+/// every bit drawn from its stream.
+pub mod stream {
+    macro_rules! labels {
+        ($($(#[$doc:meta])* $id:ident = $v:literal;)*) => {
+            $($(#[$doc])* pub const $id: u64 = $v;)*
+
+            /// Every label of the table, by name.
+            pub const ALL: &[(&str, u64)] = &[$((stringify!($id), $v)),*];
+        };
+    }
+
+    labels! {
+        /// `fl`: the cohort sampled in a round, keyed `(round)`.
+        SAMPLE = 0x5A3B;
+        /// `fl`: one client's local training (batch order), keyed
+        /// `(round, client)`.
+        LOCAL = 0xC11E;
+        /// `fl::quadratic`: the random quadratic instance.
+        QUADRATIC_PROBLEM = 0x9A0D;
+        /// `fl::quadratic`: gradient noise and sampling of a run.
+        QUADRATIC_RUN = 0x40AD;
+        /// `faults`: client-fault draws, keyed `(round, client)`.
+        FAULT = 0xFA17;
+        /// `transport`: frame-level network fault draws, keyed
+        /// `(round, client, attempt)`.
+        NET = 0x4E17;
+        /// `transport`: retry-backoff jitter, keyed like [`NET`] and
+        /// apart from it so backoff timing never perturbs the fault
+        /// schedule.
+        NET_JITTER = 0x4E77;
+        /// `data::synth`: class prototypes.
+        DATA_PROTO = 0xDA7A_0001;
+        /// `data::synth`: training samples.
+        DATA_TRAIN = 0xDA7A_0002;
+        /// `data::synth`: test samples.
+        DATA_TEST = 0xDA7A_0003;
+        /// `data::partition`: the paper's partition, keyed
+        /// `(clients, β bits)`.
+        PARTITION_PAPER = 0x9A27;
+        /// `data::partition`: the FedGrab partition, keyed alike.
+        PARTITION_FEDGRAB = 0xFED6;
+        /// `data::partition`: the CReFF partition, keyed alike.
+        PARTITION_CREFF = 0xCEFF_0002;
+        /// `longtail::creff`: the re-trained classifier head's init.
+        CREFF_HEAD = 0xCEFF;
+        /// `he::protocol`: key generation (`0`) and per-client
+        /// encryption noise (`1 + client`).
+        HE_PROTOCOL = 0x4E1;
+    }
+}
+
 /// xoshiro256++ generator state.
 ///
 /// Period 2^256 − 1; passes BigCrush. Not cryptographically secure (the HE
@@ -163,6 +223,16 @@ impl Rng for Xoshiro256pp {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stream_labels_are_pairwise_distinct() {
+        for (i, (a, va)) in stream::ALL.iter().enumerate() {
+            for (b, vb) in &stream::ALL[i + 1..] {
+                assert_ne!(va, vb, "stream labels {a} and {b} share {va:#X}");
+            }
+        }
+        assert_eq!(stream::ALL.len(), 15);
+    }
 
     #[test]
     fn deterministic_across_clones() {

@@ -38,6 +38,15 @@
 //! name position at call sites.
 
 #![warn(missing_docs)]
+// This crate writes bytes other processes read back: a lossy `as` is a
+// compile error here, and an exemption states the bound that makes it
+// exact.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod clock;
 pub mod event;
@@ -45,6 +54,7 @@ pub mod metrics;
 pub mod names;
 pub mod prof;
 pub mod sink;
+mod sync;
 pub mod tracer;
 
 pub use clock::{Clock, LogicalClock, WallClock};
@@ -53,6 +63,7 @@ pub use metrics::{
     validate_bounds, BoundsError, HistogramSnapshot, MetricEntry, MetricValue, MetricsRegistry,
     MetricsSnapshot,
 };
+pub use names::{Key, Name};
 pub use sink::{ConsoleSink, JsonlSink, NullSink, RingSink, SharedBuf, Sink};
 pub use tracer::{local, SpanBuffer, SpanGuard, Tracer};
 
@@ -60,10 +71,3 @@ pub use tracer::{local, SpanBuffer, SpanGuard, Tracer};
 /// observations panic (naming the metric) when enabled, and are counted
 /// into the histogram's `nan_rejected` slot when disabled.
 pub const INVARIANTS_ENABLED: bool = cfg!(feature = "debug_invariants");
-
-/// Recover a mutex guard even if a holder panicked: the protected state
-/// (event buffers, metric maps) is valid after every individual update,
-/// so continuing with the recovered guard is sound.
-pub(crate) fn lock_recover<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}

@@ -2,7 +2,9 @@
 //! deterministic [`MetricsSnapshot`] that merges into run history and
 //! survives checkpoint round-trips.
 
-use crate::{lock_recover, INVARIANTS_ENABLED};
+use crate::names::{Key, Name};
+use crate::sync::lock_recover;
+use crate::INVARIANTS_ENABLED;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Mutex;
@@ -144,7 +146,22 @@ impl MetricsRegistry {
 
     /// Add `v` to the named counter (created at 0 on first use),
     /// saturating at `u64::MAX`.
-    pub fn counter_add(&self, name: &str, v: u64) {
+    ///
+    /// ```compile_fail
+    /// // expected `Name`, found `&str` (E0308)
+    /// fedwcm_trace::MetricsRegistry::new().counter_add("fl.rounds", 1);
+    /// ```
+    /// ```compile_fail
+    /// // no associated item `FL_ROUDNS` (E0599)
+    /// use fedwcm_trace::{names::Name, MetricsRegistry};
+    /// MetricsRegistry::new().counter_add(Name::FL_ROUDNS, 1);
+    /// ```
+    /// ```
+    /// use fedwcm_trace::{names::Name, MetricsRegistry};
+    /// MetricsRegistry::new().counter_add(Name::FL_ROUNDS, 1);
+    /// ```
+    pub fn counter_add(&self, name: Name, v: u64) {
+        let name = name.as_str();
         let mut m = lock_recover(&self.inner);
         match m.get_mut(name) {
             Some(Metric::Counter(c)) => *c = c.saturating_add(v),
@@ -162,9 +179,12 @@ impl MetricsRegistry {
         }
     }
 
-    /// Set the named gauge to `v`. Non-finite values are ignored (and
-    /// panic under `debug_invariants`).
-    pub fn gauge_set(&self, name: &str, v: f64) {
+    /// Set the named gauge to `v`: a [`Name`], or the [`Name::class`]
+    /// key of a prefix entry. Non-finite values are ignored (and panic
+    /// under `debug_invariants`).
+    pub fn gauge_set(&self, name: impl Into<Key>, v: f64) {
+        let name = name.into();
+        let name = name.as_str();
         if !v.is_finite() {
             if INVARIANTS_ENABLED {
                 assert!(v.is_finite(), "non-finite value for gauge {name}");
@@ -199,10 +219,28 @@ impl MetricsRegistry {
     /// strictly increasing) discard the observation — and panic under
     /// `debug_invariants`. Use [`MetricsRegistry::try_observe`] to see
     /// the typed [`BoundsError`].
-    pub fn observe(&self, name: &str, bounds: &[f64], v: f64) {
+    ///
+    /// ```compile_fail
+    /// // expected `Name`, found `&str` (E0308)
+    /// fedwcm_trace::MetricsRegistry::new().observe("fl.update_norm", &[1.0], 0.5);
+    /// ```
+    /// ```compile_fail
+    /// // no associated item `FL_UPDATE_NROM` (E0599)
+    /// use fedwcm_trace::{names::Name, MetricsRegistry};
+    /// MetricsRegistry::new().observe(Name::FL_UPDATE_NROM, &[1.0], 0.5);
+    /// ```
+    /// ```
+    /// use fedwcm_trace::{names::Name, MetricsRegistry};
+    /// MetricsRegistry::new().observe(Name::FL_UPDATE_NORM, &[1.0], 0.5);
+    /// ```
+    pub fn observe(&self, name: Name, bounds: &[f64], v: f64) {
         let res = self.try_observe(name, bounds, v);
         if INVARIANTS_ENABLED {
-            assert!(res.is_ok(), "invalid bounds for histogram {name}: {res:?}");
+            assert!(
+                res.is_ok(),
+                "invalid bounds for histogram {}: {res:?}",
+                name.as_str()
+            );
         }
     }
 
@@ -212,7 +250,18 @@ impl MetricsRegistry {
     /// broken histogram can never be created. Bounds of an
     /// already-registered histogram are not re-validated — the bounds
     /// supplied at registration stay authoritative.
-    pub fn try_observe(&self, name: &str, bounds: &[f64], v: f64) -> Result<(), BoundsError> {
+    pub fn try_observe(&self, name: Name, bounds: &[f64], v: f64) -> Result<(), BoundsError> {
+        self.observe_key(name.as_str(), bounds, v)
+    }
+
+    /// [`MetricsRegistry::try_observe`] under a key the crate builds
+    /// itself ([`crate::prof`]'s `nn.<dir>.<layer>` timings).
+    pub(crate) fn observe_key(
+        &self,
+        name: &str,
+        bounds: &[f64],
+        v: f64,
+    ) -> Result<(), BoundsError> {
         let mut m = lock_recover(&self.inner);
         match m.get_mut(name) {
             Some(Metric::Histogram(h)) => h.observe(name, v),
@@ -413,14 +462,15 @@ impl HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names;
 
     #[test]
     fn counters_accumulate_and_saturate() {
         let r = MetricsRegistry::new();
-        r.counter_add("c", 2);
-        r.counter_add("c", 3);
-        r.counter_add("c", u64::MAX);
-        match r.snapshot().get("c") {
+        r.counter_add(Name::FL_ROUNDS, 2);
+        r.counter_add(Name::FL_ROUNDS, 3);
+        r.counter_add(Name::FL_ROUNDS, u64::MAX);
+        match r.snapshot().get(names::FL_ROUNDS) {
             Some(MetricValue::Counter(v)) => assert_eq!(*v, u64::MAX),
             other => panic!("unexpected {other:?}"),
         }
@@ -429,18 +479,24 @@ mod tests {
     #[test]
     fn gauges_keep_last_value() {
         let r = MetricsRegistry::new();
-        r.gauge_set("g", 1.5);
-        r.gauge_set("g", -2.0);
-        assert_eq!(r.snapshot().get("g"), Some(&MetricValue::Gauge(-2.0)));
+        r.gauge_set(Name::FL_ALPHA, 1.5);
+        r.gauge_set(Name::FL_ALPHA, -2.0);
+        assert_eq!(
+            r.snapshot().get(names::FL_ALPHA),
+            Some(&MetricValue::Gauge(-2.0))
+        );
     }
 
     #[cfg(not(feature = "debug_invariants"))]
     #[test]
     fn non_finite_gauge_is_ignored() {
         let r = MetricsRegistry::new();
-        r.gauge_set("g", 1.0);
-        r.gauge_set("g", f64::NAN);
-        assert_eq!(r.snapshot().get("g"), Some(&MetricValue::Gauge(1.0)));
+        r.gauge_set(Name::FL_ALPHA, 1.0);
+        r.gauge_set(Name::FL_ALPHA, f64::NAN);
+        assert_eq!(
+            r.snapshot().get(names::FL_ALPHA),
+            Some(&MetricValue::Gauge(1.0))
+        );
     }
 
     #[test]
@@ -449,9 +505,9 @@ mod tests {
         let bounds = [1.0, 2.0, 4.0];
         // Exactly on each boundary → that bucket; just above → next.
         for v in [0.5, 1.0, 1.0000001, 2.0, 4.0, 4.0000001, 100.0] {
-            r.observe("h", &bounds, v);
+            r.observe(Name::FL_UPDATE_NORM, &bounds, v);
         }
-        match r.snapshot().get("h") {
+        match r.snapshot().get(names::FL_UPDATE_NORM) {
             Some(MetricValue::Histogram(h)) => {
                 assert_eq!(h.counts, [2, 2, 1, 2]);
                 assert_eq!(h.total, 7);
@@ -475,10 +531,10 @@ mod tests {
     #[test]
     fn nan_observations_are_counted_not_bucketed() {
         let r = MetricsRegistry::new();
-        r.observe("h", &[1.0], f64::NAN);
-        r.observe("h", &[1.0], f64::INFINITY);
-        r.observe("h", &[1.0], 0.5);
-        match r.snapshot().get("h") {
+        r.observe(Name::FL_UPDATE_NORM, &[1.0], f64::NAN);
+        r.observe(Name::FL_UPDATE_NORM, &[1.0], f64::INFINITY);
+        r.observe(Name::FL_UPDATE_NORM, &[1.0], 0.5);
+        match r.snapshot().get(names::FL_UPDATE_NORM) {
             Some(MetricValue::Histogram(h)) => {
                 assert_eq!(h.nan_rejected, 2);
                 assert_eq!(h.total, 1);
@@ -492,25 +548,28 @@ mod tests {
     #[should_panic(expected = "non-finite observation")]
     fn nan_observation_panics_under_invariants() {
         let r = MetricsRegistry::new();
-        r.observe("h", &[1.0], f64::NAN);
+        r.observe(Name::FL_UPDATE_NORM, &[1.0], f64::NAN);
     }
 
     #[test]
     fn snapshot_is_sorted_and_load_round_trips() {
         let r = MetricsRegistry::new();
-        r.counter_add("z.count", 1);
-        r.gauge_set("a.gauge", 3.0);
-        r.observe("m.hist", &[1.0, 2.0], 1.5);
+        r.counter_add(Name::FL_ROUNDS, 1);
+        r.gauge_set(Name::FL_ALPHA, 3.0);
+        r.observe(Name::FL_UPDATE_NORM, &[1.0, 2.0], 1.5);
         let snap = r.snapshot();
-        let names: Vec<&str> = snap.entries.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, ["a.gauge", "m.hist", "z.count"]);
+        let sorted: Vec<&str> = snap.entries.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(sorted, ["fl.alpha", "fl.rounds", "fl.update_norm"]);
 
         let r2 = MetricsRegistry::new();
         r2.load(&snap);
         assert_eq!(r2.snapshot(), snap);
         // Accumulation continues from the loaded state.
-        r2.counter_add("z.count", 1);
-        assert_eq!(r2.snapshot().get("z.count"), Some(&MetricValue::Counter(2)));
+        r2.counter_add(Name::FL_ROUNDS, 1);
+        assert_eq!(
+            r2.snapshot().get(names::FL_ROUNDS),
+            Some(&MetricValue::Counter(2))
+        );
     }
 
     #[test]
@@ -543,14 +602,17 @@ mod tests {
         // error is surfaced and nothing is registered.
         let r = MetricsRegistry::new();
         assert_eq!(
-            r.try_observe("h", &[2.0, 1.0], 0.5),
+            r.try_observe(Name::FL_UPDATE_NORM, &[2.0, 1.0], 0.5),
             Err(BoundsError::NotSorted { index: 1 })
         );
-        r.observe("h", &[], 0.5);
-        assert!(r.snapshot().get("h").is_none(), "no metric may be created");
+        r.observe(Name::FL_UPDATE_NORM, &[], 0.5);
+        assert!(
+            r.snapshot().get(names::FL_UPDATE_NORM).is_none(),
+            "no metric may be created"
+        );
         // A later, valid registration under the same name works.
-        assert_eq!(r.try_observe("h", &[1.0], 0.5), Ok(()));
-        assert!(r.snapshot().get("h").is_some());
+        assert_eq!(r.try_observe(Name::FL_UPDATE_NORM, &[1.0], 0.5), Ok(()));
+        assert!(r.snapshot().get(names::FL_UPDATE_NORM).is_some());
     }
 
     #[cfg(feature = "debug_invariants")]
@@ -558,7 +620,7 @@ mod tests {
     #[should_panic(expected = "invalid bounds")]
     fn malformed_bounds_panic_under_invariants() {
         let r = MetricsRegistry::new();
-        r.observe("h", &[2.0, 1.0], 0.5);
+        r.observe(Name::FL_UPDATE_NORM, &[2.0, 1.0], 0.5);
     }
 
     #[test]
@@ -580,8 +642,8 @@ mod tests {
         #[cfg(not(feature = "debug_invariants"))]
         {
             let r = MetricsRegistry::new();
-            r.observe("h", &[1.0, 2.0], f64::NAN);
-            match r.snapshot().get("h") {
+            r.observe(Name::FL_UPDATE_NORM, &[1.0, 2.0], f64::NAN);
+            match r.snapshot().get(names::FL_UPDATE_NORM) {
                 Some(MetricValue::Histogram(h)) => assert_none(h),
                 other => panic!("unexpected {other:?}"),
             }
@@ -591,8 +653,8 @@ mod tests {
     #[test]
     fn percentile_rejects_out_of_range_q() {
         let r = MetricsRegistry::new();
-        r.observe("h", &[10.0], 5.0);
-        match r.snapshot().get("h") {
+        r.observe(Name::FL_UPDATE_NORM, &[10.0], 5.0);
+        match r.snapshot().get(names::FL_UPDATE_NORM) {
             Some(MetricValue::Histogram(h)) => {
                 assert_eq!(h.percentile(0.0), None);
                 assert_eq!(h.percentile(-0.5), None);
@@ -609,9 +671,9 @@ mod tests {
         let r = MetricsRegistry::new();
         // Four observations, all in the one bucket (0, 10].
         for v in [1.0, 2.0, 3.0, 4.0] {
-            r.observe("h", &[10.0], v);
+            r.observe(Name::FL_UPDATE_NORM, &[10.0], v);
         }
-        match r.snapshot().get("h") {
+        match r.snapshot().get(names::FL_UPDATE_NORM) {
             Some(MetricValue::Histogram(h)) => {
                 // p50 target rank 2 of 4 → halfway through (0, 10].
                 assert_eq!(h.percentile(0.5), Some(5.0));
@@ -627,9 +689,9 @@ mod tests {
         let bounds = [10.0, 20.0, 40.0];
         // 2 in (0,10], 2 in (10,20], none above.
         for v in [5.0, 6.0, 15.0, 16.0] {
-            r.observe("h", &bounds, v);
+            r.observe(Name::FL_UPDATE_NORM, &bounds, v);
         }
-        match r.snapshot().get("h") {
+        match r.snapshot().get(names::FL_UPDATE_NORM) {
             Some(MetricValue::Histogram(h)) => {
                 // p75 → rank 3 of 4, end of the second bucket's first
                 // half: 10 + (3-2)/2 * (20-10) = 15.
@@ -644,9 +706,9 @@ mod tests {
     #[test]
     fn percentile_overflow_bucket_clamps_to_last_bound() {
         let r = MetricsRegistry::new();
-        r.observe("h", &[1.0, 2.0], 100.0);
-        r.observe("h", &[1.0, 2.0], 200.0);
-        match r.snapshot().get("h") {
+        r.observe(Name::FL_UPDATE_NORM, &[1.0, 2.0], 100.0);
+        r.observe(Name::FL_UPDATE_NORM, &[1.0, 2.0], 200.0);
+        match r.snapshot().get(names::FL_UPDATE_NORM) {
             Some(MetricValue::Histogram(h)) => {
                 assert_eq!(h.percentile(0.5), Some(2.0));
                 assert_eq!(h.percentile(0.99), Some(2.0));
@@ -658,8 +720,8 @@ mod tests {
     #[test]
     fn percentile_negative_first_bucket_reports_its_bound() {
         let r = MetricsRegistry::new();
-        r.observe("h", &[-5.0, 5.0], -7.0);
-        match r.snapshot().get("h") {
+        r.observe(Name::FL_UPDATE_NORM, &[-5.0, 5.0], -7.0);
+        match r.snapshot().get(names::FL_UPDATE_NORM) {
             Some(MetricValue::Histogram(h)) => {
                 // No lower edge to interpolate from below zero: report
                 // the bucket's upper bound instead of inventing one.
@@ -700,9 +762,9 @@ mod tests {
     #[test]
     fn histogram_mean() {
         let r = MetricsRegistry::new();
-        r.observe("h", &[10.0], 2.0);
-        r.observe("h", &[10.0], 4.0);
-        match r.snapshot().get("h") {
+        r.observe(Name::FL_UPDATE_NORM, &[10.0], 2.0);
+        r.observe(Name::FL_UPDATE_NORM, &[10.0], 4.0);
+        match r.snapshot().get(names::FL_UPDATE_NORM) {
             Some(MetricValue::Histogram(h)) => assert_eq!(h.mean(), Some(3.0)),
             other => panic!("unexpected {other:?}"),
         }

@@ -1,127 +1,201 @@
 //! Canonical span, point, and metric names.
 //!
 //! Every `tracer.span(…)`, `tracer.point(…)`, and `MetricsRegistry`
-//! key used anywhere in the workspace's library crates is declared
-//! here, once. Call sites reference these constants instead of string
-//! literals — `fedwcm-lint`'s `metrics-registry` rule enforces it
-//! statically: a literal name at a call site, a constant that does not
-//! resolve here, or a constant nothing references is a hard CI error.
+//! key used anywhere in the workspace is declared here, once, in the
+//! `names!` table below. Each entry expands to two constants:
+//!
+//! * `names::X: &str` — what **readers** compare parsed traces and
+//!   snapshots against (`snap.get(names::FL_ACC_TAIL)`,
+//!   `span.name == names::ROUND`);
+//! * `Name::X` — what **producers** must pass. [`Name`]'s field is
+//!   private to this module, so the table is the only source of one: a
+//!   string literal in name position is a type error and a misspelt
+//!   constant an unresolved one, in every build, in every crate
+//!   ([`crate::Tracer::span`], [`crate::MetricsRegistry::counter_add`]
+//!   and [`crate::MetricsRegistry::observe`] pin both as `compile_fail`
+//!   doctests).
+//!
 //! That makes this module the single authoritative taxonomy of the
-//! telemetry surface: rename a span here and the compiler walks you to
-//! every producer, while dashboards and trace consumers get one place
-//! to read.
+//! telemetry surface: rename an entry here and the compiler — not a
+//! lint — walks you to every producer, while dashboards and trace
+//! consumers get one place to read. The one thing no type carries is an
+//! entry nobody uses; `fedwcm-lint`'s `metrics-registry` rule flags an
+//! identifier of this table that no other file mentions.
 //!
 //! Grouping mirrors the instrument kinds in [`crate::metrics`] and
 //! [`crate::tracer`]: spans and points first, then counters, gauges,
 //! and histograms (all metric keys are dot-separated, `fl.`-prefixed).
 
-// ---- spans -------------------------------------------------------------
+use std::borrow::Cow;
 
-/// Span: one federated round end to end.
-pub const ROUND: &str = "round";
-/// Span: one client's local training for a round.
-pub const CLIENT_UPDATE: &str = "client_update";
-/// Span: one local epoch inside a client update (thread-local buffer).
-pub const LOCAL_EPOCH: &str = "local_epoch";
-/// Span: the synchronous cadence's aggregation step.
-pub const AGGREGATE: &str = "aggregate";
-/// Span: one buffered-K cadence flush.
-pub const BUFFER_FLUSH: &str = "buffer_flush";
-/// Span: one asynchronous cadence apply.
-pub const ASYNC_APPLY: &str = "async_apply";
-/// Span: evaluation of the global model.
-pub const EVALUATE: &str = "evaluate";
-/// Span: writing a checkpoint.
-pub const CHECKPOINT: &str = "checkpoint";
-/// Span: the fault pipeline for one round.
-pub const FAULT_INJECT: &str = "fault_inject";
-/// Span: one transport delivery (send + retries) of a client upload.
-pub const SEND_FRAME: &str = "send_frame";
+/// A registered span, point, or metric name: one of the associated
+/// constants the table below declares. `Copy`, pointer-sized, and
+/// impossible to build from a string outside this module.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Name(&'static str);
 
-// ---- points ------------------------------------------------------------
+impl Name {
+    /// The registered string — the bytes that reach sinks and snapshots.
+    pub const fn as_str(self) -> &'static str {
+        self.0
+    }
 
-/// Point: one injected fault event (kind in the fields).
-pub const FAULT: &str = "fault";
-/// Point: a free-form informational message.
-pub const INFO: &str = "info";
-/// Point: one failed transport attempt (reason in the fields).
-pub const RETRY: &str = "retry";
-/// Point: a transport delivery acknowledged (or merged after delay).
-pub const ACK: &str = "ack";
+    /// The per-class gauge key under this prefix entry: the prefix plus
+    /// the zero-padded class id (`fl.acc.class.07`). The only way to a
+    /// key that is not itself a table entry.
+    pub fn class(self, class: usize) -> Key {
+        Key(Cow::Owned(format!("{}{class:02}", self.0)))
+    }
+}
 
-// ---- counters ----------------------------------------------------------
+/// A gauge key: a [`Name`], or a prefix entry's [`Name::class`] key.
+#[derive(Clone, Debug)]
+pub struct Key(Cow<'static, str>);
 
-/// Counter: client→server payload bytes.
-pub const FL_BYTES_UP: &str = "fl.bytes.up";
-/// Counter: server→client payload bytes.
-pub const FL_BYTES_DOWN: &str = "fl.bytes.down";
-/// Counter: clients dropped for the round by the fault plan.
-pub const FL_FAULTS_DROPOUTS: &str = "fl.faults.dropouts";
-/// Counter: uploads delayed by straggler faults.
-pub const FL_FAULTS_STRAGGLERS: &str = "fl.faults.stragglers";
-/// Counter: late uploads merged into a later round.
-pub const FL_FAULTS_LATE_MERGED: &str = "fl.faults.late_merged";
-/// Counter: late uploads re-queued when their round skipped quorum.
-pub const FL_FAULTS_LATE_REQUEUED: &str = "fl.faults.late_requeued";
-/// Counter: uploads corrupted by the fault plan.
-pub const FL_FAULTS_CORRUPTIONS: &str = "fl.faults.corruptions";
-/// Counter: stale uploads replayed from the replay cache.
-pub const FL_FAULTS_REPLAYS: &str = "fl.faults.replays";
-/// Counter: uploads received before fault filtering.
-pub const FL_UPDATES_RECEIVED: &str = "fl.updates.received";
-/// Counter: uploads dropped by fault filtering.
-pub const FL_UPDATES_DROPPED: &str = "fl.updates.dropped";
-/// Counter: completed federated rounds.
-pub const FL_ROUNDS: &str = "fl.rounds";
-/// Counter: rounds skipped for missing quorum.
-pub const FL_ROUNDS_QUORUM_FAILED: &str = "fl.rounds.quorum_failed";
-/// Counter: buffered-K cadence flushes.
-pub const FL_CADENCE_FLUSHES: &str = "fl.cadence.flushes";
-/// Counter: asynchronous cadence applies.
-pub const FL_CADENCE_ASYNC_APPLIES: &str = "fl.cadence.async_applies";
-/// Counter: transport data frames transmitted (first sends + retries).
-pub const FL_NET_FRAMES_SENT: &str = "fl.net.frames_sent";
-/// Counter: transport re-transmissions after a Nack or timeout.
-pub const FL_NET_RETRIES: &str = "fl.net.retries";
-/// Counter: frames rejected by the receiver (checksum or malformed).
-pub const FL_NET_REJECTED_FRAMES: &str = "fl.net.rejected_frames";
-/// Counter: redundant intact frames discarded as duplicates.
-pub const FL_NET_DUPLICATES: &str = "fl.net.duplicates";
-/// Counter: deliveries deferred whole rounds by the network plan.
-pub const FL_NET_DELAYED: &str = "fl.net.delayed";
-/// Counter: deliveries that exhausted their retry budget and degraded
-/// into the dropout machinery.
-pub const FL_NET_DEGRADED: &str = "fl.net.degraded";
-/// Counter: bytes re-transmitted by the transport.
-pub const FL_NET_RETRANSMITTED_BYTES: &str = "fl.net.retransmitted_bytes";
-/// Counter: bytes arriving in rejected frames.
-pub const FL_NET_REJECTED_BYTES: &str = "fl.net.rejected_bytes";
+impl Key {
+    /// The key's string.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
 
-// ---- gauges ------------------------------------------------------------
+impl From<Name> for Key {
+    fn from(name: Name) -> Self {
+        Key(Cow::Borrowed(name.0))
+    }
+}
 
-/// Gauge: uploads currently waiting in the aggregation buffer.
-pub const FL_CADENCE_BUFFERED: &str = "fl.cadence.buffered";
-/// Gauge: the momentum-calibration α chosen this aggregation.
-pub const FL_ALPHA: &str = "fl.alpha";
-/// Gauge: overall test accuracy of the global model.
-pub const FL_ACC_OVERALL: &str = "fl.acc.overall";
-/// Gauge: mean test accuracy over the tail third of classes.
-pub const FL_ACC_TAIL: &str = "fl.acc.tail";
-/// Gauge name prefix: per-class accuracy, suffixed with the
-/// zero-padded class id (`fl.acc.class.07`).
-pub const FL_ACC_CLASS_PREFIX: &str = "fl.acc.class.";
+/// Declare every entry once — doc, identifier, string — and emit both
+/// the reader's `pub const X: &str` and the producer's `Name::X`.
+macro_rules! names {
+    ($($(#[$doc:meta])* $id:ident = $s:literal;)*) => {
+        $(
+            $(#[$doc])*
+            /// (The string, for readers; producers pass the [`Name`] of
+            /// the same identifier.)
+            pub const $id: &str = $s;
+        )*
 
-// ---- histograms --------------------------------------------------------
+        /// The registered names, as producers pass them.
+        impl Name {
+            $(
+                $(#[$doc])*
+                /// (The [`Name`], for producers.)
+                pub const $id: Name = Name($s);
+            )*
+        }
+    };
+}
 
-/// Histogram: L2 norm of the global-model movement per aggregation.
-pub const FL_UPDATE_NORM: &str = "fl.update_norm";
-/// Histogram: distribution of chosen α values.
-pub const FL_ALPHA_TRAJECTORY: &str = "fl.alpha.trajectory";
-/// Histogram: ticks spent in local training per round.
-pub const FL_PHASE_LOCAL_TRAIN: &str = "fl.phase.local_train";
-/// Histogram: ticks spent aggregating per round.
-pub const FL_PHASE_AGGREGATE: &str = "fl.phase.aggregate";
-/// Histogram: ticks spent evaluating per evaluation.
-pub const FL_PHASE_EVALUATE: &str = "fl.phase.evaluate";
-/// Histogram: total ticks per round.
-pub const FL_ROUND_TICKS: &str = "fl.round_ticks";
+names! {
+    // ---- spans -------------------------------------------------------------
+
+    /// Span: one federated round end to end.
+    ROUND = "round";
+    /// Span: one client's local training for a round.
+    CLIENT_UPDATE = "client_update";
+    /// Span: one local epoch inside a client update (thread-local buffer).
+    LOCAL_EPOCH = "local_epoch";
+    /// Span: the synchronous cadence's aggregation step.
+    AGGREGATE = "aggregate";
+    /// Span: one buffered-K cadence flush.
+    BUFFER_FLUSH = "buffer_flush";
+    /// Span: one asynchronous cadence apply.
+    ASYNC_APPLY = "async_apply";
+    /// Span: evaluation of the global model.
+    EVALUATE = "evaluate";
+    /// Span: writing a checkpoint.
+    CHECKPOINT = "checkpoint";
+    /// Span: the fault pipeline for one round.
+    FAULT_INJECT = "fault_inject";
+    /// Span: one transport delivery (send + retries) of a client upload.
+    SEND_FRAME = "send_frame";
+
+    // ---- points ------------------------------------------------------------
+
+    /// Point: one injected fault event (kind in the fields).
+    FAULT = "fault";
+    /// Point: a free-form informational message.
+    INFO = "info";
+    /// Point: one failed transport attempt (reason in the fields).
+    RETRY = "retry";
+    /// Point: a transport delivery acknowledged (or merged after delay).
+    ACK = "ack";
+
+    // ---- counters ----------------------------------------------------------
+
+    /// Counter: client→server payload bytes.
+    FL_BYTES_UP = "fl.bytes.up";
+    /// Counter: server→client payload bytes.
+    FL_BYTES_DOWN = "fl.bytes.down";
+    /// Counter: clients dropped for the round by the fault plan.
+    FL_FAULTS_DROPOUTS = "fl.faults.dropouts";
+    /// Counter: uploads delayed by straggler faults.
+    FL_FAULTS_STRAGGLERS = "fl.faults.stragglers";
+    /// Counter: late uploads merged into a later round.
+    FL_FAULTS_LATE_MERGED = "fl.faults.late_merged";
+    /// Counter: late uploads re-queued when their round skipped quorum.
+    FL_FAULTS_LATE_REQUEUED = "fl.faults.late_requeued";
+    /// Counter: uploads corrupted by the fault plan.
+    FL_FAULTS_CORRUPTIONS = "fl.faults.corruptions";
+    /// Counter: stale uploads replayed from the replay cache.
+    FL_FAULTS_REPLAYS = "fl.faults.replays";
+    /// Counter: uploads received before fault filtering.
+    FL_UPDATES_RECEIVED = "fl.updates.received";
+    /// Counter: uploads dropped by fault filtering.
+    FL_UPDATES_DROPPED = "fl.updates.dropped";
+    /// Counter: completed federated rounds.
+    FL_ROUNDS = "fl.rounds";
+    /// Counter: rounds skipped for missing quorum.
+    FL_ROUNDS_QUORUM_FAILED = "fl.rounds.quorum_failed";
+    /// Counter: buffered-K cadence flushes.
+    FL_CADENCE_FLUSHES = "fl.cadence.flushes";
+    /// Counter: asynchronous cadence applies.
+    FL_CADENCE_ASYNC_APPLIES = "fl.cadence.async_applies";
+    /// Counter: transport data frames transmitted (first sends + retries).
+    FL_NET_FRAMES_SENT = "fl.net.frames_sent";
+    /// Counter: transport re-transmissions after a Nack or timeout.
+    FL_NET_RETRIES = "fl.net.retries";
+    /// Counter: frames rejected by the receiver (checksum or malformed).
+    FL_NET_REJECTED_FRAMES = "fl.net.rejected_frames";
+    /// Counter: redundant intact frames discarded as duplicates.
+    FL_NET_DUPLICATES = "fl.net.duplicates";
+    /// Counter: deliveries deferred whole rounds by the network plan.
+    FL_NET_DELAYED = "fl.net.delayed";
+    /// Counter: deliveries that exhausted their retry budget and degraded
+    /// into the dropout machinery.
+    FL_NET_DEGRADED = "fl.net.degraded";
+    /// Counter: bytes re-transmitted by the transport.
+    FL_NET_RETRANSMITTED_BYTES = "fl.net.retransmitted_bytes";
+    /// Counter: bytes arriving in rejected frames.
+    FL_NET_REJECTED_BYTES = "fl.net.rejected_bytes";
+
+    // ---- gauges ------------------------------------------------------------
+
+    /// Gauge: uploads currently waiting in the aggregation buffer.
+    FL_CADENCE_BUFFERED = "fl.cadence.buffered";
+    /// Gauge: the momentum-calibration α chosen this aggregation.
+    FL_ALPHA = "fl.alpha";
+    /// Gauge: overall test accuracy of the global model.
+    FL_ACC_OVERALL = "fl.acc.overall";
+    /// Gauge: mean test accuracy over the tail third of classes.
+    FL_ACC_TAIL = "fl.acc.tail";
+    /// Gauge name prefix: per-class accuracy, suffixed with the
+    /// zero-padded class id (`fl.acc.class.07`).
+    FL_ACC_CLASS_PREFIX = "fl.acc.class.";
+
+    // ---- histograms --------------------------------------------------------
+
+    /// Histogram: L2 norm of the global-model movement per aggregation.
+    FL_UPDATE_NORM = "fl.update_norm";
+    /// Histogram: distribution of chosen α values.
+    FL_ALPHA_TRAJECTORY = "fl.alpha.trajectory";
+    /// Histogram: ticks spent in local training per round.
+    FL_PHASE_LOCAL_TRAIN = "fl.phase.local_train";
+    /// Histogram: ticks spent aggregating per round.
+    FL_PHASE_AGGREGATE = "fl.phase.aggregate";
+    /// Histogram: ticks spent evaluating per evaluation.
+    FL_PHASE_EVALUATE = "fl.phase.evaluate";
+    /// Histogram: total ticks per round.
+    FL_ROUND_TICKS = "fl.round_ticks";
+}

@@ -58,7 +58,8 @@ pub fn now() -> u64 {
 pub fn record(dir: &'static str, layer: &'static str, ticks: u64) {
     if let Some(p) = PROF.get() {
         let name = format!("nn.{dir}.{layer}");
-        p.registry.observe(&name, &LAYER_BOUNDS, ticks as f64);
+        // LAYER_BOUNDS is a valid bounds array, so this cannot fail.
+        let _ = p.registry.observe_key(&name, &LAYER_BOUNDS, ticks as f64);
     }
 }
 

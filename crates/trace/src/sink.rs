@@ -12,7 +12,7 @@
 //! a training run.
 
 use crate::event::{Event, EventKind, Value};
-use crate::lock_recover;
+use crate::sync::{lock_recover, lock_writer};
 use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -94,12 +94,12 @@ impl<W: Write + Send> JsonlSink<W> {
 
 impl<W: Write + Send> Sink for JsonlSink<W> {
     fn record(&self, event: &Event) {
-        let mut w = lock_recover(&self.w);
+        let mut w = lock_writer(&self.w);
         let _ = writeln!(w, "{}", event.to_json_line());
     }
 
     fn flush(&self) {
-        let _ = lock_recover(&self.w).flush();
+        let _ = lock_writer(&self.w).flush();
     }
 }
 
@@ -229,6 +229,20 @@ mod tests {
         let text = String::from_utf8(buf.contents()).unwrap();
         assert_eq!(text.lines().count(), 2);
         assert!(text.starts_with("{\"t\":1,"));
+    }
+
+    /// The case `lock-order`'s call graph could not see: the reverse of
+    /// the one listed nesting, through `W: Write`. `SharedBuf.0` is
+    /// held, then `record` wants `JsonlSink.w` — whose critical section
+    /// locks `SharedBuf.0`.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lock order")]
+    fn recording_into_a_sink_over_a_held_buffer_panics() {
+        let buf = SharedBuf::new();
+        let sink = JsonlSink::new(buf.clone());
+        let _held = lock_recover(&buf.0);
+        sink.record(&ev(1));
     }
 
     #[test]

@@ -17,8 +17,9 @@
 
 use crate::clock::{Clock, LogicalClock};
 use crate::event::{Event, EventKind, Value};
-use crate::lock_recover;
+use crate::names::Name;
 use crate::sink::Sink;
+use crate::sync::lock_recover;
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 
@@ -56,13 +57,33 @@ impl Tracer {
 
     /// Open a span: emits a `start` event carrying `fields` now and an
     /// `end` event when the returned guard drops.
-    pub fn span(&self, name: &'static str, fields: Vec<(&'static str, Value)>) -> SpanGuard<'_> {
+    ///
+    /// The name is a [`Name`], which only `names.rs` can make — a string
+    /// literal or a misspelt constant does not compile:
+    ///
+    /// ```compile_fail
+    /// // expected `Name`, found `&str` (E0308)
+    /// let t = fedwcm_trace::Tracer::disabled();
+    /// let _g = t.span("round", vec![]);
+    /// ```
+    /// ```compile_fail
+    /// // no associated item `RUOND` (E0599)
+    /// use fedwcm_trace::names::Name;
+    /// let t = fedwcm_trace::Tracer::disabled();
+    /// let _g = t.span(Name::RUOND, vec![]);
+    /// ```
+    /// ```
+    /// use fedwcm_trace::names::Name;
+    /// let t = fedwcm_trace::Tracer::disabled();
+    /// let _g = t.span(Name::ROUND, vec![]);
+    /// ```
+    pub fn span(&self, name: Name, fields: Vec<(&'static str, Value)>) -> SpanGuard<'_> {
         self.emit(EventKind::Start, name, fields);
         SpanGuard { tracer: self, name }
     }
 
     /// Emit an instantaneous event.
-    pub fn point(&self, name: &'static str, fields: Vec<(&'static str, Value)>) {
+    pub fn point(&self, name: Name, fields: Vec<(&'static str, Value)>) {
         self.emit(EventKind::Point, name, fields);
     }
 
@@ -70,7 +91,7 @@ impl Tracer {
     /// `info` with a `msg` field — what [`crate::ConsoleSink`] renders).
     pub fn info(&self, msg: impl Into<String>) {
         if self.enabled() {
-            self.point(crate::names::INFO, vec![("msg", Value::Str(msg.into()))]);
+            self.point(Name::INFO, vec![("msg", Value::Str(msg.into()))]);
         }
     }
 
@@ -113,12 +134,12 @@ impl Tracer {
         }
     }
 
-    fn emit(&self, kind: EventKind, name: &'static str, fields: Vec<(&'static str, Value)>) {
+    fn emit(&self, kind: EventKind, name: Name, fields: Vec<(&'static str, Value)>) {
         if let Some(inner) = &self.inner {
             let e = Event {
                 t: inner.clock.tick(),
                 kind,
-                name,
+                name: name.as_str(),
                 fields,
             };
             inner.sink.record(&e);
@@ -130,7 +151,7 @@ impl Tracer {
 #[must_use = "dropping the guard immediately closes the span"]
 pub struct SpanGuard<'a> {
     tracer: &'a Tracer,
-    name: &'static str,
+    name: Name,
 }
 
 impl Drop for SpanGuard<'_> {
@@ -161,11 +182,11 @@ impl SpanBuffer {
         std::mem::take(&mut *lock_recover(&self.events))
     }
 
-    fn emit(&self, kind: EventKind, name: &'static str, fields: Vec<(&'static str, Value)>) {
+    fn emit(&self, kind: EventKind, name: Name, fields: Vec<(&'static str, Value)>) {
         let e = Event {
             t: self.clock.tick(),
             kind,
-            name,
+            name: name.as_str(),
             fields,
         };
         lock_recover(&self.events).push(e);
@@ -176,7 +197,7 @@ impl SpanBuffer {
 /// (client local training). When no buffer is installed every call is a
 /// cheap no-op, so library code can be instrumented unconditionally.
 pub mod local {
-    use super::{EventKind, SpanBuffer, Value};
+    use super::{EventKind, Name, SpanBuffer, Value};
     use std::sync::Arc;
 
     std::thread_local! {
@@ -206,7 +227,7 @@ pub mod local {
 
     /// Open a span in the installed buffer (no-op without one). The
     /// guard emits the `end` event on drop.
-    pub fn span(name: &'static str, fields: Vec<(&'static str, Value)>) -> LocalSpanGuard {
+    pub fn span(name: Name, fields: Vec<(&'static str, Value)>) -> LocalSpanGuard {
         let buf = BUFFER.with(|b| b.borrow().clone());
         if let Some(buf) = &buf {
             buf.emit(EventKind::Start, name, fields);
@@ -216,7 +237,7 @@ pub mod local {
 
     /// Emit an instantaneous event into the installed buffer (no-op
     /// without one).
-    pub fn point(name: &'static str, fields: Vec<(&'static str, Value)>) {
+    pub fn point(name: Name, fields: Vec<(&'static str, Value)>) {
         BUFFER.with(|b| {
             if let Some(buf) = &*b.borrow() {
                 buf.emit(EventKind::Point, name, fields);
@@ -228,7 +249,7 @@ pub mod local {
     #[must_use = "dropping the guard immediately closes the span"]
     pub struct LocalSpanGuard {
         buf: Option<Arc<SpanBuffer>>,
-        name: &'static str,
+        name: Name,
     }
 
     impl Drop for LocalSpanGuard {
@@ -255,13 +276,13 @@ mod tests {
     fn span_emits_start_and_end_in_order() {
         let (t, ring) = ring_tracer();
         {
-            let _g = t.span("round", vec![("round", Value::U64(0))]);
-            t.point("mark", vec![]);
+            let _g = t.span(Name::ROUND, vec![("round", Value::U64(0))]);
+            t.point(Name::ACK, vec![]);
         }
         let evs = ring.events();
         assert_eq!(evs.len(), 3);
         assert_eq!((evs[0].kind, evs[0].name), (EventKind::Start, "round"));
-        assert_eq!((evs[1].kind, evs[1].name), (EventKind::Point, "mark"));
+        assert_eq!((evs[1].kind, evs[1].name), (EventKind::Point, "ack"));
         assert_eq!((evs[2].kind, evs[2].name), (EventKind::End, "round"));
         assert_eq!(evs.iter().map(|e| e.t).collect::<Vec<_>>(), [0, 1, 2]);
     }
@@ -270,8 +291,8 @@ mod tests {
     fn disabled_tracer_is_a_noop() {
         let t = Tracer::disabled();
         assert!(!t.enabled());
-        let _g = t.span("round", vec![]);
-        t.point("mark", vec![]);
+        let _g = t.span(Name::ROUND, vec![]);
+        t.point(Name::ACK, vec![]);
         t.info("msg");
         t.flush();
     }
@@ -281,8 +302,8 @@ mod tests {
         let (t, ring) = ring_tracer();
         let buf = Arc::new(SpanBuffer::new(t.fork_clock()));
         local::with_buffer(&buf, || {
-            let _g = local::span("local_epoch", vec![("epoch", Value::U64(0))]);
-            local::point("step", vec![]);
+            let _g = local::span(Name::LOCAL_EPOCH, vec![("epoch", Value::U64(0))]);
+            local::point(Name::RETRY, vec![]);
         });
         assert!(!local::active());
         t.replay(buf.drain());
@@ -298,8 +319,8 @@ mod tests {
     #[test]
     fn local_calls_without_buffer_are_noops() {
         assert!(!local::active());
-        let _g = local::span("local_epoch", vec![]);
-        local::point("step", vec![]);
+        let _g = local::span(Name::LOCAL_EPOCH, vec![]);
+        local::point(Name::RETRY, vec![]);
     }
 
     #[test]
@@ -307,9 +328,9 @@ mod tests {
         let a = Arc::new(SpanBuffer::new(Box::new(LogicalClock::new())));
         let b = Arc::new(SpanBuffer::new(Box::new(LogicalClock::new())));
         local::with_buffer(&a, || {
-            local::point("outer", vec![]);
-            local::with_buffer(&b, || local::point("inner", vec![]));
-            local::point("outer2", vec![]);
+            local::point(Name::RETRY, vec![]);
+            local::with_buffer(&b, || local::point(Name::ACK, vec![]));
+            local::point(Name::RETRY, vec![]);
         });
         assert_eq!(a.drain().len(), 2);
         assert_eq!(b.drain().len(), 1);

@@ -41,6 +41,8 @@ pub struct NetCounters {
     pub rejected_bytes: u64,
 }
 
+// Byte and frame counters saturate; a bare `+` here is a compile error.
+#[deny(clippy::arithmetic_side_effects)]
 impl NetCounters {
     /// Accumulate `other` into `self` (saturating).
     pub fn merge(&mut self, other: &NetCounters) {
@@ -135,6 +137,8 @@ fn control_reply(msg: &Message) -> Option<Message> {
     frame::decode(&frame::encode(msg).ok()?).ok()
 }
 
+// The courier bumps the counters above: same rule.
+#[deny(clippy::arithmetic_side_effects)]
 impl<'p> Courier<'p> {
     /// A courier over `plan` under `policy`, its clock resuming at
     /// `start_tick` (0 for a fresh run; the checkpointed tick when
@@ -221,33 +225,35 @@ impl<'p> Courier<'p> {
                 link.tick();
                 reply = self.drain(&mut link, seq);
             }
+            // Transmissions so far, this one included.
+            let sent = attempt.saturating_add(1);
             match reply {
                 Some(Ok(payload)) => {
                     log.push(AttemptOutcome::Acked);
                     return Delivery {
                         verdict: Verdict::Delivered { payload },
-                        attempts: attempt + 1,
+                        attempts: sent,
                         log,
                     };
                 }
                 Some(Err(reason)) => log.push(AttemptOutcome::Nacked(reason)),
                 None => log.push(AttemptOutcome::TimedOut),
             }
-            attempt += 1;
-            if attempt >= self.policy.max_attempts {
+            if sent >= self.policy.max_attempts {
                 self.counters.degraded = self.counters.degraded.saturating_add(1);
                 return Delivery {
                     verdict: Verdict::Exhausted,
-                    attempts: attempt,
+                    attempts: sent,
                     log,
                 };
             }
             // Back off before re-sending, still draining: a reordered
             // frame can land during the pause and complete the delivery
             // without another transmission.
-            let pause =
-                self.policy
-                    .backoff_ticks(self.plan.config().seed, round, client, attempt - 1);
+            let pause = self
+                .policy
+                .backoff_ticks(self.plan.config().seed, round, client, attempt);
+            attempt = sent;
             for _ in 0..pause {
                 self.clock.tick();
                 link.tick();

@@ -171,6 +171,10 @@ impl core::fmt::Display for FrameError {
 /// Slice-by-8 tables of the reflected polynomial `0xEDB88320`:
 /// `tables[0]` is the classic bytewise table, and `tables[k][b]` is the
 /// CRC state after byte `b` followed by `k` zero bytes.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "`i` counts to 256 (`TryFrom` is not const)"
+)]
 const fn crc_tables() -> [[u32; 256]; 8] {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;

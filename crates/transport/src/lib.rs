@@ -29,6 +29,15 @@
 //! waiting is measured on a logical clock.
 
 #![warn(missing_docs)]
+// This crate writes bytes other processes read back: a lossy `as` is a
+// compile error here, and an exemption states the bound that makes it
+// exact.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod courier;
 pub mod frame;
@@ -39,5 +48,5 @@ pub mod retry;
 pub use courier::{AttemptOutcome, Courier, Delivery, NetCounters, Verdict};
 pub use frame::{FrameError, Message, NackReason};
 pub use link::{FrameCtx, InMemoryLink, Link};
-pub use plan::{NetConfig, NetFault, NetPlan, STREAM_NET, STREAM_NET_JITTER};
+pub use plan::{NetConfig, NetFault, NetPlan};
 pub use retry::RetryPolicy;

@@ -11,16 +11,7 @@
 //! independent draws — exactly how a real lossy link behaves.
 
 use fedwcm_faults::rates;
-use fedwcm_stats::rng::{Rng, Xoshiro256pp};
-
-/// Stream label for frame-level network fault draws (disjoint from the
-/// sampling stream `0x5A3B`, the client-local stream `0xC11E`, and the
-/// client-fault stream `0xFA17`).
-pub const STREAM_NET: u64 = 0x4E17;
-
-/// Stream label for retry-backoff jitter draws (disjoint from
-/// [`STREAM_NET`] so backoff timing never perturbs the fault schedule).
-pub const STREAM_NET_JITTER: u64 = 0x4E77;
+use fedwcm_stats::rng::{stream, Rng, Xoshiro256pp};
 
 /// One injected frame-level fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -195,7 +186,7 @@ impl NetPlan {
         }
         let mut rng = Xoshiro256pp::stream(
             self.cfg.seed,
-            &[STREAM_NET, round, client, u64::from(attempt)],
+            &[stream::NET, round, client, u64::from(attempt)],
         );
         let u = rng.next_f64();
         match rates::pick(

@@ -6,13 +6,12 @@
 //! measured in *logical* ticks on the courier's `LogicalClock`, so two
 //! runs with the same seeds wait exactly the same number of ticks and
 //! stay bitwise identical across thread counts. Jitter is drawn from the
-//! dedicated [`STREAM_NET_JITTER`] stream keyed by
+//! dedicated `stream::NET_JITTER` stream keyed by
 //! `(round, client, attempt)` — a pure function, like every other
 //! stochastic decision in the workspace.
 
 use crate::link::{LINK_LATENCY, REORDER_EXTRA};
-use crate::plan::STREAM_NET_JITTER;
-use fedwcm_stats::rng::{Rng, Xoshiro256pp};
+use fedwcm_stats::rng::{stream, Rng, Xoshiro256pp};
 
 /// When and how often a delivery is retried.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,7 +69,7 @@ impl RetryPolicy {
         let jitter = if self.backoff_base > 0 {
             let mut rng = Xoshiro256pp::stream(
                 seed,
-                &[STREAM_NET_JITTER, round, client, u64::from(attempt)],
+                &[stream::NET_JITTER, round, client, u64::from(attempt)],
             );
             rng.next_below(self.backoff_base)
         } else {
