@@ -18,9 +18,7 @@
 //! errors (`lint-marker`) that cannot be suppressed — CI therefore
 //! fails on any new reasonless marker automatically.
 
-use crate::ast::FileAst;
 use crate::lexer::{lex, Tok, TokKind};
-use crate::parser::parse_file;
 use crate::rules;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -36,9 +34,6 @@ pub const ALL_RULES: &[&str] = &[
     "determinism-threads",
     "panic-freedom",
     "doc-coverage",
-    "rng-stream-hygiene",
-    "lock-order",
-    "cast-soundness",
     "metrics-registry",
     "parallel-escape-send-sync",
 ];
@@ -111,28 +106,10 @@ pub const RULE_INFO: &[RuleInfo] = &[
         escape: "document the item (no suppression in DOC_CRATES)",
     },
     RuleInfo {
-        id: "rng-stream-hygiene",
-        family: "determinism",
-        severity: "error",
-        escape: "lint:allow(rng-stream-hygiene) <reason>",
-    },
-    RuleInfo {
-        id: "lock-order",
-        family: "robustness",
-        severity: "error",
-        escape: "lint:allow(lock-order) <reason>",
-    },
-    RuleInfo {
-        id: "cast-soundness",
-        family: "robustness",
-        severity: "error",
-        escape: "lint:allow(cast-soundness) <reason>",
-    },
-    RuleInfo {
         id: "metrics-registry",
         family: "protocol",
         severity: "error",
-        escape: "add the constant to crates/trace/src/names.rs",
+        escape: "use the entry of crates/trace/src/names.rs, or remove it",
     },
     RuleInfo {
         id: "parallel-escape-send-sync",
@@ -293,9 +270,6 @@ pub struct FileCtx {
     pub lines: Vec<LineInfo>,
     /// `true` for every line inside `#[cfg(test)]` / `#[test]` items.
     pub test_lines: Vec<bool>,
-    /// The parsed item/expression tree (shared by the syntax-aware
-    /// rules and the workspace pass; built once per file per run).
-    pub ast: FileAst,
     suppressions: Vec<Suppression>,
     marker_errors: Vec<Diagnostic>,
 }
@@ -338,7 +312,6 @@ impl FileCtx {
 
         let test_lines = test_line_mask(&toks, &code, nlines);
         let (suppressions, marker_errors) = parse_suppressions(path, &toks, &lines, nlines);
-        let ast = parse_file(&toks, &code);
 
         FileCtx {
             path: path.to_string(),
@@ -347,7 +320,6 @@ impl FileCtx {
             code,
             lines,
             test_lines,
-            ast,
             suppressions,
             marker_errors,
         }
@@ -538,10 +510,10 @@ fn parse_suppressions(
 }
 
 /// Lint a set of in-memory sources as one workspace: every file is
-/// lexed and parsed exactly once, the per-file rules run over each
-/// [`FileCtx`], the cross-file pass (call graph, RNG taint, lock
-/// order) runs over all of them together, and suppressions apply
-/// uniformly to both kinds of findings.
+/// lexed exactly once, the per-file rules run over each [`FileCtx`],
+/// the cross-file pass (dead registry entries) runs over all of them
+/// together, and suppressions apply uniformly to both kinds of
+/// findings.
 pub fn lint_sources(sources: &[(String, String)], cfg: &LintConfig) -> Vec<Diagnostic> {
     let mut ctxs: Vec<FileCtx> = sources
         .iter()
@@ -626,13 +598,13 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 pub struct LintRun {
     /// Diagnostics sorted by path, line, rule.
     pub diags: Vec<Diagnostic>,
-    /// Number of `.rs` files visited (each lexed and parsed once).
+    /// Number of `.rs` files visited (each lexed once).
     pub files: usize,
 }
 
 /// Lint every `crates/*/src/**/*.rs` under the workspace `root` —
-/// one directory walk, one lex and one parse per file, shared by all
-/// rules and the cross-file pass.
+/// one directory walk and one lex per file, shared by all rules and
+/// the cross-file pass.
 pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> std::io::Result<LintRun> {
     let mut files = Vec::new();
     let crates_dir = root.join("crates");

@@ -16,10 +16,7 @@
 //! | `determinism-threads` | no `available_parallelism` outside `fedwcm-parallel` |
 //! | `panic-freedom` | no `unwrap`/`expect`/`panic!`/`unimplemented!`/`todo!` in non-test library code |
 //! | `doc-coverage` | public items in `tensor`/`fl`/`core`/`parallel` carry rustdoc |
-//! | `rng-stream-hygiene` | named RNG streams are never mixed in one function or passed across unaudited crate boundaries |
-//! | `lock-order` | the static `lock_recover`/`wait_recover` acquisition graph is acyclic |
-//! | `cast-soundness` | no lossy `as` casts / unchecked byte-counter arithmetic in the serializing crates |
-//! | `metrics-registry` | span/metric names at call sites resolve to `fedwcm_trace::names` constants; no literals, typos, or dead taxonomy |
+//! | `metrics-registry` | no entry of the `fedwcm_trace::names` table is dead (that producers pass a registered name is a type, `names::Name`) |
 //! | `parallel-escape-send-sync` | every `unsafe impl Send`/`Sync` states a disjointness argument in its `// SAFETY:` comment |
 //!
 //! Run it locally with `cargo run -p fedwcm-lint` (add `--format json`
@@ -30,31 +27,29 @@
 //!
 //! The crate has **zero external dependencies** (this build environment
 //! has no reachable crates.io registry) and hand-rolls the lexer in
-//! [`lexer`]. The v1 rules are token-sequence patterns over its
-//! output, so they never fire inside comments, strings, raw strings,
-//! or char literals. The v2 rules go further: [`parser`] builds a
-//! recovering item/expression tree ([`ast`]) for each file — lexed and
-//! parsed exactly once per run — and [`callgraph`] resolves calls
-//! across files so the stream-hygiene and lock-order analyses can
-//! follow values through the workspace. `metrics-registry` checks span
-//! and metric call sites against the `trace::names` table, and
-//! `parallel-escape-send-sync` is the static half of the `race_check`
-//! sanitizer's soundness story (DESIGN.md §15).
+//! [`lexer`]. Every rule is a token-sequence pattern over its output —
+//! each file is lexed exactly once per run and nothing is parsed — so
+//! rules never fire inside comments, strings, raw strings, or char
+//! literals. `parallel-escape-send-sync` is the static half of the
+//! `race_check` sanitizer's soundness story (DESIGN.md §15).
 //!
-//! What a type can carry is not linted: a parallel closure cannot write
-//! captured state because every `fedwcm-parallel` entry point takes
-//! `F: Fn + Sync`, a staleness discount is applied exactly once because
-//! `fl::Undiscounted::apply` consumes the upload, and a checkpoint
-//! writer cannot drift from its reader because both expand from one
-//! `wire_struct!` field table. DESIGN.md §9 records, rule by rule, why
-//! each remaining gate has no cheaper type or test; `--rules` prints
-//! the taxonomy with per-rule escape hatches.
+//! What a type, the compiler's own lints or a test can carry is not
+//! linted: a parallel closure cannot write captured state because every
+//! `fedwcm-parallel` entry point takes `F: Fn + Sync`; a staleness
+//! discount is applied exactly once because `fl::Undiscounted::apply`
+//! consumes the upload; a checkpoint writer cannot drift from its reader
+//! because both expand from one `wire_struct!` field table; a span or
+//! metric name is a `fedwcm_trace::names::Name`, not a string; lossy
+//! casts and unchecked byte-counter arithmetic in the serializing crates
+//! are denied clippy lints, which see real types; lock nesting is
+//! asserted by the `lock_recover` helpers themselves in every debug
+//! build; and RNG stream labels live in one table with a distinctness
+//! test. DESIGN.md §9 records, rule by rule, why each remaining gate has
+//! no cheaper carrier; `--rules` prints the taxonomy with per-rule
+//! escape hatches.
 
-pub mod ast;
-pub mod callgraph;
 pub mod engine;
 pub mod lexer;
-pub mod parser;
 pub mod rules;
 
 pub use engine::{

@@ -219,7 +219,7 @@ fn main() -> ExitCode {
     };
     let elapsed = started.elapsed();
     let timing = format!(
-        "fedwcm-lint: {} files lexed+parsed once, all rules in {}.{:03}s",
+        "fedwcm-lint: {} files lexed once, all rules in {}.{:03}s",
         run.files,
         elapsed.as_secs(),
         elapsed.subsec_millis()

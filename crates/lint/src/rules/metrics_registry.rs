@@ -1,275 +1,59 @@
-//! `metrics-registry` — every span, point, and metric name resolves to
-//! a constant in `crates/trace/src/names.rs`.
+//! `metrics-registry` — no dead entry in `crates/trace/src/names.rs`.
 //!
-//! The tracing and metrics surface is string-keyed (`tracer.span("…")`,
-//! `reg.counter_add("…", n)`), which is exactly where taxonomies rot: a
-//! typo'd key silently splits a time series, and a renamed span orphans
-//! every dashboard that watched it. The registry module turns each name
-//! into a `pub const` — this rule then closes the loop statically:
-//!
-//! * a **string literal** in name position at a call site is an error
-//!   (use the constant — or add one);
-//! * a **constant** in name position must resolve to the registry; an
-//!   unknown `SCREAMING_CASE` name is a typo and an error;
-//! * a **registry constant no code references** is dead taxonomy and an
-//!   error at its declaration;
-//! * a **`format!` name** (the per-class gauges) must mention a
-//!   registered `…_PREFIX` constant rather than bake the prefix into
-//!   its template.
-//!
-//! Name position is one indexed argument per call — the first for
-//! `span`/`point`/`counter_add`/`gauge_set`/`observe` method calls and
-//! `local::span`/`local::point` calls, the second for `observe_phase`
-//! (whose first is the registry handle). Other arguments are values
-//! (field payloads, histogram bounds), never names.
-//! Lowercase variables in name position are accepted: helpers
-//! that thread a `name: &str` parameter through (e.g. `observe_phase`
-//! itself) are checked at *their* call sites, where the constant
-//! appears. The rule runs in library crates outside test code; the
-//! registry file itself is exempt.
+//! That a producer passes a registered name is the compiler's job now:
+//! `Tracer::span`, `MetricsRegistry::counter_add` and the rest take a
+//! `fedwcm_trace::names::Name`, which only the `names!` table can make,
+//! so a literal or a misspelt constant does not build. What no type
+//! carries is the other direction — a table entry that nothing uses,
+//! which hides which telemetry actually exists. This rule is that one
+//! check, as a token scan: an `IDENT = "string";` entry of the registry
+//! file whose identifier appears in no other file is an error at its
+//! declaration.
 
 use crate::engine::{Diagnostic, FileCtx};
 use crate::lexer::TokKind;
-use std::collections::BTreeMap;
 
 const RULE: &str = "metrics-registry";
 
 /// Path suffix identifying the registry module.
 const REGISTRY_PATH: &str = "trace/src/names.rs";
 
-/// Methods with a name-position argument, and which argument it is.
-/// (`observe(name, bounds, v)` takes its bounds array by constant too —
-/// indexing keeps `LAYER_BOUNDS` in argument 1 out of name position.)
-const NAME_METHODS: &[(&str, usize)] = &[
-    ("span", 0),
-    ("point", 0),
-    ("counter_add", 0),
-    ("gauge_set", 0),
-    ("observe", 0),
-    ("observe_phase", 1),
-];
-
-/// `module::fn` free calls whose first argument is a name.
-const NAME_CALLS: &[(&str, &str)] = &[("local", "span"), ("local", "point")];
-
-/// One registry constant: `pub const NAME: &str = "value";`.
-struct RegConst {
-    name: String,
-    line: usize,
+/// The `IDENT = "string";` entries of a registry file: `(name, line)`.
+fn entries(ctx: &FileCtx) -> Vec<(&str, usize)> {
+    ctx.code
+        .windows(4)
+        .filter_map(|w| {
+            let [id, eq, s, semi] = [w[0], w[1], w[2], w[3]].map(|i| &ctx.toks[i]);
+            let entry = id.kind == TokKind::Ident
+                && eq.is_punct('=')
+                && s.kind == TokKind::Str
+                && semi.is_punct(';');
+            entry.then_some((id.text.as_str(), id.line))
+        })
+        .collect()
 }
 
-/// Token-scan a registry file for its string constants. The mini-AST
-/// only models functions, so module-level consts are read straight off
-/// the token stream: `const <IDENT> … = "…"`.
-fn extract_registry(ctx: &FileCtx) -> Vec<RegConst> {
-    let mut out = Vec::new();
-    let code = &ctx.code;
-    let mut k = 0;
-    while k < code.len() {
-        let t = &ctx.toks[code[k]];
-        if matches!(t.kind, TokKind::Ident) && t.text == "const" {
-            if let Some(name_tok) = code.get(k + 1).map(|&i| &ctx.toks[i]) {
-                if matches!(name_tok.kind, TokKind::Ident) {
-                    // Confirm a string value before the terminating `;`.
-                    let mut j = k + 2;
-                    let mut is_str = false;
-                    while j < code.len() {
-                        let tj = &ctx.toks[code[j]];
-                        if tj.is_punct(';') {
-                            break;
-                        }
-                        if matches!(tj.kind, TokKind::Str) {
-                            is_str = true;
-                        }
-                        j += 1;
-                    }
-                    if is_str {
-                        out.push(RegConst {
-                            name: name_tok.text.clone(),
-                            line: name_tok.line,
-                        });
-                    }
-                    k = j;
-                    continue;
-                }
-            }
-        }
-        k += 1;
-    }
-    out
-}
-
-/// Is this identifier a constant-style name (`FL_ALPHA`, `ROUND`)?
-fn is_screaming(name: &str) -> bool {
-    name.chars().any(|c| c.is_ascii_uppercase())
-        && name
-            .chars()
-            .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
-}
-
-/// A name-position argument found at a call site.
-enum NameArg<'a> {
-    /// String literal (value includes the quotes as lexed).
-    Literal(&'a str, usize),
-    /// `SCREAMING_CASE` constant reference (last path segment).
-    Const(&'a str, usize),
-    /// `format!(…)` building a dynamic name; `true` when some argument
-    /// references a `SCREAMING_CASE` constant.
-    Format(bool, usize),
-}
-
-/// Classify the name-position argument of one call, if present.
-fn classify_args<'a>(args: &'a [crate::ast::Expr], idx: usize, out: &mut Vec<NameArg<'a>>) {
-    use crate::ast::Expr;
-    if let Some(a) = args.get(idx) {
-        // See through `&format!(…)` / `&NAME`.
-        let mut a = a;
-        while let Expr::Unary { expr, .. } = a {
-            a = expr;
-        }
-        match a {
-            Expr::Lit { text, line } if text.starts_with('"') => {
-                out.push(NameArg::Literal(text, *line));
-            }
-            Expr::Path { segs, line } => {
-                if let Some(last) = segs.last() {
-                    if is_screaming(last) {
-                        out.push(NameArg::Const(last, *line));
-                    }
-                }
-            }
-            Expr::Macro { name, args, line } if name == "format" => {
-                let mut has_const = false;
-                for ma in args {
-                    ma.walk(&mut |e| {
-                        if let Expr::Path { segs, .. } = e {
-                            if segs.last().is_some_and(|s| is_screaming(s)) {
-                                has_const = true;
-                            }
-                        }
-                    });
-                }
-                out.push(NameArg::Format(has_const, *line));
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Run the rule over the parsed workspace.
+/// Run the rule over the lexed workspace.
 pub fn check_metrics_registry(files: &[FileCtx], diags: &mut Vec<Diagnostic>) {
-    use crate::ast::Expr;
-
-    // The registry: constants from any `trace/src/names.rs` in the set,
-    // keyed by name → (file index, declaration line).
-    let mut registry: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-    for (fi, ctx) in files.iter().enumerate() {
-        if ctx.path.ends_with(REGISTRY_PATH) {
-            for c in extract_registry(ctx) {
-                registry.entry(c.name).or_insert((fi, c.line));
-            }
-        }
-    }
-
-    for ctx in files {
-        if !ctx.is_lib_crate() || ctx.path.ends_with(REGISTRY_PATH) {
+    for (fi, registry) in files.iter().enumerate() {
+        if !registry.path.ends_with(REGISTRY_PATH) {
             continue;
         }
-        for f in &ctx.ast.fns {
-            if ctx.is_test_line(f.line) {
-                continue;
+        for (name, line) in entries(registry) {
+            let used = files
+                .iter()
+                .enumerate()
+                .any(|(i, ctx)| i != fi && ctx.code.iter().any(|&t| ctx.toks[t].is_ident(name)));
+            if !used {
+                diags.push(registry.diag(
+                    RULE,
+                    line,
+                    format!(
+                        "registry entry `{name}` is referenced by no code — dead taxonomy \
+                         entries hide which telemetry actually exists; remove it or wire it up"
+                    ),
+                ));
             }
-            let mut names: Vec<NameArg<'_>> = Vec::new();
-            f.body.walk(&mut |e| match e {
-                Expr::MethodCall { method, args, .. } => {
-                    if let Some((_, idx)) = NAME_METHODS.iter().find(|(m, _)| *m == method.as_str())
-                    {
-                        classify_args(args, *idx, &mut names);
-                    }
-                }
-                Expr::Call { callee, args, .. } => {
-                    if let Expr::Path { segs, .. } = &**callee {
-                        if segs.len() >= 2 {
-                            let pair =
-                                (segs[segs.len() - 2].as_str(), segs[segs.len() - 1].as_str());
-                            if NAME_CALLS.contains(&pair) {
-                                classify_args(args, 0, &mut names);
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            });
-            for n in names {
-                match n {
-                    NameArg::Literal(text, line) => {
-                        if ctx.is_test_line(line) {
-                            continue;
-                        }
-                        diags.push(ctx.diag(
-                            RULE,
-                            line,
-                            format!(
-                                "literal span/metric name {text} — use a constant from \
-                                 `fedwcm_trace::names` (add one if this is a new name) so the \
-                                 telemetry taxonomy stays in one auditable place"
-                            ),
-                        ));
-                    }
-                    NameArg::Const(name, line) => {
-                        if !registry.is_empty()
-                            && !registry.contains_key(name)
-                            && !ctx.is_test_line(line)
-                        {
-                            diags.push(ctx.diag(
-                                RULE,
-                                line,
-                                format!(
-                                    "`{name}` does not resolve to a constant in \
-                                     `crates/trace/src/names.rs` — a typo'd name silently \
-                                     splits its time series"
-                                ),
-                            ));
-                        }
-                    }
-                    NameArg::Format(has_const, line) => {
-                        if !registry.is_empty() && !has_const && !ctx.is_test_line(line) {
-                            diags.push(
-                                ctx.diag(
-                                    RULE,
-                                    line,
-                                    "dynamic span/metric name built without a registered \
-                                 `…_PREFIX` constant — `format!` the suffix onto a \
-                                 `fedwcm_trace::names` prefix instead of baking the \
-                                 prefix into the template"
-                                        .to_string(),
-                                ),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Dead constants: a registry name no other file's code mentions.
-    for (name, &(fi, line)) in &registry {
-        let used = files.iter().enumerate().any(|(i, ctx)| {
-            i != fi
-                && ctx
-                    .toks
-                    .iter()
-                    .any(|t| matches!(t.kind, TokKind::Ident) && t.text == *name)
-        });
-        if !used {
-            diags.push(files[fi].diag(
-                RULE,
-                line,
-                format!(
-                    "registry constant `{name}` is referenced by no code — dead taxonomy \
-                     entries hide which telemetry actually exists; remove it or wire it up"
-                ),
-            ));
         }
     }
 }

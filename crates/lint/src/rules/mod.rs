@@ -1,36 +1,28 @@
 //! The rule families.
 //!
-//! The v1 families walk a [`FileCtx`](crate::engine::FileCtx) token
+//! Every family walks a [`FileCtx`](crate::engine::FileCtx) token
 //! stream — **token sequences over non-comment tokens**, so nothing
 //! ever fires inside a comment, string, or char literal (the lexer
-//! guarantees it); [`parallel_escape`] (the `unsafe impl Send/Sync`
-//! disjointness check) is one of them. The v2 families
-//! ([`rng_hygiene`], [`lock_order`], [`cast_soundness`]) walk the parsed
-//! syntax tree instead, and the first two run as a single workspace
-//! pass over every file at once so they can follow calls across crates.
-//! [`metrics_registry`] is a workspace pass too, over call sites and
-//! the `trace::names` constant table.
+//! guarantees it). Nothing is parsed: what needed a syntax tree, real
+//! types or a call graph is carried by the compiler, clippy and tests
+//! (DESIGN.md §9). [`metrics_registry`] is the one workspace pass: an
+//! entry of the `trace::names` table against every other file's
+//! identifiers.
 
 use crate::engine::{Diagnostic, FileCtx, LintConfig};
 
-mod cast_soundness;
 mod determinism;
 mod doc_coverage;
-mod lock_order;
 mod metrics_registry;
 mod panic_freedom;
 mod parallel_escape;
-mod rng_hygiene;
 mod unsafe_safety;
 
-pub use cast_soundness::check_cast_soundness;
 pub use determinism::check_determinism;
 pub use doc_coverage::check_doc_coverage;
-pub use lock_order::check_lock_order;
 pub use metrics_registry::check_metrics_registry;
 pub use panic_freedom::check_panic_freedom;
 pub use parallel_escape::check_send_sync_safety;
-pub use rng_hygiene::check_rng_hygiene;
 pub use unsafe_safety::check_unsafe_safety;
 
 /// One blessed-file exemption: `rule` does not fire in `path`.
@@ -90,30 +82,14 @@ pub fn run_all(ctx: &FileCtx, cfg: &LintConfig, diags: &mut Vec<Diagnostic>) {
     if cfg.is_enabled("doc-coverage") {
         check_doc_coverage(ctx, diags);
     }
-    if cfg.is_enabled("cast-soundness") {
-        check_cast_soundness(ctx, diags);
-    }
     if cfg.is_enabled("parallel-escape-send-sync") {
         check_send_sync_safety(ctx, diags);
     }
 }
 
-/// Run the cross-file rule families over the whole file set at once.
-/// The call graph is built once and shared.
+/// Run the cross-file rule over the whole file set at once.
 pub fn run_workspace(files: &[FileCtx], cfg: &LintConfig, diags: &mut Vec<Diagnostic>) {
-    let rng = cfg.is_enabled("rng-stream-hygiene");
-    let lock = cfg.is_enabled("lock-order");
     if cfg.is_enabled("metrics-registry") {
         check_metrics_registry(files, diags);
-    }
-    if !(rng || lock) {
-        return;
-    }
-    let cg = crate::callgraph::CallGraph::build(files);
-    if rng {
-        check_rng_hygiene(files, &cg, diags);
-    }
-    if lock {
-        check_lock_order(files, &cg, diags);
     }
 }
