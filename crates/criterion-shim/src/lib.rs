@@ -1,8 +1,8 @@
 //! Offline shim for [criterion](https://crates.io/crates/criterion).
 //!
 //! The build environment cannot fetch crates.io dependencies, so this
-//! workspace-local package provides the subset of the criterion API the
-//! `fedwcm-bench` targets use: `Criterion`, `BenchmarkGroup`,
+//! workspace-local package provides the subset of the criterion API
+//! `fedwcm-bench`'s `kernels` target uses: `Criterion`, `BenchmarkGroup`,
 //! `BenchmarkId`, `Bencher::iter`, and the `criterion_group!` /
 //! `criterion_main!` macros.
 //!
@@ -12,13 +12,8 @@
 //! statistical analysis, HTML report, or baseline comparison.
 
 use std::fmt::Display;
-use std::hint::black_box as std_black_box;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-/// Re-export matching `criterion::black_box`.
-pub fn black_box<T>(x: T) -> T {
-    std_black_box(x)
-}
 
 /// Identifier for one benchmark within a group.
 #[derive(Clone, Debug)]
@@ -33,24 +28,11 @@ impl BenchmarkId {
             id: format!("{name}/{parameter}"),
         }
     }
-
-    /// Id from a bare parameter value.
-    pub fn from_parameter(parameter: impl Display) -> Self {
-        BenchmarkId {
-            id: parameter.to_string(),
-        }
-    }
 }
 
 impl From<&str> for BenchmarkId {
     fn from(s: &str) -> Self {
         BenchmarkId { id: s.to_string() }
-    }
-}
-
-impl From<String> for BenchmarkId {
-    fn from(s: String) -> Self {
-        BenchmarkId { id: s }
     }
 }
 
@@ -69,7 +51,7 @@ impl Bencher {
         loop {
             let t0 = Instant::now();
             for _ in 0..iters_per_sample {
-                std_black_box(routine());
+                black_box(routine());
             }
             let dt = t0.elapsed();
             if dt >= Duration::from_millis(2) || iters_per_sample >= 1 << 20 {
@@ -81,7 +63,7 @@ impl Bencher {
         for _ in 0..self.sample_size.max(1) {
             let t0 = Instant::now();
             for _ in 0..iters_per_sample {
-                std_black_box(routine());
+                black_box(routine());
             }
             samples_ns.push(t0.elapsed().as_nanos() as f64 / iters_per_sample as f64);
         }
@@ -90,21 +72,13 @@ impl Bencher {
     }
 }
 
-fn run_one(
-    group: Option<&str>,
-    id: &BenchmarkId,
-    sample_size: usize,
-    f: impl FnOnce(&mut Bencher),
-) {
+fn run_one(group: &str, id: &BenchmarkId, sample_size: usize, f: impl FnOnce(&mut Bencher)) {
     let mut b = Bencher {
         sample_size,
         last_median_ns: 0.0,
     };
     f(&mut b);
-    let full = match group {
-        Some(g) => format!("{g}/{}", id.id),
-        None => id.id.clone(),
-    };
+    let full = format!("{group}/{}", id.id);
     println!(
         "bench: {full:<48} {:>14.1} ns/iter (median of {sample_size})",
         b.last_median_ns
@@ -137,15 +111,6 @@ impl Criterion {
             _parent: self,
         }
     }
-
-    /// Run one stand-alone benchmark.
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, f: F) -> &mut Self
-    where
-        F: FnOnce(&mut Bencher),
-    {
-        run_one(None, &id.into(), self.sample_size, f);
-        self
-    }
 }
 
 /// A named collection of benchmarks sharing configuration.
@@ -156,18 +121,12 @@ pub struct BenchmarkGroup<'a> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Override the sample count for this group.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n.max(1);
-        self
-    }
-
     /// Run one benchmark in this group.
     pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, f: F) -> &mut Self
     where
         F: FnOnce(&mut Bencher),
     {
-        run_one(Some(&self.name), &id.into(), self.sample_size, f);
+        run_one(&self.name, &id.into(), self.sample_size, f);
         self
     }
 
@@ -181,9 +140,7 @@ impl BenchmarkGroup<'_> {
     where
         F: FnOnce(&mut Bencher, &I),
     {
-        run_one(Some(&self.name), &id.into(), self.sample_size, |b| {
-            f(b, input)
-        });
+        run_one(&self.name, &id.into(), self.sample_size, |b| f(b, input));
         self
     }
 
@@ -191,18 +148,12 @@ impl BenchmarkGroup<'_> {
     pub fn finish(self) {}
 }
 
-/// Define a benchmark group function, mirroring criterion's macro forms.
+/// Define a benchmark group function, mirroring criterion's macro form.
 #[macro_export]
 macro_rules! criterion_group {
     (name = $name:ident; config = $cfg:expr; targets = $($target:path),+ $(,)?) => {
         pub fn $name() {
             let mut criterion: $crate::Criterion = $cfg;
-            $($target(&mut criterion);)+
-        }
-    };
-    ($name:ident, $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
             $($target(&mut criterion);)+
         }
     };
@@ -224,7 +175,6 @@ mod tests {
 
     fn target(c: &mut Criterion) {
         let mut group = c.benchmark_group("shim");
-        group.sample_size(3);
         group.bench_function("add", |b| b.iter(|| black_box(1u64) + black_box(2u64)));
         group.bench_with_input(BenchmarkId::new("mul", 7), &7u64, |b, &x| {
             b.iter(|| black_box(x) * 3)
@@ -241,11 +191,5 @@ mod tests {
     #[test]
     fn group_runs() {
         shim_group();
-    }
-
-    #[test]
-    fn bench_function_on_criterion() {
-        let mut c = Criterion::default().sample_size(2);
-        c.bench_function("plain", |b| b.iter(|| black_box(5u32).wrapping_mul(3)));
     }
 }
