@@ -126,13 +126,9 @@ impl SecretKey {
         let mut c0 = vec![0u64; n];
         negacyclic_mul_sparse(&c1, &self.plus, &self.minus, &mut c0);
         for c in c0.iter_mut() {
-            // e = draw − noise ∈ [−noise, noise]
+            // e = draw − noise ∈ [−noise, noise], added mod q
             let draw = rng.next_below(2 * p.noise_bound + 1);
-            *c = if draw >= p.noise_bound {
-                addq(*c, draw - p.noise_bound)
-            } else {
-                subq(*c, p.noise_bound - draw)
-            };
+            *c = subq(addq(*c, draw), p.noise_bound);
         }
         for (c, &v) in c0.iter_mut().zip(values) {
             *c = addq(*c, delta.wrapping_mul(v) & (Q - 1));
