@@ -24,12 +24,11 @@
 //! `fedwcm-fl` its training-buffer pool, each on its own and never
 //! while holding another — user tasks run with no lock held. In builds
 //! with `debug_assertions` (every `cargo test`) [`lock_recover`] asserts
-//! exactly that: the returned [`Guard`] counts itself in a thread-local,
-//! and acquiring while this thread's count is non-zero panics, naming
-//! the rule. Unlike a static call-graph pass this sees every executed
+//! exactly that: the returned [`Guard`] marks this thread as holding a
+//! lock, and acquiring while the mark is set panics, naming the rule. Unlike a static call-graph pass this sees every executed
 //! path — through a closure, a trait object, a callee in another crate
 //! — and needs one thread, not a losing interleaving. Release builds
-//! compile the count out: [`Guard`] is then a `MutexGuard` and nothing
+//! compile the mark out: [`Guard`] is then a `MutexGuard` and nothing
 //! else. (`fedwcm-trace` keeps its own copy of the helper and its own
 //! count: neither crate depends on the other, by design.)
 
@@ -38,12 +37,12 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 
 #[cfg(debug_assertions)]
 std::thread_local! {
-    /// Live [`Guard`]s on this thread.
-    static HELD: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    /// This thread holds a [`Guard`].
+    static HELD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// One unit of this thread's held-lock count: taken before the mutex,
-/// given back when the [`Guard`] drops. Zero-sized, and without
+/// This thread's "holds a lock" mark: set before the mutex is taken,
+/// cleared when the [`Guard`] drops. Zero-sized, and without
 /// `debug_assertions` inert.
 struct Held;
 
@@ -51,13 +50,11 @@ impl Held {
     fn acquire() -> Held {
         #[cfg(debug_assertions)]
         HELD.with(|held| {
-            assert_eq!(
-                held.get(),
-                0,
+            assert!(
+                !held.replace(true),
                 "lock_recover: this thread already holds a lock taken through this helper; \
                  every critical section behind it is a leaf (crates/parallel/src/sync.rs)"
             );
-            held.set(1);
         });
         Held
     }
@@ -66,14 +63,14 @@ impl Held {
 #[cfg(debug_assertions)]
 impl Drop for Held {
     fn drop(&mut self) {
-        HELD.with(|held| held.set(held.get().saturating_sub(1)));
+        HELD.with(|held| held.set(false));
     }
 }
 
 /// A lock held through [`lock_recover`]: dereferences to the guarded
 /// value and unlocks on drop, like the `MutexGuard` it wraps.
 pub struct Guard<'a, T> {
-    // Declared first: the mutex is released before the count.
+    // Declared first: the mutex is released before the mark is cleared.
     guard: MutexGuard<'a, T>,
     held: Held,
 }
@@ -107,8 +104,8 @@ pub fn lock_recover<T>(m: &Mutex<T>) -> Guard<'_, T> {
 }
 
 /// Block on `cv`, recovering the reacquired guard if the mutex was
-/// poisoned while this thread slept. The guard's unit of the held-lock
-/// count rides through the wait: the thread is parked, not free.
+/// poisoned while this thread slept. The guard's "holds a lock" mark
+/// rides through the wait: the thread is parked, not free.
 ///
 /// Same soundness argument as [`lock_recover`]: recovery only skips the
 /// poison bookkeeping, never exposes torn state.
@@ -162,8 +159,8 @@ mod tests {
     }
 
     /// A real wait — the notifier can only take the mutex once this
-    /// thread has parked — hands the flag over, comes back still
-    /// counted, and returns the count when the guard drops.
+    /// thread has parked — hands the flag over, comes back still marked
+    /// as held, and clears the mark when the guard drops.
     #[test]
     fn wait_recover_keeps_the_count() {
         let (m, cv) = (&Mutex::new(false), &Condvar::new());
@@ -180,10 +177,10 @@ mod tests {
                 guard = wait_recover(cv, guard);
             }
             #[cfg(debug_assertions)]
-            assert_eq!(HELD.with(std::cell::Cell::get), 1, "held through the wait");
+            assert!(HELD.with(std::cell::Cell::get), "held through the wait");
             drop(guard);
             #[cfg(debug_assertions)]
-            assert_eq!(HELD.with(std::cell::Cell::get), 0, "returned on drop");
+            assert!(!HELD.with(std::cell::Cell::get), "cleared on drop");
         });
     }
 }

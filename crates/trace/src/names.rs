@@ -31,7 +31,7 @@ use std::borrow::Cow;
 /// A registered span, point, or metric name: one of the associated
 /// constants the table below declares. `Copy`, pointer-sized, and
 /// impossible to build from a string outside this module.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub struct Name(&'static str);
 
 impl Name {
@@ -49,12 +49,12 @@ impl Name {
 }
 
 /// A gauge key: a [`Name`], or a prefix entry's [`Name::class`] key.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Key(Cow<'static, str>);
 
 impl Key {
     /// The key's string.
-    pub fn as_str(&self) -> &str {
+    pub(crate) fn as_str(&self) -> &str {
         &self.0
     }
 }
