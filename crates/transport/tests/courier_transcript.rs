@@ -1,0 +1,130 @@
+//! A pinned courier transcript: what a fixed all-faults plan does to 120
+//! deliveries, byte for byte. `deliveries_are_bitwise_reproducible` in
+//! `courier.rs` compares a run with itself; this compares it with the
+//! run recorded when the file was written, so a change to the delivery
+//! path that moves a verdict, an attempt count, a log entry, a delivered
+//! byte, a counter or a clock tick fails here.
+
+use fedwcm_stats::rng::{Rng, Xoshiro256pp};
+use fedwcm_transport::{
+    AttemptOutcome, Courier, NetConfig, NetCounters, NetPlan, RetryPolicy, Verdict,
+};
+
+#[path = "support/reference.rs"]
+mod reference;
+use reference::crc32_bytewise;
+
+const ROUNDS: u64 = 3;
+const CLIENTS: u64 = 40;
+
+fn all_faults_plan() -> NetPlan {
+    NetPlan::new(NetConfig {
+        drop: 0.2,
+        corrupt: 0.1,
+        duplicate: 0.1,
+        reorder: 0.1,
+        delay: 0.1,
+        max_delay_rounds: 2,
+        ..NetConfig::zero(0x7A5C)
+    })
+}
+
+/// The upload of `(round, client)`: seeded bytes, lengths 0..=199 so
+/// the empty payload and every 16-byte remainder occur.
+fn payload(round: u64, client: u64) -> Vec<u8> {
+    let mut rng = Xoshiro256pp::seed_from(round * 1000 + client);
+    let len = rng.index(200);
+    (0..len).map(|_| rng.next_u64() as u8).collect()
+}
+
+fn put_counters(out: &mut Vec<u8>, c: &NetCounters) {
+    for v in [
+        c.frames_sent,
+        c.retries,
+        c.rejected_frames,
+        c.duplicates,
+        c.delayed,
+        c.degraded,
+        c.retransmitted_bytes,
+        c.rejected_bytes,
+    ] {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Every delivery as `(verdict kind, attempts, log, delivered payload)`,
+/// then each round's `counters()` and `ticks()`, one courier a round
+/// with the clock carried over as the engine carries it.
+fn transcript() -> (Vec<u8>, NetCounters, u64) {
+    let plan = all_faults_plan();
+    let mut out = Vec::new();
+    let mut totals = NetCounters::default();
+    let mut ticks = 0u64;
+    for round in 0..ROUNDS {
+        let mut courier = Courier::new(&plan, RetryPolicy::default(), ticks);
+        for client in 0..CLIENTS {
+            let seq = (round << 32) | client;
+            let sent = payload(round, client);
+            let d = courier.deliver(round, client, seq, &sent);
+            match &d.verdict {
+                Verdict::Delivered { payload } => {
+                    assert_eq!(payload, &sent, "round {round} client {client}");
+                    out.push(0);
+                    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+                    out.extend_from_slice(payload);
+                }
+                Verdict::Delayed { rounds } => {
+                    out.push(1);
+                    out.extend_from_slice(&(*rounds as u64).to_le_bytes());
+                }
+                Verdict::Exhausted => out.push(2),
+            }
+            out.extend_from_slice(&d.attempts.to_le_bytes());
+            out.extend_from_slice(&(d.log.len() as u64).to_le_bytes());
+            for outcome in &d.log {
+                out.extend_from_slice(outcome.label().as_bytes());
+                out.push(b';');
+                if let AttemptOutcome::Delayed { rounds } = outcome {
+                    out.extend_from_slice(&(*rounds as u64).to_le_bytes());
+                }
+            }
+        }
+        put_counters(&mut out, &courier.counters());
+        totals.merge(&courier.counters());
+        ticks = courier.ticks();
+        out.extend_from_slice(&ticks.to_le_bytes());
+    }
+    (out, totals, ticks)
+}
+
+#[test]
+fn the_all_faults_transcript_is_the_recorded_one() {
+    let (bytes, totals, ticks) = transcript();
+    // The counters and the clock in the clear, so a failure says which
+    // one moved before the CRC says that something did.
+    assert_eq!(totals, GOLDEN_TOTALS);
+    assert_eq!(ticks, GOLDEN_TICKS);
+    assert_eq!(bytes.len(), GOLDEN_TRANSCRIPT_LEN);
+    assert_eq!(
+        crc32_bytewise(&bytes),
+        GOLDEN_TRANSCRIPT_CRC,
+        "courier transcript changed"
+    );
+    // Every fault kind and both failure verdicts took part.
+    assert!(totals.retries > 0 && totals.rejected_frames > 0 && totals.duplicates > 0);
+    assert!(totals.delayed > 0 && totals.degraded > 0);
+}
+
+const GOLDEN_TOTALS: NetCounters = NetCounters {
+    frames_sent: 153,
+    retries: 45,
+    rejected_frames: 20,
+    duplicates: 15,
+    delayed: 14,
+    degraded: 1,
+    retransmitted_bytes: 5658,
+    rejected_bytes: 2280,
+};
+const GOLDEN_TICKS: u64 = 524;
+const GOLDEN_TRANSCRIPT_LEN: usize = 14_029;
+const GOLDEN_TRANSCRIPT_CRC: u32 = 0x1C99_47B9;
