@@ -13,9 +13,10 @@
 //! | 20     | n    | payload                                |
 //! | 20+n   | 4    | CRC32 (IEEE) over header + payload (LE)|
 //!
-//! The checksum is computed slice-by-8 ([`crc32`]); the one-table
-//! bytewise loop lives in `tests/support/reference.rs` as the reference
-//! it is tested against.
+//! [`crc32`] has two instances with the same value on every input —
+//! folding by carry-less multiplies where the CPU offers them, slice-by-8
+//! everywhere else; the one-table bytewise loop lives in
+//! `tests/support/reference.rs` as the reference each is tested against.
 //!
 //! The codec's contract is **byte-exact round-tripping**: for every
 //! [`Message`], `decode(encode(m)) == Ok(m)`, and every frame
@@ -207,11 +208,10 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 
 const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-/// CRC32 (IEEE 802.3 polynomial, reflected) of `data`, slice-by-8: eight
-/// bytes a step through eight tables, then a bytewise tail.
-pub fn crc32(data: &[u8]) -> u32 {
+/// Advance the raw (un-inverted) CRC state over `data`, slice-by-8:
+/// eight bytes a step through eight tables, then a bytewise tail.
+fn update_portable(mut c: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
     let mut blocks = data.chunks_exact(8);
     for b in &mut blocks {
         let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
@@ -228,7 +228,172 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in blocks.remainder() {
         c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
+}
+
+/// The portable instance: slice-by-8 over the whole input.
+fn crc32_portable(data: &[u8]) -> u32 {
+    !update_portable(!0, data)
+}
+
+/// The carry-less-multiply instance (Gopal et al., "Fast CRC Computation
+/// for Generic Polynomials Using PCLMULQDQ Instruction", Intel 2009):
+/// the input is a polynomial over GF(2), and 128 bits of it can be
+/// *folded* onto the 128 bits `d` bits further on by two carry-less
+/// multiplies with the constants `x^(d±32) mod P` without changing the
+/// remainder. Four independent 128-bit lanes fold 512 bits ahead a step,
+/// then onto one lane, then lane by lane over what 16-byte blocks are
+/// left; a Barrett reduction takes the last 128 bits to the 32-bit
+/// state. Below 64 bytes, and for the last `len % 16` bytes, the state
+/// goes through [`update_portable`], so both instances agree by
+/// construction there and by `tests::every_instance_*` everywhere.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use core::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    // Bit-reflected `x^n mod P` for the IEEE polynomial, `(low, high)`
+    // halves of one register each: n = 512 ± 32 (the four-lane step),
+    // n = 128 ± 32 (one lane onto the next), n = 64 (128 → 64 bits),
+    // then P itself and the Barrett quotient constant `x^64 / P`.
+    const FOLD_512: (i64, i64) = (0x01_5444_2BD4, 0x01_C6E4_1596);
+    const FOLD_128: (i64, i64) = (0x01_7519_97D0, 0x00_CCAA_009E);
+    const FOLD_64: i64 = 0x01_63CD_6124;
+    const POLY_MU: (i64, i64) = (0x01_DB71_0641, 0x01_F701_1641);
+
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn load(block: &[u8; 16]) -> __m128i {
+        let [b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15] = *block;
+        _mm_set_epi64x(
+            i64::from_le_bytes([b8, b9, b10, b11, b12, b13, b14, b15]),
+            i64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7]),
+        )
+    }
+
+    /// `lane` moved `d` bits ahead (`k` holds `x^(d±32) mod P`) and
+    /// added to `next`, the data it lands on.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold(lane: __m128i, k: __m128i, next: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(lane, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(lane, k);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    }
+
+    /// Advance the raw CRC state over `blocks`; at least four of them.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn update(state: u32, blocks: &[[u8; 16]]) -> u32 {
+        let (first, rest) = blocks.split_at(4);
+        let mut x = [
+            _mm_xor_si128(load(&first[0]), _mm_cvtsi32_si128(state.cast_signed())),
+            load(&first[1]),
+            load(&first[2]),
+            load(&first[3]),
+        ];
+        let k = _mm_set_epi64x(FOLD_512.1, FOLD_512.0);
+        let mut steps = rest.chunks_exact(4);
+        for step in &mut steps {
+            for (lane, block) in x.iter_mut().zip(step) {
+                *lane = fold(*lane, k, load(block));
+            }
+        }
+        let k = _mm_set_epi64x(FOLD_128.1, FOLD_128.0);
+        let mut acc = x[0];
+        for lane in &x[1..] {
+            acc = fold(acc, k, *lane);
+        }
+        for block in steps.remainder() {
+            acc = fold(acc, k, load(block));
+        }
+        // 128 → 64 bits, then Barrett: 64 → 32.
+        let low32 = _mm_set_epi64x(0xFFFF_FFFF, 0xFFFF_FFFF);
+        let t = _mm_clmulepi64_si128::<0x10>(acc, k);
+        let acc = _mm_xor_si128(_mm_srli_si128::<8>(acc), t);
+        let t = _mm_srli_si128::<4>(acc);
+        let acc = _mm_and_si128(acc, low32);
+        let acc = _mm_clmulepi64_si128::<0x00>(acc, _mm_set_epi64x(0, FOLD_64));
+        let acc = _mm_xor_si128(acc, t);
+        let pm = _mm_set_epi64x(POLY_MU.1, POLY_MU.0);
+        let t = _mm_and_si128(acc, low32);
+        let t = _mm_clmulepi64_si128::<0x10>(t, pm);
+        let t = _mm_and_si128(t, low32);
+        let t = _mm_clmulepi64_si128::<0x00>(t, pm);
+        _mm_extract_epi32::<1>(_mm_xor_si128(acc, t)).cast_unsigned()
+    }
+}
+
+/// The carry-less instance over a whole input: [`clmul::update`] over
+/// the 16-byte blocks when there are at least four, slice-by-8 over the
+/// rest.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq,sse4.1")]
+fn crc32_clmul(data: &[u8]) -> u32 {
+    let (blocks, tail) = data.as_chunks::<16>();
+    let state = if blocks.len() >= 4 {
+        clmul::update(!0, blocks)
+    } else {
+        update_portable(!0, blocks.as_flattened())
+    };
+    !update_portable(state, tail)
+}
+
+/// The instances of [`crc32`]. Holding `Clmul` is the licence to run
+/// the carry-less one: its token is minted only by [`Crc::detect`],
+/// directly under the two feature tests.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Crc {
+    /// Slice-by-8; runs everywhere.
+    Portable,
+    /// Folding by carry-less multiplies.
+    #[cfg(target_arch = "x86_64")]
+    Clmul(Detected),
+}
+
+/// Proof that `pclmulqdq` and `sse4.1` were detected.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Detected(());
+
+impl Crc {
+    /// The instance this machine runs (`std` caches the feature tests).
+    #[inline]
+    fn detect() -> Crc {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("pclmulqdq")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+        {
+            return Crc::Clmul(Detected(()));
+        }
+        Crc::Portable
+    }
+
+    #[inline]
+    fn crc32(self, data: &[u8]) -> u32 {
+        match self {
+            Crc::Portable => crc32_portable(data),
+            #[cfg(target_arch = "x86_64")]
+            Crc::Clmul(Detected(())) => {
+                // SAFETY: `crc32_clmul` may only run on a CPU with
+                // PCLMULQDQ and SSE4.1, and the `Detected` of this
+                // variant is minted nowhere but under a passed
+                // `is_x86_feature_detected!` of each.
+                unsafe { crc32_clmul(data) }
+            }
+        }
+    }
+}
+
+/// CRC32 (IEEE 802.3 polynomial, reflected) of `data`.
+///
+/// Two instances compute it, with the same value on every input: folding
+/// by carry-less multiplies where the CPU has `pclmulqdq` and `sse4.1`
+/// (read from the machine; nothing selects or reports it), slice-by-8
+/// everywhere else.
+pub fn crc32(data: &[u8]) -> u32 {
+    Crc::detect().crc32(data)
 }
 
 /// Encode `msg` into its canonical frame bytes. Fails only when the
@@ -324,6 +489,12 @@ pub fn decode(frame: &[u8]) -> Result<Message, FrameError> {
     }
 }
 
+// The bytewise loop every instance is tested against; shared with the
+// integration tests.
+#[cfg(test)]
+#[path = "../tests/support/reference.rs"]
+mod reference;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,11 +525,98 @@ mod tests {
         ]
     }
 
+    use super::reference::crc32_bytewise;
+
+    /// Every instance this machine runs, not only the one `crc32` picks.
+    fn instances() -> Vec<Crc> {
+        let mut all = vec![Crc::Portable];
+        if Crc::detect() != Crc::Portable {
+            all.push(Crc::detect());
+        }
+        all
+    }
+
+    /// Bytes with no period a 16- or 64-byte step could hide behind.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x.to_le_bytes()[3]
+            })
+            .collect()
+    }
+
     #[test]
     fn crc32_known_answer() {
         // The canonical CRC32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(&[]), 0);
+        for crc in instances() {
+            assert_eq!(crc.crc32(b"123456789"), 0xCBF4_3926, "{crc:?}");
+            assert_eq!(crc.crc32(&[]), 0, "{crc:?}");
+        }
+    }
+
+    /// Each instance against the bytewise reference at every length
+    /// 0..=320 (no block, the first four-lane step, five of them, and
+    /// every count of single blocks and tail bytes after it) at every
+    /// start offset 0..16 (every alignment of the first load).
+    #[test]
+    fn every_instance_matches_the_bytewise_reference_at_every_length_and_offset() {
+        let buf = noise(320 + 16);
+        for crc in instances() {
+            for offset in 0..16 {
+                for len in 0..=320 {
+                    let data = &buf[offset..offset + len];
+                    assert_eq!(
+                        crc.crc32(data),
+                        crc32_bytewise(data),
+                        "{crc:?}, offset {offset}, length {len}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The same on one real upload frame (76,904 B) and one byte either
+    /// side of each seam of the carry-less instance around it: the
+    /// 64-byte step, the 16-byte block, the bytewise tail.
+    #[test]
+    fn every_instance_matches_the_bytewise_reference_on_an_upload_frame_and_its_seams() {
+        const UPLOAD_FRAME: usize = 76_904;
+        let buf = noise(UPLOAD_FRAME + 64 + 1);
+        let mut lengths = vec![UPLOAD_FRAME];
+        for seam in [64, 16, 8] {
+            let at = UPLOAD_FRAME / seam * seam;
+            lengths.extend([at - 1, at, at + 1, at + seam - 1, at + seam, at + seam + 1]);
+        }
+        for crc in instances() {
+            for &len in &lengths {
+                for offset in [0, 1] {
+                    let data = &buf[offset..offset + len];
+                    assert_eq!(
+                        crc.crc32(data),
+                        crc32_bytewise(data),
+                        "{crc:?}, offset {offset}, length {len}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn detect_is_portable_exactly_where_the_features_are_missing() {
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            Crc::detect() != Crc::Portable,
+            std::arch::is_x86_feature_detected!("pclmulqdq")
+                && std::arch::is_x86_feature_detected!("sse4.1")
+        );
+        #[cfg(not(target_arch = "x86_64"))]
+        assert_eq!(Crc::detect(), Crc::Portable);
     }
 
     #[test]

@@ -99,9 +99,10 @@ fn frame_overhead_is_header_plus_trailer() {
     assert!(matches!(frame::decode(&[]), Err(FrameError::Truncated)));
 }
 
-/// Slice-by-8 against the bytewise reference: every length 0..=64 (all
-/// block counts and tail lengths around the 8-byte step) at every start
-/// offset 0..8 (every alignment of the first block).
+/// `crc32` as the host runs it against the bytewise reference: every
+/// length 0..=64 (all block counts and tail lengths around the 8-byte
+/// step) at every start offset 0..8 (every alignment of the first
+/// block). `frame.rs`'s own tests go through each instance by name.
 #[test]
 fn crc32_matches_bytewise_reference_at_every_length_and_offset() {
     let buf = seeded_bytes(64 + 8, 0xC4C32);

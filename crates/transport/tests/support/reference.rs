@@ -1,5 +1,6 @@
 //! Reference CRC32: the one-table bytewise loop, kept simple on purpose.
-//! `frame::crc32` (slice-by-8) must agree with it on every input.
+//! Every instance of `frame::crc32` (slice-by-8, carry-less multiply)
+//! must agree with it on every input.
 
 const fn crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
