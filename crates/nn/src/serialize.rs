@@ -32,13 +32,13 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Append a length-prefixed (u64 count) little-endian f32 slice.
+/// Append a length-prefixed (u64 count) little-endian f32 slice: one
+/// bulk conversion, not a call per float (the compiler turns the
+/// flattened `to_le_bytes` into a block copy on little-endian targets).
 pub fn put_f32s(out: &mut Vec<u8>, vs: &[f32]) {
     put_u64(out, vs.len() as u64);
     out.reserve(vs.len() * 4);
-    for &v in vs {
-        put_f32(out, v);
-    }
+    out.extend(vs.iter().flat_map(|v| v.to_le_bytes()));
 }
 
 /// Append a length-prefixed (u64 count) UTF-8 string.
@@ -113,15 +113,11 @@ impl<'a> ByteReader<'a> {
     /// Read a length-prefixed f32 slice written by [`put_f32s`].
     pub fn f32s(&mut self) -> Option<Vec<f32>> {
         let n = usize::try_from(self.u64()?).ok()?;
-        // Guard against a corrupt length before allocating.
-        if n.checked_mul(4)? > self.buf.len() - self.pos {
-            return None;
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f32()?);
-        }
-        Some(out)
+        // Guard against a corrupt length before allocating: `take` fails
+        // unless all `4 n` bytes are there.
+        let bytes = self.take(n.checked_mul(4)?)?;
+        let floats = bytes.as_chunks::<4>().0;
+        Some(floats.iter().map(|b| f32::from_le_bytes(*b)).collect())
     }
 
     /// Read a length-prefixed UTF-8 string written by [`put_str`].
@@ -144,10 +140,7 @@ pub fn save_params(model: &Model) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + params.len() * 4);
     out.extend_from_slice(MAGIC);
     put_u32(&mut out, VERSION);
-    put_u64(&mut out, params.len() as u64);
-    for &p in params {
-        put_f32(&mut out, p);
-    }
+    put_f32s(&mut out, params);
     out
 }
 
