@@ -98,7 +98,8 @@ impl AttemptOutcome {
 pub enum Verdict {
     /// The upload arrived intact and was acknowledged.
     Delivered {
-        /// The payload exactly as the receiver decoded it.
+        /// The payload exactly as the receiver decoded it, in the
+        /// allocation of the frame that carried it.
         payload: Vec<u8>,
     },
     /// The upload will arrive `rounds` rounds late, intact — the
@@ -131,10 +132,29 @@ pub struct Courier<'p> {
     counters: NetCounters,
 }
 
-/// The lossless reverse control channel: encode and decode the control
-/// message so acknowledgements exercise the codec too.
-fn control_reply(msg: &Message) -> Option<Message> {
-    frame::decode(&frame::encode(msg).ok()?).ok()
+/// The lossless reverse control channel: the control message crosses the
+/// codec and comes back as itself, so acknowledgements exercise it too.
+fn control_reply_survives(msg: &Message) -> bool {
+    frame::encode(msg)
+        .is_ok_and(|bytes| frame::decode_ref(&bytes).is_ok_and(|back| back.to_owned() == *msg))
+}
+
+/// The payload of an intact frame, in the frame's own allocation: the
+/// trailer cut off, the header shifted out.
+fn into_payload(mut frame: Vec<u8>) -> Vec<u8> {
+    frame.truncate(frame.len().saturating_sub(frame::TRAILER_LEN));
+    frame.drain(..frame::HEADER_LEN.min(frame.len()));
+    frame
+}
+
+/// How the transmissions of one delivery ended.
+enum Fate {
+    /// An intact frame of this delivery reached the receiver.
+    Arrived,
+    /// The plan deferred the delivery before a retransmission.
+    Delayed { rounds: usize },
+    /// The retry budget ran out.
+    Exhausted,
 }
 
 // The courier bumps the counters above: same rule.
@@ -166,45 +186,102 @@ impl<'p> Courier<'p> {
     /// Deliver `payload` as client `client`'s upload for `round` under
     /// sequence number `seq`, retrying per the policy.
     pub fn deliver(&mut self, round: u64, client: u64, seq: u64, payload: &[u8]) -> Delivery {
-        let mut link = InMemoryLink::new(self.plan.clone());
+        self.deliver_with(round, client, seq, payload.len(), |out| {
+            out.extend_from_slice(payload);
+        })
+    }
+
+    /// [`Courier::deliver`] of the payload `write_payload` appends to the
+    /// buffer it is handed (`payload_hint` bytes, if the hint is exact).
+    ///
+    /// The delivery owns that one buffer: the payload is written
+    /// straight into its frame ([`frame::encode_delta_up`]), the frame is
+    /// encoded once and the same bytes are lent to the link on every
+    /// retransmission (same `seq`, same payload: they were identical
+    /// when each attempt built its own), and a [`Verdict::Delivered`]
+    /// hands the buffer back with header and trailer cut off. A delivery
+    /// the plan defers before its first transmission never calls
+    /// `write_payload`.
+    pub fn deliver_with(
+        &mut self,
+        round: u64,
+        client: u64,
+        seq: u64,
+        payload_hint: usize,
+        write_payload: impl FnOnce(&mut Vec<u8>),
+    ) -> Delivery {
         let mut log: Vec<AttemptOutcome> = Vec::new();
+        if let Some(rounds) = self.deferred(round, client, 0, &mut log) {
+            return Delivery {
+                verdict: Verdict::Delayed { rounds },
+                attempts: 0,
+                log,
+            };
+        }
+        let Ok(frame) = frame::encode_delta_up(seq, payload_hint, write_payload) else {
+            // Payload over the frame cap: unrecoverable by retrying.
+            self.counters.degraded = self.counters.degraded.saturating_add(1);
+            log.push(AttemptOutcome::TimedOut);
+            return Delivery {
+                verdict: Verdict::Exhausted,
+                attempts: 0,
+                log,
+            };
+        };
+        let (fate, attempts) = self.transmit(round, client, seq, &frame, &mut log);
+        let verdict = match fate {
+            Fate::Arrived => Verdict::Delivered {
+                payload: into_payload(frame),
+            },
+            Fate::Delayed { rounds } => Verdict::Delayed { rounds },
+            Fate::Exhausted => Verdict::Exhausted,
+        };
+        Delivery {
+            verdict,
+            attempts,
+            log,
+        }
+    }
+
+    /// A Delay fault on `attempt` defers the whole delivery intact: no
+    /// frame is transmitted, the engine buffers the update as a late
+    /// arrival. Counts and logs it; `Some(rounds)` when it struck.
+    fn deferred(
+        &mut self,
+        round: u64,
+        client: u64,
+        attempt: u32,
+        log: &mut Vec<AttemptOutcome>,
+    ) -> Option<usize> {
+        let Some(NetFault::Delay { rounds }) = self.plan.net_fault_for(round, client, attempt)
+        else {
+            return None;
+        };
+        self.counters.delayed = self.counters.delayed.saturating_add(1);
+        log.push(AttemptOutcome::Delayed { rounds });
+        Some(rounds)
+    }
+
+    /// Send `frame` until it arrives, the plan defers it or the budget
+    /// runs out; returns the fate and the transmissions made.
+    fn transmit(
+        &mut self,
+        round: u64,
+        client: u64,
+        seq: u64,
+        frame: &[u8],
+        log: &mut Vec<AttemptOutcome>,
+    ) -> (Fate, u32) {
+        let mut link = InMemoryLink::new(self.plan);
         let mut attempt: u32 = 0;
         loop {
-            // A Delay fault defers the whole delivery intact: no frame
-            // is transmitted, the engine buffers the update as a late
-            // arrival.
-            if let Some(NetFault::Delay { rounds }) =
-                self.plan.net_fault_for(round, client, attempt)
-            {
-                self.counters.delayed = self.counters.delayed.saturating_add(1);
-                log.push(AttemptOutcome::Delayed { rounds });
-                return Delivery {
-                    verdict: Verdict::Delayed { rounds },
-                    attempts: attempt,
-                    log,
-                };
-            }
-            let msg = Message::DeltaUp {
-                seq,
-                payload: payload.to_vec(),
-            };
-            let Ok(bytes) = frame::encode(&msg) else {
-                // Payload over the frame cap: unrecoverable by retrying.
-                self.counters.degraded = self.counters.degraded.saturating_add(1);
-                log.push(AttemptOutcome::TimedOut);
-                return Delivery {
-                    verdict: Verdict::Exhausted,
-                    attempts: attempt,
-                    log,
-                };
-            };
             self.counters.frames_sent = self.counters.frames_sent.saturating_add(1);
             if attempt > 0 {
                 self.counters.retries = self.counters.retries.saturating_add(1);
                 self.counters.retransmitted_bytes = self
                     .counters
                     .retransmitted_bytes
-                    .saturating_add(bytes.len() as u64);
+                    .saturating_add(frame.len() as u64);
             }
             link.send(
                 FrameCtx {
@@ -212,14 +289,14 @@ impl<'p> Courier<'p> {
                     client,
                     attempt,
                 },
-                bytes,
+                frame,
             );
             // Wait out the attempt deadline, draining the link each tick.
             let deadline = self
                 .clock
                 .current()
                 .saturating_add(self.policy.deadline_ticks);
-            let mut reply: Option<Result<Vec<u8>, NackReason>> = None;
+            let mut reply: Option<Result<(), NackReason>> = None;
             while self.clock.current() < deadline && reply.is_none() {
                 self.clock.tick();
                 link.tick();
@@ -228,24 +305,16 @@ impl<'p> Courier<'p> {
             // Transmissions so far, this one included.
             let sent = attempt.saturating_add(1);
             match reply {
-                Some(Ok(payload)) => {
+                Some(Ok(())) => {
                     log.push(AttemptOutcome::Acked);
-                    return Delivery {
-                        verdict: Verdict::Delivered { payload },
-                        attempts: sent,
-                        log,
-                    };
+                    return (Fate::Arrived, sent);
                 }
                 Some(Err(reason)) => log.push(AttemptOutcome::Nacked(reason)),
                 None => log.push(AttemptOutcome::TimedOut),
             }
             if sent >= self.policy.max_attempts {
                 self.counters.degraded = self.counters.degraded.saturating_add(1);
-                return Delivery {
-                    verdict: Verdict::Exhausted,
-                    attempts: sent,
-                    log,
-                };
+                return (Fate::Exhausted, sent);
             }
             // Back off before re-sending, still draining: a reordered
             // frame can land during the pause and complete the delivery
@@ -257,29 +326,29 @@ impl<'p> Courier<'p> {
             for _ in 0..pause {
                 self.clock.tick();
                 link.tick();
-                if let Some(Ok(payload)) = self.drain(&mut link, seq) {
+                if let Some(Ok(())) = self.drain(&mut link, seq) {
                     log.push(AttemptOutcome::Acked);
-                    return Delivery {
-                        verdict: Verdict::Delivered { payload },
-                        attempts: attempt,
-                        log,
-                    };
+                    return (Fate::Arrived, attempt);
                 }
+            }
+            if let Some(rounds) = self.deferred(round, client, attempt, log) {
+                return (Fate::Delayed { rounds }, attempt);
             }
         }
     }
 
-    /// Receive everything due on the link: the first intact matching
-    /// frame is acknowledged and returned; damaged frames are Nacked and
-    /// counted; redundant intact frames are counted as duplicates.
-    fn drain(&mut self, link: &mut InMemoryLink, seq: u64) -> Option<Result<Vec<u8>, NackReason>> {
-        let mut outcome: Option<Result<Vec<u8>, NackReason>> = None;
+    /// Receive everything due on the link, verifying each frame where it
+    /// lies: the first intact matching frame is acknowledged; damaged
+    /// frames are Nacked and counted; redundant intact frames are
+    /// counted as duplicates.
+    fn drain(&mut self, link: &mut InMemoryLink<'_>, seq: u64) -> Option<Result<(), NackReason>> {
+        let mut outcome: Option<Result<(), NackReason>> = None;
         for raw in link.poll() {
-            match frame::decode(&raw) {
-                Ok(Message::DeltaUp { seq: got, payload }) if got == seq && outcome.is_none() => {
-                    let ack = control_reply(&Message::Ack { seq });
-                    debug_assert!(matches!(ack, Some(Message::Ack { .. })));
-                    outcome = Some(Ok(payload));
+            match frame::decode_ref(&raw) {
+                Ok(Message::DeltaUp { seq: got, .. }) if got == seq && outcome.is_none() => {
+                    let acked = control_reply_survives(&Message::Ack { seq });
+                    debug_assert!(acked, "an Ack did not survive the codec");
+                    outcome = Some(Ok(()));
                 }
                 Ok(_) => {
                     self.counters.duplicates = self.counters.duplicates.saturating_add(1);
@@ -296,8 +365,8 @@ impl<'p> Courier<'p> {
                         NackReason::Malformed
                     };
                     if outcome.is_none() {
-                        let nack = control_reply(&Message::Nack { seq, reason });
-                        debug_assert!(matches!(nack, Some(Message::Nack { .. })));
+                        let nacked = control_reply_survives(&Message::Nack { seq, reason });
+                        debug_assert!(nacked, "a Nack did not survive the codec");
                         outcome = Some(Err(reason));
                     }
                 }
@@ -450,6 +519,45 @@ mod tests {
             (deliveries, courier.counters(), courier.ticks())
         };
         assert_eq!(run(), run());
+    }
+
+    /// Writing the payload in place is `deliver` of the same bytes —
+    /// verdicts, logs, counters and clock — and a delivery deferred
+    /// before its first transmission never asks for the payload.
+    #[test]
+    fn deliver_with_is_deliver_of_the_bytes_it_writes() {
+        let plan = NetPlan::new(NetConfig {
+            drop: 0.2,
+            corrupt: 0.1,
+            duplicate: 0.1,
+            reorder: 0.1,
+            delay: 0.1,
+            max_delay_rounds: 2,
+            ..NetConfig::zero(10)
+        });
+        let payload: Vec<u8> = (0..=200).collect();
+        let mut by_slice = Courier::new(&plan, RetryPolicy::default(), 0);
+        let mut in_place = Courier::new(&plan, RetryPolicy::default(), 0);
+        for c in 0..40u64 {
+            let want = by_slice.deliver(1, c, c, &payload);
+            let mut written = false;
+            let got = in_place.deliver_with(1, c, c, payload.len(), |out| {
+                written = true;
+                out.extend_from_slice(&payload);
+            });
+            assert_eq!(got, want, "client {c}");
+            assert_eq!(written, got.attempts > 0, "client {c}");
+            if let Verdict::Delivered { payload: arrived } = &got.verdict {
+                // One buffer: the frame it was written into, nothing
+                // grown or copied on the way back.
+                assert_eq!(
+                    arrived.capacity(),
+                    frame::HEADER_LEN + payload.len() + frame::TRAILER_LEN
+                );
+            }
+        }
+        assert_eq!(in_place.counters(), by_slice.counters());
+        assert_eq!(in_place.ticks(), by_slice.ticks());
     }
 
     #[test]

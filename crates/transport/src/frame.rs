@@ -76,22 +76,24 @@ impl NackReason {
     }
 }
 
-/// A typed transport message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Message {
+/// A typed transport message, owning its payload (`Message`, what
+/// [`decode`] returns) or borrowing it from the frame it was decoded
+/// from ([`MessageRef`], what [`decode_ref`] returns).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Message<P = Vec<u8>> {
     /// Server → client: the global model (and momentum) broadcast.
     ModelDown {
         /// Delivery sequence number.
         seq: u64,
         /// Serialized model payload.
-        payload: Vec<u8>,
+        payload: P,
     },
     /// Client → server: one local-training delta upload.
     DeltaUp {
         /// Delivery sequence number.
         seq: u64,
         /// Serialized upload payload.
-        payload: Vec<u8>,
+        payload: P,
     },
     /// Receiver → sender: the identified frame arrived intact.
     Ack {
@@ -107,7 +109,10 @@ pub enum Message {
     },
 }
 
-impl Message {
+/// A [`Message`] whose payload is a slice of the frame it came from.
+pub type MessageRef<'a> = Message<&'a [u8]>;
+
+impl<P> Message<P> {
     /// The delivery sequence number this message refers to.
     pub fn seq(&self) -> u64 {
         match *self {
@@ -117,13 +122,33 @@ impl Message {
             | Message::Nack { seq, .. } => seq,
         }
     }
+}
 
+impl<P: AsRef<[u8]>> Message<P> {
     fn parts(&self) -> (u8, u16, u64, &[u8]) {
         match self {
-            Message::ModelDown { seq, payload } => (TYPE_MODEL_DOWN, 0, *seq, payload.as_slice()),
-            Message::DeltaUp { seq, payload } => (TYPE_DELTA_UP, 0, *seq, payload.as_slice()),
+            Message::ModelDown { seq, payload } => (TYPE_MODEL_DOWN, 0, *seq, payload.as_ref()),
+            Message::DeltaUp { seq, payload } => (TYPE_DELTA_UP, 0, *seq, payload.as_ref()),
             Message::Ack { seq } => (TYPE_ACK, 0, *seq, &[]),
             Message::Nack { seq, reason } => (TYPE_NACK, reason.code(), *seq, &[]),
+        }
+    }
+}
+
+impl MessageRef<'_> {
+    /// The same message owning a copy of its payload.
+    pub fn to_owned(&self) -> Message {
+        match *self {
+            Message::ModelDown { seq, payload } => Message::ModelDown {
+                seq,
+                payload: payload.to_vec(),
+            },
+            Message::DeltaUp { seq, payload } => Message::DeltaUp {
+                seq,
+                payload: payload.to_vec(),
+            },
+            Message::Ack { seq } => Message::Ack { seq },
+            Message::Nack { seq, reason } => Message::Nack { seq, reason },
         }
     }
 }
@@ -396,25 +421,63 @@ pub fn crc32(data: &[u8]) -> u32 {
     Crc::detect().crc32(data)
 }
 
-/// Encode `msg` into its canonical frame bytes. Fails only when the
-/// payload exceeds [`MAX_PAYLOAD`].
-pub fn encode(msg: &Message) -> Result<Vec<u8>, FrameError> {
-    let (msg_type, reason, seq, payload) = msg.parts();
-    if payload.len() > MAX_PAYLOAD {
-        return Err(FrameError::Oversized);
-    }
-    let payload_len = u32::try_from(payload.len()).map_err(|_| FrameError::Oversized)?;
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
+/// The one frame writer: header, whatever `write_payload` appends, the
+/// payload length patched in once it is known, the CRC of all of it.
+/// `payload_hint` sizes the buffer; exact, it makes the frame one
+/// allocation.
+fn write_frame(
+    msg_type: u8,
+    reason: u16,
+    seq: u64,
+    payload_hint: usize,
+    write_payload: impl FnOnce(&mut Vec<u8>),
+) -> Result<Vec<u8>, FrameError> {
+    let mut out = Vec::with_capacity(HEADER_LEN + payload_hint.min(MAX_PAYLOAD) + TRAILER_LEN);
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
     out.push(msg_type);
     out.extend_from_slice(&reason.to_le_bytes());
     out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&payload_len.to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&[0; 4]);
+    write_payload(&mut out);
+    // A writer that cut into the header wrote no frame at all.
+    let payload_len = out.len().checked_sub(HEADER_LEN);
+    let payload_len = payload_len.ok_or(FrameError::Malformed)?;
+    if payload_len > MAX_PAYLOAD {
+        return Err(FrameError::Oversized);
+    }
+    let declared = u32::try_from(payload_len).map_err(|_| FrameError::Oversized)?;
+    out[16..HEADER_LEN].copy_from_slice(&declared.to_le_bytes());
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     Ok(out)
+}
+
+/// Encode `msg` into its canonical frame bytes. Fails only when the
+/// payload exceeds [`MAX_PAYLOAD`].
+pub fn encode(msg: &Message) -> Result<Vec<u8>, FrameError> {
+    let (msg_type, reason, seq, payload) = msg.parts();
+    // Refused before a byte of it is copied.
+    if payload.len() > MAX_PAYLOAD {
+        return Err(FrameError::Oversized);
+    }
+    write_frame(msg_type, reason, seq, payload.len(), |out| {
+        out.extend_from_slice(payload);
+    })
+}
+
+/// The canonical `DeltaUp` frame of the payload `write_payload`
+/// **appends** to the buffer it is handed — the bytes of
+/// `encode(&Message::DeltaUp { seq, payload })`, written in place: the
+/// payload is serialized straight into the frame and crosses memory
+/// once. `payload_hint` is its expected length in bytes; exact, it makes
+/// the frame a single allocation.
+pub fn encode_delta_up(
+    seq: u64,
+    payload_hint: usize,
+    write_payload: impl FnOnce(&mut Vec<u8>),
+) -> Result<Vec<u8>, FrameError> {
+    write_frame(TYPE_DELTA_UP, 0, seq, payload_hint, write_payload)
 }
 
 fn le_u16(frame: &[u8], at: usize) -> u16 {
@@ -431,10 +494,11 @@ fn le_u64(frame: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(raw)
 }
 
-/// Decode one frame. Accepts exactly the canonical [`encode`] output;
-/// every damaged, truncated, extended, or non-canonical buffer is
-/// rejected with a specific [`FrameError`].
-pub fn decode(frame: &[u8]) -> Result<Message, FrameError> {
+/// Decode one frame without copying it: the payload of the returned
+/// message is a slice of `frame`. Accepts exactly the canonical
+/// [`encode`] output; every damaged, truncated, extended, or
+/// non-canonical buffer is rejected with a specific [`FrameError`].
+pub fn decode_ref(frame: &[u8]) -> Result<MessageRef<'_>, FrameError> {
     if frame.len() < HEADER_LEN + TRAILER_LEN {
         return Err(FrameError::Truncated);
     }
@@ -467,7 +531,7 @@ pub fn decode(frame: &[u8]) -> Result<Message, FrameError> {
     if msg_type != TYPE_NACK && reason_code != 0 {
         return Err(FrameError::Malformed);
     }
-    let payload = frame[HEADER_LEN..body_end].to_vec();
+    let payload = &frame[HEADER_LEN..body_end];
     match msg_type {
         TYPE_MODEL_DOWN => Ok(Message::ModelDown { seq, payload }),
         TYPE_DELTA_UP => Ok(Message::DeltaUp { seq, payload }),
@@ -487,6 +551,12 @@ pub fn decode(frame: &[u8]) -> Result<Message, FrameError> {
         }
         _ => Err(FrameError::UnknownType),
     }
+}
+
+/// [`decode_ref`], owning the payload: one copy of it, made after every
+/// check passed.
+pub fn decode(frame: &[u8]) -> Result<Message, FrameError> {
+    decode_ref(frame).map(|msg| msg.to_owned())
 }
 
 // The bytewise loop every instance is tested against; shared with the

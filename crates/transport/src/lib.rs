@@ -46,7 +46,7 @@ pub mod plan;
 pub mod retry;
 
 pub use courier::{AttemptOutcome, Courier, Delivery, NetCounters, Verdict};
-pub use frame::{FrameError, Message, NackReason};
+pub use frame::{FrameError, Message, MessageRef, NackReason};
 pub use link::{FrameCtx, InMemoryLink, Link};
 pub use plan::{NetConfig, NetFault, NetPlan};
 pub use retry::RetryPolicy;
