@@ -183,28 +183,30 @@ impl ServerCheckpoint {
             && cached.all(|d| d.len() == params)
     }
 
-    /// Capture the current server state of `sim` (internal; reached via
-    /// [`Simulation::run_until`]).
+    /// Capture the server state of `sim` (internal; reached via
+    /// [`Simulation::run_until`]). Takes the run state by value: the run
+    /// that built it is over, so its buffers become the checkpoint's
+    /// instead of being copied into it.
     pub(crate) fn capture(
         sim: &Simulation<'_>,
         algo: &dyn FederatedAlgorithm,
-        state: &RunState,
+        state: RunState,
     ) -> Result<Self, CheckpointError> {
         let algo_state = algo
             .save_state()
             .ok_or(CheckpointError::AlgorithmStateUnsupported)?;
         Ok(ServerCheckpoint {
+            fingerprint: Self::fingerprint_of(sim, state.global.len()),
             next_round: state.next_round,
-            global: state.global.clone(),
+            global: state.global,
             algo_name: algo.name(),
             algo_state,
-            history: state.history.clone(),
-            pending: state.pending.clone(),
-            agg_buffer: state.agg_buffer.clone(),
-            replay_cache: state.replay_cache.clone(),
+            history: state.history,
+            pending: state.pending,
+            agg_buffer: state.agg_buffer,
+            replay_cache: state.replay_cache,
             cadence: sim.cfg.cadence,
             net_ticks: state.net_ticks,
-            fingerprint: Self::fingerprint_of(sim, state.global.len()),
         })
     }
 
@@ -251,9 +253,9 @@ impl ServerCheckpoint {
         })
     }
 
-    /// Serialize to the `FWCK` byte format.
+    /// Serialize to the `FWCK` byte format, in one allocation.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(MAGIC.len() + VERSION.wire_len() + self.wire_len());
         out.extend_from_slice(MAGIC);
         VERSION.put(&mut out);
         self.put(&mut out);
@@ -301,6 +303,59 @@ mod tests {
         fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
             state_to_vec(bytes).map(|_| ())
         }
+    }
+
+    /// `to_bytes` sizes its buffer from the field table before the first
+    /// byte: a 200-client replay cache (the `mlp_xdev_chaos` shape, where
+    /// doubling from empty reallocated some twenty times on the way to
+    /// 14 MB) is written into exactly the bytes it needs.
+    #[test]
+    fn to_bytes_is_one_allocation_of_exactly_the_bytes_written() {
+        let params = 1_000;
+        let upload = |client: usize| {
+            Undiscounted::new(ClientUpdate {
+                client,
+                delta: vec![0.25; params],
+                num_samples: 10,
+                num_batches: 1,
+                avg_loss: 1.5,
+                extra: client.is_multiple_of(2).then(|| vec![1.0; 3]),
+            })
+        };
+        let mut history = History::new("stateful-avg");
+        history.records.push(Default::default());
+        let ckpt = ServerCheckpoint {
+            next_round: 1,
+            global: vec![0.5; params],
+            algo_name: "stateful-avg".into(),
+            algo_state: vec![7; 4_096],
+            history,
+            pending: vec![PendingUpdate {
+                arrival_round: 3,
+                staleness: 2,
+                via_net: true,
+                update: upload(4),
+            }],
+            agg_buffer: vec![BufferedUpdate {
+                base_round: 0,
+                update: upload(5),
+            }],
+            replay_cache: (0..200)
+                .map(|k: usize| (!k.is_multiple_of(7)).then(|| vec![k as f32; params]))
+                .collect(),
+            cadence: Cadence::BufferedK { k: 4 },
+            net_ticks: 99,
+            fingerprint: [1, 200, 12, params as u64],
+        };
+        let bytes = ckpt.to_bytes();
+        assert!(bytes.len() > 170 * 4 * params, "{} bytes", bytes.len());
+        assert_eq!(
+            bytes.capacity(),
+            bytes.len(),
+            "grown past, or short of, need"
+        );
+        let back = ServerCheckpoint::from_bytes(&bytes).expect("own bytes parse");
+        assert_eq!(back.to_bytes(), bytes);
     }
 
     /// The same upload with one field of the client's update rewritten.

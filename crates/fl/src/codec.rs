@@ -27,11 +27,15 @@ pub(crate) trait Wire: Sized {
     fn put(&self, out: &mut Vec<u8>);
     /// Read one value, advancing the reader.
     fn get(r: &mut ByteReader<'_>) -> Option<Self>;
+    /// How many bytes `put` appends: what a writer reserves, once,
+    /// before the first of them.
+    fn wire_len(&self) -> usize;
 
-    /// `self` as a standalone byte string.
+    /// `self` as a standalone byte string, in one allocation.
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.wire_len());
         self.put(&mut out);
+        debug_assert_eq!(out.len(), self.wire_len(), "wire_len disagrees with put");
         out
     }
     /// Parse a standalone byte string: exactly one value, no trailing
@@ -53,6 +57,9 @@ macro_rules! wire_leaf {
             fn get(r: &mut ByteReader<'_>) -> Option<Self> {
                 r.$get()
             }
+            fn wire_len(&self) -> usize {
+                size_of::<$t>()
+            }
         }
     )*};
 }
@@ -71,6 +78,9 @@ impl Wire for usize {
     fn get(r: &mut ByteReader<'_>) -> Option<Self> {
         usize::try_from(r.u64()?).ok()
     }
+    fn wire_len(&self) -> usize {
+        size_of::<u64>()
+    }
 }
 
 impl Wire for bool {
@@ -84,6 +94,9 @@ impl Wire for bool {
             _ => None,
         }
     }
+    fn wire_len(&self) -> usize {
+        size_of::<u32>()
+    }
 }
 
 impl Wire for String {
@@ -92,6 +105,9 @@ impl Wire for String {
     }
     fn get(r: &mut ByteReader<'_>) -> Option<Self> {
         r.str()
+    }
+    fn wire_len(&self) -> usize {
+        size_of::<u64>() + self.len()
     }
 }
 
@@ -103,6 +119,9 @@ impl Wire for Vec<u8> {
     fn get(r: &mut ByteReader<'_>) -> Option<Self> {
         r.bytes()
     }
+    fn wire_len(&self) -> usize {
+        size_of::<u64>() + self.len()
+    }
 }
 
 /// Parameter-length vectors stay on the bulk path: one reserve on the
@@ -113,6 +132,9 @@ impl Wire for Vec<f32> {
     }
     fn get(r: &mut ByteReader<'_>) -> Option<Self> {
         r.f32s()
+    }
+    fn wire_len(&self) -> usize {
+        size_of::<u64>() + size_of_val(self.as_slice())
     }
 }
 
@@ -130,6 +152,9 @@ impl<T: Wire> Wire for Option<T> {
             None
         })
     }
+    fn wire_len(&self) -> usize {
+        size_of::<u32>() + self.as_ref().map_or(0, T::wire_len)
+    }
 }
 
 impl Wire for [u64; 4] {
@@ -140,6 +165,9 @@ impl Wire for [u64; 4] {
     }
     fn get(r: &mut ByteReader<'_>) -> Option<Self> {
         Some([r.u64()?, r.u64()?, r.u64()?, r.u64()?])
+    }
+    fn wire_len(&self) -> usize {
+        size_of::<Self>()
     }
 }
 
@@ -164,6 +192,9 @@ macro_rules! wire_seq {
                     out.push(Wire::get(r)?);
                 }
                 Some(out)
+            }
+            fn wire_len(&self) -> usize {
+                size_of::<u64>() + self.iter().map(Wire::wire_len).sum::<usize>()
             }
         }
     )*};
@@ -190,6 +221,9 @@ macro_rules! wire_struct {
             fn get(r: &mut fedwcm_nn::serialize::ByteReader<'_>) -> Option<Self> {
                 // Struct-literal fields are evaluated in source order.
                 Some($t { $($field: $crate::codec::Wire::get(r)?,)* })
+            }
+            fn wire_len(&self) -> usize {
+                0 $(+ $crate::codec::Wire::wire_len(&self.$field))*
             }
         }
     };
@@ -265,6 +299,9 @@ impl Wire for Cadence {
     fn get(r: &mut ByteReader<'_>) -> Option<Self> {
         Cadence::from_tag_param(r.u32()?, r.u64()?)
     }
+    fn wire_len(&self) -> usize {
+        size_of::<u32>() + size_of::<u64>()
+    }
 }
 
 impl Wire for MetricValue {
@@ -298,6 +335,14 @@ impl Wire for MetricValue {
             }
             _ => return None,
         })
+    }
+    fn wire_len(&self) -> usize {
+        size_of::<u32>()
+            + match self {
+                MetricValue::Counter(c) => c.wire_len(),
+                MetricValue::Gauge(g) => g.wire_len(),
+                MetricValue::Histogram(h) => h.wire_len(),
+            }
     }
 }
 

@@ -45,9 +45,13 @@ pub(super) fn deliver(
         // One sequence number per (round, client) delivery; retries
         // of the same upload share it, so duplicates are detected.
         let seq = ((round as u64) << 32) | client as u64;
-        let payload = r.update.encode();
         let send_span = tracer.span(Name::SEND_FRAME, ctx.at(client));
-        let delivery = courier.deliver(round as u64, client as u64, seq, &payload);
+        // Serialized straight into the frame the courier sends.
+        let upload = &r.update;
+        let delivery =
+            courier.deliver_with(round as u64, client as u64, seq, upload.wire_len(), |out| {
+                upload.put(out);
+            });
         if tracer.enabled() {
             for outcome in &delivery.log {
                 let (name, detail) = match outcome {

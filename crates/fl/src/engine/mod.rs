@@ -199,7 +199,7 @@ impl<'a> Simulation<'a> {
             Name::CHECKPOINT,
             vec![("round", Value::U64(state.next_round as u64))],
         );
-        ServerCheckpoint::capture(self, algo, &state)
+        ServerCheckpoint::capture(self, algo, state)
     }
 
     /// Resume from a [`Simulation::run_until`] checkpoint (possibly in

@@ -104,7 +104,7 @@ pub(super) fn perturb(
                 faults.replays += 1;
                 ctx.fault_point("replay", u.client, None);
                 if let Some(prev) = state.replay_cache.get(u.client).and_then(|p| p.as_deref()) {
-                    u.delta = prev.to_vec();
+                    prev.clone_into(&mut u.delta);
                 }
                 received.push(fresh(u));
             }
@@ -126,8 +126,9 @@ pub(super) fn perturb(
     // at application.
     if plan.is_some_and(FaultPlan::has_replay) {
         for r in &received {
+            // Overwritten in the slot's own buffer once it has one.
             if let Some(slot) = state.replay_cache.get_mut(r.update.client()) {
-                *slot = Some(r.update.delta().to_vec());
+                r.update.delta().clone_into(slot.get_or_insert_default());
             }
         }
     }

@@ -106,6 +106,9 @@ impl Wire for Undiscounted {
     fn get(r: &mut ByteReader<'_>) -> Option<Self> {
         ClientUpdate::get(r).map(Undiscounted)
     }
+    fn wire_len(&self) -> usize {
+        self.0.wire_len()
+    }
 }
 
 #[cfg(test)]

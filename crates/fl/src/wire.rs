@@ -13,9 +13,23 @@
 use crate::client::ClientUpdate;
 use crate::codec::Wire;
 
-/// Serialize an upload into transport payload bytes.
+/// Serialize an upload into transport payload bytes: [`put_update`] into
+/// a buffer of [`encoded_len`] bytes.
 pub fn encode_update(u: &ClientUpdate) -> Vec<u8> {
     u.encode()
+}
+
+/// Append the payload bytes of `u` to `out` — what [`encode_update`]
+/// returns, written in place. The engine hands this to
+/// [`fedwcm_transport::Courier::deliver_with`], so an upload is
+/// serialized straight into its frame.
+pub fn put_update(out: &mut Vec<u8>, u: &ClientUpdate) {
+    u.put(out);
+}
+
+/// How many bytes [`put_update`] appends for `u`.
+pub fn encoded_len(u: &ClientUpdate) -> usize {
+    u.wire_len()
 }
 
 /// Reconstruct an upload from transport payload bytes; `None` on any
