@@ -142,19 +142,9 @@ fn control_reply_survives(msg: &Message) -> bool {
 /// The payload of an intact frame, in the frame's own allocation: the
 /// trailer cut off, the header shifted out.
 fn into_payload(mut frame: Vec<u8>) -> Vec<u8> {
-    frame.truncate(frame.len().saturating_sub(frame::TRAILER_LEN));
-    frame.drain(..frame::HEADER_LEN.min(frame.len()));
+    frame.truncate(frame.len() - frame::TRAILER_LEN);
+    frame.drain(..frame::HEADER_LEN);
     frame
-}
-
-/// How the transmissions of one delivery ended.
-enum Fate {
-    /// An intact frame of this delivery reached the receiver.
-    Arrived,
-    /// The plan deferred the delivery before a retransmission.
-    Delayed { rounds: usize },
-    /// The retry budget ran out.
-    Exhausted,
 }
 
 // The courier bumps the counters above: same rule.
@@ -228,13 +218,12 @@ impl<'p> Courier<'p> {
                 log,
             };
         };
-        let (fate, attempts) = self.transmit(round, client, seq, &frame, &mut log);
-        let verdict = match fate {
-            Fate::Arrived => Verdict::Delivered {
+        let (arrived, attempts) = self.transmit(round, client, seq, &frame, &mut log);
+        let verdict = match arrived {
+            Ok(()) => Verdict::Delivered {
                 payload: into_payload(frame),
             },
-            Fate::Delayed { rounds } => Verdict::Delayed { rounds },
-            Fate::Exhausted => Verdict::Exhausted,
+            Err(other) => other,
         };
         Delivery {
             verdict,
@@ -262,8 +251,9 @@ impl<'p> Courier<'p> {
         Some(rounds)
     }
 
-    /// Send `frame` until it arrives, the plan defers it or the budget
-    /// runs out; returns the fate and the transmissions made.
+    /// Send `frame` until it arrives (`Ok`), or the plan defers it or
+    /// the budget runs out (`Err` of that verdict); also returns the
+    /// transmissions made.
     fn transmit(
         &mut self,
         round: u64,
@@ -271,7 +261,7 @@ impl<'p> Courier<'p> {
         seq: u64,
         frame: &[u8],
         log: &mut Vec<AttemptOutcome>,
-    ) -> (Fate, u32) {
+    ) -> (Result<(), Verdict>, u32) {
         let mut link = InMemoryLink::new(self.plan);
         let mut attempt: u32 = 0;
         loop {
@@ -307,14 +297,14 @@ impl<'p> Courier<'p> {
             match reply {
                 Some(Ok(())) => {
                     log.push(AttemptOutcome::Acked);
-                    return (Fate::Arrived, sent);
+                    return (Ok(()), sent);
                 }
                 Some(Err(reason)) => log.push(AttemptOutcome::Nacked(reason)),
                 None => log.push(AttemptOutcome::TimedOut),
             }
             if sent >= self.policy.max_attempts {
                 self.counters.degraded = self.counters.degraded.saturating_add(1);
-                return (Fate::Exhausted, sent);
+                return (Err(Verdict::Exhausted), sent);
             }
             // Back off before re-sending, still draining: a reordered
             // frame can land during the pause and complete the delivery
@@ -328,11 +318,11 @@ impl<'p> Courier<'p> {
                 link.tick();
                 if let Some(Ok(())) = self.drain(&mut link, seq) {
                     log.push(AttemptOutcome::Acked);
-                    return (Fate::Arrived, attempt);
+                    return (Ok(()), attempt);
                 }
             }
             if let Some(rounds) = self.deferred(round, client, attempt, log) {
-                return (Fate::Delayed { rounds }, attempt);
+                return (Err(Verdict::Delayed { rounds }), attempt);
             }
         }
     }
