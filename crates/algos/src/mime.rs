@@ -83,6 +83,12 @@ impl FederatedAlgorithm for MimeLite {
         let inv = 1.0 / input.updates.len() as f32;
         let mut gbar = vec![0.0f32; dim];
         for u in &input.updates {
+            #[expect(
+                clippy::expect_used,
+                reason = "protocol contract: Mime's own client_update always attaches \
+                          the round-start gradient; its absence means mismatched \
+                          algorithm wiring"
+            )]
             let g = u
                 .extra
                 .as_ref()

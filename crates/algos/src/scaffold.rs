@@ -86,6 +86,12 @@ impl FederatedAlgorithm for Scaffold {
         let sampled = input.updates.len() as f32;
         let scale = sampled / self.num_clients as f32 / sampled; // = 1/N
         for u in &input.updates {
+            #[expect(
+                clippy::expect_used,
+                reason = "protocol contract: SCAFFOLD's own client_update always \
+                          attaches the control payload; its absence means \
+                          mismatched algorithm wiring"
+            )]
             let new_control = u
                 .extra
                 .as_ref()

@@ -123,6 +123,12 @@ impl FedWcm {
         });
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "documented trait contract: the engine always calls prepare_round \
+                  before any accessor; a cold call is a harness sequencing bug \
+                  worth crashing on"
+    )]
     fn info(&self) -> &GlobalInfo {
         self.info
             .as_ref()

@@ -225,6 +225,12 @@ pub fn fedgrab_partition(dataset: &Dataset, clients: usize, beta: f64, seed: u64
 ///
 /// Panics after `max_attempts` failed draws (tiny datasets with many
 /// clients may make the constraint unsatisfiable in reasonable time).
+#[expect(
+    clippy::panic,
+    reason = "documented API contract (see the rustdoc above): exhausting \
+              max_attempts means the caller's configuration is unsatisfiable, and \
+              the paper's protocol has no fallback draw"
+)]
 pub fn creff_partition(
     dataset: &Dataset,
     clients: usize,

@@ -98,6 +98,12 @@ impl Layer for Dense {
     }
 
     fn backward_params(&mut self, _params: &[f32], grad_params: &mut [f32], grad_out: &Tensor) {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented Layer trait contract: backward is only valid after \
+                      forward(train=true) cached the activations; calling it cold \
+                      is a harness bug, not data"
+        )]
         let input = self
             .cached_input
             .as_ref()

@@ -41,6 +41,20 @@
 //! everything runs inline on the caller thread, which also keeps stack
 //! traces simple.
 
+#![warn(missing_docs)]
+// Library code (DESIGN.md §9): nothing `clippy.toml` lists outside test
+// code and no panicking shortcut anywhere; an exemption is an
+// `#[expect(.., reason = "..")]` beside the code it excuses.
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+
 use std::cell::{Cell, UnsafeCell};
 use std::num::NonZeroUsize;
 
@@ -52,6 +66,12 @@ pub use pool::{pool_stats, PoolStats};
 
 /// Resolve the worker count: the `FEDWCM_THREADS` env var if set (≥1),
 /// otherwise [`std::thread::available_parallelism`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "FEDWCM_THREADS only selects the worker count, and every primitive in \
+              this crate is bitwise deterministic across thread counts, so this \
+              read cannot change simulation output"
+)]
 pub fn default_threads() -> usize {
     // lint:allow(determinism-env) FEDWCM_THREADS only selects the worker
     // count, and every primitive in this crate is bitwise deterministic
@@ -61,6 +81,11 @@ pub fn default_threads() -> usize {
             return n.max(1);
         }
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this crate alone observes the host's core count; everything \
+                  else takes an explicit thread budget"
+    )]
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
@@ -275,6 +300,12 @@ where
             if shadow::ENABLED {
                 shadow.assert_readable(i);
             }
+            #[expect(
+                clippy::panic,
+                reason = "unreachable unless the pool's exactly-once claim invariant \
+                          is broken; crashing loudly beats silently returning \
+                          corrupt results"
+            )]
             slot.0.into_inner().unwrap_or_else(|| {
                 // lint:allow(panic-freedom) unreachable unless the pool's
                 // exactly-once claim invariant is broken; crashing loudly

@@ -43,6 +43,13 @@
 //! epoch, bound), though *which* racing participant loses the CAS is
 //! scheduling-dependent — exactly one of them always panics.
 
+#![expect(
+    clippy::panic,
+    reason = "the sanitizer's whole job is to crash loudly, naming index and \
+              participant, on a broken aliasing invariant; every panic below is \
+              one such detection"
+)]
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// `true` when the crate is compiled with the `race_check` feature.

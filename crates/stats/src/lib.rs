@@ -17,6 +17,18 @@
 //!   used by the analysis and experiment crates.
 
 #![warn(missing_docs)]
+// Library code (DESIGN.md §9): nothing `clippy.toml` lists outside test
+// code and no panicking shortcut anywhere; an exemption is an
+// `#[expect(.., reason = "..")]` beside the code it excuses.
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod describe;
 pub mod dist;

@@ -20,6 +20,12 @@ pub const ENABLED: bool = cfg!(feature = "debug_invariants");
 /// Panic if any value in `xs` is NaN or infinite, naming the offending
 /// index and the caller-provided context. No-op when [`ENABLED`] is
 /// `false`; `ctx` is only evaluated on failure.
+#[expect(
+    clippy::panic,
+    reason = "failing fast is this module's entire purpose: debug_invariants builds \
+              trade crash-on-NaN for pinpoint blame, and release builds never \
+              reach here"
+)]
 pub fn check_finite(xs: &[f32], ctx: impl FnOnce() -> String) {
     if !ENABLED {
         return;
@@ -40,6 +46,11 @@ pub fn check_finite(xs: &[f32], ctx: impl FnOnce() -> String) {
 /// Panic if `actual != expected`, naming both and the caller-provided
 /// context. No-op when [`ENABLED`] is `false`; `ctx` is only evaluated
 /// on failure.
+#[expect(
+    clippy::panic,
+    reason = "same fail-fast contract as check_finite: this path exists only in \
+              debug_invariants builds"
+)]
 pub fn check_len(actual: usize, expected: usize, ctx: impl FnOnce() -> String) {
     if !ENABLED {
         return;

@@ -7,7 +7,7 @@
 //! the register-tiled ones and define, element by element, the addition
 //! chain the tiled kernels must reproduce bit for bit.
 
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each including target uses its own subset")]
 
 /// Panics unless `got` and `want` agree bit for bit.
 pub fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {

@@ -7,6 +7,13 @@
 //! [`Clock`] trait so a run can be made bitwise reproducible by
 //! swapping in a [`LogicalClock`].
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one sanctioned wall-time source: the Clock trait's wall-clock \
+              implementation must name std::time to wrap it; consumers are \
+              binaries/benches and timing never feeds back into simulation state"
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 

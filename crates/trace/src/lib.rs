@@ -38,6 +38,17 @@
 //! name position at call sites.
 
 #![warn(missing_docs)]
+// Library code (DESIGN.md §9): nothing `clippy.toml` lists outside test
+// code and no panicking shortcut anywhere; an exemption is an
+// `#[expect(.., reason = "..")]` beside the code it excuses.
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 // This crate writes bytes other processes read back: a lossy `as` is a
 // compile error here, and an exemption states the bound that makes it
 // exact.
