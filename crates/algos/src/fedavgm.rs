@@ -71,7 +71,7 @@ impl FederatedAlgorithm for FedAvgM {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{build_sim, small_task};
+    use crate::testutil::{assert_is_fedavg, build_sim, small_task};
 
     #[test]
     fn learns_balanced_task() {
@@ -85,10 +85,6 @@ mod tests {
     fn beta_zero_equals_fedavg() {
         let (train, test, cfg) = small_task(52, 1.0);
         let sim = build_sim(&train, &test, cfg, 0.6);
-        let hm = sim.run(&mut FedAvgM::new(0.0));
-        let ha = sim.run(&mut crate::FedAvg::new());
-        for (a, b) in hm.records.iter().zip(&ha.records) {
-            assert_eq!(a.test_acc, b.test_acc);
-        }
+        assert_is_fedavg(&sim, &mut FedAvgM::new(0.0));
     }
 }

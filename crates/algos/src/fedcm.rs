@@ -104,7 +104,7 @@ impl FederatedAlgorithm for FedCm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{build_sim, small_task};
+    use crate::testutil::{assert_is_fedavg, build_sim, small_task};
     use fedwcm_nn::loss::FocalLoss;
 
     #[test]
@@ -128,15 +128,11 @@ mod tests {
     }
 
     #[test]
-    fn alpha_one_degenerates_towards_fedavg_direction() {
-        // α = 1 means v = g every step: trajectory equals FedAvg's.
+    fn alpha_one_is_fedavg() {
+        // α = 1 means v = g every step: the run is FedAvg's, bit for bit.
         let (train, test, cfg) = small_task(43, 1.0);
         let sim = build_sim(&train, &test, cfg, 0.6);
-        let h_cm = sim.run(&mut FedCm::new(1.0));
-        let h_avg = sim.run(&mut crate::FedAvg::new());
-        for (a, b) in h_cm.records.iter().zip(&h_avg.records) {
-            assert_eq!(a.test_acc, b.test_acc);
-        }
+        assert_is_fedavg(&sim, &mut FedCm::new(1.0));
     }
 
     #[test]

@@ -94,4 +94,25 @@ pub(crate) mod testutil {
             }),
         )
     }
+
+    /// Run `algo` and FedAvg on `sim`; every round's loss, update norm
+    /// and accuracy, and the final parameters, must agree bit for bit.
+    pub fn assert_is_fedavg(sim: &Simulation<'_>, algo: &mut dyn fedwcm_fl::FederatedAlgorithm) {
+        let (h, model) = sim.run_returning_model(algo);
+        let (h_avg, model_avg) = sim.run_returning_model(&mut crate::FedAvg::new());
+        assert_eq!(h.records.len(), h_avg.records.len());
+        let bits = |r: &fedwcm_fl::RoundRecord| {
+            (
+                r.train_loss.map(f64::to_bits),
+                r.update_norm.to_bits(),
+                r.test_acc.map(f64::to_bits),
+            )
+        };
+        for (a, b) in h.records.iter().zip(&h_avg.records) {
+            assert_eq!(bits(a), bits(b), "round {}", a.round);
+        }
+        let param_bits =
+            |m: &fedwcm_nn::Model| m.params().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(param_bits(&model), param_bits(&model_avg));
+    }
 }

@@ -92,9 +92,6 @@ impl FederatedAlgorithm for MimeLite {
             let g = u
                 .extra
                 .as_ref()
-                // lint:allow(panic-freedom) protocol contract: Mime's own
-                // client_update always attaches the round-start gradient;
-                // its absence means mismatched algorithm wiring.
                 .expect("Mime update missing gradient payload");
             fedwcm_tensor::ops::axpy(inv, g, &mut gbar);
         }

@@ -95,9 +95,6 @@ impl FederatedAlgorithm for Scaffold {
             let new_control = u
                 .extra
                 .as_ref()
-                // lint:allow(panic-freedom) protocol contract: SCAFFOLD's
-                // own client_update always attaches the control payload;
-                // its absence means mismatched algorithm wiring.
                 .expect("SCAFFOLD update missing control payload");
             let old = &mut self.client_controls[u.client];
             if old.is_empty() {

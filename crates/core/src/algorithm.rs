@@ -132,9 +132,6 @@ impl FedWcm {
     fn info(&self) -> &GlobalInfo {
         self.info
             .as_ref()
-            // lint:allow(panic-freedom) documented trait contract: the
-            // engine always calls prepare_round before any accessor; a
-            // cold call is a harness sequencing bug worth crashing on.
             .expect("FedWCM used before prepare/aggregate")
     }
 }

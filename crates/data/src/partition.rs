@@ -263,9 +263,6 @@ pub fn creff_partition(
             return deal_from_pools(dataset, &counts, &mut rng);
         }
     }
-    // lint:allow(panic-freedom) documented API contract (see the rustdoc
-    // above): exhausting max_attempts means the caller's configuration is
-    // unsatisfiable, and the paper's protocol has no fallback draw.
     panic!("creff_partition: no draw without empty clients in {max_attempts} attempts");
 }
 

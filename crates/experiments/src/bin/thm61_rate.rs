@@ -1,7 +1,10 @@
 //! Theorem 6.1 empirical rate check: on the convex quadratic testbed,
 //! the averaged squared gradient norm `(1/R)Σ‖∇f(x_r)‖²` must decay like
-//! `R^{-1/2}` (noise-dominated) to `R^{-1}` (noiseless), for both the
-//! fixed-α FedCM rule and the adaptive-α schedule used by FedWCM.
+//! `R^{-1/2}` (noise-dominated) to `R^{-1}` (noiseless). What runs is
+//! the fixed-α FedCM rule, α ∈ {0.1, 0.5}, through
+//! `fl::quadratic::run_quadratic_fedcm` — a standalone f64 loop, not
+//! `algos::FedCm` under the engine, and not FedWCM's adaptive-α
+//! schedule (ROADMAP item 4(a) is the rerun on the shipped path).
 
 use fedwcm_analysis::rate::{fit_power_law, mean_grad_norm};
 use fedwcm_experiments::parse_args;

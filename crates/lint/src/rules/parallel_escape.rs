@@ -8,10 +8,12 @@
 //! escape the compiler does not see is an `unsafe impl Send`/`Sync`,
 //! which *asserts* thread-safety instead of deriving it. This rule
 //! requires the adjacent `// SAFETY:` comment to state a *disjointness*
-//! argument (who owns which region, why writers never overlap). Like
-//! `unsafe-safety` it applies to every crate, test code included; the
-//! `race_check` shadow sanitizer (`crates/parallel/src/shadow.rs`)
-//! checks the same argument at runtime.
+//! argument (who owns which region, why writers never overlap). That
+//! the comment exists at all is `clippy::undocumented_unsafe_blocks`,
+//! denied for every workspace member; what it must say is this rule,
+//! in every crate, test code included; the `race_check` shadow
+//! sanitizer (`crates/parallel/src/shadow.rs`) checks the same argument
+//! at runtime.
 
 use crate::engine::{Diagnostic, FileCtx};
 use crate::lexer::TokKind;
@@ -99,9 +101,8 @@ pub fn check_send_sync_safety(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
 }
 
 /// All comment text adjacent to `line`: the line's own comments plus
-/// the contiguous run of comment/attribute lines directly above (the
-/// same adjacency `unsafe-safety` enforces — a blank or code line
-/// breaks the association).
+/// the contiguous run of comment/attribute lines directly above (a
+/// blank or code line breaks the association).
 fn adjacent_comment_text(ctx: &FileCtx, line: usize) -> String {
     let mut text = ctx.lines[line].comment_text.clone();
     let mut ln = line.saturating_sub(1);

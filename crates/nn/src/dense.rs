@@ -107,9 +107,6 @@ impl Layer for Dense {
         let input = self
             .cached_input
             .as_ref()
-            // lint:allow(panic-freedom) documented Layer trait contract:
-            // backward is only valid after forward(train=true) cached the
-            // activations; calling it cold is a harness bug, not data.
             .expect("dense backward without forward(train=true)");
         let batch = input.rows();
         assert_eq!(grad_out.rows(), batch);

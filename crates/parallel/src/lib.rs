@@ -28,14 +28,15 @@
 //! as its return value (collected in index order) or through the
 //! `&mut` chunk it was handed, and a float reduction has no order but
 //! the index-ordered fold's. The doctests on the entry points pin each
-//! shape (captured float `+=`, plain assignment, `push`, `&mut` lent to
-//! a helper, literal-index slice write), each next to a compiling twin
+//! shape (plain assignment, `push`, `&mut` lent to a helper that does
+//! the float `+=`, literal-index slice write), each next to a compiling twin
 //! that differs in the offending line only. (Where ROADMAP asks kernels
 //! to keep `float-reduction-order` holding, this bound is what holds.)
 //! Writes the compiler does allow (a `Mutex`, an atomic, `unsafe`) are
 //! explicit at the call site; `unsafe impl Send/Sync` stays policed by
-//! the `parallel-escape-send-sync` and `unsafe-safety` rules, and this
-//! crate's own unsafe sites by the [`shadow`] sanitizer.
+//! `fedwcm-lint`'s `parallel-escape-send-sync` rule and clippy's
+//! `undocumented_unsafe_blocks`, and this crate's own unsafe sites by
+//! the [`shadow`] sanitizer.
 //!
 //! When the machine exposes a single core — or `FEDWCM_THREADS=1` —
 //! everything runs inline on the caller thread, which also keeps stack
@@ -73,9 +74,6 @@ pub use pool::{pool_stats, PoolStats};
               read cannot change simulation output"
 )]
 pub fn default_threads() -> usize {
-    // lint:allow(determinism-env) FEDWCM_THREADS only selects the worker
-    // count, and every primitive in this crate is bitwise deterministic
-    // across thread counts, so this read cannot change simulation output.
     if let Ok(v) = std::env::var("FEDWCM_THREADS") {
         if let Ok(n) = v.parse::<usize>() {
             return n.max(1);
@@ -307,49 +305,10 @@ where
                           corrupt results"
             )]
             slot.0.into_inner().unwrap_or_else(|| {
-                // lint:allow(panic-freedom) unreachable unless the pool's
-                // exactly-once claim invariant is broken; crashing loudly
-                // beats silently returning corrupt results.
                 panic!("parallel_map: result slot {i} was never written (claimant failed)")
             })
         })
         .collect()
-}
-
-/// Map then fold in **index order**: `fold(init, map(0), map(1), …)`.
-///
-/// The maps run in parallel; the fold runs on the caller thread over the
-/// index-ordered results, so floating-point reductions are reproducible.
-///
-/// The `Fn + Sync` bound on `map` *is* the determinism gate: no
-/// accumulation across invocations is expressible there, so the only
-/// reduction order is this fold's. A captured float `+=` (whose result
-/// would depend on thread interleaving) does not compile —
-///
-/// ```compile_fail,E0594
-/// # use fedwcm_parallel::parallel_map_reduce;
-/// let xs = [0.5f32, 0.25, 0.125];
-/// let mut total = 0.0f32;
-/// parallel_map_reduce(xs.len(), 2, |i| total += xs[i], (), |(), ()| ());
-/// assert_eq!(total, 0.875);
-/// ```
-///
-/// — `fold` is `FnMut` and runs on the caller thread; accumulate there:
-///
-/// ```
-/// # use fedwcm_parallel::parallel_map_reduce;
-/// let xs = [0.5f32, 0.25, 0.125];
-/// let mut total = 0.0f32;
-/// total = parallel_map_reduce(xs.len(), 2, |i| xs[i], total, |acc, x| acc + x);
-/// assert_eq!(total, 0.875);
-/// ```
-pub fn parallel_map_reduce<T, A, F, G>(n: usize, threads: usize, map: F, init: A, fold: G) -> A
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    G: FnMut(A, T) -> A,
-{
-    parallel_map(n, threads, map).into_iter().fold(init, fold)
 }
 
 /// Split `0..n` into at most `parts` contiguous chunks of near-equal size.
@@ -530,22 +489,6 @@ mod tests {
     fn map_empty_and_single() {
         assert_eq!(parallel_map(0, 4, |i| i), Vec::<usize>::new());
         assert_eq!(parallel_map(1, 4, |i| i + 7), vec![7]);
-    }
-
-    #[test]
-    fn map_reduce_deterministic_fp() {
-        // Floating-point fold must be identical across thread counts.
-        let gold = parallel_map_reduce(1000, 1, |i| (i as f32).sqrt() * 0.1, 0.0f32, |a, x| a + x);
-        for threads in [2, 3, 8] {
-            let v = parallel_map_reduce(
-                1000,
-                threads,
-                |i| (i as f32).sqrt() * 0.1,
-                0.0f32,
-                |a, x| a + x,
-            );
-            assert_eq!(v.to_bits(), gold.to_bits(), "threads={threads}");
-        }
     }
 
     #[test]

@@ -124,8 +124,6 @@ impl ShadowSlots {
         }
         let me = crate::pool::participant_slot();
         if i >= self.cells.len() {
-            // lint:allow(panic-freedom) the sanitizer's whole job is to
-            // crash loudly on a broken aliasing invariant.
             panic!(
                 "race_check: out-of-bounds write to slot {i} by participant {me} \
                  (epoch {}, {} slots)",
@@ -137,7 +135,7 @@ impl ShadowSlots {
         if let Err(prev) =
             self.cells[i].compare_exchange(0, tag, Ordering::AcqRel, Ordering::Acquire)
         {
-            // lint:allow(panic-freedom) double write detected — this is
+            // Double write detected — this is
             // the data race the feature exists to surface.
             panic!(
                 "race_check: double write to slot {i} in epoch {}: participant {} \
@@ -158,7 +156,7 @@ impl ShadowSlots {
         }
         for (i, cell) in self.cells.iter().enumerate() {
             if cell.load(Ordering::Acquire) == 0 {
-                // lint:allow(panic-freedom) a hole in the partition means
+                // A hole in the partition means
                 // some result slot holds garbage; crashing beats reading it.
                 panic!(
                     "race_check: non-covering job in epoch {}: slot {i} was never \
@@ -177,7 +175,7 @@ impl ShadowSlots {
             return;
         }
         if !self.sealed.load(Ordering::Acquire) {
-            // lint:allow(panic-freedom) reading a slot before the join is
+            // Reading a slot before the join is
             // exactly the use-before-publication race being sanitized.
             panic!(
                 "race_check: slot {i} read before its write epoch ({}) completed \
@@ -186,7 +184,7 @@ impl ShadowSlots {
             );
         }
         if i < self.cells.len() && self.cells[i].load(Ordering::Acquire) == 0 {
-            // lint:allow(panic-freedom) seal() already guards this; kept as
+            // `seal()` already guards this; kept as
             // a direct check for shadow tables sealed by foreign code.
             panic!(
                 "race_check: slot {i} read but never written (epoch {})",
@@ -244,7 +242,7 @@ impl ShadowChunks {
         }
         let end = start.saturating_add(len);
         if end > self.total || start.checked_add(len).is_none() {
-            // lint:allow(panic-freedom) an out-of-bounds chunk would hand a
+            // An out-of-bounds chunk would hand a
             // worker a &mut past the buffer — crash before it can.
             panic!(
                 "race_check: out-of-bounds chunk {ci} in epoch {}: [{start}, {end}) \
@@ -254,7 +252,7 @@ impl ShadowChunks {
         }
         for (pi, &(ps, pe)) in self.bounds.iter().enumerate() {
             if start < pe && ps < end {
-                // lint:allow(panic-freedom) overlapping chunks are two live
+                // Overlapping chunks are two live
                 // &mut over the same elements — the race being sanitized.
                 panic!(
                     "race_check: chunk {ci} [{start}, {end}) overlaps chunk {pi} \
@@ -274,7 +272,7 @@ impl ShadowChunks {
         }
         let covered: usize = self.bounds.iter().map(|&(s, e)| e - s).sum();
         if covered != self.total {
-            // lint:allow(panic-freedom) a hole in the partition leaves
+            // A hole in the partition leaves
             // elements no worker owns — results would silently go stale.
             panic!(
                 "race_check: non-covering partition in epoch {}: chunks cover \
@@ -293,7 +291,7 @@ impl ShadowChunks {
         }
         let me = crate::pool::participant_slot();
         if ci >= self.claims.len() {
-            // lint:allow(panic-freedom) claiming a chunk that was never
+            // Claiming a chunk that was never
             // registered means the partition and the job disagree on n.
             panic!(
                 "race_check: claim of unregistered chunk {ci} by participant {me} \
@@ -306,7 +304,7 @@ impl ShadowChunks {
         if let Err(prev) =
             self.claims[ci].compare_exchange(0, tag, Ordering::AcqRel, Ordering::Acquire)
         {
-            // lint:allow(panic-freedom) two claimants of one chunk are two
+            // Two claimants of one chunk are two
             // live &mut over the same region — the race being sanitized.
             panic!(
                 "race_check: double claim of chunk {ci} in epoch {}: participant {} \
@@ -353,7 +351,7 @@ impl ClaimTable {
         if let Err(prev) =
             self.cells[i].compare_exchange(0, tag, Ordering::AcqRel, Ordering::Acquire)
         {
-            // lint:allow(panic-freedom) the fetch_add counter handed one
+            // The fetch_add counter handed one
             // index to two participants — the root invariant is broken.
             panic!(
                 "race_check: index {i} claimed twice in epoch {}: participant {} \

@@ -1,6 +1,6 @@
 //! Runtime invariant checks behind the `debug_invariants` cargo feature.
 //!
-//! The static gates in `fedwcm-lint` catch hazards visible in source;
+//! The static gates (clippy, `fedwcm-lint`) catch hazards visible in source;
 //! this module catches the ones only visible at run time — NaN/Inf
 //! creeping through a training step, or shape drift between layers and
 //! at server aggregation. Checks are **zero-cost when the feature is
@@ -32,9 +32,6 @@ pub fn check_finite(xs: &[f32], ctx: impl FnOnce() -> String) {
     }
     for (i, &x) in xs.iter().enumerate() {
         if !x.is_finite() {
-            // lint:allow(panic-freedom) failing fast is this module's
-            // entire purpose: debug_invariants builds trade crash-on-NaN
-            // for pinpoint blame, and release builds never reach here.
             panic!(
                 "debug_invariants: non-finite value {x} at index {i} in {}",
                 ctx()
@@ -56,8 +53,6 @@ pub fn check_len(actual: usize, expected: usize, ctx: impl FnOnce() -> String) {
         return;
     }
     if actual != expected {
-        // lint:allow(panic-freedom) same fail-fast contract as
-        // check_finite: this path exists only in debug_invariants builds.
         panic!(
             "debug_invariants: length mismatch in {}: got {actual}, expected {expected}",
             ctx()

@@ -1,11 +1,12 @@
 //! Time sources: the deterministic [`LogicalClock`] and the
-//! lint-blessed [`WallClock`].
+//! [`WallClock`].
 //!
 //! This file is the **only** place in the workspace's library crates
-//! allowed to touch `std::time` (see `fedwcm-lint`'s
-//! `TIME_BLESSED_FILES`); everything else reads time through the
-//! [`Clock`] trait so a run can be made bitwise reproducible by
-//! swapping in a [`LogicalClock`].
+//! allowed to name `std::time::Instant` (a `clippy::disallowed_types`
+//! entry in the root `clippy.toml`, denied crate by crate; the
+//! `#![expect]` below is the exemption); everything else reads time
+//! through the [`Clock`] trait so a run can be made bitwise
+//! reproducible by swapping in a [`LogicalClock`].
 
 #![expect(
     clippy::disallowed_types,
@@ -89,9 +90,6 @@ impl WallClock {
     /// A wall clock whose tick 0 is "now".
     pub fn new() -> Self {
         WallClock {
-            // lint:allow(determinism-time) the one sanctioned wall-time
-            // source; consumers are binaries/benches and timing never
-            // feeds back into simulation state.
             base: Instant::now(),
         }
     }

@@ -5,16 +5,16 @@
 //! # Why a clock trait
 //!
 //! The workspace's headline guarantee is bitwise determinism across
-//! thread counts and runs, and `fedwcm-lint` bans `Instant::now` /
-//! `SystemTime::now` in library code. Time therefore flows through the
-//! [`Clock`] trait:
+//! thread counts and runs, and clippy (`disallowed-types` in the root
+//! `clippy.toml`) bans `Instant` / `SystemTime` in library code. Time
+//! therefore flows through the [`Clock`] trait:
 //!
 //! * [`LogicalClock`] — a monotone tick counter. Two identical seeded
 //!   runs produce **byte-identical** trace streams, which CI diffs at
 //!   `FEDWCM_THREADS={1,4}` (`examples/trace_probe.rs`).
-//! * [`WallClock`] — real elapsed nanoseconds, blessed by the linter in
-//!   exactly one file ([`clock`]); binaries and benches attach it to get
-//!   real per-phase timing breakdowns.
+//! * [`WallClock`] — real elapsed nanoseconds, exempted by one
+//!   `#![expect]` in exactly one file ([`clock`]); binaries and benches
+//!   attach it to get real per-phase timing breakdowns.
 //!
 //! # Parallel sections
 //!
@@ -33,9 +33,10 @@
 //! `fault_inject` — see DESIGN.md §11 for the field contract of each
 //! (`buffer_flush` and `async_apply` are the buffered-K and async
 //! cadences' aggregation spans; DESIGN.md §12). Every span, point, and
-//! metric name is declared once as a constant in [`names`];
-//! `fedwcm-lint`'s `metrics-registry` rule rejects string literals in
-//! name position at call sites.
+//! metric name is declared once as a constant in [`names`]; producers
+//! pass a [`names::Name`], so a string literal in name position does not
+//! compile, and `fedwcm-lint`'s `metrics-registry` rule flags a table
+//! entry nothing uses.
 
 #![warn(missing_docs)]
 // Library code (DESIGN.md §9): nothing `clippy.toml` lists outside test

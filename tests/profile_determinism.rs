@@ -13,7 +13,7 @@ use fedwcm_data::synth::DatasetPreset;
 use fedwcm_fl::{FlConfig, Simulation};
 use fedwcm_nn::models::mlp;
 use fedwcm_obs::{analyze_text, folded_stacks};
-use fedwcm_stats::Xoshiro256pp;
+use fedwcm_stats::{Rng, Xoshiro256pp};
 use fedwcm_trace::{JsonlSink, LogicalClock, MetricsRegistry, SharedBuf, Tracer};
 use std::sync::Arc;
 
@@ -92,4 +92,44 @@ fn cifar10_profile_has_the_expected_shape() {
     let doc = profile.to_json();
     let back = fedwcm_obs::Profile::from_json(&doc).expect("schema round-trips");
     assert_eq!(back, profile);
+}
+
+#[test]
+fn trace_reader_rejects_truncated_and_mutated_traces_without_panicking() {
+    let text = traced_cifar10_run(1);
+    assert!(
+        text.is_ascii() && text.ends_with('\n'),
+        "the sink's encoding"
+    );
+    // `analyze_text` is `parse_trace` → `build_forest` → `analyze`: each
+    // input below comes back `Ok` or a typed `ObsError`; a panic anywhere
+    // on the way fails the test.
+    analyze_text(&text).expect("the untouched trace reads");
+
+    // Every strict prefix. One that ends inside a record has lost its
+    // closing brace, so it is always an error; one that ends after a
+    // whole record (with or without its newline) parses and leaves spans
+    // open, which the forest may accept or reject.
+    let bytes = text.as_bytes();
+    for cut in 0..text.len() {
+        let result = analyze_text(&text[..cut]);
+        let mid_line = cut > 0 && bytes[cut - 1] != b'\n' && bytes[cut] != b'\n';
+        assert!(!mid_line || result.is_err(), "prefix of {cut} bytes read");
+    }
+
+    // One byte replaced by another ASCII byte (`parse_trace` takes a
+    // `&str`, so nothing that is not UTF-8 reaches it) at a seeded sample
+    // of offsets.
+    let mut rng = Xoshiro256pp::seed_from(0x0B5E);
+    let mut rejected = 0;
+    for _ in 0..600 {
+        let at = rng.index(bytes.len());
+        let mut with = rng.next_below(127) as u8;
+        with += u8::from(with >= bytes[at]);
+        let mut mutated = bytes.to_vec();
+        mutated[at] = with;
+        let mutated = String::from_utf8(mutated).expect("ASCII stays UTF-8");
+        rejected += usize::from(analyze_text(&mutated).is_err());
+    }
+    assert!(rejected >= 450, "only {rejected} of 600 mutations rejected");
 }
