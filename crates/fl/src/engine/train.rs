@@ -1,5 +1,5 @@
 //! Stage 1 — local training: fan the sampled cohort out over the
-//! worker pool and collect the uploads in sampled-id order.
+//! round's worker threads and collect the uploads in sampled-id order.
 
 use super::{RoundCtx, Simulation};
 use crate::algorithm::FederatedAlgorithm;

@@ -104,17 +104,29 @@ impl Isa {
             Isa::Portable => portable(body),
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2(Detected(())) => {
+                #[expect(
+                    unsafe_code,
+                    reason = "calling into a #[target_feature] instance is the one step safe code cannot take"
+                )]
                 // SAFETY: `avx2` may only run on a CPU with AVX2, and the
                 // `Detected` of this variant is minted nowhere but under
                 // a passed `is_x86_feature_detected!("avx2")`.
-                unsafe { avx2(body) }
+                unsafe {
+                    avx2(body)
+                }
             }
             #[cfg(target_arch = "x86_64")]
             Isa::Avx512(Detected(())) => {
+                #[expect(
+                    unsafe_code,
+                    reason = "calling into a #[target_feature] instance is the one step safe code cannot take"
+                )]
                 // SAFETY: `avx512` may only run on a CPU with AVX-512F,
                 // and the `Detected` of this variant is minted nowhere
                 // but under a passed `is_x86_feature_detected!("avx512f")`.
-                unsafe { avx512(body) }
+                unsafe {
+                    avx512(body)
+                }
             }
         }
     }

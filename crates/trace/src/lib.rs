@@ -19,7 +19,7 @@
 //! # Parallel sections
 //!
 //! A [`Tracer`]'s clock must only be ticked from one thread (the
-//! engine's serialized round loop). Work running on pool workers records
+//! engine's serialized round loop). Work running on helper threads records
 //! into a per-task [`SpanBuffer`] via the [`local`] thread-local API,
 //! each buffer with its own forked clock starting at 0; the engine then
 //! [replays](Tracer::replay) the buffers in sampled-index order. The

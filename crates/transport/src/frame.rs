@@ -401,11 +401,17 @@ impl Crc {
             Crc::Portable => crc32_portable(data),
             #[cfg(target_arch = "x86_64")]
             Crc::Clmul(Detected(())) => {
+                #[expect(
+                    unsafe_code,
+                    reason = "calling into a #[target_feature] instance is the one step safe code cannot take"
+                )]
                 // SAFETY: `crc32_clmul` may only run on a CPU with
                 // PCLMULQDQ and SSE4.1, and the `Detected` of this
                 // variant is minted nowhere but under a passed
                 // `is_x86_feature_detected!` of each.
-                unsafe { crc32_clmul(data) }
+                unsafe {
+                    crc32_clmul(data)
+                }
             }
         }
     }
