@@ -1,7 +1,7 @@
 //! The rule engine: file context and the workspace walk.
 //!
-//! Neither rule has a suppression: a dead registry entry is removed or
-//! wired up, and an `unsafe impl Send`/`Sync` states its argument.
+//! The rule has no suppression: a dead registry entry is removed or
+//! wired up.
 
 use crate::lexer::{lex, Tok};
 use crate::rules;
@@ -9,18 +9,16 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Every rule the engine knows, in reporting order.
-pub const ALL_RULES: &[&str] = &["metrics-registry", "parallel-escape-send-sync"];
+pub const ALL_RULES: &[&str] = &["metrics-registry"];
 
 /// One row of the rule taxonomy printed by `fedwcm-lint --rules`.
 #[derive(Debug)]
 pub struct RuleInfo {
     /// Rule id (kebab-case, an [`ALL_RULES`] entry).
     pub id: &'static str,
-    /// Family: `protocol` (names checked against a registry) or
-    /// `concurrency` (the static half of the `race_check` soundness
-    /// story).
+    /// Family: `protocol` (names checked against a registry).
     pub family: &'static str,
-    /// Severity — both are hard CI gates.
+    /// Severity — a hard CI gate.
     pub severity: &'static str,
     /// What a finding asks for (there is no suppression).
     pub escape: &'static str,
@@ -29,20 +27,12 @@ pub struct RuleInfo {
 /// The taxonomy, one row per [`ALL_RULES`] entry in the same order
 /// (tested in the fixtures crate, and synced against DESIGN.md §9 and
 /// the README rule table by the doc-sync test).
-pub const RULE_INFO: &[RuleInfo] = &[
-    RuleInfo {
-        id: "metrics-registry",
-        family: "protocol",
-        severity: "error",
-        escape: "use the entry of crates/trace/src/names.rs, or remove it",
-    },
-    RuleInfo {
-        id: "parallel-escape-send-sync",
-        family: "concurrency",
-        severity: "error",
-        escape: "state the disjointness argument in the `// SAFETY:` comment",
-    },
-];
+pub const RULE_INFO: &[RuleInfo] = &[RuleInfo {
+    id: "metrics-registry",
+    family: "protocol",
+    severity: "error",
+    escape: "use the entry of crates/trace/src/names.rs, or remove it",
+}];
 
 /// One finding, pointing at a workspace-relative path and 1-based line.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -67,7 +57,7 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Which rules run: both, always. The type carries no choice any more;
+/// Which rules run: the one there is. The type carries no choice any more;
 /// it stays because the frozen `flbench` package calls
 /// `lint_workspace(&root, &LintConfig::all())`.
 #[derive(Clone, Debug, Default)]
@@ -80,19 +70,6 @@ impl LintConfig {
     }
 }
 
-/// Per-line facts derived from the token stream.
-#[derive(Clone, Debug, Default)]
-pub struct LineInfo {
-    /// Line holds at least one non-comment token.
-    pub has_code: bool,
-    /// Line holds (part of) a comment.
-    pub has_comment: bool,
-    /// Concatenated text of comments touching this line.
-    pub comment_text: String,
-    /// First non-comment token on the line is `#` (attribute line).
-    pub starts_attr: bool,
-}
-
 /// Everything the rules need to know about one source file.
 pub struct FileCtx {
     /// Workspace-relative path with `/` separators.
@@ -102,15 +79,12 @@ pub struct FileCtx {
     /// Indices into `toks` of non-comment tokens (pattern matching runs
     /// over these so comments never split a match).
     pub code: Vec<usize>,
-    /// Per-line facts, 1-based (`lines[0]` unused).
-    pub lines: Vec<LineInfo>,
 }
 
 impl FileCtx {
     /// Lex and analyse one file given as in-memory text.
     pub fn new(path: &str, src: &str) -> Self {
         let toks = lex(src);
-        let nlines = src.lines().count().max(1);
         let code: Vec<usize> = toks
             .iter()
             .enumerate()
@@ -118,30 +92,10 @@ impl FileCtx {
             .map(|(i, _)| i)
             .collect();
 
-        let mut lines = vec![LineInfo::default(); nlines + 2];
-        for t in &toks {
-            let span = &mut lines[t.line..=t.end_line.min(nlines)];
-            if t.is_comment() {
-                for info in span {
-                    info.has_comment = true;
-                    info.comment_text.push_str(&t.text);
-                    info.comment_text.push(' ');
-                }
-            } else {
-                for info in span {
-                    if !info.has_code {
-                        info.starts_attr = t.is_punct('#');
-                    }
-                    info.has_code = true;
-                }
-            }
-        }
-
         FileCtx {
             path: path.to_string(),
             toks,
             code,
-            lines,
         }
     }
 
@@ -157,28 +111,18 @@ impl FileCtx {
 }
 
 /// Lint a set of in-memory sources as one workspace: every file is
-/// lexed exactly once, the per-file rule runs over each [`FileCtx`] and
-/// the cross-file pass (dead registry entries) over all of them
-/// together. Findings come back sorted by path, line, rule.
+/// lexed exactly once and the cross-file pass (dead registry entries)
+/// runs over all of them together. Findings come back sorted by path,
+/// line, rule.
 pub fn lint_sources(sources: &[(String, String)]) -> Vec<Diagnostic> {
     let ctxs: Vec<FileCtx> = sources
         .iter()
         .map(|(path, src)| FileCtx::new(path, src))
         .collect();
     let mut diags: Vec<Diagnostic> = Vec::new();
-    for ctx in &ctxs {
-        rules::check_send_sync_safety(ctx, &mut diags);
-    }
     rules::check_metrics_registry(&ctxs, &mut diags);
     diags.sort();
     diags
-}
-
-/// Lint a single file given as in-memory text. `path` is the
-/// workspace-relative path used for reporting. The cross-file rule
-/// still runs, scoped to this one file.
-pub fn lint_file(path: &str, src: &str) -> Vec<Diagnostic> {
-    lint_sources(&[(path.to_string(), src.to_string())])
 }
 
 /// Recursively collect `*.rs` files under `dir`, sorted for
@@ -209,7 +153,7 @@ pub struct LintRun {
 }
 
 /// Lint every `crates/*/src/**/*.rs` under the workspace `root` —
-/// one directory walk and one lex per file, shared by both rules.
+/// one directory walk and one lex per file.
 pub fn lint_workspace(root: &Path, _cfg: &LintConfig) -> std::io::Result<LintRun> {
     let mut files = Vec::new();
     let crates_dir = root.join("crates");

@@ -34,19 +34,13 @@ pub enum TokKind {
     Char,
     /// Single punctuation character.
     Punct(char),
-    /// `//`-style comment; `doc` marks `///` and `//!` forms.
-    LineComment {
-        /// True for `///` (outer) and `//!` (inner) doc comments.
-        doc: bool,
-    },
-    /// `/* */`-style comment (nesting handled); `doc` marks `/**`, `/*!`.
-    BlockComment {
-        /// True for `/**` (outer) and `/*!` (inner) doc comments.
-        doc: bool,
-    },
+    /// `//`-style comment, doc forms included.
+    LineComment,
+    /// `/* */`-style comment (nesting handled), doc forms included.
+    BlockComment,
 }
 
-/// One lexed token with its text and 1-based line span.
+/// One lexed token with its text and 1-based starting line.
 #[derive(Clone, Debug)]
 pub struct Tok {
     /// Token classification.
@@ -55,25 +49,12 @@ pub struct Tok {
     pub text: String,
     /// 1-based line the token starts on.
     pub line: usize,
-    /// 1-based line the token ends on (differs for multi-line tokens).
-    pub end_line: usize,
 }
 
 impl Tok {
     /// True for line and block comments.
     pub fn is_comment(&self) -> bool {
-        matches!(
-            self.kind,
-            TokKind::LineComment { .. } | TokKind::BlockComment { .. }
-        )
-    }
-
-    /// True for doc comments (`///`, `//!`, `/**`, `/*!`).
-    pub fn is_doc_comment(&self) -> bool {
-        matches!(
-            self.kind,
-            TokKind::LineComment { doc: true } | TokKind::BlockComment { doc: true }
-        )
+        matches!(self.kind, TokKind::LineComment | TokKind::BlockComment)
     }
 
     /// True if this token is the identifier `name`.
@@ -126,20 +107,19 @@ impl Lexer {
             kind,
             text,
             line: start_line,
-            end_line: self.line,
         });
     }
 
     fn run(mut self) -> Vec<Tok> {
         // A shebang (`#!/usr/bin/env …` on line 1) lexes as one
-        // non-doc line comment, not as `#`/`!` punctuation — it would
+        // line comment, not as `#`/`!` punctuation — it would
         // otherwise look like the start of an inner attribute.
         if self.peek(0) == Some('#') && self.peek(1) == Some('!') && self.peek(2) == Some('/') {
             let (start, start_line) = (self.i, self.line);
             while self.peek(0).is_some_and(|c| c != '\n') {
                 self.i += 1;
             }
-            self.push(TokKind::LineComment { doc: false }, start, start_line);
+            self.push(TokKind::LineComment, start, start_line);
         }
         while let Some(c) = self.peek(0) {
             match c {
@@ -169,10 +149,7 @@ impl Lexer {
         while self.peek(0).is_some_and(|c| c != '\n') {
             self.i += 1;
         }
-        let text: String = self.chars[start..self.i].iter().collect();
-        // `////…` dividers are not doc comments; `///` and `//!` are.
-        let doc = (text.starts_with("///") && !text.starts_with("////")) || text.starts_with("//!");
-        self.push(TokKind::LineComment { doc }, start, start_line);
+        self.push(TokKind::LineComment, start, start_line);
     }
 
     fn block_comment(&mut self) {
@@ -197,11 +174,7 @@ impl Lexer {
                 Some(_) => self.i += 1,
             }
         }
-        let text: String = self.chars[start..self.i].iter().collect();
-        // `/**/` and `/***…` are not doc comments; `/**…` and `/*!…` are.
-        let doc = (text.starts_with("/**") && !text.starts_with("/***") && text.len() > 4)
-            || text.starts_with("/*!");
-        self.push(TokKind::BlockComment { doc }, start, start_line);
+        self.push(TokKind::BlockComment, start, start_line);
     }
 
     /// Plain (non-raw) string starting `hashes == 0` at `"`, or a raw
@@ -439,24 +412,13 @@ mod tests {
     #[test]
     fn comments_carry_text_and_lines() {
         let toks = lex("// SAFETY: fine\nunsafe {}\n/* block\nspans */ x");
-        assert!(matches!(toks[0].kind, TokKind::LineComment { doc: false }));
+        assert_eq!(toks[0].kind, TokKind::LineComment);
         assert_eq!(toks[0].line, 1);
         assert!(toks[0].text.contains("SAFETY:"));
-        let block = toks
-            .iter()
-            .find(|t| matches!(t.kind, TokKind::BlockComment { .. }));
-        let block = block.expect("block comment lexed");
-        assert_eq!((block.line, block.end_line), (3, 4));
-    }
-
-    #[test]
-    fn doc_comment_flags() {
-        assert!(lex("/// docs")[0].is_doc_comment());
-        assert!(lex("//! inner docs")[0].is_doc_comment());
-        assert!(!lex("//// divider")[0].is_doc_comment());
-        assert!(!lex("// plain")[0].is_doc_comment());
-        assert!(lex("/** block doc */")[0].is_doc_comment());
-        assert!(!lex("/* plain block */")[0].is_doc_comment());
+        let block = toks.iter().find(|t| t.kind == TokKind::BlockComment);
+        assert_eq!(block.expect("block comment lexed").line, 3);
+        let x = toks.iter().find(|t| t.is_ident("x")).expect("ident");
+        assert_eq!(x.line, 4, "the line count runs on through the block");
     }
 
     #[test]
@@ -508,7 +470,7 @@ mod tests {
     #[test]
     fn shebang_line_is_a_comment() {
         let toks = lex("#!/usr/bin/env run-cargo-script\nfn main() {}\n");
-        assert!(matches!(toks[0].kind, TokKind::LineComment { doc: false }));
+        assert_eq!(toks[0].kind, TokKind::LineComment);
         assert!(toks[0].text.starts_with("#!/usr/bin"));
         assert!(toks[1].is_ident("fn"));
         assert_eq!(toks[1].line, 2);
@@ -528,13 +490,13 @@ mod tests {
     }
 
     #[test]
-    fn multiline_raw_string_tracks_end_line() {
+    fn multiline_raw_string_keeps_the_line_count() {
         let toks = lex("let s = r#\"line one\nline two\"#;\nnext");
         let s = toks
             .iter()
             .find(|t| t.kind == TokKind::Str)
             .expect("raw string lexed");
-        assert_eq!((s.line, s.end_line), (1, 2));
+        assert_eq!(s.line, 1);
         let next = toks.iter().find(|t| t.is_ident("next")).expect("ident");
         assert_eq!(next.line, 3);
     }

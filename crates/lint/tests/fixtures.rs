@@ -1,12 +1,10 @@
-//! Fixture tests: both rules demonstrated on known-good and known-bad
+//! Fixture tests: the rule demonstrated on known-good and known-bad
 //! sources, plus the whole-workspace self-check.
 //!
-//! Fixtures are in-memory strings fed to `lint_file` under invented
+//! Fixtures are in-memory strings fed to `lint_sources` under invented
 //! workspace-relative paths.
 
-use fedwcm_lint::{
-    lint_file as lint, lint_sources, lint_workspace, Diagnostic, LintConfig, ALL_RULES,
-};
+use fedwcm_lint::{lint_sources, lint_workspace, Diagnostic, LintConfig, ALL_RULES};
 
 /// Lint a set of fixtures together, as one workspace for the
 /// cross-file rule.
@@ -18,32 +16,8 @@ fn lint_many(files: &[(&str, &str)]) -> Vec<Diagnostic> {
     lint_sources(&sources)
 }
 
-/// The rule names that fired, in output order.
-fn fired(diags: &[Diagnostic]) -> Vec<&str> {
-    diags.iter().map(|d| d.rule.as_str()).collect()
-}
-
 /// A library-crate path.
 const LIB: &str = "crates/algos/src/fixture.rs";
-
-#[test]
-fn every_declared_rule_is_exercised_by_these_fixtures() {
-    // Meta-check: each rule fires at least once, so none can silently
-    // go dead.
-    let fixtures: &[(&str, &str)] = &[
-        (REG, REG_SRC),
-        (LIB, "pub struct W(*mut u8);\nunsafe impl Send for W {}\n"),
-    ];
-    let mut seen: std::collections::BTreeSet<String> = Default::default();
-    for (path, src) in fixtures {
-        for d in lint(path, src) {
-            seen.insert(d.rule);
-        }
-    }
-    for rule in ALL_RULES {
-        assert!(seen.contains(*rule), "rule '{rule}' never fired");
-    }
-}
 
 // ------------------------------------------------------ whole workspace
 
@@ -72,8 +46,8 @@ fn real_workspace_is_clean() {
 
 #[test]
 fn full_workspace_run_fits_the_time_budget() {
-    // Every source file is lexed exactly once and shared by all rules;
-    // a full-workspace pass must stay interactive. The budget is far
+    // Every source file is lexed exactly once; a full-workspace pass
+    // must stay interactive. The budget is far
     // above the measured debug-profile time, so it only trips on
     // structural regressions (re-lexing per rule, a quadratic
     // cross-file pass), not on CI jitter.
@@ -107,11 +81,6 @@ fn workspace_findings_are_byte_stable_across_runs() {
     assert_eq!(render(&a), render(&b));
 }
 
-/// Only the named rule's findings, in output order.
-fn fired_only<'a>(diags: &'a [Diagnostic], rule: &str) -> Vec<&'a Diagnostic> {
-    diags.iter().filter(|d| d.rule == rule).collect()
-}
-
 // ---------------------------------------------------- metrics-registry
 
 // That a producer passes a registered name is a type now
@@ -133,9 +102,9 @@ names! {
 fn dead_registry_entry_fires() {
     // ROUND is referenced, FL_ACC_CLASS_PREFIX is not → dead taxonomy.
     let user = "pub fn emit(t: &Tracer) { t.span(Name::ROUND, vec![]); }\n";
-    let d = lint_many(&[(REG, REG_SRC), (LIB, user)]);
-    let m = fired_only(&d, "metrics-registry");
+    let m = lint_many(&[(REG, REG_SRC), (LIB, user)]);
     assert_eq!(m.len(), 1);
+    assert_eq!(m[0].rule, "metrics-registry");
     assert_eq!((m[0].path.as_str(), m[0].line), (REG, 5));
     assert!(
         m[0].message
@@ -151,8 +120,7 @@ fn referenced_entries_pass_as_producer_name_or_reader_string() {
 pub fn emit(t: &Tracer) { t.span(Name::ROUND, vec![]); }
 pub fn read(snap: &MetricsSnapshot) -> bool { snap.get(names::FL_ACC_CLASS_PREFIX).is_some() }
 ";
-    let d = lint_many(&[(REG, REG_SRC), (LIB, user)]);
-    assert!(fired_only(&d, "metrics-registry").is_empty());
+    assert!(lint_many(&[(REG, REG_SRC), (LIB, user)]).is_empty());
 }
 
 #[test]
@@ -161,59 +129,7 @@ fn a_mention_in_a_comment_or_string_is_not_a_use() {
 // FL_ACC_CLASS_PREFIX is mentioned here only in prose.
 pub fn emit(t: &Tracer) -> &'static str { t.span(Name::ROUND, vec![]); \"FL_ACC_CLASS_PREFIX\" }
 ";
-    let d = lint_many(&[(REG, REG_SRC), (LIB, user)]);
-    assert_eq!(fired_only(&d, "metrics-registry").len(), 1);
-}
-
-// ------------------------------------ parallel-escape-send-sync (conc.)
-
-#[test]
-fn send_sync_without_safety_comment_fires() {
-    let src = "\
-pub struct W(*mut u8);
-unsafe impl Send for W {}
-";
-    let d = lint(LIB, src);
-    assert_eq!(fired(&d), ["parallel-escape-send-sync"]);
-    assert!(d[0].message.contains("is missing"), "{}", d[0].message);
-}
-
-#[test]
-fn send_sync_safety_without_disjointness_argument_fires() {
-    // A SAFETY comment exists (clippy's undocumented_unsafe_blocks
-    // passes) but says nothing about which owner touches which region.
-    let src = "\
-pub struct W(*mut u8);
-// SAFETY: this wrapper is carefully used, trust the caller.
-unsafe impl Sync for W {}
-";
-    let d = lint(LIB, src);
-    assert_eq!(fired(&d), ["parallel-escape-send-sync"]);
-    assert!(d[0].message.contains("disjointness"), "{}", d[0].message);
-}
-
-#[test]
-fn send_sync_safety_with_disjointness_argument_passes() {
-    let src = "\
-pub struct W(*mut u8);
-// SAFETY: participants write pairwise-disjoint ranges; exactly one
-// writer touches any element before the join publishes them.
-unsafe impl Sync for W {}
-";
-    assert!(lint(LIB, src).is_empty());
-}
-
-#[test]
-fn non_send_sync_unsafe_impl_is_exempt_from_disjointness() {
-    // Other unsafe impls still need a SAFETY comment (clippy's
-    // undocumented_unsafe_blocks), but the disjointness-vocabulary
-    // requirement is Send/Sync-only.
-    let src = "\
-pub struct W(*mut u8);
-// SAFETY: the trait contract only requires a stable address.
-unsafe impl Widget for W {}
-";
-    assert!(lint(LIB, src).is_empty());
+    assert_eq!(lint_many(&[(REG, REG_SRC), (LIB, user)]).len(), 1);
 }
 
 // ------------------------------------------------- taxonomy governance
