@@ -93,6 +93,39 @@ fn bench_gemm(c: &mut Criterion) {
     group.finish();
 }
 
+/// Row-parallel `A·B` against the same product inline, either side of
+/// `fedwcm_tensor::matmul`'s `PAR_FLOP_MIN` (multiply-accumulates, `m·k·n`):
+/// the floor sits where the two-thread row stops losing to the one-thread
+/// row, i.e. where half the product costs more than one scoped spawn.
+/// Below the floor both rows run the same inline code.
+fn bench_gemm_par(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gemm_par");
+    let mut rng = Xoshiro256pp::seed_from(3);
+    for (m, k, n) in [
+        (128, 256, 128),
+        (192, 256, 160),
+        (256, 256, 256),
+        (512, 256, 256),
+        (512, 512, 256),
+    ] {
+        let a = Tensor::randn(&[m * k], 1.0, &mut rng);
+        let b = Tensor::randn(&[k * n], 1.0, &mut rng);
+        let mut out = vec![0.0f32; m * n];
+        for threads in [1usize, 2] {
+            let id = BenchmarkId::new(format!("into_{threads}t"), format!("{m}x{k}x{n}"));
+            group.bench_function(id, |bch| {
+                bch.iter(|| {
+                    out.fill(0.0);
+                    fedwcm_parallel::with_intra_threads(threads, || {
+                        matmul_into(black_box(a.as_slice()), b.as_slice(), &mut out, m, k, n);
+                    });
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_blas1(c: &mut Criterion) {
     let mut group = c.benchmark_group("blas1");
     let n = 1 << 16;
@@ -192,6 +225,6 @@ fn bench_weighted_sum(c: &mut Criterion) {
 criterion_group!(
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_gemm, bench_lowering, bench_blas1, bench_weighted_sum
+    targets = bench_gemm, bench_gemm_par, bench_lowering, bench_blas1, bench_weighted_sum
 );
 criterion_main!(kernels);

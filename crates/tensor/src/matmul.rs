@@ -79,8 +79,15 @@ use fedwcm_parallel::{intra_threads, parallel_over_rows};
 const DR: usize = 2;
 
 /// Minimum multiply-accumulate count before row-parallel dispatch pays
-/// for itself; below this everything runs inline on the caller.
-const PAR_FLOP_MIN: usize = 1 << 17;
+/// for itself; below this everything runs inline on the caller. A
+/// dispatch is one scoped thread spawned and joined (≈ 90 µs on the
+/// 2-core reference host, and the helper's half runs ≈ 1.3× slow on a
+/// core that was idle), so the floor is where `gemm_par/into_2t` stops
+/// losing to `into_1t` in `crates/bench`'s kernels rows: always behind at
+/// `1 << 22`, even from 7.9 M to `1 << 24`, ahead from `1 << 25`
+/// (`results/par_flop_min.txt`). The unit tests keep the old floor so
+/// their small shapes still cut through the row-parallel path.
+const PAR_FLOP_MIN: usize = if cfg!(test) { 1 << 17 } else { 1 << 23 };
 
 /// Row-parallel worker count for a kernel with `rows` independent output
 /// rows and `flops` multiply-accumulates: the scoped intra-task budget,
