@@ -1,7 +1,8 @@
 //! FedAvg (McMahan et al., 2017): local SGD + model averaging.
 
 use fedwcm_fl::algorithm::{
-    server_step, uniform_average, FederatedAlgorithm, RoundInput, RoundLog, StateError,
+    load_stateless, server_step, uniform_average, FederatedAlgorithm, RoundInput, RoundLog,
+    StateError,
 };
 use fedwcm_fl::client::{run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
 use fedwcm_nn::loss::{CrossEntropy, Loss};
@@ -62,11 +63,7 @@ impl FederatedAlgorithm for FedAvg {
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        if bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(StateError::Malformed)
-        }
+        load_stateless(bytes)
     }
 }
 

@@ -2,7 +2,8 @@
 //! model during local training.
 
 use fedwcm_fl::algorithm::{
-    server_step, uniform_average, FederatedAlgorithm, RoundInput, RoundLog,
+    load_stateless, server_step, uniform_average, FederatedAlgorithm, RoundInput, RoundLog,
+    StateError,
 };
 use fedwcm_fl::client::{run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
 use fedwcm_nn::loss::CrossEntropy;
@@ -47,6 +48,15 @@ impl FederatedAlgorithm for FedProx {
         uniform_average(&input.updates, &mut dir);
         server_step(global, &dir, input.cfg, input.mean_batches());
         RoundLog::default()
+    }
+
+    // μ is construction-time configuration; nothing crosses rounds.
+    fn save_state(&self) -> Option<Vec<u8>> {
+        Some(Vec::new())
+    }
+
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
+        load_stateless(bytes)
     }
 }
 

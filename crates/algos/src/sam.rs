@@ -19,7 +19,8 @@
 //! the perturbation itself).
 
 use fedwcm_fl::algorithm::{
-    server_step, uniform_average, FederatedAlgorithm, RoundInput, RoundLog,
+    load_stateless, server_step, state_from_vec, state_to_vec, uniform_average, FederatedAlgorithm,
+    RoundInput, RoundLog, StateError,
 };
 use fedwcm_fl::client::{ClientEnv, ClientUpdate};
 use fedwcm_nn::loss::{CrossEntropy, Loss};
@@ -176,6 +177,15 @@ impl FederatedAlgorithm for FedSam {
     }
 
     plain_aggregate!();
+
+    // ρ is construction-time configuration; nothing crosses rounds.
+    fn save_state(&self) -> Option<Vec<u8>> {
+        Some(Vec::new())
+    }
+
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
+        load_stateless(bytes)
+    }
 }
 
 /// MoFedSAM: FedSAM locally + FedCM-style client momentum.
@@ -225,6 +235,16 @@ impl FederatedAlgorithm for MoFedSam {
             alpha: Some(self.alpha as f64),
             weights: None,
         }
+    }
+
+    // As FedCM: the global momentum buffer is the only cross-round state.
+    fn save_state(&self) -> Option<Vec<u8>> {
+        Some(state_from_vec(&self.momentum))
+    }
+
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
+        self.momentum = state_to_vec(bytes)?;
+        Ok(())
     }
 }
 

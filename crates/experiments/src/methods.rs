@@ -37,6 +37,30 @@ pub enum Method {
 }
 
 impl Method {
+    /// Every method, in declaration order: what a test that must hold
+    /// for the whole zoo iterates.
+    pub const ALL: [Method; 19] = [
+        Method::FedAvg,
+        Method::BalanceFl,
+        Method::FedGrab,
+        Method::FedCm,
+        Method::FedCmFocal,
+        Method::FedCmBalanceLoss,
+        Method::FedCmBalanceSampler,
+        Method::FedWcm,
+        Method::FedWcmX,
+        Method::FedProx,
+        Method::Scaffold,
+        Method::FedDyn,
+        Method::FedAvgM,
+        Method::FedSam,
+        Method::MoFedSam,
+        Method::FedSpeed,
+        Method::FedSmoo,
+        Method::FedLesam,
+        Method::MimeLite,
+    ];
+
     /// The seven columns of Table 1/7, in paper order.
     pub fn table1() -> [Method; 7] {
         [
@@ -131,28 +155,7 @@ mod tests {
     fn every_method_instantiates_and_labels() {
         let exp = ExpConfig::new(DatasetPreset::FashionMnist, 0.5, 0.6, Scale::Smoke, 9);
         let task = exp.prepare();
-        let all = [
-            Method::FedAvg,
-            Method::BalanceFl,
-            Method::FedGrab,
-            Method::FedCm,
-            Method::FedCmFocal,
-            Method::FedCmBalanceLoss,
-            Method::FedCmBalanceSampler,
-            Method::FedWcm,
-            Method::FedWcmX,
-            Method::FedProx,
-            Method::Scaffold,
-            Method::FedDyn,
-            Method::FedAvgM,
-            Method::FedSam,
-            Method::MoFedSam,
-            Method::FedSpeed,
-            Method::FedSmoo,
-            Method::FedLesam,
-            Method::MimeLite,
-        ];
-        for m in all {
+        for m in Method::ALL {
             let algo = build_method(m, &task);
             assert!(!algo.name().is_empty());
             assert!(!m.label().is_empty());

@@ -27,14 +27,6 @@ impl RoundInput<'_> {
         let total: usize = self.updates.iter().map(|u| u.num_batches).sum();
         total as f32 / self.updates.len() as f32
     }
-
-    /// Mean training loss over sampled clients.
-    pub fn mean_loss(&self) -> f32 {
-        if self.updates.is_empty() {
-            return 0.0;
-        }
-        self.updates.iter().map(|u| u.avg_loss).sum::<f32>() / self.updates.len() as f32
-    }
 }
 
 /// Per-round diagnostic output recorded into the history.
@@ -89,6 +81,17 @@ pub trait FederatedAlgorithm: Send + Sync {
     /// Restore state captured by [`FederatedAlgorithm::save_state`].
     fn load_state(&mut self, _bytes: &[u8]) -> Result<(), StateError> {
         Err(StateError::Unsupported)
+    }
+}
+
+/// [`FederatedAlgorithm::load_state`] of an algorithm that carries
+/// nothing across rounds and saves the empty blob (`Some(Vec::new())`):
+/// the empty blob is the only state it accepts.
+pub fn load_stateless(bytes: &[u8]) -> Result<(), StateError> {
+    if bytes.is_empty() {
+        Ok(())
+    } else {
+        Err(StateError::Malformed)
     }
 }
 
@@ -232,6 +235,5 @@ mod tests {
             views: &[],
         };
         assert_eq!(input.mean_batches(), 4.0);
-        assert_eq!(input.mean_loss(), 1.0);
     }
 }

@@ -6,27 +6,6 @@ use fedwcm_experiments::report::run_cell;
 use fedwcm_experiments::{Cli, ExpConfig, Method, Scale};
 use fedwcm_suite::data::synth::DatasetPreset;
 
-const ALL_METHODS: [Method; 18] = [
-    Method::FedAvg,
-    Method::BalanceFl,
-    Method::FedGrab,
-    Method::FedCm,
-    Method::FedCmFocal,
-    Method::FedCmBalanceLoss,
-    Method::FedCmBalanceSampler,
-    Method::FedWcm,
-    Method::FedWcmX,
-    Method::FedProx,
-    Method::Scaffold,
-    Method::FedDyn,
-    Method::FedAvgM,
-    Method::FedSam,
-    Method::MoFedSam,
-    Method::FedSpeed,
-    Method::FedSmoo,
-    Method::FedLesam,
-];
-
 #[test]
 fn every_method_runs_on_the_paper_partition() {
     let cli = Cli {
@@ -34,7 +13,7 @@ fn every_method_runs_on_the_paper_partition() {
         ..Cli::default()
     };
     let exp = ExpConfig::new(DatasetPreset::FashionMnist, 0.1, 0.3, Scale::Smoke, 3001);
-    for method in ALL_METHODS {
+    for method in Method::ALL {
         let acc = run_cell(&exp, method, &cli);
         assert!(
             (0.0..=1.0).contains(&acc) && acc.is_finite(),
