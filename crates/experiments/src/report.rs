@@ -121,11 +121,6 @@ fn join_names(histories: &[History]) -> String {
         .join(",")
 }
 
-/// Convenience: format a float table cell vector from (method → accuracy).
-pub fn accuracy_row(label: impl Into<String>, values: Vec<f64>) -> (String, Vec<f64>) {
-    (label.into(), values)
-}
-
 /// Markdown table of the per-phase timing histograms (`fl.phase.*` and
 /// `fl.round_ticks`): observation count, mean/total ticks, and the
 /// p50/p95/p99 bucket-interpolated percentile estimates.

@@ -83,11 +83,6 @@ impl ExpConfig {
         }
     }
 
-    /// The paper's default condition (β=0.1, IF=0.1) on CIFAR-10.
-    pub fn default_cifar10(scale: Scale, seed: u64) -> Self {
-        Self::new(DatasetPreset::Cifar10, 0.1, 0.1, scale, seed)
-    }
-
     /// Materialise the datasets, partition, and model factory.
     pub fn prepare(&self) -> PreparedTask {
         assert!(self.imbalance > 0.0 && self.imbalance <= 1.0);

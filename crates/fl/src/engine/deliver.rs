@@ -24,7 +24,6 @@ use fedwcm_transport::{AttemptOutcome, Courier, NetCounters, NetPlan, RetryPolic
 /// were fresh and pass through untouched.
 pub(super) fn deliver(
     plan: Option<&NetPlan>,
-    policy: RetryPolicy,
     ctx: &RoundCtx<'_>,
     received: Vec<ReceivedUpdate>,
     state: &mut RunState,
@@ -34,7 +33,7 @@ pub(super) fn deliver(
         return received;
     };
     let (round, tracer) = (ctx.round, ctx.tracer);
-    let mut courier = Courier::new(plan, policy, state.net_ticks);
+    let mut courier = Courier::new(plan, RetryPolicy::default(), state.net_ticks);
     let mut out: Vec<ReceivedUpdate> = Vec::with_capacity(received.len());
     for r in received {
         if r.staleness > 0 {

@@ -40,7 +40,7 @@ use fedwcm_data::dataset::{ClientView, Dataset};
 use fedwcm_faults::FaultPlan;
 use fedwcm_nn::model::Model;
 use fedwcm_trace::{MetricsRegistry, Name, Tracer, Value};
-use fedwcm_transport::{NetPlan, RetryPolicy};
+use fedwcm_transport::NetPlan;
 use std::sync::Arc;
 
 /// Mutable server-side state of a run: everything a checkpoint captures
@@ -88,9 +88,6 @@ pub struct Simulation<'a> {
     /// dropouts, delays stragglers). `None` and any zero-rate plan
     /// reproduce the direct-call trajectory bit for bit.
     pub net_plan: Option<NetPlan>,
-    /// Retry policy of the transport courier (deadlines, backoff,
-    /// attempt budget); unused without an effective network plan.
-    pub retry_policy: RetryPolicy,
     /// Tracing and metrics attachments (off by default).
     pub obs: Observability,
 }
@@ -118,7 +115,6 @@ impl<'a> Simulation<'a> {
             factory: Box::new(move || prototype.clone()),
             fault_plan: None,
             net_plan: None,
-            retry_policy: RetryPolicy::default(),
             obs: Observability::default(),
         }
     }
@@ -132,12 +128,6 @@ impl<'a> Simulation<'a> {
     /// Attach a network fault plan (builder style); zero-rate is a no-op.
     pub fn with_net_plan(mut self, plan: NetPlan) -> Self {
         self.net_plan = Some(plan);
-        self
-    }
-
-    /// Override the transport retry policy (builder style).
-    pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.retry_policy = policy;
         self
     }
 
@@ -255,7 +245,6 @@ impl<'a> Simulation<'a> {
         let fault_plan = self.fault_plan.as_ref();
         // `None` when absent *or* all-zero: both skip the transport alike.
         let net_plan = self.net_plan.as_ref().filter(|p| !p.is_zero());
-        let policy = self.retry_policy;
 
         while state.next_round < until_round {
             let round = state.next_round;
@@ -268,8 +257,7 @@ impl<'a> Simulation<'a> {
 
             let updates = train::train(self, &ctx, &workers, &*algo, &state.global, &sampled);
             let received = perturb::perturb(fault_plan, &ctx, updates, state, &mut record.faults);
-            let arrived =
-                deliver::deliver(net_plan, policy, &ctx, received, state, &mut record.net);
+            let arrived = deliver::deliver(net_plan, &ctx, received, state, &mut record.net);
             let admission = admit::admit(&self.cfg, &ctx, arrived, state, &mut record);
             apply::apply(self, &ctx, algo, state, admission, &mut record);
             // Evaluation cadence is a property of the round number alone:

@@ -126,18 +126,6 @@ impl History {
             .map(|&(r, _)| r)
     }
 
-    /// Mean training loss over the rounds that observed one. Rounds where
-    /// every upload was lost carry `train_loss: None` and are skipped, so
-    /// the mean can never silently absorb a NaN sentinel. Returns `None`
-    /// if no round observed a loss.
-    pub fn mean_train_loss(&self) -> Option<f64> {
-        let observed: Vec<f64> = self.records.iter().filter_map(|r| r.train_loss).collect();
-        if observed.is_empty() {
-            return None;
-        }
-        Some(observed.iter().sum::<f64>() / observed.len() as f64)
-    }
-
     /// Summarize this run's injected faults and, against an optional
     /// fault-free baseline, the accuracy cost they exacted.
     pub fn resilience_report(&self, baseline: Option<&History>) -> ResilienceReport {
@@ -319,31 +307,6 @@ mod tests {
             net: NetCounters::default(),
         });
         assert!(h.accuracy_series().is_empty());
-    }
-
-    #[test]
-    fn mean_train_loss_skips_dropped_rounds() {
-        // A fully-dropped round records no loss; the mean must skip it
-        // rather than propagate a NaN sentinel (regression for the old
-        // `train_loss: f64::NAN` encoding).
-        let mut h = history_with(&[(0, 0.5), (1, 0.6)]);
-        h.records[0].train_loss = Some(2.0);
-        h.records[1].train_loss = Some(4.0);
-        h.records.push(RoundRecord {
-            round: 2,
-            train_loss: None,
-            update_norm: 0.0,
-            test_acc: None,
-            alpha: None,
-            aggregations: 0,
-            dropped_updates: 1,
-            faults: RoundFaults::default(),
-            net: NetCounters::default(),
-        });
-        let mean = h.mean_train_loss().expect("two observed losses");
-        assert_eq!(mean, 3.0);
-        assert!(mean.is_finite(), "NaN leaked into the mean");
-        assert_eq!(History::new("empty").mean_train_loss(), None);
     }
 
     #[test]
