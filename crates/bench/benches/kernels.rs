@@ -20,8 +20,12 @@ use reference::matmul_naive;
 /// issues (median time per call; flops are `2·m·k·n`): the ResLite panels
 /// `Conv2d` forms at a 40-sample step — nine samples a stem or 4×4 panel,
 /// 37 a 2×2 panel, and the ragged last panels — its classifier, and the
-/// MLP's dense layers at its step batch of 10. They run whatever kernel
-/// instance this machine selects. One naive row is the ablation.
+/// MLP's dense layers at its step batch of 10; then the forward GEMMs of
+/// evaluation (the 600-sample test set as 256-row batches and a ragged
+/// one of 88, through the MLP's two dense layers and ResLite's
+/// classifier), each `a_bt` row beside an `into` row of equal
+/// multiply-accumulates. They run whatever kernel instance this machine
+/// selects. One naive row is the ablation.
 fn bench_gemm(c: &mut Criterion) {
     type Gemm = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
     type Shapes = &'static [(usize, usize, usize)];
@@ -36,6 +40,12 @@ fn bench_gemm(c: &mut Criterion) {
                 (12, 108, 12),
                 (10, 256, 64),
                 (10, 10, 256),
+                (256, 256, 64),
+                (88, 256, 64),
+                (256, 10, 256),
+                (88, 10, 256),
+                (256, 10, 12),
+                (88, 10, 12),
             ],
         ),
         (
@@ -49,6 +59,12 @@ fn bench_gemm(c: &mut Criterion) {
                 (40, 12, 10),
                 (10, 64, 256),
                 (10, 256, 10),
+                (256, 64, 256),
+                (88, 64, 256),
+                (256, 256, 10),
+                (88, 256, 10),
+                (256, 12, 10),
+                (88, 12, 10),
             ],
         ),
         (

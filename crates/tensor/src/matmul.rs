@@ -590,9 +590,14 @@ mod tests {
         // then as `Conv2d` really issues them at a 40-sample step — nine
         // samples a stem or 4×4 panel and a ragged one of four, 37 a 2×2
         // panel and a ragged one of three — each with its `A·Bᵀ`
-        // transpose. Then two grids of ragged edges: rows under and
-        // across a row tile, n under, at and one past every strip width,
-        // k % 4 != 0 and k past the reference's k-block.
+        // transpose. Then the shapes evaluation issues: the 600-sample
+        // test set as 256-row batches and a ragged one of 88, through
+        // the MLP's two dense layers and ResLite's classifier. Then three
+        // grids of ragged edges: rows under and across a row tile, n
+        // under, at and one past every strip width, k % 4 != 0 and k past
+        // the reference's k-block; rows either side of every multiple of
+        // four up to 48 on either operand, with k % 4 in {0, 1, 3}; and
+        // reductions longer than any small fixed block.
         let mut shapes = vec![
             (12, 27, 64),
             (12, 108, 16),
@@ -618,7 +623,23 @@ mod tests {
             (12, 64, 108),
             (12, 148, 108),
             (12, 12, 108),
+            (256, 64, 256),
+            (88, 64, 256),
+            (256, 256, 10),
+            (88, 256, 10),
+            (256, 12, 10),
+            (88, 12, 10),
+            (12, 1001, 27),
+            (30, 2049, 7),
         ];
+        for m in [14, 15, 16, 17, 23, 24, 25, 47, 48, 49] {
+            for k in [12, 13, 15, 64, 65, 67] {
+                for n in [3, 10, 31, 64] {
+                    shapes.push((m, k, n));
+                    shapes.push((n, k, m));
+                }
+            }
+        }
         for (rows, cols) in [
             (vec![1, 3, 5], vec![1, 7, 9, 31]),
             (vec![5, 7, 8, 11, 13], vec![15, 17, 31, 33, 47, 65]),

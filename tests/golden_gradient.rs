@@ -1,14 +1,15 @@
-//! Integration: the bits of one ResLite training step, pinned.
+//! Integration: the bits of one ResLite and one MLP training step, and of
+//! one MLP evaluation batch, pinned.
 //!
 //! The tensor kernels promise that tile sizes, row partitions and the
 //! instruction-set level decide which elements are computed together,
 //! never how one element is summed. `fedwcm-tensor`'s own tests hold
-//! each kernel to the scalar reference; this pin holds the composition —
-//! every GEMM and patch movement of a batch-40 step through `nn` — so a
-//! drift on whatever level this host selects fails plain `cargo test`.
+//! each kernel to the scalar reference; these pins hold the composition —
+//! every GEMM and patch movement of a step through `nn` — so a drift on
+//! whatever level this host selects fails plain `cargo test`.
 
 use fedwcm_suite::nn::loss::CrossEntropy;
-use fedwcm_suite::nn::models::res_lite;
+use fedwcm_suite::nn::models::{mlp, res_lite};
 use fedwcm_suite::prelude::*;
 use fedwcm_suite::transport::frame::crc32;
 
@@ -38,5 +39,46 @@ fn reslite_step_gradient_matches_the_golden_crc() {
         GOLDEN_RESLITE_GRADIENT_CRC,
         "ResLite loss or gradient bits changed ({} floats)",
         grads.len()
+    );
+}
+
+/// The MLP's pins, taken at commit 0623035 on the host's widest level
+/// with every level held to the scalar reference: one batch-10 step of
+/// `mlp(64, [256], 10)` (the cross-device client step) and the logits of
+/// one 256-row evaluation batch through the same model.
+const GOLDEN_MLP_GRADIENT_CRC: u32 = 0x6656_5D65;
+const GOLDEN_MLP_LOGITS_CRC: u32 = 0xA605_46E1;
+
+fn f32_bytes<'a>(xs: impl IntoIterator<Item = &'a f32>) -> Vec<u8> {
+    xs.into_iter()
+        .flat_map(|x| x.to_bits().to_le_bytes())
+        .collect()
+}
+
+#[test]
+fn mlp_step_gradient_and_eval_logits_match_the_golden_crcs() {
+    let mut rng = Xoshiro256pp::seed_from(2026);
+    let mut model = mlp(64, &[256], 10, &mut rng);
+    let x = Tensor::randn(&[10, 64], 1.0, &mut rng);
+    let y: Vec<usize> = (0..10).map(|_| rng.next_u64() as usize % 10).collect();
+    let mut grads = vec![0.0f32; model.param_len()];
+    let loss = model.loss_grad(&x, &y, &CrossEntropy, &mut grads);
+    assert!(loss.is_finite() && grads.iter().any(|&g| g != 0.0));
+    let mut bytes = f32_bytes([&loss]);
+    bytes.extend(f32_bytes(&grads));
+    assert_eq!(
+        crc32(&bytes),
+        GOLDEN_MLP_GRADIENT_CRC,
+        "MLP loss or gradient bits changed ({} floats)",
+        grads.len()
+    );
+
+    let batch = Tensor::randn(&[256, 64], 1.0, &mut rng);
+    let logits = model.forward(&batch, false);
+    assert_eq!(logits.shape(), &[256, 10]);
+    assert_eq!(
+        crc32(&f32_bytes(logits.as_slice())),
+        GOLDEN_MLP_LOGITS_CRC,
+        "MLP evaluation logits changed"
     );
 }
