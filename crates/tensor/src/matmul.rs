@@ -16,13 +16,26 @@
 //! `a·b` product to each lane, and the tile is stored once at the end —
 //! `C` is read and written once per tile instead of once per reduction
 //! step, and each loaded row segment of `B` serves `MR` rows of `C`.
-//! `A·Bᵀ` computes a tile of dot products at a time, `DR` rows of `A` by
-//! `4·W` rows of `B`, each in the four-lane accumulator of
-//! [`crate::ops::dot`], so a loaded chunk of an `A` row serves every row
-//! of `B` in the tile and vice versa. Ragged edges run the same code at a
-//! narrower tile. The lane arrays are plain `[f32; N]` the compiler keeps
-//! in vector registers: no intrinsics, no `std::arch` type, no
-//! target-specific build.
+//! `A·Bᵀ` computes a tile of dot products at a time, each in the
+//! four-lane accumulator of [`crate::ops::dot`], so a loaded chunk of an
+//! `A` row serves every row of `B` in the tile and vice versa. Since one
+//! output's four lanes are one 128-bit block, a wider register holds the
+//! lanes of several outputs side by side, and how it is filled is what
+//! the levels differ in. Up to AVX2, `DR` rows of `A` by `4·W` rows of `B`:
+//! a chunk of `A` broadcast `W` times against the chunks of `W` rows of
+//! `B`, each a half-register load. On AVX-512, where that costs a lane
+//! insert per further row, `A` is packed instead: twelve (or eight) of its
+//! rows into a stack block, four rows' chunks to a 512-bit register, so
+//! one aligned load fills a register, and each row of `B` is a 128-bit
+//! chunk broadcast from memory to all four blocks (a load, not a shuffle).
+//! A tile is then twelve rows by four columns, and its epilogue transposes
+//! the four accumulators of each four rows within their 128-bit blocks,
+//! which puts the four lanes of each output into four registers at the
+//! same position and four outputs of a row of `C` side by side. Ragged
+//! edges run the same code at a narrower tile, or compute copies of the
+//! last row and store nothing of them. The lane arrays are plain
+//! `[f32; N]` the compiler keeps in vector registers: no intrinsics, no
+//! `std::arch` type, no target-specific build.
 //!
 //! # Instruction-set levels
 //!
@@ -32,11 +45,11 @@
 //! detected at run time and nothing selects or reports it. The tile
 //! tables, measured at the shapes a training step issues:
 //!
-//! | level | `A·B`, `Aᵀ·B` (`MR×NR`) | `A·Bᵀ` (`DR × 4·W`) |
+//! | level | `A·B`, `Aᵀ·B` (`MR×NR`) | `A·Bᵀ` |
 //! |---|---|---|
-//! | portable | 4×8: eight 128-bit accumulators | 2×4, `W` = 1 |
-//! | AVX2 | 6×16: twelve 256-bit accumulators | 2×8, `W` = 2 |
-//! | AVX-512 | 6×32: twelve 512-bit accumulators | the AVX2 instance |
+//! | portable | 4×8: eight 128-bit accumulators | 2×4 (`DR × 4·W`, `W` = 1) |
+//! | AVX2 | 6×16: twelve 256-bit accumulators | 2×8 (`W` = 2) |
+//! | AVX-512 | 6×32: twelve 512-bit accumulators | 12×4 packed: twelve 512-bit accumulators; the AVX2 instance below 16 columns |
 //!
 //! A body is `#[inline(always)]` from its entry down to the innermost
 //! loop, closures included, so that it is compiled inside the level's
@@ -294,8 +307,10 @@ fn accumulate_tile<const R: usize, const L: usize>(
 
 /// `C = A·Bᵀ`. Shapes: `[m,k]·([n,k])ᵀ -> [m,n]`.
 ///
-/// Inner loop is a dot product over contiguous rows of both A and B —
-/// ideal when B is a row-major weight matrix `[out, in]`.
+/// Each output is the dot product of a row of `A` and a row of `B`, in
+/// [`crate::ops::dot`]'s order — `B` is a row-major weight matrix
+/// `[out, in]` as a dense layer stores it. See the module docs for how the
+/// kernels tile it.
 pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.rows(), a.cols());
     let (n, k2) = (b.rows(), b.cols());
@@ -335,19 +350,224 @@ fn matmul_a_bt_into_at(
 ///
 /// This is the tile table. `dot`'s four interleaved partial sums *are*
 /// its definition, so a wider register cannot hold more lanes of one
-/// output; it holds the four lanes of `W` outputs side by side instead
-/// (see [`dot_lanes`]). `W` = 2 is as wide as it pays: four outputs to
-/// a 512-bit register cost three lane inserts per loaded `B` vector and
-/// measured slower — whether written as `W` = 4 or found by the
-/// optimiser, which pairs the `W` = 2 accumulators up by itself once it
-/// may use such registers. So AVX-512 machines run the AVX2 instance.
+/// output; it holds the four lanes of several outputs side by side
+/// instead. Up to AVX2 that is `W` rows of `B` per register (see
+/// [`dot_lanes`]); `W` = 2 is as wide as it pays, since four rows of `B` to
+/// a 512-bit register cost three lane inserts per load and measured slower.
+/// AVX-512 packs `A` instead ([`dot_rows_packed`]), where it pays: from 16
+/// columns, and while a block of eight rows fits the stack block. Below 16
+/// columns the packing is a tenth of the work or more and the AVX2
+/// instance is as fast, and the packed body compiled for AVX2 or portable
+/// width (twelve accumulators of two or four registers each) measured
+/// 1.04–1.13× and 2.2–2.6× slower than those levels' own instances.
 fn dot_rows(isa: Isa, a: &[f32], b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) {
     match isa {
         Isa::Portable => dot_rows_tiled::<1>(isa, a, b, c, rows, k, n),
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2(_) => dot_rows_tiled::<2>(isa, a, b, c, rows, k, n),
         #[cfg(target_arch = "x86_64")]
+        Isa::Avx512(_) if n >= 16 && k >= 4 && 2 * (k / 4 + 1) <= PACK_REGS => {
+            dot_rows_packed(isa, a, b, c, rows, k, n)
+        }
+        #[cfg(target_arch = "x86_64")]
         Isa::Avx512(_) => dot_rows_tiled::<2>(isa.narrower(), a, b, c, rows, k, n),
+    }
+}
+
+/// 512-bit registers in the stack block [`dot_rows_packed`] packs rows of
+/// `A` into. A block of `4·G` rows takes `G·(k/4 + 1)`: twelve rows fit up
+/// to `k` = 383, eight up to `k` = 579. The block is zeroed on every call
+/// (≈ 75 ns at these 18.5 KB), so it is no larger than the reductions a
+/// step issues need: 64 and 256 for the MLP, up to 576 for ResLite's
+/// weight gradient.
+const PACK_REGS: usize = 290;
+
+/// The stack block, on a cache line: a register loaded from it never
+/// straddles two.
+#[repr(align(64))]
+struct Packed([[f32; 16]; PACK_REGS]);
+
+/// [`dot_rows`] with `A` packed: blocks of twelve rows, or eight where
+/// twelve do not fit the stack block or would leave a lone or ragged
+/// group, so that a row count divisible by four pads no row.
+fn dot_rows_packed(isa: Isa, a: &[f32], b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) {
+    let twelve = 3 * (k / 4 + 1) <= PACK_REGS;
+    isa.run(
+        #[inline(always)]
+        move || {
+            let mut buf = Packed([[0.0f32; 16]; PACK_REGS]);
+            let mut r0 = 0;
+            while r0 < rows {
+                let three = twelve && !matches!((rows - r0).div_ceil(4), 1 | 2 | 4);
+                let r1 = rows.min(r0 + if three { 12 } else { 8 });
+                let (a, c) = (&a[r0 * k..r1 * k], &mut c[r0 * n..r1 * n]);
+                if three {
+                    packed_block::<3>(&mut buf.0, a, r1 - r0, b, k, n, c);
+                } else {
+                    packed_block::<2>(&mut buf.0, a, r1 - r0, b, k, n, c);
+                }
+                r0 = r1;
+            }
+        },
+    );
+}
+
+/// `C += A·Bᵀ` for `rows` ≤ `4·G` rows of `A` and `C`: the rows packed
+/// into `buf`, then the columns in tiles of four. Register `g` of packed
+/// entry `i` holds chunk `i` of rows `4g..4g + 4`, a row to a 128-bit
+/// block; entry `k/4` holds each row's tail, zero-padded. Rows past the
+/// last are packed as copies of it: computed, never stored.
+#[inline(always)]
+fn packed_block<const G: usize>(
+    buf: &mut [[f32; 16]],
+    a: &[f32],
+    rows: usize,
+    b: &[f32],
+    k: usize,
+    n: usize,
+    c: &mut [f32],
+) {
+    let chunks = k / 4;
+    let blocks = &mut buf.as_chunks_mut::<G>().0[..=chunks];
+    for g in 0..G {
+        let row = |q: usize| {
+            let r = (4 * g + q).min(rows - 1);
+            a[r * k..(r + 1) * k].as_chunks::<4>()
+        };
+        let (r0, r1, r2, r3) = (row(0), row(1), row(2), row(3));
+        let body = blocks.iter_mut().zip(r0.0).zip(r1.0).zip(r2.0).zip(r3.0);
+        for ((((e, x0), x1), x2), x3) in body {
+            let e = e[g].as_chunks_mut::<4>().0;
+            e[0] = *x0;
+            e[1] = *x1;
+            e[2] = *x2;
+            e[3] = *x3;
+        }
+        let tail = blocks[chunks][g].as_chunks_mut::<4>().0;
+        for (e, r) in tail.iter_mut().zip([r0.1, r1.1, r2.1, r3.1]) {
+            for (i, d) in e.iter_mut().enumerate() {
+                *d = r.get(i).copied().unwrap_or(0.0);
+            }
+        }
+    }
+    let blocks = &*blocks;
+    for j in (0..n).step_by(4) {
+        packed_tile::<G>(blocks, rows, b, k, j, n, c);
+    }
+}
+
+/// `s += a·b` lane by lane, `b` one chunk repeated in every block.
+#[inline(always)]
+fn madd(s: &mut [f32; 16], a: &[f32; 16], b: &[f32; 4]) {
+    let bv = [*b; 4];
+    for ((s, y), z) in s.iter_mut().zip(a).zip(bv.as_flattened()) {
+        *s += y * z;
+    }
+}
+
+/// Lane `l` of block `q` of register `x` to lane `x` of block `q` of
+/// register `l`: the four-by-four transpose within each 128-bit block,
+/// as interleaves of pairs of registers.
+#[inline(always)]
+fn transpose(v: &[[f32; 16]; 4]) -> [[f32; 16]; 4] {
+    // `[a_h, b_h, a_h+1, b_h+1]` and `[a_h, a_h+1, b_h, b_h+1]` per block.
+    let lanes = |h: usize, a: &[f32; 16], b: &[f32; 16]| {
+        let mut t = [0.0f32; 16];
+        for (i, t) in t.iter_mut().enumerate() {
+            let s = i / 4 * 4 + h + i % 4 / 2;
+            *t = if i % 2 == 0 { a[s] } else { b[s] };
+        }
+        t
+    };
+    let pairs = |h: usize, a: &[f32; 16], b: &[f32; 16]| {
+        let mut t = [0.0f32; 16];
+        for (i, t) in t.iter_mut().enumerate() {
+            let s = i / 4 * 4 + h + i % 2;
+            *t = if i % 4 < 2 { a[s] } else { b[s] };
+        }
+        t
+    };
+    let (t0, t1) = (lanes(0, &v[0], &v[1]), lanes(2, &v[0], &v[1]));
+    let (t2, t3) = (lanes(0, &v[2], &v[3]), lanes(2, &v[2], &v[3]));
+    [
+        pairs(0, &t0, &t2),
+        pairs(2, &t0, &t2),
+        pairs(0, &t1, &t3),
+        pairs(2, &t1, &t3),
+    ]
+}
+
+/// `C[4g + q, j + x] += ` the dot product of packed row `4g + q` and row
+/// `j + x` of `B`, for the `rows` rows of `c` and the columns of `B` that
+/// exist (a ragged last tile computes copies of its last row of `B`).
+#[inline(always)]
+fn packed_tile<const G: usize>(
+    blocks: &[[[f32; 16]; G]],
+    rows: usize,
+    b: &[f32],
+    k: usize,
+    j: usize,
+    n: usize,
+    c: &mut [f32],
+) {
+    let chunks = blocks.len() - 1;
+    let cols = (n - j).min(4);
+    let row = |x: usize| {
+        let r = j + x.min(cols - 1);
+        b[r * k..(r + 1) * k].as_chunks::<4>()
+    };
+    let (b0, b1, b2, b3) = (row(0), row(1), row(2), row(3));
+    let mut acc = [[[0.0f32; 16]; 4]; G];
+    let body = blocks.iter().zip(b0.0).zip(b1.0).zip(b2.0).zip(b3.0);
+    for ((((av, x0), x1), x2), x3) in body {
+        for (s, a) in acc.iter_mut().zip(av) {
+            madd(&mut s[0], a, x0);
+            madd(&mut s[1], a, x1);
+            madd(&mut s[2], a, x2);
+            madd(&mut s[3], a, x3);
+        }
+    }
+    let mut btail = [[0.0f32; 4]; 4];
+    for (t, r) in btail.iter_mut().zip([b0.1, b1.1, b2.1, b3.1]) {
+        for (d, y) in t.iter_mut().zip(r) {
+            *d = *y;
+        }
+    }
+    // Per four rows: block `q` of `sums` is row `4g + q`, its lanes the
+    // four columns, each `((s0+s1)+s2)+s3` of its lanes plus its tail —
+    // `+0.0` for whole chunks, added all the same, as `dot` adds it.
+    for (g, (s, at)) in acc.iter().zip(&blocks[chunks]).enumerate() {
+        let l = transpose(s);
+        let mut sums = [0.0f32; 16];
+        for (i, v) in sums.iter_mut().enumerate() {
+            *v = l[0][i] + l[1][i] + l[2][i] + l[3][i];
+        }
+        let mut tails = [0.0f32; 16];
+        if !k.is_multiple_of(4) {
+            let mut prods = [[0.0f32; 16]; 4];
+            for (p, bt) in prods.iter_mut().zip(&btail) {
+                madd(p, at, bt);
+            }
+            let t = transpose(&prods);
+            for (i, v) in tails.iter_mut().enumerate() {
+                let mut sum = 0.0f32;
+                sum += t[0][i];
+                sum += t[1][i];
+                sum += t[2][i];
+                sum += t[3][i];
+                *v = sum;
+            }
+        }
+        for (v, t) in sums.iter_mut().zip(tails) {
+            *v += t;
+        }
+        let live = rows.saturating_sub(4 * g);
+        for (q, sq) in sums.as_chunks::<4>().0.iter().enumerate().take(live) {
+            let at = (4 * g + q) * n + j;
+            for (d, v) in c[at..at + cols].iter_mut().zip(sq) {
+                *d += v;
+            }
+        }
     }
 }
 
