@@ -56,18 +56,19 @@ pub(super) fn evaluate(
 /// Per-class `(correct, total)` counts of `model` over `dataset`: the one
 /// pass every accuracy figure is read from.
 ///
-/// Evaluation batches are contiguous row ranges of [`EVAL_BATCH`]
-/// samples, spread in contiguous runs over up to `threads` workers (each
-/// on its own model replica). The counts are integers added in
-/// batch-index order, so they are identical for every thread count.
+/// The rows are split into up to `threads` contiguous runs of near-equal
+/// length (each worker on its own model replica), and each run is
+/// predicted in forwards of at most [`EVAL_BATCH`] rows. A prediction
+/// depends on its own row only — every layer maps a row to a row, and
+/// `A·Bᵀ`, the patch GEMMs and pooling sum no element across rows — so
+/// how the rows are cut cannot change one; the counts are integers added
+/// in run order, so they are identical for every thread count.
 fn class_tally(model: &mut Model, dataset: &Dataset, threads: usize) -> Vec<(usize, usize)> {
     let classes = dataset.classes();
-    let n_batches = dataset.len().div_ceil(EVAL_BATCH);
-    let tally_batches = |model: &mut Model, b0: usize, b1: usize| {
+    let tally_rows = |model: &mut Model, r0: usize, r1: usize| {
         let mut tally = vec![(0usize, 0usize); classes];
-        for b in b0..b1 {
-            let end = ((b + 1) * EVAL_BATCH).min(dataset.len());
-            let (x, y) = dataset.range_batch(b * EVAL_BATCH, end);
+        for b0 in (r0..r1).step_by(EVAL_BATCH) {
+            let (x, y) = dataset.range_batch(b0, (b0 + EVAL_BATCH).min(r1));
             for (p, &t) in model.predict(&x).iter().zip(y) {
                 tally[t].0 += usize::from(*p == t);
                 tally[t].1 += 1;
@@ -75,15 +76,14 @@ fn class_tally(model: &mut Model, dataset: &Dataset, threads: usize) -> Vec<(usi
         }
         tally
     };
-    let threads = threads.clamp(1, n_batches.max(1));
-    if threads <= 1 {
-        return tally_batches(model, 0, n_batches);
+    let runs = chunk_ranges(dataset.len(), threads);
+    if runs.len() <= 1 {
+        return tally_rows(model, 0, dataset.len());
     }
-    let chunks = chunk_ranges(n_batches, threads);
     let model_ref: &Model = model;
-    let partials = parallel_map(chunks.len(), threads, |ci| {
-        let (b0, b1) = chunks[ci];
-        tally_batches(&mut model_ref.clone(), b0, b1)
+    let partials = parallel_map(runs.len(), runs.len(), |i| {
+        let (r0, r1) = runs[i];
+        tally_rows(&mut model_ref.clone(), r0, r1)
     });
     let mut tally = vec![(0usize, 0usize); classes];
     for partial in partials {
