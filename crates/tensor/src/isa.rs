@@ -158,6 +158,9 @@ mod tests {
     #[test]
     fn available_is_a_prefix_of_the_order_ending_at_detect() {
         let levels = Isa::available();
+        // What every kernel test on this host ran at; CI prints it, so a
+        // green run says which instances were checked.
+        println!("instruction-set levels under test: {levels:?}");
         assert_eq!(levels.first(), Some(&Isa::Portable));
         assert_eq!(levels.last(), Some(&Isa::detect()));
         assert!(levels.windows(2).all(|w| w[0] < w[1]), "{levels:?}");
