@@ -24,14 +24,16 @@
 //! the levels differ in. Up to AVX2, `DR` rows of `A` by `4·W` rows of `B`:
 //! a chunk of `A` broadcast `W` times against the chunks of `W` rows of
 //! `B`, each a half-register load. On AVX-512, where that costs a lane
-//! insert per further row, `A` is packed instead: twelve (or eight) of its
-//! rows into a stack block, four rows' chunks to a 512-bit register, so
-//! one aligned load fills a register, and each row of `B` is a 128-bit
-//! chunk broadcast from memory to all four blocks (a load, not a shuffle).
-//! A tile is then twelve rows by four columns, and its epilogue transposes
-//! the four accumulators of each four rows within their 128-bit blocks,
-//! which puts the four lanes of each output into four registers at the
-//! same position and four outputs of a row of `C` side by side. Ragged
+//! insert per further row, one operand is packed instead (`A`, or `B`
+//! where `C` has few columns): twelve (or eight) of its rows into a stack
+//! block, four rows' chunks to a 512-bit register, so one aligned load
+//! fills a register, and each row of the other operand is a 128-bit chunk
+//! broadcast from memory to all four blocks (a load, not a shuffle). A
+//! tile is then twelve rows by four, and its epilogue transposes the four
+//! accumulators of each four rows within their 128-bit blocks, which puts
+//! the four lanes of each output into four registers at the same position
+//! and four outputs of a row of `C` side by side (or of a column, then
+//! transposed once more across blocks when `B` is packed). Ragged
 //! edges run the same code at a narrower tile, or compute copies of the
 //! last row and store nothing of them. The lane arrays are plain
 //! `[f32; N]` the compiler keeps in vector registers: no intrinsics, no
@@ -49,7 +51,7 @@
 //! |---|---|---|
 //! | portable | 4×8: eight 128-bit accumulators | 2×4 (`DR × 4·W`, `W` = 1) |
 //! | AVX2 | 6×16: twelve 256-bit accumulators | 2×8 (`W` = 2) |
-//! | AVX-512 | 6×32: twelve 512-bit accumulators | 12×4 packed: twelve 512-bit accumulators; the AVX2 instance below 16 columns |
+//! | AVX-512 | 6×32: twelve 512-bit accumulators | 12×4 packed: twelve 512-bit accumulators; the AVX2 instance below 16 rows and columns |
 //!
 //! A body is `#[inline(always)]` from its entry down to the innermost
 //! loop, closures included, so that it is compiled inside the level's
@@ -354,20 +356,26 @@ fn matmul_a_bt_into_at(
 /// instead. Up to AVX2 that is `W` rows of `B` per register (see
 /// [`dot_lanes`]); `W` = 2 is as wide as it pays, since four rows of `B` to
 /// a 512-bit register cost three lane inserts per load and measured slower.
-/// AVX-512 packs `A` instead ([`dot_rows_packed`]), where it pays: from 16
-/// columns, and while a block of eight rows fits the stack block. Below 16
-/// columns the packing is a tenth of the work or more and the AVX2
-/// instance is as fast, and the packed body compiled for AVX2 or portable
-/// width (twelve accumulators of two or four registers each) measured
-/// 1.04–1.13× and 2.2–2.6× slower than those levels' own instances.
+/// AVX-512 packs one operand instead ([`dot_rows_packed`]), while a block
+/// of eight of its rows fits the stack block: `A` from 16 columns, else
+/// `B` from 16 rows (the few classes of a classifier against an
+/// evaluation batch), since packing costs a copy of the packed operand
+/// for every pass of the other. With both under 16 (the MLP's 10×10
+/// output layer at its step batch) packing either is a tenth of the work
+/// or more and the AVX2 instance runs. The packed body compiled for AVX2
+/// or portable width (twelve accumulators of two or four registers each)
+/// measured 1.04–1.13× and 2.2–2.6× slower than those levels' own
+/// instances, so they keep them.
 fn dot_rows(isa: Isa, a: &[f32], b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) {
     match isa {
         Isa::Portable => dot_rows_tiled::<1>(isa, a, b, c, rows, k, n),
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2(_) => dot_rows_tiled::<2>(isa, a, b, c, rows, k, n),
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512(_) if n >= 16 && k >= 4 && 2 * (k / 4 + 1) <= PACK_REGS => {
-            dot_rows_packed(isa, a, b, c, rows, k, n)
+        Isa::Avx512(_) if n >= 16 && packs(k) => dot_rows_packed::<false>(isa, a, b, c, rows, k, n),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512(_) if rows >= 16 && packs(k) => {
+            dot_rows_packed::<true>(isa, b, a, c, n, k, rows)
         }
         #[cfg(target_arch = "x86_64")]
         Isa::Avx512(_) => dot_rows_tiled::<2>(isa.narrower(), a, b, c, rows, k, n),
@@ -387,24 +395,45 @@ const PACK_REGS: usize = 290;
 #[repr(align(64))]
 struct Packed([[f32; 16]; PACK_REGS]);
 
-/// [`dot_rows`] with `A` packed: blocks of twelve rows, or eight where
-/// twelve do not fit the stack block or would leave a lone or ragged
-/// group, so that a row count divisible by four pads no row.
-fn dot_rows_packed(isa: Isa, a: &[f32], b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) {
+/// Whether a row of `k` floats fits a block of eight packed rows.
+fn packs(k: usize) -> bool {
+    k >= 4 && 2 * (k / 4 + 1) <= PACK_REGS
+}
+
+/// [`dot_rows`] with `p`'s `np` rows packed, `t`'s `nt` rows broadcast:
+/// `p` is `A` and `c` is `[np, nt]`, or with `BT` `p` is `B` and `c` is
+/// `[nt, np]`. Blocks of twelve packed rows, or eight where twelve do not
+/// fit the stack block or would leave a lone or ragged group, so that a
+/// row count divisible by four pads no row.
+fn dot_rows_packed<const BT: bool>(
+    isa: Isa,
+    p: &[f32],
+    t: &[f32],
+    c: &mut [f32],
+    np: usize,
+    k: usize,
+    nt: usize,
+) {
     let twelve = 3 * (k / 4 + 1) <= PACK_REGS;
+    let ldc = if BT { np } else { nt };
     isa.run(
         #[inline(always)]
         move || {
             let mut buf = Packed([[0.0f32; 16]; PACK_REGS]);
             let mut r0 = 0;
-            while r0 < rows {
-                let three = twelve && !matches!((rows - r0).div_ceil(4), 1 | 2 | 4);
-                let r1 = rows.min(r0 + if three { 12 } else { 8 });
-                let (a, c) = (&a[r0 * k..r1 * k], &mut c[r0 * n..r1 * n]);
-                if three {
-                    packed_block::<3>(&mut buf.0, a, r1 - r0, b, k, n, c);
+            while r0 < np {
+                let three = twelve && !matches!((np - r0).div_ceil(4), 1 | 2 | 4);
+                let r1 = np.min(r0 + if three { 12 } else { 8 });
+                let p = &p[r0 * k..r1 * k];
+                let c = if BT {
+                    &mut c[r0..]
                 } else {
-                    packed_block::<2>(&mut buf.0, a, r1 - r0, b, k, n, c);
+                    &mut c[r0 * ldc..r1 * ldc]
+                };
+                if three {
+                    packed_block::<3, BT>(&mut buf.0, p, r1 - r0, t, k, c, ldc);
+                } else {
+                    packed_block::<2, BT>(&mut buf.0, p, r1 - r0, t, k, c, ldc);
                 }
                 r0 = r1;
             }
@@ -412,27 +441,28 @@ fn dot_rows_packed(isa: Isa, a: &[f32], b: &[f32], c: &mut [f32], rows: usize, k
     );
 }
 
-/// `C += A·Bᵀ` for `rows` ≤ `4·G` rows of `A` and `C`: the rows packed
-/// into `buf`, then the columns in tiles of four. Register `g` of packed
-/// entry `i` holds chunk `i` of rows `4g..4g + 4`, a row to a 128-bit
-/// block; entry `k/4` holds each row's tail, zero-padded. Rows past the
-/// last are packed as copies of it: computed, never stored.
+/// `rows` ≤ `4·G` rows of `p` packed into `buf`, then every tile of four
+/// rows of `t` against them. Register `g` of packed entry `i` holds chunk
+/// `i` of rows `4g..4g + 4`, a row to a 128-bit block; entry `k/4` holds
+/// each row's tail, zero-padded. Rows past the last are packed as copies
+/// of it: computed, never stored. `c` starts at the block's first output,
+/// rows `ldc` apart.
 #[inline(always)]
-fn packed_block<const G: usize>(
+fn packed_block<const G: usize, const BT: bool>(
     buf: &mut [[f32; 16]],
-    a: &[f32],
+    p: &[f32],
     rows: usize,
-    b: &[f32],
+    t: &[f32],
     k: usize,
-    n: usize,
     c: &mut [f32],
+    ldc: usize,
 ) {
     let chunks = k / 4;
     let blocks = &mut buf.as_chunks_mut::<G>().0[..=chunks];
     for g in 0..G {
         let row = |q: usize| {
             let r = (4 * g + q).min(rows - 1);
-            a[r * k..(r + 1) * k].as_chunks::<4>()
+            p[r * k..(r + 1) * k].as_chunks::<4>()
         };
         let (r0, r1, r2, r3) = (row(0), row(1), row(2), row(3));
         let body = blocks.iter_mut().zip(r0.0).zip(r1.0).zip(r2.0).zip(r3.0);
@@ -451,8 +481,9 @@ fn packed_block<const G: usize>(
         }
     }
     let blocks = &*blocks;
-    for j in (0..n).step_by(4) {
-        packed_tile::<G>(blocks, rows, b, k, j, n, c);
+    for j in (0..t.len() / k).step_by(4) {
+        let c = if BT { &mut c[j * ldc..] } else { &mut c[j..] };
+        packed_tile::<G, BT>(blocks, rows, t, k, j, c, ldc);
     }
 }
 
@@ -497,21 +528,22 @@ fn transpose(v: &[[f32; 16]; 4]) -> [[f32; 16]; 4] {
     ]
 }
 
-/// `C[4g + q, j + x] += ` the dot product of packed row `4g + q` and row
-/// `j + x` of `B`, for the `rows` rows of `c` and the columns of `B` that
-/// exist (a ragged last tile computes copies of its last row of `B`).
+/// The dot products of packed row `4g + q` and row `j + x` of `t`, added
+/// to `c[(4g + q)·ldc + x]` (or with `BT` to `c[x·ldc + 4g + q]`), for the
+/// `rows` packed rows and the rows of `t` that exist (a ragged last tile
+/// computes copies of its last row of `t`).
 #[inline(always)]
-fn packed_tile<const G: usize>(
+fn packed_tile<const G: usize, const BT: bool>(
     blocks: &[[[f32; 16]; G]],
     rows: usize,
     b: &[f32],
     k: usize,
     j: usize,
-    n: usize,
     c: &mut [f32],
+    ldc: usize,
 ) {
     let chunks = blocks.len() - 1;
-    let cols = (n - j).min(4);
+    let cols = (b.len() / k - j).min(4);
     let row = |x: usize| {
         let r = j + x.min(cols - 1);
         b[r * k..(r + 1) * k].as_chunks::<4>()
@@ -537,6 +569,10 @@ fn packed_tile<const G: usize>(
     // four columns, each `((s0+s1)+s2)+s3` of its lanes plus its tail —
     // `+0.0` for whole chunks, added all the same, as `dot` adds it.
     for (g, (s, at)) in acc.iter().zip(&blocks[chunks]).enumerate() {
+        let live = rows.saturating_sub(4 * g).min(4);
+        if live == 0 {
+            break;
+        }
         let l = transpose(s);
         let mut sums = [0.0f32; 16];
         for (i, v) in sums.iter_mut().enumerate() {
@@ -561,11 +597,24 @@ fn packed_tile<const G: usize>(
         for (v, t) in sums.iter_mut().zip(tails) {
             *v += t;
         }
-        let live = rows.saturating_sub(4 * g);
-        for (q, sq) in sums.as_chunks::<4>().0.iter().enumerate().take(live) {
-            let at = (4 * g + q) * n + j;
-            for (d, v) in c[at..at + cols].iter_mut().zip(sq) {
-                *d += v;
+        if BT {
+            // Block `x` of the transposed sums holds row `j + x` of `C`.
+            let mut tr = [0.0f32; 16];
+            for (i, v) in tr.iter_mut().enumerate() {
+                *v = sums[i % 4 * 4 + i / 4];
+            }
+            for (x, sx) in tr.as_chunks::<4>().0.iter().enumerate().take(cols) {
+                let at = x * ldc + 4 * g;
+                for (d, v) in c[at..at + live].iter_mut().zip(sx) {
+                    *d += v;
+                }
+            }
+        } else {
+            for (q, sq) in sums.as_chunks::<4>().0.iter().enumerate().take(live) {
+                let at = (4 * g + q) * ldc;
+                for (d, v) in c[at..at + cols].iter_mut().zip(sq) {
+                    *d += v;
+                }
             }
         }
     }
