@@ -76,10 +76,10 @@ fn class_tally(model: &mut Model, dataset: &Dataset, threads: usize) -> Vec<(usi
         }
         tally
     };
-    let runs = chunk_ranges(dataset.len(), threads);
-    if runs.len() <= 1 {
+    if threads <= 1 || dataset.len() <= 1 {
         return tally_rows(model, 0, dataset.len());
     }
+    let runs = chunk_ranges(dataset.len(), threads);
     let model_ref: &Model = model;
     let partials = parallel_map(runs.len(), runs.len(), |i| {
         let (r0, r1) = runs[i];
