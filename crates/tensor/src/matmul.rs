@@ -536,17 +536,17 @@ fn transpose(v: &[[f32; 16]; 4]) -> [[f32; 16]; 4] {
 fn packed_tile<const G: usize, const BT: bool>(
     blocks: &[[[f32; 16]; G]],
     rows: usize,
-    b: &[f32],
+    t: &[f32],
     k: usize,
     j: usize,
     c: &mut [f32],
     ldc: usize,
 ) {
     let chunks = blocks.len() - 1;
-    let cols = (b.len() / k - j).min(4);
+    let cols = (t.len() / k - j).min(4);
     let row = |x: usize| {
         let r = j + x.min(cols - 1);
-        b[r * k..(r + 1) * k].as_chunks::<4>()
+        t[r * k..(r + 1) * k].as_chunks::<4>()
     };
     let (b0, b1, b2, b3) = (row(0), row(1), row(2), row(3));
     let mut acc = [[[0.0f32; 16]; 4]; G];
@@ -560,8 +560,8 @@ fn packed_tile<const G: usize, const BT: bool>(
         }
     }
     let mut btail = [[0.0f32; 4]; 4];
-    for (t, r) in btail.iter_mut().zip([b0.1, b1.1, b2.1, b3.1]) {
-        for (d, y) in t.iter_mut().zip(r) {
+    for (tail, r) in btail.iter_mut().zip([b0.1, b1.1, b2.1, b3.1]) {
+        for (d, y) in tail.iter_mut().zip(r) {
             *d = *y;
         }
     }
@@ -584,18 +584,18 @@ fn packed_tile<const G: usize, const BT: bool>(
             for (p, bt) in prods.iter_mut().zip(&btail) {
                 madd(p, at, bt);
             }
-            let t = transpose(&prods);
+            let l = transpose(&prods);
             for (i, v) in tails.iter_mut().enumerate() {
                 let mut sum = 0.0f32;
-                sum += t[0][i];
-                sum += t[1][i];
-                sum += t[2][i];
-                sum += t[3][i];
+                sum += l[0][i];
+                sum += l[1][i];
+                sum += l[2][i];
+                sum += l[3][i];
                 *v = sum;
             }
         }
-        for (v, t) in sums.iter_mut().zip(tails) {
-            *v += t;
+        for (v, tail) in sums.iter_mut().zip(tails) {
+            *v += tail;
         }
         if BT {
             // Block `x` of the transposed sums holds row `j + x` of `C`.
