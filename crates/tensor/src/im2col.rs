@@ -181,6 +181,8 @@ pub struct PatchMap {
     /// as two, the second measured +0.3 MB of peak RSS on a ResLite run
     /// (heap fragmentation around a long-lived small block).
     table: Vec<u32>,
+    /// Where `taps` starts in `table`.
+    split: usize,
 }
 
 impl PatchMap {
@@ -222,13 +224,14 @@ impl PatchMap {
         PatchMap {
             geom: *geom,
             table: idx,
+            split: lowered,
         }
     }
 
     /// For each element of one image's patch matrix, row-major, the input
     /// index it copies, or `PAD`.
     fn idx(&self) -> &[u32] {
-        &self.table[..self.geom.patch_rows() * self.geom.patch_cols()]
+        &self.table[..self.split]
     }
 
     /// For each tap `t = ky·kw + kx` and each position `q` of one input
@@ -236,7 +239,7 @@ impl PatchMap {
     /// tap copies each position at most once, so this is [`PatchMap::idx`]'s
     /// first `kh·kw` rows inverted, and it serves every channel.
     fn taps(&self) -> &[u32] {
-        &self.table[self.geom.patch_rows() * self.geom.patch_cols()..]
+        &self.table[self.split..]
     }
 
     /// Lower one image into columns `col0..col0 + patch_cols` of a patch
