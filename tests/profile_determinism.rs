@@ -94,6 +94,25 @@ fn cifar10_profile_has_the_expected_shape() {
     assert_eq!(back, profile);
 }
 
+/// The pretty `fedwcm-prof/v1` document of the one-thread run, pinned:
+/// phase counts, total / self / percentile ticks, the attribution and
+/// every round's label and critical path, checked with exact equality.
+/// Taken at commit 420b8c7; only a trace epoch re-blesses it, in a
+/// commit of its own.
+const GOLDEN_CIFAR10_PROFILE_CRC: u32 = 0xF1D7_047D;
+
+#[test]
+fn cifar10_profile_document_matches_its_golden_crc() {
+    let (profile, _) = analyze_text(&traced_cifar10_run(1)).expect("trace analyzes");
+    let doc = profile.to_json().to_json_string_pretty();
+    assert_eq!(
+        fedwcm_transport::frame::crc32(doc.as_bytes()),
+        GOLDEN_CIFAR10_PROFILE_CRC,
+        "profile document changed ({} bytes):\n{doc}",
+        doc.len()
+    );
+}
+
 #[test]
 fn trace_reader_rejects_truncated_and_mutated_traces_without_panicking() {
     let text = traced_cifar10_run(1);
