@@ -1,22 +1,19 @@
-//! Trace profiler: analyze, flame, diff, and budget-gate FedWCM JSONL
-//! traces.
+//! Trace profiler: analyze FedWCM JSONL traces and fold them into
+//! flame stacks.
 //!
 //! ```sh
 //! cargo run --release -p fedwcm-experiments --bin flprof -- analyze trace.jsonl
 //! cargo run --release -p fedwcm-experiments --bin flprof -- analyze trace.jsonl --format json
 //! cargo run --release -p fedwcm-experiments --bin flprof -- flame trace.jsonl > folded.txt
-//! cargo run --release -p fedwcm-experiments --bin flprof -- budget trace.jsonl --budget PROF_BUDGET.json
-//! cargo run --release -p fedwcm-experiments --bin flprof -- diff base.json cur.json --budget PROF_BUDGET.json
 //! ```
 //!
-//! Artifacts (profile JSON, flame stacks, diff reports) go to stdout
-//! and are byte-stable; progress goes to stderr through the shared
-//! experiment console (`--quiet` silences it). Exit codes: 0 on
-//! success, 1 when a budget or diff gate fails, 2 on usage or input
-//! errors.
+//! Artifacts (profile table or JSON, flame stacks) go to stdout and are
+//! byte-stable; progress goes to stderr through the shared experiment
+//! console (`--quiet` silences it). Exit codes: 0 on success, 2 on usage
+//! or input errors.
 
 use fedwcm_experiments::Cli;
-use fedwcm_obs::{analyze_text, folded_stacks, run_budget, run_diff};
+use fedwcm_obs::{analyze_text, folded_stacks};
 
 enum Format {
     Table,
@@ -32,9 +29,7 @@ fn usage(msg: &str) -> ! {
          \n\
          commands:\n\
          \x20 analyze TRACE [--format table|json]   profile a JSONL trace\n\
-         \x20 flame TRACE                           folded flame stacks\n\
-         \x20 budget TRACE --budget FILE            gate a trace against a budget\n\
-         \x20 diff BASE CUR [--budget FILE]         compare two profile documents"
+         \x20 flame TRACE                           folded flame stacks"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }
@@ -50,7 +45,6 @@ fn main() {
     let mut command = None;
     let mut positional = Vec::new();
     let mut format = Format::Table;
-    let mut budget_path = None;
     let mut cli = Cli::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -61,12 +55,6 @@ fn main() {
                     Some("json") => Format::Json,
                     _ => usage("--format needs table or json"),
                 };
-            }
-            "--budget" => {
-                budget_path = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--budget needs a file")),
-                );
             }
             "--quiet" | "-q" => cli.verbosity = 0,
             "--verbose" | "-v" => cli.verbosity = 2,
@@ -83,7 +71,7 @@ fn main() {
     };
 
     match command.as_deref() {
-        Some("analyze") | Some("flame") | Some("budget") => {
+        Some(command @ ("analyze" | "flame")) => {
             let [trace_path] = positional.as_slice() else {
                 usage("expected exactly one TRACE argument");
             };
@@ -99,46 +87,11 @@ fn main() {
                 profile.rounds.len(),
                 profile.total_ticks
             ));
-            match command.as_deref() {
-                Some("analyze") => match format {
-                    Format::Table => print!("{}", profile.table()),
-                    Format::Json => print!("{}", profile.to_json().to_json_string_pretty()),
-                },
-                Some("flame") => print!("{}", folded_stacks(&forest)),
-                _ => {
-                    let Some(budget_path) = budget_path else {
-                        usage("budget needs --budget FILE");
-                    };
-                    let budget_text = read(&budget_path);
-                    let (report, ok) = match run_budget(&budget_text, &profile) {
-                        Ok(r) => r,
-                        Err(e) => fail(&e),
-                    };
-                    print!("{report}");
-                    if !ok {
-                        console.info("budget check FAILED");
-                        std::process::exit(1);
-                    }
-                    console.info("budget check passed");
-                }
+            match (command, format) {
+                ("flame", _) => print!("{}", folded_stacks(&forest)),
+                (_, Format::Table) => print!("{}", profile.table()),
+                (_, Format::Json) => print!("{}", profile.to_json().to_json_string_pretty()),
             }
-        }
-        Some("diff") => {
-            let [base_path, cur_path] = positional.as_slice() else {
-                usage("diff needs BASE and CUR profile documents");
-            };
-            let budget_text = budget_path.as_deref().map(read);
-            let (report, ok) =
-                match run_diff(&read(base_path), &read(cur_path), budget_text.as_deref()) {
-                    Ok(r) => r,
-                    Err(e) => fail(&e),
-                };
-            print!("{report}");
-            if !ok {
-                console.info("diff gate FAILED");
-                std::process::exit(1);
-            }
-            console.info("diff gate passed");
         }
         Some(other) => usage(&format!("unknown command {other}")),
         None => usage("missing command"),

@@ -1,6 +1,5 @@
-//! The analyzer's typed error: every failure names the JSONL line (or
-//! document) it occurred on, so a corrupt trace is diagnosable without
-//! a debugger.
+//! The analyzer's typed error: every failure names the JSONL line it
+//! occurred on, so a corrupt trace is diagnosable without a debugger.
 
 use std::fmt;
 
@@ -36,11 +35,6 @@ pub enum ObsError {
         /// What went wrong.
         msg: String,
     },
-    /// A profile, diff, or budget document violates its schema.
-    Schema {
-        /// What went wrong.
-        msg: String,
-    },
 }
 
 impl fmt::Display for ObsError {
@@ -55,16 +49,8 @@ impl fmt::Display for ObsError {
             ObsError::Structure { line, msg } => {
                 write!(f, "line {line}: invalid span structure: {msg}")
             }
-            ObsError::Schema { msg } => write!(f, "invalid document: {msg}"),
         }
     }
 }
 
 impl std::error::Error for ObsError {}
-
-impl ObsError {
-    /// Build a [`ObsError::Schema`] from anything displayable.
-    pub fn schema(msg: impl Into<String>) -> Self {
-        ObsError::Schema { msg: msg.into() }
-    }
-}

@@ -17,16 +17,12 @@
 //!    compute / fault / wire / overhead split, and per-round critical
 //!    paths with compute- / straggler- / wire-bound labels.
 //! 4. [`flame::folded_stacks`] — collapsed flame-graph output.
-//! 5. [`budget`] — committed performance budgets ([`Budget::check`])
-//!    and baseline diffs ([`budget::diff`]) whose reports are sorted,
-//!    timestamp-free, and byte-stable, so CI can gate on them;
-//!    [`run_budget`] / [`run_diff`] are the text-in, report-out forms
-//!    the `flprof` binary prints.
 //!
 //! Because traces are bitwise identical across thread counts, every
-//! artifact here — profile, flame file, diff report — is too. The
-//! crate has zero runtime dependencies by design: its determinism
-//! argument leans on nothing but the standard library.
+//! artifact here — profile document, table, flame file — is too. The
+//! one dependency is `fedwcm-trace`, whose JSON writers this crate's
+//! encoder shares, so no third-party code enters the determinism
+//! argument.
 //!
 //! ```
 //! let trace = "{\"t\":1,\"ev\":\"start\",\"name\":\"round\",\"round\":0}\n\
@@ -64,7 +60,6 @@
     clippy::allow_attributes_without_reason
 )]
 
-pub mod budget;
 pub mod error;
 pub mod flame;
 pub mod json;
@@ -72,9 +67,6 @@ pub mod profile;
 pub mod record;
 pub mod tree;
 
-pub use budget::{
-    diff, run_budget, run_diff, Budget, BudgetReport, DiffReport, PhaseBudget, PhaseDiff,
-};
 pub use error::ObsError;
 pub use flame::folded_stacks;
 pub use json::Json;

@@ -1,23 +1,23 @@
 //! Phase attribution, per-round critical paths, and the profile
 //! document.
 //!
-//! A [`Profile`] condenses a reconstructed [`SpanForest`] into the
-//! numbers a budget can gate: per-phase totals with exact nearest-rank
-//! percentiles, a four-way attribution of every tick (compute, fault
-//! injection, wire, orchestration overhead), and a per-round breakdown
-//! that labels each round compute-, straggler-, or wire-bound and
-//! names its critical path. All tick accounting uses *self time* —
-//! a span's duration minus its direct children's — so nested spans
-//! never double-count, and the totals partition exactly.
+//! A [`Profile`] condenses a reconstructed [`SpanForest`] into per-phase
+//! totals with exact nearest-rank percentiles, a four-way attribution
+//! of every tick (compute, fault injection, wire, orchestration
+//! overhead), and a per-round breakdown that labels each round
+//! compute-, straggler-, or wire-bound and names its critical path. All
+//! tick accounting uses *self time* — a span's duration minus its
+//! direct children's — so nested spans never double-count, and the
+//! totals partition exactly.
 //!
 //! Profiles serialize to the `fedwcm-prof/v1` JSON schema: fixed key
 //! order, phases sorted by name, rounds sorted by round number, and no
 //! timestamps — two runs of the same experiment produce byte-identical
-//! documents regardless of thread count or wall time.
+//! documents regardless of thread count or wall time, which is what
+//! lets `tests/profile_determinism.rs` pin one by its CRC32.
 
 use std::collections::BTreeMap;
 
-use crate::error::ObsError;
 use crate::json::Json;
 use crate::tree::{SpanForest, SpanNode};
 
@@ -112,15 +112,6 @@ impl RoundLabel {
             RoundLabel::ComputeBound => "compute-bound",
             RoundLabel::StragglerBound => "straggler-bound",
             RoundLabel::WireBound => "wire-bound",
-        }
-    }
-
-    fn from_tag(tag: &str) -> Option<Self> {
-        match tag {
-            "compute-bound" => Some(RoundLabel::ComputeBound),
-            "straggler-bound" => Some(RoundLabel::StragglerBound),
-            "wire-bound" => Some(RoundLabel::WireBound),
-            _ => None,
         }
     }
 }
@@ -419,81 +410,6 @@ impl Profile {
         ])
     }
 
-    /// Parse a `fedwcm-prof/v1` document back into a [`Profile`].
-    pub fn from_json(doc: &Json) -> Result<Profile, ObsError> {
-        let schema = require_str(doc, "schema")?;
-        if schema != PROFILE_SCHEMA {
-            return Err(ObsError::schema(format!(
-                "expected schema {PROFILE_SCHEMA:?}, got {schema:?}"
-            )));
-        }
-        let attribution_doc = doc
-            .get("attribution")
-            .ok_or_else(|| ObsError::schema("missing \"attribution\""))?;
-        let attribution = Attribution {
-            compute_ticks: require_u64(attribution_doc, "compute_ticks")?,
-            fault_ticks: require_u64(attribution_doc, "fault_ticks")?,
-            wire_ticks: require_u64(attribution_doc, "wire_ticks")?,
-            overhead_ticks: require_u64(attribution_doc, "overhead_ticks")?,
-        };
-        let phases = require_arr(doc, "phases")?
-            .iter()
-            .map(|p| {
-                Ok(PhaseStat {
-                    name: require_str(p, "name")?.to_string(),
-                    count: require_u64(p, "count")?,
-                    total_ticks: require_u64(p, "total_ticks")?,
-                    self_ticks: require_u64(p, "self_ticks")?,
-                    child_ticks: require_u64(p, "child_ticks")?,
-                    min_ticks: require_u64(p, "min_ticks")?,
-                    max_ticks: require_u64(p, "max_ticks")?,
-                    p50_ticks: require_u64(p, "p50_ticks")?,
-                    p95_ticks: require_u64(p, "p95_ticks")?,
-                    p99_ticks: require_u64(p, "p99_ticks")?,
-                })
-            })
-            .collect::<Result<Vec<_>, ObsError>>()?;
-        let point_totals = require_arr(doc, "points_by_name")?
-            .iter()
-            .map(|p| {
-                Ok(PointStat {
-                    name: require_str(p, "name")?.to_string(),
-                    count: require_u64(p, "count")?,
-                })
-            })
-            .collect::<Result<Vec<_>, ObsError>>()?;
-        let rounds = require_arr(doc, "rounds")?
-            .iter()
-            .map(|r| {
-                let tag = require_str(r, "label")?;
-                let label = RoundLabel::from_tag(tag)
-                    .ok_or_else(|| ObsError::schema(format!("unknown round label {tag:?}")))?;
-                Ok(RoundProfile {
-                    round: require_u64(r, "round")?,
-                    ticks: require_u64(r, "ticks")?,
-                    compute_ticks: require_u64(r, "compute_ticks")?,
-                    fault_ticks: require_u64(r, "fault_ticks")?,
-                    wire_ticks: require_u64(r, "wire_ticks")?,
-                    overhead_ticks: require_u64(r, "overhead_ticks")?,
-                    fault_points: require_u64(r, "fault_points")?,
-                    retry_points: require_u64(r, "retry_points")?,
-                    label,
-                    critical_path: require_str(r, "critical_path")?.to_string(),
-                })
-            })
-            .collect::<Result<Vec<_>, ObsError>>()?;
-        Ok(Profile {
-            records: require_u64(doc, "records")?,
-            spans: require_u64(doc, "spans")?,
-            points: require_u64(doc, "points")?,
-            total_ticks: require_u64(doc, "total_ticks")?,
-            attribution,
-            phases,
-            point_totals,
-            rounds,
-        })
-    }
-
     /// The phase entry for `name`, if the trace contained such spans.
     pub fn phase(&self, name: &str) -> Option<&PhaseStat> {
         self.phases.iter().find(|p| p.name == name)
@@ -546,25 +462,6 @@ impl Profile {
             }
         }
         out
-    }
-}
-
-pub(crate) fn require_u64(doc: &Json, key: &str) -> Result<u64, ObsError> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ObsError::schema(format!("missing or non-integer {key:?}")))
-}
-
-pub(crate) fn require_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, ObsError> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| ObsError::schema(format!("missing or non-string {key:?}")))
-}
-
-pub(crate) fn require_arr<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], ObsError> {
-    match doc.get(key) {
-        Some(Json::Arr(items)) => Ok(items),
-        _ => Err(ObsError::schema(format!("missing or non-array {key:?}"))),
     }
 }
 
@@ -688,25 +585,6 @@ mod tests {
         assert_eq!(cu.p50_ticks, 5); // rank ceil(10*0.50) = 5
         assert_eq!(cu.p95_ticks, 10); // rank ceil(10*0.95) = 10
         assert_eq!(cu.p99_ticks, 10);
-    }
-
-    #[test]
-    fn profile_round_trips_through_json() {
-        let p = profile_of(&compute_round());
-        let doc = p.to_json();
-        let back = Profile::from_json(&doc).expect("valid schema");
-        assert_eq!(back, p);
-        // And the serialized form is byte-stable.
-        assert_eq!(back.to_json().to_json_string(), doc.to_json_string());
-    }
-
-    #[test]
-    fn from_json_rejects_wrong_schema() {
-        let doc = Json::Obj(vec![("schema".into(), Json::Str("bogus/v9".into()))]);
-        assert!(matches!(
-            Profile::from_json(&doc),
-            Err(ObsError::Schema { .. })
-        ));
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! thread) stopped being bitwise deterministic.
 //!
 //! With an optional file argument (`trace_probe trace.jsonl`) the JSONL
-//! stream goes to that file instead of stdout — the shape `flprof` and
-//! the CI profile-budget job consume — while the metrics footer stays
-//! on stdout.
+//! stream goes to that file instead of stdout — the shape `flprof`
+//! reads, and CI diffs its 1- and 4-thread profiles — while the metrics
+//! footer stays on stdout.
 
 use fedwcm_algos::fedavg::FedAvg;
 use fedwcm_data::longtail::longtail_counts;
