@@ -1,8 +1,7 @@
 //! A minimal, deterministic JSON model: strict recursive-descent
 //! parser plus a canonical writer that byte-for-byte reproduces the
 //! encoding `fedwcm_trace::JsonlSink` emits (fixed key order preserved,
-//! shortest-roundtrip floats with a forced `.0` on integral values,
-//! identical string escaping).
+//! and the trace encoder's own float and string writers).
 //!
 //! Numbers are kept typed: an unsigned integer literal parses to
 //! [`Json::U64`], a negative integer to [`Json::I64`], and anything
@@ -11,6 +10,10 @@
 //! sink-written line (property-tested in `tests/roundtrip.rs`).
 
 use crate::error::ObsError;
+
+/// The trace encoder's own float and string writers: one encoding on
+/// both sides of the wire, not two copies kept in step.
+pub use fedwcm_trace::event::{write_f64, write_str};
 
 /// Maximum nesting depth the parser accepts; trace lines are flat and
 /// profile documents are three levels deep, so this only guards
@@ -155,41 +158,6 @@ impl Json {
             _ => None,
         }
     }
-}
-
-/// Write a float exactly the way the trace encoder does: shortest
-/// round-trip `Display`, integral values forced to keep a `.0`, and
-/// non-finite values encoded as `null`.
-pub fn write_f64(x: f64, out: &mut String) {
-    if x.is_finite() {
-        let s = x.to_string();
-        out.push_str(&s);
-        if !s.contains(['.', 'e', 'E']) {
-            out.push_str(".0");
-        }
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Write a string with the trace encoder's escaping: `"`, `\`, `\n`,
-/// `\r`, `\t` named, all other control characters as `\u00XX`.
-pub fn write_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Parse one complete JSON document; trailing non-whitespace is an

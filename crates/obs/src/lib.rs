@@ -71,7 +71,7 @@ pub use error::ObsError;
 pub use flame::folded_stacks;
 pub use json::Json;
 pub use profile::{analyze, Attribution, PhaseStat, PointStat, Profile, RoundLabel, RoundProfile};
-pub use record::{parse_trace, RecordKind, TraceRecord, TraceValue};
+pub use record::{parse_trace, TraceRecord, TraceValue};
 pub use tree::{build_forest, PointNode, SpanForest, SpanNode};
 
 /// Parse trace text and run the whole pipeline: records → forest →

@@ -20,18 +20,11 @@ use std::collections::BTreeMap;
 
 use crate::json::Json;
 use crate::tree::{SpanForest, SpanNode};
+// The span and point names the attributor keys on.
+use fedwcm_trace::names::{FAULT, FAULT_INJECT, RETRY, ROUND, SEND_FRAME};
 
 /// Schema tag emitted by [`Profile::to_json`].
 pub const PROFILE_SCHEMA: &str = "fedwcm-prof/v1";
-
-// Span and point names the attributor keys on. These mirror
-// `fedwcm_trace::names`; the round-trip and determinism tests pin the
-// two crates together without a runtime dependency.
-const ROUND: &str = "round";
-const FAULT_INJECT: &str = "fault_inject";
-const SEND_FRAME: &str = "send_frame";
-const FAULT_POINT: &str = "fault";
-const RETRY_POINT: &str = "retry";
 
 /// Aggregate statistics for one span name across the whole trace.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -273,8 +266,8 @@ fn round_profile(node: &SpanNode, round: u64) -> RoundProfile {
         attribution.add(&n.name, n.self_ticks());
         for p in &n.points {
             match p.name.as_str() {
-                FAULT_POINT => fault_points += 1,
-                RETRY_POINT => retry_points += 1,
+                FAULT => fault_points += 1,
+                RETRY => retry_points += 1,
                 _ => {}
             }
         }

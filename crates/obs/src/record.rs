@@ -11,6 +11,7 @@
 
 use crate::error::ObsError;
 use crate::json::{self, Json};
+use fedwcm_trace::EventKind;
 
 /// A typed field value as reconstructed from the wire.
 ///
@@ -61,37 +62,6 @@ impl TraceValue {
     }
 }
 
-/// What a record marks — mirrors `fedwcm_trace::EventKind`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RecordKind {
-    /// A span opened.
-    Start,
-    /// A span closed.
-    End,
-    /// An instantaneous event.
-    Point,
-}
-
-impl RecordKind {
-    /// The wire tag (`"start"` / `"end"` / `"point"`).
-    pub fn tag(self) -> &'static str {
-        match self {
-            RecordKind::Start => "start",
-            RecordKind::End => "end",
-            RecordKind::Point => "point",
-        }
-    }
-
-    fn from_tag(tag: &str) -> Option<Self> {
-        match tag {
-            "start" => Some(RecordKind::Start),
-            "end" => Some(RecordKind::End),
-            "point" => Some(RecordKind::Point),
-            _ => None,
-        }
-    }
-}
-
 /// One reconstructed trace record: the typed mirror of
 /// `fedwcm_trace::Event` on the consumer side.
 #[derive(Clone, Debug, PartialEq)]
@@ -99,7 +69,7 @@ pub struct TraceRecord {
     /// Timestamp in the recording clock's ticks.
     pub t: u64,
     /// Start / end / point.
-    pub kind: RecordKind,
+    pub kind: EventKind,
     /// Span or event name.
     pub name: String,
     /// Ordered key/value fields, exactly as recorded.
@@ -163,7 +133,7 @@ pub fn parse_line(line: &str, lineno: usize) -> Result<TraceRecord, ObsError> {
         _ => return Err(bad(lineno, "first key must be \"t\" with an unsigned tick")),
     };
     let kind = match it.next() {
-        Some((k, Json::Str(tag))) if k == "ev" => match RecordKind::from_tag(&tag) {
+        Some((k, Json::Str(tag))) if k == "ev" => match EventKind::from_tag(&tag) {
             Some(kind) => kind,
             None => return Err(bad(lineno, "\"ev\" must be start, end, or point")),
         },
@@ -216,7 +186,7 @@ mod tests {
                     \"client\":1,\"batches\":6,\"loss\":2.008634328842163}";
         let r = parse_line(line, 1).expect("parses");
         assert_eq!(r.t, 3);
-        assert_eq!(r.kind, RecordKind::Start);
+        assert_eq!(r.kind, EventKind::Start);
         assert_eq!(r.name, "client_update");
         assert_eq!(r.field("client"), Some(&TraceValue::U64(1)));
         assert_eq!(r.field("loss"), Some(&TraceValue::F64(2.008634328842163)));
@@ -226,14 +196,14 @@ mod tests {
     #[test]
     fn parses_end_and_point_records() {
         let end = parse_line("{\"t\":8,\"ev\":\"end\",\"name\":\"round\"}", 1).expect("end");
-        assert_eq!(end.kind, RecordKind::End);
+        assert_eq!(end.kind, EventKind::End);
         assert!(end.fields.is_empty());
         let point = parse_line(
             "{\"t\":9,\"ev\":\"point\",\"name\":\"fault\",\"kind\":\"dropout\",\"ok\":true}",
             1,
         )
         .expect("point");
-        assert_eq!(point.kind, RecordKind::Point);
+        assert_eq!(point.kind, EventKind::Point);
         assert_eq!(
             point.field("kind").and_then(TraceValue::as_str),
             Some("dropout")

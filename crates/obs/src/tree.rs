@@ -12,7 +12,8 @@
 //! strictness, so the two layers are independently testable.
 
 use crate::error::ObsError;
-use crate::record::{RecordKind, TraceRecord, TraceValue};
+use crate::record::{TraceRecord, TraceValue};
+use fedwcm_trace::EventKind;
 
 /// An instantaneous event attached to a span (or, when none was open,
 /// collected in [`SpanForest::orphan_points`]).
@@ -138,7 +139,7 @@ pub fn build_forest(records: &[TraceRecord]) -> Result<SpanForest, ObsError> {
         }
         last_t = Some(rec.t);
         match rec.kind {
-            RecordKind::Start => stack.push(OpenSpan {
+            EventKind::Start => stack.push(OpenSpan {
                 name: rec.name.clone(),
                 start_t: rec.t,
                 start_line: line,
@@ -146,7 +147,7 @@ pub fn build_forest(records: &[TraceRecord]) -> Result<SpanForest, ObsError> {
                 children: Vec::new(),
                 points: Vec::new(),
             }),
-            RecordKind::End => {
+            EventKind::End => {
                 let Some(open) = stack.pop() else {
                     return Err(structure(
                         line,
@@ -176,7 +177,7 @@ pub fn build_forest(records: &[TraceRecord]) -> Result<SpanForest, ObsError> {
                     None => forest.roots.push(node),
                 }
             }
-            RecordKind::Point => {
+            EventKind::Point => {
                 let point = PointNode {
                     t: rec.t,
                     name: rec.name.clone(),

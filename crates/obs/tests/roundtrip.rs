@@ -115,7 +115,7 @@ proptest! {
         // (non-finite floats -> null, non-negative i64 -> u64).
         for (e, r) in events.iter().zip(&records) {
             prop_assert_eq!(r.t, e.t);
-            prop_assert_eq!(r.kind.tag(), e.kind.tag());
+            prop_assert_eq!(r.kind, e.kind);
             prop_assert_eq!(r.name.as_str(), e.name);
             prop_assert_eq!(r.fields.len(), e.fields.len());
             for ((ek, ev), (rk, rv)) in e.fields.iter().zip(&r.fields) {

@@ -35,6 +35,16 @@ impl EventKind {
             EventKind::Point => "point",
         }
     }
+
+    /// The kind a wire tag names, if any (the inverse of [`Self::tag`]).
+    pub fn from_tag(tag: &str) -> Option<Self> {
+        match tag {
+            "start" => Some(EventKind::Start),
+            "end" => Some(EventKind::End),
+            "point" => Some(EventKind::Point),
+            _ => None,
+        }
+    }
 }
 
 /// One trace event: a timestamp in clock ticks, a kind, a span/event
@@ -85,38 +95,45 @@ fn push_value(out: &mut String, v: &Value) {
     match v {
         Value::U64(x) => out.push_str(&x.to_string()),
         Value::I64(x) => out.push_str(&x.to_string()),
-        Value::F64(x) => {
-            if x.is_finite() {
-                // Shortest-roundtrip Display; integral floats gain ".0"
-                // so the value re-parses as a float.
-                let s = x.to_string();
-                out.push_str(&s);
-                if !s.contains(['.', 'e', 'E']) {
-                    out.push_str(".0");
-                }
-            } else {
-                out.push_str("null");
-            }
-        }
+        Value::F64(x) => write_f64(*x, out),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Str(s) => {
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        out.push_str(&format!("\\u{:04x}", c as u32));
-                    }
-                    c => out.push(c),
-                }
+        Value::Str(s) => write_str(s, out),
+    }
+}
+
+/// Write a float as the trace encodes it: shortest round-trip
+/// `Display`, integral values forced to keep a `.0` so they re-parse as
+/// floats, and non-finite values as `null`.
+pub fn write_f64(x: f64, out: &mut String) {
+    if x.is_finite() {
+        let s = x.to_string();
+        out.push_str(&s);
+        if !s.contains(['.', 'e', 'E']) {
+            out.push_str(".0");
+        }
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Write a quoted string as the trace encodes it: `"`, `\`, `\n`, `\r`,
+/// `\t` named, every other control character as `\u00XX`.
+pub fn write_str(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
             }
-            out.push('"');
+            c => out.push(c),
         }
     }
+    out.push('"');
 }
 
 #[cfg(test)]
