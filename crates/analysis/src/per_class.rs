@@ -1,7 +1,7 @@
 //! Head/tail accuracy summaries (Fig. 8).
 
 use fedwcm_data::dataset::Dataset;
-use fedwcm_fl::engine::per_class_accuracy;
+use fedwcm_fl::engine::per_class_accuracy_threads;
 use fedwcm_nn::model::Model;
 
 /// Per-class accuracy split into head and tail halves by training
@@ -24,7 +24,7 @@ pub fn head_tail_summary(
     train_counts: &[usize],
 ) -> HeadTailSummary {
     assert_eq!(train_counts.len(), test.classes(), "class arity mismatch");
-    let per_class = per_class_accuracy(model, test);
+    let per_class = per_class_accuracy_threads(model, test, 1);
     let mut order: Vec<usize> = (0..train_counts.len()).collect();
     order.sort_by(|&a, &b| train_counts[b].cmp(&train_counts[a]));
     let half = order.len() / 2;

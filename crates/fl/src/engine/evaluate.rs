@@ -117,25 +117,16 @@ fn class_accuracies(tally: &[(usize, usize)]) -> Vec<f64> {
         .collect()
 }
 
-/// Overall accuracy of `model` on `dataset`, evaluated in batches.
-pub fn evaluate_accuracy(model: &mut Model, dataset: &Dataset) -> f64 {
-    evaluate_accuracy_threads(model, dataset, 1)
-}
-
-/// Like [`evaluate_accuracy`], but spreads the evaluation batches over up
-/// to `threads` workers; bitwise identical for every thread count.
+/// Overall accuracy of `model` on `dataset`, evaluated in batches spread
+/// over up to `threads` workers; bitwise identical for every thread
+/// count.
 pub fn evaluate_accuracy_threads(model: &mut Model, dataset: &Dataset, threads: usize) -> f64 {
     overall_accuracy(&class_tally(model, dataset, threads))
 }
 
 /// Per-class accuracy of `model` on `dataset` (classes with no test
-/// samples report 0).
-pub fn per_class_accuracy(model: &mut Model, dataset: &Dataset) -> Vec<f64> {
-    per_class_accuracy_threads(model, dataset, 1)
-}
-
-/// Like [`per_class_accuracy`], but batch-chunk parallel: the same tally
-/// [`evaluate_accuracy_threads`] reads.
+/// samples report 0), from the same tally [`evaluate_accuracy_threads`]
+/// reads.
 pub fn per_class_accuracy_threads(
     model: &mut Model,
     dataset: &Dataset,
@@ -228,9 +219,9 @@ mod tests {
         let test = spec.generate_test(14);
         let mut rng = Xoshiro256pp::seed_from(7);
         let mut model = mlp(64, &[16], 10, &mut rng);
-        let pc = per_class_accuracy(&mut model, &test);
+        let pc = per_class_accuracy_threads(&mut model, &test, 1);
         assert_eq!(pc.len(), 10);
-        let overall = evaluate_accuracy(&mut model, &test);
+        let overall = evaluate_accuracy_threads(&mut model, &test, 1);
         let mean_pc: f64 = pc.iter().sum::<f64>() / 10.0;
         // Balanced test set ⇒ overall equals the mean per-class accuracy.
         assert!((overall - mean_pc).abs() < 1e-9);

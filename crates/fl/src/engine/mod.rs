@@ -25,9 +25,7 @@ mod train;
 pub use crate::observe::Observability;
 pub(crate) use crate::observe::RoundCtx;
 pub(crate) use admit::BufferedUpdate;
-pub use evaluate::{
-    evaluate_accuracy, evaluate_accuracy_threads, per_class_accuracy, per_class_accuracy_threads,
-};
+pub use evaluate::{evaluate_accuracy_threads, per_class_accuracy_threads};
 pub(crate) use perturb::{PendingUpdate, ReceivedUpdate};
 pub use train::sampled_clients_for;
 

@@ -81,8 +81,8 @@ pub use checkpoint::{CheckpointError, ServerCheckpoint};
 pub use client::{ClientEnv, ClientUpdate, LocalSgdSpec};
 pub use config::FlConfig;
 pub use engine::{
-    evaluate_accuracy, evaluate_accuracy_threads, per_class_accuracy, per_class_accuracy_threads,
-    sampled_clients_for, Observability, Simulation,
+    evaluate_accuracy_threads, per_class_accuracy_threads, sampled_clients_for, Observability,
+    Simulation,
 };
 pub use fedwcm_transport::{NetConfig, NetCounters, NetPlan, RetryPolicy};
 pub use metrics::{History, ResilienceReport, RoundFaults, RoundRecord};

@@ -110,7 +110,7 @@ mod tests {
     use fedwcm_data::longtail::longtail_counts;
     use fedwcm_data::partition::paper_partition;
     use fedwcm_data::synth::DatasetPreset;
-    use fedwcm_fl::engine::evaluate_accuracy;
+    use fedwcm_fl::engine::evaluate_accuracy_threads;
     use fedwcm_nn::models::mlp;
 
     #[test]
@@ -149,10 +149,10 @@ mod tests {
             let _ = model.loss_grad(&x, &y, &CrossEntropy, &mut grads);
             fedwcm_nn::opt::sgd_step(model.params_mut(), &grads, 0.1);
         }
-        let before = evaluate_accuracy(&mut model, &test);
+        let before = evaluate_accuracy_threads(&mut model, &test, 1);
         let ran = creff_retrain(&mut model, &ds, &views, 300, 0.1, 132);
         assert_eq!(ran, 300);
-        let after = evaluate_accuracy(&mut model, &test);
+        let after = evaluate_accuracy_threads(&mut model, &test, 1);
         assert!(
             after > before - 0.02,
             "CReFF hurt accuracy: {before} -> {after}"
