@@ -6,10 +6,12 @@
 //! and the server sets `x_{r+1} = mean(x_B) − h̄/λ` with `h̄` the mean
 //! state over *all* clients.
 
-use fedwcm_fl::algorithm::{FederatedAlgorithm, RoundInput, RoundLog, StateError};
+use fedwcm_fl::algorithm::{
+    put_per_client, read_per_client, FederatedAlgorithm, RoundInput, RoundLog, StateError,
+};
 use fedwcm_fl::client::{run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
 use fedwcm_nn::loss::CrossEntropy;
-use fedwcm_nn::serialize::{put_f32s, put_u64, ByteReader};
+use fedwcm_nn::serialize::{put_f32s, ByteReader};
 
 /// FedDyn with regularisation coefficient λ.
 pub struct FedDyn {
@@ -104,24 +106,14 @@ impl FederatedAlgorithm for FedDyn {
     fn save_state(&self) -> Option<Vec<u8>> {
         let mut out = Vec::new();
         put_f32s(&mut out, &self.mean_state);
-        put_u64(&mut out, self.states.len() as u64);
-        for h in &self.states {
-            put_f32s(&mut out, h);
-        }
+        put_per_client(&mut out, &self.states);
         Some(out)
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
         let mut r = ByteReader::new(bytes);
         let mean_state = r.f32s().ok_or(StateError::Malformed)?;
-        let n = r.u64().ok_or(StateError::Malformed)? as usize;
-        if n != self.num_clients {
-            return Err(StateError::Malformed);
-        }
-        let mut states = Vec::with_capacity(n);
-        for _ in 0..n {
-            states.push(r.f32s().ok_or(StateError::Malformed)?);
-        }
+        let states = read_per_client(&mut r, self.num_clients)?;
         if !r.is_exhausted() {
             return Err(StateError::Malformed);
         }

@@ -2,8 +2,7 @@
 //! model during local training.
 
 use fedwcm_fl::algorithm::{
-    load_stateless, server_step, uniform_average, FederatedAlgorithm, RoundInput, RoundLog,
-    StateError,
+    average_step, load_stateless, FederatedAlgorithm, RoundInput, RoundLog, StateError,
 };
 use fedwcm_fl::client::{run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
 use fedwcm_nn::loss::CrossEntropy;
@@ -44,10 +43,7 @@ impl FederatedAlgorithm for FedProx {
     }
 
     fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-        let mut dir = vec![0.0f32; global.len()];
-        uniform_average(&input.updates, &mut dir);
-        server_step(global, &dir, input.cfg, input.mean_batches());
-        RoundLog::default()
+        average_step(global, input)
     }
 
     // μ is construction-time configuration; nothing crosses rounds.

@@ -15,8 +15,8 @@
 //! `ClientUpdate::extra`).
 
 use fedwcm_fl::algorithm::{
-    server_step, state_from_vec, state_to_vec, uniform_average, FederatedAlgorithm, RoundInput,
-    RoundLog, StateError,
+    average_step, state_from_vec, state_to_vec, FederatedAlgorithm, RoundInput, RoundLog,
+    StateError,
 };
 use fedwcm_fl::client::{run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
 use fedwcm_nn::loss::CrossEntropy;
@@ -99,9 +99,7 @@ impl FederatedAlgorithm for MimeLite {
             *m = self.beta * *m + (1.0 - self.beta) * g;
         }
         // Model update: plain averaging of local deltas.
-        let mut dir = vec![0.0f32; dim];
-        uniform_average(&input.updates, &mut dir);
-        server_step(global, &dir, input.cfg, input.mean_batches());
+        average_step(global, input);
         RoundLog {
             alpha: Some(self.a as f64),
             weights: None,

@@ -1,9 +1,10 @@
 //! Sharpness-aware-minimisation family (Appendix D baselines).
 //!
-//! All five methods share one local loop ([`run_local_sam`]) that differs
-//! from plain SGD in computing the gradient at an *ascent-perturbed* point
-//! `x + ρ·ε̂`. The variants differ in how `ε̂` is chosen and what is mixed
-//! into the final direction:
+//! All five methods train through the shared client loop
+//! (`fedwcm_fl::client::run_local`) with one step hook ([`run_local_sam`])
+//! that differs from plain SGD in computing the gradient at an
+//! *ascent-perturbed* point `x + ρ·ε̂`. The variants differ in how `ε̂` is
+//! chosen and what is mixed into the final direction:
 //!
 //! | method        | perturbation `ε̂`            | direction extras            |
 //! |---------------|------------------------------|-----------------------------|
@@ -19,14 +20,16 @@
 //! the perturbation itself).
 
 use fedwcm_fl::algorithm::{
-    load_stateless, server_step, state_from_vec, state_to_vec, uniform_average, FederatedAlgorithm,
-    RoundInput, RoundLog, StateError,
+    average_step, load_stateless, put_per_client, read_per_client, server_step, state_from_vec,
+    state_to_vec, uniform_average, FederatedAlgorithm, RoundInput, RoundLog, StateError,
 };
-use fedwcm_fl::client::{ClientEnv, ClientUpdate};
+use fedwcm_fl::client::{run_local, ClientEnv, ClientUpdate, LocalSgdSpec};
 use fedwcm_nn::loss::{CrossEntropy, Loss};
+use fedwcm_nn::serialize::ByteReader;
 use fedwcm_tensor::ops;
 
-/// Options for the shared SAM local loop.
+/// Options for the SAM step; the default is plain FedSAM at `ρ = 0`.
+#[derive(Default)]
 pub struct SamSpec<'a> {
     /// Ascent radius ρ.
     pub rho: f32,
@@ -43,41 +46,33 @@ pub struct SamSpec<'a> {
 
 /// SAM local training: per step, (optionally) compute the local gradient,
 /// ascend by `ρ` along the normalised perturbation, take the gradient
-/// there, apply extras, and descend.
+/// there, apply extras, and hand the direction to the client loop. The
+/// step books the loss at the base point, or at the perturbed point when
+/// the perturbation is fixed (FedLESAM-lite computes no base gradient).
 pub fn run_local_sam(
     env: &ClientEnv<'_>,
     global: &[f32],
     loss: &dyn Loss,
     spec: &SamSpec<'_>,
 ) -> ClientUpdate {
-    assert!(!env.view.is_empty(), "sampled an empty client");
     assert!(spec.rho >= 0.0);
-    let mut model = env.model_from(global);
-    let rng = env.rng();
-    let cfg = env.cfg;
-
-    let batches_per_epoch = env.batches_per_epoch();
-    let total_steps = batches_per_epoch * cfg.local_epochs;
-    let dim = model.param_len();
-    let mut grads = vec![0.0f32; dim];
-    let mut perturbed = vec![0.0f32; dim];
-    let mut direction = vec![0.0f32; dim];
-    let mut loss_acc = 0.0f64;
-
-    let mut sampler =
-        fedwcm_data::sampler::BatchSampler::new(env.view.indices(), cfg.batch_size, rng);
-    for _ in 0..total_steps {
-        let idx = sampler.next_batch();
-        let (x, y) = env.dataset.gather(&idx);
-
+    let sgd = LocalSgdSpec {
+        loss,
+        balanced_sampler: false,
+        lr: env.cfg.local_lr,
+        epochs: env.cfg.local_epochs,
+    };
+    let mut base = vec![0.0f32; global.len()];
+    let mut perturbed = vec![0.0f32; global.len()];
+    run_local(env, global, &sgd, |model, x, y, grads, _| {
         // Choose the perturbation direction.
-        let base = model.params().to_vec();
-        let eps_dir: &[f32] = if let Some(gdir) = spec.global_perturbation {
-            gdir
-        } else {
-            let l = model.loss_grad(&x, &y, loss, &mut grads);
-            loss_acc += l as f64;
-            &grads
+        base.copy_from_slice(model.params());
+        let (eps_dir, base_loss): (&[f32], _) = match spec.global_perturbation {
+            Some(gdir) => (gdir, None),
+            None => {
+                let l = model.loss_grad(x, y, loss, grads);
+                (grads, Some(l))
+            }
         };
         let norm = ops::norm(eps_dir);
         if norm > 1e-12 {
@@ -86,64 +81,35 @@ pub fn run_local_sam(
             model.set_params(&perturbed);
         }
         // Gradient at the perturbed point.
-        let l = model.loss_grad(&x, &y, loss, &mut direction);
-        if spec.global_perturbation.is_some() {
-            loss_acc += l as f64;
-        }
+        let l = model.loss_grad(x, y, loss, grads);
         model.set_params(&base);
 
         // Extras.
         if let Some((alpha, momentum)) = spec.blend {
             if !momentum.is_empty() {
-                for (d, m) in direction.iter_mut().zip(momentum) {
+                for (d, m) in grads.iter_mut().zip(momentum) {
                     *d = alpha * *d + (1.0 - alpha) * m;
                 }
             } else {
-                for d in direction.iter_mut() {
+                for d in grads.iter_mut() {
                     *d *= alpha;
                 }
             }
         }
         if let Some(mu) = spec.prox {
-            for ((d, p), x0) in direction.iter_mut().zip(&base).zip(global) {
+            for ((d, p), x0) in grads.iter_mut().zip(&base).zip(global) {
                 *d += mu * (p - x0);
             }
         }
         if let Some(h) = spec.dyn_state {
             if !h.is_empty() {
-                for (d, hi) in direction.iter_mut().zip(h) {
+                for (d, hi) in grads.iter_mut().zip(h) {
                     *d -= hi;
                 }
             }
         }
-        fedwcm_nn::opt::sgd_step(model.params_mut(), &direction, cfg.local_lr);
-    }
-
-    let scale = 1.0 / (cfg.local_lr * total_steps as f32);
-    let delta: Vec<f32> = global
-        .iter()
-        .zip(model.params())
-        .map(|(g, p)| (g - p) * scale)
-        .collect();
-    ClientUpdate {
-        client: env.id,
-        delta,
-        num_samples: env.view.len(),
-        num_batches: total_steps,
-        avg_loss: (loss_acc / total_steps as f64) as f32,
-        extra: None,
-    }
-}
-
-macro_rules! plain_aggregate {
-    () => {
-        fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-            let mut dir = vec![0.0f32; global.len()];
-            uniform_average(&input.updates, &mut dir);
-            server_step(global, &dir, input.cfg, input.mean_batches());
-            RoundLog::default()
-        }
-    };
+        base_loss.unwrap_or(l)
+    })
 }
 
 /// FedSAM: sharpness-aware local steps, plain averaging.
@@ -168,15 +134,14 @@ impl FederatedAlgorithm for FedSam {
     fn local_train(&self, env: &ClientEnv<'_>, global: &[f32]) -> ClientUpdate {
         let spec = SamSpec {
             rho: self.rho,
-            blend: None,
-            prox: None,
-            dyn_state: None,
-            global_perturbation: None,
+            ..SamSpec::default()
         };
         run_local_sam(env, global, &CrossEntropy, &spec)
     }
 
-    plain_aggregate!();
+    fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
+        average_step(global, input)
+    }
 
     // ρ is construction-time configuration; nothing crosses rounds.
     fn save_state(&self) -> Option<Vec<u8>> {
@@ -218,9 +183,7 @@ impl FederatedAlgorithm for MoFedSam {
         let spec = SamSpec {
             rho: self.rho,
             blend: Some((self.alpha, &self.momentum)),
-            prox: None,
-            dyn_state: None,
-            global_perturbation: None,
+            ..SamSpec::default()
         };
         run_local_sam(env, global, &CrossEntropy, &spec)
     }
@@ -272,15 +235,24 @@ impl FederatedAlgorithm for FedSpeed {
     fn local_train(&self, env: &ClientEnv<'_>, global: &[f32]) -> ClientUpdate {
         let spec = SamSpec {
             rho: self.rho,
-            blend: None,
             prox: Some(self.mu),
-            dyn_state: None,
-            global_perturbation: None,
+            ..SamSpec::default()
         };
         run_local_sam(env, global, &CrossEntropy, &spec)
     }
 
-    plain_aggregate!();
+    fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
+        average_step(global, input)
+    }
+
+    // ρ and μ are construction-time configuration; nothing crosses rounds.
+    fn save_state(&self) -> Option<Vec<u8>> {
+        Some(Vec::new())
+    }
+
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
+        load_stateless(bytes)
+    }
 }
 
 /// FedSMOO-lite: SAM ascent + FedDyn-style per-client correction state.
@@ -312,10 +284,9 @@ impl FederatedAlgorithm for FedSmoo {
     fn local_train(&self, env: &ClientEnv<'_>, global: &[f32]) -> ClientUpdate {
         let spec = SamSpec {
             rho: self.rho,
-            blend: None,
             prox: Some(self.lambda),
             dyn_state: Some(&self.states[env.id]),
-            global_perturbation: None,
+            ..SamSpec::default()
         };
         run_local_sam(env, global, &CrossEntropy, &spec)
     }
@@ -333,10 +304,24 @@ impl FederatedAlgorithm for FedSmoo {
                 *hj += self.lambda * steps * d;
             }
         }
-        let mut dir = vec![0.0f32; dim];
-        uniform_average(&input.updates, &mut dir);
-        server_step(global, &dir, input.cfg, input.mean_batches());
-        RoundLog::default()
+        average_step(global, input)
+    }
+
+    // Cross-round state: every client's correction state `h_i`.
+    fn save_state(&self) -> Option<Vec<u8>> {
+        let mut out = Vec::new();
+        put_per_client(&mut out, &self.states);
+        Some(out)
+    }
+
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
+        let mut r = ByteReader::new(bytes);
+        let states = read_per_client(&mut r, self.states.len())?;
+        if !r.is_exhausted() {
+            return Err(StateError::Malformed);
+        }
+        self.states = states;
+        Ok(())
     }
 }
 
@@ -367,14 +352,8 @@ impl FederatedAlgorithm for FedLesam {
     fn local_train(&self, env: &ClientEnv<'_>, global: &[f32]) -> ClientUpdate {
         let spec = SamSpec {
             rho: self.rho,
-            blend: None,
-            prox: None,
-            dyn_state: None,
-            global_perturbation: if self.momentum.is_empty() {
-                None
-            } else {
-                Some(&self.momentum)
-            },
+            global_perturbation: (!self.momentum.is_empty()).then_some(&self.momentum[..]),
+            ..SamSpec::default()
         };
         run_local_sam(env, global, &CrossEntropy, &spec)
     }
@@ -386,6 +365,16 @@ impl FederatedAlgorithm for FedLesam {
         uniform_average(&input.updates, &mut self.momentum);
         server_step(global, &self.momentum, input.cfg, input.mean_batches());
         RoundLog::default()
+    }
+
+    // The previous global direction is the only cross-round state.
+    fn save_state(&self) -> Option<Vec<u8>> {
+        Some(state_from_vec(&self.momentum))
+    }
+
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
+        self.momentum = state_to_vec(bytes)?;
+        Ok(())
     }
 }
 

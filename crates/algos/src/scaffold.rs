@@ -8,11 +8,12 @@
 //! weighted mean control change.
 
 use fedwcm_fl::algorithm::{
-    server_step, uniform_average, FederatedAlgorithm, RoundInput, RoundLog, StateError,
+    average_step, put_per_client, read_per_client, FederatedAlgorithm, RoundInput, RoundLog,
+    StateError,
 };
 use fedwcm_fl::client::{run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
 use fedwcm_nn::loss::CrossEntropy;
-use fedwcm_nn::serialize::{put_f32s, put_u64, ByteReader};
+use fedwcm_nn::serialize::{put_f32s, ByteReader};
 
 /// SCAFFOLD with option-II control updates.
 pub struct Scaffold {
@@ -78,9 +79,7 @@ impl FederatedAlgorithm for Scaffold {
         }
 
         // Model update: plain averaged deltas (SCAFFOLD server step).
-        let mut dir = vec![0.0f32; dim];
-        uniform_average(&input.updates, &mut dir);
-        server_step(global, &dir, input.cfg, input.mean_batches());
+        let log = average_step(global, input);
 
         // Control updates: c += |P|/N · mean_i(c_i⁺ − c_i).
         let sampled = input.updates.len() as f32;
@@ -110,31 +109,21 @@ impl FederatedAlgorithm for Scaffold {
             }
             old.copy_from_slice(new_control);
         }
-        RoundLog::default()
+        log
     }
 
     // Cross-round state: the server control and every client control.
     fn save_state(&self) -> Option<Vec<u8>> {
         let mut out = Vec::new();
         put_f32s(&mut out, &self.server_control);
-        put_u64(&mut out, self.client_controls.len() as u64);
-        for c in &self.client_controls {
-            put_f32s(&mut out, c);
-        }
+        put_per_client(&mut out, &self.client_controls);
         Some(out)
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
         let mut r = ByteReader::new(bytes);
         let server_control = r.f32s().ok_or(StateError::Malformed)?;
-        let n = r.u64().ok_or(StateError::Malformed)? as usize;
-        if n != self.num_clients {
-            return Err(StateError::Malformed);
-        }
-        let mut client_controls = Vec::with_capacity(n);
-        for _ in 0..n {
-            client_controls.push(r.f32s().ok_or(StateError::Malformed)?);
-        }
+        let client_controls = read_per_client(&mut r, self.num_clients)?;
         if !r.is_exhausted() {
             return Err(StateError::Malformed);
         }

@@ -1,8 +1,20 @@
-//! Algorithm 1: FedWCM.
+//! Algorithm 1: FedWCM, and Algorithm 3: FedWCM-X, its quantity-skew
+//! generalisation (Appendix A.2), which is FedWCM with two changes:
+//!
+//! 1. weights gain a data-volume factor `w'_k ∝ w_k · n_k` (renormalised);
+//! 2. the local learning rate is rescaled per client,
+//!    `η'_l = η_l · B̂ / B_k`, where `B̂` is the step count a client would
+//!    run under an equal split — large clients take proportionally smaller
+//!    steps so their many batches do not dominate.
+//!
+//! With the engine's normalised-delta convention, `η'_l · B_k = η_l · B̂`
+//! for every client, which is exactly Algorithm 3's `1/(η_l B̂)`
+//! normalisation — the deltas arrive pre-normalised, and the server step
+//! uses `B̂` in place of the cohort's mean step count.
 
 use crate::adaptive::{adaptive_alpha, score_ratio, ALPHA_MIN};
 use crate::score::{client_scores, global_distribution, imbalance_degree, temperature};
-use crate::weighting::aggregation_weights;
+use crate::weighting::{aggregation_weights, volume_adjusted_weights};
 use fedwcm_fl::algorithm::{
     server_step, uniform_average, weighted_average, FederatedAlgorithm, RoundInput, RoundLog,
     StateError,
@@ -55,13 +67,16 @@ struct GlobalInfo {
     classes: usize,
 }
 
-/// FedWCM (Algorithm 1): weighted, adaptively-damped client momentum.
+/// FedWCM (Algorithm 1): weighted, adaptively-damped client momentum;
+/// FedWCM-X (Algorithm 3) when built by [`FedWcm::x`].
 pub struct FedWcm {
     options: FedWcmOptions,
     loss: Arc<dyn Loss>,
     momentum: Vec<f32>,
     alpha: f32,
     info: Option<GlobalInfo>,
+    /// FedWCM-X's `B̂`: the equal-split local step count.
+    standard_batches: Option<usize>,
 }
 
 impl FedWcm {
@@ -78,7 +93,31 @@ impl FedWcm {
             momentum: Vec::new(),
             alpha: ALPHA_MIN as f32,
             info: None,
+            standard_batches: None,
         }
+    }
+
+    /// FedWCM-X (Algorithm 3). `standard_batches` is `B̂`: the local step
+    /// count of a client under an equal data split
+    /// ([`FedWcm::standard_batches_for`]).
+    pub fn x(standard_batches: usize) -> Self {
+        assert!(standard_batches >= 1);
+        FedWcm {
+            standard_batches: Some(standard_batches),
+            ..Self::new()
+        }
+    }
+
+    /// `B̂` for a dataset of `total` samples split over `clients` clients
+    /// with the given batch size and local epochs.
+    pub fn standard_batches_for(
+        total: usize,
+        clients: usize,
+        batch_size: usize,
+        local_epochs: usize,
+    ) -> usize {
+        let per_client = (total / clients.max(1)).max(1);
+        per_client.div_ceil(batch_size).max(1) * local_epochs
     }
 
     /// Replace the local loss (compositional experiments).
@@ -144,14 +183,27 @@ impl Default for FedWcm {
 
 impl FederatedAlgorithm for FedWcm {
     fn name(&self) -> String {
-        "FedWCM".into()
+        if self.standard_batches.is_some() {
+            "FedWCM-X".into()
+        } else {
+            "FedWCM".into()
+        }
     }
 
     fn local_train(&self, env: &ClientEnv<'_>, global: &[f32]) -> ClientUpdate {
+        let lr = match self.standard_batches {
+            // FedWCM-X: η'_l = η_l · B̂ / B_k (equalises total local
+            // displacement).
+            Some(b_hat) => {
+                let b_k = (env.batches_per_epoch() * env.cfg.local_epochs).max(1);
+                env.cfg.local_lr * b_hat as f32 / b_k as f32
+            }
+            None => env.cfg.local_lr,
+        };
         let spec = LocalSgdSpec {
             loss: self.loss.as_ref(),
             balanced_sampler: false,
-            lr: env.cfg.local_lr,
+            lr,
             epochs: env.cfg.local_epochs,
         };
         let direction = momentum_direction(&self.momentum, self.alpha);
@@ -176,7 +228,12 @@ impl FederatedAlgorithm for FedWcm {
                 .iter()
                 .map(|u| self.info().scores[u.client])
                 .collect();
-            let w = aggregation_weights(&sampled, self.info().temperature);
+            let mut w = aggregation_weights(&sampled, self.info().temperature);
+            if self.standard_batches.is_some() {
+                // FedWCM-X: × data volume, renormalised.
+                let sizes: Vec<usize> = input.updates.iter().map(|u| u.num_samples).collect();
+                w = volume_adjusted_weights(&w, &sizes);
+            }
             weighted_average(&input.updates, &w, &mut self.momentum);
             Some(w)
         } else {
@@ -184,8 +241,12 @@ impl FederatedAlgorithm for FedWcm {
             None
         };
 
-        // Server step along the fresh balanced momentum.
-        server_step(global, &self.momentum, input.cfg, input.mean_batches());
+        // Server step along the fresh balanced momentum; FedWCM-X's deltas
+        // are normalised by η_l·B̂ already.
+        let batches = self
+            .standard_batches
+            .map_or_else(|| input.mean_batches(), |b_hat| b_hat as f32);
+        server_step(global, &self.momentum, input.cfg, batches);
 
         // Eq. (5): momentum value for the next round.
         if self.options.adaptive_alpha {
@@ -208,7 +269,8 @@ impl FederatedAlgorithm for FedWcm {
     // Cross-round state is the momentum buffer and the adapted α. The
     // `GlobalInfo` cache is a pure function of the client views and is
     // recomputed lazily on the first post-resume aggregation, so it is
-    // deliberately not serialized.
+    // deliberately not serialized; FedWCM-X's `B̂` is construction-time
+    // configuration.
     fn save_state(&self) -> Option<Vec<u8>> {
         let mut out = Vec::with_capacity(12 + self.momentum.len() * 4);
         fedwcm_nn::serialize::put_f32(&mut out, self.alpha);
@@ -233,15 +295,23 @@ impl FederatedAlgorithm for FedWcm {
 mod tests {
     use super::*;
     use fedwcm_data::longtail::longtail_counts;
-    use fedwcm_data::partition::paper_partition;
+    use fedwcm_data::partition::{fedgrab_partition, paper_partition};
     use fedwcm_data::synth::DatasetPreset;
     use fedwcm_fl::{FlConfig, Simulation};
     use fedwcm_nn::models::mlp;
     use fedwcm_stats::Xoshiro256pp;
 
     fn task(seed: u64, imb: f64) -> (fedwcm_data::Dataset, fedwcm_data::Dataset, FlConfig) {
+        sized_task(70, seed, imb)
+    }
+
+    fn sized_task(
+        per_class: usize,
+        seed: u64,
+        imb: f64,
+    ) -> (fedwcm_data::Dataset, fedwcm_data::Dataset, FlConfig) {
         let spec = DatasetPreset::FashionMnist.spec();
-        let counts = longtail_counts(10, 70, imb);
+        let counts = longtail_counts(10, per_class, imb);
         let train = spec.generate_train(&counts, seed);
         let test = spec.generate_test(seed);
         let mut cfg = FlConfig::default_sim();
@@ -261,8 +331,16 @@ mod tests {
         cfg: FlConfig,
         beta: f64,
     ) -> Simulation<'a> {
-        let part = paper_partition(train, cfg.clients, beta, cfg.seed);
-        let views = part.views(train);
+        let views = paper_partition(train, cfg.clients, beta, cfg.seed).views(train);
+        sim_on(train, test, cfg, views)
+    }
+
+    fn sim_on<'a>(
+        train: &'a fedwcm_data::Dataset,
+        test: &'a fedwcm_data::Dataset,
+        cfg: FlConfig,
+        views: Vec<fedwcm_data::dataset::ClientView>,
+    ) -> Simulation<'a> {
         Simulation::new(
             cfg,
             train,
@@ -390,5 +468,51 @@ mod tests {
         assert_eq!(info.scores.len(), cfg.clients);
         assert!(info.imbalance > 0.1, "IF=0.1 should register imbalance");
         assert!(info.temperature < 1.0, "temperature should sharpen");
+    }
+
+    #[test]
+    fn standard_batches_formula() {
+        assert_eq!(FedWcm::standard_batches_for(800, 8, 20, 2), 10);
+        assert_eq!(FedWcm::standard_batches_for(10, 20, 50, 3), 3);
+    }
+
+    #[test]
+    fn fedwcm_x_learns_under_quantity_skew() {
+        let (train, test, cfg) = sized_task(80, 101, 0.5);
+        // FedGrab partition ⇒ heavy quantity skew (the FedWCM-X regime).
+        let views = fedgrab_partition(&train, cfg.clients, 0.5, cfg.seed).views(&train);
+        let b_hat = FedWcm::standard_batches_for(
+            train.len(),
+            cfg.clients,
+            cfg.batch_size,
+            cfg.local_epochs,
+        );
+        let s = sim_on(&train, &test, cfg, views);
+        let mut algo = FedWcm::x(b_hat);
+        assert_eq!(algo.name(), "FedWCM-X");
+        let h = s.run(&mut algo);
+        assert!(h.final_accuracy(1) > 0.35, "acc {}", h.final_accuracy(1));
+    }
+
+    #[test]
+    fn lr_rescaling_equalises_displacement_scale() {
+        // Two clients with very different B_k must produce deltas of the
+        // same normalisation (checked via the identity η'_l·B_k = η_l·B̂).
+        let b_hat = 10usize;
+        for b_k in [2usize, 10, 40] {
+            let lr_scaled = 0.1 * b_hat as f32 / b_k as f32;
+            assert!((lr_scaled * b_k as f32 - 0.1 * b_hat as f32).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn fedwcm_x_adapts_alpha() {
+        let (train, test, mut cfg) = sized_task(80, 102, 0.5);
+        cfg.rounds = 2;
+        let views = fedgrab_partition(&train, cfg.clients, 0.5, cfg.seed).views(&train);
+        let s = sim_on(&train, &test, cfg, views);
+        let mut algo = FedWcm::x(5);
+        let _ = s.run(&mut algo);
+        assert!(algo.current_alpha() >= ALPHA_MIN as f32);
     }
 }

@@ -29,8 +29,8 @@
 //!   normalised as described in `fedwcm-fl` (gradient-scale deltas).
 //!
 //! Modules: [`score`] (Eq. 3 + temperature), [`weighting`] (Eq. 4),
-//! [`adaptive`] (Eq. 5), [`algorithm`] (FedWCM, Alg. 1), [`fedwcm_x`]
-//! (FedWCM-X, Alg. 3 — quantity-skew generalisation).
+//! [`adaptive`] (Eq. 5), [`algorithm`] (FedWCM, Alg. 1, and FedWCM-X,
+//! Alg. 3 — the quantity-skew generalisation, built by [`FedWcm::x`]).
 
 #![warn(missing_docs)]
 // Library code (DESIGN.md §9): nothing `clippy.toml` lists outside test
@@ -48,12 +48,10 @@
 
 pub mod adaptive;
 pub mod algorithm;
-pub mod fedwcm_x;
 pub mod score;
 pub mod weighting;
 
 pub use algorithm::{FedWcm, FedWcmOptions};
-pub use fedwcm_x::FedWcmX;
 pub use score::{
     client_scores, client_scores_literal, global_distribution, imbalance_degree, temperature,
 };

@@ -4,7 +4,7 @@ use crate::setup::PreparedTask;
 use fedwcm_algos::{
     FedAvg, FedAvgM, FedCm, FedDyn, FedLesam, FedProx, FedSam, FedSmoo, FedSpeed, MoFedSam,
 };
-use fedwcm_core::{FedWcm, FedWcmOptions, FedWcmX};
+use fedwcm_core::{FedWcm, FedWcmOptions};
 use fedwcm_fl::FederatedAlgorithm;
 use fedwcm_longtail::{fedcm_balance_loss, fedcm_balance_sampler, fedcm_focal, BalanceFl, FedGrab};
 
@@ -130,7 +130,7 @@ pub fn build_method(method: Method, task: &PreparedTask) -> Box<dyn FederatedAlg
         }
         Method::FedCmBalanceSampler => Box::new(fedcm_balance_sampler(FEDCM_ALPHA)),
         Method::FedWcm => Box::new(FedWcm::with_options(FedWcmOptions::default())),
-        Method::FedWcmX => Box::new(FedWcmX::new(task.standard_batches())),
+        Method::FedWcmX => Box::new(FedWcm::x(task.standard_batches())),
         Method::FedProx => Box::new(FedProx::new(0.01)),
         Method::Scaffold => Box::new(fedwcm_algos::Scaffold::new(task.fl.clients)),
         Method::FedDyn => Box::new(FedDyn::new(0.1, task.fl.clients)),

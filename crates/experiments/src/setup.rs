@@ -152,7 +152,7 @@ impl PreparedTask {
 
     /// The reference local step count `B̂` for FedWCM-X.
     pub fn standard_batches(&self) -> usize {
-        fedwcm_core::FedWcmX::standard_batches_for(
+        fedwcm_core::FedWcm::standard_batches_for(
             self.train.len(),
             self.fl.clients,
             self.fl.batch_size,

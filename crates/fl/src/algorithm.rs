@@ -116,6 +116,30 @@ pub fn state_to_vec(bytes: &[u8]) -> Result<Vec<f32>, StateError> {
     }
 }
 
+/// Append one buffer per client to a state blob: the count, then each
+/// client's buffer, empty for a client never sampled (SCAFFOLD's controls,
+/// FedDyn's and FedSMOO-lite's states).
+pub fn put_per_client(out: &mut Vec<u8>, buffers: &[Vec<f32>]) {
+    fedwcm_nn::serialize::put_u64(out, buffers.len() as u64);
+    for b in buffers {
+        fedwcm_nn::serialize::put_f32s(out, b);
+    }
+}
+
+/// Read what [`put_per_client`] wrote for `clients` clients; a blob for a
+/// different client count is malformed.
+pub fn read_per_client(
+    r: &mut fedwcm_nn::serialize::ByteReader<'_>,
+    clients: usize,
+) -> Result<Vec<Vec<f32>>, StateError> {
+    if r.u64() != Some(clients as u64) {
+        return Err(StateError::Malformed);
+    }
+    (0..clients)
+        .map(|_| r.f32s().ok_or(StateError::Malformed))
+        .collect()
+}
+
 /// Uniform average of update deltas (the FedAvg aggregation), written into
 /// `out` (overwriting). Panics on empty updates.
 pub fn uniform_average(updates: &[ClientUpdate], out: &mut [f32]) {
@@ -150,6 +174,16 @@ pub fn weighted_average(updates: &[ClientUpdate], weights: &[f64], out: &mut [f3
 pub fn server_step(global: &mut [f32], direction: &[f32], cfg: &FlConfig, mean_batches: f32) {
     let step = cfg.global_lr * cfg.local_lr * mean_batches;
     fedwcm_tensor::ops::axpy(-step, direction, global);
+}
+
+/// The FedAvg server step: step along the uniform average of the round's
+/// deltas. The whole of `aggregate` for a method whose server keeps no
+/// state, and the model half of one that keeps it beside the model.
+pub fn average_step(global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
+    let mut dir = vec![0.0f32; global.len()];
+    uniform_average(&input.updates, &mut dir);
+    server_step(global, &dir, input.cfg, input.mean_batches());
+    RoundLog::default()
 }
 
 #[cfg(test)]

@@ -1,18 +1,23 @@
 //! Client-side local training.
 //!
-//! [`ClientEnv`] is everything a sampled client can see during one round;
-//! [`run_local_sgd`] is the generic local loop that almost every algorithm
-//! specialises by supplying a *direction transform* — a closure that turns
-//! the raw mini-batch gradient into the actual step direction (identity
-//! for FedAvg, [`momentum_direction`] for FedCM/FedWCM, a prox correction
-//! for FedProx, a control-variate correction for SCAFFOLD, …).
+//! [`ClientEnv`] is everything a sampled client can see during one round.
+//! [`run_local`] is the one local loop every algorithm trains through: the
+//! sampler, the `local_epoch` spans, the SGD step, the delta and the mean
+//! loss. A method specialises it with a *step hook* that writes one
+//! mini-batch's step direction into the gradient buffer and returns the
+//! loss to book (the SAM family's ascent, FedGrab's classifier-row
+//! balancer, BalanceFL's inherited logits). Most need less:
+//! [`run_local_sgd`] is the loop with "gradient of the loss, then a
+//! *direction transform*" as the hook — identity for FedAvg,
+//! [`momentum_direction`] for FedCM/FedWCM, a prox correction for FedProx,
+//! a control-variate correction for SCAFFOLD, ….
 //!
 //! # Who owns the training buffers
 //!
 //! A client's fixed cost is a copy, not a build. The user's
 //! [`ModelFactory`] runs once per [`crate::Simulation`]; what a client
 //! receives through [`ClientEnv::factory`] clones that prototype. And
-//! [`run_local_sgd`] does not even clone per client inside the engine: a
+//! [`run_local`] does not even clone per client inside the engine: a
 //! run owns one model + gradient buffer per outer worker and lends the
 //! set to whichever client that worker trains next (a scoped
 //! thread-local, like the span buffer and the intra-task thread budget
@@ -33,6 +38,7 @@ use fedwcm_nn::model::Model;
 use fedwcm_nn::opt::momentum_blend;
 use fedwcm_parallel::sync::lock_recover;
 use fedwcm_stats::rng::{stream, Xoshiro256pp};
+use fedwcm_tensor::Tensor;
 use fedwcm_trace::{local, Name, Value};
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
@@ -146,7 +152,7 @@ std::thread_local! {
 }
 
 /// Run `f` with `pool` lending its sets to this thread's
-/// [`run_local_sgd`] calls, restoring the previous state afterwards
+/// [`run_local`] calls, restoring the previous state afterwards
 /// (also on panic).
 pub(crate) fn with_pool<R>(pool: &Arc<BufferPool>, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<Arc<BufferPool>>);
@@ -188,6 +194,27 @@ pub fn run_local_sgd(
     spec: &LocalSgdSpec<'_>,
     mut direction: impl FnMut(&mut [f32], &[f32], usize),
 ) -> ClientUpdate {
+    run_local(env, global, spec, |model, x, y, grads, step| {
+        let l = model.loss_grad(x, y, spec.loss, grads);
+        direction(grads, model.params(), step);
+        l
+    })
+}
+
+/// The client loop itself, for a method whose step is more than "gradient
+/// of `spec.loss`, then a direction transform": per mini-batch `(x, y)`,
+/// `step(model, x, y, grads, step_index)` writes the step direction at the
+/// model's current parameters into `grads` and returns the loss to book
+/// for the step; the loop then takes `x ← x − lr·grads`. The hook may move
+/// the parameters while it works (a SAM ascent) but must leave them where
+/// the step starts. `spec.loss` is not read here: it is the loss the hook
+/// differentiates.
+pub fn run_local(
+    env: &ClientEnv<'_>,
+    global: &[f32],
+    spec: &LocalSgdSpec<'_>,
+    mut step: impl FnMut(&mut Model, &Tensor, &[usize], &mut [f32], usize) -> f32,
+) -> ClientUpdate {
     assert!(!env.view.is_empty(), "sampled an empty client");
     assert!(spec.lr > 0.0 && spec.epochs >= 1);
     // The worker's set when a run lends one, a temporary set otherwise.
@@ -211,7 +238,7 @@ pub fn run_local_sgd(
     // thread-local buffer the engine installs for traced runs; without a
     // buffer not even the span's fields are built.
     let traced = local::active();
-    let mut step = 0usize;
+    let mut n = 0usize;
     let mut run_epochs = |next_batch: &mut dyn FnMut() -> Vec<usize>| {
         for epoch in 0..spec.epochs {
             let _span = traced.then(|| {
@@ -227,11 +254,9 @@ pub fn run_local_sgd(
             for _ in 0..batches_per_epoch {
                 let idx = next_batch();
                 let (x, y) = env.dataset.gather(&idx);
-                let l = model.loss_grad(&x, &y, spec.loss, grads);
-                loss_acc += l as f64;
-                direction(grads, model.params(), step);
+                loss_acc += step(model, &x, &y, grads, n) as f64;
                 fedwcm_nn::opt::sgd_step(model.params_mut(), grads, spec.lr);
-                step += 1;
+                n += 1;
             }
         }
     };
@@ -299,25 +324,39 @@ mod tests {
         mlp(64, &[32], 10, &mut rng)
     }
 
+    fn env<'a>(
+        ds: &'a Dataset,
+        views: &'a [ClientView],
+        cfg: &'a FlConfig,
+        id: usize,
+        round: usize,
+    ) -> ClientEnv<'a> {
+        ClientEnv {
+            id,
+            round,
+            dataset: ds,
+            view: &views[id],
+            cfg,
+            factory: &factory,
+        }
+    }
+
+    fn spec(lr: f32, epochs: usize) -> LocalSgdSpec<'static> {
+        LocalSgdSpec {
+            loss: &CrossEntropy,
+            balanced_sampler: false,
+            lr,
+            epochs,
+        }
+    }
+
     #[test]
     fn local_sgd_produces_gradient_scale_delta() {
         let (ds, views, cfg) = setup();
-        let env = ClientEnv {
-            id: 0,
-            round: 0,
-            dataset: &ds,
-            view: &views[0],
-            cfg: &cfg,
-            factory: &factory,
-        };
+        let env = env(&ds, &views, &cfg, 0, 0);
         let model = factory();
         let global = model.params().to_vec();
-        let spec = LocalSgdSpec {
-            loss: &CrossEntropy,
-            balanced_sampler: false,
-            lr: 0.1,
-            epochs: 2,
-        };
+        let spec = spec(0.1, 2);
         let upd = run_local_sgd(&env, &global, &spec, |_, _, _| {});
         assert_eq!(upd.delta.len(), global.len());
         assert_eq!(upd.num_samples, views[0].len());
@@ -332,22 +371,10 @@ mod tests {
     #[test]
     fn identity_direction_descends_locally() {
         let (ds, views, cfg) = setup();
-        let env = ClientEnv {
-            id: 1,
-            round: 3,
-            dataset: &ds,
-            view: &views[1],
-            cfg: &cfg,
-            factory: &factory,
-        };
+        let env = env(&ds, &views, &cfg, 1, 3);
         let model = factory();
         let global = model.params().to_vec();
-        let spec = LocalSgdSpec {
-            loss: &CrossEntropy,
-            balanced_sampler: false,
-            lr: 0.1,
-            epochs: 5,
-        };
+        let spec = spec(0.1, 5);
         let upd = run_local_sgd(&env, &global, &spec, |_, _, _| {});
         // Reconstruct final local params and verify loss decreased.
         let steps = upd.num_batches as f32;
@@ -373,20 +400,8 @@ mod tests {
         let model = factory();
         let global = model.params().to_vec();
         let run = || {
-            let env = ClientEnv {
-                id: 2,
-                round: 7,
-                dataset: &ds,
-                view: &views[2],
-                cfg: &cfg,
-                factory: &factory,
-            };
-            let spec = LocalSgdSpec {
-                loss: &CrossEntropy,
-                balanced_sampler: false,
-                lr: 0.1,
-                epochs: 1,
-            };
+            let env = env(&ds, &views, &cfg, 2, 7);
+            let spec = spec(0.1, 1);
             run_local_sgd(&env, &global, &spec, |_, _, _| {})
         };
         let a = run();
@@ -398,22 +413,10 @@ mod tests {
     #[test]
     fn direction_transform_is_applied() {
         let (ds, views, cfg) = setup();
-        let env = ClientEnv {
-            id: 0,
-            round: 0,
-            dataset: &ds,
-            view: &views[0],
-            cfg: &cfg,
-            factory: &factory,
-        };
+        let env = env(&ds, &views, &cfg, 0, 0);
         let model = factory();
         let global = model.params().to_vec();
-        let spec = LocalSgdSpec {
-            loss: &CrossEntropy,
-            balanced_sampler: false,
-            lr: 0.1,
-            epochs: 1,
-        };
+        let spec = spec(0.1, 1);
         // Zero direction ⇒ params never move ⇒ delta is exactly zero.
         let upd = run_local_sgd(&env, &global, &spec, |g, _, _| g.fill(0.0));
         assert!(upd.delta.iter().all(|&d| d == 0.0));
@@ -428,21 +431,9 @@ mod tests {
     #[test]
     fn bits_do_not_depend_on_what_the_lent_buffers_held() {
         let (ds, views, cfg) = setup();
-        let env = ClientEnv {
-            id: 1,
-            round: 2,
-            dataset: &ds,
-            view: &views[1],
-            cfg: &cfg,
-            factory: &factory,
-        };
+        let env = env(&ds, &views, &cfg, 1, 2);
         let global = factory().params().to_vec();
-        let spec = LocalSgdSpec {
-            loss: &CrossEntropy,
-            balanced_sampler: false,
-            lr: 0.1,
-            epochs: 2,
-        };
+        let spec = spec(0.1, 2);
         let clean = run_local_sgd(&env, &global, &spec, |_, _, _| {});
 
         let pool = BufferPool::new(&factory, 1);
@@ -467,46 +458,25 @@ mod tests {
     #[should_panic(expected = "dense backward without forward(train=true)")]
     fn a_model_returned_to_its_worker_holds_no_layer_cache() {
         let (ds, views, cfg) = setup();
-        let env = ClientEnv {
-            id: 0,
-            round: 0,
-            dataset: &ds,
-            view: &views[0],
-            cfg: &cfg,
-            factory: &factory,
-        };
+        let env = env(&ds, &views, &cfg, 0, 0);
         let global = factory().params().to_vec();
-        let spec = LocalSgdSpec {
-            loss: &CrossEntropy,
-            balanced_sampler: false,
-            lr: 0.1,
-            epochs: 1,
-        };
+        let spec = spec(0.1, 1);
         let pool = BufferPool::new(&factory, 1);
         let _ = with_pool(&pool, || run_local_sgd(&env, &global, &spec, |_, _, _| {}));
         let mut sets = lock_recover(&pool.0);
         let TrainBuffers { model, grads } = &mut sets[0];
-        model.backward(&fedwcm_tensor::Tensor::zeros(&[1, 10]), grads);
+        model.backward(&Tensor::zeros(&[1, 10]), grads);
     }
 
     #[test]
     fn balanced_sampler_path_runs() {
         let (ds, views, cfg) = setup();
-        let env = ClientEnv {
-            id: 3,
-            round: 1,
-            dataset: &ds,
-            view: &views[3],
-            cfg: &cfg,
-            factory: &factory,
-        };
+        let env = env(&ds, &views, &cfg, 3, 1);
         let model = factory();
         let global = model.params().to_vec();
         let spec = LocalSgdSpec {
-            loss: &CrossEntropy,
             balanced_sampler: true,
-            lr: 0.05,
-            epochs: 1,
+            ..spec(0.05, 1)
         };
         let upd = run_local_sgd(&env, &global, &spec, |_, _, _| {});
         assert!(upd.avg_loss.is_finite());

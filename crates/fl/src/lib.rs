@@ -24,7 +24,7 @@
 //! uniform weights recovers exact model averaging (FedAvg).
 //!
 //! Modules: [`config`], [`cadence`] (when the server aggregates),
-//! [`client`] (local-training helpers),
+//! [`client`] (the local-training loop every algorithm runs),
 //! [`algorithm`] (the [`algorithm::FederatedAlgorithm`] trait),
 //! [`engine`] (the round loop: `Simulation`, the server's run state and
 //! `drive`, a list of calls to six stage files — `train` → `perturb` →

@@ -12,9 +12,9 @@
 //!    by the local update.
 
 use fedwcm_fl::algorithm::{
-    server_step, uniform_average, FederatedAlgorithm, RoundInput, RoundLog,
+    average_step, load_stateless, FederatedAlgorithm, RoundInput, RoundLog, StateError,
 };
-use fedwcm_fl::client::{ClientEnv, ClientUpdate};
+use fedwcm_fl::client::{run_local, ClientEnv, ClientUpdate, LocalSgdSpec};
 use fedwcm_nn::loss::{CrossEntropy, Loss};
 
 /// BalanceFL with inheritance strength `lambda`.
@@ -59,12 +59,12 @@ impl FederatedAlgorithm for BalanceFl {
     }
 
     fn local_train(&self, env: &ClientEnv<'_>, global: &[f32]) -> ClientUpdate {
-        assert!(!env.view.is_empty(), "sampled an empty client");
-        let cfg = env.cfg;
-        let mut model = env.model_from(global);
-        let mut teacher = env.model_from(global); // frozen global model
-        let rng = env.rng();
-
+        let spec = LocalSgdSpec {
+            loss: &CrossEntropy,
+            balanced_sampler: true,
+            lr: env.cfg.local_lr,
+            epochs: env.cfg.local_epochs,
+        };
         // Locally-absent classes (inheritance targets).
         let absent: Vec<usize> = env
             .view
@@ -74,29 +74,17 @@ impl FederatedAlgorithm for BalanceFl {
             .filter(|&(_, &n)| n == 0)
             .map(|(c, _)| c)
             .collect();
+        // The frozen global model, when it has logits to hand down.
+        let mut teacher = (!absent.is_empty() && self.lambda > 0.0).then(|| env.model_from(global));
 
-        let batches_per_epoch = env.batches_per_epoch();
-        let total_steps = batches_per_epoch * cfg.local_epochs;
-        let mut grads = vec![0.0f32; model.param_len()];
-        let mut loss_acc = 0.0f64;
+        run_local(env, global, &spec, |model, x, y, grads, _| {
+            let logits = model.forward(x, true);
+            let (ce, mut dlogits) = CrossEntropy.loss_and_grad(&logits, y);
 
-        let mut sampler = fedwcm_data::sampler::BalanceSampler::new(
-            env.view.indices(),
-            env.dataset,
-            cfg.batch_size,
-            rng,
-        );
-        for _ in 0..total_steps {
-            let idx = sampler.next_batch();
-            let (x, y) = env.dataset.gather(&idx);
-            let logits = model.forward(&x, true);
-            let (ce, mut dlogits) = CrossEntropy.loss_and_grad(&logits, &y);
-            loss_acc += ce as f64;
-
-            if !absent.is_empty() && self.lambda > 0.0 {
+            if let Some(teacher) = teacher.as_mut() {
                 // Inheritance: ½‖z_c − z̄_c‖² mean over batch and absent
                 // classes ⇒ dL/dz_c = λ(z_c − z̄_c)/(batch·|absent|).
-                let targets = teacher.forward(&x, false);
+                let targets = teacher.forward(x, false);
                 let scale = self.lambda / (x.rows() * absent.len()) as f32;
                 for r in 0..x.rows() {
                     for &c in &absent {
@@ -106,32 +94,24 @@ impl FederatedAlgorithm for BalanceFl {
                 }
             }
             grads.fill(0.0);
-            model.backward(&dlogits, &mut grads);
-            fedwcm_tensor::ops::clip_norm(&mut grads, self.grad_clip);
-            fedwcm_nn::opt::sgd_step(model.params_mut(), &grads, cfg.local_lr);
-        }
-
-        let scale = 1.0 / (cfg.local_lr * total_steps as f32);
-        let delta: Vec<f32> = global
-            .iter()
-            .zip(model.params())
-            .map(|(g, p)| (g - p) * scale)
-            .collect();
-        ClientUpdate {
-            client: env.id,
-            delta,
-            num_samples: env.view.len(),
-            num_batches: total_steps,
-            avg_loss: (loss_acc / total_steps as f64) as f32,
-            extra: None,
-        }
+            model.backward(&dlogits, grads);
+            fedwcm_tensor::ops::clip_norm(grads, self.grad_clip);
+            ce
+        })
     }
 
     fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-        let mut dir = vec![0.0f32; global.len()];
-        uniform_average(&input.updates, &mut dir);
-        server_step(global, &dir, input.cfg, input.mean_batches());
-        RoundLog::default()
+        average_step(global, input)
+    }
+
+    // λ and the clip are construction-time configuration; nothing crosses
+    // rounds.
+    fn save_state(&self) -> Option<Vec<u8>> {
+        Some(Vec::new())
+    }
+
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
+        load_stateless(bytes)
     }
 }
 

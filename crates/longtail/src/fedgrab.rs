@@ -17,9 +17,9 @@
 //! the final linear layer only (where minority collapse manifests).
 
 use fedwcm_fl::algorithm::{
-    server_step, uniform_average, FederatedAlgorithm, RoundInput, RoundLog,
+    average_step, load_stateless, FederatedAlgorithm, RoundInput, RoundLog, StateError,
 };
-use fedwcm_fl::client::{ClientEnv, ClientUpdate};
+use fedwcm_fl::client::{run_local, ClientEnv, ClientUpdate, LocalSgdSpec};
 use fedwcm_nn::loss::BalancedSoftmax;
 
 /// FedGrab with balancer exponent τ.
@@ -50,36 +50,26 @@ impl FederatedAlgorithm for FedGrab {
     }
 
     fn local_train(&self, env: &ClientEnv<'_>, global: &[f32]) -> ClientUpdate {
-        assert!(!env.view.is_empty(), "sampled an empty client");
-        let cfg = env.cfg;
-        let mut model = env.model_from(global);
-        let rng = env.rng();
         let loss = BalancedSoftmax::from_counts(&self.global_counts);
+        let spec = LocalSgdSpec {
+            loss: &loss,
+            balanced_sampler: false,
+            lr: env.cfg.local_lr,
+            epochs: env.cfg.local_epochs,
+        };
         let classes = self.global_counts.len();
-
-        // Classifier layer: the model's last layer (weights then biases).
-        let (clf_off, clf_len) = model.layer_param_range(model.num_layers() - 1);
-        assert!(clf_len > classes, "classifier layer too small");
-        let feat = (clf_len - classes) / classes;
-        assert_eq!(
-            feat * classes + classes,
-            clf_len,
-            "unexpected classifier layout"
-        );
-
-        let batches_per_epoch = env.batches_per_epoch();
-        let total_steps = batches_per_epoch * cfg.local_epochs;
-        let mut grads = vec![0.0f32; model.param_len()];
         let mut energy = vec![1e-8f64; classes];
-        let mut loss_acc = 0.0f64;
-
-        let mut sampler =
-            fedwcm_data::sampler::BatchSampler::new(env.view.indices(), cfg.batch_size, rng);
-        for _ in 0..total_steps {
-            let idx = sampler.next_batch();
-            let (x, y) = env.dataset.gather(&idx);
-            let l = model.loss_grad(&x, &y, &loss, &mut grads);
-            loss_acc += l as f64;
+        run_local(env, global, &spec, |model, x, y, grads, _| {
+            // Classifier layer: the model's last layer (weights then biases).
+            let (clf_off, clf_len) = model.layer_param_range(model.num_layers() - 1);
+            assert!(clf_len > classes, "classifier layer too small");
+            let feat = (clf_len - classes) / classes;
+            assert_eq!(
+                feat * classes + classes,
+                clf_len,
+                "unexpected classifier layout"
+            );
+            let l = model.loss_grad(x, y, &loss, grads);
 
             // Gradient balancer on the classifier rows.
             if self.tau > 0.0 {
@@ -100,30 +90,22 @@ impl FederatedAlgorithm for FedGrab {
                     }
                 }
             }
-            fedwcm_nn::opt::sgd_step(model.params_mut(), &grads, cfg.local_lr);
-        }
-
-        let scale = 1.0 / (cfg.local_lr * total_steps as f32);
-        let delta: Vec<f32> = global
-            .iter()
-            .zip(model.params())
-            .map(|(g, p)| (g - p) * scale)
-            .collect();
-        ClientUpdate {
-            client: env.id,
-            delta,
-            num_samples: env.view.len(),
-            num_batches: total_steps,
-            avg_loss: (loss_acc / total_steps as f64) as f32,
-            extra: None,
-        }
+            l
+        })
     }
 
     fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-        let mut dir = vec![0.0f32; global.len()];
-        uniform_average(&input.updates, &mut dir);
-        server_step(global, &dir, input.cfg, input.mean_batches());
-        RoundLog::default()
+        average_step(global, input)
+    }
+
+    // τ, the EMA factor and the prior are construction-time configuration;
+    // the balancer's energies live for one client update.
+    fn save_state(&self) -> Option<Vec<u8>> {
+        Some(Vec::new())
+    }
+
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
+        load_stateless(bytes)
     }
 }
 

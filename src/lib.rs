@@ -52,7 +52,7 @@ pub use fedwcm_transport as transport;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use fedwcm_algos::{FedAvg, FedCm, FedProx, Scaffold};
-    pub use fedwcm_core::{FedWcm, FedWcmOptions, FedWcmX};
+    pub use fedwcm_core::{FedWcm, FedWcmOptions};
     pub use fedwcm_data::longtail::longtail_counts;
     pub use fedwcm_data::partition::{fedgrab_partition, paper_partition};
     pub use fedwcm_data::synth::DatasetPreset;

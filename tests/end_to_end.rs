@@ -117,8 +117,8 @@ fn fedwcm_x_handles_quantity_skew() {
         }),
     );
     let b_hat =
-        FedWcmX::standard_batches_for(train.len(), cfg.clients, cfg.batch_size, cfg.local_epochs);
-    let h = s.run(&mut FedWcmX::new(b_hat));
+        FedWcm::standard_batches_for(train.len(), cfg.clients, cfg.batch_size, cfg.local_epochs);
+    let h = s.run(&mut FedWcm::x(b_hat));
     assert!(
         h.final_accuracy(3) > 0.3,
         "FedWCM-X acc {}",

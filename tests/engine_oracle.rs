@@ -5,34 +5,12 @@
 //! movement, count correct predictions. It shares nothing with
 //! `fedwcm_fl::engine` beyond `sampled_clients_for` and the
 //! `FederatedAlgorithm` trait, and the synchronous engine must equal it
-//! **bit for bit**, field for field, for every method of
-//! `tests/method_matrix.rs` at 1 and 2 worker threads.
+//! **bit for bit**, field for field, for every method of `Method::ALL`
+//! at 1 and 2 worker threads.
 
-use fedwcm_experiments::Method::{self, *};
-use fedwcm_experiments::{build_method, ExpConfig, PreparedTask, Scale};
+use fedwcm_experiments::{build_method, ExpConfig, Method, PreparedTask, Scale};
 use fedwcm_fl::{sampled_clients_for, ClientEnv, FederatedAlgorithm, RoundInput, RoundRecord};
 use fedwcm_suite::data::synth::DatasetPreset;
-
-const ALL_METHODS: [Method; 18] = [
-    FedAvg,
-    BalanceFl,
-    FedGrab,
-    FedCm,
-    FedCmFocal,
-    FedCmBalanceLoss,
-    FedCmBalanceSampler,
-    FedWcm,
-    FedWcmX,
-    FedProx,
-    Scaffold,
-    FedDyn,
-    FedAvgM,
-    FedSam,
-    MoFedSam,
-    FedSpeed,
-    FedSmoo,
-    FedLesam,
-];
 
 /// One federated run, the slow obvious way.
 fn oracle_run(task: &PreparedTask, algo: &mut dyn FederatedAlgorithm) -> Vec<RoundRecord> {
@@ -131,7 +109,7 @@ fn assert_records_equal(want: &[RoundRecord], got: &[RoundRecord], label: &str) 
 fn sync_engine_matches_the_naive_oracle_for_every_method() {
     let exp = ExpConfig::new(DatasetPreset::FashionMnist, 0.1, 0.3, Scale::Smoke, 3001);
     let task = exp.prepare();
-    for method in ALL_METHODS {
+    for method in Method::ALL {
         let want = oracle_run(&task, build_method(method, &task).as_mut());
         assert_eq!(want.len(), task.fl.rounds);
         assert!(want.iter().any(|r| r.test_acc.is_some()));

@@ -5,24 +5,18 @@
 //! rounds that follow — every `RoundRecord` column and the global
 //! parameters after each — are bit for bit the uninterrupted run's.
 //!
-//! A method that does not capture its state says so both ways (`None`
-//! from `save_state`, `Unsupported` from `load_state`); the set that
-//! still does is listed here, so it can only shrink.
+//! Every method captures its state. An algorithm that implements neither
+//! half of the pair says so both ways (the trait's defaults: `None` from
+//! `save_state`, `Unsupported` from `load_state`), and a checkpoint of it
+//! fails with `AlgorithmStateUnsupported`
+//! (`crates/fl/tests/faults_and_resume.rs`).
 
 use fedwcm_experiments::{build_method, ExpConfig, Method, Scale};
 use fedwcm_suite::data::synth::DatasetPreset;
-use fedwcm_suite::fl::{CheckpointError, History, ServerCheckpoint, StateError};
-
-/// Methods whose cross-round state is not captured yet. Giving one the
-/// `save_state` / `load_state` pair removes it from this list.
-const UNSUPPORTED: [Method; 6] = [
-    Method::BalanceFl,
-    Method::FedGrab,
-    Method::FedWcmX,
-    Method::FedSpeed,
-    Method::FedSmoo,
-    Method::FedLesam,
-];
+use fedwcm_suite::fl::{
+    ClientEnv, ClientUpdate, FederatedAlgorithm, History, RoundInput, RoundLog, ServerCheckpoint,
+    StateError,
+};
 
 /// Rounds before the checkpoint: momentum buffers, control variates and
 /// FedWCM's adaptive α have all moved off their initial values.
@@ -64,22 +58,9 @@ fn every_method_resumes_bit_for_bit_or_says_unsupported() {
 
     for method in Method::ALL {
         let label = method.label();
-        let checkpoint = sim.run_until(&mut *build_method(method, &task), STOP);
-        if UNSUPPORTED.contains(&method) {
-            assert_eq!(
-                checkpoint.err(),
-                Some(CheckpointError::AlgorithmStateUnsupported),
-                "{label}: listed as unsupported, so `save_state` is `None`"
-            );
-            assert_eq!(
-                build_method(method, &task).load_state(&[]),
-                Err(StateError::Unsupported),
-                "{label}: a method that saves nothing loads nothing"
-            );
-            continue;
-        }
-        let checkpoint =
-            checkpoint.unwrap_or_else(|e| panic!("{label}: cannot checkpoint its state ({e})"));
+        let checkpoint = sim
+            .run_until(&mut *build_method(method, &task), STOP)
+            .unwrap_or_else(|e| panic!("{label}: cannot checkpoint its state ({e})"));
 
         let mut whole_globals = Vec::new();
         let whole = sim.run_with_observer(&mut *build_method(method, &task), |_, g| {
@@ -111,4 +92,22 @@ fn every_method_resumes_bit_for_bit_or_says_unsupported() {
         }
         assert_eq!(want.len(), got.len(), "{label}: rounds run");
     }
+}
+
+#[test]
+fn the_default_state_pair_is_unsupported() {
+    struct Bare;
+    impl FederatedAlgorithm for Bare {
+        fn name(&self) -> String {
+            "bare".into()
+        }
+        fn local_train(&self, _: &ClientEnv<'_>, _: &[f32]) -> ClientUpdate {
+            unreachable!("never trained")
+        }
+        fn aggregate(&mut self, _: &mut [f32], _: &RoundInput<'_>) -> RoundLog {
+            unreachable!("never aggregated")
+        }
+    }
+    assert!(Bare.save_state().is_none());
+    assert_eq!(Bare.load_state(&[]), Err(StateError::Unsupported));
 }

@@ -9,11 +9,15 @@ use fedwcm_core::FedWcm;
 use fedwcm_data::longtail::longtail_counts;
 use fedwcm_data::partition::paper_partition;
 use fedwcm_data::synth::DatasetPreset;
+use fedwcm_experiments::{build_method, ExpConfig, Method, Scale};
 use fedwcm_faults::{FaultConfig, FaultPlan};
 use fedwcm_fl::{Cadence, FlConfig, History, NetConfig, NetPlan, Simulation};
 use fedwcm_nn::models::mlp;
 use fedwcm_stats::Xoshiro256pp;
-use fedwcm_trace::{JsonlSink, LogicalClock, MetricValue, MetricsRegistry, SharedBuf, Tracer};
+use fedwcm_trace::{
+    Event, EventKind, JsonlSink, LogicalClock, MetricValue, MetricsRegistry, RingSink, SharedBuf,
+    Tracer, Value,
+};
 use std::sync::Arc;
 
 /// Run a small traced simulation and return the raw JSONL bytes plus
@@ -101,6 +105,55 @@ fn trace_contains_the_span_taxonomy() {
         assert!(line.ends_with('}'), "bad line {line}");
     }
     assert!(history.metrics.get("fl.rounds").is_some());
+}
+
+/// Every method trains through the one client loop: a traced smoke run
+/// of each emits, inside every `client_update`, exactly one
+/// `local_epoch` span per local epoch, for that client, in epoch order.
+#[test]
+fn every_method_traces_one_local_epoch_span_per_epoch() {
+    let mut exp = ExpConfig::new(DatasetPreset::FashionMnist, 0.1, 0.3, Scale::Smoke, 3001);
+    exp.rounds = 2;
+    exp.local_epochs = 2;
+    let task = exp.prepare();
+    let want: Vec<u64> = (0..exp.local_epochs as u64).collect();
+    let u64_field = |e: &Event, key: &str| match e.fields.iter().find(|(k, _)| *k == key) {
+        Some((_, Value::U64(v))) => *v,
+        other => panic!("{} lacks a u64 {key}: {other:?}", e.name),
+    };
+    let mut wrong = Vec::new();
+    for method in Method::ALL {
+        let ring = Arc::new(RingSink::new(1 << 16));
+        let tracer = Tracer::new(Box::new(LogicalClock::new()), ring.clone());
+        let _ = task
+            .simulation()
+            .with_tracer(tracer.clone())
+            .run(build_method(method, &task).as_mut());
+        tracer.flush();
+        let (mut updates, mut open) = (0, None);
+        for e in ring.events() {
+            match (e.name, e.kind) {
+                ("client_update", EventKind::Start) => {
+                    open = Some((u64_field(&e, "client"), Vec::new()));
+                }
+                ("local_epoch", EventKind::Start) => {
+                    let (client, epochs) = open.as_mut().expect("local_epoch outside a client");
+                    assert_eq!(u64_field(&e, "client"), *client, "{}", method.label());
+                    epochs.push(u64_field(&e, "epoch"));
+                }
+                ("client_update", EventKind::End) => {
+                    let (client, epochs) = open.take().expect("client_update ends once");
+                    if epochs != want {
+                        wrong.push(format!("{} client {client}: {epochs:?}", method.label()));
+                    }
+                    updates += 1;
+                }
+                _ => {}
+            }
+        }
+        assert!(updates > 0, "{}: no client_update traced", method.label());
+    }
+    assert!(wrong.is_empty(), "epoch spans:\n{}", wrong.join("\n"));
 }
 
 /// Everything one chaos run leaves behind, as text: the JSONL stream

@@ -5,7 +5,7 @@
 //! whichever worker drew it, and whichever simulation used the pool
 //! threads last.
 
-use fedwcm_suite::algos::FedDyn;
+use fedwcm_suite::algos::{FedDyn, FedLesam};
 use fedwcm_suite::fl::algorithm::{RoundInput, RoundLog, StateError};
 use fedwcm_suite::fl::client::{run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
 use fedwcm_suite::nn::dense::Dense;
@@ -78,16 +78,20 @@ fn bits(h: &History) -> Vec<RecordBits> {
         .collect()
 }
 
-/// The five methods of `tests/method_matrix.rs` whose local loops differ
-/// in kind: plain, momentum blend, FedWCM's, control variates, and a
-/// dynamic regulariser.
-fn methods(clients: usize) -> Vec<Box<dyn FederatedAlgorithm>> {
+/// Methods whose local steps differ in kind: plain, momentum blend,
+/// FedWCM's, control variates, a dynamic regulariser, and three step
+/// hooks — a SAM ascent along the global direction, FedGrab's row
+/// balancer, BalanceFL's inherited logits under the balanced sampler.
+fn methods(train: &Dataset, clients: usize) -> Vec<Box<dyn FederatedAlgorithm>> {
     vec![
         Box::new(FedAvg::new()),
         Box::new(FedCm::new(0.1)),
         Box::new(FedWcm::new()),
         Box::new(Scaffold::new(clients)),
         Box::new(FedDyn::new(0.01, clients)),
+        Box::new(FedLesam::new(0.05)),
+        Box::new(FedGrab::new(train.class_counts())),
+        Box::new(BalanceFl::new()),
     ]
 }
 
@@ -168,7 +172,7 @@ fn histories_do_not_depend_on_buffer_history_or_thread_count() {
     let clean: Vec<Vec<RecordBits>> = {
         let (train, test, cfg) = task(2102, 1);
         let s = sim(&train, &test, &cfg, relu_mlp);
-        methods(cfg.clients)
+        methods(&train, cfg.clients)
             .into_iter()
             .map(|mut algo| bits(&s.run(algo.as_mut())))
             .collect()
@@ -176,7 +180,7 @@ fn histories_do_not_depend_on_buffer_history_or_thread_count() {
     for threads in [1, 3] {
         let (train, test, cfg) = task(2102, threads);
         let s = sim(&train, &test, &cfg, relu_mlp);
-        for (algo, clean) in methods(cfg.clients).into_iter().zip(&clean) {
+        for (algo, clean) in methods(&train, cfg.clients).into_iter().zip(&clean) {
             let name = algo.name();
             let mut algo = algo;
             assert_eq!(
@@ -185,7 +189,7 @@ fn histories_do_not_depend_on_buffer_history_or_thread_count() {
                 "{name}: threads={threads} differs from one thread"
             );
         }
-        for (algo, clean) in methods(cfg.clients).into_iter().zip(&clean) {
+        for (algo, clean) in methods(&train, cfg.clients).into_iter().zip(&clean) {
             let name = algo.name();
             assert_eq!(
                 &bits(&s.run(&mut DirtyFirst(algo))),
