@@ -6,6 +6,10 @@
 //! `log y = a + b·log x` should recover `b ≈ −0.5` (and `≈ −1` in the
 //! noiseless regime).
 
+use fedwcm_fl::{FederatedAlgorithm, Simulation};
+use fedwcm_nn::loss::Loss;
+use fedwcm_nn::model::Model;
+
 /// Least-squares fit of `y = c · x^b` via log-log regression.
 /// Returns `(exponent b, coefficient c)`. Requires positive data.
 pub fn fit_power_law(xs: &[f64], ys: &[f64]) -> (f64, f64) {
@@ -32,6 +36,35 @@ pub fn fit_power_law(xs: &[f64], ys: &[f64]) -> (f64, f64) {
 pub fn mean_grad_norm(norms: &[f64]) -> f64 {
     assert!(!norms.is_empty());
     norms.iter().sum::<f64>() / norms.len() as f64
+}
+
+/// The Theorem 6.1 series of one run: `‖∇f(x_r)‖²` for `r = 0 … R−1`,
+/// where `f` is the mean `loss` over all of `sim.train`, `x_0` the
+/// factory's parameters and `x_{r+1}` the global model after round `r`
+/// (the model after the last round is not part of the sum).
+pub fn grad_norms(
+    sim: &Simulation<'_>,
+    algo: &mut dyn FederatedAlgorithm,
+    loss: &dyn Loss,
+) -> Vec<f64> {
+    let mut model = (sim.factory)();
+    let (x, y) = sim.train.as_batch();
+    let mut grads = vec![0.0f32; model.param_len()];
+    let mut norm_sq = |model: &mut Model| {
+        model.loss_grad(&x, &y, loss, &mut grads);
+        grads
+            .iter()
+            .map(|&g| f64::from(g) * f64::from(g))
+            .sum::<f64>()
+    };
+    let mut norms = vec![norm_sq(&mut model)];
+    sim.run_with_observer(algo, |round, global| {
+        if round + 1 < sim.cfg.rounds {
+            model.set_params(global);
+            norms.push(norm_sq(&mut model));
+        }
+    });
+    norms
 }
 
 #[cfg(test)]
