@@ -6,8 +6,8 @@
 //!   captures, per layer and averaged;
 //! * [`spikes`] — abrupt-change detection for concentration/accuracy
 //!   series (the "structured transitions" of §4);
-//! * [`rate`] — power-law fitting of `avg ‖∇f‖²` vs `R` to check the
-//!   Theorem 6.1 rate on the quadratic testbed;
+//! * [`rate`] — `‖∇f(x_r)‖²` along an engine run and power-law fitting
+//!   of its average vs `R`, the Theorem 6.1 rate check;
 //! * [`per_class`] — head/tail accuracy summaries for Fig. 8.
 
 #![warn(missing_docs)]

@@ -54,16 +54,12 @@ fn main() {
         for &imbalance in &ifs {
             let mut acc = 0.0;
             for t in 0..cli.trials {
-                let mut exp =
-                    ExpConfig::new(DatasetPreset::Cifar10, imbalance, 0.6, cli.scale, cli.seed);
-                exp.seed = exp.seed.wrapping_add(1000 * t as u64);
-                if let Some(r) = cli.rounds {
-                    exp.rounds = r;
-                }
-                let task = exp.prepare();
-                let sim = task.simulation();
-                let mut algo = FedWcm::with_options(options.clone());
-                let h = sim.run(&mut algo);
+                let seed = cli.seed.wrapping_add(1000 * t as u64);
+                let exp = ExpConfig::new(DatasetPreset::Cifar10, imbalance, 0.6, cli.scale, seed);
+                let task = cli.prepare(&exp);
+                let h = cli
+                    .simulation(&task)
+                    .run(&mut FedWcm::with_options(options.clone()));
                 acc += h.final_accuracy(3);
             }
             values.push(acc / cli.trials as f64);

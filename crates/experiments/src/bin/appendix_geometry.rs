@@ -13,11 +13,8 @@ use fedwcm_experiments::{parse_args, ExpConfig, Method};
 fn main() {
     let cli = parse_args(std::env::args());
     let console = cli.console();
-    let mut exp = ExpConfig::new(DatasetPreset::Cifar10, 0.05, 0.6, cli.scale, cli.seed);
-    if let Some(r) = cli.rounds {
-        exp.rounds = r;
-    }
-    let task = exp.prepare();
+    let exp = ExpConfig::new(DatasetPreset::Cifar10, 0.05, 0.6, cli.scale, cli.seed);
+    let task = cli.prepare(&exp);
     let counts = task.global_counts();
     let classes = task.test.classes();
     let tail: Vec<usize> = {
@@ -28,9 +25,8 @@ fn main() {
 
     println!("# Appendix-B geometry (beta=0.6, IF=0.05); tail classes {tail:?}");
     for method in [Method::FedAvg, Method::FedCm, Method::FedWcm] {
-        let sim = task.simulation();
         let mut algo = build_method(method, &task);
-        let (h, mut model) = sim.run_returning_model(algo.as_mut());
+        let (h, mut model) = cli.simulation(&task).run_returning_model(algo.as_mut());
         let geom = classifier_geometry(&model);
         let variability = within_class_variability(&mut model, &task.test, 400);
         let mean_var: f64 = variability.iter().sum::<f64>() / variability.len() as f64;

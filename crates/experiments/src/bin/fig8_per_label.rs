@@ -9,11 +9,8 @@ use fedwcm_experiments::{parse_args, ExpConfig, Method};
 fn main() {
     let cli = parse_args(std::env::args());
     let console = cli.console();
-    let mut exp = ExpConfig::new(DatasetPreset::Cifar10, 0.1, 0.6, cli.scale, cli.seed);
-    if let Some(r) = cli.rounds {
-        exp.rounds = r;
-    }
-    let task = exp.prepare();
+    let exp = ExpConfig::new(DatasetPreset::Cifar10, 0.1, 0.6, cli.scale, cli.seed);
+    let task = cli.prepare(&exp);
     let counts = task.global_counts();
     println!("# global training class counts (label 0 = head): {counts:?}\n");
     println!(
@@ -23,9 +20,8 @@ fn main() {
 
     let mut summaries = Vec::new();
     for method in [Method::FedAvg, Method::FedCm, Method::FedWcm] {
-        let sim = task.simulation();
         let mut algo = build_method(method, &task);
-        let (_, mut model) = sim.run_returning_model(algo.as_mut());
+        let (_, mut model) = cli.simulation(&task).run_returning_model(algo.as_mut());
         summaries.push(head_tail_summary(&mut model, &task.test, &counts));
         console.info(format!("[fig8] {} done", method.label()));
     }

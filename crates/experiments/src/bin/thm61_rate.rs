@@ -1,50 +1,54 @@
-//! Theorem 6.1 empirical rate check: on the convex quadratic testbed,
-//! the averaged squared gradient norm `(1/R)Σ‖∇f(x_r)‖²` must decay like
-//! `R^{-1/2}` (noise-dominated) to `R^{-1}` (noiseless). What runs is
-//! the fixed-α FedCM rule, α ∈ {0.1, 0.5}, through
-//! `fl::quadratic::run_quadratic_fedcm` — a standalone f64 loop, not
-//! `algos::FedCm` under the engine, and not FedWCM's adaptive-α
-//! schedule (ROADMAP item 4(a) is the rerun on the shipped path).
+//! Theorem 6.1 rate check on the shipped path: the averaged squared
+//! gradient norm `(1/R)Σ_{r<R}‖∇f(x_r)‖²` of FedCM (α ∈ {0.1, 0.5}) and
+//! FedWCM must decay like `R^{-1/2}` (noise-dominated) to `R^{-1}`
+//! (noiseless). `algos::FedCm` and `core::FedWcm` run through the engine
+//! on the Fashion-MNIST preset's MLP with cross-entropy, the setup
+//! `tests/theorem61.rs` checks: eight clients of 40–52 samples, all
+//! sampled every round, K = 4 local steps of full-batch (noiseless) or
+//! 13-sample mini-batch (noisy) gradients. One 320-round run per (method,
+//! regime) gives every `R` of the grid as a prefix mean. The size is
+//! fixed; only `--seed` applies.
 
-use fedwcm_analysis::rate::{fit_power_law, mean_grad_norm};
-use fedwcm_experiments::parse_args;
-use fedwcm_fl::quadratic::{run_quadratic_fedcm, QuadRunConfig, QuadraticProblem};
+use fedwcm_algos::FedCm;
+use fedwcm_analysis::rate::{fit_power_law, grad_norms, mean_grad_norm};
+use fedwcm_data::synth::DatasetPreset;
+use fedwcm_experiments::{build_method, parse_args, ExpConfig, Method, Scale};
+use fedwcm_fl::FederatedAlgorithm;
+use fedwcm_nn::loss::CrossEntropy;
 
-fn sweep(
-    problem: &QuadraticProblem,
-    alpha: f64,
-    rounds_grid: &[usize],
-    seed: u64,
-) -> (f64, Vec<(usize, f64)>) {
-    let mut points = Vec::new();
-    for &rounds in rounds_grid {
-        let cfg = QuadRunConfig {
-            local_steps: 4,
-            rounds,
-            local_lr: 0.03,
-            alpha,
-            seed,
-        };
-        let norms = run_quadratic_fedcm(problem, &cfg);
-        points.push((rounds, mean_grad_norm(&norms)));
-    }
-    let xs: Vec<f64> = points.iter().map(|&(r, _)| r as f64).collect();
-    let ys: Vec<f64> = points.iter().map(|&(_, v)| v).collect();
-    let (b, _) = fit_power_law(&xs, &ys);
-    (b, points)
-}
+const SAMPLES: usize = 400;
+const GRID: [usize; 5] = [20, 40, 80, 160, 320];
 
 fn main() {
     let cli = parse_args(std::env::args());
-    let grid = [20usize, 40, 80, 160, 320, 640];
-    println!("# Theorem 6.1 rate check on the quadratic testbed (N=8 clients, K=4 local steps)");
-    for (label, sigma) in [("noiseless", 0.0), ("noisy (sigma=0.5)", 0.5)] {
-        let problem = QuadraticProblem::random(8, 10, 1.5, sigma, cli.seed);
-        for alpha in [0.1f64, 0.5] {
-            let (b, points) = sweep(&problem, alpha, &grid, cli.seed);
-            println!("\n## {label}, alpha={alpha} — fitted exponent b = {b:.3}");
+    println!("# Theorem 6.1 rate check (Fashion-MNIST MLP, N=8 clients, K=4 local steps)");
+    for (regime, batch, epochs) in [("full-batch", SAMPLES, 4), ("13-sample mini-batch", 13, 1)] {
+        let mut exp = ExpConfig::new(
+            DatasetPreset::FashionMnist,
+            0.1,
+            0.3,
+            Scale::Smoke,
+            cli.seed,
+        );
+        exp.train_total = SAMPLES;
+        exp.participation = 1.0;
+        exp.rounds = GRID[GRID.len() - 1];
+        exp.batch_size = batch;
+        exp.local_epochs = epochs;
+        let task = exp.prepare();
+        let sim = task.simulation();
+        let methods: [(&str, Box<dyn FederatedAlgorithm>); 3] = [
+            ("FedCM alpha=0.1", Box::new(FedCm::new(0.1))),
+            ("FedCM alpha=0.5", Box::new(FedCm::new(0.5))),
+            ("FedWCM", build_method(Method::FedWcm, &task)),
+        ];
+        for (label, mut algo) in methods {
+            let norms = grad_norms(&sim, algo.as_mut(), &CrossEntropy);
+            let means = GRID.map(|r| mean_grad_norm(&norms[..r]));
+            let (b, _) = fit_power_law(&GRID.map(|r| r as f64), &means);
+            println!("\n## {regime}, {label} — fitted exponent b = {b:.3}");
             println!("R,avg_grad_norm_sq");
-            for (r, v) in points {
+            for (r, v) in GRID.iter().zip(means) {
                 println!("{r},{v:.6e}");
             }
         }

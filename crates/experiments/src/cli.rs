@@ -1,7 +1,8 @@
 //! Minimal CLI parsing shared by the experiment binaries (no external
 //! argument-parsing dependency).
 
-use fedwcm_fl::{Cadence, NetConfig};
+use crate::setup::{ExpConfig, PreparedTask};
+use fedwcm_fl::{Cadence, NetConfig, NetPlan, Simulation};
 use fedwcm_trace::{ConsoleSink, Tracer, WallClock};
 use std::sync::Arc;
 
@@ -55,6 +56,28 @@ impl Default for Cli {
 }
 
 impl Cli {
+    /// Materialise `exp` as this command line runs it: `--rounds` and
+    /// `--cadence` override the condition's own. With [`Cli::simulation`],
+    /// the one place a binary's overrides are applied.
+    pub fn prepare(&self, exp: &ExpConfig) -> PreparedTask {
+        let mut e = exp.clone();
+        if let Some(r) = self.rounds {
+            e.rounds = r;
+        }
+        e.cadence = self.cadence;
+        e.prepare()
+    }
+
+    /// The simulation of a task from [`Cli::prepare`], over the `--net`
+    /// wire transport when one is given.
+    pub fn simulation<'t>(&self, task: &'t PreparedTask) -> Simulation<'t> {
+        let sim = task.simulation();
+        match &self.net {
+            Some(net) => sim.with_net_plan(NetPlan::new(net.clone())),
+            None => sim,
+        }
+    }
+
     /// The single console for experiment progress: a wall-clock tracer
     /// writing to stderr through [`ConsoleSink`], or a disabled tracer
     /// under `--quiet`. Binaries report progress with `.info(...)` so

@@ -32,12 +32,8 @@ pub fn run_with_concentration(
     cli: &Cli,
     every: usize,
 ) -> CollapseTrace {
-    let mut e = exp.clone();
-    if let Some(r) = cli.rounds {
-        e.rounds = r;
-    }
-    let task = e.prepare();
-    let sim = task.simulation();
+    let task = cli.prepare(exp);
+    let sim = cli.simulation(&task);
     let mut algo = build_method(method, &task);
 
     let mut probe = (task.factory)();
@@ -116,5 +112,24 @@ mod tests {
         let trace = run_with_concentration(&exp, Method::FedAvg, &cli, 3);
         let rounds: Vec<usize> = trace.mean_concentration.iter().map(|&(r, _)| r).collect();
         assert_eq!(rounds, vec![0, 3]);
+    }
+
+    /// A concentration figure runs the cell `run_history` runs, CLI
+    /// overrides included (`Debug` prints every float exactly).
+    #[test]
+    fn concentration_runs_take_the_cli_cadence() {
+        let exp = ExpConfig::new(DatasetPreset::FashionMnist, 0.1, 0.3, Scale::Smoke, 73);
+        let cli = Cli {
+            scale: Scale::Smoke,
+            rounds: Some(4),
+            cadence: fedwcm_fl::Cadence::BufferedK { k: 2 },
+            ..Cli::default()
+        };
+        let traced = run_with_concentration(&exp, Method::FedCm, &cli, 2).history;
+        let plain = crate::report::run_history(&exp, Method::FedCm, &cli);
+        assert_eq!(
+            format!("{:?}", traced.records),
+            format!("{:?}", plain.records)
+        );
     }
 }

@@ -3,7 +3,7 @@
 use crate::cli::Cli;
 use crate::methods::{build_method, Method};
 use crate::setup::ExpConfig;
-use fedwcm_fl::{History, NetPlan};
+use fedwcm_fl::History;
 use fedwcm_trace::{MetricValue, MetricsRegistry, MetricsSnapshot};
 use std::sync::Arc;
 
@@ -14,17 +14,10 @@ pub fn run_cell(exp: &ExpConfig, method: Method, cli: &Cli) -> f64 {
     for t in 0..cli.trials {
         let mut e = exp.clone();
         e.seed = exp.seed.wrapping_add(1000 * t as u64);
-        if let Some(r) = cli.rounds {
-            e.rounds = r;
-        }
-        e.cadence = cli.cadence;
-        let task = e.prepare();
-        let mut sim = task.simulation();
-        if let Some(net) = &cli.net {
-            sim = sim.with_net_plan(NetPlan::new(net.clone()));
-        }
-        let mut algo = build_method(method, &task);
-        let history = sim.run(algo.as_mut());
+        let task = cli.prepare(&e);
+        let history = cli
+            .simulation(&task)
+            .run(build_method(method, &task).as_mut());
         acc += history.final_accuracy(3);
     }
     acc / cli.trials as f64
@@ -38,20 +31,11 @@ pub fn run_cell(exp: &ExpConfig, method: Method, cli: &Cli) -> f64 {
 /// distribution, α trajectory, per-class accuracy); registries never
 /// feed back into simulation state, so results are unchanged.
 pub fn run_history(exp: &ExpConfig, method: Method, cli: &Cli) -> History {
-    let mut e = exp.clone();
-    if let Some(r) = cli.rounds {
-        e.rounds = r;
-    }
-    e.cadence = cli.cadence;
-    let task = e.prepare();
-    let mut sim = task
-        .simulation()
+    let task = cli.prepare(exp);
+    let sim = cli
+        .simulation(&task)
         .with_metrics(Arc::new(MetricsRegistry::new()));
-    if let Some(net) = &cli.net {
-        sim = sim.with_net_plan(NetPlan::new(net.clone()));
-    }
-    let mut algo = build_method(method, &task);
-    sim.run(algo.as_mut())
+    sim.run(build_method(method, &task).as_mut())
 }
 
 /// Print a markdown-style table: one row per label, one column per

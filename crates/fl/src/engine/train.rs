@@ -12,8 +12,8 @@ use fedwcm_trace::{local, Name, SpanBuffer, Value};
 use std::sync::Arc;
 
 /// The client ids sampled in round `round` under `cfg` (a pure function
-/// of `(cfg.seed, round)`, so sampling, fault accounting, and
-/// communication reports all agree without sharing state). Ascending.
+/// of `(cfg.seed, round)`, so a test oracle or a benchmark recomputes a
+/// round's cohort without running the round). Ascending.
 pub fn sampled_clients_for(cfg: &FlConfig, round: usize) -> Vec<usize> {
     let mut rng = Xoshiro256pp::stream(cfg.seed, &[stream::SAMPLE, round as u64]);
     rng.sample_indices(cfg.clients, cfg.sampled_per_round())

@@ -31,7 +31,7 @@
 //! `deliver` → `admit` → `apply` → `evaluate`),
 //! [`checkpoint`] (crash/resume snapshots),
 //! [`metrics`] (histories and resilience reports),
-//! [`quadratic`] (a convex testbed for the Theorem 6.1 rate check), and
+//! [`comms`] (nominal model-traffic volumes, Appendix C's comparison), and
 //! [`wire`] (payload codec for the fault-tolerant transport). Three
 //! private modules carry protocols in types instead of conventions:
 //! `codec` (one field table per serialized struct, driving writer and
@@ -71,7 +71,6 @@ pub mod config;
 pub mod engine;
 pub mod metrics;
 mod observe;
-pub mod quadratic;
 mod undiscounted;
 pub mod wire;
 

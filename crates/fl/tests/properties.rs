@@ -10,7 +10,6 @@ use fedwcm_data::synth::DatasetPreset;
 use fedwcm_faults::{FaultConfig, FaultPlan};
 use fedwcm_fl::algorithm::{server_step, uniform_average, weighted_average};
 use fedwcm_fl::client::ClientUpdate;
-use fedwcm_fl::quadratic::{run_quadratic_fedcm, QuadRunConfig, QuadraticProblem};
 use fedwcm_fl::{
     Cadence, CheckpointError, FlConfig, NetConfig, NetPlan, ServerCheckpoint, Simulation,
 };
@@ -92,22 +91,6 @@ proptest! {
             let d2 = g2[i] - base[i];
             prop_assert!((d2 - 2.0 * d1).abs() < 1e-4);
         }
-    }
-
-    #[test]
-    fn quadratic_testbed_bounded_iterates(
-        clients in 2usize..6, dim in 2usize..8, alpha in 0.1f64..1.0, seed in any::<u64>(),
-    ) {
-        let p = QuadraticProblem::random(clients, dim, 1.0, 0.2, seed);
-        let cfg = QuadRunConfig { local_steps: 3, rounds: 30, local_lr: 0.05, alpha, seed };
-        let norms = run_quadratic_fedcm(&p, &cfg);
-        prop_assert_eq!(norms.len(), 30);
-        prop_assert!(norms.iter().all(|v| v.is_finite()));
-        // Stable configuration: the trailing average must not exceed the
-        // leading average (no divergence).
-        let head: f64 = norms[..5].iter().sum::<f64>() / 5.0;
-        let tail: f64 = norms[25..].iter().sum::<f64>() / 5.0;
-        prop_assert!(tail <= head * 2.0 + 1.0, "head {head} tail {tail}");
     }
 }
 

@@ -138,10 +138,6 @@ pub mod stream {
         /// `fl`: one client's local training (batch order), keyed
         /// `(round, client)`.
         LOCAL = 0xC11E;
-        /// `fl::quadratic`: the random quadratic instance.
-        QUADRATIC_PROBLEM = 0x9A0D;
-        /// `fl::quadratic`: gradient noise and sampling of a run.
-        QUADRATIC_RUN = 0x40AD;
         /// `faults`: client-fault draws, keyed `(round, client)`.
         FAULT = 0xFA17;
         /// `transport`: frame-level network fault draws, keyed
