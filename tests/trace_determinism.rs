@@ -15,8 +15,8 @@ use fedwcm_fl::{Cadence, FlConfig, History, NetConfig, NetPlan, Simulation};
 use fedwcm_nn::models::mlp;
 use fedwcm_stats::Xoshiro256pp;
 use fedwcm_trace::{
-    Event, EventKind, JsonlSink, LogicalClock, MetricValue, MetricsRegistry, RingSink, SharedBuf,
-    Tracer, Value,
+    names, Event, EventKind, JsonlSink, LogicalClock, MetricValue, MetricsRegistry, RingSink,
+    SharedBuf, Tracer, Value,
 };
 use std::sync::Arc;
 
@@ -104,7 +104,7 @@ fn trace_contains_the_span_taxonomy() {
         assert!(line.starts_with("{\"t\":"), "bad line {line}");
         assert!(line.ends_with('}'), "bad line {line}");
     }
-    assert!(history.metrics.get("fl.rounds").is_some());
+    assert!(history.metrics.get(names::FL_ROUND_TICKS).is_some());
 }
 
 /// Every method trains through the one client loop: a traced smoke run
@@ -156,12 +156,39 @@ fn every_method_traces_one_local_epoch_span_per_epoch() {
     assert!(wrong.is_empty(), "epoch spans:\n{}", wrong.join("\n"));
 }
 
-/// Everything one chaos run leaves behind, as text: the JSONL stream
-/// under a [`LogicalClock`], then the metrics snapshot, then every
-/// `RoundRecord` field — floats as bit patterns. Client faults of every
-/// kind and a lossy wire are both attached, so the fault hook, the
-/// transport, the containment filter and the cadence all leave marks.
-fn chaos_run_text(cadence: Cadence, quorum_frac: f64, threads: usize) -> String {
+/// The metrics no `RoundRecord` column carries: wire bytes, received
+/// uploads, the cadence buffer, tail and per-class accuracy, phase ticks.
+fn is_kept_metric(name: &str) -> bool {
+    [
+        names::FL_BYTES_UP,
+        names::FL_BYTES_DOWN,
+        names::FL_UPDATES_RECEIVED,
+        names::FL_CADENCE_BUFFERED,
+        names::FL_ACC_TAIL,
+        names::FL_PHASE_LOCAL_TRAIN,
+        names::FL_PHASE_AGGREGATE,
+        names::FL_PHASE_EVALUATE,
+        names::FL_ROUND_TICKS,
+    ]
+    .contains(&name)
+        || name.starts_with(names::FL_ACC_CLASS_PREFIX)
+}
+
+/// Everything one chaos run leaves behind, as three texts.
+#[derive(Debug, PartialEq)]
+struct ChaosText {
+    /// The JSONL stream under a [`LogicalClock`].
+    trace: String,
+    /// Every `RoundRecord` field, floats as bit patterns.
+    records: String,
+    /// The snapshot entries [`is_kept_metric`] names, in snapshot order.
+    metrics: String,
+}
+
+/// One chaos run, as [`ChaosText`]. Client faults of every kind and a
+/// lossy wire are both attached, so the fault hook, the transport, the
+/// containment filter and the cadence all leave marks.
+fn chaos_run_text(cadence: Cadence, quorum_frac: f64, threads: usize) -> ChaosText {
     let spec = DatasetPreset::FashionMnist.spec();
     let counts = longtail_counts(10, 30, 0.5);
     let train = spec.generate_train(&counts, 78);
@@ -215,8 +242,14 @@ fn chaos_run_text(cadence: Cadence, quorum_frac: f64, threads: usize) -> String 
 
     let history = sim.run(&mut FedWcm::new());
     tracer.flush();
-    let mut text = String::from_utf8(buf.contents()).expect("JSONL is UTF-8");
-    for e in &history.metrics.entries {
+    let trace = String::from_utf8(buf.contents()).expect("JSONL is UTF-8");
+    let mut metrics = String::new();
+    for e in history
+        .metrics
+        .entries
+        .iter()
+        .filter(|e| is_kept_metric(&e.name))
+    {
         let value = match &e.value {
             MetricValue::Counter(v) => format!("counter {v}"),
             MetricValue::Gauge(v) => format!("gauge {:#018x}", v.to_bits()),
@@ -228,11 +261,12 @@ fn chaos_run_text(cadence: Cadence, quorum_frac: f64, threads: usize) -> String 
                 h.nan_rejected
             ),
         };
-        text.push_str(&format!("{} {value}\n", e.name));
+        metrics.push_str(&format!("{} {value}\n", e.name));
     }
     let bits = |v: Option<f64>| v.map(f64::to_bits);
+    let mut records = String::new();
     for r in &history.records {
-        text.push_str(&format!(
+        records.push_str(&format!(
             "{} {:?} {:#018x} {:?} {:?} {} {} {:?} {:?}\n",
             r.round,
             bits(r.train_loss),
@@ -245,54 +279,69 @@ fn chaos_run_text(cadence: Cadence, quorum_frac: f64, threads: usize) -> String 
             r.net
         ));
     }
-    text
+    ChaosText {
+        trace,
+        records,
+        metrics,
+    }
 }
 
 /// Golden bytes for what no probe traces: `buffer_flush` / `async_apply`
-/// spans, the `fl.cadence.*` metrics, and a sync round that fails
+/// spans, the `fl.cadence.buffered` gauge, and a sync round that fails
 /// quorum and re-queues a late arrival — each under the chaos plan and
-/// a lossy wire. Blessed on the single-file engine (commit 86a62c2),
-/// before it was split into stages; any changed byte since is a bug.
+/// a lossy wire. The trace, the records and the kept metrics each have
+/// their own CRC, so a changed byte names the ledger it moved.
 #[test]
 fn chaos_traces_of_every_cadence_match_their_golden_crc() {
     let cases = [
-        (Cadence::Sync, 0.5, "late_requeue", GOLDEN_SYNC_REQUEUE_CRC),
+        (Cadence::Sync, 0.5, "late_requeue", GOLDEN_SYNC_REQUEUE_CRCS),
         (
             Cadence::BufferedK { k: 2 },
             0.0,
             "\"name\":\"buffer_flush\"",
-            GOLDEN_BUFFERED_CRC,
+            GOLDEN_BUFFERED_CRCS,
         ),
         (
             Cadence::Async { max_in_flight: 2 },
             0.0,
             "\"name\":\"async_apply\"",
-            GOLDEN_ASYNC_CRC,
+            GOLDEN_ASYNC_CRCS,
         ),
     ];
     for (cadence, quorum_frac, marker, golden) in cases {
         let label = cadence.label();
         let text = chaos_run_text(cadence, quorum_frac, 1);
         for needle in [marker, "\"name\":\"send_frame\"", "\"name\":\"retry\""] {
-            assert!(text.contains(needle), "{label}: trace lacks {needle}");
+            assert!(text.trace.contains(needle), "{label}: trace lacks {needle}");
         }
         if cadence != Cadence::Sync {
-            assert!(text.contains("fl.cadence.buffered gauge"), "{label}");
+            assert!(
+                text.metrics.contains("fl.cadence.buffered gauge"),
+                "{label}"
+            );
         }
         assert_eq!(
             text,
             chaos_run_text(cadence, quorum_frac, 4),
             "{label}: 1 vs 4 threads"
         );
-        assert_eq!(
-            fedwcm_transport::frame::crc32(text.as_bytes()),
-            golden,
-            "{label}: trace, metrics or record bytes changed ({} bytes)",
-            text.len()
-        );
+        let parts = [
+            ("trace", &text.trace),
+            ("records", &text.records),
+            ("metrics", &text.metrics),
+        ];
+        for ((part, bytes), want) in parts.into_iter().zip(golden) {
+            assert_eq!(
+                fedwcm_transport::frame::crc32(bytes.as_bytes()),
+                want,
+                "{label}: {part} bytes changed ({} bytes)",
+                bytes.len()
+            );
+        }
     }
 }
 
-const GOLDEN_SYNC_REQUEUE_CRC: u32 = 0xF3B0_637D;
-const GOLDEN_BUFFERED_CRC: u32 = 0xB626_53A8;
-const GOLDEN_ASYNC_CRC: u32 = 0x5BEF_6173;
+/// `[trace, records, kept metrics]` CRC32s of each chaos run.
+const GOLDEN_SYNC_REQUEUE_CRCS: [u32; 3] = [0xEC37_4EB7, 0x807F_31E8, 0xDFAD_5DE0];
+const GOLDEN_BUFFERED_CRCS: [u32; 3] = [0x050F_2058, 0x8FB8_3216, 0x60E4_E282];
+const GOLDEN_ASYNC_CRCS: [u32; 3] = [0x03E5_DA2D, 0x8C94_0EC1, 0x8A6D_D89B];
