@@ -113,5 +113,6 @@ fn main() {
     if let Some(r) = h.rounds_to_reach(h.best_accuracy() * 0.9) {
         println!("rounds to 90% of best:       {r}");
     }
+    println!("\n{}", h.resilience_report(None));
     print_metrics(&h);
 }

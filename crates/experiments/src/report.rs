@@ -187,7 +187,7 @@ mod tests {
     use super::*;
     use crate::cli::Scale;
     use fedwcm_data::synth::DatasetPreset;
-    use fedwcm_trace::Name;
+    use fedwcm_trace::{names, Name};
 
     #[test]
     fn run_cell_smoke() {
@@ -256,24 +256,24 @@ mod tests {
             !h.metrics.is_empty(),
             "registry snapshot should land in History"
         );
-        assert!(h.metrics.get("fl.rounds").is_some());
+        assert!(h.metrics.get(names::FL_UPDATES_RECEIVED).is_some());
         let summary = metrics_summary(&h.metrics);
         assert!(summary.contains("fl.bytes.up"), "{summary}");
-        assert!(summary.contains("fl.update_norm"), "{summary}");
+        assert!(summary.contains("fl.acc.tail"), "{summary}");
     }
 
     #[test]
     fn phase_table_renders_phase_histograms_only() {
         let reg = MetricsRegistry::new();
-        reg.counter_add(Name::FL_ROUNDS, 3);
+        reg.counter_add(Name::FL_BYTES_UP, 3);
         reg.observe(Name::FL_PHASE_AGGREGATE, &[10.0, 100.0], 5.0);
         reg.observe(Name::FL_PHASE_AGGREGATE, &[10.0, 100.0], 7.0);
-        reg.observe(Name::FL_UPDATE_NORM, &[1.0], 0.5);
+        reg.gauge_set(Name::FL_ACC_TAIL, 0.5);
         let snap = reg.snapshot();
         let table = phase_time_table(&snap);
         assert!(table.contains("fl.phase.aggregate"), "{table}");
-        assert!(!table.contains("fl.update_norm"), "{table}");
-        assert!(!table.contains("fl.rounds"), "{table}");
+        assert!(!table.contains("fl.acc.tail"), "{table}");
+        assert!(!table.contains("fl.bytes.up"), "{table}");
         // count 2, mean 6.0, total 12
         assert!(table.contains("| fl.phase.aggregate"), "{table}");
         assert!(table.contains("6.0"), "{table}");
@@ -288,7 +288,7 @@ mod tests {
     #[test]
     fn phase_table_empty_without_phase_histograms() {
         let reg = MetricsRegistry::new();
-        reg.counter_add(Name::FL_ROUNDS, 1);
+        reg.counter_add(Name::FL_BYTES_UP, 1);
         assert!(phase_time_table(&reg.snapshot()).is_empty());
         assert!(phase_time_table(&MetricsSnapshot::default()).is_empty());
     }
@@ -296,13 +296,13 @@ mod tests {
     #[test]
     fn metrics_summary_covers_all_kinds() {
         let reg = MetricsRegistry::new();
-        reg.counter_add(Name::FL_ROUNDS, 4);
-        reg.gauge_set(Name::FL_ALPHA, 0.25);
-        reg.observe(Name::FL_UPDATE_NORM, &[1.0], 0.5);
+        reg.counter_add(Name::FL_BYTES_UP, 4);
+        reg.gauge_set(Name::FL_ACC_TAIL, 0.25);
+        reg.observe(Name::FL_ROUND_TICKS, &[1.0], 0.5);
         let s = metrics_summary(&reg.snapshot());
-        assert!(s.contains("fl.rounds = 4"), "{s}");
-        assert!(s.contains("fl.alpha = 0.250000"), "{s}");
-        assert!(s.contains("fl.update_norm: n=1 mean=0.500"), "{s}");
+        assert!(s.contains("fl.bytes.up = 4"), "{s}");
+        assert!(s.contains("fl.acc.tail = 0.250000"), "{s}");
+        assert!(s.contains("fl.round_ticks: n=1 mean=0.500"), "{s}");
         assert!(metrics_summary(&MetricsSnapshot::default()).is_empty());
     }
 

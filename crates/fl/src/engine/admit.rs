@@ -76,7 +76,6 @@ pub(super) fn admit(
     record.dropped_updates = before_filter - received.len();
     if let Some(reg) = ctx.registry {
         reg.counter_add(Name::FL_UPDATES_RECEIVED, before_filter as u64);
-        reg.counter_add(Name::FL_UPDATES_DROPPED, record.dropped_updates as u64);
     }
 
     match cfg.cadence {
@@ -86,7 +85,7 @@ pub(super) fn admit(
         Cadence::BufferedK { k } => {
             let flushes = buffer(ctx.round, received, state) / k;
             Admission::Apply {
-                batches: take_batches(ctx, state, Name::FL_CADENCE_FLUSHES, flushes, k),
+                batches: take_batches(ctx, state, flushes, k),
                 scale: 1.0,
             }
         }
@@ -101,7 +100,7 @@ pub(super) fn admit(
         Cadence::Async { max_in_flight } => {
             let n = max_in_flight.min(buffer(ctx.round, received, state));
             Admission::Apply {
-                batches: take_batches(ctx, state, Name::FL_CADENCE_ASYNC_APPLIES, n, 1),
+                batches: take_batches(ctx, state, n, 1),
                 scale: 1.0f32 / n.max(1) as f32,
             }
         }
@@ -126,11 +125,6 @@ fn barrier(
     let fresh_healthy = received.iter().filter(|r| r.staleness == 0).count();
     faults.quorum_failed =
         cfg.quorum_frac > 0.0 && (fresh_healthy as f64) < cfg.quorum_frac * ctx.sampled_len as f64;
-    if faults.quorum_failed {
-        if let Some(reg) = ctx.registry {
-            reg.counter_add(Name::FL_ROUNDS_QUORUM_FAILED, 1);
-        }
-    }
     if !received.is_empty() && !faults.quorum_failed {
         return Admission::Apply {
             batches: vec![received],
@@ -155,12 +149,6 @@ fn barrier(
             via_net: r.via_net,
             update: r.update,
         });
-    }
-    if let Some(reg) = ctx.registry {
-        reg.counter_add(
-            Name::FL_FAULTS_LATE_REQUEUED,
-            u64::from(faults.late_requeued),
-        );
     }
     Admission::Skip { train_loss }
 }
@@ -193,14 +181,8 @@ fn buffer(round: usize, received: Vec<ReceivedUpdate>, state: &mut RunState) -> 
 /// Take the `count * size` oldest buffered uploads as `count` batches of
 /// `size`, each upload aged to this round (the buffer does not remember
 /// which uploads crossed the wire, and nothing downstream asks), and
-/// book the events under `counter` and what stays behind in the gauge.
-fn take_batches(
-    ctx: &RoundCtx<'_>,
-    state: &mut RunState,
-    counter: Name,
-    count: usize,
-    size: usize,
-) -> Vec<Batch> {
+/// book what stays behind in the gauge.
+fn take_batches(ctx: &RoundCtx<'_>, state: &mut RunState, count: usize, size: usize) -> Vec<Batch> {
     let mut oldest = state
         .agg_buffer
         .drain(..count * size)
@@ -214,7 +196,6 @@ fn take_batches(
         .collect();
     drop(oldest);
     if let Some(reg) = ctx.registry {
-        reg.counter_add(counter, count as u64);
         reg.gauge_set(Name::FL_CADENCE_BUFFERED, state.agg_buffer.len() as f64);
     }
     batches

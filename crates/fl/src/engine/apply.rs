@@ -12,12 +12,6 @@ use crate::metrics::RoundRecord;
 use fedwcm_tensor::invariants;
 use fedwcm_trace::{Name, Value};
 
-/// Buckets for the per-round global-update-norm histogram.
-const UPDATE_NORM_BOUNDS: [f64; 8] = [0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0];
-
-/// Buckets for the α-trajectory histogram (α ∈ (0, 1]).
-const ALPHA_BOUNDS: [f64; 10] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
-
 /// L2 norm of the parameter movement from `before` to `after`,
 /// accumulated in `f64` in index order (bitwise thread-invariant).
 fn update_norm_between(before: &[f32], after: &[f32]) -> f64 {
@@ -128,17 +122,6 @@ pub(super) fn apply(
     ctx.observe_phase(Name::FL_PHASE_AGGREGATE, t0);
     record.train_loss = (loss_n > 0).then(|| loss_sum / loss_n as f64);
     record.update_norm = update_norm_between(&before, &state.global);
-    if let Some(reg) = ctx.registry {
-        reg.observe(
-            Name::FL_UPDATE_NORM,
-            &UPDATE_NORM_BOUNDS,
-            record.update_norm,
-        );
-        if let Some(a) = record.alpha {
-            reg.gauge_set(Name::FL_ALPHA, a);
-            reg.observe(Name::FL_ALPHA_TRAJECTORY, &ALPHA_BOUNDS, a);
-        }
-    }
 }
 
 #[cfg(test)]

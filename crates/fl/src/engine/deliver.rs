@@ -1,7 +1,7 @@
 //! Stage 3 — the wire: route this round's fresh uploads through the
 //! fault-tolerant transport. Without an effective network plan this is
-//! the identity and no `fl.net.*` metric is touched, so zero-plan
-//! snapshots stay identical to runs that never had a transport.
+//! the identity. What the wire did is booked in the round's
+//! [`NetCounters`] (`RoundRecord::net`); no metric is touched.
 
 use super::{PendingUpdate, ReceivedUpdate, RoundCtx, RunState};
 use crate::codec::Wire;
@@ -97,15 +97,5 @@ pub(super) fn deliver(
     }
     net.merge(&courier.counters());
     state.net_ticks = courier.ticks();
-    if let Some(reg) = ctx.registry {
-        reg.counter_add(Name::FL_NET_FRAMES_SENT, net.frames_sent);
-        reg.counter_add(Name::FL_NET_RETRIES, net.retries);
-        reg.counter_add(Name::FL_NET_REJECTED_FRAMES, net.rejected_frames);
-        reg.counter_add(Name::FL_NET_DUPLICATES, net.duplicates);
-        reg.counter_add(Name::FL_NET_DELAYED, net.delayed);
-        reg.counter_add(Name::FL_NET_DEGRADED, net.degraded);
-        reg.counter_add(Name::FL_NET_RETRANSMITTED_BYTES, net.retransmitted_bytes);
-        reg.counter_add(Name::FL_NET_REJECTED_BYTES, net.rejected_bytes);
-    }
     out
 }

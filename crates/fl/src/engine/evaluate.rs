@@ -32,7 +32,6 @@ pub(super) fn evaluate(
         let tally = class_tally(model, test, threads);
         let acc = overall_accuracy(&tally);
         if let Some(reg) = ctx.registry {
-            reg.gauge_set(Name::FL_ACC_OVERALL, acc);
             let pc = class_accuracies(&tally);
             let tail_len = pc.len() / 3;
             let tail_from = pc.len() - tail_len;

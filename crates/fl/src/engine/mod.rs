@@ -267,9 +267,6 @@ impl<'a> Simulation<'a> {
             }
 
             state.history.records.push(record);
-            if let Some(reg) = ctx.registry {
-                reg.counter_add(Name::FL_ROUNDS, 1);
-            }
             observer(round, &state.global);
             ctx.close();
             state.next_round = round + 1;

@@ -132,13 +132,6 @@ pub(super) fn perturb(
             }
         }
     }
-    if let Some(reg) = ctx.registry {
-        reg.counter_add(Name::FL_FAULTS_DROPOUTS, u64::from(faults.dropouts));
-        reg.counter_add(Name::FL_FAULTS_STRAGGLERS, u64::from(faults.stragglers));
-        reg.counter_add(Name::FL_FAULTS_LATE_MERGED, u64::from(faults.late_merged));
-        reg.counter_add(Name::FL_FAULTS_CORRUPTIONS, u64::from(faults.corruptions));
-        reg.counter_add(Name::FL_FAULTS_REPLAYS, u64::from(faults.replays));
-    }
     received
 }
 

@@ -26,12 +26,6 @@ pub fn subq(a: u64, b: u64) -> u64 {
     (a.wrapping_sub(b)) & Q_MASK
 }
 
-/// Negation mod q.
-#[inline]
-pub fn negq(a: u64) -> u64 {
-    (Q.wrapping_sub(a)) & Q_MASK
-}
-
 /// Elementwise polynomial addition.
 pub fn poly_add(a: &[u64], b: &[u64], out: &mut [u64]) {
     assert!(
@@ -115,8 +109,6 @@ mod tests {
     fn mod_arithmetic_wraps() {
         assert_eq!(addq(Q - 1, 2), 1);
         assert_eq!(subq(0, 1), Q - 1);
-        assert_eq!(negq(5), Q - 5);
-        assert_eq!(negq(0), 0);
     }
 
     #[test]

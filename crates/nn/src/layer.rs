@@ -126,71 +126,6 @@ impl Layer for Relu {
     }
 }
 
-/// Leaky rectified linear unit: `max(x, slope·x)` with `slope < 1`.
-#[derive(Clone)]
-pub struct LeakyRelu {
-    slope: f32,
-    cached_input: Vec<f32>,
-}
-
-impl LeakyRelu {
-    /// New leaky ReLU with the given negative-side slope (e.g. 0.01).
-    pub fn new(slope: f32) -> Self {
-        assert!((0.0..1.0).contains(&slope), "slope must be in [0,1)");
-        LeakyRelu {
-            slope,
-            cached_input: Vec::new(),
-        }
-    }
-}
-
-impl Layer for LeakyRelu {
-    fn name(&self) -> &'static str {
-        "leaky_relu"
-    }
-
-    fn out_features(&self, in_features: usize) -> usize {
-        in_features
-    }
-
-    fn forward(&mut self, _params: &[f32], input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_input.clear();
-            self.cached_input.extend_from_slice(input.as_slice());
-        }
-        let mut out = input.clone();
-        for x in out.as_mut_slice() {
-            if *x < 0.0 {
-                *x *= self.slope;
-            }
-        }
-        out
-    }
-
-    fn backward(&mut self, _params: &[f32], _grad_params: &mut [f32], grad_out: &Tensor) -> Tensor {
-        assert_eq!(
-            grad_out.len(),
-            self.cached_input.len(),
-            "leaky-relu backward without matching forward"
-        );
-        let mut g = grad_out.clone();
-        for (x, &inp) in g.as_mut_slice().iter_mut().zip(&self.cached_input) {
-            if inp < 0.0 {
-                *x *= self.slope;
-            }
-        }
-        g
-    }
-
-    fn release_cache(&mut self) {
-        self.cached_input = Vec::new();
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-}
-
 /// Hyperbolic-tangent activation.
 #[derive(Clone, Default)]
 pub struct Tanh {
@@ -358,28 +293,6 @@ mod tests {
     fn he_std_decreases_with_fan_in() {
         assert!(he_std(10) > he_std(1000));
         assert!((he_std(2) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn leaky_relu_forward_backward() {
-        let mut l = LeakyRelu::new(0.1);
-        let x = Tensor::from_vec(vec![-2.0, 0.0, 3.0], &[1, 3]);
-        let y = l.forward(&[], &x, true);
-        assert_eq!(y.as_slice(), &[-0.2, 0.0, 3.0]);
-        let g = Tensor::from_vec(vec![10.0, 10.0, 10.0], &[1, 3]);
-        let gx = l.backward(&[], &mut [], &g);
-        assert_eq!(gx.as_slice(), &[1.0, 10.0, 10.0]);
-    }
-
-    #[test]
-    fn leaky_relu_zero_slope_equals_relu() {
-        let mut leaky = LeakyRelu::new(0.0);
-        let mut relu = Relu::new();
-        let x = Tensor::from_vec(vec![-1.5, 0.5, -0.1, 2.0], &[1, 4]);
-        assert_eq!(
-            leaky.forward(&[], &x, false).as_slice(),
-            relu.forward(&[], &x, false).as_slice()
-        );
     }
 
     #[test]

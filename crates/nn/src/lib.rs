@@ -15,7 +15,7 @@
 //! * [`model`] — sequential model with forward/backward over the arena;
 //! * [`models`] — architecture presets matching the paper's per-dataset
 //!   choices (MLP for Fashion-MNIST-like, ResLite for the CIFAR-likes);
-//! * [`loss`] — cross-entropy, Focal, Balanced-Softmax (PriorCE), LDAM;
+//! * [`loss`] — cross-entropy, Focal, Balanced-Softmax (PriorCE);
 //! * [`opt`] — SGD-style parameter updates used by every FL algorithm;
 //! * [`gradcheck`] — finite-difference validation utilities.
 
@@ -45,5 +45,5 @@ pub mod residual;
 pub mod serialize;
 
 pub use layer::{Layer, Relu};
-pub use loss::{BalancedSoftmax, CrossEntropy, FocalLoss, LdamLoss, Loss};
+pub use loss::{BalancedSoftmax, CrossEntropy, FocalLoss, Loss};
 pub use model::Model;

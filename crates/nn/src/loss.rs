@@ -1,6 +1,6 @@
 //! Classification losses, including the long-tail-aware ones the paper
-//! combines with FedCM: Focal loss, Balanced-Softmax ("Balance Loss" /
-//! PriorCELoss), and LDAM.
+//! combines with FedCM: Focal loss and Balanced-Softmax ("Balance Loss" /
+//! PriorCELoss).
 //!
 //! Every loss maps logits `[batch, C]` + integer labels to the scalar
 //! *mean* loss and the mean gradient w.r.t. the logits (already divided by
@@ -72,13 +72,6 @@ pub struct FocalLoss {
     pub gamma: f32,
 }
 
-impl FocalLoss {
-    /// Standard γ=2 configuration.
-    pub fn default_gamma() -> Self {
-        FocalLoss { gamma: 2.0 }
-    }
-}
-
 impl Loss for FocalLoss {
     fn loss_and_grad(&self, logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
         check_labels(logits, labels);
@@ -143,55 +136,6 @@ impl Loss for BalancedSoftmax {
             }
         }
         CrossEntropy.loss_and_grad(&adjusted, labels)
-    }
-}
-
-/// LDAM loss (Cao et al., 2019): label-distribution-aware margins
-/// `Δ_c ∝ n_c^{-1/4}`, applied to the true-class logit, with scale `s`.
-pub struct LdamLoss {
-    margins: Vec<f32>,
-    scale: f32,
-}
-
-impl LdamLoss {
-    /// Build from per-class counts; `max_margin` rescales the largest
-    /// margin (paper default 0.5), `scale` is the logit multiplier
-    /// (paper default 30).
-    pub fn from_counts(counts: &[usize], max_margin: f32, scale: f32) -> Self {
-        assert!(!counts.is_empty(), "need per-class counts");
-        assert!(max_margin > 0.0 && scale > 0.0);
-        let raw: Vec<f32> = counts
-            .iter()
-            .map(|&n| 1.0 / (n.max(1) as f32).powf(0.25))
-            .collect();
-        let max = raw.iter().cloned().fold(0.0f32, f32::max);
-        let margins = raw.iter().map(|&m| m / max * max_margin).collect();
-        LdamLoss { margins, scale }
-    }
-
-    /// Paper-default configuration.
-    pub fn default_from_counts(counts: &[usize]) -> Self {
-        Self::from_counts(counts, 0.5, 30.0)
-    }
-}
-
-impl Loss for LdamLoss {
-    fn loss_and_grad(&self, logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
-        check_labels(logits, labels);
-        assert_eq!(logits.cols(), self.margins.len(), "class count mismatch");
-        let mut shifted = logits.clone();
-        for (r, &y) in labels.iter().enumerate() {
-            shifted.row_mut(r)[y] -= self.margins[y];
-        }
-        for x in shifted.as_mut_slice() {
-            *x *= self.scale;
-        }
-        let (loss, mut grad) = CrossEntropy.loss_and_grad(&shifted, labels);
-        // Chain rule through the scale.
-        for x in grad.as_mut_slice() {
-            *x *= self.scale;
-        }
-        (loss, grad)
     }
 }
 
@@ -304,21 +248,6 @@ mod tests {
         let (l_head, _) = loss.loss_and_grad(&z, &[0]);
         let (l_tail, _) = loss.loss_and_grad(&z, &[1]);
         assert!(l_tail > l_head, "tail {l_tail} head {l_head}");
-    }
-
-    #[test]
-    fn ldam_gradient_matches_fd() {
-        let (z, y) = sample_logits();
-        let loss = LdamLoss::from_counts(&[100, 10, 1], 0.5, 2.0);
-        fd_check(&loss, &z, &y, 5e-3);
-    }
-
-    #[test]
-    fn ldam_margins_larger_for_rare_classes() {
-        let loss = LdamLoss::default_from_counts(&[10_000, 100, 1]);
-        assert!(loss.margins[2] > loss.margins[1]);
-        assert!(loss.margins[1] > loss.margins[0]);
-        assert!((loss.margins[2] - 0.5).abs() < 1e-6);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! FL methods differ in *what direction* they step along, not in the
 //! stepping mechanics, so this module exposes small composable pieces: a
-//! plain SGD step, weight decay, and the client-momentum blend of
-//! Eq. (2)/(6).
+//! plain SGD step, the client-momentum blend of Eq. (2)/(6), and heavy-ball
+//! server momentum.
 
 use fedwcm_tensor::ops;
 
@@ -11,14 +11,6 @@ use fedwcm_tensor::ops;
 #[inline]
 pub fn sgd_step(params: &mut [f32], direction: &[f32], lr: f32) {
     ops::axpy(-lr, direction, params);
-}
-
-/// In-place decoupled weight decay: `params *= (1 - lr*wd)`.
-#[inline]
-pub fn weight_decay(params: &mut [f32], lr: f32, wd: f32) {
-    if wd != 0.0 {
-        ops::scal(1.0 - lr * wd, params);
-    }
 }
 
 /// Client-momentum direction of FedCM/FedWCM, in place over the
@@ -55,15 +47,6 @@ mod tests {
         sgd_step(&mut p, &[0.5, -0.5], 0.1);
         assert!((p[0] - 0.95).abs() < 1e-6);
         assert!((p[1] - 2.05).abs() < 1e-6);
-    }
-
-    #[test]
-    fn weight_decay_shrinks() {
-        let mut p = vec![2.0];
-        weight_decay(&mut p, 0.1, 0.5);
-        assert!((p[0] - 2.0 * 0.95).abs() < 1e-6);
-        weight_decay(&mut p, 0.1, 0.0); // no-op
-        assert!((p[0] - 2.0 * 0.95).abs() < 1e-6);
     }
 
     #[test]

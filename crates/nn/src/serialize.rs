@@ -1,15 +1,6 @@
-//! Flat parameter (de)serialization — checkpointing for trained global
-//! models without external dependencies — plus the little-endian byte
-//! helpers ([`put_u32`], [`put_f32s`], [`ByteReader`], …) that the
-//! server-state checkpoint format in `fedwcm-fl` builds on.
-//!
-//! Wire format: magic `b"FWCM"`, format version (u32 LE), parameter count
-//! (u64 LE), then raw little-endian f32 parameters.
-
-use crate::model::Model;
-
-const MAGIC: &[u8; 4] = b"FWCM";
-const VERSION: u32 = 1;
+//! Little-endian byte helpers ([`put_u32`], [`put_f32s`], [`ByteReader`],
+//! …) that `fedwcm-fl`'s wire codec and `FWCK` server checkpoints build
+//! on. Floats keep their bit patterns, NaN payloads included.
 
 /// Append a little-endian u32.
 pub fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -134,119 +125,9 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// Serialize a model's parameters to the checkpoint format.
-pub fn save_params(model: &Model) -> Vec<u8> {
-    let params = model.params();
-    let mut out = Vec::with_capacity(16 + params.len() * 4);
-    out.extend_from_slice(MAGIC);
-    put_u32(&mut out, VERSION);
-    put_f32s(&mut out, params);
-    out
-}
-
-/// Errors from [`load_params`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LoadError {
-    /// Missing/incorrect magic bytes or truncated header.
-    BadHeader,
-    /// Unsupported format version.
-    BadVersion(u32),
-    /// Parameter count does not match the model architecture.
-    WrongArity {
-        /// Parameters in the checkpoint.
-        found: usize,
-        /// Parameters the model expects.
-        expected: usize,
-    },
-    /// Body shorter/longer than the declared count.
-    Truncated,
-    /// Non-finite parameter encountered.
-    NonFinite,
-}
-
-/// Load a checkpoint produced by [`save_params`] into a model with a
-/// matching architecture.
-pub fn load_params(model: &mut Model, bytes: &[u8]) -> Result<(), LoadError> {
-    if bytes.len() < 16 || &bytes[..4] != MAGIC {
-        return Err(LoadError::BadHeader);
-    }
-    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    if version != VERSION {
-        return Err(LoadError::BadVersion(version));
-    }
-    let count = u64::from_le_bytes([
-        bytes[8], bytes[9], bytes[10], bytes[11], bytes[12], bytes[13], bytes[14], bytes[15],
-    ]) as usize;
-    if count != model.param_len() {
-        return Err(LoadError::WrongArity {
-            found: count,
-            expected: model.param_len(),
-        });
-    }
-    let body = &bytes[16..];
-    if body.len() != count * 4 {
-        return Err(LoadError::Truncated);
-    }
-    let mut params = Vec::with_capacity(count);
-    for chunk in body.chunks_exact(4) {
-        let v = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        if !v.is_finite() {
-            return Err(LoadError::NonFinite);
-        }
-        params.push(v);
-    }
-    model.set_params(&params);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::mlp;
-    use fedwcm_stats::Xoshiro256pp;
-
-    fn model(seed: u64) -> Model {
-        let mut rng = Xoshiro256pp::seed_from(seed);
-        mlp(8, &[6], 3, &mut rng)
-    }
-
-    #[test]
-    fn roundtrip_restores_exact_params() {
-        let m1 = model(1);
-        let bytes = save_params(&m1);
-        let mut m2 = model(2);
-        assert_ne!(m1.params(), m2.params());
-        load_params(&mut m2, &bytes).unwrap();
-        assert_eq!(m1.params(), m2.params());
-    }
-
-    #[test]
-    fn header_validation() {
-        let mut m = model(3);
-        assert_eq!(load_params(&mut m, b"xxxx"), Err(LoadError::BadHeader));
-        let mut bad = save_params(&m);
-        bad[0] = b'X';
-        assert_eq!(load_params(&mut m, &bad), Err(LoadError::BadHeader));
-        let mut badver = save_params(&m);
-        badver[4] = 99;
-        assert_eq!(load_params(&mut m, &badver), Err(LoadError::BadVersion(99)));
-    }
-
-    #[test]
-    fn arity_and_truncation_checks() {
-        let big = model(4);
-        let mut small_rng = Xoshiro256pp::seed_from(5);
-        let mut small = mlp(4, &[3], 2, &mut small_rng);
-        let bytes = save_params(&big);
-        assert!(matches!(
-            load_params(&mut small, &bytes),
-            Err(LoadError::WrongArity { .. })
-        ));
-        let mut m = model(6);
-        let mut truncated = save_params(&m);
-        truncated.pop();
-        assert_eq!(load_params(&mut m, &truncated), Err(LoadError::Truncated));
-    }
 
     #[test]
     fn byte_helpers_roundtrip() {
@@ -284,13 +165,5 @@ mod tests {
         assert_eq!(r.str(), None);
         let mut r = ByteReader::new(&buf);
         assert_eq!(r.bytes(), None);
-    }
-
-    #[test]
-    fn nonfinite_rejected() {
-        let mut m = model(7);
-        let mut bytes = save_params(&m);
-        bytes[16..20].copy_from_slice(&f32::NAN.to_le_bytes());
-        assert_eq!(load_params(&mut m, &bytes), Err(LoadError::NonFinite));
     }
 }

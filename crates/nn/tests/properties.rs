@@ -1,7 +1,7 @@
 //! Property-based tests for the NN library: loss-function invariants and
 //! model algebra that must hold for arbitrary inputs.
 
-use fedwcm_nn::loss::{softmax_rows, BalancedSoftmax, CrossEntropy, FocalLoss, LdamLoss, Loss};
+use fedwcm_nn::loss::{softmax_rows, BalancedSoftmax, CrossEntropy, FocalLoss, Loss};
 use fedwcm_nn::models::mlp;
 use fedwcm_stats::Xoshiro256pp;
 use fedwcm_tensor::Tensor;
@@ -40,7 +40,6 @@ proptest! {
             Box::new(CrossEntropy),
             Box::new(FocalLoss { gamma: 2.0 }),
             Box::new(BalancedSoftmax::from_counts(&counts)),
-            Box::new(LdamLoss::from_counts(&counts, 0.5, 5.0)),
         ];
         for loss in &losses {
             let (l, grad) = loss.loss_and_grad(&logits, &labels);
@@ -101,16 +100,5 @@ proptest! {
         let new: Vec<f32> = (0..model.param_len()).map(|i| (i as f32 * 0.37).sin()).collect();
         model.set_params(&new);
         prop_assert_eq!(model.params(), new.as_slice());
-    }
-
-    #[test]
-    fn checkpoint_roundtrip(seed in any::<u64>()) {
-        let mut rng = Xoshiro256pp::seed_from(seed);
-        let model = mlp(5, &[4], 3, &mut rng);
-        let bytes = fedwcm_nn::serialize::save_params(&model);
-        let mut rng2 = Xoshiro256pp::seed_from(seed.wrapping_add(1));
-        let mut other = mlp(5, &[4], 3, &mut rng2);
-        fedwcm_nn::serialize::load_params(&mut other, &bytes).unwrap();
-        prop_assert_eq!(model.params(), other.params());
     }
 }

@@ -84,16 +84,6 @@ pub fn total_variation(p: &[f64], q: &[f64]) -> f64 {
     0.5 * p.iter().zip(q).map(|(a, b)| (a - b).abs()).sum::<f64>()
 }
 
-/// Normalise a non-negative weight vector into a probability vector.
-/// Returns the uniform distribution if the total is zero.
-pub fn normalize(xs: &[f64]) -> Vec<f64> {
-    let total: f64 = xs.iter().sum();
-    if total <= 0.0 {
-        return vec![1.0 / xs.len().max(1) as f64; xs.len()];
-    }
-    xs.iter().map(|&x| x / total).collect()
-}
-
 /// Numerically-stable softmax with temperature `t > 0`:
 /// `softmax(x/t)`. This is Eq. (4)'s weighting kernel.
 pub fn softmax_with_temperature(xs: &[f64], t: f64) -> Vec<f64> {
@@ -176,12 +166,6 @@ mod tests {
             assert!((x - y).abs() < 1e-12);
             assert!(x.is_finite());
         }
-    }
-
-    #[test]
-    fn normalize_handles_zero_total() {
-        assert_eq!(normalize(&[0.0, 0.0]), vec![0.5, 0.5]);
-        assert_eq!(normalize(&[2.0, 6.0]), vec![0.25, 0.75]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the stats crate: distribution invariants that
 //! must hold for arbitrary parameters, not just hand-picked ones.
 
-use fedwcm_stats::describe::{gini, normalize, softmax_with_temperature, total_variation};
+use fedwcm_stats::describe::{gini, softmax_with_temperature, total_variation};
 use fedwcm_stats::dist::{Categorical, Dirichlet, Gamma};
 use fedwcm_stats::rng::{Rng, Xoshiro256pp};
 use proptest::prelude::*;
@@ -70,8 +70,11 @@ proptest! {
         b in prop::collection::vec(0.01f64..10.0, 2..20),
     ) {
         let n = a.len().min(b.len());
-        let p = normalize(&a[..n]);
-        let q = normalize(&b[..n]);
+        let simplex = |xs: &[f64]| {
+            let total: f64 = xs.iter().sum();
+            xs.iter().map(|x| x / total).collect::<Vec<f64>>()
+        };
+        let (p, q) = (simplex(&a[..n]), simplex(&b[..n]));
         let d = total_variation(&p, &q);
         prop_assert!((0.0..=1.0 + 1e-9).contains(&d));
         prop_assert!((total_variation(&p, &q) - total_variation(&q, &p)).abs() < 1e-12);

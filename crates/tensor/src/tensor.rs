@@ -158,20 +158,6 @@ impl Tensor {
         &mut self.data[r * self.shape[1] + c]
     }
 
-    /// Reinterpret with a new shape of equal element count (no copy).
-    pub fn reshape(mut self, shape: &[usize]) -> Self {
-        let len: usize = shape.iter().product();
-        assert_eq!(
-            self.data.len(),
-            len,
-            "reshape {:?} -> {:?}",
-            self.shape,
-            shape
-        );
-        self.shape = shape.to_vec();
-        self
-    }
-
     /// Transpose of a rank-2 tensor (copies).
     pub fn transpose(&self) -> Tensor {
         let (r, c) = (self.rows(), self.cols());
@@ -272,14 +258,6 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from(1);
         let t = Tensor::randn(&[67, 45], 1.0, &mut rng);
         assert_eq!(t.transpose().transpose(), t);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec((0..12).map(|x| x as f32).collect(), &[3, 4]);
-        let r = t.clone().reshape(&[2, 6]);
-        assert_eq!(r.as_slice(), t.as_slice());
-        assert_eq!(r.shape(), &[2, 6]);
     }
 
     #[test]

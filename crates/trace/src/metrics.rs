@@ -149,16 +149,16 @@ impl MetricsRegistry {
     ///
     /// ```compile_fail
     /// // expected `Name`, found `&str` (E0308)
-    /// fedwcm_trace::MetricsRegistry::new().counter_add("fl.rounds", 1);
+    /// fedwcm_trace::MetricsRegistry::new().counter_add("fl.bytes.up", 1);
     /// ```
     /// ```compile_fail
-    /// // no associated item `FL_ROUDNS` (E0599)
+    /// // no associated item `FL_BYTES_UO` (E0599)
     /// use fedwcm_trace::{names::Name, MetricsRegistry};
-    /// MetricsRegistry::new().counter_add(Name::FL_ROUDNS, 1);
+    /// MetricsRegistry::new().counter_add(Name::FL_BYTES_UO, 1);
     /// ```
     /// ```
     /// use fedwcm_trace::{names::Name, MetricsRegistry};
-    /// MetricsRegistry::new().counter_add(Name::FL_ROUNDS, 1);
+    /// MetricsRegistry::new().counter_add(Name::FL_BYTES_UP, 1);
     /// ```
     pub fn counter_add(&self, name: Name, v: u64) {
         let name = name.as_str();
@@ -222,16 +222,16 @@ impl MetricsRegistry {
     ///
     /// ```compile_fail
     /// // expected `Name`, found `&str` (E0308)
-    /// fedwcm_trace::MetricsRegistry::new().observe("fl.update_norm", &[1.0], 0.5);
+    /// fedwcm_trace::MetricsRegistry::new().observe("fl.round_ticks", &[1.0], 0.5);
     /// ```
     /// ```compile_fail
-    /// // no associated item `FL_UPDATE_NROM` (E0599)
+    /// // no associated item `FL_ROUND_TIKCS` (E0599)
     /// use fedwcm_trace::{names::Name, MetricsRegistry};
-    /// MetricsRegistry::new().observe(Name::FL_UPDATE_NROM, &[1.0], 0.5);
+    /// MetricsRegistry::new().observe(Name::FL_ROUND_TIKCS, &[1.0], 0.5);
     /// ```
     /// ```
     /// use fedwcm_trace::{names::Name, MetricsRegistry};
-    /// MetricsRegistry::new().observe(Name::FL_UPDATE_NORM, &[1.0], 0.5);
+    /// MetricsRegistry::new().observe(Name::FL_ROUND_TICKS, &[1.0], 0.5);
     /// ```
     pub fn observe(&self, name: Name, bounds: &[f64], v: f64) {
         let res = self.try_observe(name, bounds, v);
@@ -354,7 +354,7 @@ impl MetricsSnapshot {
 /// One named metric in a snapshot.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MetricEntry {
-    /// Metric name (dot-separated, e.g. `fl.update_norm`).
+    /// Metric name (dot-separated, e.g. `fl.round_ticks`).
     pub name: String,
     /// The frozen value.
     pub value: MetricValue,
@@ -467,10 +467,10 @@ mod tests {
     #[test]
     fn counters_accumulate_and_saturate() {
         let r = MetricsRegistry::new();
-        r.counter_add(Name::FL_ROUNDS, 2);
-        r.counter_add(Name::FL_ROUNDS, 3);
-        r.counter_add(Name::FL_ROUNDS, u64::MAX);
-        match r.snapshot().get(names::FL_ROUNDS) {
+        r.counter_add(Name::FL_BYTES_UP, 2);
+        r.counter_add(Name::FL_BYTES_UP, 3);
+        r.counter_add(Name::FL_BYTES_UP, u64::MAX);
+        match r.snapshot().get(names::FL_BYTES_UP) {
             Some(MetricValue::Counter(v)) => assert_eq!(*v, u64::MAX),
             other => panic!("unexpected {other:?}"),
         }
@@ -479,10 +479,10 @@ mod tests {
     #[test]
     fn gauges_keep_last_value() {
         let r = MetricsRegistry::new();
-        r.gauge_set(Name::FL_ALPHA, 1.5);
-        r.gauge_set(Name::FL_ALPHA, -2.0);
+        r.gauge_set(Name::FL_ACC_TAIL, 1.5);
+        r.gauge_set(Name::FL_ACC_TAIL, -2.0);
         assert_eq!(
-            r.snapshot().get(names::FL_ALPHA),
+            r.snapshot().get(names::FL_ACC_TAIL),
             Some(&MetricValue::Gauge(-2.0))
         );
     }
@@ -491,10 +491,10 @@ mod tests {
     #[test]
     fn non_finite_gauge_is_ignored() {
         let r = MetricsRegistry::new();
-        r.gauge_set(Name::FL_ALPHA, 1.0);
-        r.gauge_set(Name::FL_ALPHA, f64::NAN);
+        r.gauge_set(Name::FL_ACC_TAIL, 1.0);
+        r.gauge_set(Name::FL_ACC_TAIL, f64::NAN);
         assert_eq!(
-            r.snapshot().get(names::FL_ALPHA),
+            r.snapshot().get(names::FL_ACC_TAIL),
             Some(&MetricValue::Gauge(1.0))
         );
     }
@@ -505,9 +505,9 @@ mod tests {
         let bounds = [1.0, 2.0, 4.0];
         // Exactly on each boundary → that bucket; just above → next.
         for v in [0.5, 1.0, 1.0000001, 2.0, 4.0, 4.0000001, 100.0] {
-            r.observe(Name::FL_UPDATE_NORM, &bounds, v);
+            r.observe(Name::FL_ROUND_TICKS, &bounds, v);
         }
-        match r.snapshot().get(names::FL_UPDATE_NORM) {
+        match r.snapshot().get(names::FL_ROUND_TICKS) {
             Some(MetricValue::Histogram(h)) => {
                 assert_eq!(h.counts, [2, 2, 1, 2]);
                 assert_eq!(h.total, 7);
@@ -531,10 +531,10 @@ mod tests {
     #[test]
     fn nan_observations_are_counted_not_bucketed() {
         let r = MetricsRegistry::new();
-        r.observe(Name::FL_UPDATE_NORM, &[1.0], f64::NAN);
-        r.observe(Name::FL_UPDATE_NORM, &[1.0], f64::INFINITY);
-        r.observe(Name::FL_UPDATE_NORM, &[1.0], 0.5);
-        match r.snapshot().get(names::FL_UPDATE_NORM) {
+        r.observe(Name::FL_ROUND_TICKS, &[1.0], f64::NAN);
+        r.observe(Name::FL_ROUND_TICKS, &[1.0], f64::INFINITY);
+        r.observe(Name::FL_ROUND_TICKS, &[1.0], 0.5);
+        match r.snapshot().get(names::FL_ROUND_TICKS) {
             Some(MetricValue::Histogram(h)) => {
                 assert_eq!(h.nan_rejected, 2);
                 assert_eq!(h.total, 1);
@@ -548,26 +548,26 @@ mod tests {
     #[should_panic(expected = "non-finite observation")]
     fn nan_observation_panics_under_invariants() {
         let r = MetricsRegistry::new();
-        r.observe(Name::FL_UPDATE_NORM, &[1.0], f64::NAN);
+        r.observe(Name::FL_ROUND_TICKS, &[1.0], f64::NAN);
     }
 
     #[test]
     fn snapshot_is_sorted_and_load_round_trips() {
         let r = MetricsRegistry::new();
-        r.counter_add(Name::FL_ROUNDS, 1);
-        r.gauge_set(Name::FL_ALPHA, 3.0);
-        r.observe(Name::FL_UPDATE_NORM, &[1.0, 2.0], 1.5);
+        r.counter_add(Name::FL_BYTES_UP, 1);
+        r.gauge_set(Name::FL_ACC_TAIL, 3.0);
+        r.observe(Name::FL_ROUND_TICKS, &[1.0, 2.0], 1.5);
         let snap = r.snapshot();
         let sorted: Vec<&str> = snap.entries.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(sorted, ["fl.alpha", "fl.rounds", "fl.update_norm"]);
+        assert_eq!(sorted, ["fl.acc.tail", "fl.bytes.up", "fl.round_ticks"]);
 
         let r2 = MetricsRegistry::new();
         r2.load(&snap);
         assert_eq!(r2.snapshot(), snap);
         // Accumulation continues from the loaded state.
-        r2.counter_add(Name::FL_ROUNDS, 1);
+        r2.counter_add(Name::FL_BYTES_UP, 1);
         assert_eq!(
-            r2.snapshot().get(names::FL_ROUNDS),
+            r2.snapshot().get(names::FL_BYTES_UP),
             Some(&MetricValue::Counter(2))
         );
     }
@@ -602,17 +602,17 @@ mod tests {
         // error is surfaced and nothing is registered.
         let r = MetricsRegistry::new();
         assert_eq!(
-            r.try_observe(Name::FL_UPDATE_NORM, &[2.0, 1.0], 0.5),
+            r.try_observe(Name::FL_ROUND_TICKS, &[2.0, 1.0], 0.5),
             Err(BoundsError::NotSorted { index: 1 })
         );
-        r.observe(Name::FL_UPDATE_NORM, &[], 0.5);
+        r.observe(Name::FL_ROUND_TICKS, &[], 0.5);
         assert!(
-            r.snapshot().get(names::FL_UPDATE_NORM).is_none(),
+            r.snapshot().get(names::FL_ROUND_TICKS).is_none(),
             "no metric may be created"
         );
         // A later, valid registration under the same name works.
-        assert_eq!(r.try_observe(Name::FL_UPDATE_NORM, &[1.0], 0.5), Ok(()));
-        assert!(r.snapshot().get(names::FL_UPDATE_NORM).is_some());
+        assert_eq!(r.try_observe(Name::FL_ROUND_TICKS, &[1.0], 0.5), Ok(()));
+        assert!(r.snapshot().get(names::FL_ROUND_TICKS).is_some());
     }
 
     #[cfg(feature = "debug_invariants")]
@@ -620,7 +620,7 @@ mod tests {
     #[should_panic(expected = "invalid bounds")]
     fn malformed_bounds_panic_under_invariants() {
         let r = MetricsRegistry::new();
-        r.observe(Name::FL_UPDATE_NORM, &[2.0, 1.0], 0.5);
+        r.observe(Name::FL_ROUND_TICKS, &[2.0, 1.0], 0.5);
     }
 
     #[test]
@@ -642,8 +642,8 @@ mod tests {
         #[cfg(not(feature = "debug_invariants"))]
         {
             let r = MetricsRegistry::new();
-            r.observe(Name::FL_UPDATE_NORM, &[1.0, 2.0], f64::NAN);
-            match r.snapshot().get(names::FL_UPDATE_NORM) {
+            r.observe(Name::FL_ROUND_TICKS, &[1.0, 2.0], f64::NAN);
+            match r.snapshot().get(names::FL_ROUND_TICKS) {
                 Some(MetricValue::Histogram(h)) => assert_none(h),
                 other => panic!("unexpected {other:?}"),
             }
@@ -653,8 +653,8 @@ mod tests {
     #[test]
     fn percentile_rejects_out_of_range_q() {
         let r = MetricsRegistry::new();
-        r.observe(Name::FL_UPDATE_NORM, &[10.0], 5.0);
-        match r.snapshot().get(names::FL_UPDATE_NORM) {
+        r.observe(Name::FL_ROUND_TICKS, &[10.0], 5.0);
+        match r.snapshot().get(names::FL_ROUND_TICKS) {
             Some(MetricValue::Histogram(h)) => {
                 assert_eq!(h.percentile(0.0), None);
                 assert_eq!(h.percentile(-0.5), None);
@@ -671,9 +671,9 @@ mod tests {
         let r = MetricsRegistry::new();
         // Four observations, all in the one bucket (0, 10].
         for v in [1.0, 2.0, 3.0, 4.0] {
-            r.observe(Name::FL_UPDATE_NORM, &[10.0], v);
+            r.observe(Name::FL_ROUND_TICKS, &[10.0], v);
         }
-        match r.snapshot().get(names::FL_UPDATE_NORM) {
+        match r.snapshot().get(names::FL_ROUND_TICKS) {
             Some(MetricValue::Histogram(h)) => {
                 // p50 target rank 2 of 4 → halfway through (0, 10].
                 assert_eq!(h.percentile(0.5), Some(5.0));
@@ -689,9 +689,9 @@ mod tests {
         let bounds = [10.0, 20.0, 40.0];
         // 2 in (0,10], 2 in (10,20], none above.
         for v in [5.0, 6.0, 15.0, 16.0] {
-            r.observe(Name::FL_UPDATE_NORM, &bounds, v);
+            r.observe(Name::FL_ROUND_TICKS, &bounds, v);
         }
-        match r.snapshot().get(names::FL_UPDATE_NORM) {
+        match r.snapshot().get(names::FL_ROUND_TICKS) {
             Some(MetricValue::Histogram(h)) => {
                 // p75 → rank 3 of 4, end of the second bucket's first
                 // half: 10 + (3-2)/2 * (20-10) = 15.
@@ -706,9 +706,9 @@ mod tests {
     #[test]
     fn percentile_overflow_bucket_clamps_to_last_bound() {
         let r = MetricsRegistry::new();
-        r.observe(Name::FL_UPDATE_NORM, &[1.0, 2.0], 100.0);
-        r.observe(Name::FL_UPDATE_NORM, &[1.0, 2.0], 200.0);
-        match r.snapshot().get(names::FL_UPDATE_NORM) {
+        r.observe(Name::FL_ROUND_TICKS, &[1.0, 2.0], 100.0);
+        r.observe(Name::FL_ROUND_TICKS, &[1.0, 2.0], 200.0);
+        match r.snapshot().get(names::FL_ROUND_TICKS) {
             Some(MetricValue::Histogram(h)) => {
                 assert_eq!(h.percentile(0.5), Some(2.0));
                 assert_eq!(h.percentile(0.99), Some(2.0));
@@ -720,8 +720,8 @@ mod tests {
     #[test]
     fn percentile_negative_first_bucket_reports_its_bound() {
         let r = MetricsRegistry::new();
-        r.observe(Name::FL_UPDATE_NORM, &[-5.0, 5.0], -7.0);
-        match r.snapshot().get(names::FL_UPDATE_NORM) {
+        r.observe(Name::FL_ROUND_TICKS, &[-5.0, 5.0], -7.0);
+        match r.snapshot().get(names::FL_ROUND_TICKS) {
             Some(MetricValue::Histogram(h)) => {
                 // No lower edge to interpolate from below zero: report
                 // the bucket's upper bound instead of inventing one.
@@ -762,9 +762,9 @@ mod tests {
     #[test]
     fn histogram_mean() {
         let r = MetricsRegistry::new();
-        r.observe(Name::FL_UPDATE_NORM, &[10.0], 2.0);
-        r.observe(Name::FL_UPDATE_NORM, &[10.0], 4.0);
-        match r.snapshot().get(names::FL_UPDATE_NORM) {
+        r.observe(Name::FL_ROUND_TICKS, &[10.0], 2.0);
+        r.observe(Name::FL_ROUND_TICKS, &[10.0], 4.0);
+        match r.snapshot().get(names::FL_ROUND_TICKS) {
             Some(MetricValue::Histogram(h)) => assert_eq!(h.mean(), Some(3.0)),
             other => panic!("unexpected {other:?}"),
         }

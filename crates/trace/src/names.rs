@@ -128,56 +128,13 @@ names! {
     FL_BYTES_UP = "fl.bytes.up";
     /// Counter: server→client payload bytes.
     FL_BYTES_DOWN = "fl.bytes.down";
-    /// Counter: clients dropped for the round by the fault plan.
-    FL_FAULTS_DROPOUTS = "fl.faults.dropouts";
-    /// Counter: uploads delayed by straggler faults.
-    FL_FAULTS_STRAGGLERS = "fl.faults.stragglers";
-    /// Counter: late uploads merged into a later round.
-    FL_FAULTS_LATE_MERGED = "fl.faults.late_merged";
-    /// Counter: late uploads re-queued when their round skipped quorum.
-    FL_FAULTS_LATE_REQUEUED = "fl.faults.late_requeued";
-    /// Counter: uploads corrupted by the fault plan.
-    FL_FAULTS_CORRUPTIONS = "fl.faults.corruptions";
-    /// Counter: stale uploads replayed from the replay cache.
-    FL_FAULTS_REPLAYS = "fl.faults.replays";
     /// Counter: uploads received before fault filtering.
     FL_UPDATES_RECEIVED = "fl.updates.received";
-    /// Counter: uploads dropped by fault filtering.
-    FL_UPDATES_DROPPED = "fl.updates.dropped";
-    /// Counter: completed federated rounds.
-    FL_ROUNDS = "fl.rounds";
-    /// Counter: rounds skipped for missing quorum.
-    FL_ROUNDS_QUORUM_FAILED = "fl.rounds.quorum_failed";
-    /// Counter: buffered-K cadence flushes.
-    FL_CADENCE_FLUSHES = "fl.cadence.flushes";
-    /// Counter: asynchronous cadence applies.
-    FL_CADENCE_ASYNC_APPLIES = "fl.cadence.async_applies";
-    /// Counter: transport data frames transmitted (first sends + retries).
-    FL_NET_FRAMES_SENT = "fl.net.frames_sent";
-    /// Counter: transport re-transmissions after a Nack or timeout.
-    FL_NET_RETRIES = "fl.net.retries";
-    /// Counter: frames rejected by the receiver (checksum or malformed).
-    FL_NET_REJECTED_FRAMES = "fl.net.rejected_frames";
-    /// Counter: redundant intact frames discarded as duplicates.
-    FL_NET_DUPLICATES = "fl.net.duplicates";
-    /// Counter: deliveries deferred whole rounds by the network plan.
-    FL_NET_DELAYED = "fl.net.delayed";
-    /// Counter: deliveries that exhausted their retry budget and degraded
-    /// into the dropout machinery.
-    FL_NET_DEGRADED = "fl.net.degraded";
-    /// Counter: bytes re-transmitted by the transport.
-    FL_NET_RETRANSMITTED_BYTES = "fl.net.retransmitted_bytes";
-    /// Counter: bytes arriving in rejected frames.
-    FL_NET_REJECTED_BYTES = "fl.net.rejected_bytes";
 
     // ---- gauges ------------------------------------------------------------
 
     /// Gauge: uploads currently waiting in the aggregation buffer.
     FL_CADENCE_BUFFERED = "fl.cadence.buffered";
-    /// Gauge: the momentum-calibration α chosen this aggregation.
-    FL_ALPHA = "fl.alpha";
-    /// Gauge: overall test accuracy of the global model.
-    FL_ACC_OVERALL = "fl.acc.overall";
     /// Gauge: mean test accuracy over the tail third of classes.
     FL_ACC_TAIL = "fl.acc.tail";
     /// Gauge name prefix: per-class accuracy, suffixed with the
@@ -186,10 +143,6 @@ names! {
 
     // ---- histograms --------------------------------------------------------
 
-    /// Histogram: L2 norm of the global-model movement per aggregation.
-    FL_UPDATE_NORM = "fl.update_norm";
-    /// Histogram: distribution of chosen α values.
-    FL_ALPHA_TRAJECTORY = "fl.alpha.trajectory";
     /// Histogram: ticks spent in local training per round.
     FL_PHASE_LOCAL_TRAIN = "fl.phase.local_train";
     /// Histogram: ticks spent aggregating per round.

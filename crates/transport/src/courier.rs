@@ -1,5 +1,5 @@
 //! The delivery state machine: drives one upload across a lossy
-//! [`Link`] under a [`RetryPolicy`] until it is acknowledged, delayed,
+//! [`InMemoryLink`] under a [`RetryPolicy`] until it is acknowledged, delayed,
 //! or out of budget.
 //!
 //! One [`Courier`] serves one round of deliveries in a fixed order. Its
@@ -14,7 +14,7 @@
 //! asymmetry keeps the state machine focused on the lossy data path.
 
 use crate::frame::{self, FrameError, Message, NackReason};
-use crate::link::{FrameCtx, InMemoryLink, Link};
+use crate::link::{FrameCtx, InMemoryLink};
 use crate::plan::{NetFault, NetPlan};
 use crate::retry::RetryPolicy;
 use fedwcm_trace::{Clock, LogicalClock};

@@ -15,8 +15,8 @@
 //!   duplication, reorder, and whole-round delay at the frame level;
 //!   `net_fault_for(round, client, attempt)` is a pure function on its
 //!   own RNG stream, the same discipline as `fedwcm-faults`.
-//! * [`link`] — the [`Link`] trait and its deterministic in-memory
-//!   implementation releasing frames in logical-clock order.
+//! * [`link`] — the deterministic in-memory [`InMemoryLink`], releasing
+//!   frames in logical-clock order.
 //! * [`retry`] — per-attempt deadlines and capped exponential backoff
 //!   with deterministically seeded jitter.
 //! * [`courier`] — the delivery state machine tying it together:
@@ -58,6 +58,6 @@ pub mod retry;
 
 pub use courier::{AttemptOutcome, Courier, Delivery, NetCounters, Verdict};
 pub use frame::{FrameError, Message, MessageRef, NackReason};
-pub use link::{FrameCtx, InMemoryLink, Link};
+pub use link::{FrameCtx, InMemoryLink};
 pub use plan::{NetConfig, NetFault, NetPlan};
 pub use retry::RetryPolicy;

@@ -1,5 +1,4 @@
-//! The delivery substrate: a [`Link`] trait and its deterministic
-//! in-memory implementation.
+//! The delivery substrate: a deterministic in-memory link.
 //!
 //! A link moves opaque frame bytes from sender to receiver under a
 //! logical clock. [`InMemoryLink`] consults a [`NetPlan`] at send time —
@@ -8,9 +7,7 @@
 //! normally — and releases queued frames in deterministic `(due, send
 //! order)` order as the clock advances. Because both the plan and the
 //! queue are pure functions of their inputs, a run over this link is
-//! bitwise reproducible across thread counts; a future process/socket
-//! link can implement the same trait and inherit the already
-//! chaos-tested protocol above it.
+//! bitwise reproducible across thread counts.
 //!
 //! A link **lends** frames, it does not own them: `send` borrows the
 //! sender's buffer for the link's lifetime and `poll` hands the receiver
@@ -47,30 +44,13 @@ pub struct FrameCtx {
     pub attempt: u32,
 }
 
-/// A one-way frame channel under a logical clock, carrying frames that
-/// live for `'f`.
-pub trait Link<'f> {
-    /// Transmit `frame` under `ctx`. The link may lose, damage,
-    /// duplicate, or hold back the frame per its fault model.
-    fn send(&mut self, ctx: FrameCtx, frame: &'f [u8]);
-
-    /// Advance the link's logical clock by one tick.
-    fn tick(&mut self);
-
-    /// The link's current logical time.
-    fn now(&self) -> u64;
-
-    /// Drain every frame whose delivery time has arrived, in
-    /// deterministic arrival order.
-    fn poll(&mut self) -> Vec<Cow<'f, [u8]>>;
-}
-
 struct QueuedFrame<'f> {
     due: u64,
     bytes: Cow<'f, [u8]>,
 }
 
-/// Deterministic in-memory [`Link`] driven by a [`NetPlan`].
+/// A one-way frame channel under a logical clock, carrying frames that
+/// live for `'f`: deterministic, in memory, driven by a [`NetPlan`].
 pub struct InMemoryLink<'f> {
     plan: &'f NetPlan,
     now: u64,
@@ -104,10 +84,10 @@ impl<'f> InMemoryLink<'f> {
         let at = self.queue.partition_point(|q| q.due <= due);
         self.queue.insert(at, QueuedFrame { due, bytes });
     }
-}
 
-impl<'f> Link<'f> for InMemoryLink<'f> {
-    fn send(&mut self, ctx: FrameCtx, frame: &'f [u8]) {
+    /// Transmit `frame` under `ctx`. The link may lose, damage,
+    /// duplicate, or hold back the frame per its fault model.
+    pub fn send(&mut self, ctx: FrameCtx, frame: &'f [u8]) {
         let due = self.now + LINK_LATENCY;
         let intact = Cow::Borrowed(frame);
         match self.plan.net_fault_for(ctx.round, ctx.client, ctx.attempt) {
@@ -131,15 +111,19 @@ impl<'f> Link<'f> for InMemoryLink<'f> {
         }
     }
 
-    fn tick(&mut self) {
+    /// Advance the link's logical clock by one tick.
+    pub fn tick(&mut self) {
         self.now += 1;
     }
 
-    fn now(&self) -> u64 {
+    /// The link's current logical time.
+    pub fn now(&self) -> u64 {
         self.now
     }
 
-    fn poll(&mut self) -> Vec<Cow<'f, [u8]>> {
+    /// Drain every frame whose delivery time has arrived, in
+    /// deterministic arrival order.
+    pub fn poll(&mut self) -> Vec<Cow<'f, [u8]>> {
         let arrived = self.queue.partition_point(|q| q.due <= self.now);
         self.queue.drain(..arrived).map(|q| q.bytes).collect()
     }

@@ -3,7 +3,7 @@
 //! passes.
 
 use fedwcm_suite::nn::gradcheck::check_model_gradients;
-use fedwcm_suite::nn::loss::{BalancedSoftmax, CrossEntropy, FocalLoss, LdamLoss, Loss};
+use fedwcm_suite::nn::loss::{BalancedSoftmax, CrossEntropy, FocalLoss, Loss};
 use fedwcm_suite::nn::models::{mlp, res_lite};
 use fedwcm_suite::prelude::*;
 
@@ -17,7 +17,6 @@ fn mlp_gradients_validate_for_all_losses() {
         Box::new(CrossEntropy),
         Box::new(FocalLoss { gamma: 2.0 }),
         Box::new(BalancedSoftmax::from_counts(&[50, 40, 30, 20, 10])),
-        Box::new(LdamLoss::from_counts(&[50, 40, 30, 20, 10], 0.5, 2.0)),
     ];
     for loss in &losses {
         let report = check_model_gradients(&mut model, &x, &y, loss.as_ref(), 5, 1e-3);
