@@ -201,29 +201,54 @@ mod tests {
         }
     }
 
+    /// Lengths below, at and between multiples of any block width the
+    /// product may use (24 is not a multiple of 16), up to the scheme's
+    /// N = 4096 with a 64-tap secret; `out` starts at or above q in one
+    /// pass and reduced in the other, and both must come out as the
+    /// per-term loop leaves them.
     #[test]
     fn split_shift_matches_the_per_coefficient_loop() {
-        let n = 64usize;
         let mut rng = Xoshiro256pp::seed_from(62);
-        let a: Vec<u64> = (0..n).map(|_| modq(rng.next_u64())).collect();
-        let start: Vec<u64> = (0..n).map(|_| modq(rng.next_u64())).collect();
-        let mut cases: Vec<(Vec<usize>, Vec<usize>)> = vec![
-            (vec![0], vec![]),
-            (vec![], vec![0]),
-            (vec![1], vec![1]),
-            (vec![n - 1], vec![]),
-            (vec![], vec![n - 1]),
-            (vec![0, 1, n - 1], vec![n - 1, 1, 0]),
-        ];
-        for _ in 0..32 {
-            let (np, nm) = (rng.index(9), rng.index(9));
-            cases.push((rng.sample_indices(n, np), rng.sample_indices(n, nm)));
-        }
-        for (plus, minus) in cases {
-            let (mut got, mut want) = (start.clone(), start.clone());
-            negacyclic_mul_sparse(&a, &plus, &minus, &mut got);
-            negacyclic_mul_sparse_ref(&a, &plus, &minus, &mut want);
-            assert_eq!(got, want, "plus {plus:?} minus {minus:?}");
+        for n in [4usize, 16, 24, 64, 4096] {
+            let a: Vec<u64> = (0..n).map(|_| modq(rng.next_u64())).collect();
+            let reduced: Vec<u64> = (0..n).map(|_| modq(rng.next_u64())).collect();
+            let unreduced: Vec<u64> = (0..n).map(|_| rng.next_u64() | Q).collect();
+            let mut cases: Vec<(Vec<usize>, Vec<usize>)> = vec![
+                (vec![], vec![]),
+                (vec![0], vec![]),
+                (vec![], vec![0]),
+                (vec![1], vec![1]),
+                (vec![n - 1], vec![]),
+                (vec![], vec![n - 1]),
+                (vec![0, 1, n - 1], vec![n - 1, 1, 0]),
+            ];
+            let most = 9.min(n + 1);
+            for _ in 0..32 {
+                let (np, nm) = (rng.index(most), rng.index(most));
+                cases.push((rng.sample_indices(n, np), rng.sample_indices(n, nm)));
+            }
+            if n >= 64 {
+                // A secret's shape: 64 distinct taps, each sign a coin flip.
+                for _ in 0..4 {
+                    let (mut plus, mut minus) = (Vec::new(), Vec::new());
+                    for k in rng.sample_indices(n, 64) {
+                        if rng.bernoulli(0.5) {
+                            plus.push(k);
+                        } else {
+                            minus.push(k);
+                        }
+                    }
+                    cases.push((plus, minus));
+                }
+            }
+            for (plus, minus) in cases {
+                for start in [&reduced, &unreduced] {
+                    let (mut got, mut want) = (start.clone(), start.clone());
+                    negacyclic_mul_sparse(&a, &plus, &minus, &mut got);
+                    negacyclic_mul_sparse_ref(&a, &plus, &minus, &mut want);
+                    assert_eq!(got, want, "n {n} plus {plus:?} minus {minus:?}");
+                }
+            }
         }
     }
 
