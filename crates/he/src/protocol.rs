@@ -11,7 +11,7 @@
 //! size, per-client encryption time, and total upload volume (which is
 //! independent of the client count per ciphertext, as the paper notes).
 
-use crate::rlwe::{Ciphertext, RlweParams, SecretKey};
+use crate::rlwe::{RlweParams, SecretKey};
 use fedwcm_stats::rng::{stream, Xoshiro256pp};
 use fedwcm_trace::{Clock, WallClock};
 
@@ -68,32 +68,37 @@ pub fn aggregate_distributions(
     let mut key_rng = Xoshiro256pp::stream(seed, &[stream::HE_PROTOCOL, 0]);
     let key = SecretKey::generate(params, &mut key_rng);
 
-    // Step 2: per-client encryption. Timings only measure cost for the
-    // report (never fed back into any computation) and come from the
-    // sanctioned wall-time source, fedwcm-trace's `WallClock`.
+    // Steps 2–3: each client encrypts and the server adds the ciphertext
+    // to the running sum at once, so at most two are alive. Timings only
+    // measure cost for the report (never fed back into any computation)
+    // and come from the sanctioned wall-time source, fedwcm-trace's
+    // `WallClock`: the encrypt ticks and the add ticks are summed apart.
     let clock = WallClock::new();
-    let t_enc = clock.tick();
-    let cts: Vec<Ciphertext> = client_counts
-        .iter()
-        .enumerate()
-        .map(|(k, counts)| {
-            let mut rng =
-                Xoshiro256pp::stream(seed, &[stream::HE_PROTOCOL, (k as u64).saturating_add(1)]);
-            let values: Vec<u64> = counts.iter().map(|&c| c as u64).collect();
-            key.encrypt(&values, &mut rng)
-        })
-        .collect();
-    let encrypt_seconds_per_client =
-        clock.tick().saturating_sub(t_enc) as f64 / 1e9 / client_counts.len() as f64;
-
-    // Steps 3–4: homomorphic aggregation, then key-holder decryption.
-    let t_agg = clock.tick();
-    let mut acc = cts[0].clone();
-    for ct in &cts[1..] {
-        acc.add_assign(ct);
+    let since = |t: u64| clock.tick().saturating_sub(t);
+    let encrypt = |k: usize, counts: &[usize]| {
+        let mut rng =
+            Xoshiro256pp::stream(seed, &[stream::HE_PROTOCOL, (k as u64).saturating_add(1)]);
+        let values: Vec<u64> = counts.iter().map(|&c| c as u64).collect();
+        key.encrypt(&values, &mut rng)
+    };
+    let t = clock.tick();
+    let mut acc = encrypt(0, &client_counts[0]);
+    let (mut encrypt_ns, mut aggregate_ns) = (since(t), 0u64);
+    for (k, counts) in client_counts.iter().enumerate().skip(1) {
+        let t = clock.tick();
+        let ct = encrypt(k, counts);
+        let t_add = clock.tick();
+        acc.add_assign(&ct);
+        encrypt_ns = encrypt_ns.saturating_add(t_add.saturating_sub(t));
+        aggregate_ns = aggregate_ns.saturating_add(since(t_add));
     }
+
+    // Step 4: key-holder decryption.
+    let t = clock.tick();
     let decrypted = key.decrypt(&acc, classes);
-    let aggregate_seconds = clock.tick().saturating_sub(t_agg) as f64 / 1e9;
+    aggregate_ns = aggregate_ns.saturating_add(since(t));
+    let encrypt_seconds_per_client = encrypt_ns as f64 / 1e9 / client_counts.len() as f64;
+    let aggregate_seconds = aggregate_ns as f64 / 1e9;
 
     let global: Vec<usize> = decrypted
         .iter()

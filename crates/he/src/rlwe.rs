@@ -1,6 +1,6 @@
 //! Symmetric RLWE encryption with additive homomorphism.
 
-use crate::ring::{addq, modq, negacyclic_mul_sparse, poly_add, poly_sub, subq, to_signed, Q};
+use crate::ring::{addq, modq, negacyclic_mul_sparse, subq, to_signed, Q};
 use fedwcm_stats::rng::{Rng, Xoshiro256pp};
 
 /// Scheme parameters.
@@ -144,13 +144,12 @@ impl SecretKey {
     pub fn decrypt(&self, ct: &Ciphertext, len: usize) -> Vec<u64> {
         let p = &self.params;
         assert!(len <= p.degree, "requested length exceeds ring degree");
-        let n = p.degree;
+        assert_eq!(ct.c0.len(), p.degree, "ciphertext degree mismatch");
         let delta = p.delta() as i128;
-        // m̃ = c0 − c1·s = Δ·m + e_total
-        let mut a_s = vec![0u64; n];
-        negacyclic_mul_sparse(&ct.c1, &self.plus, &self.minus, &mut a_s);
-        let mut noisy = vec![0u64; n];
-        poly_sub(&ct.c0, &a_s, &mut noisy);
+        // m̃ = c0 + c1·(−s) = Δ·m + e_total: the secret's signs swapped,
+        // accumulated onto a copy of c0.
+        let mut noisy = ct.c0.clone();
+        negacyclic_mul_sparse(&ct.c1, &self.minus, &self.plus, &mut noisy);
         noisy[..len]
             .iter()
             .map(|&x| {
@@ -176,12 +175,12 @@ impl Ciphertext {
     /// Homomorphic addition: `Enc(m1) + Enc(m2) = Enc(m1 + m2)`.
     pub fn add_assign(&mut self, other: &Ciphertext) {
         assert_eq!(self.c0.len(), other.c0.len(), "ciphertext degree mismatch");
-        let mut c0 = vec![0u64; self.c0.len()];
-        poly_add(&self.c0, &other.c0, &mut c0);
-        self.c0 = c0;
-        let mut c1 = vec![0u64; self.c1.len()];
-        poly_add(&self.c1, &other.c1, &mut c1);
-        self.c1 = c1;
+        for (x, &y) in self.c0.iter_mut().zip(&other.c0) {
+            *x = addq(*x, y);
+        }
+        for (x, &y) in self.c1.iter_mut().zip(&other.c1) {
+            *x = addq(*x, y);
+        }
         self.added += other.added;
     }
 
