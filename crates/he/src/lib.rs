@@ -9,10 +9,19 @@
 //! seeing any individual one.
 //!
 //! Parameters follow BFV shape: power-of-two ring degree `N`, modulus
-//! `q = 2^62` (power of two — exact wrapping arithmetic, no NTT needed
-//! since additive aggregation requires only one negacyclic product per
-//! encryption, against a sparse ternary secret), plaintext modulus `t`.
-//! Ciphertexts are `(c0, c1)` with `c0 = c1·s + e + Δ·m`, `Δ = q/t`.
+//! `q = 2^62`, plaintext modulus `t`. Ciphertexts are `(c0, c1)` with
+//! `c0 = c1·s + e + Δ·m`, `Δ = q/t`.
+//!
+//! The one product the scheme needs is dense × sparse ternary secret
+//! (64 taps at the default `N = 4096`), once per encryption and once per
+//! decryption. [`ring::negacyclic_mul_sparse`] sums all taps for a
+//! register block of sixteen output coefficients in wrapping `u64`
+//! arithmetic and masks once per coefficient as the block is written.
+//! Because `q` divides `2^64`, that is bit for bit the per-term mod-`q`
+//! result; `tests/golden.rs` pins the ciphertext bytes. The protocol adds
+//! each client's ciphertext to the running sum as soon as it is
+//! encrypted, so at most two ciphertexts are alive whatever the client
+//! count.
 //!
 //! **Security note.** This is a faithful *functional* reproduction for
 //! measuring protocol overheads (Table 6) and exercising the aggregation

@@ -2,6 +2,11 @@
 //!
 //! Coefficients live in `u64` reduced mod `q`; since `q` is a power of
 //! two, reduction is a mask. Negacyclic convolution wraps `x^N = −1`.
+//!
+//! Because `q = 2^62` divides `2^64`, a chain of wrapping `u64` additions
+//! and subtractions masked once at the end equals the same chain masked
+//! after every term. [`negacyclic_mul_sparse`] relies on that to sum a
+//! block of output coefficients over all taps in registers and mask once.
 
 /// Ciphertext modulus `q = 2^62`.
 pub const Q: u64 = 1 << 62;
@@ -26,9 +31,9 @@ pub fn subq(a: u64, b: u64) -> u64 {
     (a.wrapping_sub(b)) & Q_MASK
 }
 
-/// Output coefficients summed per register block of the product: sixteen
-/// `u64` accumulators stay in registers across all taps (eight left
-/// blocks half as fast, thirty-two spilled).
+/// Output coefficients per block of the product. Sixteen `u64`
+/// accumulators stay in registers across all taps; blocks of eight and of
+/// thirty-two measured slower.
 const BLOCK: usize = 16;
 
 /// Negacyclic product of a dense polynomial `a` by a **sparse ternary**
