@@ -275,10 +275,10 @@ impl ServerCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::{state_from_vec, state_to_vec, RoundInput, RoundLog};
+    use crate::algorithm::{average_step, state_from_vec, state_to_vec, RoundInput, RoundLog};
     use crate::client::{ClientEnv, ClientUpdate};
     use crate::config::FlConfig;
-    use crate::engine::tests::{build_sim, fedavg_step, plain_sgd};
+    use crate::engine::tests::{build_sim, plain_sgd};
     use fedwcm_data::longtail::longtail_counts;
     use fedwcm_data::synth::DatasetPreset;
     use fedwcm_faults::{FaultConfig, FaultPlan};
@@ -295,7 +295,7 @@ mod tests {
             plain_sgd(env, global)
         }
         fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-            fedavg_step(global, input)
+            average_step(global, input)
         }
         fn save_state(&self) -> Option<Vec<u8>> {
             Some(state_from_vec(&[]))

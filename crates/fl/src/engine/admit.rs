@@ -203,21 +203,32 @@ fn take_batches(ctx: &RoundCtx<'_>, state: &mut RunState, count: usize, size: us
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{
-        bits, build_sim, fedavg_step, pending_update, plain_sgd, TestFedAvg,
-    };
+    use super::super::tests::{bits, build_sim, pending_update, plain_sgd, TestFedAvg};
     use super::mean_loss_f64;
-    use crate::algorithm::{FederatedAlgorithm, RoundInput, RoundLog};
+    use crate::algorithm::{average_step, FederatedAlgorithm, RoundInput, RoundLog};
     use crate::client::{ClientEnv, ClientUpdate};
     use crate::config::FlConfig;
     use fedwcm_data::longtail::longtail_counts;
     use fedwcm_data::synth::DatasetPreset;
     use fedwcm_faults::FaultPlan;
 
-    /// FedAvg variant that poisons a specific client's update with NaN —
+    /// Each way an upload can fail the containment filter.
+    #[derive(Clone, Copy, Debug)]
+    enum Poison {
+        /// A NaN in the delta.
+        NanDelta,
+        /// A finite delta reporting a non-finite mean loss.
+        NanLoss,
+        /// A finite delta whose norm is exactly `max_update_norm`: the
+        /// gate's `<` is strict.
+        AtMaxNorm,
+    }
+
+    /// FedAvg variant that spoils one client's update with `poison` —
     /// failure injection for the engine's containment path.
     struct PoisonedFedAvg {
         poisoned_client: usize,
+        poison: Poison,
     }
 
     impl FederatedAlgorithm for PoisonedFedAvg {
@@ -228,20 +239,23 @@ mod tests {
         fn local_train(&self, env: &ClientEnv<'_>, global: &[f32]) -> ClientUpdate {
             let mut upd = plain_sgd(env, global);
             if env.id == self.poisoned_client {
-                upd.delta[0] = f32::NAN;
+                match self.poison {
+                    Poison::NanDelta => upd.delta[0] = f32::NAN,
+                    Poison::NanLoss => upd.avg_loss = f32::NAN,
+                    Poison::AtMaxNorm => {
+                        upd.delta.fill(0.0);
+                        upd.delta[0] = env.cfg.max_update_norm;
+                    }
+                }
             }
             upd
         }
 
         fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-            fedavg_step(global, input)
+            average_step(global, input)
         }
     }
 
-    // Containment (silently dropping poisoned updates) is the release
-    // behaviour; debug_invariants builds panic at the aggregation
-    // boundary instead, which crates/fl/tests/nan_injection.rs covers.
-    #[cfg(not(feature = "debug_invariants"))]
     #[test]
     fn poisoned_updates_are_contained() {
         let spec = DatasetPreset::FashionMnist.spec();
@@ -254,17 +268,23 @@ mod tests {
         cfg.rounds = 6;
         cfg.eval_every = 3;
         let sim = build_sim(&ds, &test, cfg);
-        let mut algo = PoisonedFedAvg { poisoned_client: 2 };
-        let h = sim.run(&mut algo);
-        // Every round drops exactly the poisoned client and still trains.
-        for r in &h.records {
-            assert_eq!(r.dropped_updates, 1, "round {}", r.round);
-            assert!(r.train_loss.expect("healthy clients reported").is_finite());
-            assert!(r.update_norm > 0.0);
+        for poison in [Poison::NanDelta, Poison::NanLoss, Poison::AtMaxNorm] {
+            let mut algo = PoisonedFedAvg {
+                poisoned_client: 2,
+                poison,
+            };
+            let h = sim.run(&mut algo);
+            // Every round drops exactly the poisoned client and still trains.
+            for r in &h.records {
+                assert_eq!(r.dropped_updates, 1, "{poison:?}: round {}", r.round);
+                let loss = r.train_loss.expect("healthy clients reported");
+                assert!(loss.is_finite(), "{poison:?}: round {}", r.round);
+                assert!(r.update_norm > 0.0, "{poison:?}: round {}", r.round);
+            }
+            // The global model never absorbed the poison.
+            let acc = h.final_accuracy(1);
+            assert!(acc > 0.1, "{poison:?}: model destroyed by poison: {acc}");
         }
-        // The global model never absorbed a NaN.
-        let acc = h.final_accuracy(1);
-        assert!(acc > 0.1, "model destroyed by poison: {acc}");
     }
 
     #[test]
@@ -293,7 +313,6 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "debug_invariants"))]
     #[test]
     fn fully_poisoned_round_is_skipped() {
         let spec = DatasetPreset::FashionMnist.spec();

@@ -9,7 +9,6 @@ use crate::algorithm::{FederatedAlgorithm, RoundInput};
 use crate::cadence::Cadence;
 use crate::client::ClientUpdate;
 use crate::metrics::RoundRecord;
-use fedwcm_tensor::invariants;
 use fedwcm_trace::{Name, Value};
 
 /// L2 norm of the parameter movement from `before` to `after`,
@@ -26,9 +25,8 @@ fn update_norm_between(before: &[f32], after: &[f32]) -> f64 {
         .sqrt()
 }
 
-/// The span `cadence` wraps one aggregation event in: its name (also
-/// the event's word in invariant messages) and fields. An async batch
-/// is exactly one upload.
+/// The span `cadence` wraps one aggregation event in: its name and
+/// fields. An async batch is exactly one upload.
 fn event_span(cadence: Cadence, round: usize, batch: &Batch) -> (Name, Vec<(&'static str, Value)>) {
     let u = |v: usize| Value::U64(v as u64);
     let round = ("round", u(round));
@@ -108,15 +106,6 @@ pub(super) fn apply(
         if log.alpha.is_some() {
             record.alpha = log.alpha;
         }
-        if invariants::ENABLED {
-            invariants::check_finite(&state.global, || {
-                format!(
-                    "global parameters after {} {} (round {round})",
-                    algo.name(),
-                    span_name.as_str().replace('_', " ")
-                )
-            });
-        }
         record.aggregations += 1;
     }
     ctx.observe_phase(Name::FL_PHASE_AGGREGATE, t0);
@@ -126,8 +115,8 @@ pub(super) fn apply(
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{bits, build_sim, fedavg_step, pending_update, plain_sgd};
-    use crate::algorithm::{FederatedAlgorithm, RoundInput, RoundLog};
+    use super::super::tests::{bits, build_sim, pending_update, plain_sgd};
+    use crate::algorithm::{average_step, FederatedAlgorithm, RoundInput, RoundLog};
     use crate::client::{ClientEnv, ClientUpdate};
     use crate::config::FlConfig;
     use fedwcm_data::longtail::longtail_counts;
@@ -151,7 +140,7 @@ mod tests {
 
         fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
             self.captured.push(input.updates.clone());
-            fedavg_step(global, input)
+            average_step(global, input)
         }
     }
 

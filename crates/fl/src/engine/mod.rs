@@ -283,7 +283,7 @@ impl<'a> Simulation<'a> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::algorithm::{server_step, uniform_average, RoundInput, RoundLog};
+    use crate::algorithm::{average_step, RoundInput, RoundLog};
     use crate::client::{run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
     use crate::undiscounted::Undiscounted;
     use fedwcm_data::longtail::longtail_counts;
@@ -305,14 +305,6 @@ pub(crate) mod tests {
         run_local_sgd(env, global, &spec, |_, _, _| {})
     }
 
-    /// The FedAvg server step: the aggregation half of the same.
-    pub(crate) fn fedavg_step(global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-        let mut dir = vec![0.0f32; global.len()];
-        uniform_average(&input.updates, &mut dir);
-        server_step(global, &dir, input.cfg, input.mean_batches());
-        RoundLog::default()
-    }
-
     /// Minimal FedAvg used to exercise the engine (the real one lives in
     /// fedwcm-algos).
     pub(super) struct TestFedAvg;
@@ -327,7 +319,7 @@ pub(crate) mod tests {
         }
 
         fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-            fedavg_step(global, input)
+            average_step(global, input)
         }
     }
 

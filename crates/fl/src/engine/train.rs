@@ -7,7 +7,6 @@ use crate::client::{with_pool, BufferPool, ClientEnv, ClientUpdate};
 use crate::config::FlConfig;
 use fedwcm_parallel::{parallel_map, with_intra_threads, ThreadBudget};
 use fedwcm_stats::rng::{stream, Rng, Xoshiro256pp};
-use fedwcm_tensor::invariants;
 use fedwcm_trace::{local, Name, SpanBuffer, Value};
 use std::sync::Arc;
 
@@ -103,27 +102,6 @@ pub(super) fn train(
             Name::FL_BYTES_DOWN,
             4 * (ctx.sampled_len * global.len()) as u64,
         );
-    }
-
-    // Loud mode: with `debug_invariants`, a malformed or poisoned
-    // update panics right here — at the client-emission boundary,
-    // naming the round and client — instead of being silently dropped
-    // by the containment filter in `admit`. Injected faults are applied
-    // *after* this check: they model transport/storage damage to a
-    // delta that was healthy when the client emitted it, so chaos runs
-    // stay panic-free under debug_invariants while still exercising the
-    // containment filter.
-    if invariants::ENABLED {
-        for u in &updates {
-            let what = || {
-                format!(
-                    "delta from client {} entering server aggregation (round {round})",
-                    u.client
-                )
-            };
-            invariants::check_len(u.delta.len(), global.len(), what);
-            invariants::check_finite(&u.delta, what);
-        }
     }
     updates
 }

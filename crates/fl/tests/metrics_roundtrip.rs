@@ -16,7 +16,7 @@ use fedwcm_data::partition::paper_partition;
 use fedwcm_data::synth::DatasetPreset;
 use fedwcm_faults::{FaultConfig, FaultPlan};
 use fedwcm_fl::algorithm::{
-    server_step, state_from_vec, state_to_vec, uniform_average, RoundInput, RoundLog, StateError,
+    average_step, state_from_vec, state_to_vec, RoundInput, RoundLog, StateError,
 };
 use fedwcm_fl::client::{run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
 use fedwcm_fl::{FederatedAlgorithm, FlConfig, NetConfig, NetPlan, ServerCheckpoint, Simulation};
@@ -56,11 +56,8 @@ impl FederatedAlgorithm for AvgWithState {
     }
 
     fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-        let mut dir = vec![0.0f32; global.len()];
-        uniform_average(&input.updates, &mut dir);
-        server_step(global, &dir, input.cfg, input.mean_batches());
         self.rounds_seen[0] += 1.0;
-        RoundLog::default()
+        average_step(global, input)
     }
 
     fn save_state(&self) -> Option<Vec<u8>> {

@@ -14,9 +14,8 @@ use fedwcm_tensor::Tensor;
 /// [`Model::backward`](crate::Model::backward) returns nothing, so its
 /// first layer's input gradient has no consumer: the model calls
 /// [`Layer::backward_params`] on layer 0 and [`Layer::backward`] on every
-/// other layer (a container calls `backward` on its inner layers). With
-/// `debug_invariants` that gradient is therefore no longer
-/// finiteness-checked — it is never computed; the parameter gradients are.
+/// other layer (a container calls `backward` on its inner layers), so that
+/// gradient is never computed.
 ///
 /// Layers are `Send + Sync` and cloneable (via [`Layer::clone_box`]) so a
 /// model can be duplicated per worker for read-only parallel evaluation.

@@ -3,7 +3,7 @@
 use crate::layer::Layer;
 use crate::loss::Loss;
 use fedwcm_stats::Xoshiro256pp;
-use fedwcm_tensor::{invariants, Tensor};
+use fedwcm_tensor::Tensor;
 use fedwcm_trace::prof;
 use std::borrow::Cow;
 
@@ -104,17 +104,12 @@ impl Model {
     }
 
     /// Forward pass producing logits. `train=true` caches activations so a
-    /// `backward` can follow.
-    ///
-    /// With the `debug_invariants` feature, the input and every layer
-    /// output are checked for non-finite values and the batch dimension
-    /// is verified to survive each layer; release builds skip both.
+    /// `backward` can follow. A non-finite input value is not checked for:
+    /// it flows through to the logits.
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         assert_eq!(input.cols(), self.in_features, "model input width mismatch");
-        let batch = input.rows();
-        input.debug_assert_finite(|| "model forward input".to_string());
         let mut x = Cow::Borrowed(input);
-        for (idx, (l, &(off, len))) in self.layers.iter_mut().zip(&self.offsets).enumerate() {
+        for (l, &(off, len)) in self.layers.iter_mut().zip(&self.offsets) {
             // Per-layer timing behind the cheap `prof::active()` guard: a
             // single relaxed load unless a binary installed the profiler.
             if prof::active() {
@@ -123,13 +118,6 @@ impl Model {
                 prof::record("fwd", l.name(), prof::now().saturating_sub(t0));
             } else {
                 x = Cow::Owned(l.forward(&self.params[off..off + len], &x, train));
-            }
-            if invariants::ENABLED {
-                let name = l.name();
-                x.debug_assert_finite(|| format!("forward output of layer {idx} ({name})"));
-                invariants::check_len(x.rows(), batch, || {
-                    format!("batch dimension after layer {idx} ({name}) in forward")
-                });
             }
         }
         x.into_owned()
@@ -152,19 +140,12 @@ impl Model {
     /// Nothing reads the input gradient of the first layer, so that layer
     /// is asked for its parameter gradients only
     /// ([`Layer::backward_params`]); every caller gets the saving.
-    ///
-    /// With the `debug_invariants` feature, the incoming logits gradient,
-    /// every propagated layer gradient, and the final parameter gradient
-    /// buffer are checked for non-finite values; release builds skip all
-    /// of it.
     pub fn backward(&mut self, grad_logits: &Tensor, grads: &mut [f32]) {
         assert_eq!(
             grads.len(),
             self.params.len(),
             "grad buffer length mismatch"
         );
-        let batch = grad_logits.rows();
-        grad_logits.debug_assert_finite(|| "logits gradient entering backward".to_string());
         let mut g = Cow::Borrowed(grad_logits);
         for (idx, (l, &(off, len))) in self.layers.iter_mut().zip(&self.offsets).enumerate().rev() {
             let (p, gp) = (&self.params[off..off + len], &mut grads[off..off + len]);
@@ -177,16 +158,6 @@ impl Model {
             if let Some(t0) = t0 {
                 prof::record("bwd", l.name(), prof::now().saturating_sub(t0));
             }
-            if invariants::ENABLED && idx > 0 {
-                let name = l.name();
-                g.debug_assert_finite(|| format!("backward gradient out of layer {idx} ({name})"));
-                invariants::check_len(g.rows(), batch, || {
-                    format!("batch dimension out of layer {idx} ({name}) in backward")
-                });
-            }
-        }
-        if invariants::ENABLED {
-            invariants::check_finite(grads, || "parameter gradient buffer".to_string());
         }
     }
 

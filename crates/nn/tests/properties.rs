@@ -1,5 +1,6 @@
 //! Property-based tests for the NN library: loss-function invariants and
-//! model algebra that must hold for arbitrary inputs.
+//! model algebra that must hold for arbitrary inputs, plus the model's
+//! non-finite input contract.
 
 use fedwcm_nn::loss::{softmax_rows, BalancedSoftmax, CrossEntropy, FocalLoss, Loss};
 use fedwcm_nn::models::mlp;
@@ -101,4 +102,15 @@ proptest! {
         model.set_params(&new);
         prop_assert_eq!(model.params(), new.as_slice());
     }
+}
+
+#[test]
+fn nan_input_flows_through_unchecked() {
+    // Garbage in, garbage out, with no panic: the model checks only its
+    // input width. The FL engine's containment filter is the safety net.
+    let mut rng = Xoshiro256pp::seed_from(7);
+    let mut m = mlp(4, &[8], 3, &mut rng);
+    let x = Tensor::from_vec(vec![0.1, f32::NAN, 0.3, 0.4], &[1, 4]);
+    let logits = m.forward(&x, false);
+    assert!(logits.as_slice().iter().any(|v| v.is_nan()));
 }

@@ -12,10 +12,9 @@
 //!   can reuse them without copies;
 //! * all shape errors are programmer errors and panic with context rather
 //!   than returning `Result`, matching ndarray-style numerical libraries.
-//!
-//! With `--features debug_invariants`, the [`invariants`] module adds
-//! runtime finiteness/shape checks that higher layers (`fedwcm-nn`,
-//! `fedwcm-fl`) hook into; without the feature they cost nothing.
+//!   A non-finite value is data, not a shape error: it flows through every
+//!   kernel unchecked, and the federated engine's containment filter is
+//!   where a poisoned update is caught.
 
 #![warn(missing_docs)]
 // Library code (DESIGN.md §9): nothing `clippy.toml` lists outside test
@@ -32,7 +31,6 @@
 )]
 
 pub mod im2col;
-pub mod invariants;
 mod isa;
 pub mod matmul;
 pub mod ops;

@@ -122,14 +122,6 @@ impl Tensor {
         self.data
     }
 
-    /// Assert every element is finite — but only in `debug_invariants`
-    /// builds; release builds compile this to nothing. `ctx` names the
-    /// tensor in the panic message and is evaluated only on failure.
-    #[inline]
-    pub fn debug_assert_finite(&self, ctx: impl FnOnce() -> String) {
-        crate::invariants::check_finite(&self.data, ctx);
-    }
-
     /// Row `r` of a rank-2 tensor as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {

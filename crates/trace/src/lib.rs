@@ -30,13 +30,14 @@
 //!
 //! `round`, `client_update`, `local_epoch`, `aggregate`,
 //! `buffer_flush`, `async_apply`, `evaluate`, `checkpoint`,
-//! `fault_inject` — see DESIGN.md §11 for the field contract of each
-//! (`buffer_flush` and `async_apply` are the buffered-K and async
-//! cadences' aggregation spans; DESIGN.md §12). Every span, point, and
-//! metric name is declared once as a constant in [`names`]; producers
-//! pass a [`names::Name`], so a string literal in name position does not
-//! compile, and `fedwcm-lint`'s `metrics-registry` rule flags a table
-//! entry nothing uses.
+//! `fault_inject`, `send_frame` — see DESIGN.md §11 for the field
+//! contract of each (`buffer_flush` and `async_apply` are the buffered-K
+//! and async cadences' aggregation spans, DESIGN.md §12; `send_frame` is
+//! one upload crossing the lossy wire, DESIGN.md §13). Every span,
+//! point, and metric name is declared once as a constant in [`names`];
+//! producers pass a [`names::Name`], so a string literal in name
+//! position does not compile, and `fedwcm-lint`'s `metrics-registry`
+//! rule flags a table entry nothing uses.
 
 #![warn(missing_docs)]
 // Library code (DESIGN.md §9): nothing `clippy.toml` lists outside test
@@ -78,8 +79,3 @@ pub use metrics::{
 pub use names::{Key, Name};
 pub use sink::{ConsoleSink, JsonlSink, NullSink, RingSink, SharedBuf, Sink};
 pub use tracer::{local, SpanBuffer, SpanGuard, Tracer};
-
-/// Compile-time switch for the `debug_invariants` feature: NaN
-/// observations panic (naming the metric) when enabled, and are counted
-/// into the histogram's `nan_rejected` slot when disabled.
-pub const INVARIANTS_ENABLED: bool = cfg!(feature = "debug_invariants");

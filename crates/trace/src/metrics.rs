@@ -4,7 +4,6 @@
 
 use crate::names::{Key, Name};
 use crate::sync::lock_recover;
-use crate::INVARIANTS_ENABLED;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Mutex;
@@ -12,9 +11,9 @@ use std::sync::Mutex;
 /// Why a histogram's bucket bounds were rejected at registration.
 ///
 /// Returned by [`MetricsRegistry::try_observe`]; the non-fallible
-/// [`MetricsRegistry::observe`] discards the observation on these (and
-/// panics under `debug_invariants`), so a malformed bounds array can
-/// never silently create a histogram whose buckets lie.
+/// [`MetricsRegistry::observe`] discards the observation on these, so a
+/// malformed bounds array can never silently create a histogram whose
+/// buckets lie.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BoundsError {
     /// The bounds array was empty — a histogram needs at least one
@@ -92,11 +91,8 @@ impl Histogram {
         }
     }
 
-    fn observe(&mut self, name: &str, v: f64) {
+    fn observe(&mut self, v: f64) {
         if !v.is_finite() {
-            if INVARIANTS_ENABLED {
-                assert!(v.is_finite(), "non-finite observation in histogram {name}");
-            }
             self.nan_rejected = self.nan_rejected.saturating_add(1);
             return;
         }
@@ -145,7 +141,8 @@ impl MetricsRegistry {
     }
 
     /// Add `v` to the named counter (created at 0 on first use),
-    /// saturating at `u64::MAX`.
+    /// saturating at `u64::MAX`. A name already registered as another
+    /// kind of metric discards the call.
     ///
     /// ```compile_fail
     /// // expected `Name`, found `&str` (E0308)
@@ -165,14 +162,7 @@ impl MetricsRegistry {
         let mut m = lock_recover(&self.inner);
         match m.get_mut(name) {
             Some(Metric::Counter(c)) => *c = c.saturating_add(v),
-            Some(other) => {
-                if INVARIANTS_ENABLED {
-                    assert!(
-                        matches!(other, Metric::Counter(_)),
-                        "metric {name} is not a counter"
-                    );
-                }
-            }
+            Some(_) => {}
             None => {
                 m.insert(name.to_string(), Metric::Counter(v));
             }
@@ -180,28 +170,18 @@ impl MetricsRegistry {
     }
 
     /// Set the named gauge to `v`: a [`Name`], or the [`Name::class`]
-    /// key of a prefix entry. Non-finite values are ignored (and panic
-    /// under `debug_invariants`).
+    /// key of a prefix entry. A non-finite value, or a name already
+    /// registered as another kind of metric, discards the call.
     pub fn gauge_set(&self, name: impl Into<Key>, v: f64) {
         let name = name.into();
         let name = name.as_str();
         if !v.is_finite() {
-            if INVARIANTS_ENABLED {
-                assert!(v.is_finite(), "non-finite value for gauge {name}");
-            }
             return;
         }
         let mut m = lock_recover(&self.inner);
         match m.get_mut(name) {
             Some(Metric::Gauge(g)) => *g = v,
-            Some(other) => {
-                if INVARIANTS_ENABLED {
-                    assert!(
-                        matches!(other, Metric::Gauge(_)),
-                        "metric {name} is not a gauge"
-                    );
-                }
-            }
+            Some(_) => {}
             None => {
                 m.insert(name.to_string(), Metric::Gauge(v));
             }
@@ -212,13 +192,12 @@ impl MetricsRegistry {
     /// first use (strictly increasing upper bucket bounds; values fall
     /// into the first bucket whose bound is `>= v`, or the overflow
     /// slot past the last bound). NaN/∞ observations increment the
-    /// snapshot's `nan_rejected` count instead (and panic under
-    /// `debug_invariants`).
+    /// snapshot's `nan_rejected` count instead.
     ///
     /// Malformed `bounds` at registration (empty, non-finite, or not
-    /// strictly increasing) discard the observation — and panic under
-    /// `debug_invariants`. Use [`MetricsRegistry::try_observe`] to see
-    /// the typed [`BoundsError`].
+    /// strictly increasing), or a name already registered as another
+    /// kind of metric, discard the observation. Use
+    /// [`MetricsRegistry::try_observe`] to see the typed [`BoundsError`].
     ///
     /// ```compile_fail
     /// // expected `Name`, found `&str` (E0308)
@@ -234,14 +213,7 @@ impl MetricsRegistry {
     /// MetricsRegistry::new().observe(Name::FL_ROUND_TICKS, &[1.0], 0.5);
     /// ```
     pub fn observe(&self, name: Name, bounds: &[f64], v: f64) {
-        let res = self.try_observe(name, bounds, v);
-        if INVARIANTS_ENABLED {
-            assert!(
-                res.is_ok(),
-                "invalid bounds for histogram {}: {res:?}",
-                name.as_str()
-            );
-        }
+        let _ = self.try_observe(name, bounds, v);
     }
 
     /// Fallible form of [`MetricsRegistry::observe`]: rejects malformed
@@ -264,19 +236,12 @@ impl MetricsRegistry {
     ) -> Result<(), BoundsError> {
         let mut m = lock_recover(&self.inner);
         match m.get_mut(name) {
-            Some(Metric::Histogram(h)) => h.observe(name, v),
-            Some(other) => {
-                if INVARIANTS_ENABLED {
-                    assert!(
-                        matches!(other, Metric::Histogram(_)),
-                        "metric {name} is not a histogram"
-                    );
-                }
-            }
+            Some(Metric::Histogram(h)) => h.observe(v),
+            Some(_) => {}
             None => {
                 validate_bounds(bounds)?;
                 let mut h = Histogram::new(bounds);
-                h.observe(name, v);
+                h.observe(v);
                 m.insert(name.to_string(), Metric::Histogram(h));
             }
         }
@@ -385,8 +350,7 @@ pub struct HistogramSnapshot {
     pub total: u64,
     /// Sum of all observations.
     pub sum: f64,
-    /// Non-finite observations rejected (only counted when the
-    /// `debug_invariants` feature is off; with it on they panic).
+    /// Non-finite observations rejected.
     pub nan_rejected: u64,
 }
 
@@ -487,7 +451,6 @@ mod tests {
         );
     }
 
-    #[cfg(not(feature = "debug_invariants"))]
     #[test]
     fn non_finite_gauge_is_ignored() {
         let r = MetricsRegistry::new();
@@ -522,12 +485,11 @@ mod tests {
         let mut h = Histogram::new(&[1.0]);
         h.counts[0] = u64::MAX;
         h.total = u64::MAX;
-        h.observe("h", 0.5);
+        h.observe(0.5);
         assert_eq!(h.counts[0], u64::MAX);
         assert_eq!(h.total, u64::MAX);
     }
 
-    #[cfg(not(feature = "debug_invariants"))]
     #[test]
     fn nan_observations_are_counted_not_bucketed() {
         let r = MetricsRegistry::new();
@@ -541,14 +503,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[cfg(feature = "debug_invariants")]
-    #[test]
-    #[should_panic(expected = "non-finite observation")]
-    fn nan_observation_panics_under_invariants() {
-        let r = MetricsRegistry::new();
-        r.observe(Name::FL_ROUND_TICKS, &[1.0], f64::NAN);
     }
 
     #[test]
@@ -594,7 +548,6 @@ mod tests {
         assert_eq!(validate_bounds(&[-1.0, 0.5, 2.0]), Ok(()));
     }
 
-    #[cfg(not(feature = "debug_invariants"))]
     #[test]
     fn malformed_bounds_never_register_a_histogram() {
         // Regression: `observe` used to accept any bounds array and
@@ -615,14 +568,6 @@ mod tests {
         assert!(r.snapshot().get(names::FL_ROUND_TICKS).is_some());
     }
 
-    #[cfg(feature = "debug_invariants")]
-    #[test]
-    #[should_panic(expected = "invalid bounds")]
-    fn malformed_bounds_panic_under_invariants() {
-        let r = MetricsRegistry::new();
-        r.observe(Name::FL_ROUND_TICKS, &[2.0, 1.0], 0.5);
-    }
-
     #[test]
     fn percentile_empty_histogram_is_none() {
         let assert_none = |h: &HistogramSnapshot| {
@@ -637,16 +582,12 @@ mod tests {
             nan_rejected: 0,
         });
         // Through the registry the only way to an empty histogram is a
-        // rejected NaN, which `debug_invariants` turns into a panic
-        // (`nan_observation_panics_under_invariants`).
-        #[cfg(not(feature = "debug_invariants"))]
-        {
-            let r = MetricsRegistry::new();
-            r.observe(Name::FL_ROUND_TICKS, &[1.0, 2.0], f64::NAN);
-            match r.snapshot().get(names::FL_ROUND_TICKS) {
-                Some(MetricValue::Histogram(h)) => assert_none(h),
-                other => panic!("unexpected {other:?}"),
-            }
+        // rejected NaN.
+        let r = MetricsRegistry::new();
+        r.observe(Name::FL_ROUND_TICKS, &[1.0, 2.0], f64::NAN);
+        match r.snapshot().get(names::FL_ROUND_TICKS) {
+            Some(MetricValue::Histogram(h)) => assert_none(h),
+            other => panic!("unexpected {other:?}"),
         }
     }
 

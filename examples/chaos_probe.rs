@@ -2,11 +2,10 @@
 //!
 //! Runs a short federated simulation under an aggressive fault plan —
 //! 30% dropout, 15% stragglers, 5% corruption, 5% replay — and prints the
-//! resilience report. CI runs this in release *and* with
-//! `--features debug_invariants`: the latter must not panic, because
-//! injected faults model transport damage applied *after* the
-//! client-emission invariant boundary (see `fedwcm_fl::engine`), and the
-//! containment filter absorbs the corrupted uploads before aggregation.
+//! resilience report. It must not panic: injected faults model transport
+//! damage to healthy uploads, and the engine's containment filter drops
+//! the corrupted ones before aggregation. CI checks its stdout at
+//! `FEDWCM_THREADS=1` and `4` against `results/probe_digests.sha256`.
 //!
 //! Pass a file path as the first argument to additionally write a JSONL
 //! trace of the run (spans + structured fault events under a
