@@ -5,22 +5,52 @@
 //! rounds that follow — every `RoundRecord` column and the global
 //! parameters after each — are bit for bit the uninterrupted run's.
 //!
+//! The checkpoint bytes at `STOP` are pinned per method (their CRC32),
+//! so a refactor of the state codec cannot move a layout unnoticed, and
+//! every method's `load_state` rejects its own blob with one byte too
+//! many or one too few.
+//!
 //! Every method captures its state. An algorithm that implements neither
 //! half of the pair says so both ways (the trait's defaults: `None` from
 //! `save_state`, `Unsupported` from `load_state`), and a checkpoint of it
 //! fails with `AlgorithmStateUnsupported`
 //! (`crates/fl/tests/faults_and_resume.rs`).
 
-use fedwcm_experiments::{build_method, ExpConfig, Method, Scale};
+use fedwcm_experiments::Method::{self, *};
+use fedwcm_experiments::{build_method, ExpConfig, Scale};
 use fedwcm_suite::data::synth::DatasetPreset;
 use fedwcm_suite::fl::{
     ClientEnv, ClientUpdate, FederatedAlgorithm, History, RoundInput, RoundLog, ServerCheckpoint,
     StateError,
 };
+use fedwcm_transport::frame::crc32;
 
 /// Rounds before the checkpoint: momentum buffers, control variates and
 /// FedWCM's adaptive α have all moved off their initial values.
 const STOP: usize = 3;
+
+/// CRC32 of each method's `FWCK` bytes at `STOP`, in `Method::ALL` order.
+const PINNED_CHECKPOINTS: [(Method, u32); 19] = [
+    (FedAvg, 0x7E39_EB0D),
+    (BalanceFl, 0x36A6_9A14),
+    (FedGrab, 0xE688_3222),
+    (FedCm, 0x7C8A_1E19),
+    (FedCmFocal, 0x5E95_B4F9),
+    (FedCmBalanceLoss, 0x67E2_B653),
+    (FedCmBalanceSampler, 0xE88F_5BA5),
+    (FedWcm, 0x3F27_33C2),
+    (FedWcmX, 0xAB21_0B45),
+    (FedProx, 0xCD16_337A),
+    (Scaffold, 0xBBC5_B49F),
+    (FedDyn, 0x4E57_5FB3),
+    (FedAvgM, 0x232C_B61E),
+    (FedSam, 0x4730_1507),
+    (MoFedSam, 0xCFBF_043D),
+    (FedSpeed, 0x7165_8342),
+    (FedSmoo, 0x3B52_0D12),
+    (FedLesam, 0x4ABF_0078),
+    (MimeLite, 0xE220_69BB),
+];
 
 /// Every column of every record, floats as bits, and the parameters
 /// after each round: what "the same run" means here.
@@ -55,12 +85,41 @@ fn every_method_resumes_bit_for_bit_or_says_unsupported() {
     let task = exp.prepare();
     let sim = task.simulation();
     assert!(STOP + 2 <= sim.cfg.rounds, "rounds left to compare");
+    assert_eq!(
+        PINNED_CHECKPOINTS.map(|(m, _)| m),
+        Method::ALL,
+        "one row per method"
+    );
 
-    for method in Method::ALL {
+    let mut moved = Vec::new();
+    for (method, pinned) in PINNED_CHECKPOINTS {
         let label = method.label();
+        let mut stopped = build_method(method, &task);
         let checkpoint = sim
-            .run_until(&mut *build_method(method, &task), STOP)
+            .run_until(&mut *stopped, STOP)
             .unwrap_or_else(|e| panic!("{label}: cannot checkpoint its state ({e})"));
+        let crc = crc32(&checkpoint.to_bytes());
+        if crc != pinned {
+            moved.push(format!("{label}: {crc:#010X}, pinned {pinned:#010X}"));
+        }
+
+        // Its own blob, one byte longer or shorter, does not load.
+        let blob = stopped.save_state().expect("it just saved");
+        let mut long = blob.clone();
+        long.push(0);
+        let mut fresh = build_method(method, &task);
+        assert_eq!(
+            fresh.load_state(&long),
+            Err(StateError::Malformed),
+            "{label}: a trailing byte"
+        );
+        if let Some((_, short)) = blob.split_last() {
+            assert_eq!(
+                fresh.load_state(short),
+                Err(StateError::Malformed),
+                "{label}: a missing last byte"
+            );
+        }
 
         let mut whole_globals = Vec::new();
         let whole = sim.run_with_observer(&mut *build_method(method, &task), |_, g| {
@@ -92,6 +151,12 @@ fn every_method_resumes_bit_for_bit_or_says_unsupported() {
         }
         assert_eq!(want.len(), got.len(), "{label}: rounds run");
     }
+    assert!(
+        moved.is_empty(),
+        "{} checkpoint CRC(s) moved:\n{}",
+        moved.len(),
+        moved.join("\n")
+    );
 }
 
 #[test]
