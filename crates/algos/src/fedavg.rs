@@ -1,9 +1,8 @@
 //! FedAvg (McMahan et al., 2017): local SGD + model averaging.
 
-use fedwcm_fl::algorithm::{
-    average_step, load_stateless, FederatedAlgorithm, RoundInput, RoundLog, StateError,
-};
+use fedwcm_fl::algorithm::{average_step, FederatedAlgorithm, RoundInput, RoundLog, StateError};
 use fedwcm_fl::client::{run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
+use fedwcm_fl::codec::{decode_state, Wire};
 use fedwcm_nn::loss::{CrossEntropy, Loss};
 use std::sync::Arc;
 
@@ -55,11 +54,11 @@ impl FederatedAlgorithm for FedAvg {
 
     // FedAvg carries no cross-round state; an empty blob is the whole of it.
     fn save_state(&self) -> Option<Vec<u8>> {
-        Some(Vec::new())
+        Some(().encode())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        load_stateless(bytes)
+        decode_state(bytes)
     }
 }
 

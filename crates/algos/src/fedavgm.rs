@@ -3,10 +3,10 @@
 //! heavy-ball update over the aggregated deltas.
 
 use fedwcm_fl::algorithm::{
-    server_step, state_from_vec, state_to_vec, uniform_average, FederatedAlgorithm, RoundInput,
-    RoundLog, StateError,
+    server_step, uniform_average, FederatedAlgorithm, RoundInput, RoundLog, StateError,
 };
 use fedwcm_fl::client::{run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
+use fedwcm_fl::codec::{decode_state, Wire};
 use fedwcm_nn::loss::CrossEntropy;
 use fedwcm_nn::opt::server_momentum;
 
@@ -59,11 +59,11 @@ impl FederatedAlgorithm for FedAvgM {
     // β is construction-time configuration; the heavy-ball buffer is the
     // only cross-round state.
     fn save_state(&self) -> Option<Vec<u8>> {
-        Some(state_from_vec(&self.buffer))
+        Some(self.buffer.encode())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        self.buffer = state_to_vec(bytes)?;
+        self.buffer = decode_state(bytes)?;
         Ok(())
     }
 }

@@ -8,10 +8,10 @@
 //! [`FedCm::with_balanced_sampler`].
 
 use fedwcm_fl::algorithm::{
-    server_step, state_from_vec, state_to_vec, uniform_average, FederatedAlgorithm, RoundInput,
-    RoundLog, StateError,
+    server_step, uniform_average, FederatedAlgorithm, RoundInput, RoundLog, StateError,
 };
 use fedwcm_fl::client::{momentum_direction, run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
+use fedwcm_fl::codec::{decode_state, Wire};
 use fedwcm_nn::loss::{CrossEntropy, Loss};
 use std::sync::Arc;
 
@@ -92,11 +92,11 @@ impl FederatedAlgorithm for FedCm {
     // α, loss, and sampler are construction-time configuration; the global
     // momentum buffer is the only cross-round state.
     fn save_state(&self) -> Option<Vec<u8>> {
-        Some(state_from_vec(&self.momentum))
+        Some(self.momentum.encode())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        self.momentum = state_to_vec(bytes)?;
+        self.momentum = decode_state(bytes)?;
         Ok(())
     }
 }

@@ -6,12 +6,10 @@
 //! and the server sets `x_{r+1} = mean(x_B) − h̄/λ` with `h̄` the mean
 //! state over *all* clients.
 
-use fedwcm_fl::algorithm::{
-    put_per_client, read_per_client, FederatedAlgorithm, RoundInput, RoundLog, StateError,
-};
+use fedwcm_fl::algorithm::{FederatedAlgorithm, RoundInput, RoundLog, StateError};
 use fedwcm_fl::client::{run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
+use fedwcm_fl::codec::{decode_state, Wire};
 use fedwcm_nn::loss::CrossEntropy;
-use fedwcm_nn::serialize::{put_f32s, ByteReader};
 
 /// FedDyn with regularisation coefficient λ.
 pub struct FedDyn {
@@ -104,17 +102,16 @@ impl FederatedAlgorithm for FedDyn {
 
     // Cross-round state: per-client Lagrangian states and their mean.
     fn save_state(&self) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
-        put_f32s(&mut out, &self.mean_state);
-        put_per_client(&mut out, &self.states);
+        let (mean, states) = (&self.mean_state, &self.states);
+        let mut out = Vec::with_capacity(mean.wire_len() + states.wire_len());
+        mean.put(&mut out);
+        states.put(&mut out);
         Some(out)
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = ByteReader::new(bytes);
-        let mean_state = r.f32s().ok_or(StateError::Malformed)?;
-        let states = read_per_client(&mut r, self.num_clients)?;
-        if !r.is_exhausted() {
+        let (mean_state, states): (_, Vec<Vec<f32>>) = decode_state(bytes)?;
+        if states.len() != self.num_clients {
             return Err(StateError::Malformed);
         }
         self.mean_state = mean_state;

@@ -1,10 +1,9 @@
 //! FedProx (Li et al., 2020): proximal regularisation towards the global
 //! model during local training.
 
-use fedwcm_fl::algorithm::{
-    average_step, load_stateless, FederatedAlgorithm, RoundInput, RoundLog, StateError,
-};
+use fedwcm_fl::algorithm::{average_step, FederatedAlgorithm, RoundInput, RoundLog, StateError};
 use fedwcm_fl::client::{run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
+use fedwcm_fl::codec::{decode_state, Wire};
 use fedwcm_nn::loss::CrossEntropy;
 
 /// FedProx: each local step adds `μ (x − x_r)` to the gradient, pulling
@@ -48,11 +47,11 @@ impl FederatedAlgorithm for FedProx {
 
     // μ is construction-time configuration; nothing crosses rounds.
     fn save_state(&self) -> Option<Vec<u8>> {
-        Some(Vec::new())
+        Some(().encode())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        load_stateless(bytes)
+        decode_state(bytes)
     }
 }
 

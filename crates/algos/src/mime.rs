@@ -14,11 +14,9 @@
 //! gradient by each client's first-step mini-batch gradient (payload in
 //! `ClientUpdate::extra`).
 
-use fedwcm_fl::algorithm::{
-    average_step, state_from_vec, state_to_vec, FederatedAlgorithm, RoundInput, RoundLog,
-    StateError,
-};
+use fedwcm_fl::algorithm::{average_step, FederatedAlgorithm, RoundInput, RoundLog, StateError};
 use fedwcm_fl::client::{run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
+use fedwcm_fl::codec::{decode_state, Wire};
 use fedwcm_nn::loss::CrossEntropy;
 
 /// Mime-lite with momentum coefficient `beta` (buffer decay) and local
@@ -109,11 +107,11 @@ impl FederatedAlgorithm for MimeLite {
     // β and a are construction-time configuration; the frozen server
     // momentum is the only cross-round state.
     fn save_state(&self) -> Option<Vec<u8>> {
-        Some(state_from_vec(&self.momentum))
+        Some(self.momentum.encode())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        self.momentum = state_to_vec(bytes)?;
+        self.momentum = decode_state(bytes)?;
         Ok(())
     }
 }

@@ -20,12 +20,12 @@
 //! the perturbation itself).
 
 use fedwcm_fl::algorithm::{
-    average_step, load_stateless, put_per_client, read_per_client, server_step, state_from_vec,
-    state_to_vec, uniform_average, FederatedAlgorithm, RoundInput, RoundLog, StateError,
+    average_step, server_step, uniform_average, FederatedAlgorithm, RoundInput, RoundLog,
+    StateError,
 };
 use fedwcm_fl::client::{run_local, ClientEnv, ClientUpdate, LocalSgdSpec};
+use fedwcm_fl::codec::{decode_state, Wire};
 use fedwcm_nn::loss::{CrossEntropy, Loss};
-use fedwcm_nn::serialize::ByteReader;
 use fedwcm_tensor::ops;
 
 /// Options for the SAM step; the default is plain FedSAM at `ρ = 0`.
@@ -145,11 +145,11 @@ impl FederatedAlgorithm for FedSam {
 
     // ρ is construction-time configuration; nothing crosses rounds.
     fn save_state(&self) -> Option<Vec<u8>> {
-        Some(Vec::new())
+        Some(().encode())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        load_stateless(bytes)
+        decode_state(bytes)
     }
 }
 
@@ -202,11 +202,11 @@ impl FederatedAlgorithm for MoFedSam {
 
     // As FedCM: the global momentum buffer is the only cross-round state.
     fn save_state(&self) -> Option<Vec<u8>> {
-        Some(state_from_vec(&self.momentum))
+        Some(self.momentum.encode())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        self.momentum = state_to_vec(bytes)?;
+        self.momentum = decode_state(bytes)?;
         Ok(())
     }
 }
@@ -247,11 +247,11 @@ impl FederatedAlgorithm for FedSpeed {
 
     // ρ and μ are construction-time configuration; nothing crosses rounds.
     fn save_state(&self) -> Option<Vec<u8>> {
-        Some(Vec::new())
+        Some(().encode())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        load_stateless(bytes)
+        decode_state(bytes)
     }
 }
 
@@ -309,15 +309,12 @@ impl FederatedAlgorithm for FedSmoo {
 
     // Cross-round state: every client's correction state `h_i`.
     fn save_state(&self) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
-        put_per_client(&mut out, &self.states);
-        Some(out)
+        Some(self.states.encode())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = ByteReader::new(bytes);
-        let states = read_per_client(&mut r, self.states.len())?;
-        if !r.is_exhausted() {
+        let states: Vec<Vec<f32>> = decode_state(bytes)?;
+        if states.len() != self.states.len() {
             return Err(StateError::Malformed);
         }
         self.states = states;
@@ -369,11 +366,11 @@ impl FederatedAlgorithm for FedLesam {
 
     // The previous global direction is the only cross-round state.
     fn save_state(&self) -> Option<Vec<u8>> {
-        Some(state_from_vec(&self.momentum))
+        Some(self.momentum.encode())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        self.momentum = state_to_vec(bytes)?;
+        self.momentum = decode_state(bytes)?;
         Ok(())
     }
 }

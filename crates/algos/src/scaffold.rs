@@ -7,13 +7,10 @@
 //! engine's normalised delta. The server moves `c` by the participation-
 //! weighted mean control change.
 
-use fedwcm_fl::algorithm::{
-    average_step, put_per_client, read_per_client, FederatedAlgorithm, RoundInput, RoundLog,
-    StateError,
-};
+use fedwcm_fl::algorithm::{average_step, FederatedAlgorithm, RoundInput, RoundLog, StateError};
 use fedwcm_fl::client::{run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
+use fedwcm_fl::codec::{decode_state, Wire};
 use fedwcm_nn::loss::CrossEntropy;
-use fedwcm_nn::serialize::{put_f32s, ByteReader};
 
 /// SCAFFOLD with option-II control updates.
 pub struct Scaffold {
@@ -114,17 +111,16 @@ impl FederatedAlgorithm for Scaffold {
 
     // Cross-round state: the server control and every client control.
     fn save_state(&self) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
-        put_f32s(&mut out, &self.server_control);
-        put_per_client(&mut out, &self.client_controls);
+        let (c, controls) = (&self.server_control, &self.client_controls);
+        let mut out = Vec::with_capacity(c.wire_len() + controls.wire_len());
+        c.put(&mut out);
+        controls.put(&mut out);
         Some(out)
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = ByteReader::new(bytes);
-        let server_control = r.f32s().ok_or(StateError::Malformed)?;
-        let client_controls = read_per_client(&mut r, self.num_clients)?;
-        if !r.is_exhausted() {
+        let (server_control, client_controls): (_, Vec<Vec<f32>>) = decode_state(bytes)?;
+        if client_controls.len() != self.num_clients {
             return Err(StateError::Malformed);
         }
         self.server_control = server_control;

@@ -20,6 +20,7 @@ use fedwcm_fl::algorithm::{
     StateError,
 };
 use fedwcm_fl::client::{momentum_direction, run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
+use fedwcm_fl::codec::{decode_state, Wire};
 use fedwcm_nn::loss::{CrossEntropy, Loss};
 use std::sync::Arc;
 
@@ -272,21 +273,14 @@ impl FederatedAlgorithm for FedWcm {
     // deliberately not serialized; FedWCM-X's `B̂` is construction-time
     // configuration.
     fn save_state(&self) -> Option<Vec<u8>> {
-        let mut out = Vec::with_capacity(12 + self.momentum.len() * 4);
-        fedwcm_nn::serialize::put_f32(&mut out, self.alpha);
-        fedwcm_nn::serialize::put_f32s(&mut out, &self.momentum);
+        let mut out = Vec::with_capacity(self.alpha.wire_len() + self.momentum.wire_len());
+        self.alpha.put(&mut out);
+        self.momentum.put(&mut out);
         Some(out)
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = fedwcm_nn::serialize::ByteReader::new(bytes);
-        let alpha = r.f32().ok_or(StateError::Malformed)?;
-        let momentum = r.f32s().ok_or(StateError::Malformed)?;
-        if !r.is_exhausted() {
-            return Err(StateError::Malformed);
-        }
-        self.alpha = alpha;
-        self.momentum = momentum;
+        (self.alpha, self.momentum) = decode_state(bytes)?;
         Ok(())
     }
 }

@@ -73,71 +73,18 @@ pub trait FederatedAlgorithm: Send + Sync {
     /// identically**. Returns `None` when the algorithm does not support
     /// state capture — the conservative default, so checkpointing an
     /// unprepared algorithm fails loudly instead of resuming from a
-    /// silently reset state. Stateless algorithms return an empty blob.
+    /// silently reset state. The blob is the state's
+    /// [`Wire::encode`](crate::codec::Wire::encode) (`()` for a stateless
+    /// algorithm: the empty blob).
     fn save_state(&self) -> Option<Vec<u8>> {
         None
     }
 
-    /// Restore state captured by [`FederatedAlgorithm::save_state`].
+    /// Restore state captured by [`FederatedAlgorithm::save_state`]:
+    /// [`decode_state`](crate::codec::decode_state) at the state's type.
     fn load_state(&mut self, _bytes: &[u8]) -> Result<(), StateError> {
         Err(StateError::Unsupported)
     }
-}
-
-/// [`FederatedAlgorithm::load_state`] of an algorithm that carries
-/// nothing across rounds and saves the empty blob (`Some(Vec::new())`):
-/// the empty blob is the only state it accepts.
-pub fn load_stateless(bytes: &[u8]) -> Result<(), StateError> {
-    if bytes.is_empty() {
-        Ok(())
-    } else {
-        Err(StateError::Malformed)
-    }
-}
-
-/// Serialize a single `f32` buffer as an algorithm-state blob — the whole
-/// cross-round state of the momentum-buffer family (FedCM, FedAvgM,
-/// Mime-lite, …). Bit patterns are preserved exactly.
-pub fn state_from_vec(v: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + v.len() * 4);
-    fedwcm_nn::serialize::put_f32s(&mut out, v);
-    out
-}
-
-/// Parse a blob written by [`state_from_vec`]. Rejects trailing bytes, so
-/// a blob from a richer algorithm cannot silently load as a plain buffer.
-pub fn state_to_vec(bytes: &[u8]) -> Result<Vec<f32>, StateError> {
-    let mut r = fedwcm_nn::serialize::ByteReader::new(bytes);
-    let v = r.f32s().ok_or(StateError::Malformed)?;
-    if r.is_exhausted() {
-        Ok(v)
-    } else {
-        Err(StateError::Malformed)
-    }
-}
-
-/// Append one buffer per client to a state blob: the count, then each
-/// client's buffer, empty for a client never sampled (SCAFFOLD's controls,
-/// FedDyn's and FedSMOO-lite's states).
-pub fn put_per_client(out: &mut Vec<u8>, buffers: &[Vec<f32>]) {
-    fedwcm_nn::serialize::put_u64(out, buffers.len() as u64);
-    for b in buffers {
-        fedwcm_nn::serialize::put_f32s(out, b);
-    }
-}
-
-/// Read what [`put_per_client`] wrote for `clients` clients; a blob for a
-/// different client count is malformed.
-pub fn read_per_client(
-    r: &mut fedwcm_nn::serialize::ByteReader<'_>,
-    clients: usize,
-) -> Result<Vec<Vec<f32>>, StateError> {
-    if r.u64() != Some(clients as u64) {
-        return Err(StateError::Malformed);
-    }
-    (0..clients)
-        .map(|_| r.f32s().ok_or(StateError::Malformed))
-        .collect()
 }
 
 /// Uniform average of update deltas (the FedAvg aggregation), written into
@@ -239,24 +186,6 @@ mod tests {
         for (g, l) in global.iter().zip(&local_final) {
             assert!((g - l).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn state_blob_roundtrip_and_rejection() {
-        let v = vec![1.5f32, f32::NAN, -0.0];
-        let blob = state_from_vec(&v);
-        let back = state_to_vec(&blob).expect("roundtrip");
-        let bits: Vec<u32> = back.iter().map(|x| x.to_bits()).collect();
-        let want: Vec<u32> = v.iter().map(|x| x.to_bits()).collect();
-        assert_eq!(bits, want, "bit patterns must survive");
-        // Trailing garbage and truncation are both malformed.
-        let mut long = blob.clone();
-        long.push(0);
-        assert_eq!(state_to_vec(&long), Err(StateError::Malformed));
-        assert_eq!(
-            state_to_vec(&blob[..blob.len() - 1]),
-            Err(StateError::Malformed)
-        );
     }
 
     #[test]

@@ -266,8 +266,8 @@ impl ServerCheckpoint {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
         bytes
             .strip_prefix(MAGIC.as_slice())
-            .and_then(|rest| rest.strip_prefix(VERSION.to_le_bytes().as_slice()))
-            .and_then(Self::decode)
+            .and_then(<(u32, Self)>::decode)
+            .and_then(|(version, body)| (version == VERSION).then_some(body))
             .ok_or(CheckpointError::Malformed)
     }
 }
@@ -275,8 +275,9 @@ impl ServerCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::{average_step, state_from_vec, state_to_vec, RoundInput, RoundLog};
+    use crate::algorithm::{average_step, RoundInput, RoundLog};
     use crate::client::{ClientEnv, ClientUpdate};
+    use crate::codec::decode_state;
     use crate::config::FlConfig;
     use crate::engine::tests::{build_sim, plain_sgd};
     use fedwcm_data::longtail::longtail_counts;
@@ -284,7 +285,8 @@ mod tests {
     use fedwcm_faults::{FaultConfig, FaultPlan};
     use fedwcm_transport::{NetConfig, NetPlan};
 
-    /// FedAvg with (empty) state capture, so `run_until` accepts it.
+    /// FedAvg with state capture, so `run_until` accepts it: an empty
+    /// `Vec<f32>` (8 bytes).
     struct StatefulAvg;
 
     impl FederatedAlgorithm for StatefulAvg {
@@ -298,10 +300,10 @@ mod tests {
             average_step(global, input)
         }
         fn save_state(&self) -> Option<Vec<u8>> {
-            Some(state_from_vec(&[]))
+            Some(Vec::<f32>::new().encode())
         }
         fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-            state_to_vec(bytes).map(|_| ())
+            decode_state::<Vec<f32>>(bytes).map(|_| ())
         }
     }
 

@@ -1,28 +1,65 @@
-//! The one byte codec behind `FWCK` checkpoints and transport payloads.
+//! The one byte codec behind `FWCK` checkpoints, transport payloads and
+//! algorithm state blobs: the only module that knows the little-endian
+//! format.
 //!
-//! [`Wire`] pairs a writer with its reader over the little-endian
-//! primitives of `fedwcm_nn::serialize`, and [`wire_struct!`] takes a
-//! struct's fields **once, in wire order** and expands to both
-//! directions — so a writer and a reader cannot drift apart, and a new
-//! serialized field is one line in the table below. Float bit patterns
-//! are preserved exactly; every tag accepts only the values its writer
-//! emits, so `get → put` is the identity on accepted input; every
+//! [`Wire`] pairs a writer with its reader ([`ByteReader`]), and
+//! [`wire_struct!`] takes a struct's fields **once, in wire order** and
+//! expands to both directions — so a writer and a reader cannot drift
+//! apart, and a new serialized field is one line in the table below.
+//! Integers and floats are little-endian and floats keep their bit
+//! patterns exactly, NaN payloads included; every sequence is a `u64`
+//! count, then its elements; every tag accepts only the values its
+//! writer emits, so `get → put` is the identity on accepted input; every
 //! length is checked against the remaining buffer before anything is
 //! allocated.
+//!
+//! An algorithm's cross-round state is a [`Wire`] value too:
+//! `save_state` is its [`Wire::encode`], `load_state` its
+//! [`decode_state`].
 
+use crate::algorithm::StateError;
 use crate::cadence::Cadence;
 use crate::client::ClientUpdate;
 use crate::engine::{BufferedUpdate, PendingUpdate};
 use crate::metrics::{History, RoundFaults, RoundRecord};
-use fedwcm_nn::serialize::{
-    put_bytes, put_f32, put_f32s, put_f64, put_str, put_u32, put_u64, ByteReader,
-};
 use fedwcm_trace::{HistogramSnapshot, MetricEntry, MetricValue, MetricsSnapshot};
 use fedwcm_transport::NetCounters;
 
+/// Sequential reader over encoded bytes. Reading past the end is `None`,
+/// never a panic, so every decoder surfaces truncation as a typed error.
+#[derive(Clone, Debug)]
+pub struct ByteReader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> ByteReader<'a> {
+    /// Reader starting at the beginning of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        ByteReader { rest: buf }
+    }
+
+    /// True once every byte has been consumed.
+    pub fn is_exhausted(&self) -> bool {
+        self.rest.is_empty()
+    }
+
+    /// The next `n` bytes, if all of them are there.
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.rest.split_at_checked(n)?;
+        self.rest = rest;
+        Some(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (head, rest) = self.rest.split_first_chunk::<N>()?;
+        self.rest = rest;
+        Some(*head)
+    }
+}
+
 /// A value with one byte encoding: `get` reads exactly what `put` wrote
 /// and returns `None` on truncation, a bad tag, or a corrupt length.
-pub(crate) trait Wire: Sized {
+pub trait Wire: Sized {
     /// Append the encoding of `self`.
     fn put(&self, out: &mut Vec<u8>);
     /// Read one value, advancing the reader.
@@ -47,15 +84,23 @@ pub(crate) trait Wire: Sized {
     }
 }
 
-/// Leaf impls straight over a `put_*` / `ByteReader::*` pair.
-macro_rules! wire_leaf {
-    ($($t:ty => $put:ident, $get:ident;)*) => {$(
+/// [`FederatedAlgorithm::load_state`](crate::FederatedAlgorithm::load_state)
+/// at the state's type: exactly one `T`, or
+/// [`StateError::Malformed`] — so a truncated blob, or one from a richer
+/// algorithm, cannot load as a plain buffer.
+pub fn decode_state<T: Wire>(bytes: &[u8]) -> Result<T, StateError> {
+    T::decode(bytes).ok_or(StateError::Malformed)
+}
+
+/// Fixed-width numbers: their little-endian bytes.
+macro_rules! wire_le {
+    ($($t:ty),*) => {$(
         impl Wire for $t {
             fn put(&self, out: &mut Vec<u8>) {
-                $put(out, *self);
+                out.extend_from_slice(&self.to_le_bytes());
             }
             fn get(r: &mut ByteReader<'_>) -> Option<Self> {
-                r.$get()
+                r.array().map(<$t>::from_le_bytes)
             }
             fn wire_len(&self) -> usize {
                 size_of::<$t>()
@@ -64,19 +109,14 @@ macro_rules! wire_leaf {
     )*};
 }
 
-wire_leaf! {
-    u32 => put_u32, u32;
-    u64 => put_u64, u64;
-    f32 => put_f32, f32;
-    f64 => put_f64, f64;
-}
+wire_le!(u32, u64, f32, f64);
 
 impl Wire for usize {
     fn put(&self, out: &mut Vec<u8>) {
-        put_u64(out, *self as u64);
+        (*self as u64).put(out);
     }
     fn get(r: &mut ByteReader<'_>) -> Option<Self> {
-        usize::try_from(r.u64()?).ok()
+        usize::try_from(u64::get(r)?).ok()
     }
     fn wire_len(&self) -> usize {
         size_of::<u64>()
@@ -85,10 +125,10 @@ impl Wire for usize {
 
 impl Wire for bool {
     fn put(&self, out: &mut Vec<u8>) {
-        put_u32(out, u32::from(*self));
+        u32::from(*self).put(out);
     }
     fn get(r: &mut ByteReader<'_>) -> Option<Self> {
-        match r.u32()? {
+        match u32::get(r)? {
             0 => Some(false),
             1 => Some(true),
             _ => None,
@@ -99,12 +139,40 @@ impl Wire for bool {
     }
 }
 
-impl Wire for String {
+/// The state of an algorithm that carries nothing across rounds: the
+/// empty byte string.
+impl Wire for () {
+    fn put(&self, _: &mut Vec<u8>) {}
+    fn get(_: &mut ByteReader<'_>) -> Option<Self> {
+        Some(())
+    }
+    fn wire_len(&self) -> usize {
+        0
+    }
+}
+
+/// Two values back to back (two-field algorithm states).
+impl<A: Wire, B: Wire> Wire for (A, B) {
     fn put(&self, out: &mut Vec<u8>) {
-        put_str(out, self);
+        self.0.put(out);
+        self.1.put(out);
     }
     fn get(r: &mut ByteReader<'_>) -> Option<Self> {
-        r.str()
+        Some((A::get(r)?, B::get(r)?))
+    }
+    fn wire_len(&self) -> usize {
+        self.0.wire_len() + self.1.wire_len()
+    }
+}
+
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        let n = usize::get(r)?;
+        String::from_utf8(r.take(n)?.to_vec()).ok()
     }
     fn wire_len(&self) -> usize {
         size_of::<u64>() + self.len()
@@ -114,24 +182,34 @@ impl Wire for String {
 /// Opaque byte blob (the algorithm state).
 impl Wire for Vec<u8> {
     fn put(&self, out: &mut Vec<u8>) {
-        put_bytes(out, self);
+        self.len().put(out);
+        out.extend_from_slice(self);
     }
     fn get(r: &mut ByteReader<'_>) -> Option<Self> {
-        r.bytes()
+        let n = usize::get(r)?;
+        Some(r.take(n)?.to_vec())
     }
     fn wire_len(&self) -> usize {
         size_of::<u64>() + self.len()
     }
 }
 
-/// Parameter-length vectors stay on the bulk path: one reserve on the
-/// way out, the length-before-allocate guard on the way in.
+/// Parameter-length vectors stay on the bulk path: one reserve and one
+/// flattened conversion on the way out (a block copy on little-endian
+/// targets), the length-before-allocate guard and one conversion on the
+/// way in.
 impl Wire for Vec<f32> {
     fn put(&self, out: &mut Vec<u8>) {
-        put_f32s(out, self);
+        self.len().put(out);
+        out.reserve(size_of_val(self.as_slice()));
+        out.extend(self.iter().flat_map(|v| v.to_le_bytes()));
     }
     fn get(r: &mut ByteReader<'_>) -> Option<Self> {
-        r.f32s()
+        let n = usize::get(r)?;
+        // `take` fails unless all `4 n` bytes are there.
+        let bytes = r.take(n.checked_mul(size_of::<f32>())?)?;
+        let floats = bytes.as_chunks().0;
+        Some(floats.iter().map(|b| f32::from_le_bytes(*b)).collect())
     }
     fn wire_len(&self) -> usize {
         size_of::<u64>() + size_of_val(self.as_slice())
@@ -164,7 +242,7 @@ impl Wire for [u64; 4] {
         }
     }
     fn get(r: &mut ByteReader<'_>) -> Option<Self> {
-        Some([r.u64()?, r.u64()?, r.u64()?, r.u64()?])
+        Some([u64::get(r)?, u64::get(r)?, u64::get(r)?, u64::get(r)?])
     }
     fn wire_len(&self) -> usize {
         size_of::<Self>()
@@ -203,6 +281,7 @@ macro_rules! wire_seq {
 wire_seq!(
     f64,
     u64,
+    Vec<f32>,
     MetricEntry,
     RoundRecord,
     PendingUpdate,
@@ -218,7 +297,7 @@ macro_rules! wire_struct {
             fn put(&self, out: &mut Vec<u8>) {
                 $($crate::codec::Wire::put(&self.$field, out);)*
             }
-            fn get(r: &mut fedwcm_nn::serialize::ByteReader<'_>) -> Option<Self> {
+            fn get(r: &mut $crate::codec::ByteReader<'_>) -> Option<Self> {
                 // Struct-literal fields are evaluated in source order.
                 Some($t { $($field: $crate::codec::Wire::get(r)?,)* })
             }
@@ -297,7 +376,7 @@ impl Wire for Cadence {
         param.put(out);
     }
     fn get(r: &mut ByteReader<'_>) -> Option<Self> {
-        Cadence::from_tag_param(r.u32()?, r.u64()?)
+        Cadence::from_tag_param(u32::get(r)?, u64::get(r)?)
     }
     fn wire_len(&self) -> usize {
         size_of::<u32>() + size_of::<u64>()
@@ -322,9 +401,9 @@ impl Wire for MetricValue {
         }
     }
     fn get(r: &mut ByteReader<'_>) -> Option<Self> {
-        Some(match r.u32()? {
-            0 => MetricValue::Counter(r.u64()?),
-            1 => MetricValue::Gauge(r.f64()?),
+        Some(match u32::get(r)? {
+            0 => MetricValue::Counter(u64::get(r)?),
+            1 => MetricValue::Gauge(f64::get(r)?),
             2 => {
                 let h = HistogramSnapshot::get(r)?;
                 // One count per bucket plus the overflow slot.
@@ -349,6 +428,49 @@ impl Wire for MetricValue {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn leaves_roundtrip_bit_for_bit() {
+        let mut buf = Vec::new();
+        7u32.put(&mut buf);
+        (u64::MAX - 3).put(&mut buf);
+        f32::NAN.put(&mut buf);
+        (-0.0f64).put(&mut buf);
+        String::from("Δ-résilience").put(&mut buf);
+        vec![0xdeu8, 0xad].put(&mut buf);
+        let mut r = ByteReader::new(&buf);
+        assert_eq!(u32::get(&mut r), Some(7));
+        assert_eq!(u64::get(&mut r), Some(u64::MAX - 3));
+        assert_eq!(f32::get(&mut r).map(f32::to_bits), Some(f32::NAN.to_bits()));
+        assert_eq!(
+            f64::get(&mut r).map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
+        assert_eq!(String::get(&mut r).as_deref(), Some("Δ-résilience"));
+        assert_eq!(<Vec<u8>>::get(&mut r), Some(vec![0xde, 0xad]));
+        assert!(r.is_exhausted());
+        assert_eq!(u32::get(&mut r), None, "reads past the end return None");
+    }
+
+    #[test]
+    fn a_state_is_exactly_one_value() {
+        let v = vec![1.5f32, f32::NAN, -0.0];
+        let blob = v.encode();
+        assert_eq!(blob.len(), 8 + 3 * 4, "a u64 count, then the floats");
+        let back: Vec<f32> = decode_state(&blob).expect("roundtrip");
+        assert!(back
+            .iter()
+            .map(|x| x.to_bits())
+            .eq(v.iter().map(|x| x.to_bits())));
+        let mut long = blob.clone();
+        long.push(0);
+        assert_eq!(decode_state::<Vec<f32>>(&long), Err(StateError::Malformed));
+        let short = &blob[..blob.len() - 1];
+        assert_eq!(decode_state::<Vec<f32>>(short), Err(StateError::Malformed));
+        assert!(().encode().is_empty());
+        assert_eq!(decode_state::<()>(&[]), Ok(()));
+        assert_eq!(decode_state::<()>(&[0]), Err(StateError::Malformed));
+    }
 
     #[test]
     fn tags_accept_only_what_their_writer_emits() {

@@ -65,7 +65,7 @@ pub mod algorithm;
 pub mod cadence;
 pub mod checkpoint;
 pub mod client;
-mod codec;
+pub mod codec;
 pub mod comms;
 pub mod config;
 pub mod engine;

@@ -10,9 +10,8 @@
 //! through `&[f32]`, so nothing can pre-scale it on the side either.
 
 use crate::client::ClientUpdate;
-use crate::codec::Wire;
+use crate::codec::{ByteReader, Wire};
 use fedwcm_faults::staleness_discount;
-use fedwcm_nn::serialize::ByteReader;
 
 /// A received client upload whose delta still has its original strength.
 ///

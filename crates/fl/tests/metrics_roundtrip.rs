@@ -15,10 +15,9 @@ use fedwcm_data::longtail::longtail_counts;
 use fedwcm_data::partition::paper_partition;
 use fedwcm_data::synth::DatasetPreset;
 use fedwcm_faults::{FaultConfig, FaultPlan};
-use fedwcm_fl::algorithm::{
-    average_step, state_from_vec, state_to_vec, RoundInput, RoundLog, StateError,
-};
+use fedwcm_fl::algorithm::{average_step, RoundInput, RoundLog, StateError};
 use fedwcm_fl::client::{run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
+use fedwcm_fl::codec::{decode_state, Wire};
 use fedwcm_fl::{FederatedAlgorithm, FlConfig, NetConfig, NetPlan, ServerCheckpoint, Simulation};
 use fedwcm_nn::loss::CrossEntropy;
 use fedwcm_nn::models::mlp;
@@ -61,11 +60,11 @@ impl FederatedAlgorithm for AvgWithState {
     }
 
     fn save_state(&self) -> Option<Vec<u8>> {
-        Some(state_from_vec(&self.rounds_seen))
+        Some(self.rounds_seen.encode())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        self.rounds_seen = state_to_vec(bytes)?;
+        self.rounds_seen = decode_state(bytes)?;
         Ok(())
     }
 }

@@ -13,10 +13,10 @@ use fedwcm_data::partition::paper_partition;
 use fedwcm_data::synth::DatasetPreset;
 use fedwcm_faults::{FaultConfig, FaultPlan};
 use fedwcm_fl::algorithm::{
-    average_step, server_step, state_from_vec, state_to_vec, uniform_average, RoundInput, RoundLog,
-    StateError,
+    average_step, server_step, uniform_average, RoundInput, RoundLog, StateError,
 };
 use fedwcm_fl::client::{run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
+use fedwcm_fl::codec::{decode_state, Wire};
 use fedwcm_fl::{FederatedAlgorithm, FlConfig, History, NetConfig, Simulation};
 use fedwcm_nn::loss::CrossEntropy;
 use fedwcm_nn::models::mlp;
@@ -76,18 +76,19 @@ impl FederatedAlgorithm for MiniMomentum {
     }
 
     fn save_state(&self) -> Option<Vec<u8>> {
-        Some(state_from_vec(&self.momentum))
+        Some(self.momentum.encode())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        self.momentum = state_to_vec(bytes)?;
+        self.momentum = decode_state(bytes)?;
         Ok(())
     }
 }
 
-/// Minimal FedAvg with (empty) state capture — the real one lives in
+/// Minimal FedAvg with state capture — the real one lives in
 /// `fedwcm-algos`, which `fedwcm-fl` cannot depend on. The golden FWCK
-/// CRC in `properties.rs` is taken over a run of this algorithm.
+/// CRC in `properties.rs` is taken over a run of this algorithm, whose
+/// state is an empty `Vec<f32>` (8 bytes), not `()`.
 pub struct StubAvg;
 
 impl FederatedAlgorithm for StubAvg {
@@ -104,11 +105,11 @@ impl FederatedAlgorithm for StubAvg {
     }
 
     fn save_state(&self) -> Option<Vec<u8>> {
-        Some(state_from_vec(&[]))
+        Some(Vec::<f32>::new().encode())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        state_to_vec(bytes)?;
+        decode_state::<Vec<f32>>(bytes)?;
         Ok(())
     }
 }

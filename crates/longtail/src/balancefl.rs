@@ -11,10 +11,9 @@
 //!    global model's logits, so locally-missing knowledge is not destroyed
 //!    by the local update.
 
-use fedwcm_fl::algorithm::{
-    average_step, load_stateless, FederatedAlgorithm, RoundInput, RoundLog, StateError,
-};
+use fedwcm_fl::algorithm::{average_step, FederatedAlgorithm, RoundInput, RoundLog, StateError};
 use fedwcm_fl::client::{run_local, ClientEnv, ClientUpdate, LocalSgdSpec};
+use fedwcm_fl::codec::{decode_state, Wire};
 use fedwcm_nn::loss::{CrossEntropy, Loss};
 
 /// BalanceFL with inheritance strength `lambda`.
@@ -107,11 +106,11 @@ impl FederatedAlgorithm for BalanceFl {
     // λ and the clip are construction-time configuration; nothing crosses
     // rounds.
     fn save_state(&self) -> Option<Vec<u8>> {
-        Some(Vec::new())
+        Some(().encode())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        load_stateless(bytes)
+        decode_state(bytes)
     }
 }
 

@@ -16,10 +16,9 @@
 //! per-client-per-round rather than persisted server-side, and operates on
 //! the final linear layer only (where minority collapse manifests).
 
-use fedwcm_fl::algorithm::{
-    average_step, load_stateless, FederatedAlgorithm, RoundInput, RoundLog, StateError,
-};
+use fedwcm_fl::algorithm::{average_step, FederatedAlgorithm, RoundInput, RoundLog, StateError};
 use fedwcm_fl::client::{run_local, ClientEnv, ClientUpdate, LocalSgdSpec};
+use fedwcm_fl::codec::{decode_state, Wire};
 use fedwcm_nn::loss::BalancedSoftmax;
 
 /// FedGrab with balancer exponent τ.
@@ -101,11 +100,11 @@ impl FederatedAlgorithm for FedGrab {
     // τ, the EMA factor and the prior are construction-time configuration;
     // the balancer's energies live for one client update.
     fn save_state(&self) -> Option<Vec<u8>> {
-        Some(Vec::new())
+        Some(().encode())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        load_stateless(bytes)
+        decode_state(bytes)
     }
 }
 

@@ -42,7 +42,6 @@ pub mod model;
 pub mod models;
 pub mod opt;
 pub mod residual;
-pub mod serialize;
 
 pub use layer::{Layer, Relu};
 pub use loss::{BalancedSoftmax, CrossEntropy, FocalLoss, Loss};
