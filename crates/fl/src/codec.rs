@@ -3,7 +3,7 @@
 //! format.
 //!
 //! [`Wire`] pairs a writer with its reader ([`ByteReader`]), and
-//! [`wire_struct!`] takes a struct's fields **once, in wire order** and
+//! `wire_struct!` takes a struct's fields **once, in wire order** and
 //! expands to both directions — so a writer and a reader cannot drift
 //! apart, and a new serialized field is one line in the table below.
 //! Integers and floats are little-endian and floats keep their bit

@@ -1,5 +1,5 @@
 //! The simulation round loop: one round is one pass through six stages,
-//! plain functions connected by two currencies — [`ReceivedUpdate`] (an
+//! plain functions connected by two currencies — `ReceivedUpdate` (an
 //! upload the server holds, still undiscounted) and `admit::Admission`
 //! (what the cadence decided).
 //!

@@ -43,7 +43,7 @@ const BLOCK: usize = 16;
 ///
 /// With `ext = [−a, a]`, the term `a·x^k` puts `ext[N + i − k]` on
 /// coefficient `i`: `a[i − k]` for `i ≥ k`, and the wrapped `−a[N + i − k]`
-/// (`x^N = −1`) below. Each block of [`BLOCK`] output coefficients sums
+/// (`x^N = −1`) below. Each block of `BLOCK` output coefficients sums
 /// every tap's window of `ext` in wrapping `u64` arithmetic and is masked
 /// once as it is added to `out`. Since `q = 2^62` divides `2^64`, that is
 /// bit for bit what an `addq` / `subq` per term leaves, whatever `out`

@@ -340,7 +340,7 @@ impl From<RangeInclusive<usize>> for SizeRange {
 pub mod collection {
     use super::{SizeRange, Strategy, TestRng};
 
-    /// See [`vec`].
+    /// See [`vec`](fn@vec).
     pub struct VecStrategy<S> {
         elem: S,
         size: SizeRange,

@@ -1,8 +1,8 @@
 //! Dense f32 tensor primitives for the FedWCM reproduction.
 //!
-//! This crate is the numeric substrate under [`fedwcm-nn`]: a row-major
+//! This crate is the numeric substrate under `fedwcm-nn`: a row-major
 //! dense [`Tensor`], BLAS-1 style vector kernels ([`ops`]), a register-tiled
-//! matrix multiply ([`matmul`]), and im2col lowering for convolutions
+//! matrix multiply ([`matmul`](mod@matmul)), and im2col lowering for convolutions
 //! ([`im2col`]).
 //!
 //! Design notes (per the HPC guides):
