@@ -167,7 +167,7 @@ impl ServerCheckpoint {
     /// can parse and still index out of a per-client table, feed `axpy` a
     /// delta of the wrong length or underflow `round - staleness` rounds
     /// later. Float payloads are deliberately not range-checked: a NaN
-    /// delta is the containment filter's business, and loud mode's.
+    /// delta is the containment filter's business.
     fn fits(&self, sim: &Simulation<'_>) -> bool {
         let (clients, params) = (sim.cfg.clients, self.global.len());
         let upload_fits = |u: &Undiscounted| u.client() < clients && u.delta().len() == params;

@@ -27,11 +27,6 @@ pub struct FlConfig {
     pub threads: usize,
     /// Evaluate on the test set every `eval_every` rounds (and at the end).
     pub eval_every: usize,
-    /// Containment threshold: a (gradient-scale) client delta whose norm
-    /// reaches this is treated as a diverged client and dropped. Healthy
-    /// deltas have single-digit norms; the default `1e6` only triggers on
-    /// true blow-ups. Fault experiments tighten/loosen it per run.
-    pub max_update_norm: f32,
     /// Minimum fraction of the round's sampled clients that must report a
     /// healthy update for aggregation to proceed. Below quorum the round
     /// skips the momentum update (clients keep reusing the previous
@@ -68,7 +63,6 @@ impl FlConfig {
             seed: 42,
             threads: 0,
             eval_every: 5,
-            max_update_norm: 1e6,
             quorum_frac: 0.0,
             cadence: Cadence::Sync,
         }
@@ -110,11 +104,6 @@ impl FlConfig {
         );
         assert!(self.eval_every >= 1, "eval_every must be ≥ 1");
         assert!(
-            self.max_update_norm > 0.0,
-            "max_update_norm must be positive, got {}",
-            self.max_update_norm
-        );
-        assert!(
             (0.0..=1.0).contains(&self.quorum_frac),
             "quorum_frac must be in [0,1], got {}",
             self.quorum_frac
@@ -151,14 +140,6 @@ mod tests {
         let mut cfg = FlConfig::default_sim();
         cfg.participation = 0.0;
         let _ = cfg.sampled_per_round();
-    }
-
-    #[test]
-    #[should_panic]
-    fn nonpositive_containment_threshold_rejected() {
-        let mut cfg = FlConfig::default_sim();
-        cfg.max_update_norm = 0.0;
-        cfg.validate();
     }
 
     #[test]

@@ -9,6 +9,12 @@ use crate::metrics::{RoundFaults, RoundRecord};
 use crate::undiscounted::Undiscounted;
 use fedwcm_trace::Name;
 
+/// The containment filter's norm gate: a (gradient-scale) client delta
+/// whose norm reaches this is a diverged client, and its upload is
+/// dropped. Healthy deltas have single-digit norms, so the gate fires
+/// only on true blow-ups (and, being a norm, on any non-finite value).
+const MAX_UPDATE_NORM: f32 = 1e6;
+
 /// A healthy upload held in the server's aggregation buffer (buffered-K
 /// and async cadences). First-class server state: `FWCK` checkpoints
 /// serialize it, so a resumed run flushes the exact same batches.
@@ -71,7 +77,7 @@ pub(super) fn admit(
     let before_filter = received.len();
     received.retain(|r| {
         r.update.avg_loss().is_finite()
-            && fedwcm_tensor::ops::norm(r.update.delta()) < cfg.max_update_norm
+            && fedwcm_tensor::ops::norm(r.update.delta()) < MAX_UPDATE_NORM
     });
     record.dropped_updates = before_filter - received.len();
     if let Some(reg) = ctx.registry {
@@ -204,7 +210,7 @@ fn take_batches(ctx: &RoundCtx<'_>, state: &mut RunState, count: usize, size: us
 #[cfg(test)]
 mod tests {
     use super::super::tests::{bits, build_sim, pending_update, plain_sgd, TestFedAvg};
-    use super::mean_loss_f64;
+    use super::{mean_loss_f64, MAX_UPDATE_NORM};
     use crate::algorithm::{average_step, FederatedAlgorithm, RoundInput, RoundLog};
     use crate::client::{ClientEnv, ClientUpdate};
     use crate::config::FlConfig;
@@ -219,7 +225,7 @@ mod tests {
         NanDelta,
         /// A finite delta reporting a non-finite mean loss.
         NanLoss,
-        /// A finite delta whose norm is exactly `max_update_norm`: the
+        /// A finite delta whose norm is exactly `MAX_UPDATE_NORM`: the
         /// gate's `<` is strict.
         AtMaxNorm,
     }
@@ -244,7 +250,7 @@ mod tests {
                     Poison::NanLoss => upd.avg_loss = f32::NAN,
                     Poison::AtMaxNorm => {
                         upd.delta.fill(0.0);
-                        upd.delta[0] = env.cfg.max_update_norm;
+                        upd.delta[0] = MAX_UPDATE_NORM;
                     }
                 }
             }

@@ -31,13 +31,15 @@
 //! `deliver` → `admit` → `apply` → `evaluate`),
 //! [`checkpoint`] (crash/resume snapshots),
 //! [`metrics`] (histories and resilience reports),
-//! [`comms`] (nominal model-traffic volumes, Appendix C's comparison), and
-//! [`wire`] (payload codec for the fault-tolerant transport). Three
-//! private modules carry protocols in types instead of conventions:
-//! `codec` (one field table per serialized struct, driving writer and
-//! reader alike), `undiscounted` ([`Undiscounted`]: the staleness
-//! discount as a move-only hand-off) and `observe` ([`Observability`]
-//! and the per-round context every stage reports through).
+//! [`comms`] (nominal model-traffic volumes, Appendix C's comparison),
+//! [`wire`] (payload codec for the fault-tolerant transport) and
+//! [`codec`] (the one little-endian byte format: one field table per
+//! serialized struct, driving writer and reader alike, and every
+//! algorithm's state blob). Two private modules carry protocols in types
+//! instead of conventions: `undiscounted` ([`Undiscounted`]: the
+//! staleness discount as a move-only hand-off) and `observe`
+//! ([`Observability`] and the per-round context every stage reports
+//! through).
 
 #![warn(missing_docs)]
 // Library code (DESIGN.md §9): nothing `clippy.toml` lists outside test

@@ -57,7 +57,8 @@ pub struct RoundRecord {
     /// one per individual staleness-weighted apply under async.
     pub aggregations: u32,
     /// Client updates discarded this round by the containment filter
-    /// (non-finite values or a norm past `max_update_norm`; see `engine`).
+    /// (a non-finite loss or delta, or a delta norm of at least `1e6`;
+    /// see `engine::admit`).
     pub dropped_updates: usize,
     /// Injected-fault tally for this round.
     pub faults: RoundFaults,
