@@ -166,19 +166,16 @@ fn checkpoint_bytes_roundtrip_preserves_metrics() {
         restored.history().metrics,
         "serialization must preserve the snapshot bitwise"
     );
-    // Histograms survive with their full shape.
-    let phase = restored
-        .history()
-        .metrics
-        .get(names::FL_PHASE_AGGREGATE)
-        .expect("aggregate-phase histogram");
-    match phase {
-        MetricValue::Histogram(h) => {
-            assert_eq!(h.counts.len(), h.bounds.len() + 1);
-            assert_eq!(h.total, 2, "one observation per aggregated round");
-        }
-        other => panic!("expected histogram, got {other:?}"),
-    }
+    // A timer's count and sum survive bit for bit.
+    let timer =
+        |ckpt: &ServerCheckpoint| match ckpt.history().metrics.get(names::FL_PHASE_AGGREGATE) {
+            Some(MetricValue::Histogram(h)) => (h.total, h.sum.to_bits()),
+            other => panic!("expected the aggregate-phase timer, got {other:?}"),
+        };
+    let (total, sum_bits) = timer(&ckpt);
+    assert_eq!(total, 2, "one observation per aggregated round");
+    assert!(f64::from_bits(sum_bits) > 0.0, "a traced phase takes ticks");
+    assert_eq!(timer(&restored), (total, sum_bits));
 }
 
 #[test]
