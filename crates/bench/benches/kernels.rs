@@ -2,7 +2,6 @@
 //! federated round at the shapes a training step issues, plus the
 //! tiled-vs-naive matmul ablation.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedwcm_nn::conv::AvgPool2d;
 use fedwcm_nn::opt::momentum_blend;
 use fedwcm_nn::Layer;
@@ -11,6 +10,7 @@ use fedwcm_tensor::im2col::{ConvGeom, PatchMap};
 use fedwcm_tensor::matmul::{matmul_a_bt_into, matmul_at_b_into, matmul_into};
 use fedwcm_tensor::{ops, Tensor};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 #[path = "../../tensor/tests/support/reference.rs"]
 mod reference;
@@ -26,7 +26,7 @@ use reference::matmul_naive;
 /// classifier), each `a_bt` row beside an `into` row of equal
 /// multiply-accumulates. They run whatever kernel instance this machine
 /// selects. One naive row is the ablation.
-fn bench_gemm(c: &mut Criterion) {
+fn bench_gemm() {
     type Gemm = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
     type Shapes = &'static [(usize, usize, usize)];
     const ENTRY_POINTS: [(&str, Gemm, Shapes); 3] = [
@@ -79,7 +79,6 @@ fn bench_gemm(c: &mut Criterion) {
             ],
         ),
     ];
-    let mut group = c.benchmark_group("gemm");
     let mut rng = Xoshiro256pp::seed_from(1);
     for (name, gemm, shapes) in ENTRY_POINTS {
         for &(m, k, n) in shapes {
@@ -92,21 +91,18 @@ fn bench_gemm(c: &mut Criterion) {
             let a = Tensor::randn(&[m * k], 1.0, &mut rng);
             let b = Tensor::randn(&[b_len], 1.0, &mut rng);
             let mut out = vec![0.0f32; c_len];
-            group.bench_function(BenchmarkId::new(name, format!("{m}x{k}x{n}")), |bch| {
-                bch.iter(|| {
-                    out.fill(0.0);
-                    gemm(black_box(a.as_slice()), b.as_slice(), &mut out, m, k, n);
-                });
+            bench(&format!("gemm/{name}/{m}x{k}x{n}"), || {
+                out.fill(0.0);
+                gemm(black_box(a.as_slice()), b.as_slice(), &mut out, m, k, n);
             });
         }
     }
     let (m, k, n) = (12, 108, 144);
     let a = Tensor::randn(&[m * k], 1.0, &mut rng);
     let b = Tensor::randn(&[k * n], 1.0, &mut rng);
-    group.bench_function(BenchmarkId::new("naive", format!("{m}x{k}x{n}")), |bch| {
-        bch.iter(|| black_box(matmul_naive(black_box(a.as_slice()), b.as_slice(), m, k, n)));
+    bench(&format!("gemm/naive/{m}x{k}x{n}"), || {
+        matmul_naive(black_box(a.as_slice()), b.as_slice(), m, k, n)
     });
-    group.finish();
 }
 
 /// Row-parallel `A·B` against the same product inline, either side of
@@ -114,8 +110,7 @@ fn bench_gemm(c: &mut Criterion) {
 /// the floor sits where the two-thread row stops losing to the one-thread
 /// row, i.e. where half the product costs more than one scoped spawn.
 /// Below the floor both rows run the same inline code.
-fn bench_gemm_par(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gemm_par");
+fn bench_gemm_par() {
     let mut rng = Xoshiro256pp::seed_from(3);
     for (m, k, n) in [
         (128, 256, 128),
@@ -128,48 +123,35 @@ fn bench_gemm_par(c: &mut Criterion) {
         let b = Tensor::randn(&[k * n], 1.0, &mut rng);
         let mut out = vec![0.0f32; m * n];
         for threads in [1usize, 2] {
-            let id = BenchmarkId::new(format!("into_{threads}t"), format!("{m}x{k}x{n}"));
-            group.bench_function(id, |bch| {
-                bch.iter(|| {
-                    out.fill(0.0);
-                    fedwcm_parallel::with_intra_threads(threads, || {
-                        matmul_into(black_box(a.as_slice()), b.as_slice(), &mut out, m, k, n);
-                    });
+            bench(&format!("gemm_par/into_{threads}t/{m}x{k}x{n}"), || {
+                out.fill(0.0);
+                fedwcm_parallel::with_intra_threads(threads, || {
+                    matmul_into(black_box(a.as_slice()), b.as_slice(), &mut out, m, k, n);
                 });
             });
         }
     }
-    group.finish();
 }
 
-fn bench_blas1(c: &mut Criterion) {
-    let mut group = c.benchmark_group("blas1");
+fn bench_blas1() {
     let n = 1 << 16;
     let x: Vec<f32> = (0..n).map(|i| (i as f32).sin()).collect();
     let mut y: Vec<f32> = (0..n).map(|i| (i as f32).cos()).collect();
-    group.bench_function("axpy_64k", |b| {
-        b.iter(|| {
-            ops::axpy(black_box(0.5), black_box(&x), black_box(&mut y));
-        });
+    bench("blas1/axpy_64k", || {
+        ops::axpy(black_box(0.5), black_box(&x), black_box(&mut y));
     });
-    group.bench_function("dot_64k", |b| {
-        b.iter(|| black_box(ops::dot(black_box(&x), black_box(&y))));
+    bench("blas1/dot_64k", || ops::dot(black_box(&x), black_box(&y)));
+    bench("blas1/momentum_blend_64k", || {
+        momentum_blend(black_box(&mut y), black_box(&x), black_box(0.1));
     });
-    group.bench_function("momentum_blend_64k", |b| {
-        b.iter(|| {
-            momentum_blend(black_box(&mut y), black_box(&x), black_box(0.1));
-        });
-    });
-    group.finish();
 }
 
 /// The data movement around a ResLite step's GEMMs, at the step's batch
 /// of 40: each conv geometry lowered and scattered back in panel layout
 /// (40 images side by side, as `Conv2d` places them), and the first
 /// pooling layer.
-fn bench_lowering(c: &mut Criterion) {
+fn bench_lowering() {
     const BATCH: usize = 40;
-    let mut group = c.benchmark_group("lowering");
     let mut rng = Xoshiro256pp::seed_from(2);
     for (c_in, hw) in [(3usize, 8usize), (12, 4), (12, 2)] {
         let geom = ConvGeom {
@@ -187,60 +169,79 @@ fn bench_lowering(c: &mut Criterion) {
         let mut grads = Tensor::zeros(&[BATCH, geom.input_len()]);
         let mut panel = vec![0.0f32; geom.patch_rows() * ld];
         let shape = format!("{c_in}x{hw}x{hw}");
-        group.bench_function(BenchmarkId::new("patch_map_lower", &shape), |b| {
-            b.iter(|| {
-                for s in 0..BATCH {
-                    map.lower(black_box(images.row(s)), &mut panel, ld, s * pc);
-                }
-            });
+        bench(&format!("lowering/patch_map_lower/{shape}"), || {
+            for s in 0..BATCH {
+                map.lower(black_box(images.row(s)), &mut panel, ld, s * pc);
+            }
         });
-        group.bench_function(BenchmarkId::new("patch_map_scatter_add", &shape), |b| {
-            b.iter(|| {
-                for s in 0..BATCH {
-                    map.scatter_add(black_box(&panel), ld, s * pc, grads.row_mut(s));
-                }
-            });
+        bench(&format!("lowering/patch_map_scatter_add/{shape}"), || {
+            for s in 0..BATCH {
+                map.scatter_add(black_box(&panel), ld, s * pc, grads.row_mut(s));
+            }
         });
     }
     let mut pool = AvgPool2d::new(12, 8, 8, 2);
     let x = Tensor::randn(&[BATCH, 12 * 8 * 8], 1.0, &mut rng);
     let go = Tensor::randn(&[BATCH, 12 * 4 * 4], 1.0, &mut rng);
-    group.bench_function("avgpool2d_fwd_40x12x8x8", |b| {
-        b.iter(|| black_box(pool.forward(&[], black_box(&x), true)));
+    bench("lowering/avgpool2d_fwd_40x12x8x8", || {
+        pool.forward(&[], black_box(&x), true)
     });
-    group.bench_function("avgpool2d_bwd_40x12x8x8", |b| {
-        b.iter(|| black_box(pool.backward(&[], &mut [], black_box(&go))));
+    bench("lowering/avgpool2d_bwd_40x12x8x8", || {
+        pool.backward(&[], &mut [], black_box(&go))
     });
-    group.finish();
 }
 
-fn bench_weighted_sum(c: &mut Criterion) {
+fn bench_weighted_sum() {
     // DESIGN.md ablation 4: deterministic parallel reduction vs sequential.
-    let mut group = c.benchmark_group("aggregation");
     let n = 1 << 17;
     let parts: Vec<Vec<f32>> = (0..10)
         .map(|k| (0..n).map(|i| ((i + k) as f32).sin()).collect())
         .collect();
     let refs: Vec<(&[f32], f32)> = parts.iter().map(|p| (p.as_slice(), 0.1f32)).collect();
     for threads in [1usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("weighted_sum_10x128k", threads),
-            &threads,
-            |b, &t| {
-                b.iter(|| {
-                    let mut acc = vec![0.0f32; n];
-                    fedwcm_parallel::weighted_sum_into(&mut acc, black_box(&refs), t);
-                    black_box(acc)
-                });
+        bench(
+            &format!("aggregation/weighted_sum_10x128k/{threads}"),
+            || {
+                let mut acc = vec![0.0f32; n];
+                fedwcm_parallel::weighted_sum_into(&mut acc, black_box(&refs), threads);
+                acc
             },
         );
     }
-    group.finish();
 }
 
-criterion_group!(
-    name = kernels;
-    config = Criterion::default().sample_size(20);
-    targets = bench_gemm, bench_gemm_par, bench_lowering, bench_blas1, bench_weighted_sum
-);
-criterion_main!(kernels);
+/// Timing samples per row.
+const SAMPLES: usize = 20;
+
+/// Time `f` and print one row: calibrate a batch of calls to about
+/// 2 ms, time [`SAMPLES`] batches, and report the median nanoseconds a
+/// call. Every result goes through `black_box`.
+fn bench<O>(id: &str, mut f: impl FnMut() -> O) {
+    let mut batch = |calls: u64| {
+        let t0 = Instant::now();
+        for _ in 0..calls {
+            black_box(f());
+        }
+        t0.elapsed()
+    };
+    let mut calls = 1u64;
+    while batch(calls) < Duration::from_millis(2) && calls < 1 << 20 {
+        calls *= 4;
+    }
+    let mut ns: Vec<f64> = (0..SAMPLES)
+        .map(|_| batch(calls).as_nanos() as f64 / calls as f64)
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    println!(
+        "bench: {id:<48} {:>14.1} ns/iter (median of {SAMPLES})",
+        ns[SAMPLES / 2]
+    );
+}
+
+fn main() {
+    bench_gemm();
+    bench_gemm_par();
+    bench_lowering();
+    bench_blas1();
+    bench_weighted_sum();
+}

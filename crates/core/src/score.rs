@@ -36,11 +36,29 @@ pub fn global_distribution(views: &[ClientView], classes: usize) -> Vec<f64> {
 /// global distribution matches the target. The literal variant is kept as
 /// [`client_scores_literal`] for the ablation benches.
 pub fn client_scores(views: &[ClientView], global: &[f64], target: &[f64]) -> Vec<f64> {
+    scores(views, global, target, |t, g| (t - g).max(0.0))
+}
+
+/// Eq. (3) taken literally (absolute deviation). Kept for the ablation
+/// benches; see [`client_scores`] for why the rectified form is the
+/// default.
+pub fn client_scores_literal(views: &[ClientView], global: &[f64], target: &[f64]) -> Vec<f64> {
+    scores(views, global, target, |t, g| (t - g).abs())
+}
+
+/// Eq. (3) under a per-class `deviation(target, global)`: each client's
+/// count-weighted deviation over its sample count, 0 for an empty client.
+fn scores(
+    views: &[ClientView],
+    global: &[f64],
+    target: &[f64],
+    deviation: fn(f64, f64) -> f64,
+) -> Vec<f64> {
     assert_eq!(global.len(), target.len(), "distribution supports differ");
     let dev: Vec<f64> = target
         .iter()
         .zip(global)
-        .map(|(t, g)| (t - g).max(0.0))
+        .map(|(&t, &g)| deviation(t, g))
         .collect();
     views
         .iter()
@@ -53,34 +71,6 @@ pub fn client_scores(views: &[ClientView], global: &[f64], target: &[f64]) -> Ve
             }
             let weighted: f64 = counts.iter().zip(&dev).map(|(&n, d)| n as f64 * d).sum();
             weighted / total as f64
-        })
-        .collect()
-}
-
-/// Eq. (3) taken literally (absolute deviation). Kept for the ablation
-/// benches; see [`client_scores`] for why the rectified form is the
-/// default.
-pub fn client_scores_literal(views: &[ClientView], global: &[f64], target: &[f64]) -> Vec<f64> {
-    assert_eq!(global.len(), target.len(), "distribution supports differ");
-    let dev: Vec<f64> = target
-        .iter()
-        .zip(global)
-        .map(|(t, g)| (t - g).abs())
-        .collect();
-    views
-        .iter()
-        .map(|v| {
-            let counts = v.class_counts();
-            let total: usize = counts.iter().sum();
-            if total == 0 {
-                return 0.0;
-            }
-            counts
-                .iter()
-                .zip(&dev)
-                .map(|(&n, d)| n as f64 * d)
-                .sum::<f64>()
-                / total as f64
         })
         .collect()
 }
@@ -174,6 +164,13 @@ mod tests {
         let empty = ClientView::new(vec![], &ds);
         let s = client_scores(&[empty], &[0.5, 0.5], &[0.5, 0.5]);
         assert_eq!(s, vec![0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "class count mismatch")]
+    fn literal_scores_check_the_class_count() {
+        let (_, views) = views_from_counts(&[vec![1, 1, 1]]);
+        client_scores_literal(&views, &[0.5, 0.5], &[0.5, 0.5]);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 
 use fedwcm_core::{FedWcm, FedWcmOptions};
 use fedwcm_data::synth::DatasetPreset;
-use fedwcm_experiments::report::print_table;
+use fedwcm_experiments::report::{print_table, run_seeds};
 use fedwcm_experiments::{parse_args, ExpConfig};
+use fedwcm_stats::describe::mean;
 
 fn variants() -> Vec<(&'static str, FedWcmOptions)> {
     vec![
@@ -50,20 +51,16 @@ fn main() {
     let headers: Vec<String> = ifs.iter().map(|v| format!("IF={v}")).collect();
     let mut rows = Vec::new();
     for (label, options) in variants() {
-        let mut values = Vec::new();
-        for &imbalance in &ifs {
-            let mut acc = 0.0;
-            for t in 0..cli.trials {
-                let seed = cli.seed.wrapping_add(1000 * t as u64);
-                let exp = ExpConfig::new(DatasetPreset::Cifar10, imbalance, 0.6, cli.scale, seed);
-                let task = cli.prepare(&exp);
-                let h = cli
-                    .simulation(&task)
-                    .run(&mut FedWcm::with_options(options.clone()));
-                acc += h.final_accuracy(3);
-            }
-            values.push(acc / cli.trials as f64);
-        }
+        let values: Vec<f64> = ifs
+            .iter()
+            .map(|&imbalance| {
+                let exp =
+                    ExpConfig::new(DatasetPreset::Cifar10, imbalance, 0.6, cli.scale, cli.seed);
+                mean(&run_seeds(&exp, &cli, |_| {
+                    Box::new(FedWcm::with_options(options.clone()))
+                }))
+            })
+            .collect();
         console.info(format!("[ablation] {label} done"));
         rows.push((label.to_string(), values));
     }

@@ -4,6 +4,7 @@
 use fedwcm_data::synth::DatasetPreset;
 use fedwcm_experiments::report::{print_table, run_cell};
 use fedwcm_experiments::{parse_args, ExpConfig, Method, Scale};
+use fedwcm_stats::describe::mean;
 
 fn main() {
     let cli = parse_args(std::env::args());
@@ -18,7 +19,10 @@ fn main() {
     for &e in epochs {
         let mut exp = ExpConfig::new(DatasetPreset::Cifar10, 0.1, 0.6, cli.scale, cli.seed);
         exp.local_epochs = e;
-        let values: Vec<f64> = methods.iter().map(|&m| run_cell(&exp, m, &cli)).collect();
+        let values: Vec<f64> = methods
+            .iter()
+            .map(|&m| mean(&run_cell(&exp, m, &cli)))
+            .collect();
         console.info(format!("[fig10] epochs={e} done"));
         rows.push((format!("E={e}"), values));
     }

@@ -1,9 +1,10 @@
-//! Figure 4 (and its Appendix-B twin, Fig. 17): FedCM's average neuron
-//! concentration and test accuracy across six imbalance factors — the
-//! minority-collapse signature: spikes in concentration synchronised with
-//! accuracy crashes as IF shrinks.
+//! Figures 4 and 17 (its Appendix-B twin, whose five IFs are the last
+//! five here): FedCM's average neuron concentration and test accuracy
+//! across six imbalance factors, and the rounds where concentration
+//! spikes — the minority-collapse signature: spikes in concentration
+//! synchronised with accuracy crashes as IF shrinks.
 
-use fedwcm_analysis::spikes::spike_rate;
+use fedwcm_analysis::spikes::{detect_spikes, spike_rate};
 use fedwcm_data::synth::DatasetPreset;
 use fedwcm_experiments::collapse::{print_trace_csv, run_with_concentration};
 use fedwcm_experiments::{parse_args, ExpConfig, Method};
@@ -41,6 +42,8 @@ fn main() {
             trace.history.final_accuracy(3),
             spike_rate(&conc, 2.0, 0.02),
         );
+        let spikes = detect_spikes(&conc, 2.0, 0.02);
+        println!("# IF={imbalance}: concentration spikes at rounds {spikes:?}");
     }
     println!(
         "\nExpected shape (paper Fig. 4): balanced IF=1 shows a smooth\n\

@@ -5,6 +5,7 @@
 use fedwcm_data::synth::DatasetPreset;
 use fedwcm_experiments::report::{print_table, run_cell};
 use fedwcm_experiments::{parse_args, ExpConfig, Method, Scale};
+use fedwcm_stats::describe::mean;
 
 fn main() {
     let cli = parse_args(std::env::args());
@@ -23,7 +24,10 @@ fn main() {
         // Keep the sampled cohort size roughly constant (as the paper's
         // fixed 10% of 100 does) so only per-client data volume varies.
         exp.participation = (5.0 / k as f64).clamp(0.05, 1.0);
-        let values: Vec<f64> = methods.iter().map(|&m| run_cell(&exp, m, &cli)).collect();
+        let values: Vec<f64> = methods
+            .iter()
+            .map(|&m| mean(&run_cell(&exp, m, &cli)))
+            .collect();
         console.info(format!("[fig9] clients={k} done"));
         rows.push((format!("K={k}"), values));
     }

@@ -7,6 +7,7 @@
 use fedwcm_data::synth::DatasetPreset;
 use fedwcm_experiments::report::{print_table, run_cell};
 use fedwcm_experiments::{parse_args, ExpConfig, Method};
+use fedwcm_stats::describe::mean;
 
 fn main() {
     let cli = parse_args(std::env::args());
@@ -35,7 +36,10 @@ fn main() {
             let mut rows = Vec::new();
             for imbalance in ifs {
                 let exp = ExpConfig::new(preset, imbalance, beta, cli.scale, cli.seed);
-                let values: Vec<f64> = methods.iter().map(|&m| run_cell(&exp, m, &cli)).collect();
+                let values: Vec<f64> = methods
+                    .iter()
+                    .map(|&m| mean(&run_cell(&exp, m, &cli)))
+                    .collect();
                 rows.push((format!("IF={imbalance}"), values));
                 console.info(format!("[table1] {name} beta={beta} IF={imbalance} done"));
             }

@@ -4,6 +4,7 @@
 use fedwcm_data::synth::DatasetPreset;
 use fedwcm_experiments::report::{print_table, run_cell};
 use fedwcm_experiments::{parse_args, ExpConfig, Method};
+use fedwcm_stats::describe::mean;
 
 fn main() {
     let cli = parse_args(std::env::args());
@@ -23,7 +24,7 @@ fn main() {
             for beta in [0.6, 0.1] {
                 let exp =
                     ExpConfig::new(DatasetPreset::Cifar10, imbalance, beta, cli.scale, cli.seed);
-                values.push(run_cell(&exp, m, &cli));
+                values.push(mean(&run_cell(&exp, m, &cli)));
             }
         }
         console.info(format!("[table2] IF={imbalance} done"));

@@ -4,6 +4,7 @@
 use fedwcm_data::synth::DatasetPreset;
 use fedwcm_experiments::report::{print_table, run_cell};
 use fedwcm_experiments::{parse_args, Cli, ExpConfig, Method, Scale};
+use fedwcm_stats::describe::mean;
 
 fn main() {
     let cli: Cli = parse_args(std::env::args());
@@ -19,7 +20,10 @@ fn main() {
             exp.clients = 20;
         }
         exp.participation = rate;
-        let values: Vec<f64> = methods.iter().map(|&m| run_cell(&exp, m, &cli)).collect();
+        let values: Vec<f64> = methods
+            .iter()
+            .map(|&m| mean(&run_cell(&exp, m, &cli)))
+            .collect();
         console.info(format!("[table3] rate={rate} done"));
         rows.push((format!("{}%", (rate * 100.0) as usize), values));
     }

@@ -4,6 +4,7 @@
 use fedwcm_data::synth::DatasetPreset;
 use fedwcm_experiments::report::{print_table, run_cell};
 use fedwcm_experiments::{parse_args, ExpConfig, Method};
+use fedwcm_stats::describe::mean;
 
 fn main() {
     let cli = parse_args(std::env::args());
@@ -19,7 +20,7 @@ fn main() {
                 .map(|&imb| {
                     let exp =
                         ExpConfig::new(DatasetPreset::Cifar10, imb, beta, cli.scale, cli.seed);
-                    run_cell(&exp, m, &cli)
+                    mean(&run_cell(&exp, m, &cli))
                 })
                 .collect();
             console.info(format!("[table4] beta={beta} {} done", m.label()));

@@ -2,34 +2,43 @@
 
 use crate::cli::Cli;
 use crate::methods::{build_method, Method};
-use crate::setup::ExpConfig;
-use fedwcm_fl::History;
+use crate::setup::{ExpConfig, PreparedTask};
+use fedwcm_fl::{FederatedAlgorithm, History};
 use fedwcm_trace::{MetricValue, MetricsRegistry, MetricsSnapshot};
 use std::sync::Arc;
 
-/// Run one `(condition, method)` cell, averaging final accuracy over
-/// `cli.trials` seeds (the paper reports 3-seed means).
-pub fn run_cell(exp: &ExpConfig, method: Method, cli: &Cli) -> f64 {
-    let mut acc = 0.0;
-    for t in 0..cli.trials {
-        let mut e = exp.clone();
-        e.seed = exp.seed.wrapping_add(1000 * t as u64);
-        let task = cli.prepare(&e);
-        let history = cli
-            .simulation(&task)
-            .run(build_method(method, &task).as_mut());
-        acc += history.final_accuracy(3);
-    }
-    acc / cli.trials as f64
+/// Final accuracy of one `(condition, method)` cell at each of
+/// `cli.trials` seeds, `exp.seed + 1000·t` (the paper reports the mean of
+/// three; `fedwcm_stats::describe::mean` takes it).
+pub fn run_cell(exp: &ExpConfig, method: Method, cli: &Cli) -> Vec<f64> {
+    run_seeds(exp, cli, |task| build_method(method, task))
+}
+
+/// [`run_cell`] for whatever algorithm `build` makes of each seed's
+/// task.
+pub fn run_seeds(
+    exp: &ExpConfig,
+    cli: &Cli,
+    build: impl Fn(&PreparedTask) -> Box<dyn FederatedAlgorithm>,
+) -> Vec<f64> {
+    (0..cli.trials)
+        .map(|t| {
+            let mut e = exp.clone();
+            e.seed = exp.seed.wrapping_add(1000 * t as u64);
+            let task = cli.prepare(&e);
+            let history = cli.simulation(&task).run(build(&task).as_mut());
+            history.final_accuracy(3)
+        })
+        .collect()
 }
 
 /// Run one cell and return the full history of the **first** trial
 /// (figures need the trajectory, not just the endpoint).
 ///
 /// A metrics registry is attached so [`History::metrics`] carries the
-/// run's counters/gauges/histograms (bytes up/down, update-norm
-/// distribution, α trajectory, per-class accuracy); registries never
-/// feed back into simulation state, so results are unchanged.
+/// run's counters and gauges (bytes up/down, received uploads, tail and
+/// per-class accuracy); no tracer is, so no phase timer fills. Registries
+/// never feed back into simulation state, so results are unchanged.
 pub fn run_history(exp: &ExpConfig, method: Method, cli: &Cli) -> History {
     let task = cli.prepare(exp);
     let sim = cli
@@ -105,48 +114,8 @@ fn join_names(histories: &[History]) -> String {
         .join(",")
 }
 
-/// Markdown table of the per-phase timing histograms (`fl.phase.*` and
-/// `fl.round_ticks`): observation count, mean/total ticks, and the
-/// p50/p95/p99 bucket-interpolated percentile estimates.
-/// Empty string when the snapshot holds no phase histograms (e.g. the
-/// run had no tracer attached, so phase boundaries were never stamped).
-pub fn phase_time_table(snap: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    for e in &snap.entries {
-        let is_phase = e.name.starts_with("fl.phase.") || e.name == "fl.round_ticks";
-        if !is_phase {
-            continue;
-        }
-        let MetricValue::Histogram(h) = &e.value else {
-            continue;
-        };
-        if out.is_empty() {
-            out.push_str(
-                "| phase                  |      count |  mean ticks | total ticks \
-                 |         p50 |         p95 |         p99 |\n",
-            );
-            out.push_str(
-                "|------------------------|------------|-------------|-------------\
-                 |-------------|-------------|-------------|\n",
-            );
-        }
-        let (p50, p95, p99) = h.p50_p95_p99().unwrap_or((0.0, 0.0, 0.0));
-        out.push_str(&format!(
-            "| {:<22} | {:>10} | {:>11.1} | {:>11.0} | {:>11.1} | {:>11.1} | {:>11.1} |\n",
-            e.name,
-            h.total,
-            h.mean().unwrap_or(0.0),
-            h.sum,
-            p50,
-            p95,
-            p99,
-        ));
-    }
-    out
-}
-
 /// One line per metric in the snapshot: counters and gauges with their
-/// value, histograms with count/mean. Empty string for an empty
+/// value, timers with count/mean. Empty string for an empty
 /// snapshot, so binaries can print it unconditionally.
 pub fn metrics_summary(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
@@ -155,30 +124,24 @@ pub fn metrics_summary(snap: &MetricsSnapshot) -> String {
             MetricValue::Counter(v) => out.push_str(&format!("{} = {v}\n", e.name)),
             MetricValue::Gauge(v) => out.push_str(&format!("{} = {v:.6}\n", e.name)),
             MetricValue::Histogram(h) => out.push_str(&format!(
-                "{}: n={} mean={:.3} nan_rejected={}\n",
+                "{}: n={} mean={:.3}\n",
                 e.name,
                 h.total,
-                h.mean().unwrap_or(0.0),
-                h.nan_rejected
+                h.mean().unwrap_or(0.0)
             )),
         }
     }
     out
 }
 
-/// Print the metrics carried by a history (summary plus phase table)
-/// under a `## metrics` heading; prints nothing when the history has no
-/// metrics, so every binary can call this unconditionally.
+/// Print the metrics carried by a history under a `## metrics`
+/// heading; prints nothing when the history has no metrics, so every
+/// binary can call this unconditionally.
 pub fn print_metrics(history: &History) {
     if history.metrics.is_empty() {
         return;
     }
     println!("\n## metrics: {}\n", history.name);
-    let phases = phase_time_table(&history.metrics);
-    if !phases.is_empty() {
-        print!("{phases}");
-        println!();
-    }
     print!("{}", metrics_summary(&history.metrics));
 }
 
@@ -196,9 +159,30 @@ mod tests {
             scale: Scale::Smoke,
             ..Cli::default()
         };
-        let acc = run_cell(&exp, Method::FedAvg, &cli);
-        assert!((0.0..=1.0).contains(&acc));
-        assert!(acc > 0.2, "smoke FedAvg acc {acc}");
+        let accs = run_cell(&exp, Method::FedAvg, &cli);
+        assert_eq!(accs.len(), 1);
+        assert!(accs[0] > 0.2 && accs[0] <= 1.0, "smoke FedAvg acc {accs:?}");
+    }
+
+    /// Seed 0 of a cell is the run `run_history` makes, bit for bit, and
+    /// seed `t` is the same cell at `exp.seed + 1000·t`.
+    #[test]
+    fn run_cell_seeds_are_run_history_runs() {
+        let exp = ExpConfig::new(DatasetPreset::FashionMnist, 0.1, 0.3, Scale::Smoke, 8);
+        let cli = Cli {
+            scale: Scale::Smoke,
+            rounds: Some(3),
+            trials: 2,
+            ..Cli::default()
+        };
+        let accs = run_cell(&exp, Method::FedWcm, &cli);
+        let mut second = exp.clone();
+        second.seed = 1008;
+        let want = [&exp, &second].map(|e| run_history(e, Method::FedWcm, &cli).final_accuracy(3));
+        assert_eq!(accs.len(), 2);
+        for (got, want) in accs.iter().zip(want) {
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
     }
 
     #[test]
@@ -263,46 +247,15 @@ mod tests {
     }
 
     #[test]
-    fn phase_table_renders_phase_histograms_only() {
-        let reg = MetricsRegistry::new();
-        reg.counter_add(Name::FL_BYTES_UP, 3);
-        reg.observe(Name::FL_PHASE_AGGREGATE, &[10.0, 100.0], 5.0);
-        reg.observe(Name::FL_PHASE_AGGREGATE, &[10.0, 100.0], 7.0);
-        reg.gauge_set(Name::FL_ACC_TAIL, 0.5);
-        let snap = reg.snapshot();
-        let table = phase_time_table(&snap);
-        assert!(table.contains("fl.phase.aggregate"), "{table}");
-        assert!(!table.contains("fl.acc.tail"), "{table}");
-        assert!(!table.contains("fl.bytes.up"), "{table}");
-        // count 2, mean 6.0, total 12
-        assert!(table.contains("| fl.phase.aggregate"), "{table}");
-        assert!(table.contains("6.0"), "{table}");
-        // Percentile columns are rendered from the bucket estimator.
-        assert!(table.contains("p50"), "{table}");
-        assert!(table.contains("p99"), "{table}");
-        // Both observations sit in the (0,10] bucket → p50 target rank
-        // 1 of 2 interpolates to 5.0.
-        assert!(table.contains("5.0"), "{table}");
-    }
-
-    #[test]
-    fn phase_table_empty_without_phase_histograms() {
-        let reg = MetricsRegistry::new();
-        reg.counter_add(Name::FL_BYTES_UP, 1);
-        assert!(phase_time_table(&reg.snapshot()).is_empty());
-        assert!(phase_time_table(&MetricsSnapshot::default()).is_empty());
-    }
-
-    #[test]
     fn metrics_summary_covers_all_kinds() {
         let reg = MetricsRegistry::new();
         reg.counter_add(Name::FL_BYTES_UP, 4);
         reg.gauge_set(Name::FL_ACC_TAIL, 0.25);
-        reg.observe(Name::FL_ROUND_TICKS, &[1.0], 0.5);
+        reg.observe(Name::FL_ROUND_TICKS, 3);
         let s = metrics_summary(&reg.snapshot());
         assert!(s.contains("fl.bytes.up = 4"), "{s}");
         assert!(s.contains("fl.acc.tail = 0.250000"), "{s}");
-        assert!(s.contains("fl.round_ticks: n=1 mean=0.500"), "{s}");
+        assert!(s.contains("fl.round_ticks: n=1 mean=3.000\n"), "{s}");
         assert!(metrics_summary(&MetricsSnapshot::default()).is_empty());
     }
 

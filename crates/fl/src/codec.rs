@@ -279,8 +279,6 @@ macro_rules! wire_seq {
 }
 
 wire_seq!(
-    f64,
-    u64,
     Vec<f32>,
     MetricEntry,
     RoundRecord,
@@ -347,13 +345,7 @@ wire_struct!(RoundRecord {
     faults,
     net,
 });
-wire_struct!(HistogramSnapshot {
-    bounds,
-    counts,
-    total,
-    sum,
-    nan_rejected,
-});
+wire_struct!(HistogramSnapshot { total, sum });
 wire_struct!(MetricEntry { name, value });
 wire_struct!(MetricsSnapshot { entries });
 wire_struct!(History {
@@ -404,14 +396,7 @@ impl Wire for MetricValue {
         Some(match u32::get(r)? {
             0 => MetricValue::Counter(u64::get(r)?),
             1 => MetricValue::Gauge(f64::get(r)?),
-            2 => {
-                let h = HistogramSnapshot::get(r)?;
-                // One count per bucket plus the overflow slot.
-                if h.counts.len() != h.bounds.len() + 1 {
-                    return None;
-                }
-                MetricValue::Histogram(h)
-            }
+            2 => MetricValue::Histogram(HistogramSnapshot::get(r)?),
             _ => return None,
         })
     }
@@ -488,21 +473,15 @@ mod tests {
     }
 
     #[test]
-    fn histogram_needs_one_count_per_bucket_plus_overflow() {
-        let mut h = HistogramSnapshot {
-            bounds: vec![1.0, 2.0],
-            counts: vec![3, 4, 5],
+    fn a_timer_is_its_count_then_its_sum() {
+        let timer = MetricValue::Histogram(HistogramSnapshot {
             total: 12,
             sum: 20.5,
-            nan_rejected: 0,
-        };
-        let good = MetricValue::Histogram(h.clone());
-        assert_eq!(MetricValue::decode(&good.encode()), Some(good));
-        h.counts.pop();
-        assert_eq!(
-            MetricValue::decode(&MetricValue::Histogram(h).encode()),
-            None
-        );
+        });
+        let bytes = timer.encode();
+        assert_eq!(bytes.len(), 4 + 8 + 8, "tag, total, sum");
+        assert_eq!(MetricValue::decode(&bytes), Some(timer));
+        assert_eq!(MetricValue::decode(&bytes[..bytes.len() - 1]), None);
     }
 
     #[test]
@@ -511,7 +490,7 @@ mod tests {
         let mut bytes = Vec::new();
         u64::MAX.put(&mut bytes);
         1u32.put(&mut bytes);
-        assert!(<Vec<u64>>::get(&mut ByteReader::new(&bytes)).is_none());
+        assert!(<Vec<MetricEntry>>::get(&mut ByteReader::new(&bytes)).is_none());
         assert!(<Vec<f32>>::get(&mut ByteReader::new(&bytes)).is_none());
         assert!(<Vec<u8>>::get(&mut ByteReader::new(&bytes)).is_none());
         assert!(String::get(&mut ByteReader::new(&bytes)).is_none());

@@ -11,11 +11,6 @@
 use fedwcm_trace::{MetricsRegistry, Name, SpanGuard, Tracer, Value};
 use std::sync::Arc;
 
-/// Tick-delta buckets of the `fl.phase.*` / `fl.round_ticks` histograms:
-/// wide, because a logical clock yields a handful of ticks per phase
-/// and a wall clock nanoseconds.
-const PHASE_BOUNDS: [f64; 10] = [1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10];
-
 /// Observability attachments for a [`crate::Simulation`], both off by
 /// default.
 ///
@@ -77,13 +72,13 @@ impl<'a> RoundCtx<'a> {
         self.observe_phase(Name::FL_ROUND_TICKS, self.t0);
     }
 
-    /// Record the ticks since `t0` in the named phase histogram. The
-    /// clock is read whenever the tracer is enabled (tick sequences do
-    /// not depend on the registry); the sample needs a registry to land.
+    /// Record the ticks since `t0` in the named phase timer. The clock
+    /// is read whenever the tracer is enabled (tick sequences do not
+    /// depend on the registry); the sample needs a registry to land.
     pub(crate) fn observe_phase(&self, name: Name, t0: Option<u64>) {
         if let (Some(t0), Some(t1)) = (t0, self.tracer.now()) {
             if let Some(reg) = self.registry {
-                reg.observe(name, &PHASE_BOUNDS, t1.saturating_sub(t0) as f64);
+                reg.observe(name, t1.saturating_sub(t0));
             }
         }
     }

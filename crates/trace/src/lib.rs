@@ -72,10 +72,7 @@ pub mod tracer;
 
 pub use clock::{Clock, LogicalClock, WallClock};
 pub use event::{Event, EventKind, Value};
-pub use metrics::{
-    validate_bounds, BoundsError, HistogramSnapshot, MetricEntry, MetricValue, MetricsRegistry,
-    MetricsSnapshot,
-};
+pub use metrics::{HistogramSnapshot, MetricEntry, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use names::{Key, Name};
 pub use sink::{ConsoleSink, JsonlSink, NullSink, RingSink, SharedBuf, Sink};
 pub use tracer::{local, SpanBuffer, SpanGuard, Tracer};

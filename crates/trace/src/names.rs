@@ -24,7 +24,7 @@
 //!
 //! Grouping mirrors the instrument kinds in [`crate::metrics`] and
 //! [`crate::tracer`]: spans and points first, then counters, gauges,
-//! and histograms (all metric keys are dot-separated, `fl.`-prefixed).
+//! and timers (all metric keys are dot-separated, `fl.`-prefixed).
 
 use std::borrow::Cow;
 
@@ -141,14 +141,14 @@ names! {
     /// zero-padded class id (`fl.acc.class.07`).
     FL_ACC_CLASS_PREFIX = "fl.acc.class.";
 
-    // ---- histograms --------------------------------------------------------
+    // ---- timers ------------------------------------------------------------
 
-    /// Histogram: ticks spent in local training per round.
+    /// Timer: ticks spent in local training per round.
     FL_PHASE_LOCAL_TRAIN = "fl.phase.local_train";
-    /// Histogram: ticks spent aggregating per round.
+    /// Timer: ticks spent aggregating per round.
     FL_PHASE_AGGREGATE = "fl.phase.aggregate";
-    /// Histogram: ticks spent evaluating per evaluation.
+    /// Timer: ticks spent evaluating per evaluation.
     FL_PHASE_EVALUATE = "fl.phase.evaluate";
-    /// Histogram: total ticks per round.
+    /// Timer: total ticks per round.
     FL_ROUND_TICKS = "fl.round_ticks";
 }

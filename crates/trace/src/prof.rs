@@ -5,7 +5,7 @@
 //! off, so the hot path pays nothing by default. A binary or bench
 //! opts in once via [`install`], providing the clock (normally
 //! [`crate::WallClock`]) and the registry that receives the
-//! `nn.<dir>.<layer>` histograms. The profiling registry is kept
+//! `nn.<dir>.<layer>` timers. The profiling registry is kept
 //! separate from a run's deterministic metrics registry on purpose:
 //! wall timings must never leak into state that checkpoint round-trip
 //! or determinism tests compare.
@@ -14,9 +14,6 @@ use crate::clock::Clock;
 use crate::metrics::MetricsRegistry;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// Nanosecond bucket bounds for layer timings: 1 µs … 1 s.
-const LAYER_BOUNDS: [f64; 7] = [1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9];
 
 struct LayerProf {
     clock: Box<dyn Clock>,
@@ -53,13 +50,11 @@ pub fn now() -> u64 {
     }
 }
 
-/// Record an elapsed-ticks observation into the histogram
-/// `nn.<dir>.<layer>` (e.g. `nn.fwd.dense`, `nn.bwd.conv`).
+/// Record an elapsed-ticks observation in the timer `nn.<dir>.<layer>`
+/// (e.g. `nn.fwd.dense`, `nn.bwd.conv`).
 pub fn record(dir: &'static str, layer: &'static str, ticks: u64) {
     if let Some(p) = PROF.get() {
-        let name = format!("nn.{dir}.{layer}");
-        // LAYER_BOUNDS is a valid bounds array, so this cannot fail.
-        let _ = p.registry.observe_key(&name, &LAYER_BOUNDS, ticks as f64);
+        p.registry.observe_key(&format!("nn.{dir}.{layer}"), ticks);
     }
 }
 

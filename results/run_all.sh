@@ -1,5 +1,5 @@
 #!/bin/sh
-# Regenerates every paper artifact at quick scale (CPU-budgeted): all 23
+# Regenerates every paper artifact at quick scale (CPU-budgeted): all 22
 # artifact binaries of fedwcm-experiments, each into its own
 # results/<stem>.txt (stdout) and results/<stem>.log (stderr).
 # Usage: sh results/run_all.sh [extra flags passed to every binary]
@@ -34,7 +34,6 @@ run fig12_fedgrab_part fig12_fedgrab_part --rounds 60
 run ablation_fedwcm ablation_fedwcm --rounds 60
 run fig13_concentration_cmp fig13_concentration_cmp --rounds 60
 run fig14_16_layers fig14_16_layers --rounds 60
-run fig17_collapse fig17_collapse --rounds 60
 run fig4_concentration fig4_concentration --rounds 60
 run fig18_19_hetero fig18_19_hetero --rounds 60
 run table2_cifar10 table2_cifar10 --rounds 60

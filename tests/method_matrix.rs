@@ -14,7 +14,7 @@ fn every_method_runs_on_the_paper_partition() {
     };
     let exp = ExpConfig::new(DatasetPreset::FashionMnist, 0.1, 0.3, Scale::Smoke, 3001);
     for method in Method::ALL {
-        let acc = run_cell(&exp, method, &cli);
+        let acc = run_cell(&exp, method, &cli)[0];
         assert!(
             (0.0..=1.0).contains(&acc) && acc.is_finite(),
             "{}: accuracy {acc}",
@@ -40,7 +40,7 @@ fn core_methods_run_on_the_fedgrab_partition() {
         Method::FedWcm,
         Method::FedWcmX,
     ] {
-        let acc = run_cell(&exp, method, &cli);
+        let acc = run_cell(&exp, method, &cli)[0];
         assert!(
             acc.is_finite() && acc >= 0.05,
             "{}: accuracy {acc}",
@@ -59,7 +59,7 @@ fn hundred_class_preset_smoke() {
     };
     let exp = ExpConfig::new(DatasetPreset::Cifar100, 0.1, 0.1, Scale::Smoke, 3003);
     for method in [Method::FedAvg, Method::FedWcm] {
-        let acc = run_cell(&exp, method, &cli);
+        let acc = run_cell(&exp, method, &cli)[0];
         assert!(
             acc.is_finite() && (0.0..=1.0).contains(&acc),
             "{}",
