@@ -1,6 +1,6 @@
 //! Structured observability for the FedWCM stack: scoped spans, a
-//! metrics registry, and deterministic clocks — with zero external
-//! dependencies.
+//! metrics registry (counters, gauges, and count-and-sum timers), and
+//! deterministic clocks — with zero external dependencies.
 //!
 //! # Why a clock trait
 //!
