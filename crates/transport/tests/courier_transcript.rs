@@ -7,7 +7,7 @@
 
 use fedwcm_stats::rng::{Rng, Xoshiro256pp};
 use fedwcm_transport::{
-    AttemptOutcome, Courier, NetConfig, NetCounters, NetPlan, RetryPolicy, Verdict,
+    AttemptOutcome, Courier, NetConfig, NetCounters, NetFault, NetPlan, RetryPolicy, Verdict,
 };
 
 #[path = "support/reference.rs"]
@@ -113,6 +113,42 @@ fn the_all_faults_transcript_is_the_recorded_one() {
     // Every fault kind and both failure verdicts took part.
     assert!(totals.retries > 0 && totals.rejected_frames > 0 && totals.duplicates > 0);
     assert!(totals.delayed > 0 && totals.degraded > 0);
+}
+
+/// A retry whose own draw is a delay: attempt 0 is lost, and the draw
+/// for attempt 1 defers the delivery whole, so it ends `Delayed` after
+/// one transmission, having waited one deadline and one backoff pause.
+#[test]
+fn a_delay_drawn_for_a_retry_ends_the_delivery_after_one_transmission() {
+    let plan = NetPlan::new(NetConfig {
+        drop: 0.5,
+        delay: 0.5,
+        max_delay_rounds: 3,
+        ..NetConfig::zero(0xD1A7)
+    });
+    let client = (0..64u64)
+        .find(|&c| {
+            plan.net_fault_for(2, c, 0) == Some(NetFault::Drop)
+                && matches!(plan.net_fault_for(2, c, 1), Some(NetFault::Delay { .. }))
+        })
+        .expect("a client lost once, then delayed");
+    assert_eq!(client, 0);
+    let mut courier = Courier::new(&plan, RetryPolicy::default(), 100);
+    let d = courier.deliver(2, client, 9, &[1, 2, 3, 4, 5]);
+    assert_eq!(d.verdict, Verdict::Delayed { rounds: 1 });
+    assert_eq!(d.attempts, 1);
+    let labels: Vec<&str> = d.log.iter().map(AttemptOutcome::label).collect();
+    assert_eq!(labels, ["timeout", "delayed"]);
+    assert_eq!(
+        courier.counters(),
+        NetCounters {
+            frames_sent: 1,
+            delayed: 1,
+            ..NetCounters::default()
+        }
+    );
+    // 100 + the deadline (8) + attempt 0's pause (base 2, jitter 1).
+    assert_eq!(courier.ticks(), 111);
 }
 
 const GOLDEN_TOTALS: NetCounters = NetCounters {
