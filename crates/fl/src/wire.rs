@@ -151,15 +151,11 @@ mod tests {
 
             // Borrowed and owned decode agree, and so do the uploads parsed
             // from each.
-            let borrowed = frame::decode_ref(&in_place).expect("intact");
+            let (lent_seq, lent) = frame::decode_ref(&in_place).expect("intact");
             let owned = frame::decode(&in_place).expect("intact");
-            prop_assert_eq!(&borrowed.to_owned(), &owned);
             prop_assert_eq!(&owned, &msg);
-            let (Message::DeltaUp { payload: lent, .. }, Message::DeltaUp { payload: kept, .. }) =
-                (borrowed, owned)
-            else {
-                panic!("a DeltaUp decoded as something else");
-            };
+            let Message::DeltaUp { seq: kept_seq, payload: kept } = owned;
+            prop_assert_eq!((lent_seq, lent), (kept_seq, kept.as_slice()));
             prop_assert_eq!(lent, &in_place[HEADER_LEN..in_place.len() - TRAILER_LEN]);
             let from_lent = decode_update(lent).expect("parses where it lies");
             let from_kept = decode_update(&kept).expect("parses from a copy");
@@ -179,9 +175,7 @@ mod tests {
                 upload.put(out);
             })
             .expect("an upload fits a frame");
-            let Ok(Message::DeltaUp { payload, .. }) = frame::decode_ref(&frame) else {
-                panic!("a DeltaUp decoded as something else");
-            };
+            let (_, payload) = frame::decode_ref(&frame).expect("intact");
             // Every strict prefix, one trailing byte, and any `extra` tag
             // other than 0 and 1.
             let keep = usize::try_from(cut % payload.len() as u64).expect("fits");

@@ -102,8 +102,8 @@ fn total_loss_degrades_into_dropout_machinery() {
     assert_eq!(h.records.len(), cfg.rounds, "run must complete");
     let totals = h.net_totals();
     assert!(totals.degraded > 0, "exhaustions must be counted");
-    // Every delivery burned its full budget: frames = degraded × max_attempts.
-    let budget = u64::from(fedwcm_fl::RetryPolicy::default().max_attempts);
+    // Every delivery burned its full budget: frames = degraded × MAX_ATTEMPTS.
+    let budget = u64::from(fedwcm_fl::RetryPolicy::MAX_ATTEMPTS);
     assert_eq!(totals.frames_sent, totals.degraded * budget);
     for r in &h.records {
         assert_eq!(

@@ -6,15 +6,17 @@
 //! logical clock ticks once per waiting step, so the entire retry
 //! timeline — deadlines, backoff pauses, which reordered frame lands in
 //! which window — is a deterministic function of the plan seed and the
-//! delivery order, independent of thread count. The reverse control
-//! channel (Acks and Nacks back to the sender) is modelled as lossless:
-//! control frames still pass through the codec, but are never faulted.
+//! delivery order, independent of thread count. Each attempt draws its
+//! fault from the plan once: a [`NetFault::Delay`] ends the delivery
+//! there, any other fault is handed to the link with the frame. The
+//! receiver's Ack or Nack is its verdict on a frame, returned in
+//! process: the reverse channel is lossless, so it carries no frame.
 //! Real deployments achieve the same effect by making acks idempotent
 //! and retrying them on the data channel's cadence; modelling that
 //! asymmetry keeps the state machine focused on the lossy data path.
 
-use crate::frame::{self, FrameError, Message, NackReason};
-use crate::link::{FrameCtx, InMemoryLink};
+use crate::frame::{self, FrameError};
+use crate::link::InMemoryLink;
 use crate::plan::{NetFault, NetPlan};
 use crate::retry::RetryPolicy;
 use fedwcm_trace::{Clock, LogicalClock};
@@ -62,6 +64,15 @@ impl NetCounters {
     pub fn is_zero(&self) -> bool {
         *self == NetCounters::default()
     }
+}
+
+/// Why a receiver refused a frame.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum NackReason {
+    /// The frame's CRC32 did not match: damaged in transit.
+    Checksum,
+    /// The frame parsed structurally wrong (bad magic, bad length, …).
+    Malformed,
 }
 
 /// How one transmission attempt ended.
@@ -127,16 +138,8 @@ pub struct Delivery {
 /// Drives deliveries for one round over a fresh in-memory link each.
 pub struct Courier<'p> {
     plan: &'p NetPlan,
-    policy: RetryPolicy,
     clock: LogicalClock,
     counters: NetCounters,
-}
-
-/// The lossless reverse control channel: the control message crosses the
-/// codec and comes back as itself, so acknowledgements exercise it too.
-fn control_reply_survives(msg: &Message) -> bool {
-    frame::encode(msg)
-        .is_ok_and(|bytes| frame::decode_ref(&bytes).is_ok_and(|back| back.to_owned() == *msg))
 }
 
 /// The payload of an intact frame, in the frame's own allocation: the
@@ -150,14 +153,12 @@ fn into_payload(mut frame: Vec<u8>) -> Vec<u8> {
 // The courier bumps the counters above: same rule.
 #[deny(clippy::arithmetic_side_effects)]
 impl<'p> Courier<'p> {
-    /// A courier over `plan` under `policy`, its clock resuming at
-    /// `start_tick` (0 for a fresh run; the checkpointed tick when
-    /// resuming).
-    pub fn new(plan: &'p NetPlan, policy: RetryPolicy, start_tick: u64) -> Self {
-        policy.validate();
+    /// A courier over `plan` under the [`RetryPolicy`] constants, its
+    /// clock resuming at `start_tick` (0 for a fresh run; the
+    /// checkpointed tick when resuming).
+    pub fn new(plan: &'p NetPlan, _policy: RetryPolicy, start_tick: u64) -> Self {
         Courier {
             plan,
-            policy,
             clock: LogicalClock::starting_at(start_tick),
             counters: NetCounters::default(),
         }
@@ -201,7 +202,8 @@ impl<'p> Courier<'p> {
         write_payload: impl FnOnce(&mut Vec<u8>),
     ) -> Delivery {
         let mut log: Vec<AttemptOutcome> = Vec::new();
-        if let Some(rounds) = self.deferred(round, client, 0, &mut log) {
+        let fault = self.plan.net_fault_for(round, client, 0);
+        if let Some(rounds) = self.deferred(fault, &mut log) {
             return Delivery {
                 verdict: Verdict::Delayed { rounds },
                 attempts: 0,
@@ -218,7 +220,7 @@ impl<'p> Courier<'p> {
                 log,
             };
         };
-        let (arrived, attempts) = self.transmit(round, client, seq, &frame, &mut log);
+        let (arrived, attempts) = self.transmit(round, client, seq, &frame, fault, &mut log);
         let verdict = match arrived {
             Ok(()) => Verdict::Delivered {
                 payload: into_payload(frame),
@@ -232,18 +234,15 @@ impl<'p> Courier<'p> {
         }
     }
 
-    /// A Delay fault on `attempt` defers the whole delivery intact: no
+    /// A Delay drawn for an attempt defers the whole delivery intact: no
     /// frame is transmitted, the engine buffers the update as a late
     /// arrival. Counts and logs it; `Some(rounds)` when it struck.
     fn deferred(
         &mut self,
-        round: u64,
-        client: u64,
-        attempt: u32,
+        fault: Option<NetFault>,
         log: &mut Vec<AttemptOutcome>,
     ) -> Option<usize> {
-        let Some(NetFault::Delay { rounds }) = self.plan.net_fault_for(round, client, attempt)
-        else {
+        let Some(NetFault::Delay { rounds }) = fault else {
             return None;
         };
         self.counters.delayed = self.counters.delayed.saturating_add(1);
@@ -251,18 +250,19 @@ impl<'p> Courier<'p> {
         Some(rounds)
     }
 
-    /// Send `frame` until it arrives (`Ok`), or the plan defers it or
-    /// the budget runs out (`Err` of that verdict); also returns the
-    /// transmissions made.
+    /// Send `frame`, attempt 0 under `fault`, until it arrives (`Ok`),
+    /// or the plan defers it or the budget runs out (`Err` of that
+    /// verdict); also returns the transmissions made.
     fn transmit(
         &mut self,
         round: u64,
         client: u64,
         seq: u64,
         frame: &[u8],
+        mut fault: Option<NetFault>,
         log: &mut Vec<AttemptOutcome>,
     ) -> (Result<(), Verdict>, u32) {
-        let mut link = InMemoryLink::new(self.plan);
+        let mut link = InMemoryLink::default();
         let mut attempt: u32 = 0;
         loop {
             self.counters.frames_sent = self.counters.frames_sent.saturating_add(1);
@@ -273,19 +273,12 @@ impl<'p> Courier<'p> {
                     .retransmitted_bytes
                     .saturating_add(frame.len() as u64);
             }
-            link.send(
-                FrameCtx {
-                    round,
-                    client,
-                    attempt,
-                },
-                frame,
-            );
+            link.send(frame, fault);
             // Wait out the attempt deadline, draining the link each tick.
             let deadline = self
                 .clock
                 .current()
-                .saturating_add(self.policy.deadline_ticks);
+                .saturating_add(RetryPolicy::DEADLINE_TICKS);
             let mut reply: Option<Result<(), NackReason>> = None;
             while self.clock.current() < deadline && reply.is_none() {
                 self.clock.tick();
@@ -302,16 +295,14 @@ impl<'p> Courier<'p> {
                 Some(Err(reason)) => log.push(AttemptOutcome::Nacked(reason)),
                 None => log.push(AttemptOutcome::TimedOut),
             }
-            if sent >= self.policy.max_attempts {
+            if sent >= RetryPolicy::MAX_ATTEMPTS {
                 self.counters.degraded = self.counters.degraded.saturating_add(1);
                 return (Err(Verdict::Exhausted), sent);
             }
             // Back off before re-sending, still draining: a reordered
             // frame can land during the pause and complete the delivery
             // without another transmission.
-            let pause = self
-                .policy
-                .backoff_ticks(self.plan.config().seed, round, client, attempt);
+            let pause = RetryPolicy::backoff_ticks(self.plan.config().seed, round, client, attempt);
             attempt = sent;
             for _ in 0..pause {
                 self.clock.tick();
@@ -321,25 +312,23 @@ impl<'p> Courier<'p> {
                     return (Ok(()), attempt);
                 }
             }
-            if let Some(rounds) = self.deferred(round, client, attempt, log) {
+            fault = self.plan.net_fault_for(round, client, attempt);
+            if let Some(rounds) = self.deferred(fault, log) {
                 return (Err(Verdict::Delayed { rounds }), attempt);
             }
         }
     }
 
     /// Receive everything due on the link, verifying each frame where it
-    /// lies: the first intact matching frame is acknowledged; damaged
-    /// frames are Nacked and counted; redundant intact frames are
+    /// lies: the receiver's verdict is an Ack (`Ok`) for the first intact
+    /// matching frame or a Nack (`Err`) for the first damaged one;
+    /// damaged frames are counted, and redundant intact frames are
     /// counted as duplicates.
     fn drain(&mut self, link: &mut InMemoryLink<'_>, seq: u64) -> Option<Result<(), NackReason>> {
         let mut outcome: Option<Result<(), NackReason>> = None;
         for raw in link.poll() {
             match frame::decode_ref(&raw) {
-                Ok(Message::DeltaUp { seq: got, .. }) if got == seq && outcome.is_none() => {
-                    let acked = control_reply_survives(&Message::Ack { seq });
-                    debug_assert!(acked, "an Ack did not survive the codec");
-                    outcome = Some(Ok(()));
-                }
+                Ok((got, _)) if got == seq && outcome.is_none() => outcome = Some(Ok(())),
                 Ok(_) => {
                     self.counters.duplicates = self.counters.duplicates.saturating_add(1);
                 }
@@ -355,8 +344,6 @@ impl<'p> Courier<'p> {
                         NackReason::Malformed
                     };
                     if outcome.is_none() {
-                        let nacked = control_reply_survives(&Message::Nack { seq, reason });
-                        debug_assert!(nacked, "a Nack did not survive the codec");
                         outcome = Some(Err(reason));
                     }
                 }
@@ -453,13 +440,10 @@ mod tests {
         });
         let (d, c) = deliver_one(&plan, 3, 9);
         assert_eq!(d.verdict, Verdict::Exhausted);
-        assert_eq!(d.attempts, RetryPolicy::default().max_attempts);
+        assert_eq!(d.attempts, RetryPolicy::MAX_ATTEMPTS);
         assert!(d.log.iter().all(|o| *o == AttemptOutcome::TimedOut));
         assert_eq!(c.degraded, 1);
-        assert_eq!(
-            c.frames_sent,
-            u64::from(RetryPolicy::default().max_attempts)
-        );
+        assert_eq!(c.frames_sent, u64::from(RetryPolicy::MAX_ATTEMPTS));
     }
 
     #[test]

