@@ -3,7 +3,9 @@
 //! These back the paper's summary quantities: mean accuracies over seeds,
 //! quantity-skew summaries for the FedGrab partition (Fig. 11), the
 //! imbalance-driven temperature in Eq. (4) (total-variation distance to the
-//! target distribution), and Gini/concentration indices.
+//! target distribution), and Gini/concentration indices — plus the
+//! paired-seed inference a claim across methods rests on: a 95 % Student-t
+//! interval and an exact sign test.
 
 /// Arithmetic mean; 0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -106,6 +108,50 @@ pub fn argmax(xs: &[f64]) -> usize {
     best
 }
 
+/// Two-sided 95 % Student-t quantiles, `t(0.975, df)` for df 1..=29.
+const T975: [f64; 29] = [
+    12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
+    2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
+    2.052, 2.048, 2.045,
+];
+
+/// `(mean, half_width)` of the two-sided 95 % Student-t interval of the
+/// mean of `xs`. Panics unless `2 <= xs.len() <= 30`.
+pub fn mean_ci(xs: &[f64]) -> (f64, f64) {
+    let n = xs.len();
+    assert!(
+        (2..=T975.len() + 1).contains(&n),
+        "mean_ci takes 2..=30 values, got {n}"
+    );
+    let sample_var = variance(xs) * n as f64 / (n - 1) as f64;
+    (mean(xs), T975[n - 2] * (sample_var / n as f64).sqrt())
+}
+
+/// [`mean_ci`] of the per-seed differences `a[i] - b[i]`.
+pub fn paired_diff_ci(a: &[f64], b: &[f64]) -> (f64, f64) {
+    assert_eq!(a.len(), b.len(), "paired samples differ in length");
+    let diffs: Vec<f64> = a.iter().zip(b).map(|(x, y)| x - y).collect();
+    mean_ci(&diffs)
+}
+
+/// Exact two-sided sign test of `a[i]` against `b[i]`, ties dropped: the
+/// probability, under a fair coin, of a split at least as uneven as the
+/// observed wins and losses. 1 when every pair ties.
+pub fn sign_test(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len(), "paired samples differ in length");
+    let wins = a.iter().zip(b).filter(|(x, y)| x > y).count();
+    let losses = a.iter().zip(b).filter(|(x, y)| x < y).count();
+    let n = wins + losses;
+    // Σ_{i ≤ min(wins, losses)} C(n, i), the binomial coefficient built up
+    // term by term.
+    let (mut term, mut tail) = (1.0, 1.0);
+    for i in 1..=wins.min(losses) {
+        term *= (n + 1 - i) as f64 / i as f64;
+        tail += term;
+    }
+    (2.0 * tail / 2f64.powi(n as i32)).min(1.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,5 +218,48 @@ mod tests {
     fn argmax_first_tie() {
         assert_eq!(argmax(&[1.0, 3.0, 3.0]), 1);
         assert_eq!(argmax(&[7.0]), 0);
+    }
+
+    #[test]
+    fn t_quantiles_match_the_printed_table() {
+        for (df, t) in [(1, 12.706), (4, 2.776), (9, 2.262), (29, 2.045)] {
+            assert_eq!(T975[df - 1], t, "df {df}");
+        }
+    }
+
+    #[test]
+    fn mean_ci_by_hand() {
+        // Mean 3, sample sd √2.5, df 4: half-width 2.776·√2.5/√5 = 2.776/√2.
+        let (m, h) = mean_ci(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(m, 3.0);
+        assert!((h - 2.776 / 2f64.sqrt()).abs() < 1e-12);
+        // Differences 1, 1, 1: no spread, so no width.
+        assert_eq!(
+            paired_diff_ci(&[2.0, 3.0, 4.0], &[1.0, 2.0, 3.0]),
+            (1.0, 0.0)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "2..=30")]
+    fn mean_ci_rejects_more_than_thirty_values() {
+        mean_ci(&[0.0; 31]);
+    }
+
+    #[test]
+    fn sign_test_by_hand() {
+        // 9 wins of 10: 2·(C(10,0) + C(10,1)) / 2^10.
+        let a = [1.0; 10];
+        let mut b = [0.0; 10];
+        b[0] = 2.0;
+        assert_eq!(sign_test(&a, &b), 22.0 / 1024.0);
+        // 5 wins of 5, and a tie dropped: 2 / 2^5.
+        assert_eq!(
+            sign_test(&[1.0; 6], &[0.0, 0.0, 0.0, 0.0, 0.0, 1.0]),
+            2.0 / 32.0
+        );
+        // All ties, and an even split, prove nothing.
+        assert_eq!(sign_test(&[1.0; 3], &[1.0; 3]), 1.0);
+        assert_eq!(sign_test(&[1.0, 0.0], &[0.0, 1.0]), 1.0);
     }
 }
