@@ -14,7 +14,8 @@
 //!   Beta, and Categorical (alias-method) samplers, which back the paper's
 //!   Dirichlet data partitions and synthetic datasets;
 //! * [`describe`] — descriptive statistics (mean/variance/quantiles/Gini)
-//!   used by the analysis and experiment crates.
+//!   used by the analysis and experiment crates, and the paired-seed
+//!   interval and sign test a comparison of methods rests on.
 
 #![warn(missing_docs)]
 // Library code (DESIGN.md §9): nothing `clippy.toml` lists outside test
