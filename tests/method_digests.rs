@@ -7,7 +7,8 @@
 //! 1 and 2 worker threads. The digest is the CRC32 of every
 //! `RoundRecord` field (floats as bit patterns) followed by the final
 //! global parameters' bits, and it must equal the pinned value at both
-//! thread counts.
+//! thread counts. Every record must also carry a finite training loss and
+//! a finite update norm.
 
 use fedwcm_experiments::Method::{self, *};
 use fedwcm_experiments::{build_method, ExpConfig, Scale};
@@ -46,6 +47,14 @@ fn digest(exp: &ExpConfig, method: Method, threads: usize) -> u32 {
     let bits = |v: Option<f64>| v.map(f64::to_bits);
     let mut bytes = Vec::new();
     for r in &history.records {
+        assert!(
+            r.train_loss.is_some_and(f64::is_finite) && r.update_norm.is_finite(),
+            "{} round {}: loss {:?}, update norm {}",
+            method.label(),
+            r.round,
+            r.train_loss,
+            r.update_norm
+        );
         let line = format!(
             "{} {:?} {} {:?} {:?} {} {} {:?} {:?}\n",
             r.round,
