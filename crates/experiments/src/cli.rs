@@ -95,8 +95,19 @@ impl Cli {
     }
 }
 
-/// Parse `std::env::args`-style strings. Unknown flags abort with usage.
+/// Parse `std::env::args`-style strings. A bad or unknown flag exits
+/// through [`usage`] with status 2, `--help` with status 0.
 pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Cli {
+    try_parse_args(args).unwrap_or_else(|msg| usage(&msg))
+}
+
+/// [`parse_args`] without the exit: the message [`usage`] would print,
+/// empty for `--help`.
+pub fn try_parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
+    fn value<T: std::str::FromStr>(v: Option<String>, msg: &str) -> Result<T, String> {
+        v.and_then(|v| v.parse().ok())
+            .ok_or_else(|| msg.to_string())
+    }
     let mut cli = Cli::default();
     let mut it = args.into_iter();
     let _bin = it.next();
@@ -105,51 +116,36 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Cli {
             "--smoke" => cli.scale = Scale::Smoke,
             "--quick" => cli.scale = Scale::Quick,
             "--paper-scale" => cli.scale = Scale::Paper,
-            "--seed" => {
-                cli.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--seed needs an integer"));
-            }
-            "--trials" => {
-                cli.trials = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--trials needs an integer"));
-            }
-            "--rounds" => {
-                cli.rounds = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--rounds needs an integer")),
-                );
-            }
-            "--dataset" => {
-                cli.dataset = Some(it.next().unwrap_or_else(|| usage("--dataset needs a name")));
-            }
+            "--seed" => cli.seed = value(it.next(), "--seed needs an integer")?,
+            "--trials" => cli.trials = value(it.next(), "--trials needs an integer")?,
+            "--rounds" => cli.rounds = Some(value(it.next(), "--rounds needs an integer")?),
+            "--dataset" => cli.dataset = Some(value(it.next(), "--dataset needs a name")?),
             "--cadence" => {
                 cli.cadence = it
                     .next()
                     .as_deref()
                     .and_then(Cadence::parse)
-                    .unwrap_or_else(|| usage("--cadence needs sync, buffered:K, or async:N"));
+                    .ok_or("--cadence needs sync, buffered:K, or async:N")?;
             }
             "--net" => {
-                let spec = it.next().unwrap_or_else(|| usage("--net needs a spec"));
-                cli.net =
-                    Some(NetConfig::parse(&spec).unwrap_or_else(|e| usage(&format!("--net: {e}"))));
+                let spec: String = value(it.next(), "--net needs a spec")?;
+                cli.net = Some(NetConfig::parse(&spec).map_err(|e| format!("--net: {e}"))?);
             }
             "--quiet" | "-q" => cli.verbosity = 0,
             "--verbose" | "-v" => cli.verbosity = 2,
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown flag {other}")),
+            "--help" | "-h" => return Err(String::new()),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    assert!(cli.trials >= 1, "trials must be ≥ 1");
-    cli
+    if cli.trials == 0 {
+        return Err("--trials must be at least 1".into());
+    }
+    Ok(cli)
 }
 
-fn usage(msg: &str) -> ! {
+/// Print `msg` (when not empty) and the usage line to stderr, then exit:
+/// status 0 for an empty `msg` (`--help`), 2 otherwise.
+pub fn usage(msg: &str) -> ! {
     if !msg.is_empty() {
         eprintln!("error: {msg}");
     }
@@ -200,6 +196,13 @@ mod tests {
         assert_eq!(c.trials, 3);
         assert_eq!(c.dataset.as_deref(), Some("cifar-10"));
         assert_eq!(c.rounds, Some(99));
+    }
+
+    #[test]
+    fn bad_trials_take_the_usage_path() {
+        let err = |n: &str| try_parse_args(["bin", "--trials", n].map(String::from)).unwrap_err();
+        assert_eq!(err("0"), "--trials must be at least 1");
+        assert_eq!(err("x"), "--trials needs an integer");
     }
 
     #[test]
