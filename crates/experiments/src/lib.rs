@@ -11,6 +11,7 @@
 
 #![warn(missing_docs)]
 
+pub mod claims;
 pub mod cli;
 pub mod collapse;
 pub mod methods;

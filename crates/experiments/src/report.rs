@@ -12,39 +12,42 @@ use std::sync::Arc;
 /// three; `fedwcm_stats::describe::mean` takes it).
 pub fn run_cell(exp: &ExpConfig, method: Method, cli: &Cli) -> Vec<f64> {
     run_seeds(exp, cli, |task| build_method(method, task))
+        .iter()
+        .map(|h| h.final_accuracy(3))
+        .collect()
 }
 
-/// [`run_cell`] for whatever algorithm `build` makes of each seed's
-/// task.
+/// The history of each of [`run_cell`]'s seeds for whatever algorithm
+/// `build` makes of that seed's task.
+///
+/// A metrics registry is attached so [`History::metrics`] carries the
+/// run's counters and gauges (bytes up/down, received uploads, tail and
+/// per-class accuracy); no tracer is, so no phase timer fills. Registries
+/// never feed back into simulation state, so results are unchanged.
 pub fn run_seeds(
     exp: &ExpConfig,
     cli: &Cli,
     build: impl Fn(&PreparedTask) -> Box<dyn FederatedAlgorithm>,
-) -> Vec<f64> {
+) -> Vec<History> {
     (0..cli.trials)
         .map(|t| {
             let mut e = exp.clone();
             e.seed = exp.seed.wrapping_add(1000 * t as u64);
             let task = cli.prepare(&e);
-            let history = cli.simulation(&task).run(build(&task).as_mut());
-            history.final_accuracy(3)
+            let sim = cli
+                .simulation(&task)
+                .with_metrics(Arc::new(MetricsRegistry::new()));
+            sim.run(build(&task).as_mut())
         })
         .collect()
 }
 
 /// Run one cell and return the full history of the **first** trial
 /// (figures need the trajectory, not just the endpoint).
-///
-/// A metrics registry is attached so [`History::metrics`] carries the
-/// run's counters and gauges (bytes up/down, received uploads, tail and
-/// per-class accuracy); no tracer is, so no phase timer fills. Registries
-/// never feed back into simulation state, so results are unchanged.
 pub fn run_history(exp: &ExpConfig, method: Method, cli: &Cli) -> History {
-    let task = cli.prepare(exp);
-    let sim = cli
-        .simulation(&task)
-        .with_metrics(Arc::new(MetricsRegistry::new()));
-    sim.run(build_method(method, &task).as_mut())
+    let mut first = cli.clone();
+    first.trials = 1;
+    run_seeds(exp, &first, |task| build_method(method, task)).remove(0)
 }
 
 /// Print a markdown-style table: one row per label, one column per
