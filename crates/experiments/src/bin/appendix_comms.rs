@@ -35,11 +35,7 @@ fn main() {
         );
     }
     println!(
-        "\n# one ciphertext: {} B; the HE exchange happens once, the model\n\
-         # traffic every round — matching the paper's negligibility claim\n\
-         # (at paper scale with ResNet-18's ~{} MB model the share is far\n\
-         # smaller still).",
-        he_bytes,
+        "\n# one ciphertext: {he_bytes} B, sent once; ResNet-18's model: ~{} MB a round",
         model_bytes(11_000_000) / 1_000_000,
     );
 }

@@ -53,9 +53,4 @@ fn main() {
         println!("mean within-class variability: {:.4}", mean_var);
         console.info(format!("[geometry] {} done", method.label()));
     }
-    println!(
-        "\nReading: momentum bias inflates the head/tail norm ratio and\n\
-         pushes tail classifier rows together (higher tail cosine); FedWCM\n\
-         should sit closer to FedAvg than to FedCM."
-    );
 }

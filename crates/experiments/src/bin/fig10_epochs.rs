@@ -27,8 +27,4 @@ fn main() {
         rows.push((format!("E={e}"), values));
     }
     print_table("Fig.10 — accuracy vs local epochs", &headers, &rows);
-    println!(
-        "\nExpected shape (paper Fig. 10): FedWCM leads at every epoch\n\
-         setting and benefits from more local epochs; FedCM is erratic."
-    );
 }

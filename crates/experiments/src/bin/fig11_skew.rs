@@ -37,8 +37,4 @@ fn main() {
     );
     println!("# clients below 25% of the mean size: {small_clients}");
     println!("# quantity Gini = {gini_v:.3}");
-    println!(
-        "\nExpected shape (paper Fig. 11 / App. A): a small head of clients\n\
-         holds the majority of samples; long tail of tiny clients."
-    );
 }

@@ -29,8 +29,4 @@ fn main() {
     for h in &histories {
         println!("{}: {:.4}", h.name, h.final_accuracy(3));
     }
-    println!(
-        "\nExpected shape (paper Fig. 12): FedWCM-X converges fast with a\n\
-         final accuracy comparable to FedAvg/BalanceFL; FedCM variants fail."
-    );
 }

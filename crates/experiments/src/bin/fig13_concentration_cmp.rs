@@ -31,9 +31,4 @@ fn main() {
             &rows,
         );
     }
-    println!(
-        "\nExpected shape (paper Fig. 13): at IF=1, FedCM/FedWCM dip then\n\
-         rise smoothly; at IF=0.1, FedCM shows periodic large fluctuations\n\
-         while FedWCM declines smoothly like FedAvg."
-    );
 }

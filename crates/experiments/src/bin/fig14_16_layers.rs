@@ -23,9 +23,4 @@ fn main() {
         );
         console.info(format!("[fig14-16] {} done", method.label()));
     }
-    println!(
-        "\nExpected shape (paper Figs. 14–16): FedAvg's layers decline\n\
-         smoothly; FedCM's fluctuate periodically at all layers; FedWCM\n\
-         stays stable with a mostly-declining trend."
-    );
 }

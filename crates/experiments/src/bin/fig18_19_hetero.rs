@@ -49,9 +49,4 @@ fn main() {
     for (name, acc) in &finals {
         println!("{name}: {acc:.4}");
     }
-    println!(
-        "\nExpected shape (paper Figs. 18/19): FedCM converges fastest and\n\
-         reaches the highest accuracy in this balanced-but-heterogeneous\n\
-         setting; SAM-family methods start slowly."
-    );
 }

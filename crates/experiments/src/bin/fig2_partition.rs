@@ -47,9 +47,4 @@ fn main() {
         &skewed.partition,
         &skewed.train,
     );
-
-    println!(
-        "\nExpected shape (paper Fig. 2): the FedGrab partition shows strong\n\
-         quantity skew (high Gini); ours keeps client totals nearly equal."
-    );
 }

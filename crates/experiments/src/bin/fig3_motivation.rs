@@ -33,8 +33,4 @@ fn main() {
             .collect();
         println!("# summary: {}", tail_std.join(" | "));
     }
-    println!(
-        "\nExpected shape (paper Fig. 3): FedCM beats FedAvg at IF=1 but\n\
-         fails to converge (low, oscillating accuracy) at IF=0.1 and 0.01."
-    );
 }

@@ -45,9 +45,4 @@ fn main() {
         let spikes = detect_spikes(&conc, 2.0, 0.02);
         println!("# IF={imbalance}: concentration spikes at rounds {spikes:?}");
     }
-    println!(
-        "\nExpected shape (paper Fig. 4): balanced IF=1 shows a smooth\n\
-         concentration rise; smaller IF shows more frequent/violent spikes\n\
-         with synchronised accuracy drops."
-    );
 }

@@ -37,8 +37,4 @@ fn main() {
             None => println!("{}: never reached {target:.3}", h.name),
         }
     }
-    println!(
-        "\nExpected shape (paper Fig. 7): FedWCM converges fastest and\n\
-         highest; FedCM variants oscillate/fail; FedAvg/BalanceFL slower."
-    );
 }

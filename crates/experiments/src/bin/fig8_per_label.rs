@@ -41,8 +41,4 @@ fn main() {
             s.head_accuracy, s.tail_accuracy
         );
     }
-    println!(
-        "\nExpected shape (paper Fig. 8): FedCM's accuracy dives towards 0\n\
-         on the rarest labels; FedWCM keeps tail labels well above FedAvg."
-    );
 }

@@ -32,9 +32,4 @@ fn main() {
         rows.push((format!("K={k}"), values));
     }
     print_table("Fig.9 — accuracy vs total client count", &headers, &rows);
-    println!(
-        "\nExpected shape (paper Fig. 9): all methods degrade with more\n\
-         clients (less data each); FedWCM declines slowest, FedCM is\n\
-         unstable/non-convergent."
-    );
 }

@@ -46,9 +46,4 @@ fn main() {
             print_table(&format!("Table 1/7 — {name}, beta={beta}"), &headers, &rows);
         }
     }
-    println!(
-        "\nExpected shape (paper Tables 1/7): FedWCM best or tied in most\n\
-         cells; FedCM and its +Focal/+Balance variants collapse at small IF;\n\
-         FedAvg/BalanceFL degrade gracefully; FedGrab weak at beta=0.1."
-    );
 }

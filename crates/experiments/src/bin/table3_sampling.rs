@@ -28,8 +28,4 @@ fn main() {
         rows.push((format!("{}%", (rate * 100.0) as usize), values));
     }
     print_table("Table 3 — client sampling rate sweep", &headers, &rows);
-    println!(
-        "\nExpected shape (paper Table 3): FedWCM highest at every rate and\n\
-         notably robust at low participation; FedCM poor throughout."
-    );
 }

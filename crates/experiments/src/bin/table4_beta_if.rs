@@ -28,8 +28,4 @@ fn main() {
         }
         print_table(&format!("Table 4 — beta={beta}"), &headers, &rows);
     }
-    println!(
-        "\nExpected shape (paper Table 4): FedWCM best across the grid;\n\
-         FedCM collapses for IF ≤ 0.1; FedWCM's decline with IF is mildest."
-    );
 }

@@ -26,8 +26,4 @@ fn main() {
         rows.push((m.label().to_string(), values));
     }
     print_table("Table 5 — FedGrab partition, beta=0.1", &headers, &rows);
-    println!(
-        "\nExpected shape (paper Table 5): FedWCM-X ≥ FedAvg at most IFs;\n\
-         FedCM collapses for IF ≤ 0.1."
-    );
 }

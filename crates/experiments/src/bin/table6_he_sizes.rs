@@ -51,8 +51,4 @@ fn main() {
         }
         assert!(exact, "protocol must aggregate exactly");
     }
-    println!(
-        "\nExpected shape (paper Table 6): plaintext grows linearly with\n\
-         classes; ciphertext size is constant (fixed ring parameters)."
-    );
 }

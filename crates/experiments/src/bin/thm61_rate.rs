@@ -53,9 +53,4 @@ fn main() {
             }
         }
     }
-    println!(
-        "\nExpected shape (Theorem 6.1): exponents in roughly [-1.6, -0.35],\n\
-         i.e. between the O(1/R) optimisation term and the O(1/sqrt(R))\n\
-         statistical term."
-    );
 }

@@ -61,19 +61,6 @@ impl Method {
         Method::MimeLite,
     ];
 
-    /// The seven columns of Table 1/7, in paper order.
-    pub fn table1() -> [Method; 7] {
-        [
-            Method::FedAvg,
-            Method::BalanceFl,
-            Method::FedGrab,
-            Method::FedCm,
-            Method::FedCmFocal,
-            Method::FedCmBalanceLoss,
-            Method::FedCmBalanceSampler,
-        ]
-    }
-
     /// The heterogeneous-FL lineup of Figs. 18/19.
     pub fn hetero_panel() -> [Method; 10] {
         [
@@ -160,11 +147,5 @@ mod tests {
             assert!(!algo.name().is_empty());
             assert!(!m.label().is_empty());
         }
-    }
-
-    #[test]
-    fn panels_have_expected_sizes() {
-        assert_eq!(Method::table1().len(), 7);
-        assert_eq!(Method::hetero_panel().len(), 10);
     }
 }
