@@ -32,7 +32,7 @@ impl Stat {
             Stat::FinalAcc => h.final_accuracy(3),
             Stat::TailAcc => match h.metrics.get(names::FL_ACC_TAIL) {
                 Some(MetricValue::Gauge(v)) => *v,
-                _ => f64::NAN,
+                other => panic!("run_seeds attaches a registry, yet fl.acc.tail is {other:?}"),
             },
             Stat::MeanAlpha => {
                 let alphas: Vec<f64> = h.records.iter().filter_map(|r| r.alpha).collect();

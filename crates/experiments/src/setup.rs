@@ -40,7 +40,7 @@ pub struct ExpConfig {
     pub fedgrab_partition: bool,
     /// Server aggregation cadence for the engine.
     pub cadence: Cadence,
-    /// Evaluate every this many rounds; `None` evaluates 20 times a run.
+    /// Evaluate every this many rounds; `None` every `rounds / 20` (at least 1).
     pub eval_every: Option<usize>,
 }
 
