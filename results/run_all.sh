@@ -1,7 +1,8 @@
 #!/bin/sh
-# Regenerates every paper artifact at quick scale (CPU-budgeted): all 22
-# artifact binaries of fedwcm-experiments, each into its own
-# results/<stem>.txt (stdout) and results/<stem>.log (stderr).
+# Regenerates every paper artifact at quick scale (CPU-budgeted): the 20
+# figure and table binaries of fedwcm-experiments and the claims ledger
+# (flclaims), each into its own results/<stem>.txt (stdout) and
+# results/<stem>.log (stderr).
 # Usage: sh results/run_all.sh [extra flags passed to every binary]
 set -x
 cd "$(dirname "$0")/.."
@@ -31,15 +32,15 @@ run fig9_clients fig9_clients --rounds 60
 run fig10_epochs fig10_epochs --rounds 60
 run table5_fedwcm_x table5_fedwcm_x --rounds 60
 run fig12_fedgrab_part fig12_fedgrab_part --rounds 60
-run ablation_fedwcm ablation_fedwcm --rounds 60
+run claims flclaims --trials 5
 run fig13_concentration_cmp fig13_concentration_cmp --rounds 60
 run fig14_16_layers fig14_16_layers --rounds 60
 run fig4_concentration fig4_concentration --rounds 60
 run fig18_19_hetero fig18_19_hetero --rounds 60
-run table2_cifar10 table2_cifar10 --rounds 60
 run appendix_geometry appendix_geometry --rounds 60
 # Table 1 twice, once per dataset: EXPERIMENTS.md cites the CIFAR-10
-# table under the binary's name.
+# table under the binary's name, and Table 2 is its FedAvg, FedGrab and
+# FedWCM columns.
 run table1_overall table1_overall --rounds 60 --dataset cifar-10
 run table1_overall_fashion_mnist table1_overall --rounds 40 --dataset fashion-mnist
 echo ALL_DONE
