@@ -40,8 +40,6 @@ pub struct ExpConfig {
     pub fedgrab_partition: bool,
     /// Server aggregation cadence for the engine.
     pub cadence: Cadence,
-    /// Evaluate every this many rounds; `None` every `rounds / 20` (at least 1).
-    pub eval_every: Option<usize>,
 }
 
 impl ExpConfig {
@@ -82,7 +80,6 @@ impl ExpConfig {
             seed,
             fedgrab_partition: false,
             cadence: Cadence::Sync,
-            eval_every: None,
         }
     }
 
@@ -109,7 +106,7 @@ impl ExpConfig {
             global_lr: 1.0,
             seed: self.seed,
             threads: 0,
-            eval_every: self.eval_every.unwrap_or((self.rounds / 20).max(1)),
+            eval_every: (self.rounds / 20).max(1),
             cadence: self.cadence,
             ..FlConfig::default_sim()
         };

@@ -1,11 +1,11 @@
 //! The claims ledger at smoke scale: every row that expects a smoke
-//! verdict reaches it over ten paired seeds.
+//! verdict (✅ or ❌) reaches it over ten paired seeds.
 
 use fedwcm_experiments::claims::LEDGER;
 use fedwcm_experiments::{Cli, Scale};
 
 #[test]
-fn every_smoke_verdict_holds_over_ten_paired_seeds() {
+fn smoke_verdicts_match_over_ten_paired_seeds() {
     let cli = Cli {
         scale: Scale::Smoke,
         trials: 10,
