@@ -734,6 +734,30 @@ mod tests {
         }
     }
 
+    /// Pooling's sums start at `0.0`, so a window of `-0.0` averages to
+    /// `+0.0`, and a `-0.0` output gradient spreads as `+0.0`; a NaN
+    /// stays in its window.
+    #[test]
+    fn avgpool_first_add_turns_negative_zero_positive() {
+        for f in [2, 3] {
+            let mut pool = AvgPool2d::new(1, f, 2 * f, f);
+            let mut x = vec![-0.0f32; 2 * f * f];
+            x[f] = f32::NAN;
+            let y = pool.forward(&[], &Tensor::from_vec(x, &[1, 2 * f * f]), true);
+            let y = y.as_slice();
+            assert!(y[0].to_bits() == 0 && y[1].is_nan(), "forward, f = {f}: {y:?}");
+            let go = Tensor::from_vec(vec![-0.0, f32::NAN], &[1, 2]);
+            let gx = pool.backward(&[], &mut [], &go);
+            // Row-major over the 1×f×2f input: the first window is the
+            // left f columns of every row.
+            for (i, g) in gx.as_slice().iter().enumerate() {
+                let first = i % (2 * f) < f;
+                assert_eq!(first, g.to_bits() == 0, "f = {f} element {i}: {g}");
+                assert_eq!(!first, g.is_nan(), "f = {f} element {i}: {g}");
+            }
+        }
+    }
+
     #[test]
     fn gap_forward_backward() {
         let mut gap = GlobalAvgPool::new(2, 2, 2);

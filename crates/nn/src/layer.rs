@@ -279,6 +279,27 @@ mod tests {
         assert_eq!(gx.as_slice(), &[0.0, 20.0, 30.0, 0.0]);
     }
 
+    /// The bits ReLU gives the values a `>` or `<` test treats specially:
+    /// training maps NaN and `-0.0` to `+0.0` and masks their gradient to
+    /// `+0.0`; evaluation passes NaN through and keeps `-0.0`.
+    #[test]
+    fn relu_edge_semantics() {
+        let inf = f32::INFINITY;
+        let x = [f32::NAN, -0.0, 0.0, -1.0, 2.0, inf, -inf, f32::MIN_POSITIVE];
+        let x = Tensor::from_vec(x.to_vec(), &[1, 8]);
+        let mut relu = Relu::new();
+        let y = relu.forward(&[], &x, true);
+        let want = [0.0, 0.0, 0.0, 0.0, 2.0, inf, 0.0, f32::MIN_POSITIVE];
+        assert_bits_eq(y.as_slice(), &want, "training forward");
+        let g = [-0.0, f32::NAN, 3.0, 4.0, -0.0, f32::NAN, 7.0, -8.0];
+        let gx = relu.backward(&[], &mut [], &Tensor::from_vec(g.to_vec(), &[1, 8]));
+        let want = [0.0, 0.0, 0.0, 0.0, -0.0, f32::NAN, 0.0, -8.0];
+        assert_bits_eq(gx.as_slice(), &want, "backward");
+        let y = relu.forward(&[], &x, false);
+        let want = [f32::NAN, -0.0, 0.0, 0.0, 2.0, inf, 0.0, f32::MIN_POSITIVE];
+        assert_bits_eq(y.as_slice(), &want, "evaluation forward");
+    }
+
     #[test]
     fn relu_eval_mode_no_cache() {
         let mut relu = Relu::new();

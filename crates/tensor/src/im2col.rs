@@ -572,6 +572,113 @@ mod tests {
         }
     }
 
+    /// Specials planted among the random values of `v`: NaN, ±inf and
+    /// `-0.0` in turn, `count` of them at seeded positions.
+    fn plant_specials(v: &mut [f32], count: usize, seed: u64) {
+        const SPECIALS: [f32; 4] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+        let mut rng = Xoshiro256pp::seed_from(seed);
+        for k in 0..count {
+            let at = rng.index(v.len());
+            v[at] = SPECIALS[k % SPECIALS.len()];
+        }
+    }
+
+    /// The input gradient of a convolution as the lowering defines it, one
+    /// image at a time: `Wᵀ·go` summed onto a zeroed patch gradient,
+    /// `c_out` ascending and no product skipped, then [`col2im`] onto
+    /// zeros. `w` is `[c_out, patch_rows]`, `go` holds `nb` rows of
+    /// `[c_out, patch_cols]`.
+    fn input_grad_definition(geom: &ConvGeom, c_out: usize, w: &[f32], go: &[f32]) -> Vec<f32> {
+        let (pr, pc, len) = (geom.patch_rows(), geom.patch_cols(), geom.input_len());
+        let nb = go.len() / (c_out * pc);
+        let mut grad = vec![0.0f32; nb * len];
+        let mut gcols = vec![0.0f32; pr * pc];
+        for (go, grad) in go.chunks_exact(c_out * pc).zip(grad.chunks_exact_mut(len)) {
+            for (r, row) in gcols.chunks_exact_mut(pc).enumerate() {
+                for (col, g) in row.iter_mut().enumerate() {
+                    let mut acc = 0.0f32;
+                    for c in 0..c_out {
+                        acc += w[c * pr + r] * go[c * pc + col];
+                    }
+                    *g = acc;
+                }
+            }
+            col2im(geom, &gcols, grad);
+        }
+        grad
+    }
+
+    /// Bits equal, except that any NaN matches any NaN: Rust leaves the
+    /// sign and payload of a NaN an operation produces unspecified, so two
+    /// compilations of one chain of operations may differ there.
+    fn assert_bits_eq_nan(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+            assert!(same, "{what} element {i}: {g} vs {w}");
+        }
+    }
+
+    /// The input gradient at every level this host offers against
+    /// [`input_grad_definition`], with NaN, ±inf and `-0.0` planted in
+    /// both the weights and the output gradient.
+    fn assert_input_grad_matches_definition(geom: &ConvGeom, c_out: usize, seed: u64) {
+        let map = PatchMap::new(geom);
+        let (pr, pc) = (geom.patch_rows(), geom.patch_cols());
+        for nb in [1, 7, 40] {
+            let mut w = randn(c_out * pr, seed);
+            let mut go = randn(nb * c_out * pc, seed.wrapping_add(1));
+            plant_specials(&mut w, 4, seed.wrapping_add(2));
+            // In every other image only: at the 2×2 stage one non-finite
+            // output gradient reaches every input element of its image.
+            for (s, go) in go.chunks_exact_mut(c_out * pc).enumerate().skip(1).step_by(2) {
+                plant_specials(go, 4, seed.wrapping_add(3 + s as u64));
+            }
+            let want = input_grad_definition(geom, c_out, &w, &go);
+            let finite = want.iter().filter(|g| g.is_finite()).count();
+            assert!(
+                (1..want.len()).contains(&finite),
+                "{geom:?} batch {nb}: {finite} of {} finite",
+                want.len()
+            );
+            for isa in Isa::available() {
+                let what = format!("{geom:?} c_out {c_out} batch {nb} {isa:?}");
+                // The lowered path: `Wᵀ·go` over a panel of all `nb`
+                // images side by side, then one scatter-add per image.
+                let n = nb * pc;
+                let mut panel = vec![0.0f32; c_out * n];
+                for (s, go) in go.chunks_exact(c_out * pc).enumerate() {
+                    for (c, go) in go.chunks_exact(pc).enumerate() {
+                        panel[c * n + s * pc..c * n + (s + 1) * pc].copy_from_slice(go);
+                    }
+                }
+                let mut gcols = vec![0.0f32; pr * n];
+                crate::matmul::matmul_at_b_into_at(isa, &w, &panel, &mut gcols, c_out, pr, n);
+                let mut got = vec![0.0f32; want.len()];
+                for (s, grad) in got.chunks_exact_mut(geom.input_len()).enumerate() {
+                    map.scatter_add_at(isa, &gcols, n, s * pc, grad);
+                }
+                assert_bits_eq_nan(&got, &want, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn input_grad_matches_definition_with_specials() {
+        // The three ResLite geometries, then stride 2, pad 0, 5×5 and 1×1.
+        for (c_in, hw, k, stride, pad, c_out) in [
+            (12, 4, 3, 1, 1, 12),
+            (12, 2, 3, 1, 1, 12),
+            (3, 8, 3, 1, 1, 12),
+            (4, 9, 3, 2, 1, 5),
+            (3, 6, 3, 1, 0, 7),
+            (2, 7, 5, 1, 2, 6),
+            (5, 4, 1, 1, 0, 3),
+        ] {
+            assert_input_grad_matches_definition(&geom(c_in, hw, hw, k, stride, pad), c_out, 29);
+        }
+    }
+
     #[test]
     fn patch_map_matches_definition_on_the_reslite_geometries() {
         for (c_in, hw) in [(3, 8), (12, 4), (12, 2)] {
