@@ -146,12 +146,14 @@ fn bench_blas1() {
     });
 }
 
-/// The data movement around a ResLite step's GEMMs, at the step's batch
-/// of 40: each conv geometry lowered and scattered back in panel layout
-/// (40 images side by side, as `Conv2d` places them), and the first
-/// pooling layer.
+/// The work around a ResLite step's GEMMs, at the step's batch of 40:
+/// each conv geometry lowered in panel layout (40 images side by side, as
+/// `Conv2d` places them) and its input gradient (12 output channels, the
+/// fused kernel `Conv2d` runs instead of `Wᵀ·go` and a scatter), and the
+/// first pooling layer.
 fn bench_lowering() {
     const BATCH: usize = 40;
+    const C_OUT: usize = 12;
     let mut rng = Xoshiro256pp::seed_from(2);
     for (c_in, hw) in [(3usize, 8usize), (12, 4), (12, 2)] {
         let geom = ConvGeom {
@@ -166,7 +168,10 @@ fn bench_lowering() {
         let map = PatchMap::new(&geom);
         let (pc, ld) = (geom.patch_cols(), BATCH * geom.patch_cols());
         let images = Tensor::randn(&[BATCH, geom.input_len()], 1.0, &mut rng);
+        let w = Tensor::randn(&[C_OUT, geom.patch_rows()], 1.0, &mut rng);
+        let go = Tensor::randn(&[BATCH, C_OUT * pc], 1.0, &mut rng);
         let mut grads = Tensor::zeros(&[BATCH, geom.input_len()]);
+        let mut work = vec![0.0f32; map.input_grad_work(C_OUT)];
         let mut panel = vec![0.0f32; geom.patch_rows() * ld];
         let shape = format!("{c_in}x{hw}x{hw}");
         bench(&format!("lowering/patch_map_lower/{shape}"), || {
@@ -174,10 +179,14 @@ fn bench_lowering() {
                 map.lower(black_box(images.row(s)), &mut panel, ld, s * pc);
             }
         });
-        bench(&format!("lowering/patch_map_scatter_add/{shape}"), || {
-            for s in 0..BATCH {
-                map.scatter_add(black_box(&panel), ld, s * pc, grads.row_mut(s));
-            }
+        bench(&format!("lowering/input_grad/{shape}"), || {
+            map.input_grad(
+                black_box(w.as_slice()),
+                C_OUT,
+                black_box(go.as_slice()),
+                grads.as_mut_slice(),
+                &mut work,
+            );
         });
     }
     let mut pool = AvgPool2d::new(12, 8, 8, 2);

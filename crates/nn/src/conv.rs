@@ -6,7 +6,7 @@
 use crate::layer::{he_std, init_weights_biases, Layer};
 use fedwcm_stats::Xoshiro256pp;
 use fedwcm_tensor::im2col::{ConvGeom, PatchMap};
-use fedwcm_tensor::matmul::{matmul_a_bt_into, matmul_at_b_into, matmul_into};
+use fedwcm_tensor::matmul::{matmul_a_bt_into, matmul_into};
 use fedwcm_tensor::Tensor;
 use std::sync::Arc;
 
@@ -23,8 +23,8 @@ const PANEL_FLOATS: usize = 1 << 14;
 /// Weights are `[c_out, c_in*kh*kw]` row-major plus `c_out` biases. A
 /// batch is lowered panel by panel: [`Conv2d::panel_samples`] samples are
 /// unrolled side by side into one patch panel `[c_in*kh*kw, nb·oh·ow]`,
-/// so the forward pass, the data gradient and the weight gradient are one
-/// GEMM each per panel instead of one per sample.
+/// so the forward pass and the weight gradient are one GEMM each per panel
+/// instead of one per sample.
 ///
 /// Outputs, input gradients and bias gradients are bit-identical to
 /// lowering one sample at a time — batching columns does not touch any
@@ -35,8 +35,11 @@ const PANEL_FLOATS: usize = 1 << 14;
 ///
 /// Patches move through a [`PatchMap`] built once in [`Conv2d::new`] and
 /// shared by every clone of the layer (per-worker training models,
-/// per-chunk evaluation replicas). [`Layer::backward_params`] skips the
-/// `Wᵀ·go` GEMM and the scatter-add and allocates no input gradient.
+/// per-chunk evaluation replicas). The input gradient is not lowered: it
+/// is [`PatchMap::input_grad`] over the whole batch, which sums each
+/// element's chain as the lowering would without forming the
+/// patch-gradient panel. [`Layer::backward_params`] skips it and allocates
+/// no input gradient.
 #[derive(Clone)]
 pub struct Conv2d {
     geom: ConvGeom,
@@ -46,9 +49,9 @@ pub struct Conv2d {
     /// another; `batch * patch_rows * patch_cols` floats in all.
     cached_cols: Vec<f32>,
     cached_batch: usize,
-    /// Work space of one panel while training: `[c_out, n]` (GEMM output,
-    /// or the output gradient in panel layout) followed by
-    /// `[patch_rows, n]` (patch gradients).
+    /// Work space while training: one panel's `[c_out, n]` (GEMM output,
+    /// or the output gradient in panel layout), and the input gradient's
+    /// (see [`PatchMap::input_grad`]).
     scratch: Vec<f32>,
 }
 
@@ -102,6 +105,12 @@ impl Conv2d {
         self.c_out * self.geom.patch_rows()
     }
 
+    /// Floats of work space a training step takes: one panel's
+    /// `[c_out, n]` at the widest, or [`PatchMap::input_grad`]'s.
+    fn train_work(&self, widest: usize) -> usize {
+        (self.c_out * widest).max(self.map.input_grad_work(self.c_out))
+    }
+
     /// The backward pass, panel by panel: parameter gradients always, the
     /// input gradient into `grad_in` when somebody will read it.
     fn backward_panels(
@@ -109,7 +118,7 @@ impl Conv2d {
         params: &[f32],
         grad_params: &mut [f32],
         grad_out: &Tensor,
-        mut grad_in: Option<&mut Tensor>,
+        grad_in: Option<&mut Tensor>,
     ) {
         let batch = self.cached_batch;
         assert!(batch > 0, "conv backward without forward(train=true)");
@@ -123,14 +132,15 @@ impl Conv2d {
 
         let per_panel = self.panel_samples();
         let widest = per_panel.min(batch) * pc;
-        let (go, gcols) = split_scratch(&mut self.scratch, c_out * widest, pr * widest);
+        let work_len = self.train_work(widest);
+        let work = work_space(&mut self.scratch, work_len);
         for s0 in (0..batch).step_by(per_panel) {
             let nb = per_panel.min(batch - s0);
             let n = nb * pc;
             let cols = &self.cached_cols[s0 * pr * pc..(s0 + nb) * pr * pc];
             // The panel's output gradient as [c_out, n], sample s at
             // column offset s·pc like the patches.
-            let go = &mut go[..c_out * n];
+            let go = &mut work[..c_out * n];
             for s in 0..nb {
                 let row = grad_out.row(s0 + s); // [c_out, pc]
                 for (c, g) in gb.iter_mut().enumerate() {
@@ -142,29 +152,21 @@ impl Conv2d {
             }
             // gW[c_out, pr] += go · colsᵀ  (A·Bᵀ on [c_out,n]·[pr,n]ᵀ)
             matmul_a_bt_into(go, cols, gw, c_out, n, pr);
-            let Some(grad_in) = grad_in.as_deref_mut() else {
-                continue;
-            };
-            // gcols = Wᵀ · go  ([pr, c_out]·[c_out, n])
-            let gcols = &mut gcols[..pr * n];
-            gcols.fill(0.0);
-            matmul_at_b_into(w, go, gcols, c_out, pr, n);
-            for s in 0..nb {
-                self.map
-                    .scatter_add(gcols, n, s * pc, grad_in.row_mut(s0 + s));
-            }
+        }
+        if let Some(grad_in) = grad_in {
+            let (go, gx) = (grad_out.as_slice(), grad_in.as_mut_slice());
+            self.map.input_grad(w, c_out, go, gx, work);
         }
     }
 }
 
-/// The two halves of a layer's work space, `head` and `tail` floats long,
-/// growing it on first use.
-fn split_scratch(scratch: &mut Vec<f32>, head: usize, tail: usize) -> (&mut [f32], &mut [f32]) {
-    if scratch.len() < head + tail {
-        scratch.resize(head + tail, 0.0);
+/// The first `len` floats of a layer's work space, growing it on first
+/// use.
+fn work_space(scratch: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if scratch.len() < len {
+        scratch.resize(len, 0.0);
     }
-    let (a, b) = scratch.split_at_mut(head);
-    (a, &mut b[..tail])
+    &mut scratch[..len]
 }
 
 impl Layer for Conv2d {
@@ -212,15 +214,19 @@ impl Layer for Conv2d {
         }
         let per_panel = self.panel_samples();
         let widest = per_panel.min(batch) * pc;
-        // Outside training the work space is dropped with the call: an
-        // evaluation-only model holds no panel-sized buffers.
+        // Training lowers into `cached_cols`, and sizes the work space for
+        // the backward pass too; only evaluation takes patches from it,
+        // and drops it with the call: an evaluation-only model holds no
+        // panel-sized buffers.
+        let y_len = c_out * widest;
         let mut unretained = Vec::new();
-        let scratch = if train {
-            &mut self.scratch
+        let (scratch, work_len) = if train {
+            let len = self.train_work(widest);
+            (&mut self.scratch, len)
         } else {
-            &mut unretained
+            (&mut unretained, y_len + pr * widest)
         };
-        let (y, patches) = split_scratch(scratch, c_out * widest, pr * widest);
+        let (y, patches) = work_space(scratch, work_len).split_at_mut(y_len);
         for s0 in (0..batch).step_by(per_panel) {
             let nb = per_panel.min(batch - s0);
             let n = nb * pc;
