@@ -278,10 +278,12 @@ impl Layer for Conv2d {
 
 /// Non-overlapping `f×f` average pooling over `[c, h, w]`.
 ///
-/// The loops take the factor as an argument of an `#[inline(always)]`
-/// body instantiated twice: with the literal 2 (the only factor the model
-/// presets use), where the window unrolls to four adds, and with the
-/// run-time `f` otherwise. One source, one order of adds.
+/// Factor 2 (the only one the model presets use) has its own loops over
+/// pairs of input rows, which `h` being even lines up with one output row
+/// across channels and samples alike; other factors run plain loops with
+/// the factor read at run time. Both sum a window from `0.0` in row-major
+/// order and write each input gradient as `0.0 + g`, the `+=` onto zeros
+/// the plain loops do, so a `-0.0` comes out as `+0.0` either way.
 #[derive(Clone)]
 pub struct AvgPool2d {
     c: usize,
@@ -305,10 +307,39 @@ impl AvgPool2d {
         (self.c, self.h / self.f, self.w / self.f)
     }
 
-    /// Forward pass with pooling factor `f`: `self.f`, maybe as a constant.
-    #[inline(always)]
-    fn forward_by(&self, input: &Tensor, f: usize) -> Tensor {
-        let batch = input.rows();
+    /// Forward pass at factor 2: each pair of input rows is one output
+    /// row.
+    fn forward_2(&self, input: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(&[input.rows(), self.c * (self.h / 2) * (self.w / 2)]);
+        let rows = input.as_slice().chunks_exact(2 * self.w);
+        for (rows, o) in rows.zip(out.as_mut_slice().chunks_exact_mut(self.w / 2)) {
+            let (r0, r1) = rows.split_at(self.w);
+            for ((o, a), b) in o.iter_mut().zip(r0.chunks_exact(2)).zip(r1.chunks_exact(2)) {
+                *o = (0.0 + a[0] + a[1] + b[0] + b[1]) * 0.25;
+            }
+        }
+        out
+    }
+
+    /// Backward pass at factor 2, like [`Self::forward_2`].
+    fn backward_2(&self, grad_out: &Tensor) -> Tensor {
+        assert_eq!(grad_out.cols(), self.c * (self.h / 2) * (self.w / 2));
+        let mut grad_in = Tensor::zeros(&[grad_out.rows(), self.c * self.h * self.w]);
+        let rows = grad_in.as_mut_slice().chunks_exact_mut(2 * self.w);
+        for (rows, go) in rows.zip(grad_out.as_slice().chunks_exact(self.w / 2)) {
+            let (r0, r1) = rows.split_at_mut(self.w);
+            for ((a, b), &g) in r0.chunks_exact_mut(2).zip(r1.chunks_exact_mut(2)).zip(go) {
+                let g = 0.0 + g * 0.25;
+                a.fill(g);
+                b.fill(g);
+            }
+        }
+        grad_in
+    }
+
+    /// Forward pass at any factor.
+    fn forward_f(&self, input: &Tensor) -> Tensor {
+        let (f, batch) = (self.f, input.rows());
         let (oh, ow) = (self.h / f, self.w / f);
         let mut out = Tensor::zeros(&[batch, self.c * oh * ow]);
         let inv = 1.0 / (f * f) as f32;
@@ -335,10 +366,9 @@ impl AvgPool2d {
         out
     }
 
-    /// Backward pass with pooling factor `f`, like [`Self::forward_by`].
-    #[inline(always)]
-    fn backward_by(&self, grad_out: &Tensor, f: usize) -> Tensor {
-        let batch = grad_out.rows();
+    /// Backward pass at any factor.
+    fn backward_f(&self, grad_out: &Tensor) -> Tensor {
+        let (f, batch) = (self.f, grad_out.rows());
         let (oh, ow) = (self.h / f, self.w / f);
         assert_eq!(grad_out.cols(), self.c * oh * ow);
         let mut grad_in = Tensor::zeros(&[batch, self.c * self.h * self.w]);
@@ -381,16 +411,18 @@ impl Layer for AvgPool2d {
     }
 
     fn forward(&mut self, _params: &[f32], input: &Tensor, _train: bool) -> Tensor {
-        match self.f {
-            2 => self.forward_by(input, 2),
-            f => self.forward_by(input, f),
+        if self.f == 2 {
+            self.forward_2(input)
+        } else {
+            self.forward_f(input)
         }
     }
 
     fn backward(&mut self, _params: &[f32], _grad_params: &mut [f32], grad_out: &Tensor) -> Tensor {
-        match self.f {
-            2 => self.backward_by(grad_out, 2),
-            f => self.backward_by(grad_out, f),
+        if self.f == 2 {
+            self.backward_2(grad_out)
+        } else {
+            self.backward_f(grad_out)
         }
     }
 
@@ -717,7 +749,7 @@ mod tests {
 
     #[test]
     fn avgpool_instances_match_the_plain_loops() {
-        // f = 2 runs the constant instance, the others the run-time one.
+        // f = 2 runs the row-pair loops, the others the run-time ones.
         let mut rng = Xoshiro256pp::seed_from(9);
         for f in [1, 2, 3, 4] {
             let (c, h, w) = (3, 2 * f, 3 * f);

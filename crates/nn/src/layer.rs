@@ -87,20 +87,25 @@ impl Layer for Relu {
     }
 
     fn forward(&mut self, _params: &[f32], input: &Tensor, train: bool) -> Tensor {
-        let mut out = input.clone();
-        if train {
-            self.mask.clear();
-            self.mask.resize(out.len(), false);
-            for (x, keep) in out.as_mut_slice().iter_mut().zip(&mut self.mask) {
-                *keep = *x > 0.0;
-                *x = if *keep { *x } else { 0.0 };
-            }
+        let x = input.as_slice();
+        // One pass writes the output and, in training, the mask.
+        let out = if train {
+            self.mask.resize(x.len(), false);
+            x.iter()
+                .zip(&mut self.mask)
+                .map(|(&v, keep)| {
+                    *keep = v > 0.0;
+                    if *keep {
+                        v
+                    } else {
+                        0.0
+                    }
+                })
+                .collect()
         } else {
-            for x in out.as_mut_slice() {
-                *x = if *x < 0.0 { 0.0 } else { *x };
-            }
-        }
-        out
+            x.iter().map(|&v| if v < 0.0 { 0.0 } else { v }).collect()
+        };
+        Tensor::from_vec(out, input.shape())
     }
 
     fn backward(&mut self, _params: &[f32], _grad_params: &mut [f32], grad_out: &Tensor) -> Tensor {
@@ -109,11 +114,9 @@ impl Layer for Relu {
             self.mask.len(),
             "ReLU backward without matching forward"
         );
-        let mut g = grad_out.clone();
-        for (x, &keep) in g.as_mut_slice().iter_mut().zip(&self.mask) {
-            *x = if keep { *x } else { 0.0 };
-        }
-        g
+        let g = grad_out.as_slice().iter().zip(&self.mask);
+        let g = g.map(|(&g, &keep)| if keep { g } else { 0.0 }).collect();
+        Tensor::from_vec(g, grad_out.shape())
     }
 
     fn release_cache(&mut self) {
