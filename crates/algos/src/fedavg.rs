@@ -11,19 +11,22 @@ use std::sync::Arc;
 /// clients' final local models.
 pub struct FedAvg {
     loss: Arc<dyn Loss>,
+    /// Work space of [`average_step`], kept across rounds; not state.
+    dir: Vec<f32>,
 }
 
 impl FedAvg {
     /// FedAvg with cross-entropy.
     pub fn new() -> Self {
-        FedAvg {
-            loss: Arc::new(CrossEntropy),
-        }
+        Self::with_loss(Arc::new(CrossEntropy))
     }
 
     /// FedAvg with a custom loss.
     pub fn with_loss(loss: Arc<dyn Loss>) -> Self {
-        FedAvg { loss }
+        FedAvg {
+            loss,
+            dir: Vec::new(),
+        }
     }
 }
 
@@ -49,7 +52,7 @@ impl FederatedAlgorithm for FedAvg {
     }
 
     fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-        average_step(global, input)
+        average_step(global, input, &mut self.dir)
     }
 
     // FedAvg carries no cross-round state; an empty blob is the whole of it.

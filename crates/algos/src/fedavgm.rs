@@ -15,6 +15,9 @@ pub struct FedAvgM {
     /// Server momentum coefficient β (typical 0.9).
     pub beta: f32,
     buffer: Vec<f32>,
+    /// Work space of the round's average, then of the step along the
+    /// buffer, kept across rounds; not state.
+    dir: Vec<f32>,
 }
 
 impl FedAvgM {
@@ -24,6 +27,7 @@ impl FedAvgM {
         FedAvgM {
             beta,
             buffer: Vec::new(),
+            dir: Vec::new(),
         }
     }
 }
@@ -44,15 +48,18 @@ impl FederatedAlgorithm for FedAvgM {
     }
 
     fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-        let mut dir = vec![0.0f32; global.len()];
-        uniform_average(&input.updates, &mut dir);
+        let dir = &mut self.dir;
+        dir.resize(global.len(), 0.0);
+        uniform_average(&input.updates, dir);
         if self.buffer.is_empty() {
             self.buffer = vec![0.0f32; global.len()];
         }
-        server_momentum(&mut self.buffer, &dir, self.beta);
+        server_momentum(&mut self.buffer, dir, self.beta);
         // Scale by (1−β) so the stationary step size matches FedAvg's.
-        let step_dir: Vec<f32> = self.buffer.iter().map(|&m| m * (1.0 - self.beta)).collect();
-        server_step(global, &step_dir, input.cfg, input.mean_batches());
+        for (d, &m) in dir.iter_mut().zip(&self.buffer) {
+            *d = m * (1.0 - self.beta);
+        }
+        server_step(global, dir, input.cfg, input.mean_batches());
         RoundLog::default()
     }
 

@@ -18,6 +18,8 @@ pub struct FedDyn {
     states: Vec<Vec<f32>>,
     mean_state: Vec<f32>,
     num_clients: usize,
+    /// Work space of the mean final model, kept across rounds; not state.
+    mean_final: Vec<f32>,
 }
 
 impl FedDyn {
@@ -29,6 +31,7 @@ impl FedDyn {
             states: vec![Vec::new(); num_clients],
             mean_state: Vec::new(),
             num_clients,
+            mean_final: Vec::new(),
         }
     }
 }
@@ -68,7 +71,9 @@ impl FederatedAlgorithm for FedDyn {
         let lr = input.cfg.local_lr;
 
         // Mean of final local models, and per-client state refresh.
-        let mut mean_final = vec![0.0f32; dim];
+        let mean_final = &mut self.mean_final;
+        mean_final.clear();
+        mean_final.resize(dim, 0.0);
         let inv = 1.0 / input.updates.len() as f32;
         for u in &input.updates {
             let steps = lr * u.num_batches as f32;
@@ -93,7 +98,7 @@ impl FederatedAlgorithm for FedDyn {
 
         // Server: x = mean(x_B) − h̄/λ, tempered by the global lr.
         let gl = input.cfg.global_lr;
-        for ((x, m), hbar) in global.iter_mut().zip(&mean_final).zip(&self.mean_state) {
+        for ((x, m), hbar) in global.iter_mut().zip(&*mean_final).zip(&self.mean_state) {
             let target = m - hbar / self.lambda;
             *x = *x + gl * (target - *x);
         }

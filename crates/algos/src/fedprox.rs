@@ -11,13 +11,18 @@ use fedwcm_nn::loss::CrossEntropy;
 pub struct FedProx {
     /// Proximal coefficient μ (paper-typical 0.01–0.1).
     pub mu: f32,
+    /// Work space of [`average_step`], kept across rounds; not state.
+    dir: Vec<f32>,
 }
 
 impl FedProx {
     /// FedProx with the given proximal coefficient.
     pub fn new(mu: f32) -> Self {
         assert!(mu >= 0.0, "mu must be non-negative");
-        FedProx { mu }
+        FedProx {
+            mu,
+            dir: Vec::new(),
+        }
     }
 }
 
@@ -42,7 +47,7 @@ impl FederatedAlgorithm for FedProx {
     }
 
     fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-        average_step(global, input)
+        average_step(global, input, &mut self.dir)
     }
 
     // μ is construction-time configuration; nothing crosses rounds.

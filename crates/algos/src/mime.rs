@@ -27,6 +27,9 @@ pub struct MimeLite {
     /// Local blend weight on the fresh gradient (typical 0.1, as FedCM).
     pub a: f32,
     momentum: Vec<f32>,
+    /// Work space of the round's mean gradient, then of
+    /// [`average_step`], kept across rounds; not state.
+    dir: Vec<f32>,
 }
 
 impl MimeLite {
@@ -37,6 +40,7 @@ impl MimeLite {
             beta,
             a,
             momentum: Vec::new(),
+            dir: Vec::new(),
         }
     }
 }
@@ -79,7 +83,9 @@ impl FederatedAlgorithm for MimeLite {
         }
         // Server momentum from round-start gradients: m ← β m + (1−β) ḡ(x_r).
         let inv = 1.0 / input.updates.len() as f32;
-        let mut gbar = vec![0.0f32; dim];
+        let gbar = &mut self.dir;
+        gbar.clear();
+        gbar.resize(dim, 0.0);
         for u in &input.updates {
             #[expect(
                 clippy::expect_used,
@@ -91,13 +97,13 @@ impl FederatedAlgorithm for MimeLite {
                 .extra
                 .as_ref()
                 .expect("Mime update missing gradient payload");
-            fedwcm_tensor::ops::axpy(inv, g, &mut gbar);
+            fedwcm_tensor::ops::axpy(inv, g, gbar);
         }
-        for (m, g) in self.momentum.iter_mut().zip(&gbar) {
+        for (m, g) in self.momentum.iter_mut().zip(gbar.iter()) {
             *m = self.beta * *m + (1.0 - self.beta) * g;
         }
         // Model update: plain averaging of local deltas.
-        average_step(global, input);
+        average_step(global, input, &mut self.dir);
         RoundLog {
             alpha: Some(self.a as f64),
             weights: None,

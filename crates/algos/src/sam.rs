@@ -116,13 +116,18 @@ pub fn run_local_sam(
 pub struct FedSam {
     /// Ascent radius ρ.
     pub rho: f32,
+    /// Work space of [`average_step`], kept across rounds; not state.
+    dir: Vec<f32>,
 }
 
 impl FedSam {
     /// New FedSAM.
     pub fn new(rho: f32) -> Self {
         assert!(rho > 0.0);
-        FedSam { rho }
+        FedSam {
+            rho,
+            dir: Vec::new(),
+        }
     }
 }
 
@@ -140,7 +145,7 @@ impl FederatedAlgorithm for FedSam {
     }
 
     fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-        average_step(global, input)
+        average_step(global, input, &mut self.dir)
     }
 
     // ρ is construction-time configuration; nothing crosses rounds.
@@ -217,13 +222,19 @@ pub struct FedSpeed {
     pub rho: f32,
     /// Proximal coefficient μ.
     pub mu: f32,
+    /// Work space of [`average_step`], kept across rounds; not state.
+    dir: Vec<f32>,
 }
 
 impl FedSpeed {
     /// New FedSpeed-lite.
     pub fn new(rho: f32, mu: f32) -> Self {
         assert!(rho > 0.0 && mu >= 0.0);
-        FedSpeed { rho, mu }
+        FedSpeed {
+            rho,
+            mu,
+            dir: Vec::new(),
+        }
     }
 }
 
@@ -242,7 +253,7 @@ impl FederatedAlgorithm for FedSpeed {
     }
 
     fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-        average_step(global, input)
+        average_step(global, input, &mut self.dir)
     }
 
     // ρ and μ are construction-time configuration; nothing crosses rounds.
@@ -262,6 +273,8 @@ pub struct FedSmoo {
     /// State coefficient λ.
     pub lambda: f32,
     states: Vec<Vec<f32>>,
+    /// Work space of [`average_step`], kept across rounds; not state.
+    dir: Vec<f32>,
 }
 
 impl FedSmoo {
@@ -272,6 +285,7 @@ impl FedSmoo {
             rho,
             lambda,
             states: vec![Vec::new(); num_clients],
+            dir: Vec::new(),
         }
     }
 }
@@ -304,7 +318,7 @@ impl FederatedAlgorithm for FedSmoo {
                 *hj += self.lambda * steps * d;
             }
         }
-        average_step(global, input)
+        average_step(global, input, &mut self.dir)
     }
 
     // Cross-round state: every client's correction state `h_i`.

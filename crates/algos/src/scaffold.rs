@@ -17,6 +17,8 @@ pub struct Scaffold {
     server_control: Vec<f32>,
     client_controls: Vec<Vec<f32>>,
     num_clients: usize,
+    /// Work space of [`average_step`], kept across rounds; not state.
+    dir: Vec<f32>,
 }
 
 impl Scaffold {
@@ -28,6 +30,7 @@ impl Scaffold {
             server_control: Vec::new(),
             client_controls: vec![Vec::new(); num_clients],
             num_clients,
+            dir: Vec::new(),
         }
     }
 
@@ -76,7 +79,7 @@ impl FederatedAlgorithm for Scaffold {
         }
 
         // Model update: plain averaged deltas (SCAFFOLD server step).
-        let log = average_step(global, input);
+        let log = average_step(global, input, &mut self.dir);
 
         // Control updates: c += |P|/N · mean_i(c_i⁺ − c_i).
         let sampled = input.updates.len() as f32;

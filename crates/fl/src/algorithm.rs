@@ -126,10 +126,15 @@ pub fn server_step(global: &mut [f32], direction: &[f32], cfg: &FlConfig, mean_b
 /// The FedAvg server step: step along the uniform average of the round's
 /// deltas. The whole of `aggregate` for a method whose server keeps no
 /// state, and the model half of one that keeps it beside the model.
-pub fn average_step(global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-    let mut dir = vec![0.0f32; global.len()];
-    uniform_average(&input.updates, &mut dir);
-    server_step(global, &dir, input.cfg, input.mean_batches());
+///
+/// The average goes through `dir`, work space the caller owns and keeps
+/// across rounds (sized to `global` on first use), so that a round
+/// allocates nothing parameter-sized. It carries nothing from one round
+/// to the next: it is not algorithm state.
+pub fn average_step(global: &mut [f32], input: &RoundInput<'_>, dir: &mut Vec<f32>) -> RoundLog {
+    dir.resize(global.len(), 0.0);
+    uniform_average(&input.updates, dir);
+    server_step(global, dir, input.cfg, input.mean_batches());
     RoundLog::default()
 }
 

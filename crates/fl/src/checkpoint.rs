@@ -297,7 +297,7 @@ mod tests {
             plain_sgd(env, global)
         }
         fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-            average_step(global, input)
+            average_step(global, input, &mut Vec::new())
         }
         fn save_state(&self) -> Option<Vec<u8>> {
             Some(Vec::<f32>::new().encode())

@@ -140,7 +140,7 @@ mod tests {
 
         fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
             self.captured.push(input.updates.clone());
-            average_step(global, input)
+            average_step(global, input, &mut Vec::new())
         }
     }
 

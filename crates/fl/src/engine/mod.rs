@@ -319,7 +319,7 @@ pub(crate) mod tests {
         }
 
         fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-            average_step(global, input)
+            average_step(global, input, &mut Vec::new())
         }
     }
 

@@ -56,7 +56,7 @@ impl FederatedAlgorithm for AvgWithState {
 
     fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
         self.rounds_seen[0] += 1.0;
-        average_step(global, input)
+        average_step(global, input, &mut Vec::new())
     }
 
     fn save_state(&self) -> Option<Vec<u8>> {

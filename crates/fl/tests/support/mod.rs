@@ -101,7 +101,7 @@ impl FederatedAlgorithm for StubAvg {
     }
 
     fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-        average_step(global, input)
+        average_step(global, input, &mut Vec::new())
     }
 
     fn save_state(&self) -> Option<Vec<u8>> {

@@ -25,15 +25,14 @@ pub struct BalanceFl {
     /// tiny tail pools; clipping keeps the local update bounded (the
     /// original trains with standard stabilisation too).
     pub grad_clip: f32,
+    /// Work space of [`average_step`], kept across rounds; not state.
+    dir: Vec<f32>,
 }
 
 impl BalanceFl {
     /// Standard configuration (λ = 1, clip = 10).
     pub fn new() -> Self {
-        BalanceFl {
-            lambda: 1.0,
-            grad_clip: 10.0,
-        }
+        Self::with_lambda(1.0)
     }
 
     /// Custom inheritance strength.
@@ -42,6 +41,7 @@ impl BalanceFl {
         BalanceFl {
             lambda,
             grad_clip: 10.0,
+            dir: Vec::new(),
         }
     }
 }
@@ -100,7 +100,7 @@ impl FederatedAlgorithm for BalanceFl {
     }
 
     fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-        average_step(global, input)
+        average_step(global, input, &mut self.dir)
     }
 
     // λ and the clip are construction-time configuration; nothing crosses

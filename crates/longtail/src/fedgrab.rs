@@ -28,6 +28,8 @@ pub struct FedGrab {
     /// EMA factor for per-class gradient energy.
     pub ema: f32,
     global_counts: Vec<usize>,
+    /// Work space of [`average_step`], kept across rounds; not state.
+    dir: Vec<f32>,
 }
 
 impl FedGrab {
@@ -39,6 +41,7 @@ impl FedGrab {
             tau: 0.5,
             ema: 0.9,
             global_counts,
+            dir: Vec::new(),
         }
     }
 }
@@ -94,7 +97,7 @@ impl FederatedAlgorithm for FedGrab {
     }
 
     fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-        average_step(global, input)
+        average_step(global, input, &mut self.dir)
     }
 
     // τ, the EMA factor and the prior are construction-time configuration;
