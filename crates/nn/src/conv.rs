@@ -783,7 +783,10 @@ mod tests {
             x[f] = f32::NAN;
             let y = pool.forward(&[], &Tensor::from_vec(x, &[1, 2 * f * f]), true);
             let y = y.as_slice();
-            assert!(y[0].to_bits() == 0 && y[1].is_nan(), "forward, f = {f}: {y:?}");
+            assert!(
+                y[0].to_bits() == 0 && y[1].is_nan(),
+                "forward, f = {f}: {y:?}"
+            );
             let go = Tensor::from_vec(vec![-0.0, f32::NAN], &[1, 2]);
             let gx = pool.backward(&[], &mut [], &go);
             // Row-major over the 1×f×2f input: the first window is the

@@ -11,25 +11,33 @@
 //! arithmetic for every element and keep nothing; the tests hold
 //! everything else against them. A layer that lowers the same geometry
 //! every step uses a [`PatchMap`]: the arithmetic runs once, into a table
-//! with one entry per patch-matrix element, and lowering and its adjoint
-//! are a gather and a scatter through the table in the definition's
-//! row-major order — every `grad_input` element receives its
-//! contributions in the same order, so the bits agree. The map works on a
-//! patch *panel* `[c_in*kh*kw, nb*oh*ow]` that places several images side
-//! by side, image `s` at column offset `s*oh*ow`, so a layer runs one GEMM
-//! per panel instead of one per image.
+//! with one entry per patch-matrix element, and lowering is a gather
+//! through the table in the definition's row-major order. The map works
+//! on a patch *panel* `[c_in*kh*kw, nb*oh*ow]` that places several images
+//! side by side, image `s` at column offset `s*oh*ow`, so a layer runs
+//! one GEMM per panel instead of one per image.
 //!
 //! The gather is one loop, instantiated per instruction-set level like
 //! the GEMM kernels ([`mod@crate::matmul`], "Instruction-set levels"): compiled
 //! for AVX-512 it becomes masked vector gathers, and [`PatchMap::lower`]
 //! runs that instance where the machine has it and a patch row fills a
-//! register; copying floats, no level can change a bit. The scatter's
-//! indices collide — that is what makes it an adjoint — but not within one
-//! patch row: a kernel tap reaches each input position at most once. So
-//! the map also keeps itself inverted per tap, and [`PatchMap::scatter_add`]
-//! runs each row as a gather-add into one channel, rows in the
-//! definition's order, which leaves every element's chain of additions as
-//! it was.
+//! register; copying floats, no level can change a bit.
+//!
+//! **The adjoint, without the panel.** The input gradient the lowering
+//! defines is `Wᵀ·go` into a zeroed patch-gradient panel, then [`col2im`]
+//! onto zeros. Its indices collide — that is what makes it an adjoint —
+//! but not within one patch row: a kernel tap reaches each input position
+//! at most once. So the map also keeps itself inverted per tap, and
+//! [`PatchMap::input_grad`] computes each input element directly: for each
+//! tap that reaches it, in the definition's row order, the tap's sum over
+//! output channels from `0.0`, added onto the element from `0.0` — the
+//! chain the GEMM and the scatter produced, so every bit but a NaN's
+//! payload agrees (Rust leaves that unspecified, and the GEMM levels
+//! already differ there). A tap into the padding is skipped: the GEMM
+//! computed those panel entries only for the scatter to drop them (31 %
+//! of the panel at ResLite's 4×4 stage, 55 % at 2×2), and the scatter was
+//! a second pass over what was left. The kernel runs one instance per
+//! level, its vector lanes a block of images.
 //!
 //! The map belongs to whoever lowers (`fedwcm-nn`'s `Conv2d` builds one in
 //! its constructor and shares it with its clones); nothing is cached for
@@ -435,8 +443,8 @@ impl Adjoint<'_> {
     /// All images, `L` at a time: transpose a block's output gradients
     /// into `work` (`[c_out, pc, L]`; in a last, narrower block the lanes
     /// past its images keep stale values, computed on and never stored),
-    /// run `R` input channels at a time, the ragged rest three and one at
-    /// a time, and copy the block's input gradients out of `work`.
+    /// run `R` input channels at a time and the ragged rest one by one,
+    /// and copy the block's input gradients out of `work`.
     #[inline(always)]
     fn blocks<const L: usize, const R: usize>(
         self,
@@ -461,10 +469,6 @@ impl Adjoint<'_> {
             while c0 + R <= self.c_in {
                 self.channels::<L, R>(go_t, out_t, c0);
                 c0 += R;
-            }
-            while c0 + 3 <= self.c_in {
-                self.channels::<L, 3>(go_t, out_t, c0);
-                c0 += 3;
             }
             while c0 < self.c_in {
                 self.channels::<L, 1>(go_t, out_t, c0);
@@ -614,7 +618,11 @@ mod tests {
         let (pr, pc, len, c_out, nb) = (g.patch_rows(), g.patch_cols(), g.input_len(), 3, 3);
         let mut rng = Xoshiro256pp::seed_from(8);
         let mut uniform = |n: usize| -> Vec<f32> { (0..n).map(|_| rng.next_f32() - 0.5).collect() };
-        let (x, w, go) = (uniform(nb * len), uniform(c_out * pr), uniform(nb * c_out * pc));
+        let (x, w, go) = (
+            uniform(nb * len),
+            uniform(c_out * pr),
+            uniform(nb * c_out * pc),
+        );
         let mut lhs = 0.0f32;
         let mut cols = vec![0.0; pr * pc];
         for (x, go) in x.chunks_exact(len).zip(go.chunks_exact(c_out * pc)) {
@@ -627,7 +635,13 @@ mod tests {
             }
         }
         let mut gx = vec![f32::NAN; x.len()];
-        map.input_grad(&w, c_out, &go, &mut gx, &mut vec![0.0; map.input_grad_work(c_out)]);
+        map.input_grad(
+            &w,
+            c_out,
+            &go,
+            &mut gx,
+            &mut vec![0.0; map.input_grad_work(c_out)],
+        );
         let rhs: f32 = x.iter().zip(&gx).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
     }
@@ -680,7 +694,6 @@ mod tests {
                 );
             }
         }
-
     }
 
     /// Specials planted among the random values of `v`: NaN, ±inf and
@@ -750,7 +763,12 @@ mod tests {
             plant_specials(&mut w, 4, seed.wrapping_add(2));
             // In every other image only: at the 2×2 stage one non-finite
             // output gradient reaches every input element of its image.
-            for (s, go) in go.chunks_exact_mut(c_out * pc).enumerate().skip(1).step_by(2) {
+            for (s, go) in go
+                .chunks_exact_mut(c_out * pc)
+                .enumerate()
+                .skip(1)
+                .step_by(2)
+            {
                 plant_specials(go, 4, seed.wrapping_add(3 + s as u64));
             }
             let want = input_grad_definition(geom, c_out, &w, &go);
@@ -780,7 +798,10 @@ mod tests {
         ] {
             let g = geom(c_in, hw, hw, k, stride, pad);
             let (finite, total) = assert_input_grad_matches_definition(&g, c_out, 29);
-            assert!(0 < finite && finite < total, "{g:?}: {finite} of {total} finite");
+            assert!(
+                0 < finite && finite < total,
+                "{g:?}: {finite} of {total} finite"
+            );
         }
     }
 

@@ -769,7 +769,7 @@ pub fn matmul_at_b_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize,
 }
 
 /// [`matmul_at_b_into`] on the kernel instance of one level.
-pub(crate) fn matmul_at_b_into_at(
+fn matmul_at_b_into_at(
     isa: Isa,
     a: &[f32],
     b: &[f32],
