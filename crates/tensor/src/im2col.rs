@@ -291,11 +291,12 @@ impl PatchMap {
     ///
     /// Every element is the chain the lowering defines: `Wᵀ·go` summed
     /// onto a zeroed patch gradient, `c_out` ascending, then [`col2im`]
-    /// onto zeros. That is, for each tap that reaches the element, in
-    /// ascending `(ky, kx)` order, the sum `Σ_c w[c, (c′, tap)] · go[c, p]`
-    /// from `0.0`, each added onto the element from `0.0`. A tap into the
-    /// padding is skipped, never multiplied, so no patch-gradient panel is
-    /// formed and there is no second pass to scatter it.
+    /// onto zeros. That is: the element starts at `0.0`, and each tap that
+    /// reaches it, in ascending `(ky, kx)` order, adds its sum
+    /// `Σ_c w[c, (c′, tap)] · go[c, p]`, taken from `0.0` over `c`
+    /// ascending. A tap into the padding is skipped, never multiplied, so
+    /// no patch-gradient panel is formed and there is no second pass to
+    /// scatter it.
     pub fn input_grad(
         &self,
         w: &[f32],
