@@ -465,6 +465,26 @@ mod tests {
     }
 
     #[test]
+    fn ablation_3_runs_at_the_paper_temperature() {
+        // Ablation 3: with the adaptive temperature off, Eq. (4) runs at
+        // τ = 0.05 exactly; the adaptive default derives another τ from the
+        // long-tailed global distribution.
+        let (train, _, cfg) = task(99, 0.1);
+        let views = paper_partition(&train, cfg.clients, 0.6, cfg.seed).views(&train);
+        let mut fixed = FedWcm::with_options(FedWcmOptions {
+            adaptive_temperature: false,
+            ..Default::default()
+        });
+        fixed.prepare(&views, 10);
+        let mut adaptive = FedWcm::new();
+        adaptive.prepare(&views, 10);
+        let fixed_t = fixed.info.as_ref().unwrap().temperature;
+        let adaptive_t = adaptive.info.as_ref().unwrap().temperature;
+        assert_eq!(fixed_t.to_bits(), 0.05f64.to_bits());
+        assert_ne!(adaptive_t.to_bits(), fixed_t.to_bits());
+    }
+
+    #[test]
     fn standard_batches_formula() {
         assert_eq!(FedWcm::standard_batches_for(800, 8, 20, 2), 10);
         assert_eq!(FedWcm::standard_batches_for(10, 20, 50, 3), 3);
