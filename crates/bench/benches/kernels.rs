@@ -192,7 +192,7 @@ fn bench_lowering() {
             );
         });
     }
-    let mut pool = AvgPool2d::new(12, 8, 8, 2);
+    let mut pool = AvgPool2d::new(12, 8, 8);
     let x = Tensor::randn(&[BATCH, 12 * 8 * 8], 1.0, &mut rng);
     let go = Tensor::randn(&[BATCH, 12 * 4 * 4], 1.0, &mut rng);
     bench("lowering/avgpool2d_fwd_40x12x8x8", || {

@@ -24,6 +24,9 @@ use fedwcm_fl::codec::{decode_state, Wire};
 use fedwcm_nn::loss::{CrossEntropy, Loss};
 use std::sync::Arc;
 
+/// The temperature Eq. (4) runs at when `adaptive_temperature` is off.
+pub const FIXED_TEMPERATURE: f64 = 0.05;
+
 /// Configuration / ablation switches for FedWCM.
 #[derive(Clone, Debug)]
 pub struct FedWcmOptions {
@@ -36,10 +39,8 @@ pub struct FedWcmOptions {
     /// uniformly (ablation 2).
     pub weighted_aggregation: bool,
     /// Adapt the temperature to global imbalance; `false` uses
-    /// `fixed_temperature` (ablation 3).
+    /// [`FIXED_TEMPERATURE`] (ablation 3).
     pub adaptive_temperature: bool,
-    /// Temperature used when `adaptive_temperature` is off.
-    pub fixed_temperature: f64,
     /// Use the literal Eq. (3) absolute deviation instead of the rectified
     /// scarcity score (ablation; see `score::client_scores`).
     pub literal_scores: bool,
@@ -52,7 +53,6 @@ impl Default for FedWcmOptions {
             adaptive_alpha: true,
             weighted_aggregation: true,
             adaptive_temperature: true,
-            fixed_temperature: 0.05,
             literal_scores: false,
         }
     }
@@ -152,7 +152,7 @@ impl FedWcm {
         let temp = if self.options.adaptive_temperature {
             temperature(&global, &target)
         } else {
-            self.options.fixed_temperature
+            FIXED_TEMPERATURE
         };
         self.info = Some(GlobalInfo {
             scores,

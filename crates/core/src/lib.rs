@@ -51,7 +51,7 @@ pub mod algorithm;
 pub mod score;
 pub mod weighting;
 
-pub use algorithm::{FedWcm, FedWcmOptions};
+pub use algorithm::{FedWcm, FedWcmOptions, FIXED_TEMPERATURE};
 pub use score::{
     client_scores, client_scores_literal, global_distribution, imbalance_degree, temperature,
 };

@@ -71,16 +71,6 @@ impl Dataset {
         counts
     }
 
-    /// Per-class proportions (sums to 1; uniform if empty).
-    pub fn class_distribution(&self) -> Vec<f64> {
-        let counts = self.class_counts();
-        let total: usize = counts.iter().sum();
-        if total == 0 {
-            return vec![1.0 / self.classes as f64; self.classes];
-        }
-        counts.iter().map(|&c| c as f64 / total as f64).collect()
-    }
-
     /// Materialise a batch `(features, labels)` from sample indices.
     pub fn gather(&self, indices: &[usize]) -> (Tensor, Vec<usize>) {
         let d = self.dim();
@@ -159,18 +149,6 @@ impl ClientView {
     pub fn class_counts(&self) -> &[usize] {
         &self.class_counts
     }
-
-    /// Per-class proportions (uniform if the client is empty).
-    pub fn class_distribution(&self) -> Vec<f64> {
-        let total: usize = self.class_counts.iter().sum();
-        if total == 0 {
-            return vec![1.0 / self.class_counts.len() as f64; self.class_counts.len()];
-        }
-        self.class_counts
-            .iter()
-            .map(|&c| c as f64 / total as f64)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -190,14 +168,6 @@ mod tests {
         assert_eq!(d.classes(), 3);
         assert_eq!(d.class_counts(), vec![1, 2, 1]);
         assert_eq!(d.feature_row(2), &[4.0, 5.0]);
-    }
-
-    #[test]
-    fn distribution_sums_to_one() {
-        let d = toy();
-        let p = d.class_distribution();
-        assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert_eq!(p[1], 0.5);
     }
 
     #[test]
@@ -233,15 +203,6 @@ mod tests {
         let v = ClientView::new(vec![1, 2, 3], &d);
         assert_eq!(v.len(), 3);
         assert_eq!(v.class_counts(), &[0, 2, 1]);
-        let p = v.class_distribution();
-        assert!((p[1] - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_client_uniform_distribution() {
-        let d = toy();
-        let v = ClientView::new(vec![], &d);
-        assert_eq!(v.class_distribution(), vec![1.0 / 3.0; 3]);
     }
 
     #[test]

@@ -37,5 +37,5 @@ pub mod synth;
 
 pub use dataset::{ClientView, Dataset};
 pub use longtail::longtail_counts;
-pub use partition::{creff_partition, fedgrab_partition, paper_partition, Partition};
+pub use partition::{fedgrab_partition, paper_partition, Partition};
 pub use synth::{DatasetPreset, SyntheticSpec};

@@ -217,55 +217,6 @@ pub fn fedgrab_partition(dataset: &Dataset, clients: usize, beta: f64, seed: u64
     deal_from_pools(dataset, &counts, &mut rng)
 }
 
-/// The CReFF/CLIP2FL-style partition (Appendix A.1): per-class `Dir(β)`
-/// splits like [`fedgrab_partition`], but instead of donating samples to
-/// empty clients, the whole draw is **resampled** until every client owns
-/// at least one sample — which, as the paper notes, indirectly limits how
-/// extreme the realised skew can get.
-///
-/// Panics after `max_attempts` failed draws (tiny datasets with many
-/// clients may make the constraint unsatisfiable in reasonable time).
-#[expect(
-    clippy::panic,
-    reason = "documented API contract (see the rustdoc above): exhausting \
-              max_attempts means the caller's configuration is unsatisfiable, and \
-              the paper's protocol has no fallback draw"
-)]
-pub fn creff_partition(
-    dataset: &Dataset,
-    clients: usize,
-    beta: f64,
-    seed: u64,
-    max_attempts: usize,
-) -> Partition {
-    assert!(clients >= 1, "need at least one client");
-    assert!(max_attempts >= 1);
-    let classes = dataset.classes();
-    let class_counts = dataset.class_counts();
-    assert!(dataset.len() >= clients, "fewer samples than clients");
-
-    let mut rng = Xoshiro256pp::stream(
-        seed,
-        &[stream::PARTITION_CREFF, clients as u64, beta.to_bits()],
-    );
-    let dir = Dirichlet::symmetric(beta, clients);
-    for attempt in 0..max_attempts {
-        let mut counts = vec![vec![0usize; classes]; clients];
-        for c in 0..classes {
-            let w = dir.sample(&mut rng);
-            let alloc = round_to_sum(&w, class_counts[c]);
-            for (k, &a) in alloc.iter().enumerate() {
-                counts[k][c] = a;
-            }
-        }
-        if counts.iter().all(|row| row.iter().sum::<usize>() > 0) {
-            let _ = attempt;
-            return deal_from_pools(dataset, &counts, &mut rng);
-        }
-    }
-    panic!("creff_partition: no draw without empty clients in {max_attempts} attempts");
-}
-
 /// Deal concrete sample indices out of per-class pools according to an
 /// integer count matrix whose column sums equal the dataset class counts.
 fn deal_from_pools(dataset: &Dataset, counts: &[Vec<usize>], rng: &mut Xoshiro256pp) -> Partition {
@@ -409,32 +360,6 @@ mod tests {
         }
         let c = paper_partition(&ds, 10, 0.1, 43);
         assert!((0..10).any(|k| a.client(k) != c.client(k)));
-    }
-
-    #[test]
-    fn creff_partition_no_empty_clients() {
-        let ds = make_dataset(0.1);
-        let p = creff_partition(&ds, 20, 0.3, 8, 1000);
-        assert!(p.client_sizes().iter().all(|&s| s >= 1));
-        let total: usize = p.client_sizes().iter().sum();
-        assert_eq!(total, ds.len());
-        // Class totals preserved.
-        let m = p.counts_matrix(&ds);
-        let class_counts = ds.class_counts();
-        for c in 0..10 {
-            let col: usize = m.iter().map(|row| row[c]).sum();
-            assert_eq!(col, class_counts[c], "class {c}");
-        }
-    }
-
-    #[test]
-    fn creff_partition_deterministic() {
-        let ds = make_dataset(0.5);
-        let a = creff_partition(&ds, 8, 0.5, 11, 1000);
-        let b = creff_partition(&ds, 8, 0.5, 11, 1000);
-        for k in 0..8 {
-            assert_eq!(a.client(k), b.client(k));
-        }
     }
 
     #[test]

@@ -8,9 +8,6 @@
 //!   classes), following Shuai et al. (IPSN 2022);
 //! * [`fedgrab::FedGrab`] — self-adjusting gradient balancer + direct
 //!   prior analysis, following Xiao et al. (NeurIPS 2024);
-//! * [`creff::creff_retrain`] — CReFF-style classifier re-training on
-//!   federated (per-class prototype) features, usable as a post-processing
-//!   step for any trained global model;
 //! * [`variants`] — the paper's FedCM+{Focal, Balance Loss, Balance
 //!   Sampler} combinations, built on `fedwcm-algos`' FedCM chassis.
 //!
@@ -32,11 +29,9 @@
 )]
 
 pub mod balancefl;
-pub mod creff;
 pub mod fedgrab;
 pub mod variants;
 
 pub use balancefl::BalanceFl;
-pub use creff::creff_retrain;
 pub use fedgrab::FedGrab;
 pub use variants::{fedcm_balance_loss, fedcm_balance_sampler, fedcm_focal};

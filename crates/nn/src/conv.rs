@@ -86,16 +86,6 @@ impl Conv2d {
         }
     }
 
-    /// Output channel count.
-    pub fn c_out(&self) -> usize {
-        self.c_out
-    }
-
-    /// Output spatial dims `(oh, ow)`.
-    pub fn out_dims(&self) -> (usize, usize) {
-        (self.geom.oh(), self.geom.ow())
-    }
-
     /// Samples lowered into one patch panel, from the geometry alone.
     pub fn panel_samples(&self) -> usize {
         (PANEL_FLOATS / (self.geom.patch_rows() * self.geom.patch_cols())).max(1)
@@ -276,123 +266,28 @@ impl Layer for Conv2d {
     }
 }
 
-/// Non-overlapping `f×f` average pooling over `[c, h, w]`.
+/// Non-overlapping 2×2 average pooling over `[c, h, w]`.
 ///
-/// Factor 2 (the only one the model presets use) has its own loops over
-/// pairs of input rows, which `h` being even lines up with one output row
-/// across channels and samples alike; other factors run plain loops with
-/// the factor read at run time. Both sum a window from `0.0` in row-major
-/// order and write each input gradient as `0.0 + g`, the `+=` onto zeros
-/// the plain loops do, so a `-0.0` comes out as `+0.0` either way.
+/// Each pair of input rows, which `h` being even lines up with one output
+/// row across channels and samples alike, is one output row. A window
+/// sums from `0.0` in row-major order and each input gradient is written
+/// as `0.0 + g`, as a `+=` onto zeros would be, so a `-0.0` comes out as
+/// `+0.0`.
 #[derive(Clone)]
 pub struct AvgPool2d {
     c: usize,
     h: usize,
     w: usize,
-    f: usize,
 }
 
 impl AvgPool2d {
-    /// New pooling layer; `h` and `w` must be divisible by `f`.
-    pub fn new(c: usize, h: usize, w: usize, f: usize) -> Self {
+    /// New pooling layer; `h` and `w` must be even.
+    pub fn new(c: usize, h: usize, w: usize) -> Self {
         assert!(
-            f > 0 && h.is_multiple_of(f) && w.is_multiple_of(f),
-            "pool factor must divide dims"
+            h.is_multiple_of(2) && w.is_multiple_of(2),
+            "pool input dims must be even"
         );
-        AvgPool2d { c, h, w, f }
-    }
-
-    /// Output dims `(c, h/f, w/f)`.
-    pub fn out_dims(&self) -> (usize, usize, usize) {
-        (self.c, self.h / self.f, self.w / self.f)
-    }
-
-    /// Forward pass at factor 2: each pair of input rows is one output
-    /// row.
-    fn forward_2(&self, input: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(&[input.rows(), self.c * (self.h / 2) * (self.w / 2)]);
-        let rows = input.as_slice().chunks_exact(2 * self.w);
-        for (rows, o) in rows.zip(out.as_mut_slice().chunks_exact_mut(self.w / 2)) {
-            let (r0, r1) = rows.split_at(self.w);
-            for ((o, a), b) in o.iter_mut().zip(r0.chunks_exact(2)).zip(r1.chunks_exact(2)) {
-                *o = (0.0 + a[0] + a[1] + b[0] + b[1]) * 0.25;
-            }
-        }
-        out
-    }
-
-    /// Backward pass at factor 2, like [`Self::forward_2`].
-    fn backward_2(&self, grad_out: &Tensor) -> Tensor {
-        assert_eq!(grad_out.cols(), self.c * (self.h / 2) * (self.w / 2));
-        let mut grad_in = Tensor::zeros(&[grad_out.rows(), self.c * self.h * self.w]);
-        let rows = grad_in.as_mut_slice().chunks_exact_mut(2 * self.w);
-        for (rows, go) in rows.zip(grad_out.as_slice().chunks_exact(self.w / 2)) {
-            let (r0, r1) = rows.split_at_mut(self.w);
-            for ((a, b), &g) in r0.chunks_exact_mut(2).zip(r1.chunks_exact_mut(2)).zip(go) {
-                let g = 0.0 + g * 0.25;
-                a.fill(g);
-                b.fill(g);
-            }
-        }
-        grad_in
-    }
-
-    /// Forward pass at any factor.
-    fn forward_f(&self, input: &Tensor) -> Tensor {
-        let (f, batch) = (self.f, input.rows());
-        let (oh, ow) = (self.h / f, self.w / f);
-        let mut out = Tensor::zeros(&[batch, self.c * oh * ow]);
-        let inv = 1.0 / (f * f) as f32;
-        for s in 0..batch {
-            let x = input.row(s);
-            let o = out.row_mut(s);
-            for c in 0..self.c {
-                let xc = &x[c * self.h * self.w..];
-                let oc = &mut o[c * oh * ow..(c + 1) * oh * ow];
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = 0.0f32;
-                        for dy in 0..f {
-                            let iy = oy * f + dy;
-                            for dx in 0..f {
-                                acc += xc[iy * self.w + ox * f + dx];
-                            }
-                        }
-                        oc[oy * ow + ox] = acc * inv;
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Backward pass at any factor.
-    fn backward_f(&self, grad_out: &Tensor) -> Tensor {
-        let (f, batch) = (self.f, grad_out.rows());
-        let (oh, ow) = (self.h / f, self.w / f);
-        assert_eq!(grad_out.cols(), self.c * oh * ow);
-        let mut grad_in = Tensor::zeros(&[batch, self.c * self.h * self.w]);
-        let inv = 1.0 / (f * f) as f32;
-        for s in 0..batch {
-            let go = grad_out.row(s);
-            let gi = grad_in.row_mut(s);
-            for c in 0..self.c {
-                let goc = &go[c * oh * ow..(c + 1) * oh * ow];
-                let gic = &mut gi[c * self.h * self.w..(c + 1) * self.h * self.w];
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let g = goc[oy * ow + ox] * inv;
-                        for dy in 0..f {
-                            let iy = oy * f + dy;
-                            for dx in 0..f {
-                                gic[iy * self.w + ox * f + dx] += g;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        grad_in
+        AvgPool2d { c, h, w }
     }
 }
 
@@ -407,23 +302,34 @@ impl Layer for AvgPool2d {
             self.c * self.h * self.w,
             "pool input width mismatch"
         );
-        self.c * (self.h / self.f) * (self.w / self.f)
+        self.c * (self.h / 2) * (self.w / 2)
     }
 
     fn forward(&mut self, _params: &[f32], input: &Tensor, _train: bool) -> Tensor {
-        if self.f == 2 {
-            self.forward_2(input)
-        } else {
-            self.forward_f(input)
+        let mut out = Tensor::zeros(&[input.rows(), self.c * (self.h / 2) * (self.w / 2)]);
+        let rows = input.as_slice().chunks_exact(2 * self.w);
+        for (rows, o) in rows.zip(out.as_mut_slice().chunks_exact_mut(self.w / 2)) {
+            let (r0, r1) = rows.split_at(self.w);
+            for ((o, a), b) in o.iter_mut().zip(r0.chunks_exact(2)).zip(r1.chunks_exact(2)) {
+                *o = (0.0 + a[0] + a[1] + b[0] + b[1]) * 0.25;
+            }
         }
+        out
     }
 
     fn backward(&mut self, _params: &[f32], _grad_params: &mut [f32], grad_out: &Tensor) -> Tensor {
-        if self.f == 2 {
-            self.backward_2(grad_out)
-        } else {
-            self.backward_f(grad_out)
+        assert_eq!(grad_out.cols(), self.c * (self.h / 2) * (self.w / 2));
+        let mut grad_in = Tensor::zeros(&[grad_out.rows(), self.c * self.h * self.w]);
+        let rows = grad_in.as_mut_slice().chunks_exact_mut(2 * self.w);
+        for (rows, go) in rows.zip(grad_out.as_slice().chunks_exact(self.w / 2)) {
+            let (r0, r1) = rows.split_at_mut(self.w);
+            for ((a, b), &g) in r0.chunks_exact_mut(2).zip(r1.chunks_exact_mut(2)).zip(go) {
+                let g = 0.0 + g * 0.25;
+                a.fill(g);
+                b.fill(g);
+            }
         }
+        grad_in
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -694,7 +600,7 @@ mod tests {
 
     #[test]
     fn avgpool_forward_means() {
-        let mut pool = AvgPool2d::new(1, 2, 2, 2);
+        let mut pool = AvgPool2d::new(1, 2, 2);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 4]);
         let y = pool.forward(&[], &x, false);
         assert_eq!(y.as_slice(), &[2.5]);
@@ -702,7 +608,7 @@ mod tests {
 
     #[test]
     fn avgpool_backward_distributes() {
-        let mut pool = AvgPool2d::new(1, 2, 2, 2);
+        let mut pool = AvgPool2d::new(1, 2, 2);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 4]);
         let _ = pool.forward(&[], &x, true);
         let go = Tensor::from_vec(vec![8.0], &[1, 1]);
@@ -748,26 +654,21 @@ mod tests {
     }
 
     #[test]
-    fn avgpool_instances_match_the_plain_loops() {
-        // f = 2 runs the row-pair loops, the others the run-time ones.
+    fn avgpool_matches_the_plain_loops() {
         let mut rng = Xoshiro256pp::seed_from(9);
-        for f in [1, 2, 3, 4] {
-            let (c, h, w) = (3, 2 * f, 3 * f);
-            let mut pool = AvgPool2d::new(c, h, w, f);
+        for (c, h, w) in [(1, 2, 2), (3, 2, 6), (3, 4, 6), (12, 8, 8)] {
+            let mut pool = AvgPool2d::new(c, h, w);
             let x = Tensor::randn(&[4, c * h * w], 1.0, &mut rng);
-            let go = Tensor::randn(&[4, c * 6], 1.0, &mut rng);
-            let (want_y, want_gx) = pool_reference((c, h, w, f), &x, &go);
+            let go = Tensor::randn(&[4, c * h * w / 4], 1.0, &mut rng);
+            let (want_y, want_gx) = pool_reference((c, h, w, 2), &x, &go);
             let y = pool.forward(&[], &x, true);
-            assert_bits_eq(
-                y.as_slice(),
-                want_y.as_slice(),
-                &format!("forward, f = {f}"),
-            );
+            let at = format!("{c}x{h}x{w}");
+            assert_bits_eq(y.as_slice(), want_y.as_slice(), &format!("forward, {at}"));
             let gx = pool.backward(&[], &mut [], &go);
             assert_bits_eq(
                 gx.as_slice(),
                 want_gx.as_slice(),
-                &format!("backward, f = {f}"),
+                &format!("backward, {at}"),
             );
         }
     }
@@ -777,25 +678,20 @@ mod tests {
     /// stays in its window.
     #[test]
     fn avgpool_first_add_turns_negative_zero_positive() {
-        for f in [2, 3] {
-            let mut pool = AvgPool2d::new(1, f, 2 * f, f);
-            let mut x = vec![-0.0f32; 2 * f * f];
-            x[f] = f32::NAN;
-            let y = pool.forward(&[], &Tensor::from_vec(x, &[1, 2 * f * f]), true);
-            let y = y.as_slice();
-            assert!(
-                y[0].to_bits() == 0 && y[1].is_nan(),
-                "forward, f = {f}: {y:?}"
-            );
-            let go = Tensor::from_vec(vec![-0.0, f32::NAN], &[1, 2]);
-            let gx = pool.backward(&[], &mut [], &go);
-            // Row-major over the 1×f×2f input: the first window is the
-            // left f columns of every row.
-            for (i, g) in gx.as_slice().iter().enumerate() {
-                let first = i % (2 * f) < f;
-                assert_eq!(first, g.to_bits() == 0, "f = {f} element {i}: {g}");
-                assert_eq!(!first, g.is_nan(), "f = {f} element {i}: {g}");
-            }
+        let mut pool = AvgPool2d::new(1, 2, 4);
+        let mut x = vec![-0.0f32; 8];
+        x[2] = f32::NAN;
+        let y = pool.forward(&[], &Tensor::from_vec(x, &[1, 8]), true);
+        let y = y.as_slice();
+        assert!(y[0].to_bits() == 0 && y[1].is_nan(), "forward: {y:?}");
+        let go = Tensor::from_vec(vec![-0.0, f32::NAN], &[1, 2]);
+        let gx = pool.backward(&[], &mut [], &go);
+        // Row-major over the 1×2×4 input: the first window is the left two
+        // columns of both rows.
+        for (i, g) in gx.as_slice().iter().enumerate() {
+            let first = i % 4 < 2;
+            assert_eq!(first, g.to_bits() == 0, "element {i}: {g}");
+            assert_eq!(!first, g.is_nan(), "element {i}: {g}");
         }
     }
 
@@ -815,7 +711,7 @@ mod tests {
     fn avgpool_adjoint_property() {
         // <pool(x), y> == <x, pool_backward(y)>
         let mut rng = Xoshiro256pp::seed_from(6);
-        let mut pool = AvgPool2d::new(3, 4, 4, 2);
+        let mut pool = AvgPool2d::new(3, 4, 4);
         let x = Tensor::randn(&[2, 48], 1.0, &mut rng);
         let y = pool.forward(&[], &x, true);
         let g = Tensor::randn(&[2, 12], 1.0, &mut rng);

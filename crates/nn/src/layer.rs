@@ -239,7 +239,7 @@ mod tests {
         assert_backward_params_matches_backward(Conv2d::new(2, 7, 6, 3, 3, 2, 0), 2 * 42);
         // The defaulted method: run `backward`, drop the tensor.
         assert_backward_params_matches_backward(Relu::new(), 9);
-        assert_backward_params_matches_backward(AvgPool2d::new(2, 4, 4, 2), 32);
+        assert_backward_params_matches_backward(AvgPool2d::new(2, 4, 4), 32);
         let body: Vec<Box<dyn Layer>> = vec![
             Box::new(Dense::new(6, 6)),
             Box::new(Relu::new()),

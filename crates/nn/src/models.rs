@@ -56,10 +56,10 @@ pub fn res_lite(
     let layers: Vec<Box<dyn Layer>> = vec![
         Box::new(Conv2d::new(c_in, h, w, width, 3, 1, 1)),
         Box::new(Relu::new()),
-        Box::new(AvgPool2d::new(width, h, w, 2)),
+        Box::new(AvgPool2d::new(width, h, w)),
         Box::new(res_block(width, h / 2, w / 2)),
         Box::new(Relu::new()),
-        Box::new(AvgPool2d::new(width, h / 2, w / 2, 2)),
+        Box::new(AvgPool2d::new(width, h / 2, w / 2)),
         Box::new(res_block(width, h / 4, w / 4)),
         Box::new(Relu::new()),
         Box::new(GlobalAvgPool::new(width, h / 4, w / 4)),

@@ -96,18 +96,6 @@ pub fn softmax_with_temperature(xs: &[f64], t: f64) -> Vec<f64> {
     exps.into_iter().map(|e| e / total).collect()
 }
 
-/// Argmax index; ties resolve to the first maximum. Panics on empty input.
-pub fn argmax(xs: &[f64]) -> usize {
-    assert!(!xs.is_empty(), "argmax of empty slice");
-    let mut best = 0;
-    for (i, &x) in xs.iter().enumerate() {
-        if x > xs[best] {
-            best = i;
-        }
-    }
-    best
-}
-
 /// Two-sided 95 % Student-t quantiles, `t(0.975, df)` for df 1..=29.
 const T975: [f64; 29] = [
     12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
@@ -212,12 +200,6 @@ mod tests {
             assert!((x - y).abs() < 1e-12);
             assert!(x.is_finite());
         }
-    }
-
-    #[test]
-    fn argmax_first_tie() {
-        assert_eq!(argmax(&[1.0, 3.0, 3.0]), 1);
-        assert_eq!(argmax(&[7.0]), 0);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The FedWCM pipeline needs: Normal draws (synthetic feature generation,
 //! HE noise), Gamma/Dirichlet (the paper's `p_{k,c} ~ Dir(β)` client
-//! partition), Beta (quantity-skew experiments), and fast Categorical
-//! sampling (class assignment when materialising datasets).
+//! partition), and fast Categorical sampling (class assignment when
+//! materialising datasets).
 
 use crate::rng::Rng;
 
@@ -100,30 +100,6 @@ impl Gamma {
                 return d * v3;
             }
         }
-    }
-}
-
-/// Beta(a, b) via two Gamma draws.
-#[derive(Clone, Debug)]
-pub struct Beta {
-    ga: Gamma,
-    gb: Gamma,
-}
-
-impl Beta {
-    /// Create a Beta sampler; both shapes must be positive.
-    pub fn new(a: f64, b: f64) -> Self {
-        Beta {
-            ga: Gamma::new(a),
-            gb: Gamma::new(b),
-        }
-    }
-
-    /// Draw one sample in `(0, 1)`.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
-        let x = self.ga.sample(rng);
-        let y = self.gb.sample(rng);
-        x / (x + y)
     }
 }
 
@@ -297,16 +273,6 @@ mod tests {
         assert!((m - 0.3).abs() < 0.02, "mean {m}");
         assert!((v - 0.3).abs() < 0.05, "var {v}");
         assert!(xs.iter().all(|&x| x > 0.0));
-    }
-
-    #[test]
-    fn beta_moments() {
-        let mut rng = Xoshiro256pp::seed_from(4);
-        let d = Beta::new(2.0, 5.0);
-        let xs: Vec<f64> = (0..200_000).map(|_| d.sample(&mut rng)).collect();
-        let (m, _) = mean_var(&xs);
-        assert!((m - 2.0 / 7.0).abs() < 0.01, "mean {m}");
-        assert!(xs.iter().all(|&x| (0.0..=1.0).contains(&x)));
     }
 
     #[test]

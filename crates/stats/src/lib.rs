@@ -10,8 +10,8 @@
 //!
 //! * [`rng::Xoshiro256pp`] — the core generator, plus [`rng::split_seed`]
 //!   for deriving independent per-(round, client, purpose) streams;
-//! * [`dist`] — Normal (Box–Muller), Gamma (Marsaglia–Tsang), Dirichlet,
-//!   Beta, and Categorical (alias-method) samplers, which back the paper's
+//! * [`dist`] — Normal (Box–Muller), Gamma (Marsaglia–Tsang), Dirichlet
+//!   and Categorical (alias-method) samplers, which back the paper's
 //!   Dirichlet data partitions and synthetic datasets;
 //! * [`describe`] — descriptive statistics (mean/variance/quantiles/Gini)
 //!   used by the analysis and experiment crates, and the paired-seed

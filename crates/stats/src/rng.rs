@@ -158,10 +158,6 @@ pub mod stream {
         PARTITION_PAPER = 0x9A27;
         /// `data::partition`: the FedGrab partition, keyed alike.
         PARTITION_FEDGRAB = 0xFED6;
-        /// `data::partition`: the CReFF partition, keyed alike.
-        PARTITION_CREFF = 0xCEFF_0002;
-        /// `longtail::creff`: the re-trained classifier head's init.
-        CREFF_HEAD = 0xCEFF;
         /// `he::protocol`: key generation (`0`) and per-client
         /// encryption noise (`1 + client`).
         HE_PROTOCOL = 0x4E1;

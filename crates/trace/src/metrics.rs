@@ -134,11 +134,6 @@ impl MetricsRegistry {
             m.insert(e.name.clone(), e.value.clone());
         }
     }
-
-    /// Drop every metric.
-    pub fn reset(&self) {
-        lock_recover(&self.inner).clear();
-    }
 }
 
 /// Frozen registry state: entries sorted by metric name.
