@@ -1,40 +1,64 @@
 //! Integration: the HE aggregation protocol plugged into FedWCM's
-//! global-information-gathering phase must be transparent — identical
-//! scores, temperature, and weights as the clear-text path.
+//! global-information-gathering phase must be transparent — the same
+//! global distribution, scores and temperature as the clear-text path,
+//! bit for bit.
 
-use fedwcm_suite::core::{client_scores, imbalance_degree, temperature};
+use fedwcm_experiments::{ExpConfig, Scale};
+use fedwcm_suite::core::{
+    client_scores, client_scores_literal, global_distribution, imbalance_degree, temperature,
+};
 use fedwcm_suite::he::protocol::aggregate_distributions;
 use fedwcm_suite::he::rlwe::RlweParams;
 use fedwcm_suite::prelude::*;
 
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The smoke tasks `tests/method_digests.rs` pins: FashionMNIST, seed
+/// 3001, on the paper and the FedGrab partition.
+fn digest_tasks() -> [ExpConfig; 2] {
+    let paper = ExpConfig::new(DatasetPreset::FashionMnist, 0.1, 0.3, Scale::Smoke, 3001);
+    let fedgrab = ExpConfig {
+        fedgrab_partition: true,
+        ..paper.clone()
+    };
+    [paper, fedgrab]
+}
+
 #[test]
 fn he_distribution_matches_cleartext_everywhere() {
-    let spec = DatasetPreset::Cifar10.spec();
-    let counts = longtail_counts(10, 120, 0.1);
-    let train = spec.generate_train(&counts, 55);
-    let views = paper_partition(&train, 15, 0.1, 55).views(&train);
+    for exp in digest_tasks() {
+        let task = exp.prepare();
+        let views = task.partition.views(&task.train);
+        let classes = task.train.classes();
 
-    // Clear-text path.
-    let clear = fedwcm_suite::core::global_distribution(&views, 10);
+        // Clear-text path.
+        let clear = global_distribution(&views, classes);
 
-    // Encrypted path.
-    let payloads: Vec<Vec<usize>> = views.iter().map(|v| v.class_counts().to_vec()).collect();
-    let (agg, report) = aggregate_distributions(&payloads, RlweParams::default_params(), 55);
-    let total: usize = agg.iter().sum();
-    let he_dist: Vec<f64> = agg.iter().map(|&n| n as f64 / total as f64).collect();
+        // Encrypted path.
+        let payloads = task.partition.counts_matrix(&task.train);
+        let (agg, report) =
+            aggregate_distributions(&payloads, RlweParams::default_params(), exp.seed);
+        assert_eq!(report.clients, views.len());
+        let total: usize = agg.iter().sum();
+        let he_dist: Vec<f64> = agg.iter().map(|&n| n as f64 / total as f64).collect();
+        assert_eq!(bits(&clear), bits(&he_dist));
 
-    for (a, b) in clear.iter().zip(&he_dist) {
-        assert!((a - b).abs() < 1e-12, "distributions differ: {a} vs {b}");
+        // Downstream quantities are identical too.
+        let target = vec![1.0 / classes as f64; classes];
+        for scores in [client_scores, client_scores_literal] {
+            assert_eq!(
+                bits(&scores(&views, &clear, &target)),
+                bits(&scores(&views, &he_dist, &target))
+            );
+        }
+        assert_eq!(
+            temperature(&clear, &target).to_bits(),
+            temperature(&he_dist, &target).to_bits()
+        );
+        assert!(imbalance_degree(&he_dist, &target) > 0.1);
     }
-    assert_eq!(report.clients, 15);
-
-    // Downstream quantities are identical too.
-    let target = vec![0.1f64; 10];
-    let s_clear = client_scores(&views, &clear, &target);
-    let s_he = client_scores(&views, &he_dist, &target);
-    assert_eq!(s_clear, s_he);
-    assert_eq!(temperature(&clear, &target), temperature(&he_dist, &target));
-    assert!(imbalance_degree(&he_dist, &target) > 0.1);
 }
 
 #[test]
