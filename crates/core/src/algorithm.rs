@@ -13,8 +13,10 @@
 //! uses `B̂` in place of the cohort's mean step count.
 
 use crate::adaptive::{adaptive_alpha, score_ratio, ALPHA_MIN};
-use crate::score::{client_scores, global_distribution, imbalance_degree, temperature};
+use crate::prior::ClassPrior;
+use crate::score::ScoreForm;
 use crate::weighting::{aggregation_weights, volume_adjusted_weights};
+use fedwcm_data::dataset::ClientView;
 use fedwcm_fl::algorithm::{
     server_step, uniform_average, weighted_average, FederatedAlgorithm, RoundInput, RoundLog,
     StateError,
@@ -30,8 +32,6 @@ pub const FIXED_TEMPERATURE: f64 = 0.05;
 /// Configuration / ablation switches for FedWCM.
 #[derive(Clone, Debug)]
 pub struct FedWcmOptions {
-    /// Target distribution `p̂` (None = uniform, the paper default).
-    pub target: Option<Vec<f64>>,
     /// Adapt the momentum value per Eq. (5); `false` pins α = 0.1
     /// (ablation 1 in DESIGN.md).
     pub adaptive_alpha: bool,
@@ -41,31 +41,28 @@ pub struct FedWcmOptions {
     /// Adapt the temperature to global imbalance; `false` uses
     /// [`FIXED_TEMPERATURE`] (ablation 3).
     pub adaptive_temperature: bool,
-    /// Use the literal Eq. (3) absolute deviation instead of the rectified
-    /// scarcity score (ablation; see `score::client_scores`).
-    pub literal_scores: bool,
 }
 
 impl Default for FedWcmOptions {
     fn default() -> Self {
         FedWcmOptions {
-            target: None,
             adaptive_alpha: true,
             weighted_aggregation: true,
             adaptive_temperature: true,
-            literal_scores: false,
         }
     }
 }
 
-/// State computed once from the client views (the paper's "global
-/// information gathering" phase, §5.1).
-struct GlobalInfo {
-    scores: Vec<f64>,
-    mean_score: f64,
-    imbalance: f64,
-    temperature: f64,
-    classes: usize,
+impl FedWcmOptions {
+    /// Eq. (4)'s temperature: the prior's, or [`FIXED_TEMPERATURE`] under
+    /// ablation 3.
+    fn temperature(&self, prior: &ClassPrior) -> f64 {
+        if self.adaptive_temperature {
+            prior.temperature()
+        } else {
+            FIXED_TEMPERATURE
+        }
+    }
 }
 
 /// FedWCM (Algorithm 1): weighted, adaptively-damped client momentum;
@@ -75,7 +72,8 @@ pub struct FedWcm {
     loss: Arc<dyn Loss>,
     momentum: Vec<f32>,
     alpha: f32,
-    info: Option<GlobalInfo>,
+    /// The paper's "global information gathering" phase (§5.1).
+    prior: Option<ClassPrior>,
     /// FedWCM-X's `B̂`: the equal-split local step count.
     standard_batches: Option<usize>,
 }
@@ -93,7 +91,7 @@ impl FedWcm {
             loss: Arc::new(CrossEntropy),
             momentum: Vec::new(),
             alpha: ALPHA_MIN as f32,
-            info: None,
+            prior: None,
             standard_batches: None,
         }
     }
@@ -127,53 +125,41 @@ impl FedWcm {
         self
     }
 
+    /// Train on `prior`, e.g. the one §5.5's encrypted exchange returns.
+    pub fn with_prior(mut self, prior: ClassPrior) -> Self {
+        self.prior = Some(prior);
+        self
+    }
+
+    /// The class prior this FedWCM trains on, once it has one.
+    pub fn prior(&self) -> Option<&ClassPrior> {
+        self.prior.as_ref()
+    }
+
     /// The momentum value α that will be used in the **next** round.
     pub fn current_alpha(&self) -> f32 {
         self.alpha
     }
 
-    /// Precompute scores/temperature from the client views. Called lazily
-    /// on the first aggregation; exposed for tests and analysis.
-    pub fn prepare(&mut self, views: &[fedwcm_data::dataset::ClientView], classes: usize) {
-        let global = global_distribution(views, classes);
-        let target = self
-            .options
-            .target
-            .clone()
-            .unwrap_or_else(|| vec![1.0 / classes as f64; classes]);
-        assert_eq!(target.len(), classes, "target distribution arity");
-        let scores = if self.options.literal_scores {
-            crate::score::client_scores_literal(views, &global, &target)
-        } else {
-            client_scores(views, &global, &target)
-        };
-        let mean_score = scores.iter().sum::<f64>() / scores.len().max(1) as f64;
-        let imbalance = imbalance_degree(&global, &target);
-        let temp = if self.options.adaptive_temperature {
-            temperature(&global, &target)
-        } else {
-            FIXED_TEMPERATURE
-        };
-        self.info = Some(GlobalInfo {
-            scores,
-            mean_score,
-            imbalance,
-            temperature: temp,
-            classes,
-        });
+    /// Build the rectified prior from every client's class counts, read
+    /// in the clear. A FedWCM built without [`FedWcm::with_prior`] does
+    /// this on its first aggregation, from the round's views.
+    pub fn prepare(&mut self, views: &[ClientView], classes: usize) {
+        self.prior = Some(plaintext_prior(views, classes));
     }
+}
 
-    #[expect(
-        clippy::expect_used,
-        reason = "documented trait contract: the engine always calls prepare_round \
-                  before any accessor; a cold call is a harness sequencing bug \
-                  worth crashing on"
-    )]
-    fn info(&self) -> &GlobalInfo {
-        self.info
-            .as_ref()
-            .expect("FedWCM used before prepare/aggregate")
+/// The rectified prior of the views' summed class counts.
+fn plaintext_prior(views: &[ClientView], classes: usize) -> ClassPrior {
+    let mut global = vec![0usize; classes];
+    for v in views {
+        global
+            .iter_mut()
+            .zip(v.class_counts())
+            .for_each(|(g, &n)| *g += n);
     }
+    let clients = views.iter().map(ClientView::class_counts);
+    ClassPrior::new(&global, clients, ScoreForm::Rectified)
 }
 
 impl Default for FedWcm {
@@ -212,24 +198,23 @@ impl FederatedAlgorithm for FedWcm {
     }
 
     fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-        if self.info.is_none() {
-            let classes = input.views[0].class_counts().len();
-            self.prepare(input.views, classes);
-        }
+        let prior = self.prior.get_or_insert_with(|| {
+            plaintext_prior(input.views, input.views[0].class_counts().len())
+        });
         if self.momentum.is_empty() {
             self.momentum = vec![0.0f32; global.len()];
         }
 
         let used_alpha = self.alpha as f64;
+        let sampled: Vec<f64> = input
+            .updates
+            .iter()
+            .map(|u| prior.scores()[u.client])
+            .collect();
 
         // Eq. (4): weighted momentum aggregation over the sampled cohort.
         let weights = if self.options.weighted_aggregation {
-            let sampled: Vec<f64> = input
-                .updates
-                .iter()
-                .map(|u| self.info().scores[u.client])
-                .collect();
-            let mut w = aggregation_weights(&sampled, self.info().temperature);
+            let mut w = aggregation_weights(&sampled, self.options.temperature(prior));
             if self.standard_batches.is_some() {
                 // FedWCM-X: × data volume, renormalised.
                 let sizes: Vec<usize> = input.updates.iter().map(|u| u.num_samples).collect();
@@ -251,14 +236,8 @@ impl FederatedAlgorithm for FedWcm {
 
         // Eq. (5): momentum value for the next round.
         if self.options.adaptive_alpha {
-            let info = self.info();
-            let sampled: Vec<f64> = input
-                .updates
-                .iter()
-                .map(|u| info.scores[u.client])
-                .collect();
-            let q = score_ratio(&sampled, info.mean_score);
-            self.alpha = adaptive_alpha(info.imbalance, info.classes, q) as f32;
+            let q = score_ratio(&sampled, prior.mean_score());
+            self.alpha = adaptive_alpha(prior.imbalance(), prior.global().len(), q) as f32;
         }
 
         RoundLog {
@@ -268,10 +247,9 @@ impl FederatedAlgorithm for FedWcm {
     }
 
     // Cross-round state is the momentum buffer and the adapted α. The
-    // `GlobalInfo` cache is a pure function of the client views and is
-    // recomputed lazily on the first post-resume aggregation, so it is
-    // deliberately not serialized; FedWCM-X's `B̂` is construction-time
-    // configuration.
+    // class prior is set-up input (the builder's, or the one the first
+    // post-resume aggregation rebuilds from the views) and FedWCM-X's `B̂`
+    // is construction-time configuration, so neither is serialized.
     fn save_state(&self) -> Option<Vec<u8>> {
         let mut out = Vec::with_capacity(self.alpha.wire_len() + self.momentum.wire_len());
         self.alpha.put(&mut out);
@@ -425,43 +403,16 @@ mod tests {
     }
 
     #[test]
-    fn custom_target_distribution_changes_scoring() {
-        // §5.1: "users can adjust [the target] based on the prior
-        // distribution relevant to their specific application scenarios".
-        // With the target set to the actual global distribution, the
-        // imbalance vanishes and FedWCM degenerates to FedCM behaviour.
-        let (train, _, cfg) = task(98, 0.05);
-        let part = paper_partition(&train, cfg.clients, 0.6, cfg.seed);
-        let views = part.views(&train);
-        let global = crate::score::global_distribution(&views, 10);
-
-        let mut uniform_target = FedWcm::new();
-        uniform_target.prepare(&views, 10);
-        let mut matched_target = FedWcm::with_options(FedWcmOptions {
-            target: Some(global.clone()),
-            ..FedWcmOptions::default()
-        });
-        matched_target.prepare(&views, 10);
-
-        let u = uniform_target.info.as_ref().unwrap();
-        let m = matched_target.info.as_ref().unwrap();
-        assert!(u.imbalance > 0.2, "uniform target sees the long tail");
-        assert!(m.imbalance < 1e-9, "matched target sees no imbalance");
-        assert!(m.scores.iter().all(|&s| s < 1e-9));
-        assert!(m.temperature > u.temperature);
-    }
-
-    #[test]
     fn prepare_computes_scores_for_all_clients() {
         let (train, _, cfg) = task(97, 0.1);
         let part = paper_partition(&train, cfg.clients, 0.6, cfg.seed);
         let views = part.views(&train);
         let mut algo = FedWcm::new();
         algo.prepare(&views, 10);
-        let info = algo.info.as_ref().unwrap();
-        assert_eq!(info.scores.len(), cfg.clients);
-        assert!(info.imbalance > 0.1, "IF=0.1 should register imbalance");
-        assert!(info.temperature < 1.0, "temperature should sharpen");
+        let prior = algo.prior().unwrap();
+        assert_eq!(prior.scores().len(), cfg.clients);
+        assert!(prior.imbalance() > 0.1, "IF=0.1 should register imbalance");
+        assert!(prior.temperature() < 1.0, "temperature should sharpen");
     }
 
     #[test]
@@ -478,8 +429,8 @@ mod tests {
         fixed.prepare(&views, 10);
         let mut adaptive = FedWcm::new();
         adaptive.prepare(&views, 10);
-        let fixed_t = fixed.info.as_ref().unwrap().temperature;
-        let adaptive_t = adaptive.info.as_ref().unwrap().temperature;
+        let fixed_t = fixed.options.temperature(fixed.prior().unwrap());
+        let adaptive_t = adaptive.options.temperature(adaptive.prior().unwrap());
         assert_eq!(fixed_t.to_bits(), 0.05f64.to_bits());
         assert_ne!(adaptive_t.to_bits(), fixed_t.to_bits());
     }

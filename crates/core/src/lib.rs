@@ -16,6 +16,12 @@
 //!    scarce classes — trusting informative fresh gradients over the
 //!    possibly-biased accumulated momentum.
 //!
+//! Both read one [`ClassPrior`] built from class counts; the experiments
+//! build it from the counts §5.5's encrypted exchange returns (`fedwcm-he`)
+//! and pass it to [`FedWcm::with_prior`]. The one path that still reads
+//! every client's counts in the clear is [`FedWcm::prepare`], kept for the
+//! benchmark harness.
+//!
 //! ## Notation interpretation (documented deviations)
 //!
 //! * The paper's Eq. 5 factor `(1 − e^{−‖T/K‖₁})` is not fully specified;
@@ -28,9 +34,10 @@
 //! * Algorithm 1's `Δ_k = x_B − x_r` / `x ← x − η_g Δ` sign convention is
 //!   normalised as described in `fedwcm-fl` (gradient-scale deltas).
 //!
-//! Modules: [`score`] (Eq. 3 + temperature), [`weighting`] (Eq. 4),
-//! [`adaptive`] (Eq. 5), [`algorithm`] (FedWCM, Alg. 1, and FedWCM-X,
-//! Alg. 3 — the quantity-skew generalisation, built by [`FedWcm::x`]).
+//! Modules: [`prior`] (the class prior), [`score`] (Eq. 3 + temperature),
+//! [`weighting`] (Eq. 4), [`adaptive`] (Eq. 5), [`algorithm`] (FedWCM,
+//! Alg. 1, and FedWCM-X, Alg. 3 — the quantity-skew generalisation, built
+//! by [`FedWcm::x`]).
 
 #![warn(missing_docs)]
 // Library code (DESIGN.md §9): nothing `clippy.toml` lists outside test
@@ -48,11 +55,11 @@
 
 pub mod adaptive;
 pub mod algorithm;
+pub mod prior;
 pub mod score;
 pub mod weighting;
 
 pub use algorithm::{FedWcm, FedWcmOptions, FIXED_TEMPERATURE};
-pub use score::{
-    client_scores, client_scores_literal, global_distribution, imbalance_degree, temperature,
-};
+pub use prior::ClassPrior;
+pub use score::{imbalance_degree, temperature, ScoreForm};
 pub use weighting::aggregation_weights;

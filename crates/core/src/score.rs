@@ -1,78 +1,58 @@
-//! Global information gathering: scarcity scores (Eq. 3) and the
-//! imbalance-driven temperature.
+//! Eq. (3)'s scarcity score of one client's class counts, and the
+//! imbalance-driven temperature of Eq. (4). Both read the global class
+//! distribution of a [`ClassPrior`](crate::prior::ClassPrior), built from
+//! the counts §5.5's encrypted exchange returns; only
+//! [`FedWcm::prepare`](crate::FedWcm::prepare), kept for the benchmark
+//! harness, still sums every client's counts in the clear.
 
-use fedwcm_data::dataset::ClientView;
 use fedwcm_stats::describe::total_variation;
 
-/// Aggregate the global class distribution from client views (what the
-/// HE protocol of §5.5 computes privately; here the simulation server does
-/// it in the clear — see `fedwcm-he` for the encrypted path).
-pub fn global_distribution(views: &[ClientView], classes: usize) -> Vec<f64> {
-    let mut counts = vec![0usize; classes];
-    for v in views {
-        for (c, &n) in v.class_counts().iter().enumerate() {
-            counts[c] += n;
-        }
-    }
-    let total: usize = counts.iter().sum();
-    if total == 0 {
-        return vec![1.0 / classes as f64; classes];
-    }
-    counts.iter().map(|&n| n as f64 / total as f64).collect()
-}
-
-/// Eq. (3): client scarcity scores.
+/// Which reading of Eq. (3) scores a client.
 ///
 /// The paper writes `s_k = Σ_c |p̂_c − p_c| · n_{k,c} / Σ_c n_{k,c}` and
 /// states that "a higher score indicates that the client has more globally
 /// scarce data". Taken literally, the absolute value breaks that
 /// semantics: under a long tail the *head* class has the largest
 /// deviation `|p̂ − p|`, so head-rich clients would score highest — the
-/// opposite of the intent. We therefore use the **rectified deviation**
-/// `max(p̂_c − p_c, 0)`: only globally *under-represented* classes
-/// contribute, making the score exactly "the fraction of this client's
-/// data that is globally scarce, weighted by how scarce". Scores are
-/// non-negative (required by the `q_r` ratio in Eq. 5) and vanish when the
-/// global distribution matches the target. The literal variant is kept as
-/// [`client_scores_literal`] for the ablation benches.
-pub fn client_scores(views: &[ClientView], global: &[f64], target: &[f64]) -> Vec<f64> {
-    scores(views, global, target, |t, g| (t - g).max(0.0))
+/// opposite of the intent. The default therefore uses the **rectified
+/// deviation** `max(p̂_c − p_c, 0)`: only globally *under-represented*
+/// classes contribute, making the score exactly "the fraction of this
+/// client's data that is globally scarce, weighted by how scarce". Scores
+/// are non-negative (required by the `q_r` ratio in Eq. 5) and vanish when
+/// the global distribution matches the target. The literal form is kept
+/// for the ablation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ScoreForm {
+    /// `max(p̂_c − p_c, 0)`: the default.
+    Rectified,
+    /// `|p̂_c − p_c|`, Eq. (3) as printed.
+    Literal,
 }
 
-/// Eq. (3) taken literally (absolute deviation). Kept for the ablation
-/// benches; see [`client_scores`] for why the rectified form is the
-/// default.
-pub fn client_scores_literal(views: &[ClientView], global: &[f64], target: &[f64]) -> Vec<f64> {
-    scores(views, global, target, |t, g| (t - g).abs())
+impl ScoreForm {
+    /// Class `c`'s deviation from the target `p̂_c` of the global `p_c`.
+    pub(crate) fn deviation(self, target: f64, global: f64) -> f64 {
+        match self {
+            ScoreForm::Rectified => (target - global).max(0.0),
+            ScoreForm::Literal => (target - global).abs(),
+        }
+    }
 }
 
-/// Eq. (3) under a per-class `deviation(target, global)`: each client's
-/// count-weighted deviation over its sample count, 0 for an empty client.
-fn scores(
-    views: &[ClientView],
-    global: &[f64],
-    target: &[f64],
-    deviation: fn(f64, f64) -> f64,
-) -> Vec<f64> {
-    assert_eq!(global.len(), target.len(), "distribution supports differ");
-    let dev: Vec<f64> = target
+/// Eq. (3) for one client: its count-weighted per-class `deviation` over
+/// its sample count, 0 for an empty client.
+pub(crate) fn scarcity_score(counts: &[usize], deviation: &[f64]) -> f64 {
+    assert_eq!(counts.len(), deviation.len(), "class count mismatch");
+    let total: usize = counts.iter().sum();
+    if total == 0 {
+        return 0.0;
+    }
+    let weighted: f64 = counts
         .iter()
-        .zip(global)
-        .map(|(&t, &g)| deviation(t, g))
-        .collect();
-    views
-        .iter()
-        .map(|v| {
-            let counts = v.class_counts();
-            assert_eq!(counts.len(), dev.len(), "class count mismatch");
-            let total: usize = counts.iter().sum();
-            if total == 0 {
-                return 0.0;
-            }
-            let weighted: f64 = counts.iter().zip(&dev).map(|(&n, d)| n as f64 * d).sum();
-            weighted / total as f64
-        })
-        .collect()
+        .zip(deviation)
+        .map(|(&n, d)| n as f64 * d)
+        .sum();
+    weighted / total as f64
 }
 
 /// Global imbalance degree `D`: total-variation distance between the
@@ -98,42 +78,17 @@ pub fn temperature(global: &[f64], target: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedwcm_data::dataset::{ClientView, Dataset};
-    use fedwcm_tensor::Tensor;
+    use crate::prior::ClassPrior;
 
-    fn views_from_counts(counts: &[Vec<usize>]) -> (Dataset, Vec<ClientView>) {
-        // Build a dataset whose labels realise the requested counts.
-        let classes = counts[0].len();
-        let mut labels = Vec::new();
-        let mut owners = Vec::new();
-        for (k, row) in counts.iter().enumerate() {
-            for (c, &n) in row.iter().enumerate() {
-                for _ in 0..n {
-                    labels.push(c);
-                    owners.push(k);
-                }
-            }
-        }
-        let n = labels.len();
-        let ds = Dataset::new(Tensor::zeros(&[n, 2]), labels, classes);
-        let views = (0..counts.len())
-            .map(|k| {
-                let idx: Vec<usize> = owners
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &o)| o == k)
-                    .map(|(i, _)| i)
-                    .collect();
-                ClientView::new(idx, &ds)
-            })
-            .collect();
-        (ds, views)
+    /// The rectified prior of two clients holding `a` and `b`.
+    fn prior(a: [usize; 2], b: [usize; 2]) -> ClassPrior {
+        let global = [a[0] + b[0], a[1] + b[1]];
+        ClassPrior::new(&global, [&a[..], &b[..]], ScoreForm::Rectified)
     }
 
     #[test]
     fn global_distribution_sums_counts() {
-        let (_, views) = views_from_counts(&[vec![3, 1], vec![1, 5]]);
-        let g = global_distribution(&views, 2);
+        let g = prior([3, 1], [1, 5]).global().to_vec();
         assert!((g[0] - 0.4).abs() < 1e-12);
         assert!((g[1] - 0.6).abs() < 1e-12);
     }
@@ -141,36 +96,26 @@ mod tests {
     #[test]
     fn scarce_class_holders_score_higher() {
         // Class 1 is globally scarce; client 1 holds mostly class 1.
-        let (_, views) = views_from_counts(&[vec![90, 2], vec![2, 6]]);
-        let g = global_distribution(&views, 2);
-        let target = [0.5, 0.5];
-        let s = client_scores(&views, &g, &target);
+        let s = prior([90, 2], [2, 6]).scores().to_vec();
         assert!(s[1] > s[0], "minority-rich client must score higher: {s:?}");
     }
 
     #[test]
     fn balanced_global_gives_zero_scores() {
-        let (_, views) = views_from_counts(&[vec![10, 0], vec![0, 10]]);
-        let g = global_distribution(&views, 2);
-        let target = [0.5, 0.5];
         // Global is balanced even though clients are skewed.
-        let s = client_scores(&views, &g, &target);
+        let s = prior([10, 0], [0, 10]).scores().to_vec();
         assert!(s.iter().all(|&x| x.abs() < 1e-12), "{s:?}");
     }
 
     #[test]
     fn empty_client_scores_zero() {
-        let (ds, _) = views_from_counts(&[vec![2, 2]]);
-        let empty = ClientView::new(vec![], &ds);
-        let s = client_scores(&[empty], &[0.5, 0.5], &[0.5, 0.5]);
-        assert_eq!(s, vec![0.0]);
+        assert_eq!(prior([0, 0], [3, 1]).scores()[0], 0.0);
     }
 
     #[test]
     #[should_panic(expected = "class count mismatch")]
     fn literal_scores_check_the_class_count() {
-        let (_, views) = views_from_counts(&[vec![1, 1, 1]]);
-        client_scores_literal(&views, &[0.5, 0.5], &[0.5, 0.5]);
+        ClassPrior::new(&[1, 1], [&[1, 1, 1][..]], ScoreForm::Literal);
     }
 
     #[test]

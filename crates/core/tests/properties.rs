@@ -2,45 +2,18 @@
 //! over randomly generated federated configurations.
 
 use fedwcm_core::adaptive::{adaptive_alpha, score_ratio, ALPHA_MAX, ALPHA_MIN};
-use fedwcm_core::{
-    aggregation_weights, client_scores, global_distribution, imbalance_degree, temperature,
-};
-use fedwcm_data::dataset::{ClientView, Dataset};
-use fedwcm_tensor::Tensor;
+use fedwcm_core::{aggregation_weights, ClassPrior, ScoreForm};
 use proptest::prelude::*;
 
-/// Build a dataset + views realising an arbitrary client×class count
-/// matrix (rows of `counts`).
-fn views_from_counts(counts: &[Vec<usize>]) -> (Dataset, Vec<ClientView>) {
-    let classes = counts[0].len();
-    let mut labels = Vec::new();
-    let mut owners = Vec::new();
-    for (k, row) in counts.iter().enumerate() {
-        for (c, &n) in row.iter().enumerate() {
-            for _ in 0..n {
-                labels.push(c);
-                owners.push(k);
-            }
-        }
+/// The rectified prior of a client × class count matrix (rows of
+/// `counts`): what each client computes against the aggregate counts.
+fn prior_of(counts: &[Vec<usize>]) -> ClassPrior {
+    let mut global = vec![0; counts[0].len()];
+    for row in counts {
+        global.iter_mut().zip(row).for_each(|(g, &n)| *g += n);
     }
-    let n = labels.len().max(1);
-    if labels.is_empty() {
-        labels.push(0);
-        owners.push(0);
-    }
-    let ds = Dataset::new(Tensor::zeros(&[n, 2]), labels, classes);
-    let views = (0..counts.len())
-        .map(|k| {
-            let idx: Vec<usize> = owners
-                .iter()
-                .enumerate()
-                .filter(|&(_, &o)| o == k)
-                .map(|(i, _)| i)
-                .collect();
-            ClientView::new(idx, &ds)
-        })
-        .collect();
-    (ds, views)
+    let clients = counts.iter().map(Vec::as_slice);
+    ClassPrior::new(&global, clients, ScoreForm::Rectified)
 }
 
 fn counts_strategy() -> impl Strategy<Value = Vec<Vec<usize>>> {
@@ -61,12 +34,8 @@ proptest! {
 
     #[test]
     fn scores_nonnegative_and_bounded(counts in counts_strategy()) {
-        let (_, views) = views_from_counts(&counts);
-        let classes = counts[0].len();
-        let global = global_distribution(&views, classes);
-        let target = vec![1.0 / classes as f64; classes];
-        let scores = client_scores(&views, &global, &target);
-        prop_assert_eq!(scores.len(), views.len());
+        let scores = prior_of(&counts).scores().to_vec();
+        prop_assert_eq!(scores.len(), counts.len());
         for &s in &scores {
             prop_assert!((0.0..=1.0).contains(&s), "score {}", s);
         }
@@ -74,13 +43,9 @@ proptest! {
 
     #[test]
     fn weights_form_simplex(counts in counts_strategy()) {
-        let (_, views) = views_from_counts(&counts);
-        let classes = counts[0].len();
-        let global = global_distribution(&views, classes);
-        let target = vec![1.0 / classes as f64; classes];
-        let scores = client_scores(&views, &global, &target);
-        let t = temperature(&global, &target);
-        let w = aggregation_weights(&scores, t);
+        let prior = prior_of(&counts);
+        let scores = prior.scores();
+        let w = aggregation_weights(scores, prior.temperature());
         prop_assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-8);
         prop_assert!(w.iter().all(|&x| x > 0.0 && x.is_finite()));
         // Weight ordering follows score ordering.
@@ -128,17 +93,15 @@ proptest! {
         // Identical per-class counts on every client ⇒ uniform global ⇒
         // zero scores, huge temperature, uniform weights, α = base.
         let counts = vec![vec![per; classes]; clients];
-        let (_, views) = views_from_counts(&counts);
-        let global = global_distribution(&views, classes);
-        let target = vec![1.0 / classes as f64; classes];
-        prop_assert!(imbalance_degree(&global, &target) < 1e-9);
-        let scores = client_scores(&views, &global, &target);
+        let prior = prior_of(&counts);
+        prop_assert!(prior.imbalance() < 1e-9);
+        let scores = prior.scores();
         prop_assert!(scores.iter().all(|&s| s < 1e-9));
-        let w = aggregation_weights(&scores, temperature(&global, &target));
+        let w = aggregation_weights(scores, prior.temperature());
         for &x in &w {
             prop_assert!((x - 1.0 / clients as f64).abs() < 1e-6);
         }
-        let a = adaptive_alpha(0.0, classes, score_ratio(&scores, 0.0));
+        let a = adaptive_alpha(0.0, classes, score_ratio(scores, 0.0));
         prop_assert_eq!(a, ALPHA_MIN);
     }
 }

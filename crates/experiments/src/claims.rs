@@ -9,7 +9,7 @@ use crate::cli::{Cli, Scale};
 use crate::methods::{build_method, Method};
 use crate::report::run_seeds;
 use crate::setup::{ExpConfig, PreparedTask};
-use fedwcm_core::{FedWcm, FedWcmOptions};
+use fedwcm_core::{FedWcm, FedWcmOptions, ScoreForm};
 use fedwcm_data::synth::DatasetPreset;
 use fedwcm_fl::{FederatedAlgorithm, History};
 use fedwcm_stats::describe::{mean, paired_diff_ci, sign_test};
@@ -159,15 +159,16 @@ fn skewed(scale: Scale, seed: u64) -> ExpConfig {
     e
 }
 
-/// FedWCM with `off` applied to its default options.
-fn wcm_without(off: fn(&mut FedWcmOptions)) -> Box<dyn FederatedAlgorithm> {
+/// FedWCM on `task`'s prior with `off` applied to its default options.
+fn ablated(task: &PreparedTask, off: fn(&mut FedWcmOptions)) -> Box<dyn FederatedAlgorithm> {
     let mut options = FedWcmOptions::default();
     off(&mut options);
-    Box::new(FedWcm::with_options(options))
+    let prior = task.class_prior(ScoreForm::Rectified);
+    Box::new(FedWcm::with_options(options).with_prior(prior))
 }
 
 /// The claims, in paper order; the ablations switch off one
-/// [`FedWcmOptions`] mechanism each.
+/// [`FedWcmOptions`] mechanism each, or score Eq. (3) as printed.
 pub const LEDGER: [Claim; 13] = [
     Claim {
         id: "fig3-fedcm-beats-fedavg",
@@ -254,7 +255,7 @@ pub const LEDGER: [Claim; 13] = [
         id: "ablate-adaptive-alpha",
         paper: "DESIGN §4, Eq. (5)",
         a: Side(longtail, |t| build_method(Method::FedWcm, t)),
-        b: Side(longtail, |_| wcm_without(|o| o.adaptive_alpha = false)),
+        b: Side(longtail, |t| ablated(t, |o| o.adaptive_alpha = false)),
         stat: Stat::FinalAcc,
         margin: 0.0,
         smoke: None,
@@ -263,9 +264,7 @@ pub const LEDGER: [Claim; 13] = [
         id: "ablate-weighted-aggregation",
         paper: "DESIGN §4, Eq. (4)",
         a: Side(longtail, |t| build_method(Method::FedWcm, t)),
-        b: Side(longtail, |_| {
-            wcm_without(|o| o.weighted_aggregation = false)
-        }),
+        b: Side(longtail, |t| ablated(t, |o| o.weighted_aggregation = false)),
         stat: Stat::FinalAcc,
         margin: 0.0,
         smoke: None,
@@ -274,9 +273,7 @@ pub const LEDGER: [Claim; 13] = [
         id: "ablate-adaptive-temperature",
         paper: "DESIGN §4, temperature",
         a: Side(longtail, |t| build_method(Method::FedWcm, t)),
-        b: Side(longtail, |_| {
-            wcm_without(|o| o.adaptive_temperature = false)
-        }),
+        b: Side(longtail, |t| ablated(t, |o| o.adaptive_temperature = false)),
         stat: Stat::FinalAcc,
         margin: 0.0,
         smoke: None,
@@ -285,7 +282,9 @@ pub const LEDGER: [Claim; 13] = [
         id: "ablate-literal-scores",
         paper: "DESIGN §4, Eq. (3)",
         a: Side(longtail, |t| build_method(Method::FedWcm, t)),
-        b: Side(longtail, |_| wcm_without(|o| o.literal_scores = true)),
+        b: Side(longtail, |t| {
+            Box::new(FedWcm::new().with_prior(t.class_prior(ScoreForm::Literal)))
+        }),
         stat: Stat::FinalAcc,
         margin: 0.0,
         smoke: None,

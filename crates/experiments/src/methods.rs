@@ -4,7 +4,7 @@ use crate::setup::PreparedTask;
 use fedwcm_algos::{
     FedAvg, FedAvgM, FedCm, FedDyn, FedLesam, FedProx, FedSam, FedSmoo, FedSpeed, MoFedSam,
 };
-use fedwcm_core::{FedWcm, FedWcmOptions};
+use fedwcm_core::{FedWcm, ScoreForm};
 use fedwcm_fl::FederatedAlgorithm;
 use fedwcm_longtail::{fedcm_balance_loss, fedcm_balance_sampler, fedcm_focal, BalanceFl, FedGrab};
 
@@ -104,7 +104,8 @@ impl Method {
 }
 
 /// Instantiate a method for the given task (some need global counts or
-/// client counts from the task).
+/// client counts from the task; FedWCM and FedWCM-X train on
+/// [`PreparedTask::class_prior`]).
 pub fn build_method(method: Method, task: &PreparedTask) -> Box<dyn FederatedAlgorithm> {
     match method {
         Method::FedAvg => Box::new(FedAvg::new()),
@@ -116,8 +117,12 @@ pub fn build_method(method: Method, task: &PreparedTask) -> Box<dyn FederatedAlg
             Box::new(fedcm_balance_loss(FEDCM_ALPHA, &task.global_counts()))
         }
         Method::FedCmBalanceSampler => Box::new(fedcm_balance_sampler(FEDCM_ALPHA)),
-        Method::FedWcm => Box::new(FedWcm::with_options(FedWcmOptions::default())),
-        Method::FedWcmX => Box::new(FedWcm::x(task.standard_batches())),
+        Method::FedWcm => {
+            Box::new(FedWcm::new().with_prior(task.class_prior(ScoreForm::Rectified)))
+        }
+        Method::FedWcmX => Box::new(
+            FedWcm::x(task.standard_batches()).with_prior(task.class_prior(ScoreForm::Rectified)),
+        ),
         Method::FedProx => Box::new(FedProx::new(0.01)),
         Method::Scaffold => Box::new(fedwcm_algos::Scaffold::new(task.fl.clients)),
         Method::FedDyn => Box::new(FedDyn::new(0.1, task.fl.clients)),
@@ -137,6 +142,8 @@ mod tests {
     use crate::cli::Scale;
     use crate::setup::ExpConfig;
     use fedwcm_data::synth::DatasetPreset;
+    use fedwcm_fl::algorithm::RoundInput;
+    use fedwcm_fl::client::ClientUpdate;
 
     #[test]
     fn every_method_instantiates_and_labels() {
@@ -146,6 +153,35 @@ mod tests {
             let algo = build_method(m, &task);
             assert!(!algo.name().is_empty());
             assert!(!m.label().is_empty());
+        }
+    }
+
+    #[test]
+    fn fedwcm_builds_aggregate_a_round_without_views() {
+        // They carry the HE-built prior: no experiment reaches the lazy
+        // path that reads `RoundInput::views`.
+        let exp = ExpConfig::new(DatasetPreset::FashionMnist, 0.1, 0.3, Scale::Smoke, 9);
+        let task = exp.prepare();
+        let update = |client| ClientUpdate {
+            client,
+            delta: vec![1.0; 4],
+            num_samples: 10,
+            num_batches: 1,
+            avg_loss: 0.0,
+            extra: None,
+        };
+        for m in [Method::FedWcm, Method::FedWcmX] {
+            let updates = vec![update(1), update(4)];
+            let input = RoundInput {
+                round: 0,
+                cfg: &task.fl,
+                updates,
+                views: &[],
+            };
+            let mut global = vec![0.0f32; 4];
+            let log = build_method(m, &task).aggregate(&mut global, &input);
+            assert_eq!(log.weights.map(|w| w.len()), Some(2), "{}", m.label());
+            assert!(global.iter().all(|g| g.is_finite() && *g != 0.0));
         }
     }
 }

@@ -2,6 +2,7 @@
 //! and the FL configuration — per preset and scale.
 
 use crate::cli::Scale;
+use fedwcm_core::{ClassPrior, ScoreForm};
 use fedwcm_data::dataset::Dataset;
 use fedwcm_data::longtail::longtail_counts_with_total;
 use fedwcm_data::partition::{fedgrab_partition, paper_partition, Partition};
@@ -9,6 +10,8 @@ use fedwcm_data::synth::{DatasetPreset, FeatureShape};
 use fedwcm_fl::client::ModelFactory;
 use fedwcm_fl::Cadence;
 use fedwcm_fl::{FlConfig, Simulation};
+use fedwcm_he::protocol::aggregate_distributions;
+use fedwcm_he::rlwe::RlweParams;
 use fedwcm_nn::models::{mlp, res_lite};
 use fedwcm_stats::Xoshiro256pp;
 
@@ -148,6 +151,16 @@ impl PreparedTask {
     /// Global training class counts (prior analyzers, Balance Loss).
     pub fn global_counts(&self) -> Vec<usize> {
         self.train.class_counts()
+    }
+
+    /// FedWCM's class prior through §5.5's exchange: the clients' counts
+    /// are encrypted, summed and decrypted under the task seed (on the HE
+    /// stream, so no training draw moves), and each client scores its own.
+    pub fn class_prior(&self, form: ScoreForm) -> ClassPrior {
+        let counts = self.partition.counts_matrix(&self.train);
+        let (global, _) =
+            aggregate_distributions(&counts, RlweParams::default_params(), self.exp.seed);
+        ClassPrior::new(&global, counts.iter().map(Vec::as_slice), form)
     }
 
     /// The reference local step count `B̂` for FedWCM-X.

@@ -12,8 +12,9 @@ pub struct RoundInput<'a> {
     pub cfg: &'a FlConfig,
     /// Updates from the sampled clients, in client-id order.
     pub updates: Vec<ClientUpdate>,
-    /// All client views (indexable by client id) — FedWCM's weighting needs
-    /// the sampled clients' class counts, and the global distribution.
+    /// All client views (indexable by client id). Only a FedWCM built
+    /// without a class prior reads them, to build one in the clear on its
+    /// first aggregation.
     pub views: &'a [ClientView],
 }
 

@@ -9,7 +9,8 @@
 //! cargo run --release --example custom_algorithm
 //! ```
 
-use fedwcm_suite::core::{aggregation_weights, client_scores, global_distribution, temperature};
+use fedwcm_suite::core::{aggregation_weights, ClassPrior, ScoreForm};
+use fedwcm_suite::data::dataset::ClientView;
 use fedwcm_suite::fl::algorithm::{server_step, weighted_average, RoundInput, RoundLog};
 use fedwcm_suite::fl::client::{run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
 use fedwcm_suite::nn::loss::CrossEntropy;
@@ -17,19 +18,7 @@ use fedwcm_suite::prelude::*;
 
 /// Score-weighted FedAvg: Eq. (3)/(4) weighting, no momentum.
 struct WeightedFedAvg {
-    scores: Vec<f64>,
-    temp: f64,
-    prepared: bool,
-}
-
-impl WeightedFedAvg {
-    fn new() -> Self {
-        WeightedFedAvg {
-            scores: Vec::new(),
-            temp: 1.0,
-            prepared: false,
-        }
-    }
+    prior: ClassPrior,
 }
 
 impl FederatedAlgorithm for WeightedFedAvg {
@@ -49,20 +38,12 @@ impl FederatedAlgorithm for WeightedFedAvg {
     }
 
     fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-        if !self.prepared {
-            let classes = input.views[0].class_counts().len();
-            let dist = global_distribution(input.views, classes);
-            let target = vec![1.0 / classes as f64; classes];
-            self.scores = client_scores(input.views, &dist, &target);
-            self.temp = temperature(&dist, &target);
-            self.prepared = true;
-        }
         let sampled: Vec<f64> = input
             .updates
             .iter()
-            .map(|u| self.scores[u.client])
+            .map(|u| self.prior.scores()[u.client])
             .collect();
-        let w = aggregation_weights(&sampled, self.temp);
+        let w = aggregation_weights(&sampled, self.prior.temperature());
         let mut dir = vec![0.0f32; global.len()];
         weighted_average(&input.updates, &w, &mut dir);
         server_step(global, &dir, input.cfg, input.mean_batches());
@@ -84,6 +65,10 @@ fn main() {
     cfg.rounds = 30;
     cfg.eval_every = 6;
     let views = paper_partition(&train, cfg.clients, 0.3, cfg.seed).views(&train);
+    // The global counts here are the dataset's; in the paper's protocol
+    // they come out of the encrypted exchange (`private_distribution`).
+    let clients = views.iter().map(ClientView::class_counts);
+    let prior = ClassPrior::new(&train.class_counts(), clients, ScoreForm::Rectified);
     let sim = Simulation::new(
         cfg,
         &train,
@@ -97,8 +82,10 @@ fn main() {
 
     for algo in [
         Box::new(FedAvg::new()) as Box<dyn FederatedAlgorithm>,
-        Box::new(WeightedFedAvg::new()),
-        Box::new(FedWcm::new()),
+        Box::new(WeightedFedAvg {
+            prior: prior.clone(),
+        }),
+        Box::new(FedWcm::new().with_prior(prior)),
     ] {
         let mut algo = algo;
         let h = sim.run(algo.as_mut());

@@ -2,12 +2,15 @@
 //! Appendix C): clients encrypt their local class counts with the RLWE
 //! additively-homomorphic scheme; the server aggregates ciphertexts
 //! without decrypting; a designated key-holder recovers only the global
-//! distribution — which then drives FedWCM's scores and temperature.
+//! distribution — from which each client scores its own counts. The
+//! experiments build every FedWCM's prior through this exchange
+//! (`PreparedTask::class_prior`).
 //!
 //! ```sh
 //! cargo run --release --example private_distribution
 //! ```
 
+use fedwcm_suite::core::{ClassPrior, ScoreForm};
 use fedwcm_suite::he::protocol::aggregate_distributions;
 use fedwcm_suite::he::rlwe::RlweParams;
 use fedwcm_suite::prelude::*;
@@ -18,10 +21,9 @@ fn main() {
     let counts = longtail_counts(10, 150, 0.1);
     let train = spec.generate_train(&counts, 7);
     let partition = paper_partition(&train, 10, 0.1, 7);
-    let views = partition.views(&train);
 
     // Each client's private payload: its local class-count vector.
-    let client_counts: Vec<Vec<usize>> = views.iter().map(|v| v.class_counts().to_vec()).collect();
+    let client_counts = partition.counts_matrix(&train);
     println!(
         "client 0 local counts (stays private): {:?}",
         client_counts[0]
@@ -54,14 +56,11 @@ fn main() {
         report.aggregate_seconds * 1e3
     );
 
-    // Feed the (privately obtained) distribution into FedWCM's scoring.
-    let classes = train.classes();
-    let total: usize = global.iter().sum();
-    let dist: Vec<f64> = global.iter().map(|&n| n as f64 / total as f64).collect();
-    let target = vec![1.0 / classes as f64; classes];
-    let scores = fedwcm_suite::core::client_scores(&views, &dist, &target);
+    // Each client scores its own counts against the decrypted aggregate.
+    let clients = client_counts.iter().map(Vec::as_slice);
+    let prior = ClassPrior::new(&global, clients, ScoreForm::Rectified);
     println!("\nFedWCM scarcity scores derived from the private aggregate:");
-    for (k, s) in scores.iter().enumerate() {
+    for (k, s) in prior.scores().iter().enumerate() {
         println!("  client {k}: {s:.4}");
     }
 }

@@ -1,63 +1,49 @@
 //! Integration: the HE aggregation protocol plugged into FedWCM's
-//! global-information-gathering phase must be transparent — the same
-//! global distribution, scores and temperature as the clear-text path,
-//! bit for bit.
+//! global-information-gathering phase must be transparent — the class
+//! prior built from the decrypted counts equals the one `FedWcm::prepare`
+//! builds from the client views in the clear, bit for bit.
 
 use fedwcm_experiments::{ExpConfig, Scale};
-use fedwcm_suite::core::{
-    client_scores, client_scores_literal, global_distribution, imbalance_degree, temperature,
-};
+use fedwcm_suite::core::{ClassPrior, ScoreForm};
+use fedwcm_suite::data::dataset::ClientView;
 use fedwcm_suite::he::protocol::aggregate_distributions;
 use fedwcm_suite::he::rlwe::RlweParams;
 use fedwcm_suite::prelude::*;
 
-fn bits(v: &[f64]) -> Vec<u64> {
-    v.iter().map(|x| x.to_bits()).collect()
+/// Every value of `prior` as bits: the distribution, the scores, then
+/// the mean score, imbalance and temperature.
+fn bits(prior: &ClassPrior) -> Vec<u64> {
+    let derived = [prior.mean_score(), prior.imbalance(), prior.temperature()];
+    let values = prior.global().iter().chain(prior.scores()).chain(&derived);
+    values.map(|x| x.to_bits()).collect()
 }
 
-/// The smoke tasks `tests/method_digests.rs` pins: FashionMNIST, seed
-/// 3001, on the paper and the FedGrab partition.
-fn digest_tasks() -> [ExpConfig; 2] {
+#[test]
+fn he_distribution_matches_cleartext_everywhere() {
+    // The smoke tasks `tests/method_digests.rs` pins: FashionMNIST, seed
+    // 3001, on the paper and the FedGrab partition.
     let paper = ExpConfig::new(DatasetPreset::FashionMnist, 0.1, 0.3, Scale::Smoke, 3001);
     let fedgrab = ExpConfig {
         fedgrab_partition: true,
         ..paper.clone()
     };
-    [paper, fedgrab]
-}
-
-#[test]
-fn he_distribution_matches_cleartext_everywhere() {
-    for exp in digest_tasks() {
+    for exp in [paper, fedgrab] {
         let task = exp.prepare();
         let views = task.partition.views(&task.train);
-        let classes = task.train.classes();
 
-        // Clear-text path.
-        let clear = global_distribution(&views, classes);
+        // Clear-text path: the views, through `prepare`.
+        let mut wcm = FedWcm::new();
+        wcm.prepare(&views, task.train.classes());
 
-        // Encrypted path.
-        let payloads = task.partition.counts_matrix(&task.train);
-        let (agg, report) =
-            aggregate_distributions(&payloads, RlweParams::default_params(), exp.seed);
-        assert_eq!(report.clients, views.len());
-        let total: usize = agg.iter().sum();
-        let he_dist: Vec<f64> = agg.iter().map(|&n| n as f64 / total as f64).collect();
-        assert_eq!(bits(&clear), bits(&he_dist));
+        // Encrypted path: the prior every experiment's FedWCM trains on.
+        let he = task.class_prior(ScoreForm::Rectified);
+        assert_eq!(bits(wcm.prior().unwrap()), bits(&he));
+        assert!(he.imbalance() > 0.1);
 
-        // Downstream quantities are identical too.
-        let target = vec![1.0 / classes as f64; classes];
-        for scores in [client_scores, client_scores_literal] {
-            assert_eq!(
-                bits(&scores(&views, &clear, &target)),
-                bits(&scores(&views, &he_dist, &target))
-            );
-        }
-        assert_eq!(
-            temperature(&clear, &target).to_bits(),
-            temperature(&he_dist, &target).to_bits()
-        );
-        assert!(imbalance_degree(&he_dist, &target) > 0.1);
+        // The literal Eq. (3) ablation's prior too.
+        let clients = views.iter().map(ClientView::class_counts);
+        let literal = ClassPrior::new(&task.train.class_counts(), clients, ScoreForm::Literal);
+        assert_eq!(bits(&literal), bits(&task.class_prior(ScoreForm::Literal)));
     }
 }
 
