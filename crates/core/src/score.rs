@@ -21,7 +21,7 @@ use fedwcm_stats::describe::total_variation;
 /// are non-negative (required by the `q_r` ratio in Eq. 5) and vanish when
 /// the global distribution matches the target. The literal form is kept
 /// for the ablation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub enum ScoreForm {
     /// `max(p̂_c − p_c, 0)`: the default.
     Rectified,
