@@ -158,8 +158,8 @@ mod tests {
 
     #[test]
     fn fedwcm_builds_aggregate_a_round_without_views() {
-        // They carry the HE-built prior: no experiment reaches the lazy
-        // path that reads `RoundInput::views`.
+        // Both builds carry the HE-built prior, so no experiment reaches
+        // the lazy path that reads `RoundInput::views`.
         let exp = ExpConfig::new(DatasetPreset::FashionMnist, 0.1, 0.3, Scale::Smoke, 9);
         let task = exp.prepare();
         let update = |client| ClientUpdate {
