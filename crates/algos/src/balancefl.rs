@@ -117,39 +117,12 @@ impl FederatedAlgorithm for BalanceFl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedwcm_data::longtail::longtail_counts;
-    use fedwcm_data::partition::paper_partition;
-    use fedwcm_data::synth::DatasetPreset;
-    use fedwcm_fl::{FlConfig, Simulation};
-    use fedwcm_nn::models::mlp;
-    use fedwcm_stats::Xoshiro256pp;
+    use crate::testutil::{build_sim, small_task};
 
     fn run_task(imb: f64, seed: u64, lambda: f32) -> f64 {
-        let spec = DatasetPreset::FashionMnist.spec();
-        let counts = longtail_counts(10, 70, imb);
-        let train = spec.generate_train(&counts, seed);
-        let test = spec.generate_test(seed);
-        let mut cfg = FlConfig::default_sim();
-        cfg.clients = 8;
-        cfg.participation = 0.5;
-        cfg.rounds = 12;
-        cfg.local_epochs = 2;
-        cfg.batch_size = 20;
-        cfg.eval_every = 4;
-        cfg.seed = seed;
-        let part = paper_partition(&train, cfg.clients, 0.3, cfg.seed);
-        let views = part.views(&train);
-        let sim = Simulation::new(
-            cfg,
-            &train,
-            &test,
-            views,
-            Box::new(|| {
-                let mut rng = Xoshiro256pp::seed_from(2024);
-                mlp(64, &[32], 10, &mut rng)
-            }),
-        );
-        sim.run(&mut BalanceFl::with_lambda(lambda))
+        let (train, test, cfg) = small_task(seed, imb);
+        build_sim(&train, &test, cfg, 0.3)
+            .run(&mut BalanceFl::with_lambda(lambda))
             .final_accuracy(1)
     }
 

@@ -1,7 +1,5 @@
-//! Baseline federated-learning algorithms.
-//!
-//! Every method the paper compares against (outside the long-tail-specific
-//! ones in `fedwcm-longtail`):
+//! Baseline federated-learning algorithms: every method the paper
+//! compares FedWCM against.
 //!
 //! * [`fedavg::FedAvg`] — McMahan et al., plain model averaging;
 //! * [`fedprox::FedProx`] — proximal local objective;
@@ -10,17 +8,26 @@
 //! * [`fedcm::FedCm`] — client-level momentum (the method FedWCM repairs),
 //!   with pluggable loss and sampler for the paper's "+Focal / +Balance
 //!   Loss / +Balance Sampler" variants;
+//! * [`balancefl::BalanceFl`] — balanced local update scheme (class-
+//!   balanced resampling + knowledge inheritance for locally-absent
+//!   classes), following Shuai et al. (IPSN 2022);
+//! * [`fedgrab::FedGrab`] — self-adjusting gradient balancer + direct
+//!   prior analysis, following Xiao et al. (NeurIPS 2024);
 //! * [`fedavgm::FedAvgM`] — server momentum (SlowMo-style);
 //! * [`mime::MimeLite`] — frozen-server-momentum local steps (Mime);
 //! * [`sam`] — the sharpness-aware family used in Appendix D: FedSAM,
 //!   MoFedSAM, and mechanism-faithful "lite" variants of FedSpeed,
 //!   FedSMOO, and FedLESAM.
+//!
+//! The long-tail methods keep each original's defining mechanism and are
+//! documented where they simplify secondary machinery (DESIGN.md §1).
 
 #![warn(missing_docs)]
-// Library code (DESIGN.md §9): nothing `clippy.toml` lists outside test
-// code and no panicking shortcut anywhere; an exemption is an
-// `#[expect(.., reason = "..")]` beside the code it excuses.
+// Library code (DESIGN.md §9): nothing `clippy.toml` lists and no unused
+// dependency outside test code, no panicking shortcut anywhere; an
+// exemption is an `#[expect(.., reason = "..")]` beside the code it excuses.
 #![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -30,19 +37,23 @@
     clippy::allow_attributes_without_reason
 )]
 
+pub mod balancefl;
 pub mod fedavg;
 pub mod fedavgm;
 pub mod fedcm;
 pub mod feddyn;
+pub mod fedgrab;
 pub mod fedprox;
 pub mod mime;
 pub mod sam;
 pub mod scaffold;
 
+pub use balancefl::BalanceFl;
 pub use fedavg::FedAvg;
 pub use fedavgm::FedAvgM;
 pub use fedcm::FedCm;
 pub use feddyn::FedDyn;
+pub use fedgrab::FedGrab;
 pub use fedprox::FedProx;
 pub use mime::MimeLite;
 pub use sam::{FedLesam, FedSam, FedSmoo, FedSpeed, MoFedSam};

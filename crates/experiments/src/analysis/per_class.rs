@@ -18,6 +18,11 @@ pub struct HeadTailSummary {
 
 /// Evaluate per-class accuracy and summarise head vs tail, where classes
 /// are ranked by `train_counts` (descending = head first).
+///
+/// The tail here is the rarer half of the classes by training count (the
+/// extra class of an odd count included). It is not the engine's
+/// `fl.acc.tail` gauge, which the claims ledger reads: that averages the
+/// last third of the class ids, 3 of 10 classes against this 5.
 pub fn head_tail_summary(
     model: &mut Model,
     test: &Dataset,

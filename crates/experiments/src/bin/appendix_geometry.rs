@@ -5,8 +5,8 @@
 //! variability — the quantities the neural-collapse analysis predicts
 //! momentum distorts.
 
-use fedwcm_analysis::geometry::{classifier_geometry, within_class_variability};
 use fedwcm_data::synth::DatasetPreset;
+use fedwcm_experiments::analysis::geometry::{classifier_geometry, within_class_variability};
 use fedwcm_experiments::methods::build_method;
 use fedwcm_experiments::{parse_args, ExpConfig, Method};
 

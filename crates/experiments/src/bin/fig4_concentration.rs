@@ -4,8 +4,8 @@
 //! spikes — the minority-collapse signature: spikes in concentration
 //! synchronised with accuracy crashes as IF shrinks.
 
-use fedwcm_analysis::spikes::{detect_spikes, spike_rate};
 use fedwcm_data::synth::DatasetPreset;
+use fedwcm_experiments::analysis::spikes::{detect_spikes, spike_rate};
 use fedwcm_experiments::collapse::{print_trace_csv, run_with_concentration};
 use fedwcm_experiments::{parse_args, ExpConfig, Method};
 

@@ -5,6 +5,9 @@ use fedwcm_data::synth::DatasetPreset;
 use fedwcm_experiments::report::{print_series, run_history};
 use fedwcm_experiments::{parse_args, ExpConfig, Method};
 
+/// The convergence target, as a share of the best method's best accuracy.
+const TARGET_SHARE: f64 = 0.85;
+
 fn main() {
     let cli = parse_args(std::env::args());
     let console = cli.console();
@@ -25,12 +28,15 @@ fn main() {
         console.info(format!("[fig7] {} done", m.label()));
     }
     print_series("Fig.7 accuracy curves (beta=0.6, IF=0.1)", &histories);
-    println!("\n# rounds to reach 60% of best-method accuracy:");
+    println!(
+        "\n# rounds to reach {:.0}% of best-method accuracy:",
+        TARGET_SHARE * 100.0
+    );
     let target = histories
         .iter()
         .map(|h| h.best_accuracy())
         .fold(0.0f64, f64::max)
-        * 0.85;
+        * TARGET_SHARE;
     for h in &histories {
         match h.rounds_to_reach(target) {
             Some(r) => println!("{}: round {r}", h.name),

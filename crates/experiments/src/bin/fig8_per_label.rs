@@ -1,8 +1,8 @@
 //! Figure 8: per-label accuracy of FedAvg / FedCM / FedWCM at β = 0.6,
 //! IF = 0.1 — FedWCM's tail-class advantage.
 
-use fedwcm_analysis::per_class::head_tail_summary;
 use fedwcm_data::synth::DatasetPreset;
+use fedwcm_experiments::analysis::per_class::head_tail_summary;
 use fedwcm_experiments::methods::build_method;
 use fedwcm_experiments::{parse_args, ExpConfig, Method};
 

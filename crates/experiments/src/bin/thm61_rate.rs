@@ -10,8 +10,8 @@
 //! fixed; only `--seed` applies.
 
 use fedwcm_algos::FedCm;
-use fedwcm_analysis::rate::{fit_power_law, grad_norms, mean_grad_norm};
 use fedwcm_data::synth::DatasetPreset;
+use fedwcm_experiments::analysis::rate::{fit_power_law, grad_norms, mean_grad_norm};
 use fedwcm_experiments::{build_method, parse_args, ExpConfig, Method, Scale};
 use fedwcm_fl::FederatedAlgorithm;
 use fedwcm_nn::loss::CrossEntropy;

@@ -2,10 +2,10 @@
 //! run a method while recording per-round mean and per-layer
 //! concentrations of the global model.
 
+use crate::analysis::concentration::layer_concentrations;
 use crate::cli::Cli;
 use crate::methods::{build_method, Method};
 use crate::setup::ExpConfig;
-use fedwcm_analysis::concentration::layer_concentrations;
 use fedwcm_fl::History;
 
 /// Samples used for each concentration evaluation.

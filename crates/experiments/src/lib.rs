@@ -3,7 +3,9 @@
 //! Every binary follows the same pattern: parse CLI flags ([`cli`]),
 //! build a federated task from a preset ([`setup`]), instantiate methods
 //! by name ([`methods`]), run, and print the table rows / figure series
-//! the paper reports ([`report`]).
+//! the paper reports ([`report`]). The diagnostics the figures read
+//! (concentration, geometry, per-class accuracy, spikes, the Theorem 6.1
+//! rate fit) live in [`analysis`].
 //!
 //! Scales: `--smoke` (seconds; CI), `--quick` (default; minutes),
 //! `--paper-scale` (the paper's client counts and round budgets; hours on
@@ -11,6 +13,7 @@
 
 #![warn(missing_docs)]
 
+pub mod analysis;
 pub mod claims;
 pub mod cli;
 pub mod collapse;

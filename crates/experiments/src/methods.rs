@@ -2,11 +2,13 @@
 
 use crate::setup::PreparedTask;
 use fedwcm_algos::{
-    FedAvg, FedAvgM, FedCm, FedDyn, FedLesam, FedProx, FedSam, FedSmoo, FedSpeed, MoFedSam,
+    BalanceFl, FedAvg, FedAvgM, FedCm, FedDyn, FedGrab, FedLesam, FedProx, FedSam, FedSmoo,
+    FedSpeed, MoFedSam,
 };
 use fedwcm_core::{FedWcm, ScoreForm};
 use fedwcm_fl::FederatedAlgorithm;
-use fedwcm_longtail::{fedcm_balance_loss, fedcm_balance_sampler, fedcm_focal, BalanceFl, FedGrab};
+use fedwcm_nn::loss::{BalancedSoftmax, FocalLoss};
+use std::sync::Arc;
 
 /// FedCM's paper-default momentum value.
 pub const FEDCM_ALPHA: f32 = 0.1;
@@ -112,11 +114,20 @@ pub fn build_method(method: Method, task: &PreparedTask) -> Box<dyn FederatedAlg
         Method::BalanceFl => Box::new(BalanceFl::new()),
         Method::FedGrab => Box::new(FedGrab::new(task.global_counts())),
         Method::FedCm => Box::new(FedCm::new(FEDCM_ALPHA)),
-        Method::FedCmFocal => Box::new(fedcm_focal(FEDCM_ALPHA)),
-        Method::FedCmBalanceLoss => {
-            Box::new(fedcm_balance_loss(FEDCM_ALPHA, &task.global_counts()))
-        }
-        Method::FedCmBalanceSampler => Box::new(fedcm_balance_sampler(FEDCM_ALPHA)),
+        // The paper's "naive integration" baselines: FedCM's chassis with a
+        // long-tail loss (Focal, γ = 2; Balanced-Softmax on the global
+        // prior) or the class-balanced sampler.
+        Method::FedCmFocal => Box::new(FedCm::with_loss(
+            FEDCM_ALPHA,
+            Arc::new(FocalLoss { gamma: 2.0 }),
+            "FedCM+FocalLoss",
+        )),
+        Method::FedCmBalanceLoss => Box::new(FedCm::with_loss(
+            FEDCM_ALPHA,
+            Arc::new(BalancedSoftmax::from_counts(&task.global_counts())),
+            "FedCM+BalanceLoss",
+        )),
+        Method::FedCmBalanceSampler => Box::new(FedCm::with_balanced_sampler(FEDCM_ALPHA)),
         Method::FedWcm => {
             Box::new(FedWcm::new().with_prior(task.class_prior(ScoreForm::Rectified)))
         }
@@ -150,9 +161,15 @@ mod tests {
         let exp = ExpConfig::new(DatasetPreset::FashionMnist, 0.5, 0.6, Scale::Smoke, 9);
         let task = exp.prepare();
         for m in Method::ALL {
-            let algo = build_method(m, &task);
-            assert!(!algo.name().is_empty());
-            assert!(!m.label().is_empty());
+            // The built method names itself by the paper's legend, or by the
+            // legend and its parameters (`FedProx(mu=0.01)`).
+            let name = build_method(m, &task).name();
+            let rest = name.strip_prefix(m.label());
+            assert!(
+                rest.is_some_and(|r| r.is_empty() || r.starts_with('(')),
+                "{m:?} builds {name:?}, legend {:?}",
+                m.label()
+            );
         }
     }
 

@@ -14,7 +14,9 @@ const EVAL_BATCH: usize = 256;
 /// accuracy, and — with a registry attached, from the same tally —
 /// per-class gauges plus the tail-mean gauge (the long-tail synthesis
 /// orders classes head to tail by frequency, so the final third of
-/// class ids is the tail).
+/// class ids, `classes / 3` of them, is the tail). Fig. 8's head/tail
+/// printout uses another tail, the rarer half of the classes by training
+/// count; the two numbers are not one statistic.
 pub(super) fn evaluate(
     ctx: &RoundCtx<'_>,
     model: &mut Model,

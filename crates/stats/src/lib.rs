@@ -18,10 +18,11 @@
 //!   interval and sign test a comparison of methods rests on.
 
 #![warn(missing_docs)]
-// Library code (DESIGN.md §9): nothing `clippy.toml` lists outside test
-// code and no panicking shortcut anywhere; an exemption is an
-// `#[expect(.., reason = "..")]` beside the code it excuses.
+// Library code (DESIGN.md §9): nothing `clippy.toml` lists and no unused
+// dependency outside test code, no panicking shortcut anywhere; an
+// exemption is an `#[expect(.., reason = "..")]` beside the code it excuses.
 #![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

@@ -98,7 +98,7 @@ const DR: usize = 2;
 /// dispatch is one scoped thread spawned and joined (≈ 90 µs on the
 /// 2-core reference host, and the helper's half runs ≈ 1.3× slow on a
 /// core that was idle), so the floor is where `gemm_par/into_2t` stops
-/// losing to `into_1t` in `crates/bench`'s kernels rows: always behind at
+/// losing to `into_1t` in `crates/nn/benches/kernels.rs`: always behind at
 /// `1 << 22`, even from 7.9 M to `1 << 24`, ahead from `1 << 25`
 /// (`results/par_flop_min.txt`). The unit tests keep the old floor so
 /// their small shapes still cut through the row-parallel path.

@@ -135,7 +135,8 @@ names! {
 
     /// Gauge: uploads currently waiting in the aggregation buffer.
     FL_CADENCE_BUFFERED = "fl.cadence.buffered";
-    /// Gauge: mean test accuracy over the tail third of classes.
+    /// Gauge: mean test accuracy over the last third of the class ids
+    /// (`classes / 3`, rounded down).
     FL_ACC_TAIL = "fl.acc.tail";
     /// Gauge name prefix: per-class accuracy, suffixed with the
     /// zero-padded class id (`fl.acc.class.07`).

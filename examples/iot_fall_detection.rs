@@ -11,7 +11,7 @@
 //! cargo run --release --example iot_fall_detection
 //! ```
 
-use fedwcm_suite::analysis::per_class::head_tail_summary;
+use fedwcm_experiments::analysis::per_class::head_tail_summary;
 use fedwcm_suite::prelude::*;
 
 const ACTIVITY_NAMES: [&str; 10] = [

@@ -4,11 +4,12 @@
 //! of Momentum-based Federated Learning in Long-Tailed Scenarios**
 //! (ICPP 2025), including every substrate the paper depends on: a neural-
 //! network library, synthetic long-tailed federated datasets, an FL
-//! simulation engine, eleven baseline algorithms, long-tail-specific
-//! methods, an RLWE additively-homomorphic aggregation protocol, and
-//! minority-collapse analysis tooling.
+//! simulation engine, eleven baseline algorithms and the long-tail-specific
+//! methods (`algos`), an RLWE additively-homomorphic aggregation protocol,
+//! and the experiment harness with its minority-collapse analysis tooling
+//! (`fedwcm-experiments`, linked here by the tests and examples only).
 //!
-//! This facade re-exports the workspace crates under stable paths:
+//! This facade re-exports the library crates under stable paths:
 //!
 //! ```
 //! use fedwcm_suite::prelude::*;
@@ -34,13 +35,11 @@
 #![warn(missing_docs)]
 
 pub use fedwcm_algos as algos;
-pub use fedwcm_analysis as analysis;
 pub use fedwcm_core as core;
 pub use fedwcm_data as data;
 pub use fedwcm_faults as faults;
 pub use fedwcm_fl as fl;
 pub use fedwcm_he as he;
-pub use fedwcm_longtail as longtail;
 pub use fedwcm_nn as nn;
 pub use fedwcm_obs as obs;
 pub use fedwcm_parallel as parallel;
@@ -51,7 +50,7 @@ pub use fedwcm_transport as transport;
 
 /// The most commonly used items in one import.
 pub mod prelude {
-    pub use fedwcm_algos::{FedAvg, FedCm, FedProx, Scaffold};
+    pub use fedwcm_algos::{BalanceFl, FedAvg, FedCm, FedGrab, FedProx, Scaffold};
     pub use fedwcm_core::{FedWcm, FedWcmOptions};
     pub use fedwcm_data::longtail::longtail_counts;
     pub use fedwcm_data::partition::{fedgrab_partition, paper_partition};
@@ -61,7 +60,6 @@ pub mod prelude {
     pub use fedwcm_fl::{
         Cadence, FederatedAlgorithm, FlConfig, History, ServerCheckpoint, Simulation,
     };
-    pub use fedwcm_longtail::{BalanceFl, FedGrab};
     pub use fedwcm_stats::{Rng, Xoshiro256pp};
     pub use fedwcm_tensor::Tensor;
     pub use fedwcm_trace::{

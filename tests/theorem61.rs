@@ -15,7 +15,7 @@
 //! first 20 rounds at two worker threads (CI diffs `thm61_rate`'s whole
 //! grid at 1 and 4).
 
-use fedwcm_analysis::rate::{fit_power_law, grad_norms, mean_grad_norm};
+use fedwcm_experiments::analysis::rate::{fit_power_law, grad_norms, mean_grad_norm};
 use fedwcm_experiments::{build_method, ExpConfig, Method, Scale};
 use fedwcm_nn::loss::CrossEntropy;
 use fedwcm_suite::data::synth::DatasetPreset;
