@@ -5,10 +5,34 @@
 //! `R^{−1/2}`, in the noiseless one like `R^{−1}`. [`grad_norms`] records
 //! `‖∇f(x_r)‖²` along a run of any shipped algorithm, and fitting
 //! `log y = a + b·log x` to its prefix means at several `R` recovers `b`.
+//! [`condition`] is the task `thm61_rate` and `tests/theorem61.rs` run.
 
+use crate::cli::Scale;
+use crate::setup::ExpConfig;
+use fedwcm_data::synth::DatasetPreset;
 use fedwcm_fl::{FederatedAlgorithm, Simulation};
 use fedwcm_nn::loss::Loss;
 use fedwcm_nn::model::Model;
+
+/// Training samples of the Theorem 6.1 task.
+pub const SAMPLES: usize = 400;
+/// The `R` at which the averaged gradient norm is read; one run of the
+/// last gives every other as a prefix mean.
+pub const GRID: [usize; 5] = [20, 40, 80, 160, 320];
+
+/// The Theorem 6.1 task at `seed`: the Fashion-MNIST preset's MLP,
+/// [`SAMPLES`] samples over eight clients of 40–52 each, every client
+/// sampled in each of the largest [`GRID`] `R` rounds. Every client takes
+/// K = 4 local steps: full-batch (noiseless) gradients over 4 epochs, or
+/// with `mini_batch` one epoch of 13-sample batches (noisy; `⌈n/13⌉ = 4`).
+pub fn condition(seed: u64, mini_batch: bool) -> ExpConfig {
+    let mut exp = ExpConfig::new(DatasetPreset::FashionMnist, 0.1, 0.3, Scale::Smoke, seed);
+    exp.train_total = SAMPLES;
+    exp.fl.participation = 1.0;
+    exp.fl.rounds = GRID[GRID.len() - 1];
+    (exp.fl.batch_size, exp.fl.local_epochs) = if mini_batch { (13, 1) } else { (SAMPLES, 4) };
+    exp
+}
 
 /// Least-squares fit of `y = c · x^b` via log-log regression.
 /// Returns `(exponent b, coefficient c)`. Requires positive data.

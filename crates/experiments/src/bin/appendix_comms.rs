@@ -21,8 +21,8 @@ fn main() {
         let exp = ExpConfig::new(preset, 0.1, 0.1, cli.scale, cli.seed);
         let task = exp.prepare();
         let params = (task.factory)().param_len();
-        let report = communication_report(&task.fl, params, true);
-        let he_total = he_bytes * task.fl.clients;
+        let report = communication_report(&task.exp.fl, params, true);
+        let he_total = he_bytes * task.exp.fl.clients;
         let share = 100.0 * he_total as f64
             / (report.up_bytes_per_round + report.down_bytes_per_round) as f64;
         println!(

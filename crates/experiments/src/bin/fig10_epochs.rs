@@ -18,7 +18,7 @@ fn main() {
     let mut rows = Vec::new();
     for &e in epochs {
         let mut exp = ExpConfig::new(DatasetPreset::Cifar10, 0.1, 0.6, cli.scale, cli.seed);
-        exp.local_epochs = e;
+        exp.fl.local_epochs = e;
         let values: Vec<f64> = methods
             .iter()
             .map(|&m| mean(&run_cell(&exp, m, &cli)))

@@ -30,7 +30,7 @@ fn print_matrix(name: &str, partition: &Partition, train: &fedwcm_data::Dataset)
 fn main() {
     let cli = parse_args(std::env::args());
     let mut exp = ExpConfig::new(DatasetPreset::Cifar10, 0.1, 0.1, cli.scale, cli.seed);
-    exp.clients = exp.clients.min(20); // heatmap stays readable
+    exp.fl.clients = exp.fl.clients.min(20); // heatmap stays readable
 
     let equal = exp.prepare();
     print_matrix(

@@ -20,10 +20,10 @@ fn main() {
     let mut rows = Vec::new();
     for &k in client_counts {
         let mut exp = ExpConfig::new(DatasetPreset::Cifar10, 0.1, 0.6, cli.scale, cli.seed);
-        exp.clients = k;
+        exp.fl.clients = k;
         // Keep the sampled cohort size roughly constant (as the paper's
         // fixed 10% of 100 does) so only per-client data volume varies.
-        exp.participation = (5.0 / k as f64).clamp(0.05, 1.0);
+        exp.fl.participation = (5.0 / k as f64).clamp(0.05, 1.0);
         let values: Vec<f64> = methods
             .iter()
             .map(|&m| mean(&run_cell(&exp, m, &cli)))

@@ -7,6 +7,7 @@
 //! ```
 
 use fedwcm_data::synth::DatasetPreset;
+use fedwcm_experiments::cli::usage;
 use fedwcm_experiments::report::{print_metrics, run_history};
 use fedwcm_experiments::{Cli, ExpConfig, Method, Scale};
 
@@ -35,16 +36,17 @@ fn parse_method(name: &str) -> Option<Method> {
     })
 }
 
-fn parse_preset(name: &str) -> Option<DatasetPreset> {
-    DatasetPreset::all()
-        .into_iter()
-        .find(|p| p.spec().name.contains(&name.to_ascii_lowercase()))
+/// The number after a flag, if it parses and `ok` holds for it; else the
+/// usage path, as for every shared flag.
+fn number(v: Option<String>, ok: fn(f64) -> bool, msg: &str) -> f64 {
+    v.and_then(|v| v.parse().ok())
+        .filter(|&x| ok(x))
+        .unwrap_or_else(|| usage(msg))
 }
 
 fn main() {
     // Extract flrun-specific flags, pass the rest to the shared parser.
     let mut method = Method::FedWcm;
-    let mut preset = DatasetPreset::Cifar10;
     let mut imbalance = 0.1f64;
     let mut beta = 0.1f64;
     let mut fedgrab_part = false;
@@ -53,49 +55,43 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--method" => {
-                let v = args.next().expect("--method needs a name");
-                method = parse_method(&v).unwrap_or_else(|| {
-                    eprintln!("unknown method {v}");
-                    std::process::exit(2);
-                });
+                let v = args.next().unwrap_or_default();
+                method =
+                    parse_method(&v).unwrap_or_else(|| usage(&format!("unknown method {v:?}")));
             }
             "--if" => {
-                imbalance = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--if needs a number in (0,1]");
+                imbalance = number(
+                    args.next(),
+                    |x| x > 0.0 && x <= 1.0,
+                    "--if needs a number in (0,1]",
+                );
             }
             "--beta" => {
-                beta = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--beta needs a positive number");
-            }
-            "--dataset" => {
-                let v = args.next().expect("--dataset needs a name");
-                preset = parse_preset(&v).unwrap_or_else(|| {
-                    eprintln!("unknown dataset {v} (presets: fashion-mnist, svhn, cifar-10, cifar-100, imagenet-lite)");
-                    std::process::exit(2);
-                });
+                beta = number(
+                    args.next(),
+                    |x| x > 0.0 && x.is_finite(),
+                    "--beta needs a positive number",
+                );
             }
             "--fedgrab-partition" => fedgrab_part = true,
             other => passthrough.push(other.to_string()),
         }
     }
     let cli: Cli = fedwcm_experiments::parse_args(passthrough);
+    let preset = cli.dataset.unwrap_or(DatasetPreset::Cifar10);
 
     let mut exp = ExpConfig::new(preset, imbalance, beta, cli.scale, cli.seed);
     exp.fedgrab_partition = fedgrab_part;
     if cli.scale == Scale::Quick && cli.rounds.is_none() {
         // flrun default: a medium budget.
-        exp.rounds = 100;
+        exp.fl.rounds = 100;
     }
     println!(
         "# {} on {} — IF={imbalance}, beta={beta}, {} clients, {} rounds, cadence={}",
         method.label(),
         preset.spec().name,
-        exp.clients,
-        cli.rounds.unwrap_or(exp.rounds),
+        exp.fl.clients,
+        cli.rounds.unwrap_or(exp.fl.rounds),
         cli.cadence.label(),
     );
     let h = run_history(&exp, method, &cli);

@@ -27,10 +27,8 @@ fn main() {
 
     for preset in DatasetPreset::all() {
         let name = preset.spec().name;
-        if let Some(filter) = &cli.dataset {
-            if !name.contains(filter.as_str()) {
-                continue;
-            }
+        if cli.dataset.is_some_and(|d| d != preset) {
+            continue;
         }
         for beta in [0.6, 0.1] {
             let mut rows = Vec::new();

@@ -17,9 +17,9 @@ fn main() {
         let mut exp = ExpConfig::new(DatasetPreset::Cifar10, 0.1, 0.6, cli.scale, cli.seed);
         // The 5%/10% rows need enough clients for the rate to resolve.
         if cli.scale != Scale::Paper {
-            exp.clients = 20;
+            exp.fl.clients = 20;
         }
-        exp.participation = rate;
+        exp.fl.participation = rate;
         let values: Vec<f64> = methods
             .iter()
             .map(|&m| mean(&run_cell(&exp, m, &cli)))

@@ -118,7 +118,8 @@ fn condition(scale: Scale, seed: u64, imbalance: f64, beta: f64) -> ExpConfig {
         return ExpConfig::new(DatasetPreset::Cifar10, imbalance, beta, scale, seed);
     }
     let mut e = ExpConfig::new(DatasetPreset::FashionMnist, imbalance, beta, scale, seed);
-    (e.clients, e.participation, e.local_epochs, e.rounds) = (10, 0.4, 2, 25);
+    let fl = &mut e.fl;
+    (fl.clients, fl.participation, fl.local_epochs, fl.rounds) = (10, 0.4, 2, 25);
     e
 }
 
@@ -140,15 +141,15 @@ fn steep(scale: Scale, seed: u64) -> ExpConfig {
 /// Table 3's 10 % row, at its 20 clients below paper scale.
 fn sparse(scale: Scale, seed: u64) -> ExpConfig {
     let mut e = longtail(scale, seed);
-    (e.clients, e.participation) = (e.clients.max(20), 0.1);
+    (e.fl.clients, e.fl.participation) = (e.fl.clients.max(20), 0.1);
     e
 }
 
 /// Fig. 9 at K ≥ 40, with its cohort of about five clients.
 fn crowded(scale: Scale, seed: u64) -> ExpConfig {
     let mut e = longtail(scale, seed);
-    e.clients = e.clients.max(40);
-    e.participation = 5.0 / e.clients as f64;
+    e.fl.clients = e.fl.clients.max(40);
+    e.fl.participation = 5.0 / e.fl.clients as f64;
     e
 }
 

@@ -2,6 +2,7 @@
 //! argument-parsing dependency).
 
 use crate::setup::{ExpConfig, PreparedTask};
+use fedwcm_data::synth::DatasetPreset;
 use fedwcm_fl::{Cadence, NetConfig, NetPlan, Simulation};
 use fedwcm_trace::{ConsoleSink, Tracer, WallClock};
 use std::sync::Arc;
@@ -26,8 +27,9 @@ pub struct Cli {
     pub seed: u64,
     /// Number of seeds to average (the paper uses 3).
     pub trials: usize,
-    /// Optional dataset filter (matches preset names, e.g. "cifar-10").
-    pub dataset: Option<String>,
+    /// Optional dataset filter: one preset, named exactly (case aside) as
+    /// its spec, e.g. `--dataset cifar-10`.
+    pub dataset: Option<DatasetPreset>,
     /// Optional round-count override.
     pub rounds: Option<usize>,
     /// Server aggregation cadence (`--cadence sync|buffered:K|async:N`).
@@ -61,10 +63,8 @@ impl Cli {
     /// the one place a binary's overrides are applied.
     pub fn prepare(&self, exp: &ExpConfig) -> PreparedTask {
         let mut e = exp.clone();
-        if let Some(r) = self.rounds {
-            e.rounds = r;
-        }
-        e.cadence = self.cadence;
+        e.fl.rounds = self.rounds.unwrap_or(e.fl.rounds);
+        e.fl.cadence = self.cadence;
         e.prepare()
     }
 
@@ -108,6 +108,14 @@ pub fn try_parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, St
         v.and_then(|v| v.parse().ok())
             .ok_or_else(|| msg.to_string())
     }
+    fn preset(v: Option<String>) -> Result<DatasetPreset, String> {
+        let v = v.unwrap_or_default();
+        let names = DatasetPreset::all().map(|p| p.spec().name);
+        DatasetPreset::all()
+            .into_iter()
+            .find(|p| v.eq_ignore_ascii_case(p.spec().name))
+            .ok_or_else(|| format!("--dataset needs one of {}", names.join(", ")))
+    }
     let mut cli = Cli::default();
     let mut it = args.into_iter();
     let _bin = it.next();
@@ -119,7 +127,7 @@ pub fn try_parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, St
             "--seed" => cli.seed = value(it.next(), "--seed needs an integer")?,
             "--trials" => cli.trials = value(it.next(), "--trials needs an integer")?,
             "--rounds" => cli.rounds = Some(value(it.next(), "--rounds needs an integer")?),
-            "--dataset" => cli.dataset = Some(value(it.next(), "--dataset needs a name")?),
+            "--dataset" => cli.dataset = Some(preset(it.next())?),
             "--cadence" => {
                 cli.cadence = it
                     .next()
@@ -187,14 +195,14 @@ mod tests {
             "--trials",
             "3",
             "--dataset",
-            "cifar-10",
+            "CIFAR-10",
             "--rounds",
             "99",
         ]);
         assert_eq!(c.scale, Scale::Smoke);
         assert_eq!(c.seed, 7);
         assert_eq!(c.trials, 3);
-        assert_eq!(c.dataset.as_deref(), Some("cifar-10"));
+        assert_eq!(c.dataset, Some(DatasetPreset::Cifar10));
         assert_eq!(c.rounds, Some(99));
     }
 
@@ -203,6 +211,14 @@ mod tests {
         let err = |n: &str| try_parse_args(["bin", "--trials", n].map(String::from)).unwrap_err();
         assert_eq!(err("0"), "--trials must be at least 1");
         assert_eq!(err("x"), "--trials needs an integer");
+    }
+
+    #[test]
+    fn dataset_names_one_preset_exactly() {
+        let err = |v: &str| try_parse_args(["bin", "--dataset", v].map(String::from)).unwrap_err();
+        let names = "fashion-mnist, svhn, cifar-10, cifar-100, imagenet-lite";
+        assert_eq!(err("cifar"), format!("--dataset needs one of {names}"));
+        assert_eq!(err("nope"), format!("--dataset needs one of {names}"));
     }
 
     #[test]

@@ -135,13 +135,13 @@ pub fn build_method(method: Method, task: &PreparedTask) -> Box<dyn FederatedAlg
             FedWcm::x(task.standard_batches()).with_prior(task.class_prior(ScoreForm::Rectified)),
         ),
         Method::FedProx => Box::new(FedProx::new(0.01)),
-        Method::Scaffold => Box::new(fedwcm_algos::Scaffold::new(task.fl.clients)),
-        Method::FedDyn => Box::new(FedDyn::new(0.1, task.fl.clients)),
+        Method::Scaffold => Box::new(fedwcm_algos::Scaffold::new(task.exp.fl.clients)),
+        Method::FedDyn => Box::new(FedDyn::new(0.1, task.exp.fl.clients)),
         Method::FedAvgM => Box::new(FedAvgM::new(0.9)),
         Method::FedSam => Box::new(FedSam::new(0.05)),
         Method::MoFedSam => Box::new(MoFedSam::new(0.05, FEDCM_ALPHA)),
         Method::FedSpeed => Box::new(FedSpeed::new(0.05, 0.01)),
-        Method::FedSmoo => Box::new(FedSmoo::new(0.05, 0.01, task.fl.clients)),
+        Method::FedSmoo => Box::new(FedSmoo::new(0.05, 0.01, task.exp.fl.clients)),
         Method::FedLesam => Box::new(FedLesam::new(0.05)),
         Method::MimeLite => Box::new(fedwcm_algos::MimeLite::new(0.9, FEDCM_ALPHA)),
     }
@@ -191,7 +191,7 @@ mod tests {
             let updates = vec![update(1), update(4)];
             let input = RoundInput {
                 round: 0,
-                cfg: &task.fl,
+                cfg: &task.exp.fl,
                 updates,
                 views: &[],
             };

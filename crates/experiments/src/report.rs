@@ -8,7 +8,7 @@ use fedwcm_trace::{MetricValue, MetricsRegistry, MetricsSnapshot};
 use std::sync::Arc;
 
 /// Final accuracy of one `(condition, method)` cell at each of
-/// `cli.trials` seeds, `exp.seed + 1000·t` (the paper reports the mean of
+/// `cli.trials` seeds, `exp.fl.seed + 1000·t` (the paper reports the mean of
 /// three; `fedwcm_stats::describe::mean` takes it).
 pub fn run_cell(exp: &ExpConfig, method: Method, cli: &Cli) -> Vec<f64> {
     run_seeds(exp, cli, |task| build_method(method, task))
@@ -32,7 +32,7 @@ pub fn run_seeds(
     (0..cli.trials)
         .map(|t| {
             let mut e = exp.clone();
-            e.seed = exp.seed.wrapping_add(1000 * t as u64);
+            e.fl.seed = exp.fl.seed.wrapping_add(1000 * t as u64);
             let task = cli.prepare(&e);
             let sim = cli
                 .simulation(&task)
@@ -168,7 +168,7 @@ mod tests {
     }
 
     /// Seed 0 of a cell is the run `run_history` makes, bit for bit, and
-    /// seed `t` is the same cell at `exp.seed + 1000·t`.
+    /// seed `t` is the same cell at `exp.fl.seed + 1000·t`.
     #[test]
     fn run_cell_seeds_are_run_history_runs() {
         let exp = ExpConfig::new(DatasetPreset::FashionMnist, 0.1, 0.3, Scale::Smoke, 8);
@@ -180,7 +180,7 @@ mod tests {
         };
         let accs = run_cell(&exp, Method::FedWcm, &cli);
         let mut second = exp.clone();
-        second.seed = 1008;
+        second.fl.seed = 1008;
         let want = [&exp, &second].map(|e| run_history(e, Method::FedWcm, &cli).final_accuracy(3));
         assert_eq!(accs.len(), 2);
         for (got, want) in accs.iter().zip(want) {
@@ -196,7 +196,7 @@ mod tests {
             ..Cli::default()
         };
         let h = run_history(&exp, Method::FedCm, &cli);
-        assert_eq!(h.records.len(), exp.rounds);
+        assert_eq!(h.records.len(), exp.fl.rounds);
         assert!(!h.accuracy_series().is_empty());
     }
 

@@ -8,7 +8,6 @@ use fedwcm_data::longtail::longtail_counts_with_total;
 use fedwcm_data::partition::{fedgrab_partition, paper_partition, Partition};
 use fedwcm_data::synth::{DatasetPreset, FeatureShape};
 use fedwcm_fl::client::ModelFactory;
-use fedwcm_fl::Cadence;
 use fedwcm_fl::{FlConfig, Simulation};
 use fedwcm_he::protocol::aggregate_distributions;
 use fedwcm_he::rlwe::RlweParams;
@@ -24,25 +23,17 @@ pub struct ExpConfig {
     pub imbalance: f64,
     /// Dirichlet heterogeneity `β`.
     pub beta: f64,
-    /// Clients `K`.
-    pub clients: usize,
-    /// Participation rate.
-    pub participation: f64,
-    /// Communication rounds.
-    pub rounds: usize,
-    /// Local epochs.
-    pub local_epochs: usize,
-    /// Mini-batch size.
-    pub batch_size: usize,
     /// Total training samples (split into the long-tail profile).
     pub train_total: usize,
-    /// Base seed.
-    pub seed: u64,
     /// Use the FedGrab (quantity-skewed) partition instead of the paper's
     /// equal-quantity partition.
     pub fedgrab_partition: bool,
-    /// Server aggregation cadence for the engine.
-    pub cadence: Cadence,
+    /// The engine configuration the condition runs under: clients `K`,
+    /// participation, rounds, local epochs, batch size, seed (also the
+    /// data, partition and HE seed) and cadence. [`ExpConfig::prepare`]
+    /// derives `eval_every` from `rounds`, so a value set here is
+    /// overwritten.
+    pub fl: FlConfig,
 }
 
 impl ExpConfig {
@@ -74,51 +65,40 @@ impl ExpConfig {
             preset,
             imbalance,
             beta,
-            clients,
-            participation,
-            rounds,
-            local_epochs: epochs,
-            batch_size: batch,
             train_total,
-            seed,
             fedgrab_partition: false,
-            cadence: Cadence::Sync,
+            fl: FlConfig {
+                clients,
+                participation,
+                rounds,
+                local_epochs: epochs,
+                batch_size: batch,
+                seed,
+                ..FlConfig::default_sim()
+            },
         }
     }
 
     /// Materialise the datasets, partition, and model factory.
     pub fn prepare(&self) -> PreparedTask {
         assert!(self.imbalance > 0.0 && self.imbalance <= 1.0);
+        let (clients, seed) = (self.fl.clients, self.fl.seed);
         let spec = self.preset.spec();
         let counts = longtail_counts_with_total(spec.classes, self.train_total, self.imbalance);
-        let train = spec.generate_train(&counts, self.seed);
-        let test = spec.generate_test(self.seed);
+        let train = spec.generate_train(&counts, seed);
+        let test = spec.generate_test(seed);
         let partition = if self.fedgrab_partition {
-            fedgrab_partition(&train, self.clients, self.beta, self.seed)
+            fedgrab_partition(&train, clients, self.beta, seed)
         } else {
-            paper_partition(&train, self.clients, self.beta, self.seed)
+            paper_partition(&train, clients, self.beta, seed)
         };
-
-        let fl = FlConfig {
-            clients: self.clients,
-            participation: self.participation,
-            rounds: self.rounds,
-            local_epochs: self.local_epochs,
-            batch_size: self.batch_size,
-            local_lr: 0.1,
-            global_lr: 1.0,
-            seed: self.seed,
-            threads: 0,
-            eval_every: (self.rounds / 20).max(1),
-            cadence: self.cadence,
-            ..FlConfig::default_sim()
-        };
+        let mut exp = self.clone();
+        exp.fl.eval_every = (exp.fl.rounds / 20).max(1);
         PreparedTask {
-            exp: self.clone(),
+            exp,
             train,
             test,
             partition,
-            fl,
             factory: model_factory(self.preset),
         }
     }
@@ -126,7 +106,8 @@ impl ExpConfig {
 
 /// A fully materialised federated task, ready to run algorithms on.
 pub struct PreparedTask {
-    /// The condition this task realises.
+    /// The condition this task realises; its `fl` is the engine
+    /// configuration [`PreparedTask::simulation`] runs.
     pub exp: ExpConfig,
     /// Training dataset (long-tailed).
     pub train: Dataset,
@@ -134,8 +115,6 @@ pub struct PreparedTask {
     pub test: Dataset,
     /// Client partition.
     pub partition: Partition,
-    /// Engine configuration.
-    pub fl: FlConfig,
     /// Model constructor.
     pub factory: Box<ModelFactory>,
 }
@@ -145,7 +124,7 @@ impl PreparedTask {
     pub fn simulation(&self) -> Simulation<'_> {
         let views = self.partition.views(&self.train);
         let factory = model_factory(self.exp.preset);
-        Simulation::new(self.fl.clone(), &self.train, &self.test, views, factory)
+        Simulation::new(self.exp.fl.clone(), &self.train, &self.test, views, factory)
     }
 
     /// Global training class counts (prior analyzers, Balance Loss).
@@ -159,7 +138,7 @@ impl PreparedTask {
     pub fn class_prior(&self, form: ScoreForm) -> ClassPrior {
         let counts = self.partition.counts_matrix(&self.train);
         let (global, _) =
-            aggregate_distributions(&counts, RlweParams::default_params(), self.exp.seed);
+            aggregate_distributions(&counts, RlweParams::default_params(), self.exp.fl.seed);
         ClassPrior::new(&global, counts.iter().map(Vec::as_slice), form)
     }
 
@@ -167,9 +146,9 @@ impl PreparedTask {
     pub fn standard_batches(&self) -> usize {
         fedwcm_core::FedWcm::standard_batches_for(
             self.train.len(),
-            self.fl.clients,
-            self.fl.batch_size,
-            self.fl.local_epochs,
+            self.exp.fl.clients,
+            self.exp.fl.batch_size,
+            self.exp.fl.local_epochs,
         )
     }
 }

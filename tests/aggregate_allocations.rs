@@ -104,7 +104,7 @@ impl FederatedAlgorithm for Watched {
 fn no_method_allocates_a_parameter_sized_buffer_after_round_0() {
     let exp = ExpConfig::new(DatasetPreset::FashionMnist, 0.1, 0.3, Scale::Smoke, 4003);
     let mut task = exp.prepare();
-    task.fl.participation = 1.0;
+    task.exp.fl.participation = 1.0;
     let sim = task.simulation();
     assert!(sim.cfg.rounds >= 3, "rounds after the first to watch");
 

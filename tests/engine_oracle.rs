@@ -14,7 +14,7 @@ use fedwcm_suite::data::synth::DatasetPreset;
 
 /// One federated run, the slow obvious way.
 fn oracle_run(task: &PreparedTask, algo: &mut dyn FederatedAlgorithm) -> Vec<RoundRecord> {
-    let mut cfg = task.fl.clone();
+    let mut cfg = task.exp.fl.clone();
     cfg.threads = 1;
     let views = task.partition.views(&task.train);
     let mut model = (task.factory)();
@@ -111,7 +111,7 @@ fn sync_engine_matches_the_naive_oracle_for_every_method() {
     let task = exp.prepare();
     for method in Method::ALL {
         let want = oracle_run(&task, build_method(method, &task).as_mut());
-        assert_eq!(want.len(), task.fl.rounds);
+        assert_eq!(want.len(), task.exp.fl.rounds);
         assert!(want.iter().any(|r| r.test_acc.is_some()));
         for threads in [1, 2] {
             let mut sim = task.simulation();

@@ -2,12 +2,10 @@
 //! and FedWCM decays in `R` between the theorem's `O(1/√R)` statistical
 //! term and its `O(1/R)` optimisation term.
 //!
-//! `algos::FedCm` and `core::FedWcm` run through `Simulation` on the
-//! Fashion-MNIST preset's MLP with cross-entropy: a smooth non-convex
-//! `f`, so an instance of the theorem. The smoke task is cut to 400
-//! samples to keep the file near 4 s of tier-1. All eight clients take
-//! part in every round and take K = 4 local steps, in two regimes:
-//! full-batch steps (noiseless) and mini-batches (noisy).
+//! `algos::FedCm` and `core::FedWcm` run through `Simulation` with
+//! cross-entropy on `analysis::rate::condition`'s task, an MLP: a smooth
+//! non-convex `f`, so an instance of the theorem, small enough to keep
+//! the file near 4 s of tier-1.
 //!
 //! One 320-round run per (method, regime) gives every `R` of the grid as
 //! a prefix mean, because a run's series does not depend on how many
@@ -15,28 +13,21 @@
 //! first 20 rounds at two worker threads (CI diffs `thm61_rate`'s whole
 //! grid at 1 and 4).
 
-use fedwcm_experiments::analysis::rate::{fit_power_law, grad_norms, mean_grad_norm};
-use fedwcm_experiments::{build_method, ExpConfig, Method, Scale};
+use fedwcm_experiments::analysis::rate::{
+    condition, fit_power_law, grad_norms, mean_grad_norm, GRID,
+};
+use fedwcm_experiments::{build_method, Method};
 use fedwcm_nn::loss::CrossEntropy;
-use fedwcm_suite::data::synth::DatasetPreset;
 use std::sync::OnceLock;
 
-const SAMPLES: usize = 400;
-const GRID: [usize; 5] = [20, 40, 80, 160, 320];
 const METHODS: [Method; 2] = [Method::FedCm, Method::FedWcm];
-/// `(name, batch size, local epochs)`. The clients hold 40–52 samples
-/// each (asserted below), so a `SAMPLES`-sample batch is a client's whole
-/// view and `⌈n/13⌉ = 4`: four steps in either regime.
-const REGIMES: [(&str, usize, usize); 2] = [("full-batch", SAMPLES, 4), ("mini-batch", 13, 1)];
+/// `(name, mini_batch)` of `condition`'s two regimes.
+const REGIMES: [(&str, bool); 2] = [("full-batch", false), ("mini-batch", true)];
 
 /// `‖∇f(x_r)‖²` for `r < rounds` of one run.
-fn series(method: Method, batch: usize, epochs: usize, rounds: usize, threads: usize) -> Vec<f64> {
-    let mut exp = ExpConfig::new(DatasetPreset::FashionMnist, 0.1, 0.3, Scale::Smoke, 42);
-    exp.train_total = SAMPLES;
-    exp.participation = 1.0;
-    exp.rounds = rounds;
-    exp.batch_size = batch;
-    exp.local_epochs = epochs;
+fn series(method: Method, mini_batch: bool, rounds: usize, threads: usize) -> Vec<f64> {
+    let mut exp = condition(42, mini_batch);
+    exp.fl.rounds = rounds;
     let task = exp.prepare();
     let sizes = task.partition.client_sizes();
     assert!(sizes.iter().all(|n| (40..=52).contains(n)), "{sizes:?}");
@@ -45,11 +36,11 @@ fn series(method: Method, batch: usize, epochs: usize, rounds: usize, threads: u
     grad_norms(&sim, build_method(method, &task).as_mut(), &CrossEntropy)
 }
 
-/// `(case name, method, batch, epochs)` in `METHODS × REGIMES` order.
-fn cases() -> Vec<(String, Method, usize, usize)> {
+/// `(case name, method, mini_batch)` in `METHODS × REGIMES` order.
+fn cases() -> Vec<(String, Method, bool)> {
     METHODS
         .iter()
-        .flat_map(|&m| REGIMES.map(|(regime, b, e)| (format!("{} {regime}", m.label()), m, b, e)))
+        .flat_map(|&m| REGIMES.map(|(regime, mb)| (format!("{} {regime}", m.label()), m, mb)))
         .collect()
 }
 
@@ -61,7 +52,7 @@ fn full_series() -> &'static [Vec<f64>] {
         std::thread::scope(|s| {
             let runs: Vec<_> = cases()
                 .into_iter()
-                .map(|(_, m, b, e)| s.spawn(move || series(m, b, e, 320, 1)))
+                .map(|(_, m, mb)| s.spawn(move || series(m, mb, 320, 1)))
                 .collect();
             runs.into_iter().map(|r| r.join().expect("run")).collect()
         })
@@ -88,14 +79,14 @@ fn fedcm_and_fedwcm_decay_at_the_theorem_rate_in_both_regimes() {
 
 #[test]
 fn a_shorter_run_is_a_prefix_of_a_longer_one() {
-    for ((case, m, b, e), norms) in cases().into_iter().zip(full_series()) {
-        assert_eq!(bits(&series(m, b, e, 20, 1)), bits(&norms[..20]), "{case}");
+    for ((case, m, mb), norms) in cases().into_iter().zip(full_series()) {
+        assert_eq!(bits(&series(m, mb, 20, 1)), bits(&norms[..20]), "{case}");
     }
 }
 
 #[test]
 fn the_series_does_not_depend_on_the_thread_count() {
-    for ((case, m, b, e), norms) in cases().into_iter().zip(full_series()) {
-        assert_eq!(bits(&series(m, b, e, 20, 2)), bits(&norms[..20]), "{case}");
+    for ((case, m, mb), norms) in cases().into_iter().zip(full_series()) {
+        assert_eq!(bits(&series(m, mb, 20, 2)), bits(&norms[..20]), "{case}");
     }
 }

@@ -113,10 +113,10 @@ fn trace_contains_the_span_taxonomy() {
 #[test]
 fn every_method_traces_one_local_epoch_span_per_epoch() {
     let mut exp = ExpConfig::new(DatasetPreset::FashionMnist, 0.1, 0.3, Scale::Smoke, 3001);
-    exp.rounds = 2;
-    exp.local_epochs = 2;
+    exp.fl.rounds = 2;
+    exp.fl.local_epochs = 2;
     let task = exp.prepare();
-    let want: Vec<u64> = (0..exp.local_epochs as u64).collect();
+    let want: Vec<u64> = (0..exp.fl.local_epochs as u64).collect();
     let u64_field = |e: &Event, key: &str| match e.fields.iter().find(|(k, _)| *k == key) {
         Some((_, Value::U64(v))) => *v,
         other => panic!("{} lacks a u64 {key}: {other:?}", e.name),
