@@ -166,8 +166,9 @@ impl FaultPlan {
             && self.cfg.replay == 0.0
     }
 
-    /// True if the plan can schedule replays (the engine only maintains
-    /// its per-client upload cache when this holds).
+    /// True if the plan can schedule replays. Only then does the engine
+    /// keep a per-client upload cache, and a slot holds an upload only
+    /// while a later round samples its client with a replay.
     pub fn has_replay(&self) -> bool {
         self.cfg.replay > 0.0
     }

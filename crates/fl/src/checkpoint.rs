@@ -99,7 +99,9 @@ pub struct ServerCheckpoint {
     /// Aggregation buffer of the buffered-K/async cadences (empty under
     /// sync).
     agg_buffer: Vec<BufferedUpdate>,
-    /// Per-client last-received uploads (replay-fault machinery).
+    /// Per-client last-received uploads (replay-fault machinery), each
+    /// held only while a later round of the run replays its client, so
+    /// an upload nothing reads again is not carried.
     replay_cache: Vec<Option<Vec<f32>>>,
     /// Aggregation cadence the run was using.
     cadence: Cadence,
@@ -280,9 +282,10 @@ mod tests {
     use crate::codec::decode_state;
     use crate::config::FlConfig;
     use crate::engine::tests::{build_sim, plain_sgd};
+    use fedwcm_data::dataset::Dataset;
     use fedwcm_data::longtail::longtail_counts;
     use fedwcm_data::synth::DatasetPreset;
-    use fedwcm_faults::{FaultConfig, FaultPlan};
+    use fedwcm_faults::{FaultConfig, FaultKind, FaultPlan};
     use fedwcm_transport::{NetConfig, NetPlan};
 
     /// FedAvg with state capture, so `run_until` accepts it: an empty
@@ -310,7 +313,9 @@ mod tests {
     /// `to_bytes` sizes its buffer from the field table before the first
     /// byte: a 200-client replay cache (the `mlp_xdev_chaos` shape, where
     /// doubling from empty reallocated some twenty times on the way to
-    /// 14 MB) is written into exactly the bytes it needs.
+    /// 14 MB while the cache held every client's last upload; 3.8 MB
+    /// since it holds only what a later replay reads) is written into
+    /// exactly the bytes it needs.
     #[test]
     fn to_bytes_is_one_allocation_of_exactly_the_bytes_written() {
         let params = 1_000;
@@ -360,6 +365,66 @@ mod tests {
         assert_eq!(back.to_bytes(), bytes);
     }
 
+    /// A buffered chaos run of 8 rounds whose every buffer fills: 4
+    /// clients, 3 sampled a round, every client fault and a lossy wire.
+    fn chaos_sim<'a>(train: &'a Dataset, test: &'a Dataset) -> Simulation<'a> {
+        let mut cfg = FlConfig::default_sim();
+        cfg.clients = 4;
+        cfg.participation = 0.75;
+        cfg.rounds = 8;
+        cfg.local_epochs = 1;
+        cfg.batch_size = 16;
+        cfg.eval_every = 3;
+        cfg.seed = 55;
+        cfg.cadence = Cadence::BufferedK { k: 4 };
+        build_sim(train, test, cfg)
+            .with_fault_plan(FaultPlan::new(FaultConfig {
+                seed: 11,
+                dropout: 0.1,
+                straggler: 0.3,
+                max_delay: 3,
+                corruption: 0.1,
+                replay: 0.2,
+            }))
+            .with_net_plan(NetPlan::new(NetConfig {
+                drop: 0.1,
+                corrupt: 0.05,
+                delay: 0.3,
+                max_delay_rounds: 2,
+                ..NetConfig::zero(15)
+            }))
+    }
+
+    /// A checkpoint carries a client's upload only if the run still
+    /// reads it: after `run_until(s)`, every held slot belongs to a
+    /// client that a round `≥ s` samples with a replay.
+    #[test]
+    fn a_checkpoint_holds_only_uploads_a_later_replay_reads() {
+        let spec = DatasetPreset::FashionMnist.spec();
+        let train = spec.generate_train(&longtail_counts(10, 40, 0.5), 91);
+        let test = spec.generate_test(91);
+        let sim = chaos_sim(&train, &test);
+        let plan = sim.fault_plan.as_ref().expect("a fault plan");
+        let replayed_from = |client: usize, from: usize| {
+            (from..sim.cfg.rounds).any(|r| {
+                sim.sampled_clients(r).contains(&client)
+                    && plan.fault_for(r, client) == Some(FaultKind::Replay)
+            })
+        };
+        let mut held = 0;
+        for s in 0..=sim.cfg.rounds {
+            let ckpt = sim.run_until(&mut StatefulAvg, s).expect("capture");
+            assert_eq!(ckpt.replay_cache.len(), sim.cfg.clients);
+            for (client, slot) in ckpt.replay_cache.iter().enumerate() {
+                if slot.is_some() {
+                    held += 1;
+                    assert!(replayed_from(client, s), "client {client} held at {s}");
+                }
+            }
+        }
+        assert!(held > 0, "some upload is held for a later replay");
+    }
+
     /// The same upload with one field of the client's update rewritten.
     fn rewritten(u: &Undiscounted, edit: impl FnOnce(&mut ClientUpdate)) -> Undiscounted {
         let mut update = u.clone().apply(0, 1.0);
@@ -376,31 +441,7 @@ mod tests {
         let spec = DatasetPreset::FashionMnist.spec();
         let train = spec.generate_train(&longtail_counts(10, 40, 0.5), 91);
         let test = spec.generate_test(91);
-        let mut cfg = FlConfig::default_sim();
-        cfg.clients = 4;
-        cfg.participation = 0.75;
-        cfg.rounds = 8;
-        cfg.local_epochs = 1;
-        cfg.batch_size = 16;
-        cfg.eval_every = 3;
-        cfg.seed = 55;
-        cfg.cadence = Cadence::BufferedK { k: 4 };
-        let sim = build_sim(&train, &test, cfg)
-            .with_fault_plan(FaultPlan::new(FaultConfig {
-                seed: 11,
-                dropout: 0.1,
-                straggler: 0.3,
-                max_delay: 3,
-                corruption: 0.1,
-                replay: 0.2,
-            }))
-            .with_net_plan(NetPlan::new(NetConfig {
-                drop: 0.1,
-                corrupt: 0.05,
-                delay: 0.3,
-                max_delay_rounds: 2,
-                ..NetConfig::zero(15)
-            }));
+        let sim = chaos_sim(&train, &test);
         let good = sim.run_until(&mut StatefulAvg, 5).expect("capture");
         assert!(!good.pending.is_empty() && !good.agg_buffer.is_empty());
         assert!(good.replay_cache.iter().any(Option::is_some));

@@ -54,7 +54,8 @@ pub(crate) struct RunState {
     pub(crate) pending: Vec<PendingUpdate>,
     /// Aggregation buffer (insertion order; always empty under sync).
     pub(crate) agg_buffer: Vec<BufferedUpdate>,
-    /// Per-client last received upload; empty unless replays can occur.
+    /// Per-client last received upload, held only while a later round
+    /// replays the client; empty unless replays can occur.
     pub(crate) replay_cache: Vec<Option<Vec<f32>>>,
     /// Transport logical-clock position (0 without a network plan);
     /// checkpointed so a resumed run continues the same tick sequence.
@@ -241,6 +242,7 @@ impl<'a> Simulation<'a> {
         let threads = self.cfg.resolved_threads();
         let workers = train::Workers::new(self, threads);
         let fault_plan = self.fault_plan.as_ref();
+        let last_replay = perturb::last_replays(&self.cfg, fault_plan);
         // `None` when absent *or* all-zero: both skip the transport alike.
         let net_plan = self.net_plan.as_ref().filter(|p| !p.is_zero());
 
@@ -254,7 +256,14 @@ impl<'a> Simulation<'a> {
             };
 
             let updates = train::train(self, &ctx, &workers, &*algo, &state.global, &sampled);
-            let received = perturb::perturb(fault_plan, &ctx, updates, state, &mut record.faults);
+            let received = perturb::perturb(
+                fault_plan,
+                &last_replay,
+                &ctx,
+                updates,
+                state,
+                &mut record.faults,
+            );
             let arrived = deliver::deliver(net_plan, &ctx, received, state, &mut record.net);
             let admission = admit::admit(&self.cfg, &ctx, arrived, state, &mut record);
             apply::apply(self, &ctx, algo, state, admission, &mut record);

@@ -3,8 +3,9 @@
 //! are due. One path: without a plan nothing is scheduled, and merging
 //! an empty straggler buffer and sorting already-sorted ids are no-ops.
 
-use super::{RoundCtx, RunState};
+use super::{sampled_clients_for, RoundCtx, RunState};
 use crate::client::ClientUpdate;
+use crate::config::FlConfig;
 use crate::metrics::RoundFaults;
 use crate::undiscounted::Undiscounted;
 use fedwcm_faults::{corrupt_delta, FaultKind, FaultPlan};
@@ -61,6 +62,7 @@ fn fresh(update: ClientUpdate) -> ReceivedUpdate {
 /// when a plan is attached.
 pub(super) fn perturb(
     plan: Option<&FaultPlan>,
+    last_replay: &[Option<usize>],
     ctx: &RoundCtx<'_>,
     updates: Vec<ClientUpdate>,
     state: &mut RunState,
@@ -120,19 +122,46 @@ pub(super) fn perturb(
     received.sort_by_key(|r| r.update.client());
 
     // The replay cache holds what the server most recently received
-    // from each client (only maintained when replays are possible).
-    // A late arrival is cached at its original strength: replaying
-    // it later must not compound the one staleness discount it pays
-    // at application.
-    if plan.is_some_and(FaultPlan::has_replay) {
-        for r in &received {
+    // from a client, and only while a later round replays that client
+    // (`last_replay`, empty unless replays are possible): no other
+    // round reads the slot. A late arrival is cached at its original
+    // strength: replaying it later must not compound the one staleness
+    // discount it pays at application.
+    for r in &received {
+        let client = r.update.client();
+        let Some(slot) = state.replay_cache.get_mut(client) else {
+            continue;
+        };
+        let read_later = last_replay.get(client).copied().flatten() > Some(round);
+        if read_later {
             // Overwritten in the slot's own buffer once it has one.
-            if let Some(slot) = state.replay_cache.get_mut(r.update.client()) {
-                r.update.delta().clone_into(slot.get_or_insert_default());
-            }
+            r.update.delta().clone_into(slot.get_or_insert_default());
+        } else {
+            *slot = None;
         }
     }
     received
+}
+
+/// Each client's last round of the run in which it is sampled with a
+/// [`FaultKind::Replay`] — the last round that reads its replay-cache
+/// slot — or `None` if it never is. Empty unless `plan` replays. The
+/// cohort and the fault are pure functions of `cfg` and `plan`, and the
+/// checkpoint fingerprint pins `cfg.rounds`, so a run and its resume
+/// build the same table.
+pub(super) fn last_replays(cfg: &FlConfig, plan: Option<&FaultPlan>) -> Vec<Option<usize>> {
+    let Some(plan) = plan.filter(|p| p.has_replay()) else {
+        return Vec::new();
+    };
+    let mut last = vec![None; cfg.clients];
+    for round in 0..cfg.rounds {
+        for client in sampled_clients_for(cfg, round) {
+            if plan.fault_for(round, client) == Some(FaultKind::Replay) {
+                last[client] = Some(round);
+            }
+        }
+    }
+    last
 }
 
 /// Merge buffered uploads due this round, each tagged with its
@@ -179,49 +208,119 @@ mod tests {
     use fedwcm_data::longtail::longtail_counts;
     use fedwcm_data::synth::DatasetPreset;
 
-    /// Regression for the replay-cache bug: the cache used to store the
-    /// *discounted* delta of a late merge, so a later replay compounded
-    /// the staleness penalty. The cache must hold the upload at its
-    /// original strength.
-    #[test]
-    fn replay_cache_holds_undiscounted_late_delta() {
-        use fedwcm_faults::FaultConfig;
-        let spec = DatasetPreset::FashionMnist.spec();
-        let counts = longtail_counts(10, 40, 1.0);
-        let ds = spec.generate_train(&counts, 32);
-        let test = spec.generate_test(32);
+    /// The replay fixture: 5 clients, 2 sampled a round, a plan that
+    /// replays 30 % of uploads over 8 rounds.
+    fn replay_fixture() -> (FlConfig, FaultPlan) {
         let mut cfg = FlConfig::default_sim();
         cfg.clients = 5;
         cfg.participation = 0.4;
-        cfg.rounds = 2;
-        let plan = FaultPlan::new(FaultConfig {
+        cfg.rounds = 8;
+        let plan = FaultPlan::new(fedwcm_faults::FaultConfig {
             replay: 0.3,
-            ..FaultConfig::zero(9)
+            ..fedwcm_faults::FaultConfig::zero(11)
         });
+        (cfg, plan)
+    }
+
+    /// Receive one late upload of `client` at round 0 through the replay
+    /// fixture's plan, its cache slot holding `stale` beforehand.
+    fn receive_late(client: usize, delta: &[f32], stale: Option<Vec<f32>>) -> RunState {
+        let spec = DatasetPreset::FashionMnist.spec();
+        let ds = spec.generate_train(&longtail_counts(10, 40, 1.0), 32);
+        let test = spec.generate_test(32);
+        let (cfg, plan) = replay_fixture();
         let sim = build_sim(&ds, &test, cfg).with_fault_plan(plan.clone());
-        let algo = TestFedAvg;
-        let mut state = sim.fresh_state(&algo);
+        let mut state = sim.fresh_state(&TestFedAvg);
         assert_eq!(state.replay_cache.len(), 5, "replay plan maintains a cache");
-        let delta: Vec<f32> = (0..state.global.len()).map(|i| 0.5 + i as f32).collect();
-        state.pending.push(pending_update(3, 2, delta.clone()));
+        state.replay_cache[client] = stale;
+        state
+            .pending
+            .push(pending_update(client, 2, delta.to_vec()));
 
         let mut faults = RoundFaults::default();
-        let ctx = bare_ctx(0, 2);
-        let received = perturb(Some(&plan), &ctx, Vec::new(), &mut state, &mut faults);
+        let last_replay = last_replays(&sim.cfg, Some(&plan));
+        let received = perturb(
+            Some(&plan),
+            &last_replay,
+            &bare_ctx(0, 2),
+            Vec::new(),
+            &mut state,
+            &mut faults,
+        );
         assert_eq!(received.len(), 1);
         assert_eq!(received[0].staleness, 2);
         assert_eq!(faults.late_merged, 1);
         assert_eq!(
             bits(received[0].update.delta()),
-            bits(&delta),
+            bits(delta),
             "received delta is undiscounted until application"
         );
+        state
+    }
+
+    /// Regression for the replay-cache bug: the cache used to store the
+    /// *discounted* delta of a late merge, so a later replay compounded
+    /// the staleness penalty. The cache must hold the upload at its
+    /// original strength — here for client 3, whom a later round
+    /// replays, so the slot is kept.
+    #[test]
+    fn replay_cache_holds_undiscounted_late_delta() {
+        let (cfg, plan) = replay_fixture();
+        let last = last_replays(&cfg, Some(&plan));
+        assert!(
+            last[3] > Some(0),
+            "client 3 is replayed after round 0: {last:?}"
+        );
+        let delta: Vec<f32> = (0..650).map(|i| 0.5 + i as f32).collect();
+        let state = receive_late(3, &delta, None);
         let cached = state.replay_cache[3].as_ref().expect("late merge cached");
         assert_eq!(
             bits(cached),
             bits(&delta),
             "cache must hold the pre-discount delta"
         );
+    }
+
+    /// An upload that no later round replays is not kept: its slot is
+    /// left empty, and an older upload held there is dropped.
+    #[test]
+    fn an_upload_with_no_later_replay_leaves_its_slot_empty() {
+        let (cfg, plan) = replay_fixture();
+        let last = last_replays(&cfg, Some(&plan));
+        let client = (0..cfg.clients)
+            .find(|&k| last[k] <= Some(0))
+            .expect("a client no later round replays");
+        let delta = vec![0.25; 650];
+        for stale in [None, Some(vec![9.0; 650])] {
+            let state = receive_late(client, &delta, stale);
+            assert_eq!(state.replay_cache[client], None, "client {client}");
+        }
+    }
+
+    /// The table is the brute-force answer: per client, the largest
+    /// round that samples it with a replay.
+    #[test]
+    fn last_replays_is_the_latest_sampled_replay_of_each_client() {
+        let (mut cfg, plan) = replay_fixture();
+        for (clients, participation, rounds) in [(5, 0.4, 8), (12, 0.25, 30), (7, 1.0, 3)] {
+            cfg.clients = clients;
+            cfg.participation = participation;
+            cfg.rounds = rounds;
+            let scan: Vec<Option<usize>> = (0..clients)
+                .map(|k| {
+                    (0..rounds)
+                        .filter(|&r| {
+                            sampled_clients_for(&cfg, r).contains(&k)
+                                && plan.fault_for(r, k) == Some(FaultKind::Replay)
+                        })
+                        .max()
+                })
+                .collect();
+            assert_eq!(last_replays(&cfg, Some(&plan)), scan, "{clients} clients");
+            assert!(scan.iter().any(Option::is_some), "{clients} clients");
+        }
+        assert!(last_replays(&cfg, None).is_empty());
+        assert!(last_replays(&cfg, Some(&FaultPlan::zero(9))).is_empty());
     }
 
     /// "No plan" is the empty plan: with nothing attached the stage still
@@ -255,6 +354,7 @@ mod tests {
         let mut faults = RoundFaults::default();
         let received = perturb(
             None,
+            &[],
             &bare_ctx(4, 2),
             vec![fresh_from(0), fresh_from(2)],
             &mut state,
