@@ -258,7 +258,8 @@ fn chaos_checkpoint_exercises_every_buffer() {
 
 /// "Bytes unchanged" pinned, not asserted: the CRC32 of the chaos
 /// checkpoint's FWCK bytes, taken at commit fe5c3aa before the codec was
-/// rewritten around one field table.
+/// rewritten around one field table, and re-blessed (49,668 B) when the
+/// replay cache started holding only uploads a later replay reads.
 #[test]
 fn chaos_checkpoint_bytes_match_the_golden_crc() {
     let bytes = chaos_bytes();
@@ -270,7 +271,7 @@ fn chaos_checkpoint_bytes_match_the_golden_crc() {
     );
 }
 
-const GOLDEN_FWCK_CRC: u32 = 0xA778_13BF;
+const GOLDEN_FWCK_CRC: u32 = 0x0DA0_4F73;
 
 /// Every strict prefix of a real checkpoint is `Malformed`: no field is
 /// optional and the trailing-byte check is the only accepting state.
