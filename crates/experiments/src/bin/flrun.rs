@@ -7,9 +7,18 @@
 //! ```
 
 use fedwcm_data::synth::DatasetPreset;
-use fedwcm_experiments::cli::usage;
+use fedwcm_experiments::cli::{parse_args_with_dataset, usage_with};
 use fedwcm_experiments::report::{print_metrics, run_history};
-use fedwcm_experiments::{Cli, ExpConfig, Method, Scale};
+use fedwcm_experiments::{ExpConfig, Method, Scale};
+
+/// The flags `flrun` takes besides the shared ones.
+const OWN_FLAGS: &str =
+    "[--method NAME] [--if F] [--beta F] [--fedgrab-partition] [--dataset NAME]";
+
+/// The usage path with `flrun`'s own flags in the usage line.
+fn usage(msg: &str) -> ! {
+    usage_with(msg, OWN_FLAGS)
+}
 
 fn parse_method(name: &str) -> Option<Method> {
     Some(match name.to_ascii_lowercase().as_str() {
@@ -77,8 +86,8 @@ fn main() {
             other => passthrough.push(other.to_string()),
         }
     }
-    let cli: Cli = fedwcm_experiments::parse_args(passthrough);
-    let preset = cli.dataset.unwrap_or(DatasetPreset::Cifar10);
+    let (dataset, cli) = parse_args_with_dataset(passthrough, OWN_FLAGS);
+    let preset = dataset.unwrap_or(DatasetPreset::Cifar10);
 
     let mut exp = ExpConfig::new(preset, imbalance, beta, cli.scale, cli.seed);
     exp.fedgrab_partition = fedgrab_part;

@@ -5,12 +5,13 @@
 //! (`table7` = `table1_overall --dataset cifar-10`).
 
 use fedwcm_data::synth::DatasetPreset;
+use fedwcm_experiments::cli::parse_args_with_dataset;
 use fedwcm_experiments::report::{print_table, run_cell};
-use fedwcm_experiments::{parse_args, ExpConfig, Method};
+use fedwcm_experiments::{ExpConfig, Method};
 use fedwcm_stats::describe::mean;
 
 fn main() {
-    let cli = parse_args(std::env::args());
+    let (dataset, cli) = parse_args_with_dataset(std::env::args(), "[--dataset NAME]");
     let console = cli.console();
     let methods = [
         Method::FedAvg,
@@ -27,7 +28,7 @@ fn main() {
 
     for preset in DatasetPreset::all() {
         let name = preset.spec().name;
-        if cli.dataset.is_some_and(|d| d != preset) {
+        if dataset.is_some_and(|d| d != preset) {
             continue;
         }
         for beta in [0.6, 0.1] {

@@ -27,9 +27,6 @@ pub struct Cli {
     pub seed: u64,
     /// Number of seeds to average (the paper uses 3).
     pub trials: usize,
-    /// Optional dataset filter: one preset, named exactly (case aside) as
-    /// its spec, e.g. `--dataset cifar-10`.
-    pub dataset: Option<DatasetPreset>,
     /// Optional round-count override.
     pub rounds: Option<usize>,
     /// Server aggregation cadence (`--cadence sync|buffered:K|async:N`).
@@ -48,7 +45,6 @@ impl Default for Cli {
             scale: Scale::Quick,
             seed: 42,
             trials: 1,
-            dataset: None,
             rounds: None,
             cadence: Cadence::Sync,
             net: None,
@@ -108,14 +104,6 @@ pub fn try_parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, St
         v.and_then(|v| v.parse().ok())
             .ok_or_else(|| msg.to_string())
     }
-    fn preset(v: Option<String>) -> Result<DatasetPreset, String> {
-        let v = v.unwrap_or_default();
-        let names = DatasetPreset::all().map(|p| p.spec().name);
-        DatasetPreset::all()
-            .into_iter()
-            .find(|p| v.eq_ignore_ascii_case(p.spec().name))
-            .ok_or_else(|| format!("--dataset needs one of {}", names.join(", ")))
-    }
     let mut cli = Cli::default();
     let mut it = args.into_iter();
     let _bin = it.next();
@@ -127,7 +115,6 @@ pub fn try_parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, St
             "--seed" => cli.seed = value(it.next(), "--seed needs an integer")?,
             "--trials" => cli.trials = value(it.next(), "--trials needs an integer")?,
             "--rounds" => cli.rounds = Some(value(it.next(), "--rounds needs an integer")?),
-            "--dataset" => cli.dataset = Some(preset(it.next())?),
             "--cadence" => {
                 cli.cadence = it
                     .next()
@@ -151,15 +138,60 @@ pub fn try_parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, St
     Ok(cli)
 }
 
+/// [`parse_args`] for a binary that runs on a chosen preset: it takes
+/// `--dataset NAME` out first (the shared parser rejects the flag), and a
+/// bad flag exits through [`usage_with`] with `own`, the binary's flags.
+pub fn parse_args_with_dataset<I: IntoIterator<Item = String>>(
+    args: I,
+    own: &str,
+) -> (Option<DatasetPreset>, Cli) {
+    take_dataset(args)
+        .and_then(|(preset, rest)| Ok((preset, try_parse_args(rest)?)))
+        .unwrap_or_else(|msg| usage_with(&msg, own))
+}
+
+/// Take `--dataset NAME` out of `args`. `NAME` is one preset, named
+/// exactly (case aside) as its spec, e.g. `--dataset cifar-10`; the last
+/// one given counts. Returns the preset and the other arguments, in
+/// order.
+fn take_dataset<I: IntoIterator<Item = String>>(
+    args: I,
+) -> Result<(Option<DatasetPreset>, Vec<String>), String> {
+    let mut preset = None;
+    let mut rest = Vec::new();
+    let mut it = args.into_iter();
+    while let Some(arg) = it.next() {
+        if arg != "--dataset" {
+            rest.push(arg);
+            continue;
+        }
+        let v = it.next().unwrap_or_default();
+        let names = DatasetPreset::all().map(|p| p.spec().name);
+        let found = DatasetPreset::all()
+            .into_iter()
+            .find(|p| v.eq_ignore_ascii_case(p.spec().name))
+            .ok_or_else(|| format!("--dataset needs one of {}", names.join(", ")))?;
+        preset = Some(found);
+    }
+    Ok((preset, rest))
+}
+
 /// Print `msg` (when not empty) and the usage line to stderr, then exit:
 /// status 0 for an empty `msg` (`--help`), 2 otherwise.
 pub fn usage(msg: &str) -> ! {
+    usage_with(msg, "")
+}
+
+/// [`usage`] for a binary that takes flags of its own before the shared
+/// ones: `own` lists them, e.g. `"[--dataset NAME]"`.
+pub fn usage_with(msg: &str, own: &str) -> ! {
     if !msg.is_empty() {
         eprintln!("error: {msg}");
     }
+    let sep = if own.is_empty() { "" } else { " " };
     eprintln!(
-        "usage: <experiment> [--smoke|--quick|--paper-scale] [--seed N] \
-         [--trials N] [--rounds N] [--dataset NAME] \
+        "usage: <experiment>{sep}{own} [--smoke|--quick|--paper-scale] [--seed N] \
+         [--trials N] [--rounds N] \
          [--cadence sync|buffered:K|async:N] \
          [--net drop:F,corrupt:F,dup:F,reorder:F,delayp:F,delay:N,seed:N] \
          [--quiet|-q] [--verbose|-v]"
@@ -183,26 +215,14 @@ mod tests {
         assert_eq!(c.scale, Scale::Quick);
         assert_eq!(c.seed, 42);
         assert_eq!(c.trials, 1);
-        assert!(c.dataset.is_none());
     }
 
     #[test]
     fn all_flags() {
-        let c = parse(&[
-            "--smoke",
-            "--seed",
-            "7",
-            "--trials",
-            "3",
-            "--dataset",
-            "CIFAR-10",
-            "--rounds",
-            "99",
-        ]);
+        let c = parse(&["--smoke", "--seed", "7", "--trials", "3", "--rounds", "99"]);
         assert_eq!(c.scale, Scale::Smoke);
         assert_eq!(c.seed, 7);
         assert_eq!(c.trials, 3);
-        assert_eq!(c.dataset, Some(DatasetPreset::Cifar10));
         assert_eq!(c.rounds, Some(99));
     }
 
@@ -215,10 +235,43 @@ mod tests {
 
     #[test]
     fn dataset_names_one_preset_exactly() {
-        let err = |v: &str| try_parse_args(["bin", "--dataset", v].map(String::from)).unwrap_err();
+        let err = |v: &str| take_dataset(["bin", "--dataset", v].map(String::from)).unwrap_err();
         let names = "fashion-mnist, svhn, cifar-10, cifar-100, imagenet-lite";
         assert_eq!(err("cifar"), format!("--dataset needs one of {names}"));
         assert_eq!(err("nope"), format!("--dataset needs one of {names}"));
+        assert_eq!(err("--smoke"), format!("--dataset needs one of {names}"));
+    }
+
+    /// Only a binary that strips `--dataset` first takes it: the shared
+    /// parser rejects the flag like any unknown one, and the stripped
+    /// arguments parse as before.
+    #[test]
+    fn dataset_is_taken_out_before_the_shared_parse() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            try_parse_args(args(&["bin", "--dataset", "svhn"])).unwrap_err(),
+            "unknown flag --dataset"
+        );
+        let (preset, rest) = take_dataset(args(&[
+            "bin",
+            "--smoke",
+            "--dataset",
+            "CIFAR-10",
+            "--seed",
+            "7",
+        ]))
+        .expect("a preset");
+        assert_eq!(preset, Some(DatasetPreset::Cifar10));
+        assert_eq!(rest, args(&["bin", "--smoke", "--seed", "7"]));
+        let c = parse_args(rest);
+        assert_eq!((c.scale, c.seed), (Scale::Smoke, 7));
+        let (preset, rest) = take_dataset(args(&["bin", "--quick"])).expect("no preset");
+        assert_eq!((preset, rest), (None, args(&["bin", "--quick"])));
+        let last = args(&["bin", "--dataset", "svhn", "--dataset", "cifar-100"]);
+        assert_eq!(
+            take_dataset(last).expect("a preset").0,
+            Some(DatasetPreset::Cifar100)
+        );
     }
 
     #[test]
