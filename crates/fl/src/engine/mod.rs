@@ -6,7 +6,7 @@
 //! | stage | takes | returns |
 //! |---|---|---|
 //! | `train` | sampled ids, global model | a `ClientUpdate` per id, in id order |
-//! | `perturb` | those, `Option<&FaultPlan>` | `ReceivedUpdate`s: faulted, late ones merged, id-sorted |
+//! | `perturb` | those, `Option<&FaultPlan>`, each client's last replay round | `ReceivedUpdate`s: faulted, late ones merged, id-sorted |
 //! | `deliver` | those, `Option<&NetPlan>` | what crossed the wire (the rest parked or lost) |
 //! | `admit` | those, the `Cadence` | `Skip` or `Apply { batches, scale }`, past the filter |
 //! | `apply` | the admission | the moved global model; loss, norm, α in the record |

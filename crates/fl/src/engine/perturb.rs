@@ -58,8 +58,9 @@ fn fresh(update: ClientUpdate) -> ReceivedUpdate {
 /// order — and tally what happened in `faults`. Deltas stay
 /// **undiscounted**: each carries its staleness and the discount is
 /// paid at application time, so a skipped round can re-queue a late
-/// arrival without signal loss. The `fault_inject` span is opened only
-/// when a plan is attached.
+/// arrival without signal loss. `last_replay` is the run's
+/// [`last_replays`] table. The `fault_inject` span is opened only when a
+/// plan is attached.
 pub(super) fn perturb(
     plan: Option<&FaultPlan>,
     last_replay: &[Option<usize>],
