@@ -170,6 +170,59 @@ mod tests {
         assert_eq!(out, vec![0.25, 0.75]);
     }
 
+    /// Both averages are, element by element, the chain of per-update
+    /// `axpy`s into a zeroed buffer — bit for bit, NaN payloads, signed
+    /// zeros, infinities and subnormals included, whatever `out` held.
+    #[test]
+    fn averages_are_the_per_update_axpy_chain_bitwise() {
+        let n = 5_003;
+        let special = [
+            f32::NAN,
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xffa0_0001),
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            f32::from_bits(0x807f_ffff),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+        ];
+        let updates: Vec<ClientUpdate> = (0..7)
+            .map(|k| {
+                let delta = (0..n)
+                    .map(|i| match (i * 7 + k * 13) % 97 {
+                        s if s < special.len() => special[(s + k) % special.len()],
+                        s => {
+                            (i as f32 * 0.37 + s as f32).sin() * [1e-4, 1e-2, 1.0, 1e2, 1e4][s % 5]
+                        }
+                    })
+                    .collect();
+                upd(k, delta, 1)
+            })
+            .collect();
+        let weights = [0.3, -0.0, 1e-40, 2.5, -1.75, 1.0 / 3.0, 7e30];
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let chain = |w: &dyn Fn(usize) -> f32| {
+            let mut out = vec![0.0f32; n];
+            for (k, u) in updates.iter().enumerate() {
+                fedwcm_tensor::ops::axpy(w(k), &u.delta, &mut out);
+            }
+            bits(&out)
+        };
+
+        let mut out = vec![f32::NAN; n];
+        uniform_average(&updates, &mut out);
+        assert_eq!(bits(&out), chain(&|_| 1.0 / 7.0), "uniform");
+
+        let mut out = vec![-0.0f32; n];
+        #[expect(clippy::cast_possible_truncation, reason = "the kernels' f32 weight")]
+        let expected = chain(&|k| weights[k] as f32);
+        weighted_average(&updates, &weights, &mut out);
+        assert_eq!(bits(&out), expected, "weighted");
+    }
+
     #[test]
     fn server_step_recovers_model_averaging() {
         // One client, identity aggregation: the server step must land the
