@@ -21,7 +21,7 @@ use fedwcm_fl::algorithm::{
     server_step, uniform_average, weighted_average, FederatedAlgorithm, RoundInput, RoundLog,
     StateError,
 };
-use fedwcm_fl::client::{momentum_direction, run_local_sgd, ClientEnv, ClientUpdate, LocalSgdSpec};
+use fedwcm_fl::client::{run_local_momentum, ClientEnv, ClientUpdate, LocalSgdSpec};
 use fedwcm_fl::codec::{decode_state, Wire};
 use fedwcm_nn::loss::{CrossEntropy, Loss};
 use std::sync::Arc;
@@ -193,8 +193,7 @@ impl FederatedAlgorithm for FedWcm {
             lr,
             epochs: env.cfg.local_epochs,
         };
-        let direction = momentum_direction(&self.momentum, self.alpha);
-        run_local_sgd(env, global, &spec, direction)
+        run_local_momentum(env, global, &spec, &self.momentum, self.alpha)
     }
 
     fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {

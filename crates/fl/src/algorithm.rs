@@ -89,18 +89,18 @@ pub trait FederatedAlgorithm: Send + Sync {
 }
 
 /// Uniform average of update deltas (the FedAvg aggregation), written into
-/// `out` (overwriting). Panics on empty updates.
+/// `out` (overwriting), four updates to a pass: each element is the chain
+/// of per-update `axpy`s into zero ([`fedwcm_tensor::ops::axpy_sum`]).
+/// Panics on empty updates.
 pub fn uniform_average(updates: &[ClientUpdate], out: &mut [f32]) {
     assert!(!updates.is_empty(), "no updates to aggregate");
-    out.fill(0.0);
     let w = 1.0 / updates.len() as f32;
-    for u in updates {
-        fedwcm_tensor::ops::axpy(w, &u.delta, out);
-    }
+    fedwcm_tensor::ops::axpy_sum(out, updates.len(), |k| (w, &updates[k].delta));
 }
 
 /// Weighted average of update deltas with the given per-update weights
-/// (need not sum to one; caller controls normalisation).
+/// (need not sum to one; caller controls normalisation), four updates to
+/// a pass like [`uniform_average`].
 #[expect(
     clippy::cast_possible_truncation,
     reason = "a weight is rounded to the f32 the kernels compute in; that rounding is the point"
@@ -112,10 +112,9 @@ pub fn weighted_average(updates: &[ClientUpdate], weights: &[f64], out: &mut [f3
         "weights/updates length mismatch"
     );
     assert!(!updates.is_empty(), "no updates to aggregate");
-    out.fill(0.0);
-    for (u, &w) in updates.iter().zip(weights) {
-        fedwcm_tensor::ops::axpy(w as f32, &u.delta, out);
-    }
+    fedwcm_tensor::ops::axpy_sum(out, updates.len(), |k| {
+        (weights[k] as f32, &updates[k].delta)
+    });
 }
 
 /// Apply the server step `x ← x − η_g·η_l·B̄·Δ` (see crate docs).

@@ -8,9 +8,16 @@
 //! loss to book (the SAM family's ascent, FedGrab's classifier-row
 //! balancer, BalanceFL's inherited logits). Most need less:
 //! [`run_local_sgd`] is the loop with "gradient of the loss, then a
-//! *direction transform*" as the hook — identity for FedAvg,
-//! [`momentum_direction`] for FedCM/FedWCM, a prox correction for FedProx,
-//! a control-variate correction for SCAFFOLD, ….
+//! *direction transform*" as the hook — identity for FedAvg, a prox
+//! correction for FedProx, a control-variate correction for SCAFFOLD, ….
+//! FedCM/FedWCM's client momentum is not a transform but the step itself:
+//! [`run_local_momentum`] runs the same loop with the blend fused into
+//! the step's one pass over the parameters.
+//!
+//! The last step is not taken in the arena: its pass writes the upload
+//! `(x_r − stepped)·scale` instead, with the step's own arithmetic, so
+//! each element is rounded exactly as if the step had been taken and
+//! then subtracted. The model is left where that step starts.
 //!
 //! # Who owns the training buffers
 //!
@@ -35,7 +42,7 @@ use fedwcm_data::dataset::{ClientView, Dataset};
 use fedwcm_data::sampler::{BalanceSampler, BatchSampler};
 use fedwcm_nn::loss::Loss;
 use fedwcm_nn::model::Model;
-use fedwcm_nn::opt::momentum_blend;
+use fedwcm_nn::opt::LocalStep;
 use fedwcm_parallel::sync::lock_recover;
 use fedwcm_stats::rng::{stream, Xoshiro256pp};
 use fedwcm_tensor::Tensor;
@@ -166,23 +173,6 @@ pub(crate) fn with_pool<R>(pool: &Arc<BufferPool>, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The FedCM-family direction transform, in place over the gradient:
-/// `v = α·g + (1−α)·Δ_r` (Eq. 2/6). An empty `momentum` is round 0's
-/// `Δ_0 = 0`, so `v = α·g` there (scaling by α only rescales the
-/// effective first-round lr, matching the reference).
-pub fn momentum_direction(
-    momentum: &[f32],
-    alpha: f32,
-) -> impl FnMut(&mut [f32], &[f32], usize) + '_ {
-    move |grad, _, _| {
-        if momentum.is_empty() {
-            fedwcm_tensor::ops::scal(alpha, grad);
-        } else {
-            momentum_blend(grad, momentum, alpha);
-        }
-    }
-}
-
 /// Run local SGD from the global model, transforming each raw gradient via
 /// `direction(grad, current_params, step_index)` before stepping.
 ///
@@ -201,6 +191,24 @@ pub fn run_local_sgd(
     })
 }
 
+/// Local SGD with FedCM/FedWCM's client momentum (Eq. 2/6): each step
+/// moves the parameters by `−lr·(α·g + (1−α)·Δ_r)` in one pass over
+/// the gradient `g` of `spec.loss`, or by `−lr·(α·g)` while `momentum`
+/// is empty (round 0's `Δ_0 = 0`; scaling by α only rescales the
+/// effective first-round lr, matching the reference).
+pub fn run_local_momentum(
+    env: &ClientEnv<'_>,
+    global: &[f32],
+    spec: &LocalSgdSpec<'_>,
+    momentum: &[f32],
+    alpha: f32,
+) -> ClientUpdate {
+    let step = LocalStep::Momentum { momentum, alpha };
+    train(env, global, spec, step, |model, x, y, grads, _| {
+        model.loss_grad(x, y, spec.loss, grads)
+    })
+}
+
 /// The client loop itself, for a method whose step is more than "gradient
 /// of `spec.loss`, then a direction transform": per mini-batch `(x, y)`,
 /// `step(model, x, y, grads, step_index)` writes the step direction at the
@@ -213,6 +221,20 @@ pub fn run_local(
     env: &ClientEnv<'_>,
     global: &[f32],
     spec: &LocalSgdSpec<'_>,
+    step: impl FnMut(&mut Model, &Tensor, &[usize], &mut [f32], usize) -> f32,
+) -> ClientUpdate {
+    train(env, global, spec, LocalStep::Sgd, step)
+}
+
+/// [`run_local`]'s loop, each step moving the parameters by `update`
+/// along the hook's direction. The last step is not taken: its pass
+/// writes the upload instead, and the model is left where that step
+/// starts (the next client's `set_params` overwrites it).
+fn train(
+    env: &ClientEnv<'_>,
+    global: &[f32],
+    spec: &LocalSgdSpec<'_>,
+    update: LocalStep<'_>,
     mut step: impl FnMut(&mut Model, &Tensor, &[usize], &mut [f32], usize) -> f32,
 ) -> ClientUpdate {
     assert!(!env.view.is_empty(), "sampled an empty client");
@@ -229,6 +251,9 @@ pub fn run_local(
 
     let batches_per_epoch = env.batches_per_epoch();
     let total_steps = batches_per_epoch * spec.epochs;
+    // delta = (x_r − x_B) / (lr · B_k): gradient-scale direction.
+    let scale = 1.0 / (spec.lr * total_steps as f32);
+    let mut delta = Vec::new();
     let mut loss_acc = 0.0f64;
 
     // Both sampler paths run the same epochs × batches/epoch nest (the
@@ -255,8 +280,12 @@ pub fn run_local(
                 let idx = next_batch();
                 let (x, y) = env.dataset.gather(&idx);
                 loss_acc += step(model, &x, &y, grads, n) as f64;
-                fedwcm_nn::opt::sgd_step(model.params_mut(), grads, spec.lr);
                 n += 1;
+                if n < total_steps {
+                    update.apply(model.params_mut(), grads, spec.lr);
+                } else {
+                    delta = update.delta(global, model.params(), grads, spec.lr, scale);
+                }
             }
         }
     };
@@ -268,14 +297,6 @@ pub fn run_local(
         let mut sampler = BatchSampler::new(env.view.indices(), env.cfg.batch_size, rng);
         run_epochs(&mut || sampler.next_batch());
     }
-
-    // delta = (x_r − x_B) / (lr · B_k): gradient-scale direction.
-    let scale = 1.0 / (spec.lr * total_steps as f32);
-    let delta: Vec<f32> = global
-        .iter()
-        .zip(model.params())
-        .map(|(g, p)| (g - p) * scale)
-        .collect();
 
     model.release_caches();
     if let Some(pool) = pool {

@@ -141,8 +141,15 @@ fn bench_blas1() {
         ops::axpy(black_box(0.5), black_box(&x), black_box(&mut y));
     });
     bench("blas1/dot_64k", || ops::dot(black_box(&x), black_box(&y)));
+    let m: Vec<f32> = (0..n).map(|i| (i as f32 * 0.5).sin()).collect();
     bench("blas1/momentum_blend_64k", || {
-        momentum_blend(black_box(&mut y), black_box(&x), black_box(0.1));
+        momentum_blend(
+            black_box(&mut y),
+            black_box(&x),
+            black_box(&m),
+            black_box(0.1),
+            black_box(1e-6),
+        );
     });
 }
 
@@ -203,6 +210,27 @@ fn bench_lowering() {
     });
 }
 
+/// The server's two sweeps over a round of `mlp_xdev` uploads (50 of
+/// 19,210 parameters): the containment filter's squared norms, four
+/// uploads at a time, and the weighted sum the aggregation writes, four
+/// uploads to a pass.
+fn bench_round_sweeps() {
+    const UPLOADS: usize = 50;
+    const PARAMS: usize = 19_210;
+    let deltas: Vec<Vec<f32>> = (0..UPLOADS)
+        .map(|k| (0..PARAMS).map(|i| ((i * 7 + k) as f32).sin()).collect())
+        .collect();
+    let refs: Vec<&[f32]> = deltas.iter().map(Vec::as_slice).collect();
+    let weights: Vec<f32> = (0..UPLOADS).map(|k| 1.0 / (k + 1) as f32).collect();
+    let mut out = vec![0.0f32; PARAMS];
+    bench("aggregation/gate_norms_50x19210", || {
+        ops::norms_sq(black_box(&refs))
+    });
+    bench("aggregation/weighted_average_50x19210", || {
+        ops::axpy_sum(black_box(&mut out), UPLOADS, |k| (weights[k], refs[k]));
+    });
+}
+
 fn bench_weighted_sum() {
     // DESIGN.md ablation 4: deterministic parallel reduction vs sequential.
     let n = 1 << 17;
@@ -256,4 +284,5 @@ fn main() {
     bench_lowering();
     bench_blas1();
     bench_weighted_sum();
+    bench_round_sweeps();
 }
