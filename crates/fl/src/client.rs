@@ -251,9 +251,12 @@ fn train(
 
     let batches_per_epoch = env.batches_per_epoch();
     let total_steps = batches_per_epoch * spec.epochs;
-    // delta = (x_r − x_B) / (lr · B_k): gradient-scale direction.
+    // delta = (x_r − x_B) / (lr · B_k): gradient-scale direction. Its
+    // buffer is taken before the first step's layer caches: taken at the
+    // last step, above them, it raised `reslite_2t`'s peak RSS by ≈ 0.6 MB
+    // (2-core host).
     let scale = 1.0 / (spec.lr * total_steps as f32);
-    let mut delta = Vec::new();
+    let mut delta = Vec::with_capacity(global.len());
     let mut loss_acc = 0.0f64;
 
     // Both sampler paths run the same epochs × batches/epoch nest (the
@@ -284,7 +287,7 @@ fn train(
                 if n < total_steps {
                     update.apply(model.params_mut(), grads, spec.lr);
                 } else {
-                    delta = update.delta(global, model.params(), grads, spec.lr, scale);
+                    update.delta_into(global, model.params(), grads, spec.lr, scale, &mut delta);
                 }
             }
         }

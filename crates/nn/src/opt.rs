@@ -4,7 +4,7 @@
 //! stepping mechanics, so this module exposes small composable pieces: a
 //! plain SGD step, the client-momentum step of Eq. (2)/(6) with its blend
 //! fused in, the upload a client's last step writes instead of stepping
-//! ([`LocalStep::delta`]), and heavy-ball server momentum.
+//! ([`LocalStep::delta_into`]), and heavy-ball server momentum.
 
 use fedwcm_tensor::ops;
 
@@ -77,37 +77,40 @@ impl LocalStep<'_> {
         }
     }
 
-    /// `(origin − stepped)·scale` in one pass, where `stepped` is what
-    /// [`LocalStep::apply`] would leave in `params`, bit for bit; `params`
-    /// itself is not written. This is the upload of a client whose last
-    /// step this is.
-    pub fn delta(
+    /// Overwrite `out` with `(origin − stepped)·scale` in one pass, where
+    /// `stepped` is what [`LocalStep::apply`] would leave in `params`, bit
+    /// for bit; `params` itself is not written. This is the upload of a
+    /// client whose last step this is.
+    pub fn delta_into(
         self,
         origin: &[f32],
         params: &[f32],
         grad: &[f32],
         lr: f32,
         scale: f32,
-    ) -> Vec<f32> {
+        out: &mut Vec<f32>,
+    ) {
         assert_eq!(origin.len(), params.len(), "origin/params length mismatch");
+        out.clear();
         let neg_lr = -lr;
         let up = move |x: &f32, stepped: f32| (x - stepped) * scale;
         let each = origin.iter().zip(params).zip(grad);
         match self {
             LocalStep::Sgd => {
                 assert_eq!(params.len(), grad.len(), "params/grad length mismatch");
-                each.map(move |((x, p), g)| up(x, p + neg_lr * g)).collect()
+                out.extend(each.map(move |((x, p), g)| up(x, p + neg_lr * g)));
             }
             LocalStep::Momentum { momentum, alpha } => {
                 check_blend(params, grad, momentum, alpha);
                 if momentum.is_empty() {
-                    each.map(move |((x, p), g)| up(x, p + neg_lr * (alpha * g)))
-                        .collect()
+                    out.extend(each.map(move |((x, p), g)| up(x, p + neg_lr * (alpha * g))));
                 } else {
                     let beta = 1.0 - alpha;
-                    each.zip(momentum)
-                        .map(move |(((x, p), g), m)| up(x, p + neg_lr * (alpha * g + beta * m)))
-                        .collect()
+                    out.extend(
+                        each.zip(momentum).map(move |(((x, p), g), m)| {
+                            up(x, p + neg_lr * (alpha * g + beta * m))
+                        }),
+                    );
                 }
             }
         }
@@ -259,14 +262,16 @@ mod tests {
             prop_assert_eq!(bits(&stepped), bits(&expected));
 
             let step = LocalStep::Momentum { momentum: &m, alpha };
-            let delta = step.delta(&x, &p, &g, lr, scale);
+            let mut delta = Vec::new();
+            step.delta_into(&x, &p, &g, lr, scale, &mut delta);
             let upload: Vec<f32> = x.iter().zip(&expected).map(|(x, s)| (x - s) * scale).collect();
             prop_assert_eq!(bits(&delta), bits(&upload));
 
             let mut sgd = p.clone();
             sgd_step(&mut sgd, &g, lr);
             let upload: Vec<f32> = x.iter().zip(&sgd).map(|(x, s)| (x - s) * scale).collect();
-            prop_assert_eq!(bits(&LocalStep::Sgd.delta(&x, &p, &g, lr, scale)), bits(&upload));
+            LocalStep::Sgd.delta_into(&x, &p, &g, lr, scale, &mut delta);
+            prop_assert_eq!(bits(&delta), bits(&upload));
         }
 
         /// Under a zero gradient the step moves by the decayed momentum
