@@ -80,9 +80,7 @@ mod tests {
         let hp = sim.run(&mut FedProx::new(0.0));
         let ha = sim.run(&mut crate::FedAvg::new());
         // Identical trajectories: same seeds, same directions.
-        for (a, b) in hp.records.iter().zip(&ha.records) {
-            assert_eq!(a.test_acc, b.test_acc);
-        }
+        assert_eq!(hp.records, ha.records);
     }
 
     #[test]

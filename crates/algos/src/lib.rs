@@ -65,7 +65,7 @@ pub(crate) mod testutil {
     use fedwcm_data::longtail::longtail_counts;
     use fedwcm_data::partition::paper_partition;
     use fedwcm_data::synth::DatasetPreset;
-    use fedwcm_fl::{FlConfig, Simulation};
+    use fedwcm_fl::{FederatedAlgorithm, FlConfig, Simulation};
     use fedwcm_nn::models::mlp;
     use fedwcm_stats::Xoshiro256pp;
 
@@ -106,24 +106,19 @@ pub(crate) mod testutil {
         )
     }
 
-    /// Run `algo` and FedAvg on `sim`; every round's loss, update norm
-    /// and accuracy, and the final parameters, must agree bit for bit.
-    pub fn assert_is_fedavg(sim: &Simulation<'_>, algo: &mut dyn fedwcm_fl::FederatedAlgorithm) {
-        let (h, model) = sim.run_returning_model(algo);
-        let (h_avg, model_avg) = sim.run_returning_model(&mut crate::FedAvg::new());
-        assert_eq!(h.records.len(), h_avg.records.len());
-        let bits = |r: &fedwcm_fl::RoundRecord| {
-            (
-                r.train_loss.map(f64::to_bits),
-                r.update_norm.to_bits(),
-                r.test_acc.map(f64::to_bits),
-            )
+    /// Run `algo` and FedAvg on `sim`; every record and the final
+    /// parameters must agree bit for bit. α is blanked on both sides:
+    /// FedCM(1) and FedAvgM(0) log the α they ran at, FedAvg logs none.
+    pub fn assert_is_fedavg(sim: &Simulation<'_>, algo: &mut dyn FederatedAlgorithm) {
+        let run = |algo: &mut dyn FederatedAlgorithm| {
+            let (mut h, model) = sim.run_returning_model(algo);
+            h.records.iter_mut().for_each(|r| r.alpha = None);
+            let params: Vec<u32> = model.params().iter().map(|p| p.to_bits()).collect();
+            (h.records, params)
         };
-        for (a, b) in h.records.iter().zip(&h_avg.records) {
-            assert_eq!(bits(a), bits(b), "round {}", a.round);
-        }
-        let param_bits =
-            |m: &fedwcm_nn::Model| m.params().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-        assert_eq!(param_bits(&model), param_bits(&model_avg));
+        let (want_records, want_params) = run(&mut crate::FedAvg::new());
+        let (records, params) = run(algo);
+        assert_eq!(records, want_records);
+        assert_eq!(params, want_params, "final parameters");
     }
 }

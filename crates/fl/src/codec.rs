@@ -345,6 +345,17 @@ wire_struct!(RoundRecord {
     faults,
     net,
 });
+
+/// "The same round" is the same codec bytes: every field above, floats by
+/// bit pattern (`0.0 ≠ −0.0`, a NaN equals only its own payload). The
+/// table is the one field list, so a new column is compared as soon as it
+/// is serialized.
+impl PartialEq for RoundRecord {
+    fn eq(&self, other: &Self) -> bool {
+        self.encode() == other.encode()
+    }
+}
+
 wire_struct!(HistogramSnapshot { total, sum });
 wire_struct!(MetricEntry { name, value });
 wire_struct!(MetricsSnapshot { entries });
@@ -435,6 +446,46 @@ mod tests {
         assert_eq!(<Vec<u8>>::get(&mut r), Some(vec![0xde, 0xad]));
         assert!(r.is_exhausted());
         assert_eq!(u32::get(&mut r), None, "reads past the end return None");
+    }
+
+    #[test]
+    fn records_are_equal_exactly_when_their_bytes_are() {
+        let base = RoundRecord {
+            round: 3,
+            train_loss: Some(0.5),
+            update_norm: 1.25,
+            test_acc: Some(0.75),
+            alpha: Some(0.1),
+            aggregations: 1,
+            dropped_updates: 2,
+            ..RoundRecord::default()
+        };
+        assert_eq!(base, base.clone());
+        let edits: [fn(&mut RoundRecord); 9] = [
+            |r| r.round += 1,
+            |r| r.train_loss = None,
+            |r| r.update_norm = 1.5,
+            |r| r.test_acc = Some(0.5),
+            |r| r.alpha = None,
+            |r| r.aggregations += 1,
+            |r| r.dropped_updates += 1,
+            |r| r.faults.replays += 1,
+            |r| r.net.retries += 1,
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut r = base.clone();
+            edit(&mut r);
+            assert_ne!(r, base, "edit {i}");
+        }
+        let norm = |x: f64| RoundRecord {
+            update_norm: x,
+            ..base.clone()
+        };
+        assert_ne!(norm(0.0), norm(-0.0));
+        assert_eq!(norm(f64::NAN), norm(f64::NAN));
+        let other_nan = f64::from_bits(f64::NAN.to_bits() ^ 1);
+        assert!(other_nan.is_nan());
+        assert_ne!(norm(f64::NAN), norm(other_nan));
     }
 
     #[test]

@@ -174,26 +174,9 @@ pub fn lossy_cfg(seed: u64) -> NetConfig {
     }
 }
 
-/// Panics unless the two histories agree on every `RoundRecord` field —
-/// floats by bit pattern — and on the metrics snapshot.
+/// Panics unless the two histories have equal records (`RoundRecord`'s
+/// `==`: the same codec bytes) and metrics snapshots.
 pub fn assert_bitwise_eq(a: &History, b: &History, label: &str) {
-    assert_eq!(a.records.len(), b.records.len(), "{label}: round counts");
-    let bits = |v: Option<f64>| v.map(f64::to_bits);
-    for (x, y) in a.records.iter().zip(&b.records) {
-        let at = format!("{label}: round {}", x.round);
-        assert_eq!(x.round, y.round, "{at}");
-        assert_eq!(bits(x.train_loss), bits(y.train_loss), "{at} train_loss");
-        assert_eq!(
-            x.update_norm.to_bits(),
-            y.update_norm.to_bits(),
-            "{at} update_norm"
-        );
-        assert_eq!(bits(x.test_acc), bits(y.test_acc), "{at} test_acc");
-        assert_eq!(bits(x.alpha), bits(y.alpha), "{at} alpha");
-        assert_eq!(x.aggregations, y.aggregations, "{at} aggregations");
-        assert_eq!(x.dropped_updates, y.dropped_updates, "{at} dropped");
-        assert_eq!(x.faults, y.faults, "{at} faults");
-        assert_eq!(x.net, y.net, "{at} net counters");
-    }
+    assert_eq!(a.records, b.records, "{label}: records");
     assert_eq!(a.metrics, b.metrics, "{label}: metrics snapshot");
 }

@@ -23,14 +23,12 @@ fn sim<'a>(train: &'a Dataset, test: &'a Dataset, cfg: &FlConfig) -> Simulation<
 
 #[test]
 fn full_run_deterministic_across_thread_env() {
-    let (train, test, cfg) = task(1003, 25);
-    let s = sim(&train, &test, &cfg);
-    let (h1, h2) = (s.run(&mut FedWcm::new()), s.run(&mut FedWcm::new()));
-    for (a, b) in h1.records.iter().zip(&h2.records) {
-        assert_eq!(a.train_loss, b.train_loss);
-        assert_eq!(a.test_acc, b.test_acc);
-        assert_eq!(a.alpha, b.alpha);
-    }
+    let (train, test, mut cfg) = task(1003, 25);
+    let mut run = |threads| {
+        cfg.threads = threads;
+        sim(&train, &test, &cfg).run(&mut FedWcm::new()).records
+    };
+    assert_eq!(run(1), run(3));
 }
 
 #[test]

@@ -83,28 +83,6 @@ fn oracle_run(task: &PreparedTask, algo: &mut dyn FederatedAlgorithm) -> Vec<Rou
     records
 }
 
-/// Every `RoundRecord` field, floats by bit pattern.
-fn assert_records_equal(want: &[RoundRecord], got: &[RoundRecord], label: &str) {
-    assert_eq!(want.len(), got.len(), "{label}: round count");
-    let bits = |v: Option<f64>| v.map(f64::to_bits);
-    for (w, g) in want.iter().zip(got) {
-        let at = format!("{label}: round {}", w.round);
-        assert_eq!(w.round, g.round, "{at}");
-        assert_eq!(bits(w.train_loss), bits(g.train_loss), "{at} train_loss");
-        assert_eq!(
-            w.update_norm.to_bits(),
-            g.update_norm.to_bits(),
-            "{at} update_norm"
-        );
-        assert_eq!(bits(w.test_acc), bits(g.test_acc), "{at} test_acc");
-        assert_eq!(bits(w.alpha), bits(g.alpha), "{at} alpha");
-        assert_eq!(w.aggregations, g.aggregations, "{at} aggregations");
-        assert_eq!(w.dropped_updates, g.dropped_updates, "{at} dropped");
-        assert_eq!(w.faults, g.faults, "{at} faults");
-        assert_eq!(w.net, g.net, "{at} net");
-    }
-}
-
 #[test]
 fn sync_engine_matches_the_naive_oracle_for_every_method() {
     let exp = ExpConfig::new(DatasetPreset::FashionMnist, 0.1, 0.3, Scale::Smoke, 3001);
@@ -118,7 +96,7 @@ fn sync_engine_matches_the_naive_oracle_for_every_method() {
             sim.cfg.threads = threads;
             let got = sim.run(build_method(method, &task).as_mut());
             let label = format!("{} at {threads} thread(s)", method.label());
-            assert_records_equal(&want, &got.records, &label);
+            assert_eq!(got.records, want, "{label}");
         }
     }
 }

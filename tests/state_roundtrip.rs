@@ -20,8 +20,7 @@ use fedwcm_experiments::Method::{self, *};
 use fedwcm_experiments::{build_method, ExpConfig, Scale};
 use fedwcm_suite::data::synth::DatasetPreset;
 use fedwcm_suite::fl::{
-    ClientEnv, ClientUpdate, FederatedAlgorithm, History, RoundInput, RoundLog, ServerCheckpoint,
-    StateError,
+    ClientEnv, ClientUpdate, FederatedAlgorithm, RoundInput, RoundLog, ServerCheckpoint, StateError,
 };
 use fedwcm_transport::frame::crc32;
 
@@ -51,33 +50,6 @@ const PINNED_CHECKPOINTS: [(Method, u32); 19] = [
     (FedLesam, 0x4ABF_0078),
     (MimeLite, 0xE220_69BB),
 ];
-
-/// Every column of every record, floats as bits, and the parameters
-/// after each round: what "the same run" means here.
-fn fingerprint(history: &History, globals: &[Vec<f32>]) -> Vec<(String, Vec<u32>)> {
-    assert_eq!(history.records.len(), globals.len());
-    let bits = |x: Option<f64>| x.map(f64::to_bits);
-    history
-        .records
-        .iter()
-        .zip(globals)
-        .map(|(r, g)| {
-            let record = format!(
-                "{} {:?} {} {:?} {:?} {} {} {:?} {:?}",
-                r.round,
-                bits(r.train_loss),
-                r.update_norm.to_bits(),
-                bits(r.test_acc),
-                bits(r.alpha),
-                r.aggregations,
-                r.dropped_updates,
-                r.faults,
-                r.net,
-            );
-            (record, g.iter().map(|x| x.to_bits()).collect())
-        })
-        .collect()
-}
 
 #[test]
 fn every_method_resumes_bit_for_bit_or_says_unsupported() {
@@ -141,15 +113,15 @@ fn every_method_resumes_bit_for_bit_or_says_unsupported() {
             })
             .unwrap_or_else(|e| panic!("{label}: cannot resume from its own state ({e})"));
 
-        let (want, got) = (
-            fingerprint(&whole, &whole_globals),
-            fingerprint(&resumed, &resumed_globals),
-        );
-        for (round, (w, g)) in want.iter().zip(&got).enumerate() {
-            assert_eq!(w.0, g.0, "{label}: record of round {round}");
-            assert!(w.1 == g.1, "{label}: parameters after round {round}");
+        // "The same run": every record column, and the parameters after
+        // each round.
+        assert_eq!(resumed.records, whole.records, "{label}: records");
+        assert_eq!(whole_globals.len(), whole.records.len());
+        assert_eq!(resumed_globals.len(), whole_globals.len(), "{label}");
+        let bits = |g: &[f32]| g.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (r, (w, g)) in whole_globals.iter().zip(&resumed_globals).enumerate() {
+            assert!(bits(w) == bits(g), "{label}: parameters after round {r}");
         }
-        assert_eq!(want.len(), got.len(), "{label}: rounds run");
     }
     assert!(
         moved.is_empty(),

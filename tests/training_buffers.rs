@@ -59,25 +59,6 @@ fn sim<'a>(
     Simulation::new(cfg.clone(), train, test, views, Box::new(factory))
 }
 
-/// Every bit of a history's records.
-type RecordBits = (Option<u64>, u64, Option<u64>, Option<u64>, u32, usize);
-
-fn bits(h: &History) -> Vec<RecordBits> {
-    h.records
-        .iter()
-        .map(|r| {
-            (
-                r.train_loss.map(f64::to_bits),
-                r.update_norm.to_bits(),
-                r.test_acc.map(f64::to_bits),
-                r.alpha.map(f64::to_bits),
-                r.aggregations,
-                r.dropped_updates,
-            )
-        })
-        .collect()
-}
-
 /// Methods whose local steps differ in kind: plain, momentum blend,
 /// FedWCM's, control variates, a dynamic regulariser, and three step
 /// hooks — a SAM ascent along the global direction, FedGrab's row
@@ -115,7 +96,7 @@ fn the_factory_runs_once_per_simulation() {
         let resumed = s
             .resume(&mut FedCm::new(0.1), &ckpt)
             .expect("the checkpoint is this simulation's");
-        assert_eq!(bits(&resumed), bits(&whole));
+        assert_eq!(resumed.records, whole.records);
         let (_, model) = s.run_returning_model(&mut FedAvg::new());
         assert_eq!(model.param_len(), relu_mlp().param_len());
         assert_eq!(
@@ -169,12 +150,12 @@ impl FederatedAlgorithm for DirtyFirst {
 
 #[test]
 fn histories_do_not_depend_on_buffer_history_or_thread_count() {
-    let clean: Vec<Vec<RecordBits>> = {
+    let clean: Vec<Vec<_>> = {
         let (train, test, cfg) = task(2102, 1);
         let s = sim(&train, &test, &cfg, relu_mlp);
         methods(&train, cfg.clients)
             .into_iter()
-            .map(|mut algo| bits(&s.run(algo.as_mut())))
+            .map(|mut algo| s.run(algo.as_mut()).records)
             .collect()
     };
     for threads in [1, 3] {
@@ -184,7 +165,7 @@ fn histories_do_not_depend_on_buffer_history_or_thread_count() {
             let name = algo.name();
             let mut algo = algo;
             assert_eq!(
-                &bits(&s.run(algo.as_mut())),
+                &s.run(algo.as_mut()).records,
                 clean,
                 "{name}: threads={threads} differs from one thread"
             );
@@ -192,7 +173,7 @@ fn histories_do_not_depend_on_buffer_history_or_thread_count() {
         for (algo, clean) in methods(&train, cfg.clients).into_iter().zip(&clean) {
             let name = algo.name();
             assert_eq!(
-                &bits(&s.run(&mut DirtyFirst(algo))),
+                &s.run(&mut DirtyFirst(algo)).records,
                 clean,
                 "{name}: threads={threads}, NaN-filled buffers changed the history"
             );
@@ -206,13 +187,13 @@ fn equal_sized_architectures_do_not_share_buffers_across_simulations() {
     let (train, test, cfg) = task(2103, 3);
     let relu = sim(&train, &test, &cfg, relu_mlp);
     let tanh = sim(&train, &test, &cfg, tanh_mlp);
-    let solo_relu = bits(&relu.run(&mut FedWcm::new()));
-    let solo_tanh = bits(&tanh.run(&mut FedWcm::new()));
+    let solo_relu = relu.run(&mut FedWcm::new()).records;
+    let solo_tanh = tanh.run(&mut FedWcm::new()).records;
     assert_ne!(solo_relu, solo_tanh, "the architectures train differently");
     // Back to back on the same pool threads, in both orders.
     for _ in 0..2 {
-        assert_eq!(bits(&relu.run(&mut FedWcm::new())), solo_relu);
-        assert_eq!(bits(&tanh.run(&mut FedWcm::new())), solo_tanh);
+        assert_eq!(relu.run(&mut FedWcm::new()).records, solo_relu);
+        assert_eq!(tanh.run(&mut FedWcm::new()).records, solo_tanh);
     }
-    assert_eq!(bits(&relu.run(&mut FedWcm::new())), solo_relu);
+    assert_eq!(relu.run(&mut FedWcm::new()).records, solo_relu);
 }
