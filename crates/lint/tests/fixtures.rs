@@ -132,6 +132,61 @@ pub fn emit(t: &Tracer) -> &'static str { t.span(Name::ROUND, vec![]); \"FL_ACC_
     assert_eq!(lint_many(&[(REG, REG_SRC), (LIB, user)]).len(), 1);
 }
 
+// ------------------------------------------------ literal forms skipped
+
+/// The registry lines the rule flags when `user` is the only other file
+/// (`ROUND` is on line 3, `FL_ACC_CLASS_PREFIX` on line 5).
+fn dead_lines(reg: &str, user: &str) -> Vec<usize> {
+    lint_many(&[(REG, reg), (LIB, user)])
+        .iter()
+        .map(|d| d.line)
+        .collect()
+}
+
+#[test]
+fn a_raw_string_holding_a_quote_and_an_entry_name_is_not_a_use() {
+    // Ending the literal at the inner `"` would read the name as a use;
+    // never ending it would hide the real use of ROUND after it.
+    let user = "let s = r#\"a \" before FL_ACC_CLASS_PREFIX\"#; emit(Name::ROUND);\n";
+    assert_eq!(dead_lines(REG_SRC, user), [5]);
+}
+
+#[test]
+fn byte_strings_and_an_escaped_byte_quote_are_literals() {
+    let user = "let s = b\"\\\" FL_ACC_CLASS_PREFIX\"; let q = b'\\''; emit(Name::ROUND);\n";
+    assert_eq!(dead_lines(REG_SRC, user), [5]);
+}
+
+#[test]
+fn a_double_quote_char_does_not_open_a_string() {
+    let user = "let q = '\"'; emit(Name::ROUND); let s = \"FL_ACC_CLASS_PREFIX\";\n";
+    assert_eq!(dead_lines(REG_SRC, user), [5]);
+}
+
+#[test]
+fn a_nested_block_comment_ends_at_its_own_close() {
+    let user =
+        "/* outer /* FL_ACC_CLASS_PREFIX */ still FL_ACC_CLASS_PREFIX */ emit(Name::ROUND);\n";
+    assert_eq!(dead_lines(REG_SRC, user), [5]);
+}
+
+#[test]
+fn a_lifetime_does_not_open_a_char_literal() {
+    let user = "\
+fn emit<'a>(t: &'a Tracer) -> &'a Name { t.span(Name::ROUND); &FL_ACC_CLASS_PREFIX }
+";
+    assert!(dead_lines(REG_SRC, user).is_empty());
+}
+
+#[test]
+fn a_raw_identifier_is_a_use_not_a_raw_string() {
+    // `r#` before a word is a raw identifier: it must not swallow the
+    // source up to some later `"#`, in the table or in the user.
+    let reg = REG_SRC.replace("ROUND =", "r#ROUND =");
+    let user = "emit(Name::r#ROUND); let s = \"FL_ACC_CLASS_PREFIX\"; let t = \"#\";\n";
+    assert_eq!(dead_lines(&reg, user), [5]);
+}
+
 // ------------------------------------------------- taxonomy governance
 
 #[test]
