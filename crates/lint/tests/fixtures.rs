@@ -4,7 +4,7 @@
 //! Fixtures are in-memory strings fed to `lint_sources` under invented
 //! workspace-relative paths.
 
-use fedwcm_lint::{lint_sources, lint_workspace, Diagnostic, LintConfig, ALL_RULES};
+use fedwcm_lint::{lint_sources, lint_workspace, Diagnostic, LintConfig};
 
 /// Lint a set of fixtures together, as one workspace for the
 /// cross-file rule.
@@ -46,10 +46,10 @@ fn real_workspace_is_clean() {
 
 #[test]
 fn full_workspace_run_fits_the_time_budget() {
-    // Every source file is lexed exactly once; a full-workspace pass
+    // Every source file is scanned exactly once; a full-workspace pass
     // must stay interactive. The budget is far
     // above the measured debug-profile time, so it only trips on
-    // structural regressions (re-lexing per rule, a quadratic
+    // structural regressions (re-scanning per entry, a quadratic
     // cross-file pass), not on CI jitter.
     let root = workspace_root();
     let started = std::time::Instant::now();
@@ -63,7 +63,7 @@ fn full_workspace_run_fits_the_time_budget() {
     assert!(
         elapsed < std::time::Duration::from_secs(10),
         "full-workspace lint took {elapsed:?} over {} files — the shared \
-         lex budget regressed",
+         scan budget regressed",
         run.files
     );
 }
@@ -185,41 +185,4 @@ fn a_raw_identifier_is_a_use_not_a_raw_string() {
     let reg = REG_SRC.replace("ROUND =", "r#ROUND =");
     let user = "emit(Name::r#ROUND); let s = \"FL_ACC_CLASS_PREFIX\"; let t = \"#\";\n";
     assert_eq!(dead_lines(&reg, user), [5]);
-}
-
-// ------------------------------------------------- taxonomy governance
-
-#[test]
-fn rule_info_matches_all_rules_in_order() {
-    use fedwcm_lint::RULE_INFO;
-    let ids: Vec<&str> = RULE_INFO.iter().map(|r| r.id).collect();
-    assert_eq!(ids, ALL_RULES, "RULE_INFO must list ALL_RULES in order");
-    for r in RULE_INFO {
-        assert!(!r.family.is_empty(), "{}: empty family", r.id);
-        assert_eq!(r.severity, "error", "{}: all rules are hard gates", r.id);
-        assert!(
-            !r.escape.is_empty(),
-            "{}: every rule says what a finding asks for",
-            r.id
-        );
-    }
-}
-
-#[test]
-fn taxonomy_is_documented() {
-    // DESIGN.md §9 and the README rule table must mention every rule id
-    // — `--rules` output, docs, and the engine cannot drift apart.
-    let root = workspace_root();
-    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
-    let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md");
-    for rule in ALL_RULES {
-        assert!(
-            design.contains(rule),
-            "DESIGN.md does not mention rule `{rule}`"
-        );
-        assert!(
-            readme.contains(rule),
-            "README.md does not mention rule `{rule}`"
-        );
-    }
 }
