@@ -115,7 +115,7 @@ mod tests {
     }
 
     /// A concentration figure runs the cell `run_history` runs, CLI
-    /// overrides included (`Debug` prints every float exactly).
+    /// overrides included (records compare by their codec bytes).
     #[test]
     fn concentration_runs_take_the_cli_cadence() {
         let exp = ExpConfig::new(DatasetPreset::FashionMnist, 0.1, 0.3, Scale::Smoke, 73);
@@ -127,9 +127,6 @@ mod tests {
         };
         let traced = run_with_concentration(&exp, Method::FedCm, &cli, 2).history;
         let plain = crate::report::run_history(&exp, Method::FedCm, &cli);
-        assert_eq!(
-            format!("{:?}", traced.records),
-            format!("{:?}", plain.records)
-        );
+        assert_eq!(traced.records, plain.records);
     }
 }
