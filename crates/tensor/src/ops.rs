@@ -131,38 +131,14 @@ pub fn axpy_sum<'a>(out: &mut [f32], terms: usize, term: impl Fn(usize) -> (f32,
     }
 }
 
-/// `out = a + b` elementwise.
-#[inline]
-pub fn add(a: &[f32], b: &[f32], out: &mut [f32]) {
-    assert!(
-        a.len() == b.len() && b.len() == out.len(),
-        "add length mismatch"
-    );
-    for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
-        *o = x + y;
-    }
-}
-
-/// `y = alpha * x + beta * y` (axpby) — the momentum blend
-/// `v = α·g + (1−α)·Δ` from Eq. (2)/(6) in one pass.
+/// `y = alpha * x + beta * y` (axpby). The training path's momentum
+/// blend is `fedwcm_nn::opt::momentum_blend`, fused with the step.
 #[inline]
 pub fn axpby(alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpby length mismatch");
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi = alpha * xi + beta * *yi;
     }
-}
-
-/// Copy `src` into `dst`.
-#[inline]
-pub fn copy(src: &[f32], dst: &mut [f32]) {
-    dst.copy_from_slice(src);
-}
-
-/// Set all elements to zero.
-#[inline]
-pub fn zero(x: &mut [f32]) {
-    x.fill(0.0);
 }
 
 /// Clip the L2 norm of `x` to at most `max_norm`; returns the pre-clip
@@ -220,19 +196,10 @@ mod tests {
     }
 
     #[test]
-    fn scal_and_zero() {
+    fn scal_scales() {
         let mut x = [2.0, 4.0];
         scal(0.5, &mut x);
         assert_eq!(x, [1.0, 2.0]);
-        zero(&mut x);
-        assert_eq!(x, [0.0, 0.0]);
-    }
-
-    #[test]
-    fn add_elementwise() {
-        let mut s = [0.0; 2];
-        add(&[3.0, 4.0], &[2.0, 3.0], &mut s);
-        assert_eq!(s, [5.0, 7.0]);
     }
 
     #[test]

@@ -42,8 +42,8 @@ proptest! {
         let a = randn(&[m, k], seed);
         let b1 = randn(&[k, n], seed.wrapping_add(4));
         let b2 = randn(&[k, n], seed.wrapping_add(5));
-        let mut sum = Tensor::zeros(&[k, n]);
-        ops::add(b1.as_slice(), b2.as_slice(), sum.as_mut_slice());
+        let mut sum = b1.clone();
+        ops::axpy(1.0, b2.as_slice(), sum.as_mut_slice());
         let lhs = matmul(&a, &sum);
         let mut rhs = matmul(&a, &b1);
         let r2 = matmul(&a, &b2);
