@@ -187,29 +187,6 @@ impl Model {
         }
     }
 
-    /// Accuracy on a labelled batch (argmax of logits).
-    pub fn accuracy(&mut self, x: &Tensor, y: &[usize]) -> f64 {
-        assert_eq!(x.rows(), y.len(), "batch/label length mismatch");
-        if y.is_empty() {
-            return 0.0;
-        }
-        let logits = self.forward(x, false);
-        let mut correct = 0usize;
-        for (r, &label) in y.iter().enumerate() {
-            let row = logits.row(r);
-            let mut best = 0usize;
-            for (j, &v) in row.iter().enumerate() {
-                if v > row[best] {
-                    best = j;
-                }
-            }
-            if best == label {
-                correct += 1;
-            }
-        }
-        correct as f64 / y.len() as f64
-    }
-
     /// Predicted class per row.
     pub fn predict(&mut self, x: &Tensor) -> Vec<usize> {
         let logits = self.forward(x, false);
@@ -313,8 +290,7 @@ mod tests {
         }
         let after = m.loss_grad(&x, &y, &loss, &mut grads);
         assert!(after < initial * 0.1, "loss {initial} -> {after}");
-        assert_eq!(m.accuracy(&x, &y), 1.0);
-        assert_eq!(m.predict(&x), vec![0, 1, 2]);
+        assert_eq!(m.predict(&x), y);
     }
 
     /// The reference for `Model::backward`: every layer, the first

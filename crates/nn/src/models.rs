@@ -113,7 +113,7 @@ mod tests {
         }
         let after = m.loss_grad(&x, &y, &loss, &mut grads);
         assert!(after < before, "loss {before} -> {after}");
-        assert_eq!(m.accuracy(&x, &y), 1.0);
+        assert_eq!(m.predict(&x), y);
     }
 
     #[test]
