@@ -36,8 +36,8 @@
 //! one upload crossing the lossy wire, DESIGN.md §13). Every span,
 //! point, and metric name is declared once as a constant in [`names`];
 //! producers pass a [`names::Name`], so a string literal in name
-//! position does not compile, and `fedwcm-lint`'s `metrics-registry`
-//! rule flags a table entry nothing uses.
+//! position does not compile, and `fedwcm-lint`'s
+//! `real_workspace_is_clean` test fails on a table entry nothing uses.
 
 #![warn(missing_docs)]
 // Library code (DESIGN.md §9): nothing `clippy.toml` lists and no unused

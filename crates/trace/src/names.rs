@@ -19,8 +19,8 @@
 //! telemetry surface: rename an entry here and the compiler — not a
 //! lint — walks you to every producer, while dashboards and trace
 //! consumers get one place to read. The one thing no type carries is an
-//! entry nobody uses; `fedwcm-lint`'s `metrics-registry` rule flags an
-//! identifier of this table that no other file mentions.
+//! entry nobody uses; `fedwcm-lint`'s `real_workspace_is_clean` test
+//! fails on an identifier of this table that no other file mentions.
 //!
 //! Grouping mirrors the instrument kinds in [`crate::metrics`] and
 //! [`crate::tracer`]: spans and points first, then counters, gauges,
