@@ -12,7 +12,6 @@ use fedwcm_experiments::{parse_args, ExpConfig, Method};
 
 fn main() {
     let cli = parse_args(std::env::args());
-    let console = cli.console();
     let exp = ExpConfig::new(DatasetPreset::Cifar10, 0.05, 0.6, cli.scale, cli.seed);
     let task = cli.prepare(&exp);
     let counts = task.global_counts();
@@ -51,6 +50,6 @@ fn main() {
             geom.mean_cosine_within(&tail)
         );
         println!("mean within-class variability: {:.4}", mean_var);
-        console.info(format!("[geometry] {} done", method.label()));
+        cli.progress(format!("[geometry] {} done", method.label()));
     }
 }

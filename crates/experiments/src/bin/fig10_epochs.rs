@@ -8,7 +8,6 @@ use fedwcm_stats::describe::mean;
 
 fn main() {
     let cli = parse_args(std::env::args());
-    let console = cli.console();
     let methods = [Method::FedAvg, Method::FedCm, Method::FedWcm];
     let headers: Vec<String> = methods.iter().map(|m| m.label().to_string()).collect();
     let epochs: &[usize] = match cli.scale {
@@ -23,7 +22,7 @@ fn main() {
             .iter()
             .map(|&m| mean(&run_cell(&exp, m, &cli)))
             .collect();
-        console.info(format!("[fig10] epochs={e} done"));
+        cli.progress(format!("[fig10] epochs={e} done"));
         rows.push((format!("E={e}"), values));
     }
     print_table("Fig.10 — accuracy vs local epochs", &headers, &rows);

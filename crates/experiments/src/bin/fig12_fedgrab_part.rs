@@ -7,7 +7,6 @@ use fedwcm_experiments::{parse_args, ExpConfig, Method};
 
 fn main() {
     let cli = parse_args(std::env::args());
-    let console = cli.console();
     let mut exp = ExpConfig::new(DatasetPreset::Cifar10, 0.1, 0.1, cli.scale, cli.seed);
     exp.fedgrab_partition = true;
     let methods = [
@@ -22,7 +21,7 @@ fn main() {
     let mut histories = Vec::new();
     for m in methods {
         histories.push(run_history(&exp, m, &cli));
-        console.info(format!("[fig12] {} done", m.label()));
+        cli.progress(format!("[fig12] {} done", m.label()));
     }
     print_series("Fig.12 accuracy under the FedGrab partition", &histories);
     println!("\n# final accuracies:");

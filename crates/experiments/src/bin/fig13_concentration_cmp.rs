@@ -8,7 +8,6 @@ use fedwcm_experiments::{parse_args, ExpConfig, Method};
 
 fn main() {
     let cli = parse_args(std::env::args());
-    let console = cli.console();
     for imbalance in [1.0, 0.1] {
         let exp = ExpConfig::new(DatasetPreset::Cifar10, imbalance, 0.1, cli.scale, cli.seed);
         let methods = [Method::FedAvg, Method::FedCm, Method::FedWcm];
@@ -23,7 +22,7 @@ fn main() {
                 }
                 rows[i].1.push(c);
             }
-            console.info(format!("[fig13] IF={imbalance} {} done", m.label()));
+            cli.progress(format!("[fig13] IF={imbalance} {} done", m.label()));
         }
         print_trace_csv(
             &format!("Fig.13 mean neuron concentration, IF={imbalance}"),

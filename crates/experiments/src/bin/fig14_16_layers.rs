@@ -8,7 +8,6 @@ use fedwcm_experiments::{parse_args, ExpConfig, Method};
 
 fn main() {
     let cli = parse_args(std::env::args());
-    let console = cli.console();
     let exp = ExpConfig::new(DatasetPreset::Cifar10, 0.1, 0.1, cli.scale, cli.seed);
     for (fig, method) in [
         (14, Method::FedAvg),
@@ -21,6 +20,6 @@ fn main() {
             &trace.layer_names,
             &trace.per_layer,
         );
-        console.info(format!("[fig14-16] {} done", method.label()));
+        cli.progress(format!("[fig14-16] {} done", method.label()));
     }
 }

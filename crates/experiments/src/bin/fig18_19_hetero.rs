@@ -9,12 +9,11 @@ use fedwcm_experiments::{parse_args, ExpConfig, Method};
 
 fn main() {
     let cli = parse_args(std::env::args());
-    let console = cli.console();
     let exp = ExpConfig::new(DatasetPreset::Cifar10, 1.0, 0.1, cli.scale, cli.seed);
     let mut histories = Vec::new();
     for m in Method::hetero_panel() {
         histories.push(run_history(&exp, m, &cli));
-        console.info(format!("[fig18-19] {} done", m.label()));
+        cli.progress(format!("[fig18-19] {} done", m.label()));
     }
 
     // Fig. 18: training loss per round.

@@ -10,7 +10,6 @@ const TARGET_SHARE: f64 = 0.85;
 
 fn main() {
     let cli = parse_args(std::env::args());
-    let console = cli.console();
     let exp = ExpConfig::new(DatasetPreset::Cifar10, 0.1, 0.6, cli.scale, cli.seed);
     let methods = [
         Method::FedAvg,
@@ -25,7 +24,7 @@ fn main() {
     let mut histories = Vec::new();
     for m in methods {
         histories.push(run_history(&exp, m, &cli));
-        console.info(format!("[fig7] {} done", m.label()));
+        cli.progress(format!("[fig7] {} done", m.label()));
     }
     print_series("Fig.7 accuracy curves (beta=0.6, IF=0.1)", &histories);
     println!(

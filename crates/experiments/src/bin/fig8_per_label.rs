@@ -8,7 +8,6 @@ use fedwcm_experiments::{parse_args, ExpConfig, Method};
 
 fn main() {
     let cli = parse_args(std::env::args());
-    let console = cli.console();
     let exp = ExpConfig::new(DatasetPreset::Cifar10, 0.1, 0.6, cli.scale, cli.seed);
     let task = cli.prepare(&exp);
     let counts = task.global_counts();
@@ -23,7 +22,7 @@ fn main() {
         let mut algo = build_method(method, &task);
         let (_, mut model) = cli.simulation(&task).run_returning_model(algo.as_mut());
         summaries.push(head_tail_summary(&mut model, &task.test, &counts));
-        console.info(format!("[fig8] {} done", method.label()));
+        cli.progress(format!("[fig8] {} done", method.label()));
     }
     for label in 0..task.test.classes() {
         println!(

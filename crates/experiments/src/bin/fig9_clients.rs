@@ -9,7 +9,6 @@ use fedwcm_stats::describe::mean;
 
 fn main() {
     let cli = parse_args(std::env::args());
-    let console = cli.console();
     let methods = [Method::FedAvg, Method::FedCm, Method::FedWcm];
     let headers: Vec<String> = methods.iter().map(|m| m.label().to_string()).collect();
     let client_counts: &[usize] = match cli.scale {
@@ -28,7 +27,7 @@ fn main() {
             .iter()
             .map(|&m| mean(&run_cell(&exp, m, &cli)))
             .collect();
-        console.info(format!("[fig9] clients={k} done"));
+        cli.progress(format!("[fig9] clients={k} done"));
         rows.push((format!("K={k}"), values));
     }
     print_table("Fig.9 — accuracy vs total client count", &headers, &rows);

@@ -9,7 +9,6 @@ fn main() {
     if !(2..=30).contains(&cli.trials) {
         usage("flclaims needs --trials N with 2 <= N <= 30");
     }
-    let console = cli.console();
     println!(
         "# {:?} scale, seeds {} + 1000·t for t < {}\n",
         cli.scale, cli.seed, cli.trials
@@ -18,6 +17,6 @@ fn main() {
     println!("|---|---|---|---|---|---|---|---|---|");
     for claim in &LEDGER {
         println!("{}", claim.run(&cli).1);
-        console.info(format!("[claims] {} done", claim.id));
+        cli.progress(format!("[claims] {} done", claim.id));
     }
 }

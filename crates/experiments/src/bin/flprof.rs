@@ -8,8 +8,8 @@
 //! ```
 //!
 //! Artifacts (profile table or JSON, flame stacks) go to stdout and are
-//! byte-stable; progress goes to stderr through the shared experiment
-//! console (`--quiet` silences it). Exit codes: 0 on success, 2 on usage
+//! byte-stable; progress goes to stderr through [`Cli::progress`]
+//! (`--quiet` silences it). Exit codes: 0 on success, 2 on usage
 //! or input errors.
 
 use fedwcm_experiments::Cli;
@@ -25,7 +25,7 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: flprof <command> [args] [--quiet|-q] [--verbose|-v]\n\
+        "usage: flprof <command> [args] [--quiet|-q]\n\
          \n\
          commands:\n\
          \x20 analyze TRACE [--format table|json]   profile a JSONL trace\n\
@@ -56,15 +56,13 @@ fn main() {
                     _ => usage("--format needs table or json"),
                 };
             }
-            "--quiet" | "-q" => cli.verbosity = 0,
-            "--verbose" | "-v" => cli.verbosity = 2,
+            "--quiet" | "-q" => cli.quiet = true,
             "--help" | "-h" => usage(""),
             other if other.starts_with('-') => usage(&format!("unknown flag {other}")),
             other if command.is_none() => command = Some(other.to_string()),
             other => positional.push(other.to_string()),
         }
     }
-    let console = cli.console();
     let fail = |e: &dyn std::fmt::Display| -> ! {
         eprintln!("error: {e}");
         std::process::exit(2);
@@ -80,7 +78,7 @@ fn main() {
                 Ok(r) => r,
                 Err(e) => fail(&e),
             };
-            console.info(format!(
+            cli.progress(format!(
                 "parsed {} records -> {} spans, {} rounds, {} total ticks",
                 profile.records,
                 profile.spans,

@@ -12,7 +12,6 @@ use fedwcm_stats::describe::mean;
 
 fn main() {
     let (dataset, cli) = parse_args_with_dataset(std::env::args(), "[--dataset NAME]");
-    let console = cli.console();
     let methods = [
         Method::FedAvg,
         Method::BalanceFl,
@@ -40,7 +39,7 @@ fn main() {
                     .map(|&m| mean(&run_cell(&exp, m, &cli)))
                     .collect();
                 rows.push((format!("IF={imbalance}"), values));
-                console.info(format!("[table1] {name} beta={beta} IF={imbalance} done"));
+                cli.progress(format!("[table1] {name} beta={beta} IF={imbalance} done"));
             }
             print_table(&format!("Table 1/7 — {name}, beta={beta}"), &headers, &rows);
         }

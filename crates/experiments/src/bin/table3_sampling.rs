@@ -8,7 +8,6 @@ use fedwcm_stats::describe::mean;
 
 fn main() {
     let cli: Cli = parse_args(std::env::args());
-    let console = cli.console();
     let methods = [Method::FedAvg, Method::FedCm, Method::FedWcm];
     let headers: Vec<String> = methods.iter().map(|m| m.label().to_string()).collect();
     let rates = [0.05f64, 0.1, 0.2, 0.4, 0.8];
@@ -24,7 +23,7 @@ fn main() {
             .iter()
             .map(|&m| mean(&run_cell(&exp, m, &cli)))
             .collect();
-        console.info(format!("[table3] rate={rate} done"));
+        cli.progress(format!("[table3] rate={rate} done"));
         rows.push((format!("{}%", (rate * 100.0) as usize), values));
     }
     print_table("Table 3 — client sampling rate sweep", &headers, &rows);

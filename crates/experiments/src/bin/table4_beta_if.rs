@@ -8,7 +8,6 @@ use fedwcm_stats::describe::mean;
 
 fn main() {
     let cli = parse_args(std::env::args());
-    let console = cli.console();
     let methods = [Method::FedAvg, Method::FedCm, Method::FedWcm];
     let ifs = [1.0, 0.4, 0.1, 0.06, 0.04, 0.01];
     for beta in [0.1, 0.6] {
@@ -23,7 +22,7 @@ fn main() {
                     mean(&run_cell(&exp, m, &cli))
                 })
                 .collect();
-            console.info(format!("[table4] beta={beta} {} done", m.label()));
+            cli.progress(format!("[table4] beta={beta} {} done", m.label()));
             rows.push((m.label().to_string(), values));
         }
         print_table(&format!("Table 4 — beta={beta}"), &headers, &rows);

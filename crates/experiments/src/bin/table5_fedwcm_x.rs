@@ -8,7 +8,6 @@ use fedwcm_stats::describe::mean;
 
 fn main() {
     let cli = parse_args(std::env::args());
-    let console = cli.console();
     let methods = [Method::FedAvg, Method::FedCm, Method::FedWcmX];
     let ifs = [1.0, 0.4, 0.1, 0.06, 0.04, 0.01];
     let headers: Vec<String> = ifs.iter().map(|v| format!("IF={v}")).collect();
@@ -22,7 +21,7 @@ fn main() {
                 mean(&run_cell(&exp, m, &cli))
             })
             .collect();
-        console.info(format!("[table5] {} done", m.label()));
+        cli.progress(format!("[table5] {} done", m.label()));
         rows.push((m.label().to_string(), values));
     }
     print_table("Table 5 — FedGrab partition, beta=0.1", &headers, &rows);

@@ -4,8 +4,7 @@
 use crate::setup::{ExpConfig, PreparedTask};
 use fedwcm_data::synth::DatasetPreset;
 use fedwcm_fl::{Cadence, NetConfig, NetPlan, Simulation};
-use fedwcm_trace::{ConsoleSink, Tracer, WallClock};
-use std::sync::Arc;
+use std::fmt::Display;
 
 /// Experiment scale.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,9 +33,8 @@ pub struct Cli {
     /// Network-fault plan for the wire transport
     /// (`--net drop:0.1,delay:2`); `None` runs without a transport.
     pub net: Option<NetConfig>,
-    /// Console verbosity: 0 (`--quiet`) silences progress, 1 (default)
-    /// prints progress lines, 2 (`--verbose`) echoes every trace event.
-    pub verbosity: u8,
+    /// `--quiet`: no progress lines on stderr.
+    pub quiet: bool,
 }
 
 impl Default for Cli {
@@ -48,7 +46,7 @@ impl Default for Cli {
             rounds: None,
             cadence: Cadence::Sync,
             net: None,
-            verbosity: 1,
+            quiet: false,
         }
     }
 }
@@ -74,19 +72,13 @@ impl Cli {
         }
     }
 
-    /// The single console for experiment progress: a wall-clock tracer
-    /// writing to stderr through [`ConsoleSink`], or a disabled tracer
-    /// under `--quiet`. Binaries report progress with `.info(...)` so
-    /// verbosity is decided in one place; artifact rows (tables, CSV)
+    /// Report progress as `:: {msg}` on stderr, or nothing under
+    /// `--quiet`. Every binary's progress lines come through here, so
+    /// `--quiet` is decided in one place; artifact rows (tables, CSV)
     /// stay on stdout untouched.
-    pub fn console(&self) -> Tracer {
-        if self.verbosity == 0 {
-            Tracer::disabled()
-        } else {
-            Tracer::new(
-                Box::new(WallClock::new()),
-                Arc::new(ConsoleSink::new(self.verbosity)),
-            )
+    pub fn progress(&self, msg: impl Display) {
+        if !self.quiet {
+            eprintln!(":: {msg}");
         }
     }
 }
@@ -126,8 +118,7 @@ pub fn try_parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, St
                 let spec: String = value(it.next(), "--net needs a spec")?;
                 cli.net = Some(NetConfig::parse(&spec).map_err(|e| format!("--net: {e}"))?);
             }
-            "--quiet" | "-q" => cli.verbosity = 0,
-            "--verbose" | "-v" => cli.verbosity = 2,
+            "--quiet" | "-q" => cli.quiet = true,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag {other}")),
         }
@@ -194,7 +185,7 @@ pub fn usage_with(msg: &str, own: &str) -> ! {
          [--trials N] [--rounds N] \
          [--cadence sync|buffered:K|async:N] \
          [--net drop:F,corrupt:F,dup:F,reorder:F,delayp:F,delay:N,seed:N] \
-         [--quiet|-q] [--verbose|-v]"
+         [--quiet|-q]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }
@@ -303,17 +294,19 @@ mod tests {
     }
 
     #[test]
-    fn verbosity_flags() {
-        assert_eq!(parse(&[]).verbosity, 1);
-        assert_eq!(parse(&["--quiet"]).verbosity, 0);
-        assert_eq!(parse(&["-q"]).verbosity, 0);
-        assert_eq!(parse(&["--verbose"]).verbosity, 2);
-        assert_eq!(parse(&["-v"]).verbosity, 2);
+    fn quiet_flags() {
+        assert!(!parse(&[]).quiet);
+        assert!(parse(&["--quiet"]).quiet);
+        assert!(parse(&["-q"]).quiet);
     }
 
     #[test]
-    fn quiet_console_is_disabled() {
-        assert!(!parse(&["--quiet"]).console().enabled());
-        assert!(parse(&[]).console().enabled());
+    fn verbose_is_not_a_flag() {
+        for flag in ["--verbose", "-v"] {
+            assert_eq!(
+                try_parse_args(["bin", flag].map(String::from)).unwrap_err(),
+                format!("unknown flag {flag}")
+            );
+        }
     }
 }

@@ -22,7 +22,7 @@ use fedwcm_fl::{FederatedAlgorithm, FlConfig, NetConfig, NetPlan, ServerCheckpoi
 use fedwcm_nn::loss::CrossEntropy;
 use fedwcm_nn::models::mlp;
 use fedwcm_stats::Xoshiro256pp;
-use fedwcm_trace::{names, LogicalClock, MetricValue, MetricsRegistry, NullSink, Tracer};
+use fedwcm_trace::{names, JsonlSink, LogicalClock, MetricValue, MetricsRegistry, Tracer};
 use std::sync::Arc;
 
 /// Minimal averaging algorithm with (trivial) state capture so
@@ -90,7 +90,10 @@ fn make_cfg() -> FlConfig {
 /// A deterministic tracer whose events go nowhere: it only makes the
 /// engine read the clock, so the `fl.phase.*` histograms fill.
 fn logical_tracer() -> Tracer {
-    Tracer::new(Box::new(LogicalClock::new()), Arc::new(NullSink))
+    Tracer::new(
+        Box::new(LogicalClock::new()),
+        Arc::new(JsonlSink::new(std::io::sink())),
+    )
 }
 
 fn build_sim<'a>(

@@ -216,59 +216,6 @@ where
         .collect()
 }
 
-/// Run `f(i)` for every `i in 0..n` with up to `threads` participants
-/// (the caller plus scoped helpers). No result collection; use this when
-/// `f` writes through index-owned state of its own.
-///
-/// The `Fn + Sync` bound *is* the race gate: a captured flag cannot be
-/// assigned from inside `f` —
-///
-/// ```compile_fail,E0594
-/// # use fedwcm_parallel::{parallel_for_each, parallel_map};
-/// let xs = [3u32, 7, 9];
-/// let mut found = false;
-/// parallel_for_each(xs.len(), 2, |i| if xs[i] == 7 { found = true });
-/// assert!(found);
-/// ```
-///
-/// — return per-index values and fold them on the caller thread:
-///
-/// ```
-/// # use fedwcm_parallel::{parallel_for_each, parallel_map};
-/// let xs = [3u32, 7, 9];
-/// let mut found = false;
-/// found |= parallel_map(xs.len(), 2, |i| xs[i] == 7).contains(&true);
-/// assert!(found);
-/// ```
-///
-/// Nor can a captured local be lent out as `&mut` to a helper —
-///
-/// ```compile_fail,E0596
-/// # use fedwcm_parallel::{parallel_for_each, parallel_map};
-/// fn add_into(acc: &mut f32, v: f32) { *acc += v; }
-/// let xs = [0.5f32, 0.25];
-/// let mut acc = 0.0f32;
-/// parallel_for_each(xs.len(), 2, |i| add_into(&mut acc, xs[i]));
-/// assert_eq!(acc, 0.75);
-/// ```
-///
-/// — the helper runs on the caller thread, over index-ordered results:
-///
-/// ```
-/// # use fedwcm_parallel::{parallel_for_each, parallel_map};
-/// fn add_into(acc: &mut f32, v: f32) { *acc += v; }
-/// let xs = [0.5f32, 0.25];
-/// let mut acc = 0.0f32;
-/// for v in parallel_map(xs.len(), 2, |i| xs[i]) { add_into(&mut acc, v) }
-/// assert_eq!(acc, 0.75);
-/// ```
-pub fn parallel_for_each<F>(n: usize, threads: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    parallel_map(n, threads, f);
-}
-
 /// Apply `f` to every index in `0..n`, producing a `Vec` ordered by index.
 ///
 /// Work is distributed dynamically (atomic claim counter), so
@@ -297,6 +244,48 @@ where
 /// let mut out = Vec::new();
 /// out.extend(parallel_map(xs.len(), 2, |i| xs[i] * 2));
 /// assert_eq!(out, [2, 4, 6]);
+/// ```
+///
+/// Nor can `f` assign a captured flag —
+///
+/// ```compile_fail,E0594
+/// # use fedwcm_parallel::parallel_map;
+/// let xs = [3u32, 7, 9];
+/// let mut found = false;
+/// parallel_map(xs.len(), 2, |i| if xs[i] == 7 { found = true });
+/// assert!(found);
+/// ```
+///
+/// — it returns per-index values, folded on the caller thread:
+///
+/// ```
+/// # use fedwcm_parallel::parallel_map;
+/// let xs = [3u32, 7, 9];
+/// let mut found = false;
+/// found |= parallel_map(xs.len(), 2, |i| xs[i] == 7).contains(&true);
+/// assert!(found);
+/// ```
+///
+/// Nor lend a captured local out as `&mut` to a helper —
+///
+/// ```compile_fail,E0596
+/// # use fedwcm_parallel::parallel_map;
+/// fn add_into(acc: &mut f32, v: f32) { *acc += v; }
+/// let xs = [0.5f32, 0.25];
+/// let mut acc = 0.0f32;
+/// parallel_map(xs.len(), 2, |i| add_into(&mut acc, xs[i]));
+/// assert_eq!(acc, 0.75);
+/// ```
+///
+/// — the helper runs on the caller thread, over index-ordered results:
+///
+/// ```
+/// # use fedwcm_parallel::parallel_map;
+/// fn add_into(acc: &mut f32, v: f32) { *acc += v; }
+/// let xs = [0.5f32, 0.25];
+/// let mut acc = 0.0f32;
+/// for v in parallel_map(xs.len(), 2, |i| xs[i]) { add_into(&mut acc, v) }
+/// assert_eq!(acc, 0.75);
 /// ```
 pub fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where

@@ -16,8 +16,7 @@
 //!   for arbitrary `(rows, row_len, threads)`.
 
 use fedwcm_parallel::{
-    intra_threads, parallel_for_each, parallel_map, parallel_over_rows, weighted_sum_into,
-    with_intra_threads,
+    intra_threads, parallel_map, parallel_over_rows, weighted_sum_into, with_intra_threads,
 };
 use proptest::prelude::*;
 use std::cell::Cell;
@@ -54,11 +53,11 @@ fn map_moves_owned_non_copy_results() {
 }
 
 #[test]
-fn for_each_visits_every_index_exactly_once() {
+fn every_index_is_visited_exactly_once() {
     for n in [0usize, 1, 3, 64, 301] {
         for threads in THREADS {
             let visits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            parallel_for_each(n, threads, |i| {
+            parallel_map(n, threads, |i| {
                 visits[i].fetch_add(1, Ordering::Relaxed);
             });
             for (i, v) in visits.iter().enumerate() {
@@ -168,25 +167,6 @@ fn a_panic_payload_reaches_the_caller_verbatim_and_the_layer_keeps_working() {
             Some(&Boom {
                 index: 3,
                 note: "map"
-            }),
-            "threads={threads}"
-        );
-
-        let payload = payload_of(|| {
-            parallel_for_each(16, threads, |i| {
-                if i == 11 {
-                    panic_any(Boom {
-                        index: i,
-                        note: "for_each",
-                    });
-                }
-            });
-        });
-        assert_eq!(
-            payload.downcast_ref::<Boom>(),
-            Some(&Boom {
-                index: 11,
-                note: "for_each"
             }),
             "threads={threads}"
         );

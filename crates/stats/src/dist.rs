@@ -2,8 +2,7 @@
 //!
 //! The FedWCM pipeline needs: Normal draws (synthetic feature generation,
 //! HE noise), Gamma/Dirichlet (the paper's `p_{k,c} ~ Dir(β)` client
-//! partition), and fast Categorical sampling (class assignment when
-//! materialising datasets).
+//! partition).
 
 use crate::rng::Rng;
 
@@ -149,80 +148,6 @@ impl Dirichlet {
     }
 }
 
-/// O(1) categorical sampling via Walker's alias method.
-///
-/// Built once per class distribution, then used to draw many labels when
-/// materialising a synthetic dataset split.
-#[derive(Clone, Debug)]
-pub struct Categorical {
-    prob: Vec<f64>,  // scaled probabilities in [0,1]
-    alias: Vec<u32>, // alias table
-}
-
-impl Categorical {
-    /// Build from (unnormalised) non-negative weights. At least one weight
-    /// must be positive.
-    pub fn new(weights: &[f64]) -> Self {
-        assert!(!weights.is_empty(), "Categorical needs ≥ 1 weight");
-        assert!(
-            weights.iter().all(|&w| w >= 0.0 && w.is_finite()),
-            "weights must be non-negative and finite"
-        );
-        let total: f64 = weights.iter().sum();
-        assert!(total > 0.0, "at least one weight must be positive");
-
-        let n = weights.len();
-        let mut prob: Vec<f64> = weights.iter().map(|&w| w / total * n as f64).collect();
-        let mut alias = vec![0u32; n];
-        let mut small: Vec<usize> = Vec::with_capacity(n);
-        let mut large: Vec<usize> = Vec::with_capacity(n);
-        for (i, &p) in prob.iter().enumerate() {
-            if p < 1.0 {
-                small.push(i);
-            } else {
-                large.push(i);
-            }
-        }
-        while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
-            alias[s] = l as u32;
-            prob[l] = (prob[l] + prob[s]) - 1.0;
-            if prob[l] < 1.0 {
-                small.push(l);
-            } else {
-                large.push(l);
-            }
-        }
-        // Numerical leftovers: both stacks drain to probability 1.
-        for l in large {
-            prob[l] = 1.0;
-        }
-        for s in small {
-            prob[s] = 1.0;
-        }
-        Categorical { prob, alias }
-    }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// True if there is exactly one category (sampling is then constant).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Draw one category index.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
-        let i = rng.index(self.prob.len());
-        if rng.next_f64() < self.prob[i] {
-            i
-        } else {
-            self.alias[i] as usize
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,37 +244,6 @@ mod tests {
         for &x in &p {
             assert!((x - 0.1).abs() < 0.05, "component {x}");
         }
-    }
-
-    #[test]
-    fn categorical_frequencies_match_weights() {
-        let mut rng = Xoshiro256pp::seed_from(8);
-        let weights = [1.0, 2.0, 3.0, 4.0];
-        let cat = Categorical::new(&weights);
-        let mut counts = [0usize; 4];
-        let n = 200_000;
-        for _ in 0..n {
-            counts[cat.sample(&mut rng)] += 1;
-        }
-        for (c, w) in counts.iter().zip(&weights) {
-            let frac = *c as f64 / n as f64;
-            assert!((frac - w / 10.0).abs() < 0.01, "freq {frac} for weight {w}");
-        }
-    }
-
-    #[test]
-    fn categorical_zero_weight_never_sampled() {
-        let mut rng = Xoshiro256pp::seed_from(9);
-        let cat = Categorical::new(&[0.0, 1.0, 0.0]);
-        for _ in 0..10_000 {
-            assert_eq!(cat.sample(&mut rng), 1);
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn categorical_all_zero_panics() {
-        let _ = Categorical::new(&[0.0, 0.0]);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!
 //! * [`rng::Xoshiro256pp`] — the core generator, plus [`rng::split_seed`]
 //!   for deriving independent per-(round, client, purpose) streams;
-//! * [`dist`] — Normal (Box–Muller), Gamma (Marsaglia–Tsang), Dirichlet
-//!   and Categorical (alias-method) samplers, which back the paper's
-//!   Dirichlet data partitions and synthetic datasets;
+//! * [`dist`] — Normal (Box–Muller), Gamma (Marsaglia–Tsang) and
+//!   Dirichlet samplers, which back the paper's Dirichlet data partitions
+//!   and synthetic datasets;
 //! * [`describe`] — descriptive statistics (mean/variance/quantiles/Gini)
 //!   used by the analysis and experiment crates, and the paired-seed
 //!   interval and sign test a comparison of methods rests on.
@@ -36,5 +36,5 @@ pub mod describe;
 pub mod dist;
 pub mod rng;
 
-pub use dist::{Categorical, Dirichlet, Gamma, Normal};
+pub use dist::{Dirichlet, Gamma, Normal};
 pub use rng::{split_seed, Rng, Xoshiro256pp};

@@ -75,5 +75,5 @@ pub use clock::{Clock, LogicalClock, WallClock};
 pub use event::{Event, EventKind, Value};
 pub use metrics::{HistogramSnapshot, MetricEntry, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use names::{Key, Name};
-pub use sink::{ConsoleSink, JsonlSink, NullSink, RingSink, SharedBuf, Sink};
+pub use sink::{JsonlSink, RingSink, SharedBuf, Sink};
 pub use tracer::{local, SpanBuffer, SpanGuard, Tracer};

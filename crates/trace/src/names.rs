@@ -115,8 +115,6 @@ names! {
 
     /// Point: one injected fault event (kind in the fields).
     FAULT = "fault";
-    /// Point: a free-form informational message.
-    INFO = "info";
     /// Point: one failed transport attempt (reason in the fields).
     RETRY = "retry";
     /// Point: a transport delivery acknowledged (or merged after delay).

@@ -1,5 +1,4 @@
-//! Pluggable event sinks: no-op, bounded ring buffer, JSONL writer,
-//! and a human-readable console renderer.
+//! Pluggable event sinks: a bounded ring buffer and a JSONL writer.
 //!
 //! # Sink contract
 //!
@@ -11,7 +10,7 @@
 //! I/O errors are swallowed, because observability must never take down
 //! a training run.
 
-use crate::event::{Event, EventKind, Value};
+use crate::event::Event;
 use crate::sync::{lock_recover, lock_writer};
 use std::collections::VecDeque;
 use std::io::Write;
@@ -24,14 +23,6 @@ pub trait Sink: Send + Sync {
 
     /// Flush any buffered output (default: nothing to do).
     fn flush(&self) {}
-}
-
-/// Discards everything — the default sink of a disabled tracer.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn record(&self, _event: &Event) {}
 }
 
 /// Bounded in-memory buffer keeping the most recent events; the test
@@ -132,71 +123,10 @@ impl Write for SharedBuf {
     }
 }
 
-/// Human-readable progress renderer for the experiment binaries,
-/// writing to stderr (stdout stays reserved for table/CSV artifacts).
-///
-/// * verbosity 1 — only `info` point events (the binaries' progress
-///   lines), rendered as `:: <msg>`.
-/// * verbosity ≥ 2 — every event, with tick and kind.
-///
-/// Verbosity 0 should not construct a sink at all — use
-/// [`crate::Tracer::disabled`].
-#[derive(Clone, Copy, Debug)]
-pub struct ConsoleSink {
-    verbosity: u8,
-}
-
-impl ConsoleSink {
-    /// A console sink at the given verbosity (see type docs).
-    pub fn new(verbosity: u8) -> Self {
-        ConsoleSink { verbosity }
-    }
-
-    fn render_fields(event: &Event) -> String {
-        let mut out = String::new();
-        for (k, v) in &event.fields {
-            out.push(' ');
-            out.push_str(k);
-            out.push('=');
-            match v {
-                Value::U64(x) => out.push_str(&x.to_string()),
-                Value::I64(x) => out.push_str(&x.to_string()),
-                Value::F64(x) => out.push_str(&format!("{x:.6}")),
-                Value::Bool(b) => out.push_str(&b.to_string()),
-                Value::Str(s) => out.push_str(s),
-            }
-        }
-        out
-    }
-}
-
-impl Sink for ConsoleSink {
-    fn record(&self, event: &Event) {
-        if event.kind == EventKind::Point && event.name == crate::names::INFO {
-            for (k, v) in &event.fields {
-                if *k == "msg" {
-                    if let Value::Str(s) = v {
-                        eprintln!(":: {s}");
-                    }
-                }
-            }
-            return;
-        }
-        if self.verbosity >= 2 {
-            eprintln!(
-                "[{:>12}] {:<5} {}{}",
-                event.t,
-                event.kind.tag(),
-                event.name,
-                Self::render_fields(event)
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventKind;
 
     fn ev(t: u64) -> Event {
         Event {

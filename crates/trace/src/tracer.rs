@@ -87,14 +87,6 @@ impl Tracer {
         self.emit(EventKind::Point, name, fields);
     }
 
-    /// Emit a human-readable progress message (a `point` event named
-    /// `info` with a `msg` field — what [`crate::ConsoleSink`] renders).
-    pub fn info(&self, msg: impl Into<String>) {
-        if self.enabled() {
-            self.point(Name::INFO, vec![("msg", Value::Str(msg.into()))]);
-        }
-    }
-
     /// Read the tracer's clock, or `None` when disabled. Note that a
     /// read advances a [`LogicalClock`] by one tick, so call this the
     /// same number of times on every run path that should compare
@@ -293,7 +285,6 @@ mod tests {
         assert!(!t.enabled());
         let _g = t.span(Name::ROUND, vec![]);
         t.point(Name::ACK, vec![]);
-        t.info("msg");
         t.flush();
     }
 
