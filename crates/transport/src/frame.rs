@@ -493,15 +493,16 @@ mod tests {
     }
 
     /// Each instance against the bytewise reference at every length
-    /// 0..=320 (no block, the first four-lane step, five of them, and
-    /// every count of single blocks and tail bytes after it) at every
-    /// start offset 0..16 (every alignment of the first load).
+    /// 0..=1,100 (no block, the first 64- and 256-byte steps, four of the
+    /// latter, and every count of smaller steps, single blocks and tail
+    /// bytes after them) at every start offset 0..64 (every alignment of
+    /// the first load, up to a cache line).
     #[test]
     fn every_instance_matches_the_bytewise_reference_at_every_length_and_offset() {
-        let buf = noise(320 + 16);
+        let buf = noise(1_100 + 64);
         for crc in instances() {
-            for offset in 0..16 {
-                for len in 0..=320 {
+            for offset in 0..64 {
+                for len in 0..=1_100 {
                     let data = &buf[offset..offset + len];
                     assert_eq!(
                         crc.crc32(data),
@@ -514,14 +515,14 @@ mod tests {
     }
 
     /// The same on one real upload frame (76,904 B) and one byte either
-    /// side of each seam of the carry-less instance around it: the
-    /// 64-byte step, the 16-byte block, the bytewise tail.
+    /// side of each seam of the carry-less instances around it: the
+    /// 256- and 64-byte steps, the 16-byte block, the bytewise tail.
     #[test]
     fn every_instance_matches_the_bytewise_reference_on_an_upload_frame_and_its_seams() {
         const UPLOAD_FRAME: usize = 76_904;
-        let buf = noise(UPLOAD_FRAME + 64 + 1);
+        let buf = noise(UPLOAD_FRAME + 256 + 1);
         let mut lengths = vec![UPLOAD_FRAME];
-        for seam in [64, 16, 8] {
+        for seam in [256, 64, 16, 8] {
             let at = UPLOAD_FRAME / seam * seam;
             lengths.extend([at - 1, at, at + 1, at + seam - 1, at + seam, at + seam + 1]);
         }
