@@ -115,8 +115,11 @@ impl FederatedAlgorithm for FedDyn {
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let (mean_state, states): (_, Vec<Vec<f32>>) = decode_state(bytes)?;
-        if states.len() != self.num_clients {
+        let (mean_state, states): (Vec<f32>, Vec<Vec<f32>>) = decode_state(bytes)?;
+        // A client state is empty (never sampled) or as long as the mean:
+        // `aggregate` indexes both by the same parameter.
+        let foreign = |h: &Vec<f32>| !h.is_empty() && h.len() != mean_state.len();
+        if states.len() != self.num_clients || states.iter().any(foreign) {
             return Err(StateError::Malformed);
         }
         self.mean_state = mean_state;

@@ -122,8 +122,11 @@ impl FederatedAlgorithm for Scaffold {
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let (server_control, client_controls): (_, Vec<Vec<f32>>) = decode_state(bytes)?;
-        if client_controls.len() != self.num_clients {
+        let (server_control, client_controls): (Vec<f32>, Vec<Vec<f32>>) = decode_state(bytes)?;
+        // A client control is empty (never sampled) or as long as the
+        // server's: `aggregate` copies one into the other.
+        let foreign = |c: &Vec<f32>| !c.is_empty() && c.len() != server_control.len();
+        if client_controls.len() != self.num_clients || client_controls.iter().any(foreign) {
             return Err(StateError::Malformed);
         }
         self.server_control = server_control;
