@@ -4,6 +4,7 @@
 
 use super::{PendingUpdate, ReceivedUpdate, RoundCtx, RunState};
 use crate::cadence::Cadence;
+use crate::client::BufferPool;
 use crate::config::FlConfig;
 use crate::metrics::{RoundFaults, RoundRecord};
 use crate::undiscounted::Undiscounted;
@@ -58,12 +59,14 @@ pub(super) enum Admission {
 }
 
 /// Filter `received`, then admit it under `cfg.cadence`; books the
-/// filter's drops and the quorum outcome in `record`.
+/// filter's drops and the quorum outcome in `record`. What the filter or
+/// a skipped barrier discards goes to `pool`.
 pub(super) fn admit(
     cfg: &FlConfig,
     ctx: &RoundCtx<'_>,
     mut received: Vec<ReceivedUpdate>,
     state: &mut RunState,
+    pool: &BufferPool,
     record: &mut RoundRecord,
 ) -> Admission {
     // Failure containment: a delta that arrived non-finite (or finite
@@ -80,17 +83,18 @@ pub(super) fn admit(
     let mut norms = fedwcm_tensor::ops::norms_sq(&deltas)
         .into_iter()
         .map(f32::sqrt);
-    received.retain(|r| {
+    let poisoned = received.extract_if(.., |r| {
         let below_gate = norms.next().is_some_and(|n| n < MAX_UPDATE_NORM);
-        r.update.avg_loss().is_finite() && below_gate
+        !(r.update.avg_loss().is_finite() && below_gate)
     });
+    poisoned.for_each(|r| r.update.retire(pool));
     record.dropped_updates = before_filter - received.len();
     if let Some(reg) = ctx.registry {
         reg.counter_add(Name::FL_UPDATES_RECEIVED, before_filter as u64);
     }
 
     match cfg.cadence {
-        Cadence::Sync => barrier(cfg, ctx, received, state, &mut record.faults),
+        Cadence::Sync => barrier(cfg, ctx, received, state, pool, &mut record.faults),
         // FedBuff-style: one flush for every `k` buffered uploads,
         // oldest first, the remainder carried forward.
         Cadence::BufferedK { k } => {
@@ -120,12 +124,13 @@ pub(super) fn admit(
 
 /// The classic barrier: everything received is one batch — unless
 /// nothing was, or the quorum rule fails, and the round is skipped with
-/// its late arrivals re-queued.
+/// its late arrivals re-queued and its fresh uploads retired to `pool`.
 fn barrier(
     cfg: &FlConfig,
     ctx: &RoundCtx<'_>,
     received: Vec<ReceivedUpdate>,
     state: &mut RunState,
+    pool: &BufferPool,
     faults: &mut RoundFaults,
 ) -> Admission {
     // Aggregating a sliver of the sampled cohort yields a biased
@@ -149,7 +154,11 @@ fn barrier(
     // delay — re-queue it (original undiscounted delta, staleness
     // bumped by the extra round it now waits) and retract this round's
     // late-merge tally for it.
-    for r in received.into_iter().filter(|r| r.staleness > 0) {
+    for r in received {
+        if r.staleness == 0 {
+            r.update.retire(pool);
+            continue;
+        }
         faults.late_merged -= 1;
         faults.late_requeued += 1;
         let staleness = Some(("staleness", r.staleness));

@@ -7,7 +7,7 @@ use super::admit::{Admission, Batch};
 use super::{RoundCtx, RunState, Simulation};
 use crate::algorithm::{FederatedAlgorithm, RoundInput};
 use crate::cadence::Cadence;
-use crate::client::ClientUpdate;
+use crate::client::{BufferPool, ClientUpdate};
 use crate::metrics::RoundRecord;
 use fedwcm_trace::{Name, Value};
 
@@ -55,7 +55,8 @@ fn event_span(cadence: Cadence, round: usize, batch: &Batch) -> (Name, Vec<(&'st
 }
 
 /// Carry out `admission` on `state.global` and write the round's loss,
-/// movement, α and aggregation count into `record`.
+/// movement, α and aggregation count into `record`; each aggregated
+/// upload's buffer goes to `pool`.
 ///
 /// Every clock read is a `LogicalClock` tick, so their sequence is part
 /// of the trace contract: a `Skip` reads nothing; an `Apply` reads `t0`
@@ -67,6 +68,7 @@ pub(super) fn apply(
     algo: &mut dyn FederatedAlgorithm,
     state: &mut RunState,
     admission: Admission,
+    pool: &BufferPool,
     record: &mut RoundRecord,
 ) {
     let (batches, scale) = match admission {
@@ -103,6 +105,9 @@ pub(super) fn apply(
         };
         let log = algo.aggregate(&mut state.global, &input);
         drop(span);
+        for u in input.updates {
+            pool.retire(u.delta);
+        }
         if log.alpha.is_some() {
             record.alpha = log.alpha;
         }

@@ -4,9 +4,8 @@
 //! [`NetCounters`] (`RoundRecord::net`); no metric is touched.
 
 use super::{PendingUpdate, ReceivedUpdate, RoundCtx, RunState};
+use crate::client::BufferPool;
 use crate::codec::Wire;
-use crate::undiscounted::Undiscounted;
-use crate::wire;
 use fedwcm_trace::{Name, Value};
 use fedwcm_transport::{AttemptOutcome, Courier, NetCounters, NetPlan, RetryPolicy, Verdict};
 
@@ -19,14 +18,16 @@ use fedwcm_transport::{AttemptOutcome, Courier, NetCounters, NetPlan, RetryPolic
 /// into received updates; transport delays park the upload in the
 /// straggler buffer (merged with a staleness discount when due);
 /// exhausted retry budgets drop the upload, exactly like a dropout
-/// fault — the quorum rule decides what the round does about it.
-/// Late arrivals (staleness > 0) already crossed the wire when they
-/// were fresh and pass through untouched.
+/// fault — the quorum rule decides what the round does about it, and
+/// the upload's buffer goes to `pool`. Late arrivals (staleness > 0)
+/// already crossed the wire when they were fresh and pass through
+/// untouched.
 pub(super) fn deliver(
     plan: Option<&NetPlan>,
     ctx: &RoundCtx<'_>,
     received: Vec<ReceivedUpdate>,
     state: &mut RunState,
+    pool: &BufferPool,
     net: &mut NetCounters,
 ) -> Vec<ReceivedUpdate> {
     let Some(plan) = plan else {
@@ -73,17 +74,25 @@ pub(super) fn deliver(
         }
         drop(send_span);
         match delivery.verdict {
-            Verdict::Delivered { payload } => match wire::decode_update(&payload) {
-                Some(update) => out.push(ReceivedUpdate {
-                    staleness: 0,
-                    via_net: true,
-                    update: Undiscounted::new(update),
-                }),
-                // An acknowledged frame whose payload fails to parse
-                // would be a codec defect; degrade to a dropout rather
-                // than poison or panic.
-                None => net.degraded = net.degraded.saturating_add(1),
-            },
+            // The receiver parses the payload where it lies in the frame
+            // into the upload's own buffers: what arrives is what was
+            // sent, bit for bit, and crosses memory once on the way out.
+            Verdict::Delivered { frame } => {
+                let mut update = r.update;
+                if update.decode_into(frame.payload()) {
+                    out.push(ReceivedUpdate {
+                        staleness: 0,
+                        via_net: true,
+                        update,
+                    });
+                } else {
+                    // An acknowledged frame whose payload fails to parse
+                    // would be a codec defect; degrade to a dropout rather
+                    // than poison or panic.
+                    net.degraded = net.degraded.saturating_add(1);
+                    update.retire(pool);
+                }
+            }
             Verdict::Delayed { rounds } => state.pending.push(PendingUpdate {
                 arrival_round: round + rounds,
                 staleness: rounds,
@@ -92,7 +101,7 @@ pub(super) fn deliver(
             }),
             // Degrades into the dropout machinery: the round has one
             // fewer fresh upload and quorum decides the rest.
-            Verdict::Exhausted => {}
+            Verdict::Exhausted => r.update.retire(pool),
         }
     }
     net.merge(&courier.counters());

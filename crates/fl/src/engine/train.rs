@@ -36,6 +36,12 @@ impl Workers {
         let buffers = BufferPool::new(sim.factory.as_ref(), budget.outer());
         Workers { budget, buffers }
     }
+
+    /// The run's buffer pool, where the stages retire the uploads they
+    /// are done with.
+    pub(super) fn pool(&self) -> &BufferPool {
+        &self.buffers
+    }
 }
 
 /// Train every client of `sampled` from `global` and return the uploads

@@ -15,7 +15,7 @@
 //! and retrying them on the data channel's cadence; modelling that
 //! asymmetry keeps the state machine focused on the lossy data path.
 
-use crate::frame::{self, FrameError};
+use crate::frame::{self, FrameError, Verified};
 use crate::link::InMemoryLink;
 use crate::plan::{NetFault, NetPlan};
 use crate::retry::RetryPolicy;
@@ -109,9 +109,9 @@ impl AttemptOutcome {
 pub enum Verdict {
     /// The upload arrived intact and was acknowledged.
     Delivered {
-        /// The payload exactly as the receiver decoded it, in the
-        /// allocation of the frame that carried it.
-        payload: Vec<u8>,
+        /// The frame that carried it, whole, in its own allocation; its
+        /// payload is [`Verified::payload`].
+        frame: Verified,
     },
     /// The upload will arrive `rounds` rounds late, intact — the
     /// engine's straggler machinery takes over.
@@ -140,14 +140,6 @@ pub struct Courier<'p> {
     plan: &'p NetPlan,
     clock: LogicalClock,
     counters: NetCounters,
-}
-
-/// The payload of an intact frame, in the frame's own allocation: the
-/// trailer cut off, the header shifted out.
-fn into_payload(mut frame: Vec<u8>) -> Vec<u8> {
-    frame.truncate(frame.len() - frame::TRAILER_LEN);
-    frame.drain(..frame::HEADER_LEN);
-    frame
 }
 
 // The courier bumps the counters above: same rule.
@@ -190,7 +182,7 @@ impl<'p> Courier<'p> {
     /// encoded once and the same bytes are lent to the link on every
     /// retransmission (same `seq`, same payload: they were identical
     /// when each attempt built its own), and a [`Verdict::Delivered`]
-    /// hands the buffer back with header and trailer cut off. A delivery
+    /// hands the buffer back whole, its payload read where it lies. A delivery
     /// the plan defers before its first transmission never calls
     /// `write_payload`.
     pub fn deliver_with(
@@ -223,7 +215,7 @@ impl<'p> Courier<'p> {
         let (arrived, attempts) = self.transmit(round, client, seq, &frame, fault, &mut log);
         let verdict = match arrived {
             Ok(()) => Verdict::Delivered {
-                payload: into_payload(frame),
+                frame: Verified::accepted(frame),
             },
             Err(other) => other,
         };
@@ -358,6 +350,14 @@ mod tests {
     use super::*;
     use crate::plan::NetConfig;
 
+    /// The delivered payload, if the upload arrived.
+    fn delivered(d: &Delivery) -> Option<&[u8]> {
+        match &d.verdict {
+            Verdict::Delivered { frame } => Some(frame.payload()),
+            _ => None,
+        }
+    }
+
     fn deliver_one(plan: &NetPlan, round: u64, client: u64) -> (Delivery, NetCounters) {
         let mut courier = Courier::new(plan, RetryPolicy::default(), 0);
         let d = courier.deliver(round, client, 77, &[1, 2, 3, 4]);
@@ -368,12 +368,7 @@ mod tests {
     fn clean_link_delivers_first_try() {
         let plan = NetPlan::zero(1);
         let (d, c) = deliver_one(&plan, 0, 0);
-        assert_eq!(
-            d.verdict,
-            Verdict::Delivered {
-                payload: vec![1, 2, 3, 4]
-            }
-        );
+        assert_eq!(delivered(&d), Some(&[1u8, 2, 3, 4][..]));
         assert_eq!(d.attempts, 1);
         assert_eq!(d.log, vec![AttemptOutcome::Acked]);
         assert_eq!(c.frames_sent, 1);
@@ -395,12 +390,7 @@ mod tests {
             })
             .expect("such a client exists");
         let (d, c) = deliver_one(&plan, 0, client);
-        assert_eq!(
-            d.verdict,
-            Verdict::Delivered {
-                payload: vec![1, 2, 3, 4]
-            }
-        );
+        assert_eq!(delivered(&d), Some(&[1u8, 2, 3, 4][..]));
         assert_eq!(d.attempts, 2);
         assert_eq!(d.log, vec![AttemptOutcome::TimedOut, AttemptOutcome::Acked]);
         assert_eq!(c.retries, 1);
@@ -420,12 +410,7 @@ mod tests {
             })
             .expect("such a client exists");
         let (d, c) = deliver_one(&plan, 0, client);
-        assert_eq!(
-            d.verdict,
-            Verdict::Delivered {
-                payload: vec![1, 2, 3, 4]
-            }
-        );
+        assert_eq!(delivered(&d), Some(&[1u8, 2, 3, 4][..]));
         assert_eq!(d.log.len(), 2);
         assert!(matches!(d.log[0], AttemptOutcome::Nacked(_)));
         assert_eq!(c.rejected_frames, 1);
@@ -521,12 +506,18 @@ mod tests {
             });
             assert_eq!(got, want, "client {c}");
             assert_eq!(written, got.attempts > 0, "client {c}");
-            if let Verdict::Delivered { payload: arrived } = &got.verdict {
-                // One buffer: the frame it was written into, nothing
-                // grown or copied on the way back.
+            if let Verdict::Delivered { frame: arrived } = &got.verdict {
+                // The frame it was written into, whole: the canonical
+                // frame of the payload, which it lends where it lies.
+                let canonical = frame::encode(&frame::Message::DeltaUp {
+                    seq: c,
+                    payload: payload.clone(),
+                });
+                assert_eq!(Ok(arrived.bytes()), canonical.as_deref());
+                assert_eq!(arrived.payload(), payload);
                 assert_eq!(
-                    arrived.capacity(),
-                    frame::HEADER_LEN + payload.len() + frame::TRAILER_LEN
+                    arrived.payload().as_ptr(),
+                    arrived.bytes()[frame::HEADER_LEN..].as_ptr()
                 );
             }
         }

@@ -425,6 +425,34 @@ pub fn decode_ref(frame: &[u8]) -> Result<(u64, &[u8]), FrameError> {
     Ok((le_u64(frame, 8), &frame[HEADER_LEN..body_end]))
 }
 
+/// A whole frame the receiver accepted: the sender's buffer, whose intact
+/// copy [`decode_ref`] verified where it lay, handed back as it is — the
+/// payload is lent from it, not shifted to its front. Only the courier
+/// makes one, from a frame [`encode_delta_up`] wrote.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Verified(Vec<u8>);
+
+impl Verified {
+    /// Wrap a canonical frame whose intact copy was accepted.
+    pub(crate) fn accepted(frame: Vec<u8>) -> Self {
+        debug_assert!(
+            decode_ref(&frame).is_ok(),
+            "only an intact frame is verified"
+        );
+        Verified(frame)
+    }
+
+    /// The frame's payload, where it lies: header and trailer excluded.
+    pub fn payload(&self) -> &[u8] {
+        &self.0[HEADER_LEN..self.0.len() - TRAILER_LEN]
+    }
+
+    /// The whole frame, header and trailer included.
+    pub fn bytes(&self) -> &[u8] {
+        &self.0
+    }
+}
+
 /// [`decode_ref`], owning the payload: one copy of it, made after every
 /// check passed.
 pub fn decode(frame: &[u8]) -> Result<Message, FrameError> {

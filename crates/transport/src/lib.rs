@@ -60,7 +60,7 @@ pub mod plan;
 pub mod retry;
 
 pub use courier::{AttemptOutcome, Courier, Delivery, NackReason, NetCounters, Verdict};
-pub use frame::{FrameError, Message};
+pub use frame::{FrameError, Message, Verified};
 pub use link::InMemoryLink;
 pub use plan::{NetConfig, NetFault, NetPlan};
 pub use retry::RetryPolicy;

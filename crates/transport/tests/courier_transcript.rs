@@ -67,8 +67,9 @@ fn transcript() -> (Vec<u8>, NetCounters, u64) {
             let sent = payload(round, client);
             let d = courier.deliver(round, client, seq, &sent);
             match &d.verdict {
-                Verdict::Delivered { payload } => {
-                    assert_eq!(payload, &sent, "round {round} client {client}");
+                Verdict::Delivered { frame } => {
+                    let payload = frame.payload();
+                    assert_eq!(payload, sent, "round {round} client {client}");
                     out.push(0);
                     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
                     out.extend_from_slice(payload);
