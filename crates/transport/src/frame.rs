@@ -218,12 +218,20 @@ mod clmul {
     #[target_feature(enable = "pclmulqdq,sse4.1")]
     pub(super) fn update(state: u32, blocks: &[[u8; 16]]) -> u32 {
         let (first, rest) = blocks.split_at(4);
-        let mut x = [
+        let x = [
             _mm_xor_si128(load(&first[0]), _mm_cvtsi32_si128(state.cast_signed())),
             load(&first[1]),
             load(&first[2]),
             load(&first[3]),
         ];
+        finish(x, rest)
+    }
+
+    /// Fold the blocks of `rest` into the four lanes `x` (the 64 bytes
+    /// before them, `x[0]` first, the CRC state already added) and reduce
+    /// all of it to the raw 32-bit state.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn finish(mut x: [__m128i; 4], rest: &[[u8; 16]]) -> u32 {
         let k = _mm_set_epi64x(FOLD_512.1, FOLD_512.0);
         let mut steps = rest.chunks_exact(4);
         for step in &mut steps {
@@ -256,6 +264,107 @@ mod clmul {
     }
 }
 
+/// The 512-bit carry-less instance: [`clmul`]'s folding with VPCLMULQDQ,
+/// each 512-bit register four 128-bit lanes. Four registers fold 2,048
+/// bits ahead a step (256 bytes, constants `x^(2048±32) mod P` in every
+/// lane), then onto one register 512 bits at a time (`clmul`'s four-lane
+/// constants), over what 64-byte lines are left too; the register's four
+/// lanes are then exactly the four lanes of [`clmul::finish`], which
+/// folds the last 16-byte blocks and reduces.
+#[cfg(target_arch = "x86_64")]
+mod vpclmul {
+    use super::clmul;
+    use core::arch::x86_64::{
+        __m512i, _mm512_clmulepi64_epi128, _mm512_extracti32x4_epi32, _mm512_set_epi64,
+        _mm512_ternarylogic_epi64, _mm512_xor_si512,
+    };
+
+    // `(low, high)` halves of each 128-bit lane, as in `clmul`: n = 2048
+    // ± 32 (four registers, 256 bytes), n = 512 ± 32 (one onto the next).
+    const FOLD_2048: (i64, i64) = (0x01_1542_778A, 0x01_322D_1430);
+    const FOLD_512: (i64, i64) = (0x01_5444_2BD4, 0x01_C6E4_1596);
+
+    /// One 64-byte load: the words gathered into an array first, which
+    /// LLVM reads as one `vmovdqu64` (set from the words directly, it
+    /// assembled the register with three permutes on the port the
+    /// multiplies run on).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load(line: &[u8; 64]) -> __m512i {
+        let words = line.as_chunks::<8>().0;
+        let w: [i64; 8] = core::array::from_fn(|i| i64::from_le_bytes(words[i]));
+        _mm512_set_epi64(w[7], w[6], w[5], w[4], w[3], w[2], w[1], w[0])
+    }
+
+    /// A constant pair in every 128-bit lane.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn splat((low, high): (i64, i64)) -> __m512i {
+        _mm512_set_epi64(high, low, high, low, high, low, high, low)
+    }
+
+    /// Each lane of `reg` moved `d` bits ahead (`k` holds `x^(d±32) mod
+    /// P`) and added to `next`, the data it lands on.
+    #[inline]
+    #[target_feature(enable = "avx512f,vpclmulqdq")]
+    fn fold(reg: __m512i, k: __m512i, next: __m512i) -> __m512i {
+        let lo = _mm512_clmulepi64_epi128::<0x00>(reg, k);
+        let hi = _mm512_clmulepi64_epi128::<0x11>(reg, k);
+        // 0x96: the three-way exclusive or.
+        _mm512_ternarylogic_epi64::<0x96>(lo, hi, next)
+    }
+
+    /// Advance the raw CRC state over `lines` (at least four) and then
+    /// `blocks`, the 16-byte blocks after them.
+    #[target_feature(enable = "avx512f,vpclmulqdq,pclmulqdq,sse4.1")]
+    pub(super) fn update(state: u32, lines: &[[u8; 64]], blocks: &[[u8; 16]]) -> u32 {
+        let (first, rest) = lines.split_at(4);
+        let state = _mm512_set_epi64(0, 0, 0, 0, 0, 0, 0, i64::from(state));
+        let mut x = [
+            _mm512_xor_si512(load(&first[0]), state),
+            load(&first[1]),
+            load(&first[2]),
+            load(&first[3]),
+        ];
+        let k = splat(FOLD_2048);
+        let mut steps = rest.chunks_exact(4);
+        for step in &mut steps {
+            for (reg, line) in x.iter_mut().zip(step) {
+                *reg = fold(*reg, k, load(line));
+            }
+        }
+        let k = splat(FOLD_512);
+        let mut acc = x[0];
+        for reg in &x[1..] {
+            acc = fold(acc, k, *reg);
+        }
+        for line in steps.remainder() {
+            acc = fold(acc, k, load(line));
+        }
+        let lanes = [
+            _mm512_extracti32x4_epi32::<0>(acc),
+            _mm512_extracti32x4_epi32::<1>(acc),
+            _mm512_extracti32x4_epi32::<2>(acc),
+            _mm512_extracti32x4_epi32::<3>(acc),
+        ];
+        clmul::finish(lanes, blocks)
+    }
+}
+
+/// The 512-bit instance over a whole input: [`vpclmul::update`] over the
+/// 64-byte lines and 16-byte blocks when there are at least four lines,
+/// slice-by-8 over the rest; below 256 bytes, the 128-bit instance.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,vpclmulqdq,pclmulqdq,sse4.1")]
+fn crc32_vpclmul(data: &[u8]) -> u32 {
+    let (lines, rest) = data.as_chunks::<64>();
+    if lines.len() < 4 {
+        return crc32_clmul(data);
+    }
+    let (blocks, tail) = rest.as_chunks::<16>();
+    !update_portable(vpclmul::update(!0, lines, blocks), tail)
+}
+
 /// The carry-less instance over a whole input: [`clmul::update`] over
 /// the 16-byte blocks when there are at least four, slice-by-8 over the
 /// rest.
@@ -271,19 +380,24 @@ fn crc32_clmul(data: &[u8]) -> u32 {
     !update_portable(state, tail)
 }
 
-/// The instances of [`crc32`]. Holding `Clmul` is the licence to run
-/// the carry-less one: its token is minted only by [`Crc::detect`],
-/// directly under the two feature tests.
+/// The instances of [`crc32`]. Holding `Clmul` or `Vpclmul` is the
+/// licence to run that carry-less instance: its token is minted only by
+/// [`Crc::detect`], directly under the feature tests of the instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Crc {
     /// Slice-by-8; runs everywhere.
     Portable,
-    /// Folding by carry-less multiplies.
+    /// Folding by 128-bit carry-less multiplies.
     #[cfg(target_arch = "x86_64")]
     Clmul(Detected),
+    /// Folding by 512-bit carry-less multiplies.
+    #[cfg(target_arch = "x86_64")]
+    Vpclmul(Detected),
 }
 
-/// Proof that `pclmulqdq` and `sse4.1` were detected.
+/// Proof that the features of the instance holding it were detected:
+/// `pclmulqdq` and `sse4.1` for `Clmul`, those and `avx512f` and
+/// `vpclmulqdq` for `Vpclmul`.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Detected(());
@@ -296,6 +410,11 @@ impl Crc {
         if std::arch::is_x86_feature_detected!("pclmulqdq")
             && std::arch::is_x86_feature_detected!("sse4.1")
         {
+            if std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("vpclmulqdq")
+            {
+                return Crc::Vpclmul(Detected(()));
+            }
             return Crc::Clmul(Detected(()));
         }
         Crc::Portable
@@ -306,17 +425,22 @@ impl Crc {
         match self {
             Crc::Portable => crc32_portable(data),
             #[cfg(target_arch = "x86_64")]
-            Crc::Clmul(Detected(())) => {
+            Crc::Clmul(Detected(())) | Crc::Vpclmul(Detected(())) => {
                 #[expect(
                     unsafe_code,
                     reason = "calling into a #[target_feature] instance is the one step safe code cannot take"
                 )]
                 // SAFETY: `crc32_clmul` may only run on a CPU with
-                // PCLMULQDQ and SSE4.1, and the `Detected` of this
+                // PCLMULQDQ and SSE4.1, `crc32_vpclmul` on one with those
+                // and AVX-512F and VPCLMULQDQ; the `Detected` of each
                 // variant is minted nowhere but under a passed
-                // `is_x86_feature_detected!` of each.
+                // `is_x86_feature_detected!` of each feature it names.
                 unsafe {
-                    crc32_clmul(data)
+                    if matches!(self, Crc::Vpclmul(_)) {
+                        crc32_vpclmul(data)
+                    } else {
+                        crc32_clmul(data)
+                    }
                 }
             }
         }
@@ -487,9 +611,14 @@ mod tests {
 
     use super::reference::crc32_bytewise;
 
-    /// Every instance this machine runs, not only the one `crc32` picks.
+    /// Every instance this machine runs, not only the one `crc32` picks:
+    /// under a 512-bit `detect`, the 128-bit instance too.
     fn instances() -> Vec<Crc> {
         let mut all = vec![Crc::Portable];
+        #[cfg(target_arch = "x86_64")]
+        if let Crc::Vpclmul(token) = Crc::detect() {
+            all.push(Crc::Clmul(token));
+        }
         if Crc::detect() != Crc::Portable {
             all.push(Crc::detect());
         }
@@ -571,11 +700,13 @@ mod tests {
     #[test]
     fn detect_is_portable_exactly_where_the_features_are_missing() {
         #[cfg(target_arch = "x86_64")]
-        assert_eq!(
-            Crc::detect() != Crc::Portable,
-            std::arch::is_x86_feature_detected!("pclmulqdq")
-                && std::arch::is_x86_feature_detected!("sse4.1")
-        );
+        {
+            use std::arch::is_x86_feature_detected as has;
+            let clmul = has!("pclmulqdq") && has!("sse4.1");
+            let vpclmul = clmul && has!("avx512f") && has!("vpclmulqdq");
+            assert_eq!(Crc::detect() != Crc::Portable, clmul);
+            assert_eq!(matches!(Crc::detect(), Crc::Vpclmul(_)), vpclmul);
+        }
         #[cfg(not(target_arch = "x86_64"))]
         assert_eq!(Crc::detect(), Crc::Portable);
     }
