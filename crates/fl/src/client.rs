@@ -161,12 +161,12 @@ pub(crate) struct BufferPool {
 
 impl BufferPool {
     /// A set for each of `workers` concurrently training clients, and no
-    /// upload buffer yet.
-    pub(crate) fn new(factory: &ModelFactory, workers: usize) -> Arc<Self> {
+    /// upload buffer yet — but room on the shelf for a `cohort` of them.
+    pub(crate) fn new(factory: &ModelFactory, workers: usize, cohort: usize) -> Arc<Self> {
         let sets = (0..workers).map(|_| TrainBuffers::new(factory)).collect();
         Arc::new(BufferPool {
             sets: Mutex::new(sets),
-            uploads: Mutex::new(Vec::new()),
+            uploads: Mutex::new(Vec::with_capacity(cohort)),
         })
     }
 
@@ -501,7 +501,7 @@ mod tests {
         let spec = spec(0.1, 2);
         let clean = run_local_sgd(&env, &global, &spec, |_, _, _| {});
 
-        let pool = BufferPool::new(&factory, 1);
+        let pool = BufferPool::new(&factory, 1, 1);
         for set in lock_recover(&pool.sets).iter_mut() {
             set.model.params_mut().fill(f32::NAN);
             set.grads.fill(f32::NAN);
@@ -528,7 +528,7 @@ mod tests {
         let env = env(&ds, &views, &cfg, 0, 0);
         let global = factory().params().to_vec();
         let spec = spec(0.1, 1);
-        let pool = BufferPool::new(&factory, 1);
+        let pool = BufferPool::new(&factory, 1, 1);
         let _ = with_pool(&pool, || run_local_sgd(&env, &global, &spec, |_, _, _| {}));
         let mut sets = lock_recover(&pool.sets);
         let TrainBuffers { model, grads } = &mut sets[0];

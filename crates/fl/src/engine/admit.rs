@@ -83,6 +83,8 @@ pub(super) fn admit(
     let mut norms = fedwcm_tensor::ops::norms_sq(&deltas)
         .into_iter()
         .map(f32::sqrt);
+    // `extract_if` asks once per upload, in order, so each takes its own
+    // norm; what it extracts goes back to the pool.
     let poisoned = received.extract_if(.., |r| {
         let below_gate = norms.next().is_some_and(|n| n < MAX_UPDATE_NORM);
         !(r.update.avg_loss().is_finite() && below_gate)

@@ -362,7 +362,7 @@ pub(crate) mod tests {
     /// A pool with no training set, for calling a stage that may retire
     /// an upload.
     pub(super) fn upload_pool() -> Arc<crate::client::BufferPool> {
-        crate::client::BufferPool::new(&|| unreachable!("no worker trains"), 0)
+        crate::client::BufferPool::new(&|| unreachable!("no worker trains"), 0, 0)
     }
 
     pub(super) fn pending_update(

@@ -30,10 +30,12 @@ pub(super) struct Workers {
 
 impl Workers {
     /// Split `threads` for `sim`'s cohort size and build one buffer set
-    /// per outer worker from the simulation's factory.
+    /// per outer worker from the simulation's factory, and a shelf for a
+    /// cohort of retired uploads.
     pub(super) fn new(sim: &Simulation<'_>, threads: usize) -> Self {
-        let budget = ThreadBudget::split(threads, sim.cfg.sampled_per_round());
-        let buffers = BufferPool::new(sim.factory.as_ref(), budget.outer());
+        let cohort = sim.cfg.sampled_per_round();
+        let budget = ThreadBudget::split(threads, cohort);
+        let buffers = BufferPool::new(sim.factory.as_ref(), budget.outer(), cohort);
         Workers { budget, buffers }
     }
 

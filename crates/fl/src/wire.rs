@@ -22,7 +22,10 @@ pub fn encode_update(u: &ClientUpdate) -> Vec<u8> {
 }
 
 /// Reconstruct an upload from transport payload bytes; `None` on any
-/// structural damage (short buffer, bad tag, trailing bytes).
+/// structural damage (short buffer, bad tag, trailing bytes). (The
+/// engine does not call this either: its receiver parses the payload
+/// where it lies in the frame into the upload it already holds,
+/// [`Wire::decode_into`], so the upload keeps its buffer.)
 pub fn decode_update(bytes: &[u8]) -> Option<ClientUpdate> {
     ClientUpdate::decode(bytes)
 }
