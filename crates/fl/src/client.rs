@@ -38,11 +38,13 @@
 //! upload it is done with — aggregated, dropped by a fault, the
 //! containment filter or an exhausted delivery — and [`run_local`] writes
 //! the next client's delta into one of those (`delta_into` clears it and
-//! writes every element) before it allocates a new one. So a steady
-//! round allocates no parameter-sized buffer, and since a buffer is
-//! allocated only when none is shelved, the pool never holds more of
-//! them than the run once held live. Everything is dropped when the run
-//! returns. Called outside the engine (unit tests, a custom harness), the
+//! writes every element) before it allocates a new one; the engine's one
+//! other parameter-sized buffer, the copy of the global model a round's
+//! movement is measured against, is borrowed from the shelf the same
+//! way. So a steady round allocates no parameter-sized buffer, and since
+//! a buffer is allocated only when none is shelved, the pool never holds
+//! more of them than the run once held live. Everything is dropped when
+//! the run returns. Called outside the engine (unit tests, a custom harness), the
 //! same loop trains in a temporary set built from `env.factory` and
 //! allocates its upload.
 
@@ -161,12 +163,13 @@ pub(crate) struct BufferPool {
 
 impl BufferPool {
     /// A set for each of `workers` concurrently training clients, and no
-    /// upload buffer yet — but room on the shelf for a `cohort` of them.
+    /// upload buffer yet — but room on the shelf for a `cohort` of them
+    /// and the engine's copy of the global model.
     pub(crate) fn new(factory: &ModelFactory, workers: usize, cohort: usize) -> Arc<Self> {
         let sets = (0..workers).map(|_| TrainBuffers::new(factory)).collect();
         Arc::new(BufferPool {
             sets: Mutex::new(sets),
-            uploads: Mutex::new(Vec::with_capacity(cohort)),
+            uploads: Mutex::new(Vec::with_capacity(cohort + 1)),
         })
     }
 
@@ -174,6 +177,11 @@ impl BufferPool {
     /// later client's delta.
     pub(crate) fn retire(&self, delta: Vec<f32>) {
         lock_recover(&self.uploads).push(delta);
+    }
+
+    /// A shelved buffer, if there is one; its contents are garbage.
+    pub(crate) fn take(&self) -> Option<Vec<f32>> {
+        lock_recover(&self.uploads).pop()
     }
 
     /// How many retired upload buffers are shelved.
@@ -295,7 +303,7 @@ fn train(
     let scale = 1.0 / (spec.lr * total_steps as f32);
     let mut delta = pool
         .as_ref()
-        .and_then(|p| lock_recover(&p.uploads).pop())
+        .and_then(|p| p.take())
         .unwrap_or_else(|| Vec::with_capacity(global.len()));
     let mut loss_acc = 0.0f64;
 

@@ -56,7 +56,8 @@ fn event_span(cadence: Cadence, round: usize, batch: &Batch) -> (Name, Vec<(&'st
 
 /// Carry out `admission` on `state.global` and write the round's loss,
 /// movement, α and aggregation count into `record`; each aggregated
-/// upload's buffer goes to `pool`.
+/// upload's buffer goes to `pool`, and the copy of the global model the
+/// movement is measured against is a buffer borrowed from it.
 ///
 /// Every clock read is a `LogicalClock` tick, so their sequence is part
 /// of the trace contract: a `Skip` reads nothing; an `Apply` reads `t0`
@@ -83,7 +84,8 @@ pub(super) fn apply(
     if batches.is_empty() {
         return;
     }
-    let before = state.global.clone();
+    let mut before = pool.take().unwrap_or_default();
+    before.clone_from(&state.global);
     let mut loss_sum = 0.0f64;
     let mut loss_n = 0usize;
     for batch in batches {
@@ -116,6 +118,7 @@ pub(super) fn apply(
     ctx.observe_phase(Name::FL_PHASE_AGGREGATE, t0);
     record.train_loss = (loss_n > 0).then(|| loss_sum / loss_n as f64);
     record.update_norm = update_norm_between(&before, &state.global);
+    pool.retire(before);
 }
 
 #[cfg(test)]

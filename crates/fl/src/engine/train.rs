@@ -31,7 +31,7 @@ pub(super) struct Workers {
 impl Workers {
     /// Split `threads` for `sim`'s cohort size and build one buffer set
     /// per outer worker from the simulation's factory, and a shelf for a
-    /// cohort of retired uploads.
+    /// cohort of retired uploads (and the engine's copy of the global model).
     pub(super) fn new(sim: &Simulation<'_>, threads: usize) -> Self {
         let cohort = sim.cfg.sampled_per_round();
         let budget = ThreadBudget::split(threads, cohort);

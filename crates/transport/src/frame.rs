@@ -570,11 +570,6 @@ impl Verified {
     pub fn payload(&self) -> &[u8] {
         &self.0[HEADER_LEN..self.0.len() - TRAILER_LEN]
     }
-
-    /// The whole frame, header and trailer included.
-    pub fn bytes(&self) -> &[u8] {
-        &self.0
-    }
 }
 
 /// [`decode_ref`], owning the payload: one copy of it, made after every
