@@ -44,9 +44,9 @@
 //! way. So a steady round allocates no parameter-sized buffer, and since
 //! a buffer is allocated only when none is shelved, the pool never holds
 //! more of them than the run once held live. Everything is dropped when
-//! the run returns. Called outside the engine (unit tests, a custom harness), the
-//! same loop trains in a temporary set built from `env.factory` and
-//! allocates its upload.
+//! the run returns. Called outside the engine (unit tests, a custom
+//! harness), the same loop trains in a temporary set built from
+//! `env.factory` and allocates its upload.
 
 use crate::config::FlConfig;
 use fedwcm_data::dataset::{ClientView, Dataset};

@@ -182,9 +182,9 @@ impl<'p> Courier<'p> {
     /// encoded once and the same bytes are lent to the link on every
     /// retransmission (same `seq`, same payload: they were identical
     /// when each attempt built its own), and a [`Verdict::Delivered`]
-    /// hands the buffer back whole, its payload read where it lies. A delivery
-    /// the plan defers before its first transmission never calls
-    /// `write_payload`.
+    /// hands the buffer back whole, its payload read where it lies. A
+    /// delivery the plan defers before its first transmission never
+    /// calls `write_payload`.
     pub fn deliver_with(
         &mut self,
         round: u64,

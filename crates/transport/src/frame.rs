@@ -13,9 +13,9 @@
 //! | 20     | n    | payload                                |
 //! | 20+n   | 4    | CRC32 (IEEE) over header + payload (LE)|
 //!
-//! [`crc32`] has two instances with the same value on every input —
-//! folding by carry-less multiplies where the CPU offers them, slice-by-8
-//! everywhere else; the one-table bytewise loop lives in
+//! [`crc32`] has three instances with the same value on every input —
+//! folding by 512- or 128-bit carry-less multiplies where the CPU offers
+//! them, slice-by-8 everywhere else; the one-table bytewise loop lives in
 //! `tests/support/reference.rs` as the reference each is tested against.
 //!
 //! The wire carries one message, a client's upload ([`Message::DeltaUp`]);
@@ -176,7 +176,7 @@ fn crc32_portable(data: &[u8]) -> u32 {
 /// then onto one lane, then lane by lane over what 16-byte blocks are
 /// left; a Barrett reduction takes the last 128 bits to the 32-bit
 /// state. Below 64 bytes, and for the last `len % 16` bytes, the state
-/// goes through [`update_portable`], so both instances agree by
+/// goes through [`update_portable`], so the instances agree by
 /// construction there and by `tests::every_instance_*` everywhere.
 #[cfg(target_arch = "x86_64")]
 mod clmul {
@@ -449,10 +449,11 @@ impl Crc {
 
 /// CRC32 (IEEE 802.3 polynomial, reflected) of `data`.
 ///
-/// Two instances compute it, with the same value on every input: folding
-/// by carry-less multiplies where the CPU has `pclmulqdq` and `sse4.1`
-/// (read from the machine; nothing selects or reports it), slice-by-8
-/// everywhere else.
+/// Three instances compute it, with the same value on every input:
+/// folding by 512-bit carry-less multiplies where the CPU has `avx512f`,
+/// `vpclmulqdq`, `pclmulqdq` and `sse4.1`, by 128-bit ones where it has
+/// the last two (read from the machine; nothing selects or reports it),
+/// slice-by-8 everywhere else.
 pub fn crc32(data: &[u8]) -> u32 {
     Crc::detect().crc32(data)
 }
