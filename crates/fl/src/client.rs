@@ -32,21 +32,10 @@
 //! before reading them — `set_params(global)`, and `loss_grad` zeroes the
 //! gradient — so no bit depends on which set it drew or on what the
 //! previous client left there. On return the model's layer caches are
-//! released: only the two arena-sized buffers outlive a client.
-//!
-//! The upload's buffer is the pool's too. The engine hands back every
-//! upload it is done with — aggregated, dropped by a fault, the
-//! containment filter or an exhausted delivery — and [`run_local`] writes
-//! the next client's delta into one of those (`delta_into` clears it and
-//! writes every element) before it allocates a new one; the engine's one
-//! other parameter-sized buffer, the copy of the global model a round's
-//! movement is measured against, is borrowed from the shelf the same
-//! way. So a steady round allocates no parameter-sized buffer, and since
-//! a buffer is allocated only when none is shelved, the pool never holds
-//! more of them than the run once held live. Everything is dropped when
-//! the run returns. Called outside the engine (unit tests, a custom
-//! harness), the same loop trains in a temporary set built from
-//! `env.factory` and allocates its upload.
+//! released: only the two arena-sized buffers outlive a client, and
+//! everything is dropped when the run returns. Called outside the engine
+//! (unit tests, a custom harness), the same loop trains in a temporary
+//! set built from `env.factory`.
 
 use crate::config::FlConfig;
 use fedwcm_data::dataset::{ClientView, Dataset};
@@ -154,52 +143,19 @@ impl TrainBuffers {
 }
 
 /// The training buffers of one run: a set per outer worker, built from
-/// the run's own factory, and the upload buffers the engine has retired;
-/// all dropped with the run.
-pub(crate) struct BufferPool {
-    sets: Mutex<Vec<TrainBuffers>>,
-    uploads: Mutex<Vec<Vec<f32>>>,
-}
+/// the run's own factory and dropped with the run.
+pub(crate) struct BufferPool(Mutex<Vec<TrainBuffers>>);
 
 impl BufferPool {
-    /// A set for each of `workers` concurrently training clients, and no
-    /// upload buffer yet — but room on the shelf for a `cohort` of them
-    /// and the engine's copy of the global model.
-    pub(crate) fn new(factory: &ModelFactory, workers: usize, cohort: usize) -> Arc<Self> {
+    /// A set for each of `workers` concurrently training clients.
+    pub(crate) fn new(factory: &ModelFactory, workers: usize) -> Arc<Self> {
         let sets = (0..workers).map(|_| TrainBuffers::new(factory)).collect();
-        Arc::new(BufferPool {
-            sets: Mutex::new(sets),
-            uploads: Mutex::new(Vec::with_capacity(cohort + 1)),
-        })
-    }
-
-    /// Shelve the buffer of an upload the engine is done with, for a
-    /// later client's delta.
-    pub(crate) fn retire(&self, delta: Vec<f32>) {
-        lock_recover(&self.uploads).push(delta);
-    }
-
-    /// A shelved buffer, if there is one; its contents are garbage.
-    pub(crate) fn take(&self) -> Option<Vec<f32>> {
-        lock_recover(&self.uploads).pop()
-    }
-
-    /// How many retired upload buffers are shelved.
-    #[cfg(test)]
-    pub(crate) fn shelved(&self) -> usize {
-        lock_recover(&self.uploads).len()
+        Arc::new(BufferPool(Mutex::new(sets)))
     }
 }
 
 std::thread_local! {
     static POOL: RefCell<Option<Arc<BufferPool>>> = const { RefCell::new(None) };
-}
-
-/// How many retired upload buffers the pool lent to this thread shelves,
-/// if one is lent.
-#[cfg(test)]
-pub(crate) fn lent_shelf() -> Option<usize> {
-    POOL.with(|p| p.borrow().as_ref().map(|pool| pool.shelved()))
 }
 
 /// Run `f` with `pool` lending its sets to this thread's
@@ -287,7 +243,7 @@ fn train(
     let pool = POOL.with(|p| p.borrow().clone());
     let mut bufs = pool
         .as_ref()
-        .and_then(|p| lock_recover(&p.sets).pop())
+        .and_then(|p| lock_recover(&p.0).pop())
         .unwrap_or_else(|| TrainBuffers::new(env.factory));
     let TrainBuffers { model, grads } = &mut bufs;
     model.set_params(global);
@@ -295,16 +251,12 @@ fn train(
 
     let batches_per_epoch = env.batches_per_epoch();
     let total_steps = batches_per_epoch * spec.epochs;
-    // delta = (x_r − x_B) / (lr · B_k): gradient-scale direction, in a
-    // retired upload's buffer when the pool shelves one. A new buffer is
-    // taken before the first step's layer caches: taken at the last
-    // step, above them, it raised `reslite_2t`'s peak RSS by ≈ 0.6 MB
+    // delta = (x_r − x_B) / (lr · B_k): gradient-scale direction. Its
+    // buffer is taken before the first step's layer caches: taken at the
+    // last step, above them, it raised `reslite_2t`'s peak RSS by ≈ 0.6 MB
     // (2-core host).
     let scale = 1.0 / (spec.lr * total_steps as f32);
-    let mut delta = pool
-        .as_ref()
-        .and_then(|p| p.take())
-        .unwrap_or_else(|| Vec::with_capacity(global.len()));
+    let mut delta = Vec::with_capacity(global.len());
     let mut loss_acc = 0.0f64;
 
     // Both sampler paths run the same epochs × batches/epoch nest (the
@@ -351,7 +303,7 @@ fn train(
 
     model.release_caches();
     if let Some(pool) = pool {
-        lock_recover(&pool.sets).push(bufs);
+        lock_recover(&pool.0).push(bufs);
     }
 
     #[expect(
@@ -498,9 +450,8 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// A lent set whose every float is NaN, and a shelved upload buffer
-    /// of NaNs longer or shorter than the model, train the same bits as a
-    /// temporary set: every buffer is overwritten before it is read.
+    /// A lent set whose every float is NaN trains the same bits as a
+    /// temporary set: both buffers are overwritten before they are read.
     #[test]
     fn bits_do_not_depend_on_what_the_lent_buffers_held() {
         let (ds, views, cfg) = setup();
@@ -509,18 +460,16 @@ mod tests {
         let spec = spec(0.1, 2);
         let clean = run_local_sgd(&env, &global, &spec, |_, _, _| {});
 
-        let pool = BufferPool::new(&factory, 1, 1);
-        for set in lock_recover(&pool.sets).iter_mut() {
+        let pool = BufferPool::new(&factory, 1);
+        for set in lock_recover(&pool.0).iter_mut() {
             set.model.params_mut().fill(f32::NAN);
             set.grads.fill(f32::NAN);
         }
-        for shelved in [global.len() + 7, 3] {
-            pool.retire(vec![f32::NAN; shelved]);
+        for _ in 0..2 {
             let lent = with_pool(&pool, || run_local_sgd(&env, &global, &spec, |_, _, _| {}));
-            assert_eq!(pool.shelved(), 0, "the upload took the shelved buffer");
             assert_eq!(bits(&lent.delta), bits(&clean.delta));
             assert_eq!(lent.avg_loss.to_bits(), clean.avg_loss.to_bits());
-            assert_eq!(lock_recover(&pool.sets).len(), 1, "the set went back");
+            assert_eq!(lock_recover(&pool.0).len(), 1, "the set went back");
         }
         assert!(POOL.with(|p| p.borrow().is_none()), "the loan is scoped");
     }
@@ -536,9 +485,9 @@ mod tests {
         let env = env(&ds, &views, &cfg, 0, 0);
         let global = factory().params().to_vec();
         let spec = spec(0.1, 1);
-        let pool = BufferPool::new(&factory, 1, 1);
+        let pool = BufferPool::new(&factory, 1);
         let _ = with_pool(&pool, || run_local_sgd(&env, &global, &spec, |_, _, _| {}));
-        let mut sets = lock_recover(&pool.sets);
+        let mut sets = lock_recover(&pool.0);
         let TrainBuffers { model, grads } = &mut sets[0];
         model.backward(&Tensor::zeros(&[1, 10]), grads);
     }

@@ -67,13 +67,6 @@ pub trait Wire: Sized {
     /// How many bytes `put` appends: what a writer reserves, once,
     /// before the first of them.
     fn wire_len(&self) -> usize;
-    /// [`Wire::get`] over `self`: every part of it overwritten with what
-    /// the reader holds, in the buffers it already has where it has any.
-    /// After a `None`, `self` is some mix of the old value and the new.
-    fn get_into(&mut self, r: &mut ByteReader<'_>) -> Option<()> {
-        *self = Self::get(r)?;
-        Some(())
-    }
 
     /// `self` as a standalone byte string, in one allocation.
     fn encode(&self) -> Vec<u8> {
@@ -88,14 +81,6 @@ pub trait Wire: Sized {
         let mut r = ByteReader::new(bytes);
         let v = Self::get(&mut r)?;
         r.is_exhausted().then_some(v)
-    }
-    /// [`Wire::decode`] into `self` ([`Wire::get_into`]): true when
-    /// `self` is now exactly the one value `bytes` holds; after false it
-    /// is some mix of the old value and the new.
-    #[must_use]
-    fn decode_into(&mut self, bytes: &[u8]) -> bool {
-        let mut r = ByteReader::new(bytes);
-        self.get_into(&mut r).is_some() && r.is_exhausted()
     }
 }
 
@@ -212,7 +197,7 @@ impl Wire for Vec<u8> {
 /// Parameter-length vectors stay on the bulk path: one reserve and one
 /// flattened conversion on the way out (a block copy on little-endian
 /// targets), the length-before-allocate guard and one conversion on the
-/// way in — into the vector's own buffer when it is read into one.
+/// way in.
 impl Wire for Vec<f32> {
     fn put(&self, out: &mut Vec<u8>) {
         self.len().put(out);
@@ -220,19 +205,11 @@ impl Wire for Vec<f32> {
         out.extend(self.iter().flat_map(|v| v.to_le_bytes()));
     }
     fn get(r: &mut ByteReader<'_>) -> Option<Self> {
-        let mut v = Vec::new();
-        v.get_into(r)?;
-        Some(v)
-    }
-    fn get_into(&mut self, r: &mut ByteReader<'_>) -> Option<()> {
         let n = usize::get(r)?;
         // `take` fails unless all `4 n` bytes are there.
         let bytes = r.take(n.checked_mul(size_of::<f32>())?)?;
-        self.clear();
-        self.reserve_exact(n);
         let floats = bytes.as_chunks().0;
-        self.extend(floats.iter().map(|b| f32::from_le_bytes(*b)));
-        Some(())
+        Some(floats.iter().map(|b| f32::from_le_bytes(*b)).collect())
     }
     fn wire_len(&self) -> usize {
         size_of::<u64>() + size_of_val(self.as_slice())
@@ -252,14 +229,6 @@ impl<T: Wire> Wire for Option<T> {
         } else {
             None
         })
-    }
-    fn get_into(&mut self, r: &mut ByteReader<'_>) -> Option<()> {
-        match (bool::get(r)?, self.as_mut()) {
-            (true, Some(v)) => v.get_into(r)?,
-            (true, None) => *self = Some(T::get(r)?),
-            (false, _) => *self = None,
-        }
-        Some(())
     }
     fn wire_len(&self) -> usize {
         size_of::<u32>() + self.as_ref().map_or(0, T::wire_len)
@@ -329,10 +298,6 @@ macro_rules! wire_struct {
             fn get(r: &mut $crate::codec::ByteReader<'_>) -> Option<Self> {
                 // Struct-literal fields are evaluated in source order.
                 Some($t { $($field: $crate::codec::Wire::get(r)?,)* })
-            }
-            fn get_into(&mut self, r: &mut $crate::codec::ByteReader<'_>) -> Option<()> {
-                $($crate::codec::Wire::get_into(&mut self.$field, r)?;)*
-                Some(())
             }
             fn wire_len(&self) -> usize {
                 0 $(+ $crate::codec::Wire::wire_len(&self.$field))*

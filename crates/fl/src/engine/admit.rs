@@ -4,7 +4,6 @@
 
 use super::{PendingUpdate, ReceivedUpdate, RoundCtx, RunState};
 use crate::cadence::Cadence;
-use crate::client::BufferPool;
 use crate::config::FlConfig;
 use crate::metrics::{RoundFaults, RoundRecord};
 use crate::undiscounted::Undiscounted;
@@ -59,14 +58,12 @@ pub(super) enum Admission {
 }
 
 /// Filter `received`, then admit it under `cfg.cadence`; books the
-/// filter's drops and the quorum outcome in `record`. What the filter or
-/// a skipped barrier discards goes to `pool`.
+/// filter's drops and the quorum outcome in `record`.
 pub(super) fn admit(
     cfg: &FlConfig,
     ctx: &RoundCtx<'_>,
     mut received: Vec<ReceivedUpdate>,
     state: &mut RunState,
-    pool: &BufferPool,
     record: &mut RoundRecord,
 ) -> Admission {
     // Failure containment: a delta that arrived non-finite (or finite
@@ -83,20 +80,17 @@ pub(super) fn admit(
     let mut norms = fedwcm_tensor::ops::norms_sq(&deltas)
         .into_iter()
         .map(f32::sqrt);
-    // `extract_if` asks once per upload, in order, so each takes its own
-    // norm; what it extracts goes back to the pool.
-    let poisoned = received.extract_if(.., |r| {
+    received.retain(|r| {
         let below_gate = norms.next().is_some_and(|n| n < MAX_UPDATE_NORM);
-        !(r.update.avg_loss().is_finite() && below_gate)
+        r.update.avg_loss().is_finite() && below_gate
     });
-    poisoned.for_each(|r| r.update.retire(pool));
     record.dropped_updates = before_filter - received.len();
     if let Some(reg) = ctx.registry {
         reg.counter_add(Name::FL_UPDATES_RECEIVED, before_filter as u64);
     }
 
     match cfg.cadence {
-        Cadence::Sync => barrier(cfg, ctx, received, state, pool, &mut record.faults),
+        Cadence::Sync => barrier(cfg, ctx, received, state, &mut record.faults),
         // FedBuff-style: one flush for every `k` buffered uploads,
         // oldest first, the remainder carried forward.
         Cadence::BufferedK { k } => {
@@ -126,13 +120,12 @@ pub(super) fn admit(
 
 /// The classic barrier: everything received is one batch — unless
 /// nothing was, or the quorum rule fails, and the round is skipped with
-/// its late arrivals re-queued and its fresh uploads retired to `pool`.
+/// its late arrivals re-queued.
 fn barrier(
     cfg: &FlConfig,
     ctx: &RoundCtx<'_>,
     received: Vec<ReceivedUpdate>,
     state: &mut RunState,
-    pool: &BufferPool,
     faults: &mut RoundFaults,
 ) -> Admission {
     // Aggregating a sliver of the sampled cohort yields a biased
@@ -156,11 +149,7 @@ fn barrier(
     // delay — re-queue it (original undiscounted delta, staleness
     // bumped by the extra round it now waits) and retract this round's
     // late-merge tally for it.
-    for r in received {
-        if r.staleness == 0 {
-            r.update.retire(pool);
-            continue;
-        }
+    for r in received.into_iter().filter(|r| r.staleness > 0) {
         faults.late_merged -= 1;
         faults.late_requeued += 1;
         let staleness = Some(("staleness", r.staleness));

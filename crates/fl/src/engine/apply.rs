@@ -7,7 +7,7 @@ use super::admit::{Admission, Batch};
 use super::{RoundCtx, RunState, Simulation};
 use crate::algorithm::{FederatedAlgorithm, RoundInput};
 use crate::cadence::Cadence;
-use crate::client::{BufferPool, ClientUpdate};
+use crate::client::ClientUpdate;
 use crate::metrics::RoundRecord;
 use fedwcm_trace::{Name, Value};
 
@@ -55,9 +55,7 @@ fn event_span(cadence: Cadence, round: usize, batch: &Batch) -> (Name, Vec<(&'st
 }
 
 /// Carry out `admission` on `state.global` and write the round's loss,
-/// movement, α and aggregation count into `record`; each aggregated
-/// upload's buffer goes to `pool`, and the copy of the global model the
-/// movement is measured against is a buffer borrowed from it.
+/// movement, α and aggregation count into `record`.
 ///
 /// Every clock read is a `LogicalClock` tick, so their sequence is part
 /// of the trace contract: a `Skip` reads nothing; an `Apply` reads `t0`
@@ -69,7 +67,6 @@ pub(super) fn apply(
     algo: &mut dyn FederatedAlgorithm,
     state: &mut RunState,
     admission: Admission,
-    pool: &BufferPool,
     record: &mut RoundRecord,
 ) {
     let (batches, scale) = match admission {
@@ -84,8 +81,7 @@ pub(super) fn apply(
     if batches.is_empty() {
         return;
     }
-    let mut before = pool.take().unwrap_or_default();
-    before.clone_from(&state.global);
+    let before = state.global.clone();
     let mut loss_sum = 0.0f64;
     let mut loss_n = 0usize;
     for batch in batches {
@@ -107,9 +103,6 @@ pub(super) fn apply(
         };
         let log = algo.aggregate(&mut state.global, &input);
         drop(span);
-        for u in input.updates {
-            pool.retire(u.delta);
-        }
         if log.alpha.is_some() {
             record.alpha = log.alpha;
         }
@@ -118,7 +111,6 @@ pub(super) fn apply(
     ctx.observe_phase(Name::FL_PHASE_AGGREGATE, t0);
     record.train_loss = (loss_n > 0).then(|| loss_sum / loss_n as f64);
     record.update_norm = update_norm_between(&before, &state.global);
-    pool.retire(before);
 }
 
 #[cfg(test)]

@@ -4,7 +4,6 @@
 //! [`NetCounters`] (`RoundRecord::net`); no metric is touched.
 
 use super::{PendingUpdate, ReceivedUpdate, RoundCtx, RunState};
-use crate::client::BufferPool;
 use crate::codec::Wire;
 use fedwcm_trace::{Name, Value};
 use fedwcm_transport::{AttemptOutcome, Courier, NetCounters, NetPlan, RetryPolicy, Verdict};
@@ -14,12 +13,11 @@ use fedwcm_transport::{AttemptOutcome, Courier, NetCounters, NetPlan, RetryPolic
 /// Each fresh upload is serialized, framed, and delivered by a
 /// [`Courier`] over the deterministic in-memory link in client-id
 /// order (the order `received` already has). Outcomes map onto the
-/// existing failure machinery: delivered payloads are decoded back
-/// into received updates; transport delays park the upload in the
-/// straggler buffer (merged with a staleness discount when due);
-/// exhausted retry budgets drop the upload, exactly like a dropout
-/// fault — the quorum rule decides what the round does about it, and
-/// the upload's buffer goes to `pool`. Late arrivals (staleness > 0)
+/// existing failure machinery: a delivered upload is received as it was
+/// sent; transport delays park the upload in the straggler buffer
+/// (merged with a staleness discount when due); exhausted retry budgets
+/// drop the upload, exactly like a dropout fault — the quorum rule
+/// decides what the round does about it. Late arrivals (staleness > 0)
 /// already crossed the wire when they were fresh and pass through
 /// untouched.
 pub(super) fn deliver(
@@ -27,7 +25,6 @@ pub(super) fn deliver(
     ctx: &RoundCtx<'_>,
     received: Vec<ReceivedUpdate>,
     state: &mut RunState,
-    pool: &BufferPool,
     net: &mut NetCounters,
 ) -> Vec<ReceivedUpdate> {
     let Some(plan) = plan else {
@@ -74,24 +71,19 @@ pub(super) fn deliver(
         }
         drop(send_span);
         match delivery.verdict {
-            // The receiver parses the payload where it lies in the frame
-            // into the upload's own buffers: what arrives is what was
-            // sent, bit for bit, and crosses memory once on the way out.
+            // The courier hands back the sender's own frame, written from
+            // this upload, once a copy of it arrived intact: the upload
+            // that arrived is this one, bit for bit.
             Verdict::Delivered { frame } => {
-                let mut update = r.update;
-                if update.decode_into(frame.payload()) {
-                    out.push(ReceivedUpdate {
-                        staleness: 0,
-                        via_net: true,
-                        update,
-                    });
-                } else {
-                    // An acknowledged frame whose payload fails to parse
-                    // would be a codec defect; degrade to a dropout rather
-                    // than poison or panic.
-                    net.degraded = net.degraded.saturating_add(1);
-                    update.retire(pool);
-                }
+                debug_assert!(
+                    frame.payload() == r.update.encode(),
+                    "the delivered frame carries the upload it was written from"
+                );
+                out.push(ReceivedUpdate {
+                    staleness: 0,
+                    via_net: true,
+                    update: r.update,
+                });
             }
             Verdict::Delayed { rounds } => state.pending.push(PendingUpdate {
                 arrival_round: round + rounds,
@@ -101,7 +93,7 @@ pub(super) fn deliver(
             }),
             // Degrades into the dropout machinery: the round has one
             // fewer fresh upload and quorum decides the rest.
-            Verdict::Exhausted => r.update.retire(pool),
+            Verdict::Exhausted => {}
         }
     }
     net.merge(&courier.counters());

@@ -245,7 +245,6 @@ impl<'a> Simulation<'a> {
         let last_replay = perturb::last_replays(&self.cfg, fault_plan);
         // `None` when absent *or* all-zero: both skip the transport alike.
         let net_plan = self.net_plan.as_ref().filter(|p| !p.is_zero());
-        let pool = workers.pool();
 
         while state.next_round < until_round {
             let round = state.next_round;
@@ -263,12 +262,11 @@ impl<'a> Simulation<'a> {
                 &ctx,
                 updates,
                 state,
-                pool,
                 &mut record.faults,
             );
-            let arrived = deliver::deliver(net_plan, &ctx, received, state, pool, &mut record.net);
-            let admission = admit::admit(&self.cfg, &ctx, arrived, state, pool, &mut record);
-            apply::apply(self, &ctx, algo, state, admission, pool, &mut record);
+            let arrived = deliver::deliver(net_plan, &ctx, received, state, &mut record.net);
+            let admission = admit::admit(&self.cfg, &ctx, arrived, state, &mut record);
+            apply::apply(self, &ctx, algo, state, admission, &mut record);
             // Evaluation cadence is a property of the round number alone:
             // a fully-dropped round still evaluates the unchanged model on
             // eval boundaries, so accuracy series keep their cadence.
@@ -359,12 +357,6 @@ pub(crate) mod tests {
         RoundCtx::open(round, sampled_len, OFF.get_or_init(Observability::default))
     }
 
-    /// A pool with no training set, for calling a stage that may retire
-    /// an upload.
-    pub(super) fn upload_pool() -> Arc<crate::client::BufferPool> {
-        crate::client::BufferPool::new(&|| unreachable!("no worker trains"), 0, 0)
-    }
-
     pub(super) fn pending_update(
         client: usize,
         staleness: usize,
@@ -443,116 +435,6 @@ pub(crate) mod tests {
         assert_eq!(s1.len(), 3);
         assert!(s1.iter().all(|&c| c < 10));
         assert_ne!(sim.sampled_clients(0), sim.sampled_clients(1));
-    }
-
-    /// `TestFedAvg` whose every round's first client notes how many
-    /// retired upload buffers the lent pool shelves: at one thread that is
-    /// the shelf at its fullest, after the previous round retired its
-    /// uploads and before this round's clients take any.
-    #[derive(Default)]
-    struct ShelfSpy(std::sync::Mutex<std::collections::BTreeMap<usize, usize>>);
-
-    impl FederatedAlgorithm for ShelfSpy {
-        fn name(&self) -> String {
-            "shelf-spy".into()
-        }
-
-        fn local_train(&self, env: &ClientEnv<'_>, global: &[f32]) -> ClientUpdate {
-            let shelved = crate::client::lent_shelf().expect("the engine lends its pool");
-            let mut seen = fedwcm_parallel::sync::lock_recover(&self.0);
-            seen.entry(env.round).or_insert(shelved);
-            drop(seen);
-            plain_sgd(env, global)
-        }
-
-        fn aggregate(&mut self, global: &mut [f32], input: &RoundInput<'_>) -> RoundLog {
-            average_step(global, input, &mut Vec::new())
-        }
-
-        fn save_state(&self) -> Option<Vec<u8>> {
-            Some(Vec::new())
-        }
-
-        fn load_state(&mut self, bytes: &[u8]) -> Result<(), crate::StateError> {
-            crate::codec::decode_state::<()>(bytes)
-        }
-    }
-
-    /// Over 12 rounds of the chaos plans (dropouts, stragglers, corrupt
-    /// and replayed uploads; a lossy, duplicating, reordering, delaying
-    /// wire; a buffered cadence), killed through checkpoint bytes after
-    /// every round in turn, the pool never shelves more buffers than the
-    /// run held live: at the start of round `r` of a drive that began at
-    /// round `a`, the shelf plus the uploads the server holds is at most
-    /// what it held at `a` or, if more, the peak over rounds `a..r` of
-    /// held + sampled + 1 (the copy of the global model `apply` measures
-    /// the round's movement against).
-    #[test]
-    fn the_upload_pool_never_outgrows_the_uploads_the_run_held_live() {
-        use fedwcm_faults::FaultConfig;
-        use fedwcm_transport::NetConfig;
-        let spec = DatasetPreset::FashionMnist.spec();
-        let ds = spec.generate_train(&longtail_counts(10, 60, 0.5), 42);
-        let test = spec.generate_test(42);
-        let mut cfg = FlConfig::default_sim();
-        cfg.clients = 20;
-        cfg.participation = 0.5;
-        cfg.rounds = 12;
-        cfg.eval_every = 6;
-        cfg.threads = 1;
-        cfg.cadence = crate::Cadence::BufferedK { k: 4 };
-        let net =
-            NetConfig::parse("drop:0.1,corrupt:0.05,dup:0.05,reorder:0.05,delayp:0.1,delay:2")
-                .expect("a valid spec");
-        let sim = build_sim(&ds, &test, cfg)
-            .with_fault_plan(FaultPlan::new(FaultConfig {
-                dropout: 0.2,
-                straggler: 0.15,
-                max_delay: 3,
-                corruption: 0.05,
-                replay: 0.05,
-                ..FaultConfig::zero(42)
-            }))
-            .with_net_plan(NetPlan::new(NetConfig { seed: 43, ..net }));
-
-        // The uploads the server holds when each round starts (stragglers
-        // and the aggregation buffer), from an uninterrupted run.
-        let mut algo = ShelfSpy::default();
-        let mut state = sim.fresh_state(&algo);
-        let mut held = Vec::new();
-        while state.next_round < sim.cfg.rounds {
-            held.push(state.pending.len() + state.agg_buffer.len());
-            let next = state.next_round + 1;
-            sim.drive(&mut algo, &mut state, next, &mut |_, _| {});
-        }
-        let live: Vec<usize> = (0..sim.cfg.rounds)
-            .map(|r| held[r] + sim.sampled_clients(r).len() + 1)
-            .collect();
-
-        let mut recycled = false;
-        for kill in 1..sim.cfg.rounds {
-            let mut first = ShelfSpy::default();
-            let ckpt = sim.run_until(&mut first, kill).expect("checkpointable");
-            let back = ServerCheckpoint::from_bytes(&ckpt.to_bytes()).expect("parses");
-            let mut second = ShelfSpy::default();
-            sim.resume(&mut second, &back).expect("resumes");
-            for (start, spy) in [(0, first), (kill, second)] {
-                let seen = spy.0.into_inner().expect("no panic held the lock");
-                for (&round, &shelved) in &seen {
-                    let peak = live[start..round]
-                        .iter()
-                        .copied()
-                        .fold(held[start], usize::max);
-                    assert!(
-                        shelved + held[round] <= peak,
-                        "kill {kill}, round {round}: {shelved} shelved + {} held > peak {peak}",
-                        held[round]
-                    );
-                    recycled |= shelved > 0;
-                }
-            }
-        }
-        assert!(recycled, "no retired upload was ever shelved");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! an empty straggler buffer and sorting already-sorted ids are no-ops.
 
 use super::{sampled_clients_for, RoundCtx, RunState};
-use crate::client::{BufferPool, ClientUpdate};
+use crate::client::ClientUpdate;
 use crate::config::FlConfig;
 use crate::metrics::RoundFaults;
 use crate::undiscounted::Undiscounted;
@@ -59,15 +59,14 @@ fn fresh(update: ClientUpdate) -> ReceivedUpdate {
 /// **undiscounted**: each carries its staleness and the discount is
 /// paid at application time, so a skipped round can re-queue a late
 /// arrival without signal loss. `last_replay` is the run's
-/// [`last_replays`] table. A dropped upload's buffer goes to `pool`. The
-/// `fault_inject` span is opened only when a plan is attached.
+/// [`last_replays`] table. The `fault_inject` span is opened only when a
+/// plan is attached.
 pub(super) fn perturb(
     plan: Option<&FaultPlan>,
     last_replay: &[Option<usize>],
     ctx: &RoundCtx<'_>,
     updates: Vec<ClientUpdate>,
     state: &mut RunState,
-    pool: &BufferPool,
     faults: &mut RoundFaults,
 ) -> Vec<ReceivedUpdate> {
     let round = ctx.round;
@@ -83,7 +82,6 @@ pub(super) fn perturb(
             Some(FaultKind::Dropout) => {
                 faults.dropouts += 1;
                 ctx.fault_point("dropout", u.client, None);
-                pool.retire(u.delta);
             }
             Some(FaultKind::Straggler { delay }) => {
                 faults.stragglers += 1;
@@ -205,7 +203,7 @@ fn merge_due_pending(
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{bare_ctx, bits, build_sim, pending_update, upload_pool, TestFedAvg};
+    use super::super::tests::{bare_ctx, bits, build_sim, pending_update, TestFedAvg};
     use super::*;
     use crate::config::FlConfig;
     use fedwcm_data::longtail::longtail_counts;
@@ -248,7 +246,6 @@ mod tests {
             &bare_ctx(0, 2),
             Vec::new(),
             &mut state,
-            &upload_pool(),
             &mut faults,
         );
         assert_eq!(received.len(), 1);
@@ -362,7 +359,6 @@ mod tests {
             &bare_ctx(4, 2),
             vec![fresh_from(0), fresh_from(2)],
             &mut state,
-            &upload_pool(),
             &mut faults,
         );
         let seen: Vec<(usize, usize)> = received

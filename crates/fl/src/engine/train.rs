@@ -30,19 +30,11 @@ pub(super) struct Workers {
 
 impl Workers {
     /// Split `threads` for `sim`'s cohort size and build one buffer set
-    /// per outer worker from the simulation's factory, and a shelf for a
-    /// cohort of retired uploads (and the engine's copy of the global model).
+    /// per outer worker from the simulation's factory.
     pub(super) fn new(sim: &Simulation<'_>, threads: usize) -> Self {
-        let cohort = sim.cfg.sampled_per_round();
-        let budget = ThreadBudget::split(threads, cohort);
-        let buffers = BufferPool::new(sim.factory.as_ref(), budget.outer(), cohort);
+        let budget = ThreadBudget::split(threads, sim.cfg.sampled_per_round());
+        let buffers = BufferPool::new(sim.factory.as_ref(), budget.outer());
         Workers { budget, buffers }
-    }
-
-    /// The run's buffer pool, where the stages retire the uploads they
-    /// are done with.
-    pub(super) fn pool(&self) -> &BufferPool {
-        &self.buffers
     }
 }
 

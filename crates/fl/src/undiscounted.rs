@@ -9,7 +9,7 @@
 //! is discounted twice is a use after move. The delta is reachable only
 //! through `&[f32]`, so nothing can pre-scale it on the side either.
 
-use crate::client::{BufferPool, ClientUpdate};
+use crate::client::ClientUpdate;
 use crate::codec::{ByteReader, Wire};
 use fedwcm_faults::staleness_discount;
 
@@ -96,14 +96,6 @@ impl Undiscounted {
         }
         update
     }
-
-    /// Consume an upload the server will never apply (a fault, the
-    /// containment filter or the wire dropped it): its delta's buffer
-    /// goes to `pool`, where the next delta written into it overwrites
-    /// every element.
-    pub(crate) fn retire(self, pool: &BufferPool) {
-        pool.retire(self.0.delta);
-    }
 }
 
 impl Wire for Undiscounted {
@@ -112,9 +104,6 @@ impl Wire for Undiscounted {
     }
     fn get(r: &mut ByteReader<'_>) -> Option<Self> {
         ClientUpdate::get(r).map(Undiscounted)
-    }
-    fn get_into(&mut self, r: &mut ByteReader<'_>) -> Option<()> {
-        self.0.get_into(r)
     }
     fn wire_len(&self) -> usize {
         self.0.wire_len()

@@ -22,10 +22,7 @@ pub fn encode_update(u: &ClientUpdate) -> Vec<u8> {
 }
 
 /// Reconstruct an upload from transport payload bytes; `None` on any
-/// structural damage (short buffer, bad tag, trailing bytes). (The
-/// engine does not call this either: its receiver parses the payload
-/// where it lies in the frame into the upload it already holds,
-/// [`Wire::decode_into`], so the upload keeps its buffer.)
+/// structural damage (short buffer, bad tag, trailing bytes).
 pub fn decode_update(bytes: &[u8]) -> Option<ClientUpdate> {
     ClientUpdate::decode(bytes)
 }
@@ -164,42 +161,6 @@ mod tests {
             let from_kept = decode_update(&kept).expect("parses from a copy");
             prop_assert!(same(&from_lent, &from_kept));
             prop_assert!(same(&from_lent, &u));
-        }
-
-        /// What the engine's receiver does: parse the payload where it
-        /// lies in the frame into an upload it already holds. Whatever
-        /// that upload was, it becomes exactly `decode_update`'s upload,
-        /// in its own delta buffer when that is long enough; and what
-        /// `decode_update` refuses, this refuses.
-        #[test]
-        fn decoding_into_any_held_upload_is_decode_update(
-            u in arb_update(),
-            held in arb_update(),
-            cut in any::<u64>(),
-            junk in any::<u8>(),
-        ) {
-            let upload = Undiscounted::new(u.clone());
-            let frame = frame::encode_delta_up(3, upload.wire_len(), |out| upload.put(out))
-                .expect("an upload fits a frame");
-            let (_, payload) = frame::decode_ref(&frame).expect("intact");
-            let owned = decode_update(payload).expect("parses");
-
-            let mut into = held.clone();
-            let buffer = (into.delta.as_ptr(), into.delta.capacity());
-            prop_assert!(into.decode_into(payload));
-            prop_assert!(same(&into, &owned));
-            prop_assert!(same(&into, &u));
-            if buffer.1 >= u.delta.len() && buffer.1 > 0 {
-                prop_assert_eq!(into.delta.as_ptr(), buffer.0, "parsed into its own buffer");
-            }
-
-            let keep = usize::try_from(cut % payload.len() as u64).expect("fits");
-            let mut extended = payload.to_vec();
-            extended.push(junk);
-            for damaged in [&payload[..keep], extended.as_slice()] {
-                prop_assert!(decode_update(damaged).is_none());
-                prop_assert!(!held.clone().decode_into(damaged), "{} bytes", damaged.len());
-            }
         }
 
         #[test]

@@ -506,8 +506,14 @@ mod tests {
             });
             assert_eq!(got, want, "client {c}");
             assert_eq!(written, got.attempts > 0, "client {c}");
-            if let Some(arrived) = delivered(&got) {
-                assert_eq!(arrived, payload, "client {c}");
+            if let Verdict::Delivered { frame: arrived } = &got.verdict {
+                assert_eq!(arrived.payload(), payload, "client {c}");
+                // One buffer: the frame it was written into, nothing
+                // grown or copied on the way back.
+                assert_eq!(
+                    arrived.capacity(),
+                    frame::HEADER_LEN + payload.len() + frame::TRAILER_LEN
+                );
             }
         }
         assert_eq!(in_place.counters(), by_slice.counters());

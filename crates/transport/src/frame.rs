@@ -571,6 +571,12 @@ impl Verified {
     pub fn payload(&self) -> &[u8] {
         &self.0[HEADER_LEN..self.0.len() - TRAILER_LEN]
     }
+
+    /// The capacity of the frame's buffer: what the sender reserved.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.0.capacity()
+    }
 }
 
 /// [`decode_ref`], owning the payload: one copy of it, made after every
