@@ -22,7 +22,10 @@ pub fn encode_update(u: &ClientUpdate) -> Vec<u8> {
 }
 
 /// Reconstruct an upload from transport payload bytes; `None` on any
-/// structural damage (short buffer, bad tag, trailing bytes).
+/// structural damage (short buffer, bad tag, trailing bytes). (The
+/// engine does not call this either: a delivered frame is the sender's
+/// own, written from the upload the engine still holds, so it keeps that
+/// upload.)
 pub fn decode_update(bytes: &[u8]) -> Option<ClientUpdate> {
     ClientUpdate::decode(bytes)
 }
