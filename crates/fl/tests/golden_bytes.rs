@@ -125,3 +125,19 @@ fn run_until_checkpoint_bytes_match_the_golden_crc() {
 /// Re-blessed when the replay cache started holding only uploads a later
 /// replay reads (95,338 B before, every client's last upload carried).
 const GOLDEN_RUN_UNTIL_FWCK: (usize, u32) = (66_346, 0x7462_87C2);
+
+#[path = "../../../tests/support/golden.rs"]
+mod golden;
+
+/// Transitional: `results/golden.tsv` holds exactly the constants above.
+#[test]
+fn the_manifest_holds_the_pinned_constants() {
+    let mut g = golden::Golden::new("golden_bytes/frame");
+    g.check("delta_up", GOLDEN_FRAMES[0]);
+    g.check("delta_up_extra", GOLDEN_FRAMES[1]);
+    g.finish();
+    let mut g = golden::Golden::new("golden_bytes/fwck");
+    g.check("len", GOLDEN_RUN_UNTIL_FWCK.0);
+    g.check("crc", format!("{:#010X}", GOLDEN_RUN_UNTIL_FWCK.1));
+    g.finish();
+}

@@ -340,3 +340,14 @@ proptest! {
         }
     }
 }
+
+#[path = "../../../tests/support/golden.rs"]
+mod golden;
+
+/// Transitional: `results/golden.tsv` holds exactly the constants above.
+#[test]
+fn the_manifest_holds_the_pinned_constants() {
+    let mut g = golden::Golden::new("fl_properties");
+    g.check("chaos_fwck", format!("{GOLDEN_FWCK_CRC:#010X}"));
+    g.finish();
+}

@@ -134,3 +134,14 @@ fn replay_run_matches_its_pinned_digest_and_resumes_from_every_round() {
         }
     }
 }
+
+#[path = "../../../tests/support/golden.rs"]
+mod golden;
+
+/// Transitional: `results/golden.tsv` holds exactly the constants above.
+#[test]
+fn the_manifest_holds_the_pinned_constants() {
+    let mut g = golden::Golden::new("replay_cache");
+    g.check("run", format!("{GOLDEN_REPLAY_RUN:#010X}"));
+    g.finish();
+}

@@ -31,16 +31,17 @@ fn spread(len: usize) -> Vec<u64> {
         .collect()
 }
 
+const GOLDEN_FRESH: [(usize, u64); 4] = [
+    (1, 0xf6e3_1192_f69f_ea46),
+    (10, 0x41ef_c816_38cf_f52f),
+    (100, 0x87a6_714a_ba5d_85ce),
+    (4096, 0xdcc1_4172_ec1d_3bca),
+];
+
 #[test]
 fn fresh_ciphertexts_match_their_golden_digests() {
     let key = key();
-    let golden: [(usize, u64); 4] = [
-        (1, 0xf6e3_1192_f69f_ea46),
-        (10, 0x41ef_c816_38cf_f52f),
-        (100, 0x87a6_714a_ba5d_85ce),
-        (4096, 0xdcc1_4172_ec1d_3bca),
-    ];
-    for (len, want) in golden {
+    for (len, want) in GOLDEN_FRESH {
         let values = spread(len);
         let ct = key.encrypt(&values, &mut Xoshiro256pp::seed_from(len as u64));
         let bytes = ct.to_bytes();
@@ -54,6 +55,8 @@ fn fresh_ciphertexts_match_their_golden_digests() {
         assert_eq!(back.to_bytes(), bytes, "length {len}");
     }
 }
+
+const GOLDEN_SUM: u64 = 0x4508_7b59_7a2e_f49f;
 
 /// 200 clients' 100-class counts summed into client 0's ciphertext, as
 /// the §5.5 protocol sums them: the sum's bytes and its decryption.
@@ -79,8 +82,22 @@ fn a_200_ciphertext_sum_matches_its_golden_digest() {
     assert_eq!(sum.added, 200);
     assert_eq!(
         fnv1a(&sum.to_bytes()),
-        0x4508_7b59_7a2e_f49f,
+        GOLDEN_SUM,
         "the summed ciphertext's bytes moved"
     );
     assert_eq!(key.decrypt(&sum, classes), expected);
+}
+
+#[path = "../../../tests/support/golden.rs"]
+mod golden;
+
+/// Transitional: `results/golden.tsv` holds exactly the constants above.
+#[test]
+fn the_manifest_holds_the_pinned_constants() {
+    let mut g = golden::Golden::new("he_golden");
+    for (len, digest) in GOLDEN_FRESH {
+        g.check(&format!("fresh/{len}"), format!("{digest:#018x}"));
+    }
+    g.check("sum/200", format!("{GOLDEN_SUM:#018x}"));
+    g.finish();
 }

@@ -165,3 +165,17 @@ const GOLDEN_TOTALS: NetCounters = NetCounters {
 const GOLDEN_TICKS: u64 = 524;
 const GOLDEN_TRANSCRIPT_LEN: usize = 14_029;
 const GOLDEN_TRANSCRIPT_CRC: u32 = 0x1C99_47B9;
+
+#[path = "../../../tests/support/golden.rs"]
+mod golden;
+
+/// Transitional: `results/golden.tsv` holds exactly the constants above.
+#[test]
+fn the_manifest_holds_the_pinned_constants() {
+    let mut g = golden::Golden::new("courier_transcript");
+    g.check("totals", format!("{GOLDEN_TOTALS:?}"));
+    g.check("ticks", GOLDEN_TICKS);
+    g.check("len", GOLDEN_TRANSCRIPT_LEN);
+    g.check("crc", format!("{GOLDEN_TRANSCRIPT_CRC:#010X}"));
+    g.finish();
+}

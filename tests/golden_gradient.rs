@@ -82,3 +82,18 @@ fn mlp_step_gradient_and_eval_logits_match_the_golden_crcs() {
         "MLP evaluation logits changed"
     );
 }
+
+#[path = "support/golden.rs"]
+mod golden;
+
+/// Transitional: `results/golden.tsv` holds exactly the constants above.
+#[test]
+fn the_manifest_holds_the_pinned_constants() {
+    let mut g = golden::Golden::new("golden_gradient/reslite");
+    g.check("step", format!("{GOLDEN_RESLITE_GRADIENT_CRC:#010X}"));
+    g.finish();
+    let mut g = golden::Golden::new("golden_gradient/mlp");
+    g.check("step", format!("{GOLDEN_MLP_GRADIENT_CRC:#010X}"));
+    g.check("logits", format!("{GOLDEN_MLP_LOGITS_CRC:#010X}"));
+    g.finish();
+}

@@ -145,3 +145,26 @@ fn default_conditions_reach_the_engine_with_their_pinned_config() {
     }
     assert_eq!(got, PINNED_CONFIGS);
 }
+
+#[path = "support/golden.rs"]
+mod golden;
+
+/// Transitional: `results/golden.tsv` holds exactly the constants above.
+#[test]
+fn the_manifest_holds_the_pinned_constants() {
+    let mut g = golden::Golden::new("method_digests");
+    for (m, paper, fedgrab) in PINNED {
+        g.check(&format!("{m:?}/paper"), format!("{paper:#010X}"));
+        g.check(&format!("{m:?}/FedGrab"), format!("{fedgrab:#010X}"));
+    }
+    g.finish();
+    let mut g = golden::Golden::new("conditions");
+    let mut configs = PINNED_CONFIGS.iter();
+    for preset in ["FashionMnist", "Cifar100"] {
+        for scale in ["Smoke", "Quick"] {
+            g.check(&format!("{preset}/{scale}"), configs.next().unwrap());
+            g.check(&format!("{preset}/{scale}/cli"), configs.next().unwrap());
+        }
+    }
+    g.finish();
+}

@@ -148,3 +148,14 @@ fn trace_reader_rejects_truncated_and_mutated_traces_without_panicking() {
     }
     assert!(rejected >= 450, "only {rejected} of 600 mutations rejected");
 }
+
+#[path = "support/golden.rs"]
+mod golden;
+
+/// Transitional: `results/golden.tsv` holds exactly the constants above.
+#[test]
+fn the_manifest_holds_the_pinned_constants() {
+    let mut g = golden::Golden::new("profile_determinism");
+    g.check("cifar10", format!("{GOLDEN_CIFAR10_PROFILE_CRC:#010X}"));
+    g.finish();
+}

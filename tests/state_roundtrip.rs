@@ -204,3 +204,16 @@ fn a_per_client_vector_of_another_length_is_refused_at_resume() {
         );
     }
 }
+
+#[path = "support/golden.rs"]
+mod golden;
+
+/// Transitional: `results/golden.tsv` holds exactly the constants above.
+#[test]
+fn the_manifest_holds_the_pinned_constants() {
+    let mut g = golden::Golden::new("state_roundtrip");
+    for (m, crc) in PINNED_CHECKPOINTS {
+        g.check(&format!("{m:?}"), format!("{crc:#010X}"));
+    }
+    g.finish();
+}

@@ -342,3 +342,22 @@ fn chaos_traces_of_every_cadence_match_their_golden_crc() {
 const GOLDEN_SYNC_REQUEUE_CRCS: [u32; 3] = [0xEC37_4EB7, 0x807F_31E8, 0xF4A1_1D01];
 const GOLDEN_BUFFERED_CRCS: [u32; 3] = [0x050F_2058, 0x8FB8_3216, 0x7559_545A];
 const GOLDEN_ASYNC_CRCS: [u32; 3] = [0x03E5_DA2D, 0x8C94_0EC1, 0x0EA3_FCAE];
+
+#[path = "support/golden.rs"]
+mod golden;
+
+/// Transitional: `results/golden.tsv` holds exactly the constants above.
+#[test]
+fn the_manifest_holds_the_pinned_constants() {
+    let mut g = golden::Golden::new("trace_determinism");
+    for (cadence, crcs) in [
+        ("sync", GOLDEN_SYNC_REQUEUE_CRCS),
+        ("buffered:2", GOLDEN_BUFFERED_CRCS),
+        ("async:2", GOLDEN_ASYNC_CRCS),
+    ] {
+        for (part, crc) in ["trace", "records", "metrics"].into_iter().zip(crcs) {
+            g.check(&format!("{cadence}/{part}"), format!("{crc:#010X}"));
+        }
+    }
+    g.finish();
+}
