@@ -7,12 +7,13 @@
 
 mod support;
 
+#[path = "../../../tests/support/record_digest.rs"]
+mod record_digest;
+
 use fedwcm_data::dataset::Dataset;
 use fedwcm_faults::{FaultConfig, FaultKind, FaultPlan};
-use fedwcm_fl::{
-    sampled_clients_for, Cadence, FlConfig, History, NetPlan, ServerCheckpoint, Simulation,
-};
-use fedwcm_transport::frame::crc32;
+use fedwcm_fl::{sampled_clients_for, Cadence, FlConfig, NetPlan, ServerCheckpoint, Simulation};
+use record_digest::record_digest;
 use support::{assert_bitwise_eq, build_sim, lossy_cfg, make_cfg, make_data, MiniMomentum};
 
 const ROUNDS: usize = 12;
@@ -43,32 +44,6 @@ fn sim<'a>(train: &'a Dataset, test: &'a Dataset, threads: usize) -> Simulation<
     build_sim(train, test, cfg(threads))
         .with_fault_plan(plan())
         .with_net_plan(NetPlan::new(lossy_cfg(0x91A7)))
-}
-
-/// Every record field (floats as bit patterns), then the final
-/// parameters' bits.
-fn digest(history: &History, params: &[f32]) -> u32 {
-    let bits = |v: Option<f64>| v.map(f64::to_bits);
-    let mut bytes = Vec::new();
-    for r in &history.records {
-        let line = format!(
-            "{} {:?} {} {:?} {:?} {} {} {:?} {:?}\n",
-            r.round,
-            bits(r.train_loss),
-            r.update_norm.to_bits(),
-            bits(r.test_acc),
-            bits(r.alpha),
-            r.aggregations,
-            r.dropped_updates,
-            r.faults,
-            r.net,
-        );
-        bytes.extend_from_slice(line.as_bytes());
-    }
-    for p in params {
-        bytes.extend_from_slice(&p.to_bits().to_le_bytes());
-    }
-    crc32(&bytes)
 }
 
 /// Replays that read a slot some earlier round could have filled: the
@@ -106,7 +81,7 @@ fn replay_run_matches_its_pinned_digest_and_resumes_from_every_round() {
         let net = full.net_totals();
         assert!(replays >= 5 && late > 0 && net.delayed > 0 && net.retries > 0);
         assert_eq!(
-            digest(&full, &last),
+            record_digest(&full.records, &last),
             GOLDEN_REPLAY_RUN,
             "replay run at {threads} thread(s)"
         );

@@ -13,7 +13,10 @@
 use fedwcm_experiments::Method::{self, *};
 use fedwcm_experiments::{build_method, ExpConfig, Scale};
 use fedwcm_suite::data::synth::DatasetPreset;
-use fedwcm_transport::frame::crc32;
+
+#[path = "support/record_digest.rs"]
+mod record_digest;
+use record_digest::record_digest;
 
 /// `(method, paper-partition digest, FedGrab-partition digest)`.
 const PINNED: [(Method, u32, u32); 19] = [
@@ -44,8 +47,6 @@ fn digest(exp: &ExpConfig, method: Method, threads: usize) -> u32 {
     let mut sim = task.simulation();
     sim.cfg.threads = threads;
     let (history, model) = sim.run_returning_model(build_method(method, &task).as_mut());
-    let bits = |v: Option<f64>| v.map(f64::to_bits);
-    let mut bytes = Vec::new();
     for r in &history.records {
         assert!(
             r.train_loss.is_some_and(f64::is_finite) && r.update_norm.is_finite(),
@@ -55,24 +56,8 @@ fn digest(exp: &ExpConfig, method: Method, threads: usize) -> u32 {
             r.train_loss,
             r.update_norm
         );
-        let line = format!(
-            "{} {:?} {} {:?} {:?} {} {} {:?} {:?}\n",
-            r.round,
-            bits(r.train_loss),
-            r.update_norm.to_bits(),
-            bits(r.test_acc),
-            bits(r.alpha),
-            r.aggregations,
-            r.dropped_updates,
-            r.faults,
-            r.net,
-        );
-        bytes.extend_from_slice(line.as_bytes());
     }
-    for p in model.params() {
-        bytes.extend_from_slice(&p.to_bits().to_le_bytes());
-    }
-    crc32(&bytes)
+    record_digest(&history.records, model.params())
 }
 
 #[test]
