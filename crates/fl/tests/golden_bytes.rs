@@ -1,18 +1,24 @@
-//! Golden bytes of the two formats a lossy round writes, pinned by the
-//! bytewise reference CRC (`crates/transport/tests/support/reference.rs`)
-//! and not by `frame::crc32`, so they also judge a change to the
-//! checksum itself:
+//! Golden bytes of the two formats a lossy round writes, pinned (as
+//! `golden_bytes/*` in `results/golden.tsv`) by the bytewise reference
+//! CRC (`crates/transport/tests/support/reference.rs`) and not by
+//! `frame::crc32`, so they also judge a change to the checksum itself:
 //!
 //! * the canonical FWTP frame of a fixed `DeltaUp` carrying a fixed
 //!   [`ClientUpdate`] (NaN and ∞ bit patterns; `extra` absent and
 //!   present);
 //! * the FWCK bytes `run_until` hands back on a buffered-cadence run
-//!   with every fault and every frame fault switched on.
+//!   with every fault and every frame fault switched on (re-blessed when
+//!   the replay cache started holding only uploads a later replay reads:
+//!   95,338 B before, every client's last upload carried).
 
 mod support;
 
 #[path = "../../transport/tests/support/reference.rs"]
 mod reference;
+
+#[path = "../../../tests/support/golden.rs"]
+mod golden;
+use golden::Golden;
 
 use fedwcm_fl::client::ClientUpdate;
 use fedwcm_fl::{wire, Cadence, NetPlan, ServerCheckpoint};
@@ -76,14 +82,12 @@ fn fwtp_frames_match_the_golden_crcs() {
             f32::from_bits(0x7FA0_0001),
         ]))),
     ];
-    assert_eq!(
-        got.map(|(len, crc)| format!("{len} {crc:08X}")),
-        GOLDEN_FRAMES
-    );
+    let mut golden = Golden::new("golden_bytes/frame");
+    for (name, (len, crc)) in ["delta_up", "delta_up_extra"].into_iter().zip(got) {
+        golden.check(name, format!("{len} {crc:08X}"));
+    }
+    golden.finish();
 }
-
-/// `length CRC` of: `DeltaUp` without `extra`, `DeltaUp` with it.
-const GOLDEN_FRAMES: [&str; 2] = ["116 2E511417", "136 04F9C25D"];
 
 /// The FWCK bytes of a run killed after round 5 of 8: momentum state,
 /// buffered cadence, the busy fault plan (replays included) and the
@@ -113,31 +117,10 @@ fn run_until_checkpoint_bytes_match_the_golden_crc() {
         assert!(dbg.contains(needle), "checkpoint lacks `{needle}`");
     }
     let bytes = ckpt.to_bytes();
-    assert_eq!(
-        (bytes.len(), crc32_bytewise(&bytes)),
-        GOLDEN_RUN_UNTIL_FWCK,
-        "FWCK bytes changed"
-    );
+    let mut golden = Golden::new("golden_bytes/fwck");
+    golden.check("len", bytes.len());
+    golden.check("crc", format!("{:#010X}", crc32_bytewise(&bytes)));
+    golden.finish();
     let back = ServerCheckpoint::from_bytes(&bytes).expect("own bytes parse");
     assert_eq!(back.to_bytes(), bytes);
-}
-
-/// Re-blessed when the replay cache started holding only uploads a later
-/// replay reads (95,338 B before, every client's last upload carried).
-const GOLDEN_RUN_UNTIL_FWCK: (usize, u32) = (66_346, 0x7462_87C2);
-
-#[path = "../../../tests/support/golden.rs"]
-mod golden;
-
-/// Transitional: `results/golden.tsv` holds exactly the constants above.
-#[test]
-fn the_manifest_holds_the_pinned_constants() {
-    let mut g = golden::Golden::new("golden_bytes/frame");
-    g.check("delta_up", GOLDEN_FRAMES[0]);
-    g.check("delta_up_extra", GOLDEN_FRAMES[1]);
-    g.finish();
-    let mut g = golden::Golden::new("golden_bytes/fwck");
-    g.check("len", GOLDEN_RUN_UNTIL_FWCK.0);
-    g.check("crc", format!("{:#010X}", GOLDEN_RUN_UNTIL_FWCK.1));
-    g.finish();
 }

@@ -4,6 +4,10 @@
 
 mod support;
 
+#[path = "../../../tests/support/golden.rs"]
+mod golden;
+use golden::Golden;
+
 use fedwcm_data::longtail::longtail_counts;
 use fedwcm_data::partition::paper_partition;
 use fedwcm_data::synth::DatasetPreset;
@@ -257,21 +261,17 @@ fn chaos_checkpoint_exercises_every_buffer() {
 }
 
 /// "Bytes unchanged" pinned, not asserted: the CRC32 of the chaos
-/// checkpoint's FWCK bytes, taken at commit fe5c3aa before the codec was
-/// rewritten around one field table, and re-blessed (49,668 B) when the
-/// replay cache started holding only uploads a later replay reads.
+/// checkpoint's FWCK bytes (`fl_properties/chaos_fwck`), taken at commit
+/// fe5c3aa before the codec was rewritten around one field table, and
+/// re-blessed (49,668 B) when the replay cache started holding only
+/// uploads a later replay reads.
 #[test]
 fn chaos_checkpoint_bytes_match_the_golden_crc() {
-    let bytes = chaos_bytes();
-    assert_eq!(
-        fedwcm_transport::frame::crc32(bytes),
-        GOLDEN_FWCK_CRC,
-        "FWCK bytes changed ({} bytes)",
-        bytes.len()
-    );
+    let crc = fedwcm_transport::frame::crc32(chaos_bytes());
+    let mut golden = Golden::new("fl_properties");
+    golden.check("chaos_fwck", format!("{crc:#010X}"));
+    golden.finish();
 }
-
-const GOLDEN_FWCK_CRC: u32 = 0x0DA0_4F73;
 
 /// Every strict prefix of a real checkpoint is `Malformed`: no field is
 /// optional and the trailing-byte check is the only accepting state.
@@ -339,15 +339,4 @@ proptest! {
             prop_assert_eq!(reparsed.map(|c| c.to_bytes()).ok(), Some(again));
         }
     }
-}
-
-#[path = "../../../tests/support/golden.rs"]
-mod golden;
-
-/// Transitional: `results/golden.tsv` holds exactly the constants above.
-#[test]
-fn the_manifest_holds_the_pinned_constants() {
-    let mut g = golden::Golden::new("fl_properties");
-    g.check("chaos_fwck", format!("{GOLDEN_FWCK_CRC:#010X}"));
-    g.finish();
 }

@@ -2,13 +2,18 @@
 //! a plan that replays often (and drops, delays and corrupts), the lossy
 //! wire and the buffered cadence. Whatever the server keeps for a later
 //! replay, the run's bits are pinned — a CRC of every `RoundRecord`
-//! field plus the final parameters, at 1 and 2 threads — and a kill at
+//! field plus the final parameters, one value at 1 and 2 threads
+//! (`replay_cache/run` in `results/golden.tsv`) — and a kill at
 //! every round, resumed through FWCK bytes, must reproduce them.
 
 mod support;
 
 #[path = "../../../tests/support/record_digest.rs"]
 mod record_digest;
+
+#[path = "../../../tests/support/golden.rs"]
+mod golden;
+use golden::Golden;
 
 use fedwcm_data::dataset::Dataset;
 use fedwcm_faults::{FaultConfig, FaultKind, FaultPlan};
@@ -17,10 +22,6 @@ use record_digest::record_digest;
 use support::{assert_bitwise_eq, build_sim, lossy_cfg, make_cfg, make_data, MiniMomentum};
 
 const ROUNDS: usize = 12;
-
-/// CRC32 of the replay run at both thread counts (one value: threads are
-/// invisible).
-const GOLDEN_REPLAY_RUN: u32 = 0x24A6_6ADC;
 
 fn cfg(threads: usize) -> FlConfig {
     let mut cfg = make_cfg(ROUNDS);
@@ -71,6 +72,7 @@ fn the_plan_replays_clients_sampled_earlier() {
 #[test]
 fn replay_run_matches_its_pinned_digest_and_resumes_from_every_round() {
     let (train, test) = make_data(0x9E91);
+    let mut golden = Golden::new("replay_cache");
     for threads in [1usize, 2] {
         let mut last = Vec::new();
         let full = sim(&train, &test, threads)
@@ -80,11 +82,8 @@ fn replay_run_matches_its_pinned_digest_and_resumes_from_every_round() {
         let late: u32 = full.records.iter().map(|r| r.faults.late_merged).sum();
         let net = full.net_totals();
         assert!(replays >= 5 && late > 0 && net.delayed > 0 && net.retries > 0);
-        assert_eq!(
-            record_digest(&full.records, &last),
-            GOLDEN_REPLAY_RUN,
-            "replay run at {threads} thread(s)"
-        );
+        let crc = record_digest(&full.records, &last);
+        golden.check("run", format!("{crc:#010X}"));
 
         for k in 0..=ROUNDS {
             let label = format!("{threads} thread(s), killed at {k}");
@@ -108,15 +107,5 @@ fn replay_run_matches_its_pinned_digest_and_resumes_from_every_round() {
             );
         }
     }
-}
-
-#[path = "../../../tests/support/golden.rs"]
-mod golden;
-
-/// Transitional: `results/golden.tsv` holds exactly the constants above.
-#[test]
-fn the_manifest_holds_the_pinned_constants() {
-    let mut g = golden::Golden::new("replay_cache");
-    g.check("run", format!("{GOLDEN_REPLAY_RUN:#010X}"));
-    g.finish();
+    golden.finish();
 }

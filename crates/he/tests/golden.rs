@@ -1,5 +1,6 @@
 //! Golden ciphertext bytes at the scheme's default parameters (N = 4096,
-//! q = 2^62, t = 2^20). Each digest is the 64-bit FNV-1a of
+//! q = 2^62, t = 2^20). Each digest (`he_golden/*` in
+//! `results/golden.tsv`) is the 64-bit FNV-1a of
 //! `Ciphertext::to_bytes()` for a fixed key seed and stream seed, so a
 //! change to the negacyclic product, the order of the RNG draws, the
 //! packing or the homomorphic sum that moves one ciphertext bit fails
@@ -7,6 +8,10 @@
 
 use fedwcm_he::rlwe::{Ciphertext, RlweParams, SecretKey};
 use fedwcm_stats::rng::Xoshiro256pp;
+
+#[path = "../../../tests/support/golden.rs"]
+mod golden;
+use golden::Golden;
 
 const KEY_SEED: u64 = 0x00C0_FFEE;
 
@@ -31,32 +36,21 @@ fn spread(len: usize) -> Vec<u64> {
         .collect()
 }
 
-const GOLDEN_FRESH: [(usize, u64); 4] = [
-    (1, 0xf6e3_1192_f69f_ea46),
-    (10, 0x41ef_c816_38cf_f52f),
-    (100, 0x87a6_714a_ba5d_85ce),
-    (4096, 0xdcc1_4172_ec1d_3bca),
-];
-
 #[test]
 fn fresh_ciphertexts_match_their_golden_digests() {
     let key = key();
-    for (len, want) in GOLDEN_FRESH {
+    let mut golden = Golden::new("he_golden/fresh");
+    for len in [1, 10, 100, 4096] {
         let values = spread(len);
         let ct = key.encrypt(&values, &mut Xoshiro256pp::seed_from(len as u64));
         let bytes = ct.to_bytes();
-        assert_eq!(
-            fnv1a(&bytes),
-            want,
-            "ciphertext bytes of a length-{len} vector moved"
-        );
+        golden.check(&len.to_string(), format!("{:#018x}", fnv1a(&bytes)));
         assert_eq!(key.decrypt(&ct, len), values, "length {len}");
         let back = Ciphertext::from_bytes(&bytes).expect("the bytes parse back");
         assert_eq!(back.to_bytes(), bytes, "length {len}");
     }
+    golden.finish();
 }
-
-const GOLDEN_SUM: u64 = 0x4508_7b59_7a2e_f49f;
 
 /// 200 clients' 100-class counts summed into client 0's ciphertext, as
 /// the §5.5 protocol sums them: the sum's bytes and its decryption.
@@ -80,24 +74,8 @@ fn a_200_ciphertext_sum_matches_its_golden_digest() {
         }
     }
     assert_eq!(sum.added, 200);
-    assert_eq!(
-        fnv1a(&sum.to_bytes()),
-        GOLDEN_SUM,
-        "the summed ciphertext's bytes moved"
-    );
+    let mut golden = Golden::new("he_golden/sum");
+    golden.check("200", format!("{:#018x}", fnv1a(&sum.to_bytes())));
+    golden.finish();
     assert_eq!(key.decrypt(&sum, classes), expected);
-}
-
-#[path = "../../../tests/support/golden.rs"]
-mod golden;
-
-/// Transitional: `results/golden.tsv` holds exactly the constants above.
-#[test]
-fn the_manifest_holds_the_pinned_constants() {
-    let mut g = golden::Golden::new("he_golden");
-    for (len, digest) in GOLDEN_FRESH {
-        g.check(&format!("fresh/{len}"), format!("{digest:#018x}"));
-    }
-    g.check("sum/200", format!("{GOLDEN_SUM:#018x}"));
-    g.finish();
 }

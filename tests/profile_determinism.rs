@@ -17,6 +17,10 @@ use fedwcm_stats::{Rng, Xoshiro256pp};
 use fedwcm_trace::{JsonlSink, LogicalClock, MetricsRegistry, SharedBuf, Tracer};
 use std::sync::Arc;
 
+#[path = "support/golden.rs"]
+mod golden;
+use golden::Golden;
+
 /// Run a small traced CIFAR-10-preset simulation and return the raw
 /// JSONL trace text.
 fn traced_cifar10_run(threads: usize) -> String {
@@ -90,23 +94,19 @@ fn cifar10_profile_has_the_expected_shape() {
     );
 }
 
-/// The pretty `fedwcm-prof/v1` document of the one-thread run, pinned:
-/// phase counts, total / self / percentile ticks, the attribution and
-/// every round's label and critical path, checked with exact equality.
-/// Taken at commit 420b8c7; only a trace epoch re-blesses it, in a
-/// commit of its own.
-const GOLDEN_CIFAR10_PROFILE_CRC: u32 = 0xF1D7_047D;
-
+/// The pretty `fedwcm-prof/v1` document of the one-thread run, pinned
+/// by its CRC32 (`profile_determinism/cifar10`): phase counts, total /
+/// self / percentile ticks, the attribution and every round's label and
+/// critical path, checked with exact equality. Taken at commit 420b8c7;
+/// only a trace epoch re-blesses it, in a commit of its own.
 #[test]
 fn cifar10_profile_document_matches_its_golden_crc() {
     let (profile, _) = analyze_text(&traced_cifar10_run(1)).expect("trace analyzes");
     let doc = profile.to_json().to_json_string_pretty();
-    assert_eq!(
-        fedwcm_transport::frame::crc32(doc.as_bytes()),
-        GOLDEN_CIFAR10_PROFILE_CRC,
-        "profile document changed ({} bytes):\n{doc}",
-        doc.len()
-    );
+    let crc = fedwcm_transport::frame::crc32(doc.as_bytes());
+    let mut golden = Golden::new("profile_determinism");
+    golden.check("cifar10", format!("{crc:#010X}"));
+    golden.finish();
 }
 
 #[test]
@@ -147,15 +147,4 @@ fn trace_reader_rejects_truncated_and_mutated_traces_without_panicking() {
         rejected += usize::from(analyze_text(&mutated).is_err());
     }
     assert!(rejected >= 450, "only {rejected} of 600 mutations rejected");
-}
-
-#[path = "support/golden.rs"]
-mod golden;
-
-/// Transitional: `results/golden.tsv` holds exactly the constants above.
-#[test]
-fn the_manifest_holds_the_pinned_constants() {
-    let mut g = golden::Golden::new("profile_determinism");
-    g.check("cifar10", format!("{GOLDEN_CIFAR10_PROFILE_CRC:#010X}"));
-    g.finish();
 }

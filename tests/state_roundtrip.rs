@@ -5,8 +5,8 @@
 //! rounds that follow — every `RoundRecord` column and the global
 //! parameters after each — are bit for bit the uninterrupted run's.
 //!
-//! The checkpoint bytes at `STOP` are pinned per method (their CRC32),
-//! so a refactor of the state codec cannot move a layout unnoticed, and
+//! The checkpoint bytes at `STOP` are pinned per method (their CRC32, as
+//! `state_roundtrip/<method>` in `results/golden.tsv`), so a refactor of the state codec cannot move a layout unnoticed, and
 //! every method's `load_state` rejects its own blob with one byte too
 //! many or one too few.
 //!
@@ -24,32 +24,13 @@ use fedwcm_suite::fl::{
 };
 use fedwcm_transport::frame::crc32;
 
+#[path = "support/golden.rs"]
+mod golden;
+use golden::Golden;
+
 /// Rounds before the checkpoint: momentum buffers, control variates and
 /// FedWCM's adaptive α have all moved off their initial values.
 const STOP: usize = 3;
-
-/// CRC32 of each method's `FWCK` bytes at `STOP`, in `Method::ALL` order.
-const PINNED_CHECKPOINTS: [(Method, u32); 19] = [
-    (FedAvg, 0x7E39_EB0D),
-    (BalanceFl, 0x36A6_9A14),
-    (FedGrab, 0xE688_3222),
-    (FedCm, 0x7C8A_1E19),
-    (FedCmFocal, 0x5E95_B4F9),
-    (FedCmBalanceLoss, 0x67E2_B653),
-    (FedCmBalanceSampler, 0xE88F_5BA5),
-    (FedWcm, 0x3F27_33C2),
-    (FedWcmX, 0xAB21_0B45),
-    (FedProx, 0xCD16_337A),
-    (Scaffold, 0xBBC5_B49F),
-    (FedDyn, 0x4E57_5FB3),
-    (FedAvgM, 0x232C_B61E),
-    (FedSam, 0x4730_1507),
-    (MoFedSam, 0xCFBF_043D),
-    (FedSpeed, 0x7165_8342),
-    (FedSmoo, 0x3B52_0D12),
-    (FedLesam, 0x4ABF_0078),
-    (MimeLite, 0xE220_69BB),
-];
 
 #[test]
 fn every_method_resumes_bit_for_bit_or_says_unsupported() {
@@ -57,23 +38,16 @@ fn every_method_resumes_bit_for_bit_or_says_unsupported() {
     let task = exp.prepare();
     let sim = task.simulation();
     assert!(STOP + 2 <= sim.cfg.rounds, "rounds left to compare");
-    assert_eq!(
-        PINNED_CHECKPOINTS.map(|(m, _)| m),
-        Method::ALL,
-        "one row per method"
-    );
 
-    let mut moved = Vec::new();
-    for (method, pinned) in PINNED_CHECKPOINTS {
+    let mut golden = Golden::new("state_roundtrip");
+    for method in Method::ALL {
         let label = method.label();
         let mut stopped = build_method(method, &task);
         let checkpoint = sim
             .run_until(&mut *stopped, STOP)
             .unwrap_or_else(|e| panic!("{label}: cannot checkpoint its state ({e})"));
         let crc = crc32(&checkpoint.to_bytes());
-        if crc != pinned {
-            moved.push(format!("{label}: {crc:#010X}, pinned {pinned:#010X}"));
-        }
+        golden.check(&format!("{method:?}"), format!("{crc:#010X}"));
 
         // Its own blob, one byte longer or shorter, does not load.
         let blob = stopped.save_state().expect("it just saved");
@@ -123,12 +97,7 @@ fn every_method_resumes_bit_for_bit_or_says_unsupported() {
             assert!(bits(w) == bits(g), "{label}: parameters after round {r}");
         }
     }
-    assert!(
-        moved.is_empty(),
-        "{} checkpoint CRC(s) moved:\n{}",
-        moved.len(),
-        moved.join("\n")
-    );
+    golden.finish();
 }
 
 #[test]
@@ -203,17 +172,4 @@ fn a_per_client_vector_of_another_length_is_refused_at_resume() {
             "{label}: client {client}"
         );
     }
-}
-
-#[path = "support/golden.rs"]
-mod golden;
-
-/// Transitional: `results/golden.tsv` holds exactly the constants above.
-#[test]
-fn the_manifest_holds_the_pinned_constants() {
-    let mut g = golden::Golden::new("state_roundtrip");
-    for (m, crc) in PINNED_CHECKPOINTS {
-        g.check(&format!("{m:?}"), format!("{crc:#010X}"));
-    }
-    g.finish();
 }

@@ -17,75 +17,70 @@ pub const MANIFEST: &str = include_str!("../../results/golden.tsv");
 pub fn parse(text: &str) -> Result<Vec<(&str, &str)>, String> {
     let mut entries: Vec<(&str, &str)> = Vec::new();
     for (i, line) in text.lines().enumerate() {
-        let at = format!("golden manifest line {}", i + 1);
-        let Some((name, value)) = line.split_once('\t') else {
-            return Err(format!("{at}: no tab in {line:?}"));
-        };
-        if value.is_empty() {
-            return Err(format!("{at}: {name} has an empty value"));
+        let bad = |why: String| Err(format!("golden manifest line {}: {why}", i + 1));
+        match line.split_once('\t') {
+            None => return bad(format!("no tab in {line:?}")),
+            Some((name, "")) => return bad(format!("{name} has an empty value")),
+            Some((name, _)) if entries.iter().any(|&(seen, _)| seen == name) => {
+                return bad(format!("{name} is a duplicate"))
+            }
+            Some(entry) => entries.push(entry),
         }
-        if entries.iter().any(|&(seen, _)| seen == name) {
-            return Err(format!("{at}: {name} is a duplicate"));
-        }
-        entries.push((name, value));
     }
     Ok(entries)
 }
 
-/// The checks one test makes against the entries under its prefix.
-pub struct Golden<'a> {
+/// The lines one test computed under its prefix, against the manifest's.
+pub struct Golden {
     prefix: String,
-    entries: Vec<(&'a str, &'a str)>,
-    checked: Vec<String>,
-    moved: Vec<String>,
+    manifest: Vec<&'static str>,
+    got: Vec<String>,
 }
 
-impl Golden<'static> {
+impl Golden {
     pub fn new(prefix: &str) -> Self {
         Golden::from_text(MANIFEST, prefix)
     }
-}
 
-impl<'a> Golden<'a> {
-    pub fn from_text(text: &'a str, prefix: &str) -> Self {
-        let entries = parse(text).unwrap_or_else(|e| panic!("{e}"));
-        let (prefix, checked, moved) = (format!("{prefix}/"), Vec::new(), Vec::new());
+    pub fn from_text(text: &'static str, prefix: &str) -> Self {
+        parse(text).unwrap_or_else(|e| panic!("{e}"));
+        let (prefix, manifest) = (format!("{prefix}/"), text.lines().collect());
         Golden {
             prefix,
-            entries,
-            checked,
-            moved,
+            manifest,
+            got: Vec::new(),
         }
     }
 
-    /// Compares `got` with the entry named `<prefix>/<name>`.
+    /// Takes `got` as the value of the entry `<prefix>/<name>`.
     pub fn check(&mut self, name: &str, got: impl std::fmt::Display) {
-        let (name, got) = (format!("{}{name}", self.prefix), got.to_string());
+        let line = format!("{}{name}\t{got}", self.prefix);
         assert!(
-            !got.contains(['\t', '\n']),
-            "{name}: {got:?} is not one field"
+            line.matches(['\t', '\n']).count() == 1,
+            "not one entry: {line:?}"
         );
-        let line = format!("{name}\t{got}");
-        if !self.entries.iter().any(|&(n, v)| n == name && v == got) && !self.moved.contains(&line)
-        {
-            self.moved.push(line);
+        if !self.got.contains(&line) {
+            self.got.push(line);
         }
-        self.checked.push(name);
     }
 
     pub fn finish(self) {
-        let orphans: Vec<String> = (self.entries.iter())
-            .filter(|(n, _)| n.starts_with(&self.prefix) && !self.checked.iter().any(|c| c == n))
-            .map(|(n, v)| format!("{n}\t{v}"))
+        let checked =
+            |m: &str| (self.got.iter()).any(|g| g.split('\t').next() == m.split('\t').next());
+        let moved: Vec<&str> = (self.got.iter().map(String::as_str))
+            .filter(|line| !self.manifest.contains(line))
+            .collect();
+        let orphans: Vec<&str> = (self.manifest.iter().copied())
+            .filter(|m| m.starts_with(&self.prefix) && !checked(m))
             .collect();
         assert!(
-            self.moved.is_empty() && orphans.is_empty(),
+            moved.is_empty() && orphans.is_empty(),
             "results/golden.tsv under {}: {} value(s) moved or missing, {} orphan(s)\n\
              lines to paste:\n{}\nentries nothing checked:\n{}",
             self.prefix,
-            self.moved.len(),
+            moved.len(),
             orphans.len(),
-            self.moved.join("\n"),
+            moved.join("\n"),
             orphans.join("\n")
         );
     }

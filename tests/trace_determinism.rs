@@ -20,6 +20,10 @@ use fedwcm_trace::{
 };
 use std::sync::Arc;
 
+#[path = "support/golden.rs"]
+mod golden;
+use golden::Golden;
+
 /// Run a small traced simulation and return the raw JSONL bytes plus
 /// the history (whose `metrics` field carries the registry snapshot).
 fn traced_run(threads: usize) -> (Vec<u8>, History) {
@@ -287,25 +291,25 @@ fn chaos_run_text(cadence: Cadence, quorum_frac: f64, threads: usize) -> ChaosTe
 /// spans, the `fl.cadence.buffered` gauge, and a sync round that fails
 /// quorum and re-queues a late arrival — each under the chaos plan and
 /// a lossy wire. The trace, the records and the kept metrics each have
-/// their own CRC, so a changed byte names the ledger it moved.
+/// their own CRC (`trace_determinism/<cadence>/<part>` in
+/// `results/golden.tsv`), so a changed byte names the ledger it moved.
 #[test]
 fn chaos_traces_of_every_cadence_match_their_golden_crc() {
     let cases = [
-        (Cadence::Sync, 0.5, "late_requeue", GOLDEN_SYNC_REQUEUE_CRCS),
+        (Cadence::Sync, 0.5, "late_requeue"),
         (
             Cadence::BufferedK { k: 2 },
             0.0,
             "\"name\":\"buffer_flush\"",
-            GOLDEN_BUFFERED_CRCS,
         ),
         (
             Cadence::Async { max_in_flight: 2 },
             0.0,
             "\"name\":\"async_apply\"",
-            GOLDEN_ASYNC_CRCS,
         ),
     ];
-    for (cadence, quorum_frac, marker, golden) in cases {
+    let mut golden = Golden::new("trace_determinism");
+    for (cadence, quorum_frac, marker) in cases {
         let label = cadence.label();
         let text = chaos_run_text(cadence, quorum_frac, 1);
         for needle in [marker, "\"name\":\"send_frame\"", "\"name\":\"retry\""] {
@@ -327,37 +331,10 @@ fn chaos_traces_of_every_cadence_match_their_golden_crc() {
             ("records", &text.records),
             ("metrics", &text.metrics),
         ];
-        for ((part, bytes), want) in parts.into_iter().zip(golden) {
-            assert_eq!(
-                fedwcm_transport::frame::crc32(bytes.as_bytes()),
-                want,
-                "{label}: {part} bytes changed ({} bytes)",
-                bytes.len()
-            );
+        for (part, bytes) in parts {
+            let crc = fedwcm_transport::frame::crc32(bytes.as_bytes());
+            golden.check(&format!("{label}/{part}"), format!("{crc:#010X}"));
         }
     }
-}
-
-/// `[trace, records, kept metrics]` CRC32s of each chaos run.
-const GOLDEN_SYNC_REQUEUE_CRCS: [u32; 3] = [0xEC37_4EB7, 0x807F_31E8, 0xF4A1_1D01];
-const GOLDEN_BUFFERED_CRCS: [u32; 3] = [0x050F_2058, 0x8FB8_3216, 0x7559_545A];
-const GOLDEN_ASYNC_CRCS: [u32; 3] = [0x03E5_DA2D, 0x8C94_0EC1, 0x0EA3_FCAE];
-
-#[path = "support/golden.rs"]
-mod golden;
-
-/// Transitional: `results/golden.tsv` holds exactly the constants above.
-#[test]
-fn the_manifest_holds_the_pinned_constants() {
-    let mut g = golden::Golden::new("trace_determinism");
-    for (cadence, crcs) in [
-        ("sync", GOLDEN_SYNC_REQUEUE_CRCS),
-        ("buffered:2", GOLDEN_BUFFERED_CRCS),
-        ("async:2", GOLDEN_ASYNC_CRCS),
-    ] {
-        for (part, crc) in ["trace", "records", "metrics"].into_iter().zip(crcs) {
-            g.check(&format!("{cadence}/{part}"), format!("{crc:#010X}"));
-        }
-    }
-    g.finish();
+    golden.finish();
 }
