@@ -11,7 +11,7 @@
 #![allow(dead_code)]
 
 /// The manifest, as built into the test binary.
-pub const MANIFEST: &str = include_str!("../../results/golden.tsv");
+const MANIFEST: &str = include_str!("../../results/golden.tsv");
 
 /// `text`'s `(name, value)` entries, or why its first bad line is bad.
 pub fn parse(text: &str) -> Result<Vec<(&str, &str)>, String> {
@@ -55,10 +55,6 @@ impl Golden {
     /// Takes `got` as the value of the entry `<prefix>/<name>`.
     pub fn check(&mut self, name: &str, got: impl std::fmt::Display) {
         let line = format!("{}{name}\t{got}", self.prefix);
-        assert!(
-            line.matches(['\t', '\n']).count() == 1,
-            "not one entry: {line:?}"
-        );
         if !self.got.contains(&line) {
             self.got.push(line);
         }
