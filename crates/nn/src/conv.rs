@@ -456,11 +456,30 @@ mod tests {
         (out, grad_in)
     }
 
+    /// Bits equal, except that any NaN matches any NaN: Rust leaves the
+    /// sign and payload of a NaN an arithmetic operation produces
+    /// unspecified, so the GEMM and its reference may differ there.
+    fn assert_bits_eq_nan(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+            assert!(same, "{what} element {i}: {g} vs {w}");
+        }
+    }
+
     #[test]
     fn panel_lowering_matches_per_sample_reference() {
-        // The ResLite stem, and a stride-2 / pad-0 layer; batch sizes on
-        // both sides of every panel boundary.
-        for (c_in, hw, c_out, stride, pad) in [(3, 8, 12, 1, 1), (4, 13, 5, 2, 0)] {
+        // The three ResLite geometries at a training step (40), a ragged
+        // panel (9 and 37 are full panels of the stem and 4×4 stage, and
+        // of the 2×2 stage), an evaluation batch (256) and one image; then
+        // a stride-2 / pad-0 layer on both sides of its panel boundary.
+        const SPECIALS: [f32; 4] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+        for (c_in, hw, c_out, stride, pad) in [
+            (3, 8, 12, 1, 1),
+            (12, 4, 12, 1, 1),
+            (12, 2, 12, 1, 1),
+            (4, 13, 5, 2, 0),
+        ] {
             let mut conv = Conv2d::new(c_in, hw, hw, c_out, 3, stride, pad);
             let panel = conv.panel_samples();
             assert!(panel > 1, "geometry must batch for the test to bite");
@@ -473,9 +492,21 @@ mod tests {
             }
             let in_len = conv.geom.input_len();
             let out_len = conv.out_features(in_len);
-            for batch in [1, panel - 1, panel, panel + 1, 2 * panel + 3] {
-                let what = |name: &str| format!("{name}, stride {stride}, batch {batch}");
-                let x = Tensor::randn(&[batch, in_len], 1.0, &mut rng);
+            let (pr, pc) = (conv.geom.patch_rows(), conv.geom.patch_cols());
+            let batches = if stride == 1 {
+                vec![1, 9, 37, 40, 256]
+            } else {
+                vec![1, panel - 1, panel, panel + 1, 2 * panel + 3]
+            };
+            for batch in batches {
+                let what =
+                    |name: &str| format!("{name}, {c_in}x{hw}x{hw} stride {stride}, batch {batch}");
+                let mut x = Tensor::randn(&[batch, in_len], 1.0, &mut rng);
+                // NaN, ±inf and -0.0 in turn, at seeded input positions.
+                for k in 0..4 + batch / 16 {
+                    let at = rng.index(batch * in_len);
+                    x.as_mut_slice()[at] = SPECIALS[k % SPECIALS.len()];
+                }
                 let go = Tensor::randn(&[batch, out_len], 1.0, &mut rng);
                 // Preloaded gradients: both sides accumulate onto them.
                 let g0: Vec<f32> = (0..params.len()).map(|_| rng.next_f32() - 0.5).collect();
@@ -484,21 +515,39 @@ mod tests {
                     per_sample_reference(&conv.geom, c_out, &params, &x, &go, &mut want_g);
 
                 let eval_y = conv.forward(&params, &x, false);
-                assert_bits_eq(eval_y.as_slice(), want_y.as_slice(), &what("eval output"));
+                assert_bits_eq_nan(eval_y.as_slice(), want_y.as_slice(), &what("eval output"));
                 let y = conv.forward(&params, &x, true);
-                assert_bits_eq(y.as_slice(), want_y.as_slice(), &what("output"));
+                assert_bits_eq_nan(y.as_slice(), want_y.as_slice(), &what("output"));
+                // The panels themselves are copies: every bit, NaN
+                // payloads and the sign of zero included.
+                let mut cols = vec![0.0f32; pr * pc];
+                for s in 0..batch {
+                    im2col(&conv.geom, x.row(s), &mut cols);
+                    let (s0, i) = (s / panel * panel, s % panel);
+                    let n = panel.min(batch - s0) * pc;
+                    let panel_cols = &conv.cached_cols[s0 * pr * pc..s0 * pr * pc + pr * n];
+                    for (r, want) in cols.chunks_exact(pc).enumerate() {
+                        let got = &panel_cols[r * n + i * pc..r * n + (i + 1) * pc];
+                        assert_bits_eq(got, want, &what(&format!("sample {s} patch row {r}")));
+                    }
+                }
                 let gx = conv.backward(&params, &mut got_g, &go);
                 assert_bits_eq(gx.as_slice(), want_gx.as_slice(), &what("input gradient"));
                 assert_bits_eq(&got_g[w_len..], &want_g[w_len..], &what("bias gradient"));
                 // One long dot product per panel re-associates the sum
-                // over samples: close, not bitwise.
-                let scale = want_g[..w_len].iter().fold(0.0f32, |m, v| m.max(v.abs()));
+                // over samples: close, not bitwise. A non-finite sum is
+                // NaN or its infinity in any order.
+                let scale = want_g[..w_len]
+                    .iter()
+                    .filter(|v| v.is_finite())
+                    .fold(0.0f32, |m, v| m.max(v.abs()));
                 for (i, (g, w)) in got_g[..w_len].iter().zip(&want_g[..w_len]).enumerate() {
-                    assert!(
-                        (g - w).abs() <= 1e-4 * scale,
-                        "{} element {i}: {g} vs {w}",
-                        what("weight gradient")
-                    );
+                    let close = if w.is_finite() {
+                        (g - w).abs() <= 1e-4 * scale
+                    } else {
+                        g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan())
+                    };
+                    assert!(close, "{} element {i}: {g} vs {w}", what("weight gradient"));
                 }
             }
         }
