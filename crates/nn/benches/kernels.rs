@@ -154,15 +154,16 @@ fn bench_blas1() {
 }
 
 /// The work around a ResLite step's GEMMs, at the step's batch of 40:
-/// each conv geometry lowered in panel layout (40 images side by side, as
-/// `Conv2d` places them), the input gradient of the two residual
-/// geometries (12 output channels; the stem computes none), and the first
-/// pooling layer.
+/// each conv geometry lowered one panel at a time as `Conv2d` lowers it
+/// (a full panel — 9 images at the stem and 4×4 stage, 37 at 2×2 — and
+/// the ragged last one, 4 or 3 images), the input gradient of the two
+/// residual geometries (12 output channels; the stem computes none), and
+/// the first pooling layer.
 fn bench_lowering() {
     const BATCH: usize = 40;
     const C_OUT: usize = 12;
     let mut rng = Xoshiro256pp::seed_from(2);
-    for (c_in, hw) in [(3usize, 8usize), (12, 4), (12, 2)] {
+    for (c_in, hw, images) in [(3usize, 8usize, 9usize), (12, 4, 9), (12, 2, 37)] {
         let geom = ConvGeom {
             c_in,
             h: hw,
@@ -172,20 +173,22 @@ fn bench_lowering() {
             stride: 1,
             pad: 1,
         };
-        let map = PatchMap::new(&geom);
-        let (pc, ld) = (geom.patch_cols(), BATCH * geom.patch_cols());
-        let images = Tensor::randn(&[BATCH, geom.input_len()], 1.0, &mut rng);
+        let map = PatchMap::new(&geom, images);
+        let pc = geom.patch_cols();
+        let x = Tensor::randn(&[BATCH, geom.input_len()], 1.0, &mut rng);
         let w = Tensor::randn(&[C_OUT, geom.patch_rows()], 1.0, &mut rng);
         let go = Tensor::randn(&[BATCH, C_OUT * pc], 1.0, &mut rng);
         let mut grads = Tensor::zeros(&[BATCH, geom.input_len()]);
-        let mut work = vec![0.0f32; map.input_grad_work(C_OUT)];
-        let mut panel = vec![0.0f32; geom.patch_rows() * ld];
+        let mut work = vec![0.0f32; map.input_grad_work(C_OUT).max(map.lower_work())];
+        let mut panel = vec![0.0f32; geom.patch_rows() * images * pc];
         let shape = format!("{c_in}x{hw}x{hw}");
-        bench(&format!("lowering/patch_map_lower/{shape}"), || {
-            for s in 0..BATCH {
-                map.lower(black_box(images.row(s)), &mut panel, ld, s * pc);
-            }
-        });
+        for nb in [images, BATCH % images] {
+            let x = &x.as_slice()[..nb * geom.input_len()];
+            let panel = &mut panel[..geom.patch_rows() * nb * pc];
+            bench(&format!("lowering/lower_panel/{shape}/{nb}"), || {
+                map.lower_panel(black_box(x), panel, &mut work);
+            });
+        }
         if c_in == 3 {
             continue;
         }

@@ -33,9 +33,11 @@ const PANEL_FLOATS: usize = 1 << 14;
 /// summation order is a function of the layer geometry, the batch size
 /// and `PANEL_FLOATS` only, never of the thread count.
 ///
-/// Patches move through a [`PatchMap`] built once in [`Conv2d::new`] and
-/// shared by every clone of the layer (per-worker training models,
-/// per-chunk evaluation replicas). The input gradient is not lowered: it
+/// Patches move through a [`PatchMap`] built once in [`Conv2d::new`] for
+/// the layer's widest panel and shared by every clone of the layer
+/// (per-worker training models, per-chunk evaluation replicas); training
+/// and evaluation lower a whole panel in one [`PatchMap::lower_panel`]
+/// call, its row in the layer's work space. The input gradient is not lowered: it
 /// is [`PatchMap::input_grad`] over the whole batch, which sums each
 /// element's chain as the lowering would without forming the
 /// patch-gradient panel. [`Layer::backward_params`] skips it and allocates
@@ -50,8 +52,8 @@ pub struct Conv2d {
     cached_cols: Vec<f32>,
     cached_batch: usize,
     /// Work space while training: one panel's `[c_out, n]` (GEMM output,
-    /// or the output gradient in panel layout), and the input gradient's
-    /// (see [`PatchMap::input_grad`]).
+    /// or the output gradient in panel layout) and the lowering's row, or
+    /// the input gradient's (see [`PatchMap::input_grad`]).
     scratch: Vec<f32>,
 }
 
@@ -78,7 +80,7 @@ impl Conv2d {
         Conv2d {
             geom,
             // Also validates the geometry eagerly.
-            map: Arc::new(PatchMap::new(&geom)),
+            map: Arc::new(PatchMap::new(&geom, panel_samples(&geom))),
             c_out,
             cached_cols: Vec::new(),
             cached_batch: 0,
@@ -88,7 +90,7 @@ impl Conv2d {
 
     /// Samples lowered into one patch panel, from the geometry alone.
     pub fn panel_samples(&self) -> usize {
-        (PANEL_FLOATS / (self.geom.patch_rows() * self.geom.patch_cols())).max(1)
+        panel_samples(&self.geom)
     }
 
     fn weight_len(&self) -> usize {
@@ -96,9 +98,10 @@ impl Conv2d {
     }
 
     /// Floats of work space a training step takes: one panel's
-    /// `[c_out, n]` at the widest, or [`PatchMap::input_grad`]'s.
+    /// `[c_out, n]` at the widest and [`PatchMap::lower_panel`]'s, or
+    /// [`PatchMap::input_grad`]'s.
     fn train_work(&self, widest: usize) -> usize {
-        (self.c_out * widest).max(self.map.input_grad_work(self.c_out))
+        (self.c_out * widest + self.map.lower_work()).max(self.map.input_grad_work(self.c_out))
     }
 
     /// The backward pass, panel by panel: parameter gradients always, the
@@ -148,6 +151,11 @@ impl Conv2d {
             self.map.input_grad(w, c_out, go, gx, work);
         }
     }
+}
+
+/// Samples lowered into one patch panel of `geom`.
+fn panel_samples(geom: &ConvGeom) -> usize {
+    (PANEL_FLOATS / (geom.patch_rows() * geom.patch_cols())).max(1)
 }
 
 /// The first `len` floats of a layer's work space, growing it on first
@@ -208,15 +216,17 @@ impl Layer for Conv2d {
         // the backward pass too; only evaluation takes patches from it,
         // and drops it with the call: an evaluation-only model holds no
         // panel-sized buffers.
-        let y_len = c_out * widest;
+        let (y_len, lower_len) = (c_out * widest, self.map.lower_work());
         let mut unretained = Vec::new();
         let (scratch, work_len) = if train {
             let len = self.train_work(widest);
             (&mut self.scratch, len)
         } else {
-            (&mut unretained, y_len + pr * widest)
+            (&mut unretained, y_len + lower_len + pr * widest)
         };
-        let (y, patches) = work_space(scratch, work_len).split_at_mut(y_len);
+        let (y, work) = work_space(scratch, work_len).split_at_mut(y_len);
+        let (lower_work, patches) = work.split_at_mut(lower_len);
+        let len = self.geom.input_len();
         for s0 in (0..batch).step_by(per_panel) {
             let nb = per_panel.min(batch - s0);
             let n = nb * pc;
@@ -225,9 +235,8 @@ impl Layer for Conv2d {
             } else {
                 &mut patches[..pr * n]
             };
-            for s in 0..nb {
-                self.map.lower(input.row(s0 + s), cols, n, s * pc);
-            }
+            let images = &input.as_slice()[s0 * len..(s0 + nb) * len];
+            self.map.lower_panel(images, cols, lower_work);
             // [c_out, pr] · [pr, n] -> [c_out, n]
             let y = &mut y[..c_out * n];
             y.fill(0.0);

@@ -10,18 +10,27 @@
 //! definition: plain loops over one image that redo the stride/pad/kernel
 //! arithmetic for every element and keep nothing; the tests hold
 //! everything else against them. A layer that lowers the same geometry
-//! every step uses a [`PatchMap`]: the arithmetic runs once, into a table
-//! with one entry per patch-matrix element, and lowering is a gather
-//! through the table in the definition's row-major order. The map works
-//! on a patch *panel* `[c_in*kh*kw, nb*oh*ow]` that places several images
-//! side by side, image `s` at column offset `s*oh*ow`, so a layer runs
-//! one GEMM per panel instead of one per image.
+//! every step uses a [`PatchMap`]: the arithmetic runs once, into tables,
+//! and [`PatchMap::lower_panel`] fills a patch *panel*
+//! `[c_in*kh*kw, nb*oh*ow]` that places `nb` images side by side, image
+//! `s` at column offset `s*oh*ow`, so a layer runs one GEMM per panel
+//! instead of one per image.
 //!
-//! The gather is one loop, instantiated per instruction-set level like
-//! the GEMM kernels ([`mod@crate::matmul`], "Instruction-set levels"): compiled
-//! for AVX-512 it becomes masked vector gathers, and [`PatchMap::lower`]
-//! runs that instance where the machine has it and a patch row fills a
-//! register; copying floats, no level can change a bit.
+//! **Shifted rows.** Take a stride-1 convolution whose output is the size
+//! of its input (`kh = kw = 2p + 1`; every conv the models build). Lay
+//! channel `c` of the panel's images end to end in one row with `p·w + p`
+//! floats of margin on each side: patch row `(c, ky, kx)` is that row
+//! shifted by `(ky − p)·w + (kx − p)`, except in the columns whose tap
+//! lands in the padding, which hold `+0.0`. So the map keeps, per tap, a
+//! `u32` mask over the widest panel's columns (all ones where the tap
+//! copies), and a patch row is one pass over all `nb·oh·ow` columns:
+//! `f32::from_bits(src.to_bits() & mask)`. The pass runs on the instance
+//! of the machine's level like the GEMM kernels
+//! ([`mod@crate::matmul`], "Instruction-set levels"); a select, never a
+//! multiply by the mask, so every float is the one [`im2col`] copies —
+//! `NaN·0` would be NaN. Any other geometry is gathered image by image
+//! through a table with one input index per element of one image's patch
+//! matrix, portable; only tests build such geometries.
 //!
 //! **The adjoint, without the panel.** The input gradient the lowering
 //! defines is `Wᵀ·go` into a zeroed patch-gradient panel, then [`col2im`]
@@ -40,11 +49,11 @@
 //! level, its vector lanes a block of images.
 //!
 //! The map belongs to whoever lowers (`fedwcm-nn`'s `Conv2d` builds one in
-//! its constructor and shares it with its clones); nothing is cached for
-//! the life of the process. Entries are `u32`: the table is read once per
-//! lowered float, so half the bytes is half the cache taken from the GEMM
-//! operands (6.9 KB at most for a ResLite geometry, and 2.3 KB for its
-//! per-tap inverse).
+//! its constructor, for its widest panel, and shares it with its clones);
+//! nothing is cached for the life of the process. Masks and indices are
+//! `u32`, read once per lowered float: 20.7 KB of masks at most for a
+//! ResLite geometry (the 8×8 stem's 9 taps over nine images), and 2.3 KB
+//! for its per-tap inverse.
 
 use crate::isa::Isa;
 
@@ -99,6 +108,14 @@ impl ConvGeom {
     /// Input buffer length `c_in*h*w`.
     pub fn input_len(&self) -> usize {
         self.c_in * self.h * self.w
+    }
+
+    /// `pad·w + pad`, if every patch row is its input channel shifted:
+    /// stride 1 and an output the size of the input (`kh = kw =
+    /// 2·pad + 1`). `None` for any other geometry.
+    fn shift_margin(&self) -> Option<usize> {
+        let same = self.kh == 2 * self.pad + 1 && self.kw == 2 * self.pad + 1;
+        (self.stride == 1 && same).then_some(self.pad * self.w + self.pad)
     }
 }
 
@@ -178,31 +195,33 @@ pub fn col2im(geom: &ConvGeom, cols: &[f32], grad_input: &mut [f32]) {
 /// this long (asserted at construction), so it is also out of range.
 const PAD: u32 = u32::MAX;
 
-/// The lowering of one [`ConvGeom`] as a table: for each element of one
-/// image's patch matrix, row-major, the input index it copies, or `PAD`;
-/// and the same table inverted per kernel tap. The only place a layer's
-/// stride/pad/kernel arithmetic runs.
+/// The lowering of one [`ConvGeom`] into panels of up to `images`
+/// images, and the same lowering inverted per kernel tap. The only place
+/// a layer's stride/pad/kernel arithmetic runs.
 #[derive(Debug)]
 pub struct PatchMap {
     geom: ConvGeom,
-    /// [`PatchMap::idx`] followed by [`PatchMap::taps`], in one allocation:
-    /// as two, the second measured +0.3 MB of peak RSS on a ResLite run
-    /// (heap fragmentation around a long-lived small block).
+    /// Most images a panel holds.
+    images: usize,
+    /// [`PatchMap::lowering`] followed by [`PatchMap::taps`], in one
+    /// allocation: as two, the second measured +0.3 MB of peak RSS on a
+    /// ResLite run (heap fragmentation around a long-lived small block).
     table: Vec<u32>,
     /// Where `taps` starts in `table`.
     split: usize,
 }
 
 impl PatchMap {
-    /// Tabulate `geom`.
-    pub fn new(geom: &ConvGeom) -> Self {
+    /// Tabulate `geom` for panels of up to `images` images.
+    pub fn new(geom: &ConvGeom, images: usize) -> Self {
         assert!(geom.input_len() < PAD as usize, "input too long for u32");
+        assert!(images > 0, "a panel holds at least one image");
         let (oh, ow) = (geom.oh(), geom.ow());
+        let (pc, kk) = (oh * ow, geom.kh * geom.kw);
         // An element is inside the image iff its coordinate in the padded
         // image falls in `pad..pad + dim`.
         let (ys, xs) = (geom.pad..geom.pad + geom.h, geom.pad..geom.pad + geom.w);
-        let mut idx =
-            Vec::with_capacity(geom.patch_rows() * oh * ow + geom.kh * geom.kw * geom.h * geom.w);
+        let mut idx = Vec::with_capacity(geom.patch_rows() * pc + kk * geom.h * geom.w);
         for c in 0..geom.c_in {
             for ky in 0..geom.kh {
                 for kx in 0..geom.kw {
@@ -220,66 +239,109 @@ impl PatchMap {
             }
         }
         let (hw, lowered) = (geom.h * geom.w, idx.len());
-        idx.resize(lowered + geom.kh * geom.kw * hw, PAD);
+        idx.resize(lowered + kk * hw, PAD);
         let (rows, taps) = idx.split_at_mut(lowered);
-        for (tap, row) in taps.chunks_exact_mut(hw).zip(rows.chunks_exact(oh * ow)) {
+        for (tap, row) in taps.chunks_exact_mut(hw).zip(rows.chunks_exact(pc)) {
             for (col, &i) in row.iter().enumerate() {
                 if let Some(q) = tap.get_mut(i as usize) {
                     *q = col as u32;
                 }
             }
         }
+        let table = match geom.shift_margin() {
+            None => idx,
+            // Tap `t`'s mask: all ones where its first channel's row
+            // copies, zero in the padding, once per image of the widest
+            // panel.
+            Some(_) => {
+                let (rows, taps) = idx.split_at(lowered);
+                let mut table = Vec::with_capacity(kk * images * pc + taps.len());
+                for row in rows.chunks_exact(pc).take(kk) {
+                    let mask = row.iter().map(|&i| if i == PAD { 0 } else { u32::MAX });
+                    for _ in 0..images {
+                        table.extend(mask.clone());
+                    }
+                }
+                table.extend_from_slice(taps);
+                table
+            }
+        };
         PatchMap {
             geom: *geom,
-            table: idx,
-            split: lowered,
+            images,
+            split: table.len() - kk * hw,
+            table,
         }
     }
 
-    /// For each element of one image's patch matrix, row-major, the input
-    /// index it copies, or `PAD`.
-    fn idx(&self) -> &[u32] {
+    /// For a shifted geometry, per kernel tap the `u32` mask of the
+    /// widest panel's columns; for any other, for each element of one
+    /// image's patch matrix, row-major, the input index it copies, or
+    /// `PAD`.
+    fn lowering(&self) -> &[u32] {
         &self.table[..self.split]
     }
 
     /// For each tap `t = ky·kw + kx` and each position `q` of one input
     /// channel, the column of patch row `t` that copies `q`, or `PAD`. A
-    /// tap copies each position at most once, so this is [`PatchMap::idx`]'s
-    /// first `kh·kw` rows inverted, and it serves every channel.
+    /// tap copies each position at most once, so this is the first `kh·kw`
+    /// rows of the gather table inverted, and it serves every channel.
     fn taps(&self) -> &[u32] {
         &self.table[self.split..]
     }
 
-    /// Lower one image into columns `col0..col0 + patch_cols` of a patch
-    /// panel `[patch_rows, ld]` shared by several images, so one GEMM can
-    /// run over all of them. [`im2col`] is the `ld = patch_cols`,
-    /// `col0 = 0` case.
-    pub fn lower(&self, input: &[f32], panel: &mut [f32], ld: usize, col0: usize) {
-        self.lower_at(Isa::detect(), input, panel, ld, col0);
+    /// Floats of work space [`PatchMap::lower_panel`] takes: one input
+    /// channel of the widest panel, laid end to end with its margins.
+    pub fn lower_work(&self) -> usize {
+        self.geom
+            .shift_margin()
+            .map_or(0, |m| self.images * self.geom.h * self.geom.w + 2 * m)
     }
 
-    /// [`PatchMap::lower`] on the gather instance of one level.
-    fn lower_at(&self, isa: Isa, input: &[f32], panel: &mut [f32], ld: usize, col0: usize) {
-        assert_eq!(input.len(), self.geom.input_len(), "input buffer size");
-        let pc = self.check_panel(panel.len(), ld, col0);
-        // Which instance gathers: the loop only pays where it becomes
-        // masked vector gathers, which AVX-512 has and which want a whole
-        // register of columns to a row. Compiled for AVX2 it measured no
-        // faster than portable, and for AVX-512 on four-column rows (the
-        // 2×2 ResLite stage) slower.
-        let isa = match isa {
-            Isa::Portable => isa,
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2(_) => Isa::Portable,
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512(_) if pc >= 16 => isa,
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512(_) => Isa::Portable,
+    /// Lower `nb` images `[nb, input_len]` (at most the map's `images`)
+    /// into the patch panel `[patch_rows, nb·patch_cols]`, image `s` at
+    /// column offset `s·patch_cols`; the `nb = 1` panel is [`im2col`]'s.
+    /// `work` holds at least [`PatchMap::lower_work`] floats; what it
+    /// held is never read.
+    pub fn lower_panel(&self, images: &[f32], panel: &mut [f32], work: &mut [f32]) {
+        self.lower_panel_at(Isa::detect(), images, panel, work);
+    }
+
+    /// [`PatchMap::lower_panel`] with its shifted rows on the instance of
+    /// one level; copying floats, no level can change a bit.
+    fn lower_panel_at(&self, isa: Isa, images: &[f32], panel: &mut [f32], work: &mut [f32]) {
+        let g = &self.geom;
+        let (len, pc) = (g.input_len(), g.patch_cols());
+        assert_eq!(images.len() % len, 0, "input buffer size");
+        let nb = images.len() / len;
+        assert!(
+            nb <= self.images,
+            "panel of {nb} images, map built for {}",
+            self.images
+        );
+        let n = nb * pc;
+        assert_eq!(panel.len(), g.patch_rows() * n, "panel buffer size");
+        let Some(margin) = g.shift_margin() else {
+            for (s, image) in images.chunks_exact(len).enumerate() {
+                gather_rows(self.lowering(), pc, image, panel, n, s * pc);
+            }
+            return;
         };
-        let idx = self.idx();
+        assert!(work.len() >= self.lower_work(), "work space size");
+        let shift = Shift {
+            masks: self.lowering(),
+            stride: self.images * pc,
+            len,
+            hw: g.h * g.w,
+            w: g.w,
+            kw: g.kw,
+            kk: g.kh * g.kw,
+            margin,
+        };
+        let row = &mut work[..n + 2 * margin];
         isa.run(
             #[inline(always)]
-            move || gather_rows(idx, pc, input, panel, ld, col0),
+            move || shift.rows(images, panel, row),
         );
     }
 
@@ -390,26 +452,62 @@ impl PatchMap {
             ),
         }
     }
+}
 
-    /// A `[patch_rows, ld]` panel must hold one image's columns at `col0`;
-    /// returns `patch_cols`.
-    fn check_panel(&self, panel_len: usize, ld: usize, col0: usize) -> usize {
-        let pc = self.geom.patch_cols();
-        assert!(
-            col0 + pc <= ld,
-            "panel columns {col0}+{pc} exceed its leading dimension {ld}"
-        );
-        assert_eq!(panel_len, self.geom.patch_rows() * ld, "panel buffer size");
-        pc
+/// What [`PatchMap::lower_panel`] reads for a shifted geometry: with
+/// channel `c` of a panel's images laid end to end in a row behind a
+/// margin of `pad·w + pad` floats, patch row `(c, ky, kx)` is that row
+/// from `ky·w + kx` on, masked to `+0.0` where the tap lands in the
+/// padding.
+#[derive(Clone, Copy)]
+struct Shift<'a> {
+    /// `[kk, stride]`: per tap, all ones where its column copies.
+    masks: &'a [u32],
+    /// Columns of the widest panel; a narrower one reads a prefix.
+    stride: usize,
+    /// Floats of one image, `c_in·h·w`.
+    len: usize,
+    /// Floats of one channel of one image, `h·w`.
+    hw: usize,
+    w: usize,
+    kw: usize,
+    /// Taps of one kernel, `kh·kw`.
+    kk: usize,
+    /// `pad·w + pad`.
+    margin: usize,
+}
+
+impl Shift<'_> {
+    /// Every row of the panel: each channel of the images copied into
+    /// `row` between its margins (left as they were: every float read
+    /// from them is masked), then its `kk` patch rows in one pass over
+    /// the panel's columns each. A select, never a multiply by the mask:
+    /// `NaN·0` is NaN.
+    #[inline(always)]
+    fn rows(self, images: &[f32], panel: &mut [f32], row: &mut [f32]) {
+        let n = row.len() - 2 * self.margin;
+        for (c, rows) in panel.chunks_exact_mut(self.kk * n).enumerate() {
+            let chan = &mut row[self.margin..self.margin + n];
+            for (dst, image) in chan
+                .chunks_exact_mut(self.hw)
+                .zip(images.chunks_exact(self.len))
+            {
+                dst.copy_from_slice(&image[c * self.hw..(c + 1) * self.hw]);
+            }
+            for (t, dst) in rows.chunks_exact_mut(n).enumerate() {
+                let src = &row[t / self.kw * self.w + t % self.kw..][..n];
+                let mask = &self.masks[t * self.stride..][..n];
+                for ((d, &x), &m) in dst.iter_mut().zip(src).zip(mask) {
+                    *d = f32::from_bits(x.to_bits() & m);
+                }
+            }
+        }
     }
 }
 
-/// The gather of [`PatchMap::lower`]: row `r` of `idx` (`pc` entries)
-/// selects what goes to columns `col0..col0 + pc` of row `r` of `panel`.
-/// A function of its own so that its instance at a level still knows
-/// that `panel` and `input` do not overlap — what lets the optimiser
-/// turn the loop into masked gathers where the level has them.
-#[inline(always)]
+/// The gather of [`PatchMap::lower_panel`] for a geometry without a
+/// constant shift: row `r` of `idx` (`pc` entries) selects what goes to
+/// columns `col0..col0 + pc` of row `r` of `panel`.
 fn gather_rows(idx: &[u32], pc: usize, input: &[f32], panel: &mut [f32], ld: usize, col0: usize) {
     for (row, idx) in panel.chunks_exact_mut(ld).zip(idx.chunks_exact(pc)) {
         for (d, &i) in row[col0..col0 + pc].iter_mut().zip(idx) {
@@ -615,7 +713,7 @@ mod tests {
     fn input_grad_is_the_adjoint_of_the_lowered_convolution() {
         // <W·lower(x), go> == <x, input_grad(W, go)> over three images.
         let g = geom(2, 6, 5, 3, 2, 0);
-        let map = PatchMap::new(&g);
+        let map = PatchMap::new(&g, 1);
         let (pr, pc, len, c_out, nb) = (g.patch_rows(), g.patch_cols(), g.input_len(), 3, 3);
         let mut rng = Xoshiro256pp::seed_from(8);
         let mut uniform = |n: usize| -> Vec<f32> { (0..n).map(|_| rng.next_f32() - 0.5).collect() };
@@ -627,7 +725,7 @@ mod tests {
         let mut lhs = 0.0f32;
         let mut cols = vec![0.0; pr * pc];
         for (x, go) in x.chunks_exact(len).zip(go.chunks_exact(c_out * pc)) {
-            map.lower(x, &mut cols, pc, 0);
+            map.lower_panel(x, &mut cols, &mut []);
             for c in 0..c_out {
                 for p in 0..pc {
                     let y: f32 = (0..pr).map(|r| w[c * pr + r] * cols[r * pc + p]).sum();
@@ -648,11 +746,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceed its leading dimension")]
-    fn panel_slot_past_the_leading_dimension_panics() {
-        let g = geom(1, 3, 3, 2, 1, 0);
-        let mut panel = vec![0.0; g.patch_rows() * 6];
-        PatchMap::new(&g).lower(&[0.0; 9], &mut panel, 6, 4);
+    #[should_panic(expected = "panel of 3 images, map built for 2")]
+    fn panel_wider_than_the_map_panics() {
+        let g = geom(1, 3, 3, 3, 1, 1);
+        let map = PatchMap::new(&g, 2);
+        let mut panel = vec![0.0; g.patch_rows() * 3 * g.patch_cols()];
+        map.lower_panel(&[0.0; 27], &mut panel, &mut vec![0.0; map.lower_work()]);
     }
 
     #[test]
@@ -671,27 +770,37 @@ mod tests {
         crate::Tensor::randn(&[len], 1.0, &mut rng).into_vec()
     }
 
-    /// `PatchMap::lower` on every level this host offers, in the middle
-    /// slot of a three-image panel, against the definition, [`im2col`],
-    /// bit for bit.
-    fn assert_map_matches_definition(geom: &ConvGeom, seed: u64) {
-        let map = PatchMap::new(geom);
-        let (pr, pc) = (geom.patch_rows(), geom.patch_cols());
-        let (ld, col0) = (3 * pc, pc);
-
-        let x = randn(geom.input_len(), seed);
+    /// `PatchMap::lower_panel` on every level this host offers, for a
+    /// map of `images` images, at one image, about half of them and all,
+    /// against the definition, [`im2col`], image by image and bit for
+    /// bit, with NaN, ±inf and `-0.0` planted in the input. The panel and
+    /// the work space start as NaN, and the panel sits between two guard
+    /// floats that must stay so.
+    fn assert_panel_matches_definition(geom: &ConvGeom, images: usize, seed: u64) {
+        let map = PatchMap::new(geom, images);
+        let (pr, pc, len) = (geom.patch_rows(), geom.patch_cols(), geom.input_len());
         let mut want = vec![0.0f32; pr * pc];
-        im2col(geom, &x, &mut want);
-        for isa in Isa::available() {
-            let what = format!("{geom:?} {isa:?}");
-            let mut panel = vec![f32::NAN; pr * ld];
-            map.lower_at(isa, &x, &mut panel, ld, col0);
-            for (r, row) in panel.chunks_exact(ld).enumerate() {
-                assert_bits_eq(&row[col0..col0 + pc], &want[r * pc..(r + 1) * pc], &what);
-                let outside = row[..col0].iter().chain(&row[col0 + pc..]);
+        for nb in [1, images / 2 + 1, images] {
+            let mut x = randn(nb * len, seed);
+            plant_specials(&mut x, 4, seed.wrapping_add(1));
+            let n = nb * pc;
+            for isa in Isa::available() {
+                let what = format!("{geom:?} {nb} of {images} images {isa:?}");
+                let mut buf = vec![f32::NAN; pr * n + 2];
+                let mut work = vec![f32::NAN; map.lower_work()];
+                let panel = &mut buf[1..=pr * n];
+                map.lower_panel_at(isa, &x, panel, &mut work);
+                for (s, x) in x.chunks_exact(len).enumerate() {
+                    im2col(geom, x, &mut want);
+                    for (r, want) in want.chunks_exact(pc).enumerate() {
+                        let got = &panel[r * n + s * pc..r * n + (s + 1) * pc];
+                        assert_bits_eq(got, want, &format!("{what}: image {s} row {r}"));
+                    }
+                }
+                let guards = [buf[0], buf[pr * n + 1]];
                 assert!(
-                    outside.copied().all(f32::is_nan),
-                    "{what}: row {r} written outside its slot"
+                    guards.iter().all(|g| g.is_nan()),
+                    "{what}: written outside the panel"
                 );
             }
         }
@@ -753,7 +862,7 @@ mod tests {
         c_out: usize,
         seed: u64,
     ) -> (usize, usize) {
-        let map = PatchMap::new(geom);
+        let map = PatchMap::new(geom, 1);
         let (pr, pc) = (geom.patch_rows(), geom.patch_cols());
         // Shared by every call, as a layer shares its work space.
         let mut work = vec![f32::NAN; map.input_grad_work(c_out)];
@@ -807,9 +916,10 @@ mod tests {
     }
 
     #[test]
-    fn patch_map_matches_definition_on_the_reslite_geometries() {
-        for (c_in, hw) in [(3, 8), (12, 4), (12, 2)] {
-            assert_map_matches_definition(&geom(c_in, hw, hw, 3, 1, 1), 17);
+    fn panel_lowering_matches_definition_on_the_reslite_geometries() {
+        // With the panel widths `Conv2d` gives them.
+        for (c_in, hw, images) in [(3, 8, 9), (12, 4, 9), (12, 2, 37)] {
+            assert_panel_matches_definition(&geom(c_in, hw, hw, 3, 1, 1), images, 17);
         }
     }
 
@@ -817,13 +927,13 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn patch_map_matches_definition(
+        fn panel_lowering_matches_definition(
             c_in in 1usize..5, h in 1usize..10, w in 1usize..10, k in 1usize..6,
             stride in 1usize..4, pad in 0usize..3, seed in any::<u64>(),
         ) {
             prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
             let geom = ConvGeom { c_in, h, w, kh: k, kw: k, stride, pad };
-            assert_map_matches_definition(&geom, seed);
+            assert_panel_matches_definition(&geom, 3, seed);
             let _ = assert_input_grad_matches_definition(&geom, c_in + 2, seed);
         }
     }

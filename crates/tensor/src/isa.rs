@@ -38,7 +38,7 @@ pub(crate) enum Isa {
     /// 256-bit vectors, sixteen registers.
     #[cfg(target_arch = "x86_64")]
     Avx2(Detected),
-    /// 512-bit vectors, thirty-two registers, masked gathers.
+    /// 512-bit vectors, thirty-two registers.
     #[cfg(target_arch = "x86_64")]
     Avx512(Detected),
 }
