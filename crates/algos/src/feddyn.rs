@@ -126,6 +126,10 @@ impl FederatedAlgorithm for FedDyn {
         self.states = states;
         Ok(())
     }
+
+    fn shared_len(&self) -> Option<usize> {
+        (!self.mean_state.is_empty()).then_some(self.mean_state.len())
+    }
 }
 
 #[cfg(test)]

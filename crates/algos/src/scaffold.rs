@@ -133,6 +133,10 @@ impl FederatedAlgorithm for Scaffold {
         self.client_controls = client_controls;
         Ok(())
     }
+
+    fn shared_len(&self) -> Option<usize> {
+        (!self.server_control.is_empty()).then_some(self.server_control.len())
+    }
 }
 
 #[cfg(test)]

@@ -86,6 +86,14 @@ pub trait FederatedAlgorithm: Send + Sync {
     fn load_state(&mut self, _bytes: &[u8]) -> Result<(), StateError> {
         Err(StateError::Unsupported)
     }
+
+    /// The length of the vector the server keeps beside the model
+    /// (SCAFFOLD's server control, FedDyn's mean state), if it holds a
+    /// non-empty one: a checkpoint's restore refuses a loaded state where
+    /// it is not the model's length. `None` by default: nothing to check.
+    fn shared_len(&self) -> Option<usize> {
+        None
+    }
 }
 
 /// Uniform average of update deltas (the FedAvg aggregation), written into

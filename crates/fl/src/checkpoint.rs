@@ -239,6 +239,10 @@ impl ServerCheckpoint {
         }
         algo.load_state(&self.algo_state)
             .map_err(CheckpointError::State)?;
+        // `aggregate` indexes the shared vector by parameter.
+        if algo.shared_len().is_some_and(|n| n != self.global.len()) {
+            return Err(CheckpointError::State(StateError::Malformed));
+        }
         // Reload the attached registry so resumed accumulation continues
         // exactly where the checkpointed run stopped.
         if let Some(reg) = &sim.obs.metrics {

@@ -119,12 +119,14 @@ fn the_default_state_pair_is_unsupported() {
 }
 
 /// A checkpoint that parses can still carry a state no run could have
-/// written: one per-client vector (a SCAFFOLD client control, a FedDyn
-/// client state) of another length than the shared one. Spliced into
+/// written: a per-client vector (a SCAFFOLD client control, a FedDyn
+/// client state) of another length than the shared one, or a shared
+/// vector (the server control, the mean state) of another length than
+/// the model, with per-client vectors that agree with it. Spliced into
 /// real `FWCK` bytes, such a blob must be refused at resume, not panic
 /// at the first aggregation that samples the client.
 #[test]
-fn a_per_client_vector_of_another_length_is_refused_at_resume() {
+fn a_state_vector_of_another_length_is_refused_at_resume() {
     use fedwcm_suite::fl::codec::{decode_state, Wire};
     use fedwcm_suite::fl::CheckpointError;
 
@@ -139,7 +141,7 @@ fn a_per_client_vector_of_another_length_is_refused_at_resume() {
             .expect("checkpointable")
             .to_bytes();
         let blob = stopped.save_state().expect("it just saved");
-        let (shared, mut per_client): (Vec<f32>, Vec<Vec<f32>>) =
+        let (shared, per_client): (Vec<f32>, Vec<Vec<f32>>) =
             decode_state(&blob).expect("its own blob");
         // A client the next round samples, holding a full-length vector.
         let client = sim
@@ -147,29 +149,37 @@ fn a_per_client_vector_of_another_length_is_refused_at_resume() {
             .into_iter()
             .find(|&k| per_client[k].len() == shared.len())
             .expect("a sampled client with a vector");
-        per_client[client] = vec![0.5; 5];
-        let mut spliced_blob = shared.encode();
-        per_client.put(&mut spliced_blob);
+        let mut short_client = per_client.clone();
+        short_client[client] = vec![0.5; 5];
+        let mut short_shared = vec![Vec::new(); per_client.len()];
+        short_shared[client] = vec![0.5; 5];
+        for (what, shared, per_client) in [
+            ("a client's vector", shared, short_client),
+            ("the shared vector", vec![0.5; 5], short_shared),
+        ] {
+            let mut spliced_blob = shared.encode();
+            per_client.put(&mut spliced_blob);
 
-        // The blob is a `u64` length, then its bytes, inside the FWCK.
-        let at = bytes
-            .windows(blob.len())
-            .position(|w| w == blob.as_slice())
-            .expect("the state blob is in the checkpoint");
-        let len_at = at - 8;
-        assert_eq!(bytes[len_at..at], (blob.len() as u64).to_le_bytes());
-        let mut spliced = bytes[..len_at].to_vec();
-        spliced.extend_from_slice(&(spliced_blob.len() as u64).to_le_bytes());
-        spliced.extend_from_slice(&spliced_blob);
-        spliced.extend_from_slice(&bytes[at + blob.len()..]);
+            // The blob is a `u64` length, then its bytes, inside the FWCK.
+            let at = bytes
+                .windows(blob.len())
+                .position(|w| w == blob.as_slice())
+                .expect("the state blob is in the checkpoint");
+            let len_at = at - 8;
+            assert_eq!(bytes[len_at..at], (blob.len() as u64).to_le_bytes());
+            let mut spliced = bytes[..len_at].to_vec();
+            spliced.extend_from_slice(&(spliced_blob.len() as u64).to_le_bytes());
+            spliced.extend_from_slice(&spliced_blob);
+            spliced.extend_from_slice(&bytes[at + blob.len()..]);
 
-        let checkpoint = ServerCheckpoint::from_bytes(&spliced)
-            .unwrap_or_else(|e| panic!("{label}: the spliced checkpoint parses ({e})"));
-        let resumed = sim.resume(&mut *build_method(method, &task), &checkpoint);
-        assert_eq!(
-            resumed.err(),
-            Some(CheckpointError::State(StateError::Malformed)),
-            "{label}: client {client}"
-        );
+            let checkpoint = ServerCheckpoint::from_bytes(&spliced)
+                .unwrap_or_else(|e| panic!("{label}: the spliced checkpoint parses ({e})"));
+            let resumed = sim.resume(&mut *build_method(method, &task), &checkpoint);
+            assert_eq!(
+                resumed.err(),
+                Some(CheckpointError::State(StateError::Malformed)),
+                "{label}: {what} 5 floats long, client {client}"
+            );
+        }
     }
 }
