@@ -1,11 +1,14 @@
 //! The manifest reader `tests/support/golden.rs`, on manifest text held
 //! here rather than `results/golden.tsv`: what it refuses to read, and
-//! what `finish` reports.
+//! what `finish` reports; and that every entry of `results/golden.tsv`
+//! is one some test reads.
 
 #[path = "support/golden.rs"]
 mod golden;
 
-use golden::{parse, Golden};
+use golden::{parse, Golden, MANIFEST};
+use std::fs;
+use std::path::Path;
 
 const TEXT: &str = "a/x\t1\na/y\t2\nb/x\t3\n";
 
@@ -64,4 +67,47 @@ fn an_entry_under_the_prefix_that_nothing_checked_fails() {
     let mut g = Golden::from_text(TEXT, "a");
     g.check("x", 1);
     g.finish();
+}
+
+/// `finish` reports unchecked entries only under the prefix its test
+/// opened, so an entry under a prefix no test opens (a typo'd first
+/// segment, or a test deleted with its lines left behind) would never be
+/// read. The prefixes are the string literals passed to `Golden::new` in
+/// `tests/*.rs` and `crates/*/tests/*.rs`, collected from the sources.
+#[test]
+fn every_manifest_entry_is_under_a_prefix_some_test_opens() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut dirs = vec![root.join("tests")];
+    for krate in fs::read_dir(root.join("crates")).expect("crates/ lists") {
+        dirs.push(krate.expect("a crate directory").path().join("tests"));
+    }
+    // Split so that this file's own source does not match.
+    let open = concat!("Golden::new", "(\"");
+    let mut prefixes = Vec::new();
+    for dir in dirs {
+        let Ok(files) = fs::read_dir(&dir) else {
+            continue; // a crate without integration tests
+        };
+        for file in files {
+            let path = file.expect("a directory entry").path();
+            if path.extension().is_none_or(|e| e != "rs") {
+                continue;
+            }
+            let text = fs::read_to_string(&path).expect("a readable test source");
+            for (at, _) in text.match_indices(open) {
+                if let Some((prefix, _)) = text[at + open.len()..].split_once('"') {
+                    prefixes.push(format!("{prefix}/"));
+                }
+            }
+        }
+    }
+    let unread: Vec<String> = (parse(MANIFEST).expect("the manifest parses").iter())
+        .filter(|(name, _)| !prefixes.iter().any(|p| name.starts_with(p.as_str())))
+        .map(|(name, value)| format!("{name}\t{value}"))
+        .collect();
+    assert!(
+        unread.is_empty(),
+        "results/golden.tsv entries under no prefix a test opens:\n{}",
+        unread.join("\n")
+    );
 }

@@ -11,7 +11,7 @@
 #![allow(dead_code)]
 
 /// The manifest, as built into the test binary.
-const MANIFEST: &str = include_str!("../../results/golden.tsv");
+pub const MANIFEST: &str = include_str!("../../results/golden.tsv");
 
 /// `text`'s `(name, value)` entries, or why its first bad line is bad.
 pub fn parse(text: &str) -> Result<Vec<(&str, &str)>, String> {
