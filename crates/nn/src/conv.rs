@@ -37,9 +37,9 @@ const PANEL_FLOATS: usize = 1 << 14;
 /// the layer's widest panel and shared by every clone of the layer
 /// (per-worker training models, per-chunk evaluation replicas); training
 /// and evaluation lower a whole panel in one [`PatchMap::lower_panel`]
-/// call, its row in the layer's work space. The input gradient is not lowered: it
-/// is [`PatchMap::input_grad`] over the whole batch, which sums each
-/// element's chain as the lowering would without forming the
+/// call, its row in the layer's work space. The input gradient is not
+/// lowered: it is [`PatchMap::input_grad`] over the whole batch, which
+/// sums each element's chain as the lowering would without forming the
 /// patch-gradient panel. [`Layer::backward_params`] skips it and allocates
 /// no input gradient.
 #[derive(Clone)]
