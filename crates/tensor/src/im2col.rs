@@ -301,8 +301,8 @@ impl PatchMap {
     /// Lower `nb` images `[nb, input_len]` (at most the map's `images`)
     /// into the patch panel `[patch_rows, nb·patch_cols]`, image `s` at
     /// column offset `s·patch_cols`; the `nb = 1` panel is [`im2col`]'s.
-    /// `work` holds at least [`PatchMap::lower_work`] floats; what it
-    /// held is never read.
+    /// `work` holds at least [`PatchMap::lower_work`] floats; nothing it
+    /// held reaches the panel.
     pub fn lower_panel(&self, images: &[f32], panel: &mut [f32], work: &mut [f32]) {
         self.lower_panel_at(Isa::detect(), images, panel, work);
     }
