@@ -73,6 +73,10 @@ impl FederatedAlgorithm for FedAvgM {
         self.buffer = decode_state(bytes)?;
         Ok(())
     }
+
+    fn shared_len(&self) -> Option<usize> {
+        (!self.buffer.is_empty()).then_some(self.buffer.len())
+    }
 }
 
 #[cfg(test)]

@@ -98,6 +98,10 @@ impl FederatedAlgorithm for FedCm {
         self.momentum = decode_state(bytes)?;
         Ok(())
     }
+
+    fn shared_len(&self) -> Option<usize> {
+        (!self.momentum.is_empty()).then_some(self.momentum.len())
+    }
 }
 
 #[cfg(test)]

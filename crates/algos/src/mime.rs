@@ -120,6 +120,10 @@ impl FederatedAlgorithm for MimeLite {
         self.momentum = decode_state(bytes)?;
         Ok(())
     }
+
+    fn shared_len(&self) -> Option<usize> {
+        (!self.momentum.is_empty()).then_some(self.momentum.len())
+    }
 }
 
 #[cfg(test)]

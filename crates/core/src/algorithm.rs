@@ -257,8 +257,17 @@ impl FederatedAlgorithm for FedWcm {
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        (self.alpha, self.momentum) = decode_state(bytes)?;
+        let (alpha, momentum): (f32, Vec<f32>) = decode_state(bytes)?;
+        // Every local step blends with α, a momentum value.
+        if !(0.0..=1.0).contains(&alpha) {
+            return Err(StateError::Malformed);
+        }
+        (self.alpha, self.momentum) = (alpha, momentum);
         Ok(())
+    }
+
+    fn shared_len(&self) -> Option<usize> {
+        (!self.momentum.is_empty()).then_some(self.momentum.len())
     }
 }
 

@@ -88,9 +88,10 @@ pub trait FederatedAlgorithm: Send + Sync {
     }
 
     /// The length of the vector the server keeps beside the model
-    /// (SCAFFOLD's server control, FedDyn's mean state), if it holds a
-    /// non-empty one: a checkpoint's restore refuses a loaded state where
-    /// it is not the model's length. `None` by default: nothing to check.
+    /// (SCAFFOLD's server control, FedDyn's mean state, a momentum
+    /// buffer), if it holds a non-empty one: a checkpoint's restore
+    /// refuses a loaded state where it is not the model's length. `None`
+    /// by default: nothing to check.
     fn shared_len(&self) -> Option<usize> {
         None
     }

@@ -17,7 +17,7 @@
 //! (`crates/fl/tests/faults_and_resume.rs`).
 
 use fedwcm_experiments::Method::{self, *};
-use fedwcm_experiments::{build_method, ExpConfig, Scale};
+use fedwcm_experiments::{build_method, ExpConfig, PreparedTask, Scale};
 use fedwcm_suite::data::synth::DatasetPreset;
 use fedwcm_suite::fl::{
     ClientEnv, ClientUpdate, FederatedAlgorithm, RoundInput, RoundLog, ServerCheckpoint, StateError,
@@ -121,26 +121,19 @@ fn the_default_state_pair_is_unsupported() {
 /// A checkpoint that parses can still carry a state no run could have
 /// written: a per-client vector (a SCAFFOLD client control, a FedDyn
 /// client state) of another length than the shared one, or a shared
-/// vector (the server control, the mean state) of another length than
-/// the model, with per-client vectors that agree with it. Spliced into
-/// real `FWCK` bytes, such a blob must be refused at resume, not panic
-/// at the first aggregation that samples the client.
+/// vector (the server control, the mean state, a momentum buffer) of
+/// another length than the model, with per-client vectors that agree
+/// with it. Spliced into real `FWCK` bytes, such a blob must be refused
+/// at resume, not panic at the first round that reads it.
 #[test]
 fn a_state_vector_of_another_length_is_refused_at_resume() {
     use fedwcm_suite::fl::codec::{decode_state, Wire};
-    use fedwcm_suite::fl::CheckpointError;
 
     let exp = ExpConfig::new(DatasetPreset::FashionMnist, 0.1, 0.3, Scale::Smoke, 4001);
     let task = exp.prepare();
     let sim = task.simulation();
     for method in [Scaffold, FedDyn] {
-        let label = method.label();
-        let mut stopped = build_method(method, &task);
-        let bytes = sim
-            .run_until(&mut *stopped, STOP)
-            .expect("checkpointable")
-            .to_bytes();
-        let blob = stopped.save_state().expect("it just saved");
+        let (bytes, blob) = stopped_at(method, &task);
         let (shared, per_client): (Vec<f32>, Vec<Vec<f32>>) =
             decode_state(&blob).expect("its own blob");
         // A client the next round samples, holding a full-length vector.
@@ -157,29 +150,103 @@ fn a_state_vector_of_another_length_is_refused_at_resume() {
             ("a client's vector", shared, short_client),
             ("the shared vector", vec![0.5; 5], short_shared),
         ] {
-            let mut spliced_blob = shared.encode();
-            per_client.put(&mut spliced_blob);
-
-            // The blob is a `u64` length, then its bytes, inside the FWCK.
-            let at = bytes
-                .windows(blob.len())
-                .position(|w| w == blob.as_slice())
-                .expect("the state blob is in the checkpoint");
-            let len_at = at - 8;
-            assert_eq!(bytes[len_at..at], (blob.len() as u64).to_le_bytes());
-            let mut spliced = bytes[..len_at].to_vec();
-            spliced.extend_from_slice(&(spliced_blob.len() as u64).to_le_bytes());
-            spliced.extend_from_slice(&spliced_blob);
-            spliced.extend_from_slice(&bytes[at + blob.len()..]);
-
-            let checkpoint = ServerCheckpoint::from_bytes(&spliced)
-                .unwrap_or_else(|e| panic!("{label}: the spliced checkpoint parses ({e})"));
-            let resumed = sim.resume(&mut *build_method(method, &task), &checkpoint);
-            assert_eq!(
-                resumed.err(),
-                Some(CheckpointError::State(StateError::Malformed)),
-                "{label}: {what} 5 floats long, client {client}"
-            );
+            let mut spliced = shared.encode();
+            per_client.put(&mut spliced);
+            let what = format!("{what} 5 floats long, client {client}");
+            assert_refused(method, &task, &bytes, &blob, &spliced, &what);
         }
     }
+    // A momentum buffer alone (FedCM, FedAvgM, Mime-lite), or behind
+    // FedWCM's α.
+    for method in [FedCm, FedWcm, FedAvgM, MimeLite] {
+        let (bytes, blob) = stopped_at(method, &task);
+        let mut spliced = Vec::new();
+        if method == FedWcm {
+            let (alpha, _): (f32, Vec<f32>) = decode_state(&blob).expect("its own blob");
+            alpha.put(&mut spliced);
+        }
+        vec![0.5f32; 5].put(&mut spliced);
+        assert_refused(
+            method,
+            &task,
+            &bytes,
+            &blob,
+            &spliced,
+            "momentum 5 floats long",
+        );
+    }
+}
+
+/// FedWCM's α is a momentum value, in `[0, 1]`: a state that carries
+/// another, NaN included, is refused at resume, not at the first local
+/// step that blends with it.
+#[test]
+fn a_fedwcm_alpha_outside_the_unit_interval_is_refused_at_resume() {
+    use fedwcm_suite::fl::codec::{decode_state, Wire};
+
+    let exp = ExpConfig::new(DatasetPreset::FashionMnist, 0.1, 0.3, Scale::Smoke, 4001);
+    let task = exp.prepare();
+    let (bytes, blob) = stopped_at(FedWcm, &task);
+    let (_, momentum): (f32, Vec<f32>) = decode_state(&blob).expect("its own blob");
+    for alpha in [2.0f32, f32::NAN] {
+        let mut spliced = alpha.encode();
+        momentum.put(&mut spliced);
+        assert_refused(
+            FedWcm,
+            &task,
+            &bytes,
+            &blob,
+            &spliced,
+            &format!("α {alpha}"),
+        );
+    }
+}
+
+/// `method` run to `STOP` on `task`: the checkpoint's bytes and the state
+/// blob inside them.
+fn stopped_at(method: Method, task: &PreparedTask) -> (Vec<u8>, Vec<u8>) {
+    let mut stopped = build_method(method, task);
+    let bytes = task
+        .simulation()
+        .run_until(&mut *stopped, STOP)
+        .expect("checkpointable")
+        .to_bytes();
+    (bytes, stopped.save_state().expect("it just saved"))
+}
+
+/// The checkpoint `bytes` with its state `blob` replaced by `spliced`
+/// parses, and resuming `method` from it is refused as a malformed state.
+fn assert_refused(
+    method: Method,
+    task: &PreparedTask,
+    bytes: &[u8],
+    blob: &[u8],
+    spliced: &[u8],
+    what: &str,
+) {
+    use fedwcm_suite::fl::CheckpointError;
+
+    let label = method.label();
+    // The blob is a `u64` length, then its bytes, inside the FWCK.
+    let at = bytes
+        .windows(blob.len())
+        .position(|w| w == blob)
+        .expect("the state blob is in the checkpoint");
+    let len_at = at - 8;
+    assert_eq!(bytes[len_at..at], (blob.len() as u64).to_le_bytes());
+    let mut edited = bytes[..len_at].to_vec();
+    edited.extend_from_slice(&(spliced.len() as u64).to_le_bytes());
+    edited.extend_from_slice(spliced);
+    edited.extend_from_slice(&bytes[at + blob.len()..]);
+
+    let checkpoint = ServerCheckpoint::from_bytes(&edited)
+        .unwrap_or_else(|e| panic!("{label}: the spliced checkpoint parses ({e})"));
+    let resumed = task
+        .simulation()
+        .resume(&mut *build_method(method, task), &checkpoint);
+    assert_eq!(
+        resumed.err(),
+        Some(CheckpointError::State(StateError::Malformed)),
+        "{label}: {what}"
+    );
 }
