@@ -18,7 +18,8 @@ use std::sync::Arc;
 /// for convolutional models.
 const PANEL_FLOATS: usize = 1 << 14;
 
-/// 2-D convolution with square kernels, zero padding, shared stride.
+/// 2-D convolution with square kernels of odd size `k`, stride 1 and
+/// zero padding `k / 2`: the output is the size of the input.
 ///
 /// Weights are `[c_out, c_in*kh*kw]` row-major plus `c_out` biases. A
 /// batch is lowered panel by panel: [`Conv2d::panel_samples`] samples are
@@ -58,28 +59,24 @@ pub struct Conv2d {
 }
 
 impl Conv2d {
-    /// New conv layer over input `[c_in, h, w]`.
-    pub fn new(
-        c_in: usize,
-        h: usize,
-        w: usize,
-        c_out: usize,
-        k: usize,
-        stride: usize,
-        pad: usize,
-    ) -> Self {
+    /// New conv layer over input `[c_in, h, w]` with `k×k` kernels; `k`
+    /// must be odd.
+    pub fn new(c_in: usize, h: usize, w: usize, c_out: usize, k: usize) -> Self {
+        assert!(
+            !k.is_multiple_of(2),
+            "conv kernel size must be odd, got {k}"
+        );
         let geom = ConvGeom {
             c_in,
             h,
             w,
             kh: k,
             kw: k,
-            stride,
-            pad,
+            stride: 1,
+            pad: k / 2,
         };
         Conv2d {
             geom,
-            // Also validates the geometry eagerly.
             map: Arc::new(PatchMap::new(&geom, panel_samples(&geom))),
             c_out,
             cached_cols: Vec::new(),
@@ -480,16 +477,10 @@ mod tests {
     fn panel_lowering_matches_per_sample_reference() {
         // The three ResLite geometries at a training step (40), a ragged
         // panel (9 and 37 are full panels of the stem and 4×4 stage, and
-        // of the 2×2 stage), an evaluation batch (256) and one image; then
-        // a stride-2 / pad-0 layer on both sides of its panel boundary.
+        // of the 2×2 stage), an evaluation batch (256) and one image.
         const SPECIALS: [f32; 4] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
-        for (c_in, hw, c_out, stride, pad) in [
-            (3, 8, 12, 1, 1),
-            (12, 4, 12, 1, 1),
-            (12, 2, 12, 1, 1),
-            (4, 13, 5, 2, 0),
-        ] {
-            let mut conv = Conv2d::new(c_in, hw, hw, c_out, 3, stride, pad);
+        for (c_in, hw, c_out) in [(3, 8, 12), (12, 4, 12), (12, 2, 12)] {
+            let mut conv = Conv2d::new(c_in, hw, hw, c_out, 3);
             let panel = conv.panel_samples();
             assert!(panel > 1, "geometry must batch for the test to bite");
             let mut rng = Xoshiro256pp::seed_from(21);
@@ -502,14 +493,8 @@ mod tests {
             let in_len = conv.geom.input_len();
             let out_len = conv.out_features(in_len);
             let (pr, pc) = (conv.geom.patch_rows(), conv.geom.patch_cols());
-            let batches = if stride == 1 {
-                vec![1, 9, 37, 40, 256]
-            } else {
-                vec![1, panel - 1, panel, panel + 1, 2 * panel + 3]
-            };
-            for batch in batches {
-                let what =
-                    |name: &str| format!("{name}, {c_in}x{hw}x{hw} stride {stride}, batch {batch}");
+            for batch in [1, 9, 37, 40, 256] {
+                let what = |name: &str| format!("{name}, {c_in}x{hw}x{hw}, batch {batch}");
                 let mut x = Tensor::randn(&[batch, in_len], 1.0, &mut rng);
                 // NaN, ±inf and -0.0 in turn, at seeded input positions.
                 for k in 0..4 + batch / 16 {
@@ -565,7 +550,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "conv backward without forward(train=true)")]
     fn backward_after_eval_only_forward_panics() {
-        let mut conv = Conv2d::new(1, 3, 3, 2, 3, 1, 1);
+        let mut conv = Conv2d::new(1, 3, 3, 2, 3);
         let params = vec![0.1; conv.param_len()];
         let x = Tensor::zeros(&[2, 9]);
         let y = conv.forward(&params, &x, false);
@@ -576,7 +561,7 @@ mod tests {
     #[test]
     fn conv_identity_kernel_passthrough() {
         // 1×1 kernel with weight 1 reproduces the input channel.
-        let mut conv = Conv2d::new(1, 3, 3, 1, 1, 1, 0);
+        let mut conv = Conv2d::new(1, 3, 3, 1, 1);
         let params = vec![1.0, 0.0]; // w=1, b=0
         let x = Tensor::from_vec((0..9).map(|v| v as f32).collect(), &[1, 9]);
         let y = conv.forward(&params, &x, false);
@@ -585,18 +570,27 @@ mod tests {
 
     #[test]
     fn conv_known_sum_kernel() {
-        // 2×2 all-ones kernel on a 2×2 input, no pad → single output = sum.
-        let mut conv = Conv2d::new(1, 2, 2, 1, 2, 1, 0);
-        let params = vec![1.0, 1.0, 1.0, 1.0, 0.5]; // bias 0.5
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 4]);
+        // 3×3 all-ones kernel on a 3×3 input: each output is the sum of
+        // the input's 3×3 neighbourhood of it, the padding adding zeros.
+        let mut conv = Conv2d::new(1, 3, 3, 1, 3);
+        let mut params = vec![1.0; 9];
+        params.push(0.5); // bias
+        let x = Tensor::from_vec((1..=9).map(|v| v as f32).collect(), &[1, 9]);
         let y = conv.forward(&params, &x, false);
-        assert_eq!(y.as_slice(), &[10.5]);
+        let sums = [12.0, 21.0, 16.0, 27.0, 45.0, 33.0, 24.0, 39.0, 28.0];
+        assert_eq!(y.as_slice(), sums.map(|s| s + 0.5));
+    }
+
+    #[test]
+    #[should_panic(expected = "conv kernel size must be odd, got 2")]
+    fn even_kernel_panics() {
+        let _ = Conv2d::new(1, 4, 4, 1, 2);
     }
 
     #[test]
     fn conv_backward_matches_finite_difference() {
         let mut rng = Xoshiro256pp::seed_from(5);
-        let mut conv = Conv2d::new(2, 5, 5, 3, 3, 1, 1);
+        let mut conv = Conv2d::new(2, 5, 5, 3, 3);
         let mut params = vec![0.0; conv.param_len()];
         conv.init_params(&mut params, &mut rng);
         let x = Tensor::randn(&[2, 2 * 5 * 5], 1.0, &mut rng);

@@ -235,8 +235,8 @@ mod tests {
     #[test]
     fn params_half_matches_backward_for_every_layer() {
         assert_backward_params_matches_backward(Dense::new(7, 4), 7);
-        assert_backward_params_matches_backward(Conv2d::new(3, 8, 8, 12, 3, 1, 1), 3 * 64);
-        assert_backward_params_matches_backward(Conv2d::new(2, 7, 6, 3, 3, 2, 0), 2 * 42);
+        assert_backward_params_matches_backward(Conv2d::new(3, 8, 8, 12, 3), 3 * 64);
+        assert_backward_params_matches_backward(Conv2d::new(2, 7, 6, 3, 5), 2 * 42);
         // The defaulted method: run `backward`, drop the tensor.
         assert_backward_params_matches_backward(Relu::new(), 9);
         assert_backward_params_matches_backward(AvgPool2d::new(2, 4, 4), 32);
@@ -259,7 +259,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "conv backward without forward(train=true)")]
     fn cold_conv_params_half_panics_like_backward() {
-        let mut c = Conv2d::new(1, 3, 3, 2, 3, 1, 1);
+        let mut c = Conv2d::new(1, 3, 3, 2, 3);
         let params = vec![0.0; c.param_len()];
         c.backward_params(&params, &mut [0.0; 20], &Tensor::zeros(&[1, 18]));
     }

@@ -29,9 +29,9 @@ pub fn mlp(in_features: usize, hidden: &[usize], classes: usize, rng: &mut Xoshi
 
 fn res_block(c: usize, h: usize, w: usize) -> Residual {
     Residual::new(vec![
-        Box::new(Conv2d::new(c, h, w, c, 3, 1, 1)),
+        Box::new(Conv2d::new(c, h, w, c, 3)),
         Box::new(Relu::new()),
-        Box::new(Conv2d::new(c, h, w, c, 3, 1, 1)),
+        Box::new(Conv2d::new(c, h, w, c, 3)),
     ])
 }
 
@@ -54,7 +54,7 @@ pub fn res_lite(
     );
     assert!(classes >= 2 && width >= 4);
     let layers: Vec<Box<dyn Layer>> = vec![
-        Box::new(Conv2d::new(c_in, h, w, width, 3, 1, 1)),
+        Box::new(Conv2d::new(c_in, h, w, width, 3)),
         Box::new(Relu::new()),
         Box::new(AvgPool2d::new(width, h, w)),
         Box::new(res_block(width, h / 2, w / 2)),

@@ -16,37 +16,37 @@
 //! `s` at column offset `s*oh*ow`, so a layer runs one GEMM per panel
 //! instead of one per image.
 //!
-//! **Shifted rows.** Take a stride-1 convolution whose output is the size
-//! of its input (`kh = kw = 2p + 1`; every conv the models build). Lay
-//! channel `c` of the panel's images end to end in one row with `p·w + p`
-//! floats of margin on each side: patch row `(c, ky, kx)` is that row
-//! shifted by `(ky − p)·w + (kx − p)`, except in the columns whose tap
-//! lands in the padding, which hold `+0.0`. So the map keeps, per tap, a
-//! `u32` mask over the widest panel's columns (all ones where the tap
-//! copies), and a patch row is one pass over all `nb·oh·ow` columns:
-//! `f32::from_bits(src.to_bits() & mask)`. The pass runs on the instance
-//! of the machine's level like the GEMM kernels
+//! **Shifted rows.** A [`PatchMap`] lowers one geometry, a stride-1
+//! convolution whose output is the size of its input (`kh = kw = 2p + 1`;
+//! every conv the models build); [`PatchMap::new`] panics on any other.
+//! Lay channel `c` of the panel's images end to end in one row with
+//! `p·w + p` floats of margin on each side: patch row `(c, ky, kx)` is
+//! that row shifted by `(ky − p)·w + (kx − p)`, except in the columns
+//! whose tap lands in the padding, which hold `+0.0`. So the map keeps,
+//! per tap, a `u32` mask over the widest panel's columns (all ones where
+//! the tap copies), and a patch row is one pass over all `nb·oh·ow`
+//! columns: `f32::from_bits(src.to_bits() & mask)`. The pass runs on the
+//! instance of the machine's level like the GEMM kernels
 //! ([`mod@crate::matmul`], "Instruction-set levels"); a select, never a
 //! multiply by the mask, so every float is the one [`im2col`] copies —
-//! `NaN·0` would be NaN. Any other geometry is gathered image by image
-//! through a table with one input index per element of one image's patch
-//! matrix, portable; only tests build such geometries.
+//! `NaN·0` would be NaN.
 //!
 //! **The adjoint, without the panel.** The input gradient the lowering
 //! defines is `Wᵀ·go` into a zeroed patch-gradient panel, then [`col2im`]
 //! onto zeros. Its indices collide — that is what makes it an adjoint —
 //! but not within one patch row: a kernel tap reaches each input position
-//! at most once. So the map also keeps itself inverted per tap, and
-//! [`PatchMap::input_grad`] computes each input element directly: for each
-//! tap that reaches it, in the definition's row order, the tap's sum over
-//! output channels from `0.0`, added onto the element from `0.0` — the
-//! chain the GEMM and the scatter produced, so every bit but a NaN's
-//! payload agrees (Rust leaves that unspecified, and the GEMM levels
-//! already differ there). A tap into the padding is skipped: the GEMM
-//! computed those panel entries only for the scatter to drop them (31 %
-//! of the panel at ResLite's 4×4 stage, 55 % at 2×2), and the scatter was
-//! a second pass over what was left. The kernel runs one instance per
-//! level, its vector lanes a block of images.
+//! at most once. So the map also keeps, per tap and input position, the
+//! column that copies it, and [`PatchMap::input_grad`] computes each
+//! input element directly: for each tap that reaches it, in the
+//! definition's row order, the tap's sum over output channels from `0.0`,
+//! added onto the element from `0.0` — the chain the GEMM and the
+//! scatter produced, so every bit but a NaN's payload agrees (Rust leaves
+//! that unspecified, and the GEMM levels already differ there). A tap
+//! into the padding is skipped: the GEMM computed those panel entries
+//! only for the scatter to drop them (31 % of the panel at ResLite's 4×4
+//! stage, 55 % at 2×2), and the scatter was a second pass over what was
+//! left. The kernel runs one instance per level, its vector lanes a block
+//! of images.
 //!
 //! The map belongs to whoever lowers (`fedwcm-nn`'s `Conv2d` builds one in
 //! its constructor, for its widest panel, and shares it with its clones);
@@ -110,12 +110,16 @@ impl ConvGeom {
         self.c_in * self.h * self.w
     }
 
-    /// `pad·w + pad`, if every patch row is its input channel shifted:
-    /// stride 1 and an output the size of the input (`kh = kw =
-    /// 2·pad + 1`). `None` for any other geometry.
-    fn shift_margin(&self) -> Option<usize> {
-        let same = self.kh == 2 * self.pad + 1 && self.kw == 2 * self.pad + 1;
-        (self.stride == 1 && same).then_some(self.pad * self.w + self.pad)
+    /// `pad·w + pad`, the margin of a shifted row. Panics unless every
+    /// patch row is its input channel shifted: stride 1 and an output the
+    /// size of the input (`kh = kw = 2·pad + 1`).
+    fn margin(&self) -> usize {
+        let same = self.kh == 2 * self.pad + 1 && self.kw == self.kh;
+        assert!(
+            self.stride == 1 && same,
+            "PatchMap lowers a stride-1 convolution with kh = kw = 2·pad + 1, not {self:?}"
+        );
+        self.pad * self.w + self.pad
     }
 }
 
@@ -191,19 +195,20 @@ pub fn col2im(geom: &ConvGeom, cols: &[f32], grad_input: &mut [f32]) {
     }
 }
 
-/// [`PatchMap`] entry of a patch element in the zero padding. No input is
-/// this long (asserted at construction), so it is also out of range.
+/// [`PatchMap::taps`] entry of an input position a tap copies into no
+/// column. No input is this long (asserted at construction), so no
+/// column is this one.
 const PAD: u32 = u32::MAX;
 
 /// The lowering of one [`ConvGeom`] into panels of up to `images`
 /// images, and the same lowering inverted per kernel tap. The only place
-/// a layer's stride/pad/kernel arithmetic runs.
+/// a layer's pad/kernel arithmetic runs.
 #[derive(Debug)]
 pub struct PatchMap {
     geom: ConvGeom,
     /// Most images a panel holds.
     images: usize,
-    /// [`PatchMap::lowering`] followed by [`PatchMap::taps`], in one
+    /// [`PatchMap::masks`] followed by [`PatchMap::taps`], in one
     /// allocation: as two, the second measured +0.3 MB of peak RSS on a
     /// ResLite run (heap fragmentation around a long-lived small block).
     table: Vec<u32>,
@@ -212,80 +217,57 @@ pub struct PatchMap {
 }
 
 impl PatchMap {
-    /// Tabulate `geom` for panels of up to `images` images.
+    /// Tabulate `geom` for panels of up to `images` images. Panics unless
+    /// `geom` has stride 1 and `kh = kw = 2·pad + 1`.
     pub fn new(geom: &ConvGeom, images: usize) -> Self {
+        // Panics on any geometry the shifted rows do not serve.
+        geom.margin();
         assert!(geom.input_len() < PAD as usize, "input too long for u32");
         assert!(images > 0, "a panel holds at least one image");
-        let (oh, ow) = (geom.oh(), geom.ow());
-        let (pc, kk) = (oh * ow, geom.kh * geom.kw);
-        // An element is inside the image iff its coordinate in the padded
-        // image falls in `pad..pad + dim`.
-        let (ys, xs) = (geom.pad..geom.pad + geom.h, geom.pad..geom.pad + geom.w);
-        let mut idx = Vec::with_capacity(geom.patch_rows() * pc + kk * geom.h * geom.w);
-        for c in 0..geom.c_in {
-            for ky in 0..geom.kh {
-                for kx in 0..geom.kw {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let (py, px) = (oy * geom.stride + ky, ox * geom.stride + kx);
-                            idx.push(if ys.contains(&py) && xs.contains(&px) {
-                                ((c * geom.h + py - geom.pad) * geom.w + px - geom.pad) as u32
-                            } else {
-                                PAD
-                            });
-                        }
-                    }
+        let (h, w, pad) = (geom.h, geom.w, geom.pad);
+        let (hw, kk) = (h * w, geom.kh * geom.kw);
+        let split = kk * images * hw;
+        let mut table = vec![0; split + kk * hw];
+        let (masks, taps) = table.split_at_mut(split);
+        taps.fill(PAD);
+        let rows = masks.chunks_exact_mut(images * hw);
+        for (t, (row, tap)) in rows.zip(taps.chunks_exact_mut(hw)).enumerate() {
+            let (ky, kx) = (t / geom.kw, t % geom.kw);
+            let (mask, rest) = row.split_at_mut(hw);
+            for (col, m) in mask.iter_mut().enumerate() {
+                // Tap `(ky, kx)` at output `(oy, ox)` copies input
+                // `(oy + ky − pad, ox + kx − pad)` when that is inside the
+                // image (the subtraction wraps past `h` or `w` if not).
+                let (oy, ox) = (col / w, col % w);
+                let (iy, ix) = ((oy + ky).wrapping_sub(pad), (ox + kx).wrapping_sub(pad));
+                if iy < h && ix < w {
+                    *m = u32::MAX;
+                    tap[iy * w + ix] = col as u32;
                 }
+            }
+            // The other images of the widest panel repeat the first's.
+            for copy in rest.chunks_exact_mut(hw) {
+                copy.copy_from_slice(mask);
             }
         }
-        let (hw, lowered) = (geom.h * geom.w, idx.len());
-        idx.resize(lowered + kk * hw, PAD);
-        let (rows, taps) = idx.split_at_mut(lowered);
-        for (tap, row) in taps.chunks_exact_mut(hw).zip(rows.chunks_exact(pc)) {
-            for (col, &i) in row.iter().enumerate() {
-                if let Some(q) = tap.get_mut(i as usize) {
-                    *q = col as u32;
-                }
-            }
-        }
-        let table = match geom.shift_margin() {
-            None => idx,
-            // Tap `t`'s mask: all ones where its first channel's row
-            // copies, zero in the padding, once per image of the widest
-            // panel.
-            Some(_) => {
-                let (rows, taps) = idx.split_at(lowered);
-                let mut table = Vec::with_capacity(kk * images * pc + taps.len());
-                for row in rows.chunks_exact(pc).take(kk) {
-                    let mask = row.iter().map(|&i| if i == PAD { 0 } else { u32::MAX });
-                    for _ in 0..images {
-                        table.extend(mask.clone());
-                    }
-                }
-                table.extend_from_slice(taps);
-                table
-            }
-        };
         PatchMap {
             geom: *geom,
             images,
-            split: table.len() - kk * hw,
             table,
+            split,
         }
     }
 
-    /// For a shifted geometry, per kernel tap the `u32` mask of the
-    /// widest panel's columns; for any other, for each element of one
-    /// image's patch matrix, row-major, the input index it copies, or
-    /// `PAD`.
-    fn lowering(&self) -> &[u32] {
+    /// Per kernel tap, the `u32` mask of the widest panel's columns: all
+    /// ones where the tap copies, zero where it lands in the padding.
+    fn masks(&self) -> &[u32] {
         &self.table[..self.split]
     }
 
     /// For each tap `t = ky·kw + kx` and each position `q` of one input
     /// channel, the column of patch row `t` that copies `q`, or `PAD`. A
-    /// tap copies each position at most once, so this is the first `kh·kw`
-    /// rows of the gather table inverted, and it serves every channel.
+    /// tap copies each position at most once, and the table serves every
+    /// channel.
     fn taps(&self) -> &[u32] {
         &self.table[self.split..]
     }
@@ -293,9 +275,7 @@ impl PatchMap {
     /// Floats of work space [`PatchMap::lower_panel`] takes: one input
     /// channel of the widest panel, laid end to end with its margins.
     pub fn lower_work(&self) -> usize {
-        self.geom
-            .shift_margin()
-            .map_or(0, |m| self.images * self.geom.h * self.geom.w + 2 * m)
+        self.images * self.geom.h * self.geom.w + 2 * self.geom.margin()
     }
 
     /// Lower `nb` images `[nb, input_len]` (at most the map's `images`)
@@ -321,15 +301,10 @@ impl PatchMap {
         );
         let n = nb * pc;
         assert_eq!(panel.len(), g.patch_rows() * n, "panel buffer size");
-        let Some(margin) = g.shift_margin() else {
-            for (s, image) in images.chunks_exact(len).enumerate() {
-                gather_rows(self.lowering(), pc, image, panel, n, s * pc);
-            }
-            return;
-        };
+        let margin = g.margin();
         assert!(work.len() >= self.lower_work(), "work space size");
         let shift = Shift {
-            masks: self.lowering(),
+            masks: self.masks(),
             stride: self.images * pc,
             len,
             hw: g.h * g.w,
@@ -454,7 +429,7 @@ impl PatchMap {
     }
 }
 
-/// What [`PatchMap::lower_panel`] reads for a shifted geometry: with
+/// What [`PatchMap::lower_panel`] reads: with
 /// channel `c` of a panel's images laid end to end in a row behind a
 /// margin of `pad·w + pad` floats, patch row `(c, ky, kx)` is that row
 /// from `ky·w + kx` on, masked to `+0.0` where the tap lands in the
@@ -501,18 +476,6 @@ impl Shift<'_> {
                     *d = f32::from_bits(x.to_bits() & m);
                 }
             }
-        }
-    }
-}
-
-/// The gather of [`PatchMap::lower_panel`] for a geometry without a
-/// constant shift: row `r` of `idx` (`pc` entries) selects what goes to
-/// columns `col0..col0 + pc` of row `r` of `panel`.
-fn gather_rows(idx: &[u32], pc: usize, input: &[f32], panel: &mut [f32], ld: usize, col0: usize) {
-    for (row, idx) in panel.chunks_exact_mut(ld).zip(idx.chunks_exact(pc)) {
-        for (d, &i) in row[col0..col0 + pc].iter_mut().zip(idx) {
-            // A select, never a multiply by a mask: `NaN·0` is NaN.
-            *d = input.get(i as usize).copied().unwrap_or(0.0);
         }
     }
 }
@@ -712,7 +675,7 @@ mod tests {
     #[test]
     fn input_grad_is_the_adjoint_of_the_lowered_convolution() {
         // <W·lower(x), go> == <x, input_grad(W, go)> over three images.
-        let g = geom(2, 6, 5, 3, 2, 0);
+        let g = geom(2, 6, 5, 3, 1, 1);
         let map = PatchMap::new(&g, 1);
         let (pr, pc, len, c_out, nb) = (g.patch_rows(), g.patch_cols(), g.input_len(), 3, 3);
         let mut rng = Xoshiro256pp::seed_from(8);
@@ -723,9 +686,9 @@ mod tests {
             uniform(nb * c_out * pc),
         );
         let mut lhs = 0.0f32;
-        let mut cols = vec![0.0; pr * pc];
+        let (mut cols, mut work) = (vec![0.0; pr * pc], vec![0.0; map.lower_work()]);
         for (x, go) in x.chunks_exact(len).zip(go.chunks_exact(c_out * pc)) {
-            map.lower_panel(x, &mut cols, &mut []);
+            map.lower_panel(x, &mut cols, &mut work);
             for c in 0..c_out {
                 for p in 0..pc {
                     let y: f32 = (0..pr).map(|r| w[c * pr + r] * cols[r * pc + p]).sum();
@@ -752,6 +715,12 @@ mod tests {
         let map = PatchMap::new(&g, 2);
         let mut panel = vec![0.0; g.patch_rows() * 3 * g.patch_cols()];
         map.lower_panel(&[0.0; 27], &mut panel, &mut vec![0.0; map.lower_work()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "PatchMap lowers a stride-1 convolution with kh = kw = 2·pad + 1")]
+    fn map_of_a_strided_geometry_panics() {
+        let _ = PatchMap::new(&geom(1, 8, 8, 3, 2, 1), 1);
     }
 
     #[test]
@@ -896,17 +865,15 @@ mod tests {
 
     #[test]
     fn input_grad_matches_definition_with_specials() {
-        // The three ResLite geometries, then stride 2, pad 0, 5×5 and 1×1.
-        for (c_in, hw, k, stride, pad, c_out) in [
-            (12, 4, 3, 1, 1, 12),
-            (12, 2, 3, 1, 1, 12),
-            (3, 8, 3, 1, 1, 12),
-            (4, 9, 3, 2, 1, 5),
-            (3, 6, 3, 1, 0, 7),
-            (2, 7, 5, 1, 2, 6),
-            (5, 4, 1, 1, 0, 3),
+        // The three ResLite geometries, then 5×5 and 1×1.
+        for (c_in, hw, k, c_out) in [
+            (12, 4, 3, 12),
+            (12, 2, 3, 12),
+            (3, 8, 3, 12),
+            (2, 7, 5, 6),
+            (5, 4, 1, 3),
         ] {
-            let g = geom(c_in, hw, hw, k, stride, pad);
+            let g = geom(c_in, hw, hw, k, 1, k / 2);
             let (finite, total) = assert_input_grad_matches_definition(&g, c_out, 29);
             assert!(
                 0 < finite && finite < total,
@@ -928,11 +895,10 @@ mod tests {
 
         #[test]
         fn panel_lowering_matches_definition(
-            c_in in 1usize..5, h in 1usize..10, w in 1usize..10, k in 1usize..6,
-            stride in 1usize..4, pad in 0usize..3, seed in any::<u64>(),
+            c_in in 1usize..5, h in 1usize..10, w in 1usize..10, pad in 0usize..3,
+            seed in any::<u64>(),
         ) {
-            prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
-            let geom = ConvGeom { c_in, h, w, kh: k, kw: k, stride, pad };
+            let geom = geom(c_in, h, w, 2 * pad + 1, 1, pad);
             assert_panel_matches_definition(&geom, 3, seed);
             let _ = assert_input_grad_matches_definition(&geom, c_in + 2, seed);
         }
